@@ -14,7 +14,7 @@ from math import isqrt
 
 from .arith import smallest_prime_factors
 from .characters import QuadCharacter
-from .discriminants import local_square_solvable, uniformizer_of
+from .discriminants import _dyadic_ramification, local_square_solvable, uniformizer_of
 from .field import Elem, QuadField
 from .ideals import Ideal, PrimeIdeal, ideals_of_norm
 
@@ -80,12 +80,6 @@ def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
             b = b * P.ideal**e
         total += chi.extended(b)
     return total
-
-
-def _dyadic_ramification(P: PrimeIdeal) -> int:
-    if P.p != 2:
-        return 0
-    return 2 if P.ramified else 1
 
 
 def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:

@@ -108,22 +108,26 @@ def is_discriminant(delta: Elem) -> bool:
 
 
 def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
-    """Whether x^2 = delta mod P^target is solvable, by exhaustive search
-    over residues modulo P^ceil(target/2).
+    """Whether x^2 = delta mod P^target is solvable with x integral at P,
+    for any delta of K.  A delta with v_P(delta) < 0 has no solution.
 
-    That search modulus is sufficient at every call site in this package:
-    if x0 is a solution and x = x0 mod P^ceil(target/2), then
-    (x-x0)(x+x0) keeps valuation >= target because v(x0) is forced up to
-    at least v(delta)/2 capped suitably; the brute-force residue tests in
-    the test suite re-check this at full modulus.
+    The search runs over residues modulo P^s with
+    s = max(ceil(t/2), t - v_P(2) - floor(min(v_P(delta), t)/2)),
+    t = target, where delta = 0 counts as v_P(delta) = infinity.  This s is
+    sufficient: any solution x0 has v(x0) >= floor(min(v_P(delta), t)/2),
+    and x = x0 mod P^s gives
+    v(x^2 - x0^2) >= s + min(v_P(2) + v(x0), s) >= t.
     """
     if target <= 0:
         return True
-    search = P.ideal ** ((target + 1) // 2)
-    for x in search.residues():
-        diff = x * x - delta
-        v = element_valuation(diff, P)
-        if v is None or v >= target:
+    v = element_valuation(delta, P)
+    if v is not None and v < 0:
+        return False
+    half = target // 2 if v is None else min(v, target) // 2
+    s = max((target + 1) // 2, target - _dyadic_ramification(P) - half)
+    for x in (P.ideal**s).residues():
+        vx = element_valuation(x * x - delta, P)
+        if vx is None or vx >= target:
             return True
     return False
 

@@ -4,13 +4,23 @@ A nonzero ideal is stored as an integer module in Hermite normal form over
 the basis {1, w} (just a positive rational for Q), divided by a positive
 integer denominator.  The representation is normalized at construction and
 is unique per ideal, so equality is structural.
+
+The arithmetic works on the integer HNF triples throughout (Cohen, GTM 138,
+sections 4.7 and 5.2): products, sums, conjugates and inverses never pass
+through field elements, and ideal_from_generators clears denominators once
+and builds its module vectors from integer coordinates.
+
+primes_above is cached process-wide per (field, p); the cache grows only
+with the pairs asked about.  Each PrimeIdeal carries its inverse, so
+valuations do not recompute it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import factorint, kronecker, sqrt_mod_p, xgcd
@@ -238,13 +248,23 @@ class Ideal:
     def conj(self) -> "Ideal":
         if self.field.degree == 1:
             return self
-        return ideal_from_generators(self.field, [e.conj() for e in self.basis_elems()])
+        # conjugation maps the Z-basis {a, b + c w} to {a, (b + t c) - c w}
+        a, b, c = self.hnf
+        t = self.field.omega_trace
+        return Ideal(
+            self.field, _hnf_from_vectors([(a, 0), (b + t * c, -c)]), self.den, _checked=True
+        )
 
     def inverse(self) -> "Ideal":
-        nm = self.norm()
-        inv = self.conj()._scaled(1 / nm) if self.field.degree == 2 else Ideal(
-            self.field, (nm.denominator,), nm.numerator, _checked=True
-        )
+        """conj / N: for I = M/den, N(I) = a c / den^2."""
+        K = self.field
+        if K.degree == 1:
+            inv = Ideal(K, (self.den,), self.hnf[0], _checked=True)
+        else:
+            a, _, c = self.hnf
+            J = self.conj()
+            m = self.den * self.den
+            inv = Ideal(K, tuple(x * m for x in J.hnf), J.den * a * c, _checked=True)
         assert (self * inv).is_unit_ideal()
         return inv
 
@@ -309,7 +329,7 @@ class Ideal:
             return num.valuation(P) - den.valuation(P)
         v = 0
         x = self
-        inv = P.ideal.inverse()
+        inv = P.inverse
         while True:
             x = x * inv
             if not x.is_integral():
@@ -405,12 +425,16 @@ def ideal_from_generators(K: QuadField, gens) -> Ideal:
     if K.degree == 1:
         n = 0
         for g in elems:
-            n = gcd(n, int(g.x * den))
+            n = gcd(n, g.x.numerator * (den // g.x.denominator))
         return Ideal(K, (abs(n),), den)
+    # den*g = X + Y w with integers X, Y, and (X + Y w) w = -n Y + (X + t Y) w
+    t, n = K.omega_trace, K.omega_norm
     vecs = []
     for g in elems:
-        for h in (g, g * K.omega):
-            vecs.append((int(h.x * den), int(h.y * den)))
+        X = g.x.numerator * (den // g.x.denominator)
+        Y = g.y.numerator * (den // g.y.denominator)
+        vecs.append((X, Y))
+        vecs.append((-n * Y, X + t * Y))
     return Ideal(K, _hnf_from_vectors(vecs), den, _checked=True)
 
 
@@ -424,6 +448,7 @@ class PrimeIdeal:
     ideal: Ideal
     residue_degree: int
     ramified: bool
+    inverse: Ideal = field(compare=False, repr=False)  # ideal.inverse(), computed once
 
     def norm(self) -> int:
         return self.p**self.residue_degree
@@ -434,13 +459,23 @@ class PrimeIdeal:
 
 def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
     """Prime ideals above the rational prime p, via the Kronecker symbol of
-    the field discriminant plus explicit root-finding (both must agree)."""
+    the field discriminant plus explicit root-finding (both must agree).
+    Cached per (K, p); every call returns a fresh list."""
+    return list(_primes_above(K, p))
+
+
+def _prime_ideal(p: int, I: Ideal, residue_degree: int, ramified: bool) -> PrimeIdeal:
+    return PrimeIdeal(p, I, residue_degree, ramified, I.inverse())
+
+
+@lru_cache(maxsize=None)
+def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     if K.degree == 1:
-        return [PrimeIdeal(p, Ideal(K, (p,), 1, _checked=True), 1, False)]
+        return (_prime_ideal(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
     t, n = K.omega_trace, K.omega_norm
     sym = kronecker(K.disc, p)
     if sym == -1:
-        return [PrimeIdeal(p, ideal_from_generators(K, [K.elem(p)]), 2, False)]
+        return (_prime_ideal(p, ideal_from_generators(K, [K.elem(p)]), 2, False),)
     # roots of x^2 - t x + n mod p
     if p == 2:
         roots = sorted({r % 2 for r in range(2) if (r * r - t * r + n) % 2 == 0})
@@ -453,12 +488,12 @@ def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
     out = []
     for r in roots:
         P = ideal_from_generators(K, [K.elem(p), K.omega - r])
-        out.append(PrimeIdeal(p, P, 1, sym == 0))
+        out.append(_prime_ideal(p, P, 1, sym == 0))
     if sym == 1:
         assert len(out) == 2
     else:
         assert len(out) == 1 and (out[0].ideal ** 2) == ideal_from_generators(K, [K.elem(p)])
-    return out
+    return tuple(out)
 
 
 def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:

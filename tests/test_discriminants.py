@@ -8,12 +8,13 @@ from relquad.discriminants import (
     discriminant_witness,
     fundamental_discriminant_data,
     is_unit_discriminant,
+    local_square_solvable,
     relative_discriminant_general,
     same_class_mod_squares,
     same_class_mod_unit_squares,
 )
 from relquad.field import make_field
-from relquad.ideals import ideal_from_generators, principal_ideal, unit_ideal
+from relquad.ideals import ideal_from_generators, primes_above, principal_ideal, unit_ideal
 
 
 def test_witness_examples(Q10, Q):
@@ -233,3 +234,23 @@ def test_enumeration_dedupes_classes(Q5):
     for i, a in enumerate(infos):
         for b in infos[i + 1 :]:
             assert not same_class_mod_unit_squares(a.delta, b.delta)
+
+
+def test_local_square_solvable_against_full_modulus(test_fields, Q):
+    # 4^2 = 16 = 7 mod 9: solvable although no x mod 3 has v_3(x^2 - 7) >= 2
+    assert local_square_solvable(Q.elem(7), primes_above(Q, 3)[0], 2)
+    cases = 0
+    for K in test_fields:
+        for p in (2, 3, 5):
+            for P in primes_above(K, p):
+                t = 1
+                while P.norm() ** t <= 81:
+                    Pt = P.ideal**t
+                    reps = Pt.residues()
+                    squares = {Pt.reduce(x * x).key() for x in reps}
+                    for delta in reps:
+                        expected = delta.key() in squares
+                        assert local_square_solvable(delta, P, t) == expected, (K, P, t, delta)
+                        cases += 1
+                    t += 1
+    assert cases > 1000

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from relquad.field import make_field
 from relquad.ideals import (
     Ideal,
+    _hnf_from_vectors,
     class_number,
     count_ideals_of_norm,
     ideal_from_generators,
@@ -206,3 +208,48 @@ def test_parse_and_pretty(Q10, Q):
     assert principal_ideal(Q10.elem(2)).pretty() == "(2)"
     with pytest.raises(ValueError):
         parse_ideal(Q, "[[1,0],[0,1]]")
+
+
+def test_integer_conj_and_inverse():
+    for d in (5, 10, -15, -1, 13):
+        K = make_field(d)
+        ideals = [I for n in range(1, 61) for I in ideals_of_norm(K, n)]
+        ideals += [I * P.inverse for I in list(ideals) for P in primes_above(K, 2)]
+        for I in ideals:
+            by_elems = ideal_from_generators(K, [e.conj() for e in I.basis_elems()])
+            assert I.conj() == by_elems, (K, I)
+            assert (I * I.inverse()).is_unit_ideal(), (K, I)
+
+
+def _module_of_elems(K, gens):
+    """The O-module spanned by gens, built from Elem products."""
+    den = lcm(*(c.denominator for g in gens for c in (g.x, g.y)))
+    vecs = [(int(h.x * den), int(h.y * den)) for g in gens for h in (g, g * K.omega)]
+    return Ideal(K, _hnf_from_vectors(vecs), den)
+
+
+def test_from_generators_matches_elem_route(test_fields, Q):
+    # 4/3 Z + 6/5 Z = 2/15 Z
+    assert ideal_from_generators(Q, [Fraction(4, 3), Fraction(6, 5)]) == Ideal(Q, (2,), 15)
+    rng = random.Random(17)
+    for K in test_fields[1:]:
+        for _ in range(200):
+            gens = [
+                K.elem(
+                    Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 6))),
+                    Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 5))),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            gens = [g for g in gens if g]
+            if gens:
+                assert ideal_from_generators(K, gens) == _module_of_elems(K, gens)
+
+
+def test_primes_above_returns_fresh_list(Q10):
+    first = primes_above(Q10, 3)
+    expected = list(first)
+    first.clear()
+    assert primes_above(Q10, 3) == expected and len(expected) == 2
+    for P in expected:
+        assert P.inverse == P.ideal.inverse()
