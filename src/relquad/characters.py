@@ -10,6 +10,7 @@ square gcds with delta by their norm.
 
 from __future__ import annotations
 
+from .arith import kronecker
 from .discriminants import DiscriminantInfo, conductor_ideal
 from .field import Elem
 from .ideals import (
@@ -24,17 +25,6 @@ from .ideals import (
 __all__ = ["QuadCharacter"]
 
 AUX_PRIME_NORM_BOUND = 10_000
-
-
-def _pow_mod(e: Elem, k: int, I: Ideal) -> Elem:
-    out = I.reduce(e.field.one)
-    base = I.reduce(e)
-    while k:
-        if k & 1:
-            out = I.reduce(out * base)
-        base = I.reduce(base * base)
-        k >>= 1
-    return out
 
 
 class QuadCharacter:
@@ -68,15 +58,16 @@ class QuadCharacter:
         if self.modulus.valuation(P) != 0:
             raise ValueError(f"{P} divides ({self.delta})")
         if P.p != 2:
-            # Euler criterion in the residue field O/P
-            I = P.ideal
-            r = _pow_mod(self.delta, (P.norm() - 1) // 2, I)
-            if r == I.reduce(self.field.one):
-                val = 1
-            elif r == I.reduce(-self.field.one):
-                val = -1
+            # Legendre symbol of an integer n = delta in O/P: at an inert P,
+            # delta^((p^2-1)/2) = N(delta)^((p-1)/2) in O/P; at a degree-1 P
+            # with HNF (p, b, 1), w = -b mod P (Cohen, GTM 138, 1.4 and 4.8)
+            if P.residue_degree == 2:
+                n = int(self.delta.norm())
+            elif self.field.degree == 1:
+                n = int(self.delta.x)
             else:
-                raise AssertionError("Euler criterion fell outside +-1")
+                n = int(self.delta.x) - int(self.delta.y) * P.ideal.hnf[1]
+            val = kronecker(n, P.p)
         else:
             # exhaustive: x^2 = delta mod 4P with x over residues of 2P
             four_p = P.ideal * 4

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
-All output is deterministic for identical flags, independent of --jobs.
+All output is deterministic for identical flags.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .characters import QuadCharacter
@@ -19,8 +18,8 @@ from .dyadic import duality_report
 from .field import make_field, parse_elem
 from .hurwitz import hurwitz_row
 from .ideals import parse_ideal
-from .tables import TableRow, table_rows, unit_discriminants
-from .verify import run_suite
+from .tables import table_rows, unit_discriminants
+from .verify import FIELD_SUITES, run_suite
 
 
 def _field_of(args):
@@ -105,45 +104,9 @@ def cmd_zeta_coeffs(args) -> int:
     return 0 if conv[1:] == conv2[1:] else 1
 
 
-def _table_chunk(payload):
-    d, bound, sign, coords = payload
-    K = make_field(d if d else None)
-    rows = []
-    for a, b in coords:
-        info = conductor_ideal(K.elem(a, b))
-        extras = {"unit_discriminant": info.rel_disc.is_unit_ideal()}
-        if K.degree == 1 and a < 0:
-            from .hurwitz import hurwitz_class_number
-
-            extras["H"] = hurwitz_class_number(a)
-        rec = TableRow(
-            norm=abs(int(info.delta.norm())),
-            delta=info.delta,
-            f_delta=info.f_delta,
-            rel_disc=info.rel_disc,
-            extras=extras,
-        ).to_record()
-        rows.append((abs(int(info.delta.norm())), (a, b), rec))
-    return rows
-
-
 def cmd_table(args) -> int:
     K = _field_of(args)
-    if args.jobs <= 1:
-        recs = [r.to_record() for r in table_rows(K, args.bound, sign=args.sign)]
-    else:
-        from .discriminants import discriminant_classes
-
-        infos = discriminant_classes(K, args.bound, sign=args.sign)
-        coords = [(int(i.delta.x), int(i.delta.y)) for i in infos]
-        chunks = [coords[i :: args.jobs] for i in range(args.jobs)]
-        payloads = [(args.field, args.bound, args.sign, ch) for ch in chunks if ch]
-        keyed = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_table_chunk, payloads):
-                keyed.extend(part)
-        keyed.sort(key=lambda t: (t[0], t[1]))
-        recs = [rec for _, _, rec in keyed]
+    recs = [r.to_record() for r in table_rows(K, args.bound, sign=args.sign)]
     if args.format == "json":
         for rec in recs:
             print(json.dumps(rec, sort_keys=True))
@@ -208,7 +171,7 @@ def cmd_local_duality(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.suite in ("counting", "character", "conductor", "identity"):
+    if args.suite in FIELD_SUITES:
         kwargs["field_d"] = int(args.field) if args.field else None
         if args.bound:
             key = {
@@ -291,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--sign", choices=("totally_negative", "any"), default="totally_negative")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("unit-discs", help="discriminant classes with trivial relative discriminant")

@@ -117,12 +117,17 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     sufficient: any solution x0 has v(x0) >= floor(min(v_P(delta), t)/2),
     and x = x0 mod P^s gives
     v(x^2 - x0^2) >= s + min(v_P(2) + v(x0), s) >= t.
+    When v_P(2) = v_P(delta) = 0 the search takes t = s = 1: a root x0 of
+    x^2 - delta mod P is a unit with 2*x0 a unit, so Hensel's lemma lifts
+    it to a root mod every P^t.
     """
     if target <= 0:
         return True
     v = element_valuation(delta, P)
     if v is not None and v < 0:
         return False
+    if v == 0 and _dyadic_ramification(P) == 0:
+        target = 1
     half = target // 2 if v is None else min(v, target) // 2
     s = max((target + 1) // 2, target - _dyadic_ramification(P) - half)
     for x in (P.ideal**s).residues():

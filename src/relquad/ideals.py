@@ -519,14 +519,13 @@ def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
     return sorted(out, key=lambda a: a.hnf)
 
 
-def count_ideals_of_norm(K: QuadField, n: int, splitting: dict[int, int] | None = None) -> int:
-    """Number of integral ideals of norm n.  `splitting` may carry a
-    precomputed map p -> kronecker(disc, p) to speed up sieved sweeps."""
+def count_ideals_of_norm(K: QuadField, n: int) -> int:
+    """Number of integral ideals of norm n."""
     if K.degree == 1:
         return 1
     total = 1
     for p, e in factorint(n).items():
-        sym = splitting[p] if splitting is not None else kronecker(K.disc, p)
+        sym = kronecker(K.disc, p)
         if sym == 1:
             total *= e + 1
         elif sym == -1:

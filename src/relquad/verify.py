@@ -35,7 +35,14 @@ from .field import Elem, QuadField, make_field
 from .hurwitz import hurwitz_row
 from .ideals import ideals_of_norm, primes_above, principal_ideal
 
-__all__ = ["run_suite", "SUITES", "completion_at", "embed_element"]
+__all__ = [
+    "run_suite",
+    "SUITES",
+    "ACCEPTANCE_FIELDS",
+    "ACCEPTANCE_PARAMS",
+    "completion_at",
+    "embed_element",
+]
 
 
 def _report(suite: str, cases: int, failures: list[str], **extra) -> dict:
@@ -377,19 +384,34 @@ SUITES = {
 }
 
 
+# The acceptance criteria: the field suites run over every field in
+# ACCEPTANCE_FIELDS, each suite at its parameters below.  run_suite("all")
+# and the acceptance tests both read this table.
+ACCEPTANCE_FIELDS = (None, 5, 10, -15)
+FIELD_SUITES = ("counting", "character", "conductor", "identity")
+ACCEPTANCE_PARAMS = {
+    "counting": {"delta_bound": 50, "ideal_bound": 200},
+    "character": {"bound": 300},
+    "conductor": {"bound": 500},
+    "identity": {"delta_bound": 16, "norm_bound": 200},
+    "dyadic": {"descriptor": "all"},
+    "hurwitz": {"bound": 2000},
+    "decomposition": {"disc_bound": 100, "norm_bound": 10_000},
+}
+
+
 def run_suite(name: str, **kwargs) -> dict:
     if name == "all":
         merged = {"suite": "all", "cases": 0, "failures": [], "ok": True, "parts": {}}
         for part, fn in SUITES.items():
-            if part in ("counting", "character", "conductor", "identity"):
-                for d in (None, 5, 10, -15):
-                    rep = fn(field_d=d)
-                    merged["parts"][f"{part}:{d or 0}"] = rep
-                    merged["cases"] += rep["cases"]
-                    merged["failures"] += rep["failures"]
+            params = ACCEPTANCE_PARAMS[part]
+            if part in FIELD_SUITES:
+                runs = {f"{part}:{d or 0}": dict(params, field_d=d) for d in ACCEPTANCE_FIELDS}
             else:
-                rep = fn()
-                merged["parts"][part] = rep
+                runs = {part: params}
+            for key, kw in runs.items():
+                rep = fn(**kw)
+                merged["parts"][key] = rep
                 merged["cases"] += rep["cases"]
                 merged["failures"] += rep["failures"]
         merged["ok"] = not merged["failures"]

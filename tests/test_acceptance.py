@@ -16,6 +16,8 @@ from relquad.tables import (
     unit_discriminants,
 )
 from relquad.verify import (
+    ACCEPTANCE_FIELDS,
+    ACCEPTANCE_PARAMS,
     character_suite,
     counting_suite,
     decomposition_suite,
@@ -23,8 +25,6 @@ from relquad.verify import (
     hurwitz_suite,
     identity_suite,
 )
-
-TEST_FIELD_DS = [None, 5, 10, -15]
 
 
 def _criterion(num: int, desc: str, failures: list[str]):
@@ -38,8 +38,8 @@ def _criterion(num: int, desc: str, failures: list[str]):
 
 def test_criterion_1_conductor_reciprocity_sweep():
     failures = []
-    for d in TEST_FIELD_DS:
-        rep = counting_suite(field_d=d, delta_bound=50, ideal_bound=200)
+    for d in ACCEPTANCE_FIELDS:
+        rep = counting_suite(field_d=d, **ACCEPTANCE_PARAMS["counting"])
         failures += [f"field {d or 0}: {f}" for f in rep["failures"]]
     _criterion(
         1,
@@ -85,15 +85,15 @@ def test_criterion_4_unit_discriminant_sets():
 
 def test_criterion_5_hecke_property_and_conductor():
     failures = []
-    for d in TEST_FIELD_DS:
-        rep = character_suite(field_d=d, bound=300)
+    for d in ACCEPTANCE_FIELDS:
+        rep = character_suite(field_d=d, **ACCEPTANCE_PARAMS["character"])
         failures += [f"field {d or 0}: {f}" for f in rep["failures"]]
     _criterion(5, "character well defined mod (delta) with conductor = delta/f^2 "
                   "and primitivity witnesses, |N(delta)| <= 300, all four fields", failures)
 
 
 def test_criterion_6_hurwitz():
-    rep = hurwitz_suite(bound=2000)
+    rep = hurwitz_suite(**ACCEPTANCE_PARAMS["hurwitz"])
     failures = list(rep["failures"])
     spots = {-3: Fraction(1, 3), -4: Fraction(1, 2), -12: Fraction(4, 3), -23: Fraction(3)}
     for delta, expect in spots.items():
@@ -104,7 +104,7 @@ def test_criterion_6_hurwitz():
 
 
 def test_criterion_7_dyadic_appendix():
-    rep = dyadic_suite("all")
+    rep = dyadic_suite(**ACCEPTANCE_PARAMS["dyadic"])
     _criterion(7, "seven local fields: bilinear symmetric nondegenerate tables, "
                   "filtration cardinalities, duality, unit-group lemmas, trace "
                   "criterion, closed-form oracle over Q2", rep["failures"])
@@ -112,15 +112,15 @@ def test_criterion_7_dyadic_appendix():
 
 def test_criterion_8_identity_suite():
     failures = []
-    for d in TEST_FIELD_DS:
-        rep = identity_suite(field_d=d, delta_bound=16, norm_bound=200)
+    for d in ACCEPTANCE_FIELDS:
+        rep = identity_suite(field_d=d, **ACCEPTANCE_PARAMS["identity"])
         failures += [f"field {d or 0}: {f}" for f in rep["failures"]]
     _criterion(8, "per-ideal divisor-sum identity, convolution identity, and "
                   "order-ideal counts for n <= 200", failures)
 
 
 def test_criterion_9_decomposition_law():
-    rep = decomposition_suite(disc_bound=100, norm_bound=10_000)
+    rep = decomposition_suite(**ACCEPTANCE_PARAMS["decomposition"])
     _criterion(9, "ideal counts of Q(sqrt delta0) equal the unit-character "
                   "convolution for fundamental |delta0| <= 100, n <= 10^4",
                rep["failures"])

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from relquad.arith import kronecker
+from relquad.arith import kronecker, primes_upto
 from relquad.characters import QuadCharacter
 from relquad.discriminants import conductor_ideal, discriminant_classes
 from relquad.field import make_field
@@ -23,7 +23,7 @@ def brute_symbol(chi, P):
     return 1 if any((x * x - chi.delta) in four_p for x in four_p.residues()) else -1
 
 
-def test_at_prime_examples(Q, Q10):
+def test_at_prime_examples(Q, Q10, test_fields):
     chi5 = QuadCharacter(Q.elem(5))
     p11 = primes_above(Q, 11)[0]
     assert chi5.at_prime(p11) == 1  # 4^2 = 16 = 5 mod 11
@@ -37,6 +37,18 @@ def test_at_prime_examples(Q, Q10):
     for P in (p11, p2, p3):
         chi = chi5 if P.p != 3 else chim2
         assert chi.at_prime(P) == brute_symbol(chi, P)
+    # every odd P of norm <= 49 and every class with |N(delta)| <= 30:
+    # split, inert and ramified P
+    kinds = set()
+    for K in test_fields:
+        primes = [P for p in primes_upto(49) if p > 2 for P in primes_above(K, p) if P.norm() <= 49]
+        for info in discriminant_classes(K, 30):
+            chi = QuadCharacter(info)
+            for P in primes:
+                if chi.modulus.valuation(P) == 0:
+                    kinds.add((P.residue_degree, P.ramified))
+                    assert chi.at_prime(P) == brute_symbol(chi, P), (info.delta, str(P))
+    assert kinds == {(1, False), (2, False), (1, True)}
 
 
 def test_at_prime_rejects_dividing(Q):

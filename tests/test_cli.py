@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -68,16 +66,6 @@ def test_table_tsv_header(capsys):
     assert len(lines) == 3  # norms 4 and 9
 
 
-def test_table_jobs_byte_identical():
-    # determinism across parallelism uses real subprocesses
-    cmd = [sys.executable, "-m", "relquad.cli", "table", "--field", "5",
-           "--bound", "80", "--format", "json"]
-    one = subprocess.run(cmd + ["--jobs", "1"], capture_output=True, text=True)
-    two = subprocess.run(cmd + ["--jobs", "2"], capture_output=True, text=True)
-    assert one.returncode == two.returncode == 0
-    assert one.stdout == two.stdout
-
-
 def test_unit_discs_cli(capsys):
     code, out, _ = run_cli("unit-discs", "--field", "10", capsys=capsys)
     rec = json.loads(out)
@@ -114,6 +102,7 @@ def test_usage_errors(capsys):
     assert code == 2 and "discriminant" in err
     code, _, err = run_cli("fdelta", "--field", "12", "--delta", "5", capsys=capsys)
     assert code == 2 and "squarefree" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"], ["table", "--field", "5", "--bound", "9", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -254,3 +254,12 @@ def test_local_square_solvable_against_full_modulus(test_fields, Q):
                         cases += 1
                     t += 1
     assert cases > 1000
+
+
+def test_local_square_solvable_unit_at_odd_prime_high_power(Q, Q10):
+    # a unit at an odd P is decided mod P (Hensel), so t = 14 needs no
+    # enumeration of the 3^14 residues mod P^14
+    for K in (Q, Q10):
+        for P in primes_above(K, 3):
+            assert not local_square_solvable(K.elem(2), P, 14)  # 2 = -1 mod 3
+            assert local_square_solvable(K.elem(7), P, 14)  # 7 = 1 mod 3

@@ -63,7 +63,7 @@ def test_hurwitz_spot_values():
 def test_formula_equals_oracle_small():
     for delta in range(-400, 0):
         if delta % 4 in (0, 1):
-            row = hurwitz_row(delta)  # asserts equality internally
+            row = hurwitz_row(delta)  # raises on a mismatch
             assert row.H_formula == row.H_oracle
             assert row.H_formula.denominator in (1, 2, 3, 6)
             assert row.w_L == (6 if row.delta // row.f_delta**2 == -3 else 4 if row.delta // row.f_delta**2 == -4 else 2)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import relquad
 from relquad.discriminants import conductor_ideal
 from relquad.field import make_field
 from relquad.ideals import primes_above, principal_ideal
@@ -46,3 +52,19 @@ def test_suite_reports_shape():
 def test_decomposition_suite_small():
     rep = run_suite("decomposition", disc_bound=24, norm_bound=400)
     assert rep["ok"], rep["failures"][:3]
+
+
+def test_hurwitz_suite_verdict_survives_optimize():
+    # a sabotaged oracle must fail the suite under python -O as well
+    code = (
+        "from fractions import Fraction\n"
+        "import relquad.hurwitz, relquad.verify\n"
+        "relquad.hurwitz.hurwitz_class_number_forms = lambda delta: Fraction(999)\n"
+        "rep = relquad.verify.hurwitz_suite(bound=20)\n"
+        "print(__debug__, rep['ok'], len(rep['failures']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "10"]
