@@ -35,22 +35,28 @@ __all__ = [
 ]
 
 
-def count_square_roots(delta: Elem, a: Ideal) -> int:
-    """Brute force straight from the definition, on integer coordinates."""
+def _square_root_coords(delta: Elem, a: Ideal):
+    """The coordinates (i, j) of every x = i + j*w in the HNF box of 2a with
+    x^2 = delta mod 4a, on integers, j outer and i inner: straight from
+    the definition.  Each x is its own canonical residue mod 2a."""
     if not a.is_integral():
         raise ValueError("integral ideal required")
+    if not delta.is_integral():
+        raise ValueError(f"integral delta required, got {delta}")
     K = delta.field
     two_a = a * 2
     four_a = a * 4
     if K.degree == 1:
         m2, m4 = two_a.norm_int(), four_a.norm_int()
         D = int(delta.x)
-        return sum(1 for x in range(m2) if (x * x - D) % m4 == 0)
+        for x in range(m2):
+            if (x * x - D) % m4 == 0:
+                yield x, 0
+        return
     t, n = K.omega_trace, K.omega_norm
     A2, B2, C2 = two_a.hnf
     A4, B4, C4 = four_a.hnf
     X, Y = int(delta.x), int(delta.y)
-    count = 0
     for j in range(C2):
         jj_x = -n * j * j - X
         jj_y = t * j * j - Y
@@ -58,8 +64,12 @@ def count_square_roots(delta: Elem, a: Ideal) -> int:
             u = i * i + jj_x
             v = 2 * i * j + jj_y
             if v % C4 == 0 and (u - (v // C4) * B4) % A4 == 0:
-                count += 1
-    return count
+                yield i, j
+
+
+def count_square_roots(delta: Elem, a: Ideal) -> int:
+    """Brute force straight from the definition, on integer coordinates."""
+    return sum(1 for _ in _square_root_coords(delta, a))
 
 
 def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
@@ -157,15 +167,12 @@ class RootPair:
 
 def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
     K = delta.field
-    out = []
-    for n in range(1, norm_bound + 1):
-        for a in ideals_of_norm(K, n):
-            two_a = a * 2
-            four_a = a * 4
-            for b in two_a.residues():
-                if (b * b - delta) in four_a:
-                    out.append(RootPair(a_ideal=a, b=two_a.reduce(b)))
-    return out
+    return [
+        RootPair(a_ideal=a, b=K.elem(i, j))
+        for n in range(1, norm_bound + 1)
+        for a in ideals_of_norm(K, n)
+        for i, j in _square_root_coords(delta, a)
+    ]
 
 
 def order_ideal_count(delta: Elem, n: int) -> int:

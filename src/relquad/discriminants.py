@@ -111,25 +111,31 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     """Whether x^2 = delta mod P^target is solvable with x integral at P,
     for any delta of K.  A delta with v_P(delta) < 0 has no solution.
 
-    The search runs over residues modulo P^s with
-    s = max(ceil(t/2), t - v_P(2) - floor(min(v_P(delta), t)/2)),
-    t = target, where delta = 0 counts as v_P(delta) = infinity.  This s is
-    sufficient: any solution x0 has v(x0) >= floor(min(v_P(delta), t)/2),
-    and x = x0 mod P^s gives
+    Write t = target and v = v_P(delta), with v = infinity for delta = 0.
+    If v >= t, x = 0 works.  Otherwise any solution has v(x^2) = v, so
+    v must be even and x = pi^(v/2) y with y^2 = delta/pi^v mod P^(t - v).
+    At an odd P the unit u = delta/pi^v then decides it modulo P: a root
+    y0 of y^2 - u mod P is a unit with 2*y0 a unit, so Hensel's lemma
+    lifts it to a root mod every power of P.  At a dyadic P the search
+    runs over residues modulo P^s with
+    s = max(ceil(t/2), t - v_P(2) - floor(v/2)).  This s is sufficient:
+    any solution x0 has v(x0) = v/2, and x = x0 mod P^s gives
     v(x^2 - x0^2) >= s + min(v_P(2) + v(x0), s) >= t.
-    When v_P(2) = v_P(delta) = 0 the search takes t = s = 1: a root x0 of
-    x^2 - delta mod P is a unit with 2*x0 a unit, so Hensel's lemma lifts
-    it to a root mod every P^t.
     """
     if target <= 0:
         return True
     v = element_valuation(delta, P)
-    if v is not None and v < 0:
+    if v is None or v >= target:
+        return True
+    if v < 0 or v % 2:
         return False
-    if v == 0 and _dyadic_ramification(P) == 0:
-        target = 1
-    half = target // 2 if v is None else min(v, target) // 2
-    s = max((target + 1) // 2, target - _dyadic_ramification(P) - half)
+    e2 = _dyadic_ramification(P)
+    if e2 == 0:
+        if v:
+            delta = delta / uniformizer_of(P) ** v
+        target = s = 1
+    else:
+        s = max((target + 1) // 2, target - e2 - v // 2)
     for x in (P.ideal**s).residues():
         vx = element_valuation(x * x - delta, P)
         if vx is None or vx >= target:

@@ -11,14 +11,18 @@ through field elements, and ideal_from_generators clears denominators once
 and builds its module vectors from integer coordinates.
 
 primes_above is cached process-wide per (field, p); the cache grows only
-with the pairs asked about.  Each PrimeIdeal carries its inverse, so
-valuations do not recompute it.
+with the pairs asked about.  Ideal.valuation is closed-form integer
+arithmetic on the HNF (a, b, c) and the denominator: no ideal product and
+no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
+cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
+limit; its reassembly check runs once per distinct ideal, inside the cached
+computation, and every call returns a fresh list.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 RESIDUE_ENUMERATION_BOUND = 1 << 20
+FACTOR_CACHE_SIZE = 1 << 12  # distinct ideals whose factorization is kept
 
 
 def _hnf_from_vectors(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -265,7 +270,8 @@ class Ideal:
             J = self.conj()
             m = self.den * self.den
             inv = Ideal(K, tuple(x * m for x in J.hnf), J.den * a * c, _checked=True)
-        assert (self * inv).is_unit_ideal()
+        if not (self * inv).is_unit_ideal():
+            raise AssertionError(f"{self} times its inverse {inv} is not (1)")
         return inv
 
     def __pow__(self, k: int) -> "Ideal":
@@ -323,36 +329,30 @@ class Ideal:
     # -- factorization --------------------------------------------------------
 
     def valuation(self, P: "PrimeIdeal") -> int:
-        if not self.is_integral():
-            num = Ideal(self.field, self.hnf, 1, _checked=True)
-            den = principal_ideal(self.field.elem(self.den))
-            return num.valuation(P) - den.valuation(P)
-        v = 0
-        x = self
-        inv = P.inverse
-        while True:
-            x = x * inv
-            if not x.is_integral():
-                return v
-            v += 1
+        """v_P of this ideal, read off the HNF (Cohen, GTM 138, 4.7-4.8).
+
+        Write the numerator module as c * I0 with I0 = (a/c, b/c, 1)
+        primitive of norm N0 = a/c (c divides a and b in every ideal HNF).
+        A primitive ideal has no inert prime factor, at most P^1 at a
+        ramified P, and at most one of the two primes above a split p, so
+        v_P(I0) is v_p(N0) at a ramified P and at a split P = (p, b_P, 1)
+        with b/c = b_P mod p, and 0 otherwise."""
+        p = P.p
+        e = 2 if P.ramified else 1
+        if self.field.degree == 1:
+            return _vp(self.hnf[0], p) - _vp(self.den, p)
+        a, b, c = self.hnf
+        v = e * (_vp(c, p) - _vp(self.den, p))
+        if P.residue_degree == 1:
+            n0 = a // c
+            if n0 % p == 0 and (P.ramified or (b // c - P.ideal.hnf[1]) % p == 0):
+                v += _vp(n0, p)
+        return v
 
     def factor(self) -> list[tuple["PrimeIdeal", int]]:
-        """Prime factorization; exponents may be negative for fractional ideals."""
-        nm = self.norm()
-        support = set(factorint(nm.numerator)) | set(factorint(nm.denominator))
-        if self.den != 1:
-            support |= set(factorint(self.den))
-        out = []
-        for p in sorted(support):
-            for P in primes_above(self.field, p):
-                v = self.valuation(P)
-                if v:
-                    out.append((P, v))
-        rebuilt = unit_ideal(self.field)
-        for P, v in out:
-            rebuilt = rebuilt * P.ideal**v
-        assert rebuilt == self, "factorization does not reassemble"
-        return out
+        """Prime factorization; exponents may be negative for fractional
+        ideals.  Memoised by ideal; every call returns a fresh list."""
+        return list(_factor(self))
 
     def divisors(self) -> list["Ideal"]:
         """All integral divisors, sorted by (norm, hnf)."""
@@ -399,6 +399,35 @@ def _in_hnf(a: int, b: int, c: int, x: int, y: int) -> bool:
     if y % c:
         return False
     return (x - (y // c) * b) % a == 0
+
+
+def _vp(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
+    nm = I.norm()
+    support = set(factorint(nm.numerator)) | set(factorint(nm.denominator))
+    if I.den != 1:
+        support |= set(factorint(I.den))
+    out = []
+    for p in sorted(support):
+        for P in primes_above(I.field, p):
+            v = I.valuation(P)
+            if v:
+                out.append((P, v))
+    rebuilt = unit_ideal(I.field)
+    for P, v in out:
+        rebuilt = rebuilt * P.ideal**v
+    if rebuilt != I:
+        raise AssertionError(f"factorization of {I} does not reassemble")
+    return tuple(out)
 
 
 def unit_ideal(K: QuadField) -> Ideal:
@@ -448,7 +477,6 @@ class PrimeIdeal:
     ideal: Ideal
     residue_degree: int
     ramified: bool
-    inverse: Ideal = field(compare=False, repr=False)  # ideal.inverse(), computed once
 
     def norm(self) -> int:
         return self.p**self.residue_degree
@@ -464,18 +492,14 @@ def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
     return list(_primes_above(K, p))
 
 
-def _prime_ideal(p: int, I: Ideal, residue_degree: int, ramified: bool) -> PrimeIdeal:
-    return PrimeIdeal(p, I, residue_degree, ramified, I.inverse())
-
-
 @lru_cache(maxsize=None)
 def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     if K.degree == 1:
-        return (_prime_ideal(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
+        return (PrimeIdeal(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
     t, n = K.omega_trace, K.omega_norm
     sym = kronecker(K.disc, p)
     if sym == -1:
-        return (_prime_ideal(p, ideal_from_generators(K, [K.elem(p)]), 2, False),)
+        return (PrimeIdeal(p, ideal_from_generators(K, [K.elem(p)]), 2, False),)
     # roots of x^2 - t x + n mod p
     if p == 2:
         roots = sorted({r % 2 for r in range(2) if (r * r - t * r + n) % 2 == 0})
@@ -488,7 +512,7 @@ def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     out = []
     for r in roots:
         P = ideal_from_generators(K, [K.elem(p), K.omega - r])
-        out.append(_prime_ideal(p, P, 1, sym == 0))
+        out.append(PrimeIdeal(p, P, 1, sym == 0))
     if sym == 1:
         assert len(out) == 2
     else:

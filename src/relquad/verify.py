@@ -45,6 +45,22 @@ __all__ = [
 ]
 
 
+# The acceptance criteria: the field suites run over every field in
+# ACCEPTANCE_FIELDS, each suite at its parameters below.  The suites' default
+# arguments, run_suite("all") and the acceptance tests all read this table.
+ACCEPTANCE_FIELDS = (None, 5, 10, -15)
+FIELD_SUITES = ("counting", "character", "conductor", "identity")
+ACCEPTANCE_PARAMS = {
+    "counting": {"delta_bound": 50, "ideal_bound": 200},
+    "character": {"bound": 300},
+    "conductor": {"bound": 500},
+    "identity": {"delta_bound": 16, "norm_bound": 200},
+    "dyadic": {"descriptor": "all"},
+    "hurwitz": {"bound": 2000},
+    "decomposition": {"disc_bound": 100, "norm_bound": 10_000},
+}
+
+
 def _report(suite: str, cases: int, failures: list[str], **extra) -> dict:
     return {
         "suite": suite,
@@ -133,7 +149,11 @@ def embed_element(F: LocalField, omega_img, e: Elem) -> LocalElem:
 # -- suites ---------------------------------------------------------------------
 
 
-def counting_suite(field_d=None, delta_bound: int = 50, ideal_bound: int = 200) -> dict:
+def counting_suite(
+    field_d=None,
+    delta_bound: int = ACCEPTANCE_PARAMS["counting"]["delta_bound"],
+    ideal_bound: int = ACCEPTANCE_PARAMS["counting"]["ideal_bound"],
+) -> dict:
     """Brute force == character divisor sum == local casework product."""
     K = _field(field_d)
     failures: list[str] = []
@@ -154,7 +174,9 @@ def counting_suite(field_d=None, delta_bound: int = 50, ideal_bound: int = 200) 
     return _report("counting", cases, failures, field=field_d or 0)
 
 
-def character_suite(field_d=None, bound: int = 300) -> dict:
+def character_suite(
+    field_d=None, bound: int = ACCEPTANCE_PARAMS["character"]["bound"]
+) -> dict:
     """Hecke property (multi-lift agreement), conductor identification, and
     primitivity witnesses at every conductor prime."""
     K = _field(field_d)
@@ -180,7 +202,9 @@ def character_suite(field_d=None, bound: int = 300) -> dict:
     return _report("character", cases, failures, field=field_d or 0)
 
 
-def conductor_suite(field_d=None, bound: int = 500) -> dict:
+def conductor_suite(
+    field_d=None, bound: int = ACCEPTANCE_PARAMS["conductor"]["bound"]
+) -> dict:
     """General relative-discriminant formula against the conductor route,
     conductor scaling, and the dyadic completion cross-check (the second,
     independent path for dyadic square solvability)."""
@@ -228,7 +252,11 @@ def conductor_suite(field_d=None, bound: int = 500) -> dict:
     return _report("conductor", cases, failures, field=field_d or 0)
 
 
-def identity_suite(field_d=None, delta_bound: int = 16, norm_bound: int = 200) -> dict:
+def identity_suite(
+    field_d=None,
+    delta_bound: int = ACCEPTANCE_PARAMS["identity"]["delta_bound"],
+    norm_bound: int = ACCEPTANCE_PARAMS["identity"]["norm_bound"],
+) -> dict:
     """Per-ideal divisor-sum identity for the extended character, the
     convolution identity zeta_K(s) L(chi, s) = zeta_K(2s) zeta(delta, s)
     coefficientwise, and the order-ideal counting identity."""
@@ -281,7 +309,10 @@ def identity_suite(field_d=None, delta_bound: int = 16, norm_bound: int = 200) -
     return _report("identity", cases, failures, field=field_d or 0)
 
 
-def dyadic_suite(descriptor: str = "all", precision: int | None = None) -> dict:
+def dyadic_suite(
+    descriptor: str = ACCEPTANCE_PARAMS["dyadic"]["descriptor"],
+    precision: int | None = None,
+) -> dict:
     failures: list[str] = []
     cases = 0
     if descriptor == "all":
@@ -308,7 +339,7 @@ def dyadic_suite(descriptor: str = "all", precision: int | None = None) -> dict:
     return _report("dyadic", cases, failures, reports=reports)
 
 
-def hurwitz_suite(bound: int = 2000) -> dict:
+def hurwitz_suite(bound: int = ACCEPTANCE_PARAMS["hurwitz"]["bound"]) -> dict:
     failures: list[str] = []
     cases = 0
     for delta in range(-bound, 0):
@@ -334,7 +365,10 @@ def hurwitz_suite(bound: int = 2000) -> dict:
     return _report("hurwitz", cases, failures, bound=bound)
 
 
-def decomposition_suite(disc_bound: int = 100, norm_bound: int = 10_000) -> dict:
+def decomposition_suite(
+    disc_bound: int = ACCEPTANCE_PARAMS["decomposition"]["disc_bound"],
+    norm_bound: int = ACCEPTANCE_PARAMS["decomposition"]["norm_bound"],
+) -> dict:
     """Ideal counts of Q(sqrt delta0) against the divisor convolution of the
     primitive character, for fundamental discriminants."""
     from .arith import squarefree_part
@@ -381,22 +415,6 @@ SUITES = {
     "dyadic": dyadic_suite,
     "hurwitz": hurwitz_suite,
     "decomposition": decomposition_suite,
-}
-
-
-# The acceptance criteria: the field suites run over every field in
-# ACCEPTANCE_FIELDS, each suite at its parameters below.  run_suite("all")
-# and the acceptance tests both read this table.
-ACCEPTANCE_FIELDS = (None, 5, 10, -15)
-FIELD_SUITES = ("counting", "character", "conductor", "identity")
-ACCEPTANCE_PARAMS = {
-    "counting": {"delta_bound": 50, "ideal_bound": 200},
-    "character": {"bound": 300},
-    "conductor": {"bound": 500},
-    "identity": {"delta_bound": 16, "norm_bound": 200},
-    "dyadic": {"descriptor": "all"},
-    "hurwitz": {"bound": 2000},
-    "decomposition": {"disc_bound": 100, "norm_bound": 10_000},
 }
 
 

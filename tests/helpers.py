@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import isqrt
 
 from relquad.field import Elem, QuadField
+from relquad.ideals import Ideal, principal_ideal
 
 
 def interval_sign(e: Elem, embedding: int, digits: int = 100) -> int:
@@ -57,3 +58,18 @@ def brute_sqrt_count(delta, ideal) -> int:
     two_a = ideal * 2
     four_a = ideal * 4
     return sum(1 for x in two_a.residues() if (x * x - delta) in four_a)
+
+
+def valuation_by_division(I: Ideal, P) -> int:
+    """v_P(I) by dividing by P until the quotient is no longer integral."""
+    if not I.is_integral():
+        num = Ideal(I.field, I.hnf, 1)
+        den = principal_ideal(I.field.elem(I.den))
+        return valuation_by_division(num, P) - valuation_by_division(den, P)
+    inv = P.ideal.inverse()
+    v = 0
+    while True:
+        I = I * inv
+        if not I.is_integral():
+            return v
+        v += 1

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from helpers import brute_sqrt_count
 from relquad.characters import QuadCharacter
 from relquad.counting import (
+    RootPair,
     count_square_roots,
     count_square_roots_formula,
     count_square_roots_local,
@@ -29,6 +32,14 @@ def test_count_examples(Q, Q10):
     chi = QuadCharacter(Q10.elem(-4))
     assert count_square_roots_formula(chi, p2) == 1
     assert chi.extended(p2) + chi.extended(unit_ideal(Q10)) == 1
+
+
+def test_count_rejects_non_integral_delta(Q, Q10):
+    # the integer enumeration must not truncate 9/2 to 4 and count 4's roots
+    with pytest.raises(ValueError):
+        count_square_roots(Q10.elem(Fraction(9, 2)), principal_ideal(Q10.elem(3)))
+    with pytest.raises(ValueError):
+        square_root_pairs(Q.elem(Fraction(1, 2)), 3)
 
 
 def test_count_matches_elementwise_oracle(Q10):
@@ -137,6 +148,25 @@ def test_root_pairs(Q):
     sq = Q.elem(9)  # square discriminant: b = 3 appears for a = (1)
     pairs = square_root_pairs(sq, 1)
     assert {rp.b.key() for rp in pairs} == {(1, 0)}  # 3 = 1 mod 2
+
+
+def _root_pairs_by_residues(delta, norm_bound):
+    """Root pairs from Elem products over the residues of 2a."""
+    out = []
+    for n in range(1, norm_bound + 1):
+        for a in ideals_of_norm(delta.field, n):
+            two_a, four_a = a * 2, a * 4
+            for b in two_a.residues():
+                if (b * b - delta) in four_a:
+                    out.append(RootPair(a_ideal=a, b=two_a.reduce(b)))
+    return out
+
+
+def test_root_pairs_match_residue_route(test_fields):
+    for K in test_fields:
+        for info in discriminant_classes(K, 20):
+            pairs = square_root_pairs(info.delta, 12)
+            assert pairs == _root_pairs_by_residues(info.delta, 12), (K, info.delta)
 
 
 def test_order_ideal_counts_gaussian(Q):

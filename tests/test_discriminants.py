@@ -263,3 +263,32 @@ def test_local_square_solvable_unit_at_odd_prime_high_power(Q, Q10):
         for P in primes_above(K, 3):
             assert not local_square_solvable(K.elem(2), P, 14)  # 2 = -1 mod 3
             assert local_square_solvable(K.elem(7), P, 14)  # 7 = 1 mod 3
+
+
+def test_local_square_solvable_nonunit_at_odd_prime(test_fields, Q):
+    # 0 < v_P(delta) < t at an odd P: v odd has no root, v even leaves the
+    # unit delta/pi^v to decide modulo P; against the full modulus P^t
+    cases = 0
+    for K in test_fields:
+        for p in (3, 5, 7):
+            for P in primes_above(K, p):
+                t = 2
+                while P.norm() ** t <= 729:
+                    Pt = P.ideal**t
+                    reps = Pt.residues()
+                    squares = {Pt.reduce(x * x).key() for x in reps}
+                    for delta in reps:
+                        if delta and delta in P.ideal:
+                            expected = delta.key() in squares
+                            assert local_square_solvable(delta, P, t) == expected, (K, P, t, delta)
+                            cases += 1
+                    t += 1
+    assert cases > 1000
+    # decided without enumerating the residues modulo P^(t - v/2), which
+    # exceed the residue enumeration bound here
+    P3 = primes_above(Q, 3)[0]
+    assert not local_square_solvable(Q.elem(18), P3, 16)  # 9 * 2, 2 = -1 mod 3
+    assert local_square_solvable(Q.elem(63), P3, 16)  # 9 * 7, 7 = 1 mod 3
+    assert not local_square_solvable(Q.elem(3 * 7), P3, 16)  # odd valuation
+    assert local_square_solvable(Q.elem(2 * 3**16), P3, 16)  # v >= t: x = 0
+    assert local_square_solvable(Q.elem(7 * 3**40), P3, 60)

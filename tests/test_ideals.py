@@ -4,6 +4,7 @@ from math import lcm
 
 import pytest
 
+from helpers import valuation_by_division
 from relquad.field import make_field
 from relquad.ideals import (
     Ideal,
@@ -82,11 +83,16 @@ def test_factor_examples(Q10, Q5, Q):
 
 @pytest.mark.parametrize("bound", [500])
 def test_factor_roundtrip_sweep(test_fields, bound):
-    # factor() asserts that the prime powers reassemble to the input
+    # factor() raises unless the prime powers reassemble to the input; the
+    # product is checked here as well, since a memoised factor() runs its
+    # own check only the first time it sees an ideal
     for K in test_fields:
         for n in range(1, bound + 1):
             for a in ideals_of_norm(K, n):
-                a.factor()
+                rebuilt = unit_ideal(K)
+                for P, e in a.factor():
+                    rebuilt = rebuilt * P.ideal**e
+                assert rebuilt == a, (K, a)
 
 
 def test_residues_examples(Q10):
@@ -214,7 +220,7 @@ def test_integer_conj_and_inverse():
     for d in (5, 10, -15, -1, 13):
         K = make_field(d)
         ideals = [I for n in range(1, 61) for I in ideals_of_norm(K, n)]
-        ideals += [I * P.inverse for I in list(ideals) for P in primes_above(K, 2)]
+        ideals += [I * P.ideal.inverse() for I in list(ideals) for P in primes_above(K, 2)]
         for I in ideals:
             by_elems = ideal_from_generators(K, [e.conj() for e in I.basis_elems()])
             assert I.conj() == by_elems, (K, I)
@@ -251,5 +257,32 @@ def test_primes_above_returns_fresh_list(Q10):
     expected = list(first)
     first.clear()
     assert primes_above(Q10, 3) == expected and len(expected) == 2
-    for P in expected:
-        assert P.inverse == P.ideal.inverse()
+
+
+def test_hnf_valuation_matches_division_oracle():
+    # every I * J^-1 with N(I) <= 60 and N(J) <= 30, at every prime above
+    # 2, 3, 5 and 7: split, inert and ramified primes, integral and not
+    pairs = 0
+    for d in (None, 5, 10, -15, -1, 13):
+        K = make_field(d)
+        nums = [I for n in range(1, 61) for I in ideals_of_norm(K, n)]
+        invs = [J.inverse() for n in range(1, 31) for J in ideals_of_norm(K, n)]
+        primes = [P for p in (2, 3, 5, 7) for P in primes_above(K, p)]
+        for I in nums:
+            for Jinv in invs:
+                F = I * Jinv
+                for P in primes:
+                    assert F.valuation(P) == valuation_by_division(F, P), (K, F, P)
+                    pairs += 1
+    assert pairs > 50_000
+
+
+def test_factor_returns_fresh_list(Q10):
+    I = principal_ideal(Q10.elem(12))
+    first = I.factor()
+    expected = list(first)
+    first.append(first[0])
+    first[0] = (first[0][0], 99)
+    assert I.factor() == expected
+    assert I.factor() is not I.factor()
+    assert [(P.p, e) for P, e in expected] == [(2, 4), (3, 1), (3, 1)]  # 2 ramifies

@@ -68,3 +68,23 @@ def test_hurwitz_suite_verdict_survives_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "False", "10"]
+
+
+def test_character_suite_verdict_survives_optimize():
+    # a character whose value depends on the lift breaks the Hecke property;
+    # residue_table must report it under python -O as well (with the check
+    # as an assert, -O saw only the conductor mismatches it caused)
+    code = (
+        "import itertools\n"
+        "import relquad.characters, relquad.verify\n"
+        "flip = itertools.cycle((1, -1))\n"
+        "relquad.characters.QuadCharacter.on_element = lambda self, a: next(flip)\n"
+        "rep = relquad.verify.character_suite(bound=12)\n"
+        "hecke = sum('not well defined' in f for f in rep['failures'])\n"
+        "print(__debug__, rep['ok'], len(rep['failures']), hecke)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "11", "11"]
