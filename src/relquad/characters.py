@@ -19,12 +19,14 @@ from .ideals import (
     ideals_of_norm,
     primes_above,
     principal_ideal,
+    square_root_coords,
     unit_ideal,
 )
 
 __all__ = ["QuadCharacter"]
 
 AUX_PRIME_NORM_BOUND = 10_000
+RESIDUE_TABLE_BOUND = 4096  # largest N(delta) whose residue table is built
 
 
 class QuadCharacter:
@@ -70,12 +72,8 @@ class QuadCharacter:
             val = kronecker(n, P.p)
         else:
             # exhaustive: x^2 = delta mod 4P with x over residues of 2P
-            four_p = P.ideal * 4
-            val = (
-                1
-                if any((x * x - self.delta) in four_p for x in (P.ideal * 2).residues())
-                else -1
-            )
+            root = next(square_root_coords(self.delta, P.ideal * 2, P.ideal * 4), None)
+            val = 1 if root is not None else -1
         memo[P] = val
         return val
 
@@ -99,7 +97,7 @@ class QuadCharacter:
 
     # -- conductor by exhaustive residue verification -------------------------
 
-    def conductor_exhaustive(self, enumeration_bound: int = 4096):
+    def conductor_exhaustive(self):
         """The smallest divisor D of (delta) such that the element character
         factors through residues mod D, computed from a full residue table.
 
@@ -109,7 +107,7 @@ class QuadCharacter:
         (conductor, table, witnesses) where witnesses maps each prime Q
         dividing the conductor to a pair (a, b), a = b mod conductor/Q,
         with different character values."""
-        table = self.residue_table(enumeration_bound)
+        table = self.residue_table()
         factoring = []
         for D in self.modulus.divisors():
             groups: dict[tuple, set[int]] = {}
@@ -141,14 +139,14 @@ class QuadCharacter:
             witnesses[Q] = found
         return cond, table, witnesses
 
-    def residue_table(self, enumeration_bound: int = 4096) -> dict[tuple, int]:
+    def residue_table(self) -> dict[tuple, int]:
         """Map residue key -> character value over coprime classes mod
         (delta), each value checked on several integral lifts."""
         m = self.modulus
         e1, *rest = m.basis_elems()
         e2 = rest[0] if rest else None
         table: dict[tuple, int] = {}
-        for r in m.residues(enumeration_bound):
+        for r in m.residues(RESIDUE_TABLE_BOUND):
             if not r or not _coprime_to(principal_ideal(r), m):
                 continue
             # several genuinely different integral lifts of the class,

@@ -5,6 +5,12 @@ computed three independent ways: brute-force residue enumeration, the
 divisor sum of the extended character over divisors b | a with a/b
 squarefree, and a fast multiplicative evaluator assembled from local
 casework at each prime power.  All three must agree everywhere.
+
+The brute-force route (count_square_roots, square_root_pairs) is the
+integer search ideals.square_root_coords with (M, N) = (2a, 4a), the same
+kernel that finds the conductor witness, the dyadic character symbol and
+the general relative discriminant; like Ideal.residues it refuses
+N(2a) > RESIDUE_ENUMERATION_BOUND.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .arith import smallest_prime_factors
 from .characters import QuadCharacter
 from .discriminants import _dyadic_ramification, local_square_solvable, uniformizer_of
 from .field import Elem, QuadField
-from .ideals import Ideal, PrimeIdeal, ideals_of_norm
+from .ideals import Ideal, PrimeIdeal, ideals_of_norm, square_root_coords
 
 __all__ = [
     "count_square_roots",
@@ -35,41 +41,11 @@ __all__ = [
 ]
 
 
-def _square_root_coords(delta: Elem, a: Ideal):
-    """The coordinates (i, j) of every x = i + j*w in the HNF box of 2a with
-    x^2 = delta mod 4a, on integers, j outer and i inner: straight from
-    the definition.  Each x is its own canonical residue mod 2a."""
-    if not a.is_integral():
-        raise ValueError("integral ideal required")
-    if not delta.is_integral():
-        raise ValueError(f"integral delta required, got {delta}")
-    K = delta.field
-    two_a = a * 2
-    four_a = a * 4
-    if K.degree == 1:
-        m2, m4 = two_a.norm_int(), four_a.norm_int()
-        D = int(delta.x)
-        for x in range(m2):
-            if (x * x - D) % m4 == 0:
-                yield x, 0
-        return
-    t, n = K.omega_trace, K.omega_norm
-    A2, B2, C2 = two_a.hnf
-    A4, B4, C4 = four_a.hnf
-    X, Y = int(delta.x), int(delta.y)
-    for j in range(C2):
-        jj_x = -n * j * j - X
-        jj_y = t * j * j - Y
-        for i in range(A2):
-            u = i * i + jj_x
-            v = 2 * i * j + jj_y
-            if v % C4 == 0 and (u - (v // C4) * B4) % A4 == 0:
-                yield i, j
-
-
 def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
-    return sum(1 for _ in _square_root_coords(delta, a))
+    if not a.is_integral():
+        raise ValueError("integral ideal required")
+    return sum(1 for _ in square_root_coords(delta, a * 2, a * 4))
 
 
 def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
@@ -171,7 +147,7 @@ def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
         RootPair(a_ideal=a, b=K.elem(i, j))
         for n in range(1, norm_bound + 1)
         for a in ideals_of_norm(K, n)
-        for i, j in _square_root_coords(delta, a)
+        for i, j in square_root_coords(delta, a * 2, a * 4)
     ]
 
 

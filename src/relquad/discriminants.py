@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .field import Elem, QuadField, fundamental_unit, is_unit_square
-from .ideals import Ideal, PrimeIdeal, principal_ideal, unit_ideal
+from .ideals import Ideal, PrimeIdeal, principal_ideal, square_root_coords, unit_ideal
 
 __all__ = [
     "DiscriminantInfo",
@@ -150,12 +150,14 @@ def _dyadic_ramification(P: PrimeIdeal) -> int:
     return 2 if P.ramified else 1
 
 
-def conductor_ideal(delta: Elem, enumeration_bound: int = 1 << 20) -> DiscriminantInfo:
+def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     """Conductor ideal, relative discriminant, and witness for a discriminant.
 
     Odd primes P^l || (delta) contribute floor(l/2); a dyadic prime
     contributes the largest k <= floor(l/2) such that x^2 = delta is
     solvable modulo P^(2k + 2 v_P(2)), decided by finite residue search.
+    The witness is the first root of x^2 = delta mod 4f^2 in the HNF box
+    of 2f (square_root_coords).
     """
     w = discriminant_witness(delta)
     if w is None:
@@ -172,22 +174,16 @@ def conductor_ideal(delta: Elem, enumeration_bound: int = 1 << 20) -> Discrimina
                 k -= 1
         f = f * P.ideal**k
     rel = principal_ideal(delta).divide_exact(f * f)
-    witness = _global_witness(delta, f, enumeration_bound)
+    coords = next(square_root_coords(delta, f * 2, f * f * 4), None)
+    if coords is None:
+        raise AssertionError("per-prime solvability holds but no global witness found")
     return DiscriminantInfo(
         delta=delta,
         f_delta=f,
         rel_disc=rel,
         is_square_in_K=delta.is_square(),
-        witness_x=witness,
+        witness_x=K.elem(*coords),
     )
-
-
-def _global_witness(delta: Elem, f: Ideal, enumeration_bound: int) -> Elem:
-    four_f2 = f * f * 4
-    for x in (f * 2).residues(enumeration_bound):
-        if (x * x - delta) in four_f2:
-            return x
-    raise AssertionError("per-prime solvability holds but no global witness found")
 
 
 def relative_discriminant_general(delta: Elem) -> GeneralDiscFactorization:
@@ -202,17 +198,14 @@ def relative_discriminant_general(delta: Elem) -> GeneralDiscFactorization:
     for P, l in dl.factor():
         s = s * P.ideal ** (l // 2)
     two = principal_ideal(K.elem(2))
-    best = None
     for t in sorted(two.divisors(), key=lambda d: -d.norm_int()):
         st = s * t
-        st2 = st * st
-        if any((x * x - delta) in st2 for x in st.residues()):
-            best = t
+        if next(square_root_coords(delta, st, st * st), None) is not None:
             break
-    assert best is not None  # t = (1) always works: delta is a square mod s^2
-    st = s * best
+    else:  # t = (1) always works: delta is a square mod s^2
+        raise AssertionError(f"{delta} is not a square mod s^2 = {s * s}")
     rel = (dl * 4).divide_exact(st * st)
-    return GeneralDiscFactorization(s=s, t=best, rel_disc_general=rel)
+    return GeneralDiscFactorization(s=s, t=t, rel_disc_general=rel)
 
 
 def is_unit_discriminant(delta: Elem) -> bool:
@@ -231,15 +224,19 @@ def fundamental_discriminant_data(delta: Elem) -> FundDiscData:
         pi = uniformizer_of(P)
         comp = delta / pi ** (2 * k)
         residual = l - 2 * k
-        assert residual == info.rel_disc.valuation(P) >= 0
+        # explicit raises, not asserts: the checks must survive python -O
+        if not residual == info.rel_disc.valuation(P) >= 0:
+            raise AssertionError(f"v_P(delta/f^2) at {P} is not {residual} >= 0 for {delta}")
         comps.append(LocalComponent(prime=P, residual_exponent=residual, component=comp))
     signs = tuple(delta.sign_at(i) for i in K.real_embeddings)
     rep = None
     g = info.f_delta.principal_generator()
     if g is not None:
         rep = delta / (g * g)
-        assert rep.is_integral()
-        assert conductor_ideal(rep).f_delta.is_unit_ideal()
+        if not rep.is_integral():
+            raise AssertionError(f"principal representative {rep} of {delta} is not integral")
+        if not conductor_ideal(rep).f_delta.is_unit_ideal():
+            raise AssertionError(f"principal representative {rep} of {delta} has conductor != (1)")
     return FundDiscData(local_components=tuple(comps), real_signs=signs, principal_rep=rep)
 
 

@@ -57,6 +57,8 @@ class LocalField:
             raise ValueError("precision too small for stable square decisions")
         self.W = 1 << (self.precision + 6)  # coordinate modulus 2^(prec+6)
         self.dim = self.e * self.f + 2  # dim of K^x / (K^x)^2 over F2
+        # residue field digits: F2, or F4 as bit pairs p + q*g
+        self.digits = ((0, 0), (1, 0)) if self.f == 1 else ((0, 0), (1, 0), (0, 1), (1, 1))
         self._decompose_memo: dict[tuple, int] = {}
         self._norm_group_memo: dict[int, list[int]] = {}
         self._space = None
@@ -96,15 +98,7 @@ class LocalField:
         q = Fraction(q)
         if not q:
             raise ValueError("nonzero rational required")
-        v = 0
-        num, den = q.numerator, q.denominator
-        while num % 2 == 0:
-            num //= 2
-            v += 1
-        while den % 2 == 0:
-            den //= 2
-            v -= 1
-        u = num * pow(den, -1, self.W) % self.W
+        v, u = _padic_split(q, 2, self.W)
         out = self.elem(u)
         if v % 2:
             out = out * self.elem(2)
@@ -138,8 +132,7 @@ class LocalField:
         """y with y^2 + y = r in the residue field; None iff trace(r) = 1."""
         if self.res_trace(r):
             return None
-        cands = [(0, 0), (1, 0)] if self.f == 1 else [(0, 0), (1, 0), (0, 1), (1, 1)]
-        for y in cands:
+        for y in self.digits:
             y2 = self.res_mul(y, y)
             if ((y2[0] ^ y[0]), (y2[1] ^ y[1])) == r:
                 return y
@@ -333,9 +326,7 @@ def sqrt_certificate(x: LocalElem) -> LocalElem | None:
     if v % 2:
         return None
     half = F.pi ** (v // 2)
-    u = x
-    for _ in range(v):
-        u = u.div_exact_pi()
+    u = _shift_down(x, v)
     w = F.one
     two_e = 2 * F.e
     for _ in range(4 * F.e + 8):
@@ -435,7 +426,7 @@ class SquareClassSpace:
         for cand in units:
             if len(basis_units) == F.dim - 1:
                 break
-            if _in_unit_span(basis_units, cand):
+            if _first_square_mask(cand, basis_units) is not None:
                 continue
             basis_units.append(cand)
         assert len(basis_units) == F.dim - 1, "unit square classes not exhausted"
@@ -452,21 +443,11 @@ class SquareClassSpace:
         memo = F._decompose_memo
         if key in memo:
             return memo[key]
-        mask_pi = v % 2
-        for mask in range(1 << (F.dim - 1)):
-            prod = u
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    prod = prod * self.basis[i + 1]
-                m >>= 1
-                i += 1
-            if is_square(prod):
-                out = mask_pi | (mask << 1)
-                memo[key] = out
-                return out
-        raise AssertionError("element not in the span of the square-class basis")
+        mask = _first_square_mask(u, self.basis[1:])
+        if mask is None:
+            raise AssertionError("element not in the span of the square-class basis")
+        out = memo[key] = v % 2 | (mask << 1)
+        return out
 
     def rep(self, mask: int) -> LocalElem:
         out = self.field.one
@@ -480,35 +461,26 @@ class SquareClassSpace:
 
 
 def _unit_candidates(F: LocalField):
-    """Units covering all unit square classes: 1 + (digit patterns of depth
-    2e+1); by the local square theorem deeper digits never change the class."""
-    residues = [(0, 0), (1, 0)] if F.f == 1 else [(0, 0), (1, 0), (0, 1), (1, 1)]
-    depth = 2 * F.e + 1
-    cands = []
-
-    def build(i, acc):
-        if i == depth:
-            if acc.valuation() == 0:
-                cands.append(acc)
-            return
-        for r in residues:
-            build(i + 1, acc + F.res_lift(r) * F.pi**i)
-
-    build(0, F.zero)
+    """The units among the digit patterns of depth 2e+1.  They cover all unit
+    square classes: by the local square theorem deeper digits never change
+    the class."""
+    cands = [u for u in _sample_integral(F, 2 * F.e + 1) if u.valuation() == 0]
     # prefer classically featured units first (-1, small odd integers)
-    cands.sort(key=lambda u: (u.key() != (-1 % F.W, 0),))
+    cands.sort(key=lambda u: u.key() != (-1 % F.W, 0))
     return cands
 
 
-def _in_unit_span(basis: list[LocalElem], cand: LocalElem) -> bool:
+def _first_square_mask(u: LocalElem, basis: list[LocalElem]) -> int | None:
+    """The least bitmask m with u * prod(basis[i] for bit i of m) a square,
+    or None if u is outside the span of the basis modulo squares."""
     for mask in range(1 << len(basis)):
-        prod = cand
-        for i in range(len(basis)):
+        prod = u
+        for i, b in enumerate(basis):
             if mask >> i & 1:
-                prod = prod * basis[i]
+                prod = prod * b
         if is_square(prod):
-            return True
-    return False
+            return mask
+    return None
 
 
 def _gf2_reduce(rows: list[int], vec: int) -> int:
@@ -577,25 +549,13 @@ def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
 # -- classical oracles ----------------------------------------------------------
 
 
-def _odd_part_mod(q: Fraction, m: int) -> tuple[int, int]:
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % 2 == 0:
-        num //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return v, num * pow(den, -1, m) % m
-
-
 def hilbert_symbol_q2_formula(a, b) -> int:
     """Closed form over Q2: (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u))."""
     a, b = Fraction(a), Fraction(b)
     if not a or not b:
         raise ValueError("nonzero arguments required")
-    alpha, u = _odd_part_mod(a, 8)
-    beta, v = _odd_part_mod(b, 8)
+    alpha, u = _padic_split(a, 2, 8)
+    beta, v = _padic_split(b, 2, 8)
     eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
     om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
     ex = eps_u * eps_v + alpha * om_v + beta * om_u
@@ -605,8 +565,8 @@ def hilbert_symbol_q2_formula(a, b) -> int:
 def tame_symbol(a, b, p: int) -> int:
     """Hilbert symbol at an odd prime p."""
     a, b = Fraction(a), Fraction(b)
-    alpha, u = _padic_split(a, p)
-    beta, v = _padic_split(b, p)
+    alpha, u = _padic_split(a, p, p * p)
+    beta, v = _padic_split(b, p, p * p)
     val = 1
     if (alpha * beta * (p - 1) // 2) % 2:
         val = -val
@@ -617,7 +577,9 @@ def tame_symbol(a, b, p: int) -> int:
     return val
 
 
-def _padic_split(q: Fraction, p: int) -> tuple[int, int]:
+def _padic_split(q: Fraction, p: int, m: int) -> tuple[int, int]:
+    """(v_p(q), the unit part q / p^v_p(q) modulo m) for a nonzero rational
+    q and a modulus m prime to the unit part's denominator."""
     v = 0
     num, den = q.numerator, q.denominator
     while num % p == 0:
@@ -626,7 +588,7 @@ def _padic_split(q: Fraction, p: int) -> tuple[int, int]:
     while den % p == 0:
         den //= p
         v -= 1
-    return v, num * pow(den, -1, p * p) % (p * p)
+    return v, num * pow(den, -1, m) % m
 
 
 def real_symbol(a, b) -> int:
@@ -680,10 +642,9 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
 
 
 def _sample_integral(F: LocalField, depth: int):
-    residues = [(0, 0), (1, 0)] if F.f == 1 else [(0, 0), (1, 0), (0, 1), (1, 1)]
     outs = [F.zero]
     for i in range(depth):
-        outs = [acc + F.res_lift(r) * F.pi**i for acc in outs for r in residues]
+        outs = [acc + F.res_lift(r) * F.pi**i for acc in outs for r in F.digits]
     return outs
 
 
@@ -696,7 +657,6 @@ def span_masks(rows: list[int]) -> set[int]:
 
 def orthogonal_complement(F: LocalField, rows: list[int]) -> list[int]:
     """All classes pairing trivially with a subspace, via the Gram matrix."""
-    space = F.space()
     gram = gram_matrix(F)
     comp: list[int] = []
     for m in range(1 << F.dim):

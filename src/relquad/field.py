@@ -254,32 +254,7 @@ class Elem:
 
     def is_square(self) -> bool:
         """Whether the element is a square in K."""
-        if not self:
-            return True
-        if self.field.is_rational:
-            return frac_sqrt(self.x) is not None
-        # solve (u + v*w)^2 = self exactly over the rationals
-        # u^2 + n? -- use sqrt-coordinates: (p + q sqrt d)^2 = p^2+q^2 d + 2pq sqrt d
-        A, B = self.as_sqrt_coords()
-        d = self.field.d
-        if B == 0:
-            # either p=0 (A = q^2 d) or q=0 (A = p^2)
-            if frac_sqrt(A) is not None:
-                return True
-            q2 = A / d
-            return frac_sqrt(q2) is not None
-        # p^2 + d q^2 = A, 2pq = B  =>  p^2 solves z^2 - A z + d B^2/4 = 0
-        disc = A * A - d * B * B
-        r = frac_sqrt(disc)
-        if r is None:
-            return False
-        for p2 in ((A + r) / 2, (A - r) / 2):
-            p = frac_sqrt(p2)
-            if p is not None and p != 0:
-                q = B / (2 * p)
-                if p * p + d * q * q == A:
-                    return True
-        return False
+        return self.sqrt() is not None
 
     def sqrt(self) -> "Elem | None":
         """An exact square root in K, or None."""

@@ -17,6 +17,12 @@ no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
 computation, and every call returns a fresh list.
+
+square_root_coords(delta, M, N) is the one integer search for x^2 = delta
+mod N over the HNF box of M: the root count N(delta, a) uses (2a, 4a), the
+conductor witness (2f, 4f^2), the dyadic character symbol (2P, 4P) and the
+general relative discriminant (st, (st)^2).  Like Ideal.residues it refuses
+N(M) > RESIDUE_ENUMERATION_BOUND with a ValueError naming the bound.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "class_number",
     "minkowski_bound",
     "parse_ideal",
+    "square_root_coords",
 ]
 
 RESIDUE_ENUMERATION_BOUND = 1 << 20
@@ -393,6 +400,42 @@ class Ideal:
         if g is None:
             return None
         return K.elem(g.x / self.den, g.y / self.den)
+
+
+def square_root_coords(delta: Elem, M: Ideal, N: Ideal):
+    """The coordinates (i, j) of every x = i + j*w in the HNF box of the
+    integral ideal M with x^2 - delta in N, on integers, j outer and i
+    inner (the order of M.residues()).  Each x is its own canonical
+    residue mod M.  N(M) is capped like Ideal.residues."""
+    if not (M.is_integral() and N.is_integral()):
+        raise ValueError("integral ideal required")
+    if not delta.is_integral():
+        raise ValueError(f"integral delta required, got {delta}")
+    size = M.norm_int()
+    if size > RESIDUE_ENUMERATION_BOUND:
+        raise ValueError(
+            f"residue enumeration bound exceeded: {size} > {RESIDUE_ENUMERATION_BOUND}"
+        )
+    K = delta.field
+    X, Y = int(delta.x), int(delta.y)
+    if K.degree == 1:
+        n = N.hnf[0]
+        for x in range(M.hnf[0]):
+            if (x * x - X) % n == 0:
+                yield x, 0
+        return
+    t, n = K.omega_trace, K.omega_norm
+    a, _, c = M.hnf
+    A, B, C = N.hnf
+    for j in range(c):
+        jj_x = -n * j * j - X
+        jj_y = t * j * j - Y
+        for i in range(a):
+            # (i + j w)^2 - delta = u + v w; _in_hnf(A, B, C, u, v), inlined
+            u = i * i + jj_x
+            v = 2 * i * j + jj_y
+            if v % C == 0 and (u - (v // C) * B) % A == 0:
+                yield i, j
 
 
 def _in_hnf(a: int, b: int, c: int, x: int, y: int) -> bool:

@@ -37,18 +37,18 @@ def test_at_prime_examples(Q, Q10, test_fields):
     for P in (p11, p2, p3):
         chi = chi5 if P.p != 3 else chim2
         assert chi.at_prime(P) == brute_symbol(chi, P)
-    # every odd P of norm <= 49 and every class with |N(delta)| <= 30:
-    # split, inert and ramified P
+    # every P of norm <= 49 and every class with |N(delta)| <= 30 coprime
+    # to P: split, inert and ramified P, both odd and above 2
     kinds = set()
     for K in test_fields:
-        primes = [P for p in primes_upto(49) if p > 2 for P in primes_above(K, p) if P.norm() <= 49]
+        primes = [P for p in primes_upto(49) for P in primes_above(K, p) if P.norm() <= 49]
         for info in discriminant_classes(K, 30):
             chi = QuadCharacter(info)
             for P in primes:
                 if chi.modulus.valuation(P) == 0:
-                    kinds.add((P.residue_degree, P.ramified))
+                    kinds.add((P.p == 2, P.residue_degree, P.ramified))
                     assert chi.at_prime(P) == brute_symbol(chi, P), (info.delta, str(P))
-    assert kinds == {(1, False), (2, False), (1, True)}
+    assert kinds == {(dyadic, *k) for dyadic in (False, True) for k in ((1, False), (2, False), (1, True))}
 
 
 def test_at_prime_rejects_dividing(Q):

@@ -21,7 +21,13 @@ from relquad.counting import (
 )
 from relquad.discriminants import discriminant_classes
 from relquad.field import make_field
-from relquad.ideals import ideal_from_generators, ideals_of_norm, principal_ideal, unit_ideal
+from relquad.ideals import (
+    RESIDUE_ENUMERATION_BOUND,
+    ideal_from_generators,
+    ideals_of_norm,
+    principal_ideal,
+    unit_ideal,
+)
 
 
 def test_count_examples(Q, Q10):
@@ -40,6 +46,16 @@ def test_count_rejects_non_integral_delta(Q, Q10):
         count_square_roots(Q10.elem(Fraction(9, 2)), principal_ideal(Q10.elem(3)))
     with pytest.raises(ValueError):
         square_root_pairs(Q.elem(Fraction(1, 2)), 3)
+
+
+def test_count_enforces_residue_bound(Q, Q10):
+    # N(2a) > RESIDUE_ENUMERATION_BOUND fails fast with the named bound
+    for a in (
+        principal_ideal(Q.elem(RESIDUE_ENUMERATION_BOUND // 2 + 1)),
+        principal_ideal(Q10.elem(513)),  # N(2a) = 1026^2
+    ):
+        with pytest.raises(ValueError, match="residue enumeration bound exceeded"):
+            count_square_roots(a.field.elem(1), a)
 
 
 def test_count_matches_elementwise_oracle(Q10):

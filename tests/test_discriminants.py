@@ -67,6 +67,16 @@ def test_conductor_against_brute_oracle(test_fields):
             assert info.rel_disc * info.f_delta**2 == principal_ideal(info.delta)
 
 
+def test_witness_is_first_root_of_residue_route(test_fields):
+    # witness_x is the first x of (2f).residues() with x^2 - delta in 4f^2
+    for K in test_fields:
+        for info in discriminant_classes(K, 40):
+            f = info.f_delta
+            four_f2 = f * f * 4
+            first = next(x for x in (f * 2).residues() if (x * x - info.delta) in four_f2)
+            assert info.witness_x == first, (K, info.delta)
+
+
 def test_conductor_maximality(test_fields):
     # replacing f by f*P must violate one of the defining conditions
     for K in test_fields:

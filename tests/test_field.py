@@ -172,3 +172,23 @@ def test_elem_text_roundtrip():
     assert parse_elem(K, "-w") == -K.omega
     with pytest.raises(ValueError):
         parse_elem(K, "3 w")
+
+
+def test_sqrt_and_is_square_grid():
+    # (x + y w)/k with |x|, |y| <= 12 and k <= 3: 9450 elements over six fields
+    seen = 0
+    for d in (None, 5, 10, -15, -1, 13):
+        K = make_field(d)
+        ys = range(-12, 13) if K.degree == 2 else (0,)
+        for k in (1, 2, 3):
+            for x in range(-12, 13):
+                for y in ys:
+                    g = K.elem(Fraction(x, k), Fraction(y, k))
+                    r = (g * g).sqrt()
+                    assert r in (g, -g), (K, g, r)
+                    s = g.sqrt()
+                    if s is not None:
+                        assert s * s == g, (K, g, s)
+                    assert g.is_square() == (s is not None)
+                    seen += 1
+    assert seen == 9450

@@ -16,6 +16,7 @@ from relquad.ideals import (
     parse_ideal,
     primes_above,
     principal_ideal,
+    square_root_coords,
     unit_ideal,
 )
 
@@ -286,3 +287,14 @@ def test_factor_returns_fresh_list(Q10):
     assert I.factor() == expected
     assert I.factor() is not I.factor()
     assert [(P.p, e) for P, e in expected] == [(2, 4), (3, 1), (3, 1)]  # 2 ramifies
+
+
+def test_square_root_coords_rejects_non_integral(Q, Q10):
+    for K in (Q, Q10):
+        one = unit_ideal(K)
+        half = one * Fraction(1, 2)
+        for M, N in ((half, one), (one, half)):
+            with pytest.raises(ValueError, match="integral ideal required"):
+                list(square_root_coords(K.elem(1), M, N))
+        with pytest.raises(ValueError, match="integral delta required"):
+            list(square_root_coords(K.elem(Fraction(1, 2)), one, one))

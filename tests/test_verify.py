@@ -88,3 +88,25 @@ def test_character_suite_verdict_survives_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "False", "11", "11"]
+
+
+def test_fundamental_discriminant_checks_survive_optimize():
+    # with a bogus principal generator the representative -20 of Q(sqrt 5)
+    # keeps conductor (2); the check must raise under python -O as well
+    # (as an assert, -O returned principal_rep = -20)
+    code = (
+        "import relquad.ideals\n"
+        "from relquad.discriminants import fundamental_discriminant_data\n"
+        "from relquad.field import make_field\n"
+        "relquad.ideals.Ideal.principal_generator = lambda self: 1\n"
+        "try:\n"
+        "    fd = fundamental_discriminant_data(make_field(5).elem(-20))\n"
+        "    print(__debug__, 'returned', fd.principal_rep)\n"
+        "except AssertionError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "raised"]
