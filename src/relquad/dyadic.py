@@ -2,13 +2,21 @@
 groups, square detection with certificates, the Hilbert symbol, and the
 duality of the even-level unit filtration under the Hilbert pairing.
 
-The seven fields are Q2 itself, its unramified quadratic extension
+The eight fields are Q2 itself, its unramified quadratic extension
 (basis {1, w}, w^2 = w + 1, i.e. Q2(sqrt 5)), and the six ramified
 quadratic extensions Q2(sqrt c) for c in {-1, -5, 2, -2, 10, -10}.
 Elements are truncated: coordinates live modulo 2^precision, which pins
 the element modulo pi^(e * precision); every decision used here stabilizes
 far below that depth, and the test protocol re-runs everything at
 precision + 4 demanding identical answers.
+
+Square classes rest on the local square theorem (O'Meara, Introduction to
+Quadratic Forms, 63:1; the paper's appendix on U_k): every unit of
+U_(2e+1) = 1 + 4 pi O is a square.  So the square class of a unit depends
+only on its residue modulo pi^(2e+1), and a field's square-class space
+classifies the (q - 1) q^(2e) classes of O*/U_(2e+1) once, with square
+certificates, when it is first built.  decompose() afterwards strips the
+valuation and reads that table, with no further square test.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import kronecker
+from .ideals import _hnf_from_vectors
 
 __all__ = [
     "LocalField",
@@ -37,8 +46,10 @@ class LocalField:
     (pi-adic digits; coordinates are carried modulo 2^precision).
 
     The descriptor is immutable and element operations are pure, but the
-    instance carries internal square-class memo tables: confine an instance
-    to one thread, or construct one per thread."""
+    instance caches, on first use, its square-class space (basis and unit
+    table, see SquareClassSpace) and the norm groups that hilbert_symbol
+    searches: confine an instance to one thread, or construct one per
+    thread."""
 
     def __init__(self, kind: str, c: int | None = None, precision: int | None = None):
         if kind == "q2":
@@ -59,7 +70,6 @@ class LocalField:
         self.dim = self.e * self.f + 2  # dim of K^x / (K^x)^2 over F2
         # residue field digits: F2, or F4 as bit pairs p + q*g
         self.digits = ((0, 0), (1, 0)) if self.f == 1 else ((0, 0), (1, 0), (0, 1), (1, 1))
-        self._decompose_memo: dict[tuple, int] = {}
         self._norm_group_memo: dict[int, list[int]] = {}
         self._space = None
 
@@ -355,7 +365,8 @@ def sqrt_certificate(x: LocalElem) -> LocalElem | None:
     if z is None:
         return None
     cert = half * w * z
-    assert agree_at_precision(cert * cert, x), "certificate fails at precision"
+    if not agree_at_precision(cert * cert, x):
+        raise AssertionError("certificate fails at precision")
     return cert
 
 
@@ -417,7 +428,14 @@ class SquareClassSpace:
     """Basis of K^x/(K^x)^2 over F2: pi first, then e*f + 1 units.
 
     decompose() expresses any nonzero element as a bitmask over the basis;
-    it is linear (checked by the duality test suite, not assumed here)."""
+    it is linear (checked by the duality test suite, not assumed here).
+
+    By the local square theorem (O'Meara 63:1) the square class of a unit u
+    depends only on u modulo pi^(2e+1).  The constructor, which runs on the
+    field's first space() call, picks the basis and then classifies one unit
+    of each of the (q - 1) q^(2e) classes of O*/U_(2e+1) by square
+    certificates: table[key(u)] is u's bitmask over the unit basis.  After
+    that decompose() is a shift by the valuation and one table read."""
 
     def __init__(self, F: LocalField):
         self.field = F
@@ -429,25 +447,40 @@ class SquareClassSpace:
             if _first_square_mask(cand, basis_units) is not None:
                 continue
             basis_units.append(cand)
-        assert len(basis_units) == F.dim - 1, "unit square classes not exhausted"
+        if len(basis_units) != F.dim - 1:
+            raise AssertionError("unit square classes not exhausted")
         self.basis = [F.pi, *basis_units]
         self.dim = F.dim
+        # HNF Z(a, 0) + Z(b, c) of the coordinates of pi^(2e+1) O; the
+        # vectors (W, 0), (0, W) make it the 2-adic lattice
+        top = F.pi ** (2 * F.e + 1)
+        vecs = [(top.a, top.b), (F.W, 0), (0, F.W)]
+        if F.kind != "q2":
+            t = top * F.elem(0, 1)
+            vecs.append((t.a, t.b))
+        self._lattice = _hnf_from_vectors(vecs)
+        self.table: dict[int, int] = {}
+        for u in units:
+            mask = _first_square_mask(u, basis_units)
+            if mask is None:
+                raise AssertionError("unit outside the span of the square-class basis")
+            self.table[self.key(u)] = mask
+        classes = (len(F.digits) - 1) * len(F.digits) ** (2 * F.e)
+        if len(self.table) != classes:
+            raise AssertionError(
+                f"unit table has {len(self.table)} keys, O*/U_(2e+1) has {classes} classes"
+            )
+
+    def key(self, u: LocalElem) -> int:
+        """The class of u's coordinates modulo pi^(2e+1) O, as one integer."""
+        a, b, c = self._lattice
+        return u.b % c * a + (u.a - u.b // c * b) % a
 
     def decompose(self, x: LocalElem) -> int:
-        F = self.field
         v = x.valuation()
         if v is None:
             raise ValueError("cannot classify 0")
-        u = _shift_down(x, v)
-        key = (v % 2, u.key())
-        memo = F._decompose_memo
-        if key in memo:
-            return memo[key]
-        mask = _first_square_mask(u, self.basis[1:])
-        if mask is None:
-            raise AssertionError("element not in the span of the square-class basis")
-        out = memo[key] = v % 2 | (mask << 1)
-        return out
+        return v % 2 | self.table[self.key(_shift_down(x, v))] << 1
 
     def rep(self, mask: int) -> LocalElem:
         out = self.field.one
@@ -541,7 +574,8 @@ def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
                 break
         if len(rows) == target:
             break
-    assert len(rows) == target, "norm group search did not reach index 2"
+    if len(rows) != target:
+        raise AssertionError("norm group search did not reach index 2")
     memo[cx] = rows
     return rows
 
@@ -580,6 +614,8 @@ def tame_symbol(a, b, p: int) -> int:
 def _padic_split(q: Fraction, p: int, m: int) -> tuple[int, int]:
     """(v_p(q), the unit part q / p^v_p(q) modulo m) for a nonzero rational
     q and a modulus m prime to the unit part's denominator."""
+    if not q:
+        raise ValueError("nonzero rational required")
     v = 0
     num, den = q.numerator, q.denominator
     while num % p == 0:
@@ -633,9 +669,10 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
                 continue
             vec = space.decompose(u)
             _gf2_insert(rows, vec)
-        assert len(rows) == expected, (
-            f"V_{k} has dimension {len(rows)}, cardinality lemma wants {expected}"
-        )
+        if len(rows) != expected:
+            raise AssertionError(
+                f"V_{k} has dimension {len(rows)}, cardinality lemma wants {expected}"
+            )
         out[k] = rows
     out[F.e + 1] = []
     return out

@@ -321,8 +321,13 @@ def dyadic_suite(
         fields = [descriptor]
     reports = {}
     for desc in fields:
-        rep = duality_report(desc, precision)
-        rerun = duality_report(desc, rep["precision"] + 4)
+        try:
+            rep = duality_report(desc, precision)
+            rerun = duality_report(desc, rep["precision"] + 4)
+        except AssertionError as exc:  # an appendix fact failed to check
+            cases += 1
+            failures.append(f"{desc}: {exc}")
+            continue
         reports[desc] = rep
         for key, val in rep.items():
             if isinstance(val, bool):

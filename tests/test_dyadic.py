@@ -19,6 +19,9 @@ from relquad.dyadic import (
     tame_symbol,
     unit_level,
 )
+from relquad.dyadic import _first_square_mask, _sample_integral, _shift_down
+
+DESCRIPTORS = ["q2", "unram"] + [f"ram:{c}" for c in RAMIFIED_CLASSES]
 
 
 def test_field_constants():
@@ -122,7 +125,7 @@ def test_q2_oracle_full_table():
     assert rep["q2_closed_form_oracle"]
 
 
-@pytest.mark.parametrize("desc", ["q2", "unram"] + [f"ram:{c}" for c in RAMIFIED_CLASSES])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_duality_report_all_checks(desc):
     rep = duality_report(desc)
     for key in (
@@ -164,6 +167,14 @@ def test_tame_and_real_symbols():
     assert real_symbol(2, -3) == 1
 
 
+def test_tame_symbol_rejects_zero():
+    # 0 has no p-adic unit part; the split must refuse it, not loop
+    with pytest.raises(ValueError):
+        tame_symbol(0, 3, 5)
+    with pytest.raises(ValueError):
+        tame_symbol(3, 0, 5)
+
+
 def kronecker_symbol_check(u, p):
     from relquad.arith import kronecker
 
@@ -180,3 +191,38 @@ def test_product_formula_random_rationals():
             continue
         assert product_formula_holds(a, b), (a, b)
         checked += 1
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_decompose_table_matches_square_search(desc, extra):
+    # the unit table against the certificate search it replaced, on every
+    # digit pattern two levels past the local square theorem's range, and
+    # on those times pi and pi^2
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    space = F.space()
+    for x in _sample_integral(F, 2 * F.e + 3):
+        if not x:
+            continue
+        for y in (x, x * F.pi, x * F.pi * F.pi):
+            v = y.valuation()
+            mask = _first_square_mask(_shift_down(y, v), space.basis[1:])
+            assert space.decompose(y) == v % 2 | mask << 1, (desc, y)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_decompose_table_keys(desc):
+    # one key per class of O*/U_(2e+1), and a key is blind to pi^(2e+1) O
+    F = local_field(desc)
+    space = F.space()
+    q = 1 << F.f
+    assert len(space.table) == (q - 1) * q ** (2 * F.e)
+    rng = random.Random(2026)
+    top = F.pi ** (2 * F.e + 1)
+    units = [u for u in _sample_integral(F, 2 * F.e + 1) if u.valuation() == 0]
+    assert {space.key(u) for u in units} == set(space.table)
+    for u in units:
+        for _ in range(8):
+            t = F.elem(rng.randrange(F.W), 0 if desc == "q2" else rng.randrange(F.W))
+            assert space.key(u + top * t) == space.key(u), (desc, u, t)

@@ -110,3 +110,21 @@ def test_fundamental_discriminant_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "raised"]
+
+
+def test_dyadic_suite_verdict_survives_optimize():
+    # a Newton step that returns 1 yields wrong square roots; the certificate
+    # check must fail every field under python -O as well (as an assert, -O
+    # passed the suite with ok=True)
+    code = (
+        "import relquad.dyadic, relquad.verify\n"
+        "relquad.dyadic._newton_unit_sqrt = lambda u: u.field.one\n"
+        "rep = relquad.verify.dyadic_suite()\n"
+        "cert = sum('certificate fails' in f for f in rep['failures'])\n"
+        "print(__debug__, rep['ok'], len(rep['failures']), cert)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "8", "8"]
