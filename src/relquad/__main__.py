@@ -1,0 +1,8 @@
+"""python -m relquad: the relquad command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .field import Elem, QuadField, fundamental_unit, is_unit_square
-from .ideals import Ideal, PrimeIdeal, principal_ideal, square_root_coords, unit_ideal
+from .ideals import (
+    Ideal,
+    PrimeIdeal,
+    _norm_row,
+    principal_ideal,
+    square_root_coords,
+    unit_ideal,
+)
 
 __all__ = [
     "DiscriminantInfo",
@@ -259,55 +266,66 @@ def same_class_mod_unit_squares(d1: Elem, d2: Elem) -> bool:
     return is_unit_square(u)
 
 
-def _window_member(delta: Elem, eps4: Elem) -> bool:
+def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
+    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
+    if alpha >= 0 and beta >= 0:
+        return True
+    if alpha <= 0 and beta <= 0:
+        return False
+    return (alpha > 0) == (alpha * alpha > d * beta * beta)
+
+
+def _window_member(P: int, Q: int, E: int, F: int, d: int) -> bool:
+    # 2*delta = P + Q sqrt(d) and 2*eps^4 = E + F sqrt(d), all integers.
     # |log|s1(delta)/s2(delta)|| <= 2 log eps, as two exact sign tests:
-    # s1(delta^2) <= s1(eps^4) s2(delta^2) and symmetrically.
-    d2 = delta * delta
-    c2 = d2.conj()
-    return (eps4 * c2 - d2).sign_at(0) >= 0 and (eps4 * d2 - c2).sign_at(0) >= 0
+    # s1(delta^2) <= s1(eps^4) s2(delta^2) and symmetrically, scaled by 8
+    # with (2 delta)^2 = a + b sqrt(d).
+    a = P * P + d * Q * Q
+    b = 2 * P * Q
+    below = _sqrt_d_nonneg(E * a - F * b * d - 2 * a, F * a - E * b - 2 * b, d)
+    return below and _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d)
 
 
 def discriminant_candidates(K: QuadField, norm_bound: int):
     """All integral delta with |N(delta)| <= norm_bound, restricted (real
-    case) to the fundamental-unit window; yields every class member seen."""
+    case) to the fundamental-unit window |log|s1(delta)/s2(delta)|| <=
+    2 log eps; yields every class member seen, y ascending, then x.
+
+    Each row y of the coordinate box is solved for -B <= N(x + y*w) <= B
+    by ideals._norm_row and clamped to the box's x-range, so the members
+    and their order are those of a scan of the whole box (the test oracle
+    tests/helpers.py::box_discriminant_candidates), at the cost of
+    O(eps sqrt(B/d)) rows plus the hits instead of O(B eps^2) norms.  The
+    window test is two integer sign tests on sqrt(d)-coordinates."""
     if K.degree == 1:
         for a in range(1, norm_bound + 1):
             yield K.elem(a)
             yield K.elem(-a)
         return
-    t, n = K.omega_trace, K.omega_norm
+    t = K.omega_trace
+    d = K.d
     if K.is_imaginary_quadratic:
         # positive definite: |disc| y^2 <= 4N
         ymax = isqrt(4 * norm_bound // abs(K.disc)) + 1
         xc = isqrt(norm_bound) + 1
-        for y in range(-ymax, ymax + 1):
-            lo = (-t * y) // 2 - xc - 1
-            hi = (-t * y) // 2 + xc + 1
-            for x in range(lo, hi + 1):
-                if x == 0 and y == 0:
-                    continue
-                if abs(x * x + t * x * y + n * y * y) <= norm_bound:
-                    yield K.elem(x, y)
-        return
-    eps = fundamental_unit(K)
-    eps4 = eps**4
-    A, B = eps.as_sqrt_coords()
-    d = K.d
-    E = A + B * (isqrt(d) + 1)  # rational upper bound for sigma1(eps)
-    mult = 2 if t == 1 else 1
-    ymax = isqrt(int(norm_bound * E * E * mult * mult / d)) + 1
-    xc = isqrt(int(norm_bound * E * E)) + 1
+        window = None
+    else:
+        eps = fundamental_unit(K)
+        A, B = eps.as_sqrt_coords()
+        E = A + B * (isqrt(d) + 1)  # rational upper bound for sigma1(eps)
+        mult = 2 if t == 1 else 1
+        ymax = isqrt(int(norm_bound * E * E * mult * mult / d)) + 1
+        xc = isqrt(int(norm_bound * E * E)) + 1
+        window = tuple(int(2 * v) for v in (eps**4).as_sqrt_coords())
     for y in range(-ymax, ymax + 1):
         lo = (-t * y) // 2 - xc - 1
         hi = (-t * y) // 2 + xc + 1
-        for x in range(lo, hi + 1):
-            if x == 0 and y == 0:
-                continue
-            if abs(x * x + t * x * y + n * y * y) > norm_bound:
-                continue
-            delta = K.elem(x, y)
-            if _window_member(delta, eps4):
-                yield delta
+        for r in _norm_row(K, y, -norm_bound, norm_bound):
+            for x in range(max(r.start, lo), min(r.stop, hi + 1)):
+                if x == 0 and y == 0:
+                    continue
+                if window is None or _window_member(2 * x + t * y, (2 - t) * y, *window, d):
+                    yield K.elem(x, y)
 
 
 def discriminant_classes(

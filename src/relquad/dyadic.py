@@ -679,9 +679,13 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
 
 
 def _sample_integral(F: LocalField, depth: int):
+    """Every sum of lifted digits times pi^i, i < depth; the digit at the
+    deepest level varies fastest."""
     outs = [F.zero]
     for i in range(depth):
-        outs = [acc + F.res_lift(r) * F.pi**i for acc in outs for r in F.digits]
+        pi_i = F.pi**i
+        terms = [F.res_lift(r) * pi_i for r in F.digits]
+        outs = [acc + term for acc in outs for term in terms]
     return outs
 
 

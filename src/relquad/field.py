@@ -333,6 +333,8 @@ def parse_elem(K: QuadField, text: str) -> Elem:
 # ---------------------------------------------------------------------------
 # units
 
+CF_STEP_BOUND = 100000  # continued-fraction steps fundamental_unit may take
+
 
 def _cf_step(P: int, Q: int, D: int, s: int) -> tuple[int, int, int]:
     # one step of the continued fraction of (P + sqrt D)/Q; returns (a, P', Q')
@@ -358,9 +360,10 @@ def fundamental_unit(K: QuadField) -> Elem:
     s = isqrt(D)
     p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_cur = 1, 0
-    for _ in range(100000):
+    for _ in range(CF_STEP_BOUND):
         a, P, Q = _cf_step(P, Q, D, s)
-        assert Q > 0
+        if Q <= 0:
+            raise AssertionError(f"continued fraction of omega for d={d} reached Q = {Q} <= 0")
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         nm = p_cur * p_cur - t * p_cur * q_cur + n * q_cur * q_cur
@@ -370,7 +373,10 @@ def fundamental_unit(K: QuadField) -> Elem:
                 if cand.sign_at(0) > 0 and (cand - 1).sign_at(0) > 0:
                     return cand
             raise AssertionError("no associate > 1")
-    raise ArithmeticError(f"continued fraction of omega did not close for d={d}")
+    raise ArithmeticError(
+        f"continued fraction of omega did not close for d={d} "
+        f"within CF_STEP_BOUND = {CF_STEP_BOUND} steps"
+    )
 
 
 def roots_of_unity(K: QuadField) -> list[Elem]:

@@ -18,6 +18,12 @@ cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
 computation, and every call returns a fresh list.
 
+_norm_row(K, y, lo, hi) solves lo <= N(x + y*w) <= hi for x on one row y
+with isqrt bounds, solving the norm form per row as in Cohen, GTM 138,
+5.7-5.8.  The principal generator search and discriminant_candidates walk
+their rows with it instead of evaluating the norm over a coordinate box.
+Ideal.divides tests containment on the HNF: no inverse, no product.
+
 square_root_coords(delta, M, N) is the one integer search for x^2 = delta
 mod N over the HNF box of M: the root count N(delta, a) uses (2a, 4a), the
 conductor witness (2f, 4f^2), the dyadic character symbol (2P, 4P) and the
@@ -181,10 +187,14 @@ class Ideal:
         y = e.y * self.den
         if x.denominator != 1 or y.denominator != 1:
             return False
+        return self._contains_coords(x.numerator, y.numerator)
+
+    def _contains_coords(self, x: int, y: int) -> bool:
+        # whether (x + y*w)/self.den lies in this ideal, for integers x, y
         if self.field.degree == 1:
-            return x.numerator % self.hnf[0] == 0
+            return x % self.hnf[0] == 0
         a, b, c = self.hnf
-        return _in_hnf(a, b, c, x.numerator, y.numerator)
+        return _in_hnf(a, b, c, x, y)
 
     __contains__ = contains
 
@@ -323,7 +333,20 @@ class Ideal:
         return q
 
     def divides(self, other: "Ideal") -> bool:
-        return (other * self.inverse()).is_integral()
+        """self | other, decided as other within self: the basis elements
+        of other lie in self.  No inverse and no ideal product."""
+        if self.field != other.field:
+            raise ValueError("ideals of different fields")
+        d1, d2 = self.den, other.den
+        vecs = [(other.hnf[0], 0)]
+        if self.field.degree == 2:
+            vecs.append(other.hnf[1:])
+        for x, y in vecs:
+            # (x + y*w)/d2 times d1 must be integral and in the module of self
+            x, y = x * d1, y * d1
+            if x % d2 or y % d2 or not self._contains_coords(x // d2, y // d2):
+                return False
+        return True
 
     def is_unit_ideal(self) -> bool:
         if self.field.degree == 1:
@@ -388,10 +411,10 @@ class Ideal:
     def principal_generator(self) -> Elem | None:
         """A generator if the ideal is principal, else None.
 
-        Real quadratic search is restricted to the fundamental-unit box
-        |log|s1(g)| - log|s2(g)|| <= 2 log eps, made exact through integer
-        coefficient bounds; imaginary search is Minkowski-bounded by the
-        positive definite norm form."""
+        The search solves the norm form row by row (_norm_row): for a real
+        field over the fundamental-unit box |s1(g)|, |s2(g)| <= sqrt(N) eps,
+        made exact through integer coefficient bounds; for an imaginary
+        field over the rows the positive definite norm form allows."""
         K = self.field
         if K.degree == 1:
             return K.elem(Fraction(self.hnf[0], self.den))
@@ -631,27 +654,62 @@ def class_number(K: QuadField) -> int:
 # -- principal generator search ------------------------------------------------
 
 
+def _norm_row(K: QuadField, y: int, lo: int, hi: int) -> tuple[range, ...]:
+    """Every x with lo <= N(x + y*w) <= hi, ascending, as disjoint ranges.
+
+    With u = s*x + t*y and s = t + 1 the norm is s^2 N = u^2 - d y^2, that
+    is 4N = (2x + y)^2 - d y^2 for t = 1 and N = x^2 - d y^2 for t = 0.  So
+    u^2 lies in [s^2 lo + d y^2, s^2 hi + d y^2], an interval of |u| read
+    off with isqrt, and each of the (at most two) intervals of u gives an
+    interval of x.  Exact on integers, for real and imaginary K."""
+    t = K.omega_trace
+    s = t + 1
+    dy2 = K.d * y * y
+    top = s * s * hi + dy2
+    if top < 0:
+        return ()
+    u_hi = isqrt(top)
+    bot = s * s * lo + dy2
+    u_lo = isqrt(bot - 1) + 1 if bot > 0 else 0
+    if u_lo > u_hi:
+        return ()
+    ty = t * y
+
+    def xs(u1: int, u2: int) -> range:  # x with u1 <= s*x + t*y <= u2
+        return range(-((ty - u1) // s), (u2 - ty) // s + 1)
+
+    if u_lo == 0:
+        return (xs(-u_hi, u_hi),)
+    return (xs(-u_hi, -u_lo), xs(u_lo, u_hi))
+
+
 def _principal_generator_integral(I: Ideal) -> Elem | None:
+    """The first g = i*a + j*(b + c*w) of I with |N(g)| = N(I), or None.
+
+    Rows run over j ascending.  In row j (y = j*c) the norm equation is
+    solved by _norm_row for {N} (imaginary) or {+N, -N} (real), and a
+    solution x is in I iff x = j*b mod a; an element of I whose norm has
+    the absolute value N(I) generates I.  Within a row x runs descending
+    for imaginary K and ascending, clamped to the box's i-range, for real
+    K: the order of the coordinate-box scan kept as the test oracle
+    tests/helpers.py::box_principal_generator, so both return the same
+    generator.  The real rows cover the fundamental-unit box |s1(g)|,
+    |s2(g)| <= sqrt(N) * eps, made exact through integer coefficient
+    bounds: O(eps sqrt(N/d)) rows of O(1) work, where the box scan made
+    O(N eps^2) norm evaluations."""
     K = I.field
     N = I.norm_int()
     a, b, c = I.hnf
-    t, n = K.omega_trace, K.omega_norm
+    t = K.omega_trace
     if K.is_imaginary_quadratic:
-        # positive definite norm form x^2 + t x y + n y^2 = N
-        # |disc| y^2 <= 4N
-        ymax = isqrt(4 * N // abs(K.disc))
-        for y in range(-ymax, ymax + 1):
-            disc = t * t * y * y - 4 * (n * y * y - N)
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for x2 in ((-t * y + r), (-t * y - r)):
-                if x2 % 2 == 0:
-                    g = K.elem(x2 // 2, y)
-                    if g and principal_ideal(g) == I:
-                        return g
+        # positive definite norm form: |disc| y^2 <= 4N
+        jmax = isqrt(4 * N // abs(K.disc)) // c
+        for j in range(-jmax, jmax + 1):
+            row = [x for r in _norm_row(K, j * c, N, N) for x in r if (x - j * b) % a == 0]
+            for x in reversed(row):
+                g = K.elem(x, j * c)
+                if principal_ideal(g) == I:
+                    return g
         return None
     # real quadratic: generator box bounded through the fundamental unit
     eps = fundamental_unit(K)
@@ -666,20 +724,15 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
     xcap = isqrt(int(R2)) + 1
     for j in range(-jmax, jmax + 1):
         y = j * c
-        # |x + t*y/2| <= xcap
-        lo = (-t * y) // 2 - xcap - 1
-        hi = (-t * y) // 2 + xcap + 1
-        i_lo = (lo - j * b) // a
-        i_hi = (hi - j * b) // a + 1
-        for i in range(i_lo, i_hi + 1):
-            x = i * a + j * b
-            if x == 0 and y == 0:
-                continue
-            if abs(x * x + t * x * y + n * y * y) != N:
-                continue
-            g = K.elem(x, y)
-            if principal_ideal(g) == I:
-                return g
+        # |x + t*y/2| <= xcap, widened to whole steps of a
+        x_lo = ((-t * y) // 2 - xcap - 1 - j * b) // a * a + j * b
+        x_hi = ((-t * y) // 2 + xcap + 1 - j * b) // a * a + j * b + a
+        row = sorted(x for m in (N, -N) for r in _norm_row(K, y, m, m) for x in r)
+        for x in row:
+            if x_lo <= x <= x_hi and (x - j * b) % a == 0:
+                g = K.elem(x, y)
+                if principal_ideal(g) == I:
+                    return g
     return None
 
 

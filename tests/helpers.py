@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: interval arithmetic for
 signs, exhaustive coefficient searches for units, brute-force residue
-enumeration for congruences.
+enumeration for congruences, and full coordinate-box scans for the norm
+form (the searches that ideals._norm_row replaced).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from relquad.field import Elem, QuadField
+from relquad.field import Elem, QuadField, fundamental_unit
 from relquad.ideals import Ideal, principal_ideal
 
 
@@ -73,3 +74,112 @@ def valuation_by_division(I: Ideal, P) -> int:
         if not I.is_integral():
             return v
         v += 1
+
+
+# -- box searches: the eps-scaled scans the norm-form row solver replaced --------
+
+
+def _box_window_member(delta: Elem, eps4: Elem) -> bool:
+    # |log|s1(delta)/s2(delta)|| <= 2 log eps, as two exact sign tests:
+    # s1(delta^2) <= s1(eps^4) s2(delta^2) and symmetrically.
+    d2 = delta * delta
+    c2 = d2.conj()
+    return (eps4 * c2 - d2).sign_at(0) >= 0 and (eps4 * d2 - c2).sign_at(0) >= 0
+
+
+def box_discriminant_candidates(K: QuadField, norm_bound: int):
+    """discriminant_candidates by evaluating the norm at every point of the
+    coordinate box: O(B eps^2) points for a real field."""
+    if K.degree == 1:
+        for a in range(1, norm_bound + 1):
+            yield K.elem(a)
+            yield K.elem(-a)
+        return
+    t, n = K.omega_trace, K.omega_norm
+    if K.is_imaginary_quadratic:
+        # positive definite: |disc| y^2 <= 4N
+        ymax = isqrt(4 * norm_bound // abs(K.disc)) + 1
+        xc = isqrt(norm_bound) + 1
+        for y in range(-ymax, ymax + 1):
+            lo = (-t * y) // 2 - xc - 1
+            hi = (-t * y) // 2 + xc + 1
+            for x in range(lo, hi + 1):
+                if x == 0 and y == 0:
+                    continue
+                if abs(x * x + t * x * y + n * y * y) <= norm_bound:
+                    yield K.elem(x, y)
+        return
+    eps = fundamental_unit(K)
+    eps4 = eps**4
+    A, B = eps.as_sqrt_coords()
+    d = K.d
+    E = A + B * (isqrt(d) + 1)  # rational upper bound for sigma1(eps)
+    mult = 2 if t == 1 else 1
+    ymax = isqrt(int(norm_bound * E * E * mult * mult / d)) + 1
+    xc = isqrt(int(norm_bound * E * E)) + 1
+    for y in range(-ymax, ymax + 1):
+        lo = (-t * y) // 2 - xc - 1
+        hi = (-t * y) // 2 + xc + 1
+        for x in range(lo, hi + 1):
+            if x == 0 and y == 0:
+                continue
+            if abs(x * x + t * x * y + n * y * y) > norm_bound:
+                continue
+            delta = K.elem(x, y)
+            if _box_window_member(delta, eps4):
+                yield delta
+
+
+def box_principal_generator(I: Ideal) -> Elem | None:
+    """The generator of an integral ideal that the coordinate-box search
+    finds first, or None: every point of a box of about sqrt(N) eps
+    coordinates for a real field."""
+    K = I.field
+    N = I.norm_int()
+    a, b, c = I.hnf
+    t, n = K.omega_trace, K.omega_norm
+    if K.is_imaginary_quadratic:
+        # positive definite norm form x^2 + t x y + n y^2 = N
+        # |disc| y^2 <= 4N
+        ymax = isqrt(4 * N // abs(K.disc))
+        for y in range(-ymax, ymax + 1):
+            disc = t * t * y * y - 4 * (n * y * y - N)
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for x2 in ((-t * y + r), (-t * y - r)):
+                if x2 % 2 == 0:
+                    g = K.elem(x2 // 2, y)
+                    if g and principal_ideal(g) == I:
+                        return g
+        return None
+    # real quadratic: generator box bounded through the fundamental unit
+    eps = fundamental_unit(K)
+    A, B = eps.as_sqrt_coords()
+    d = K.d
+    E = A + B * (isqrt(d) + 1)  # rational upper bound for sigma1(eps)
+    R2 = N * E * E  # (sqrt(N) * eps)^2 upper bound
+    # y in sqrt-coords is y/2 (t=1) or y (t=0); |y_sqrt| <= sqrt(R2/d)
+    mult = 2 if t == 1 else 1
+    ycap = isqrt(int(R2 * mult * mult / d)) + 1
+    jmax = ycap // c + 1
+    xcap = isqrt(int(R2)) + 1
+    for j in range(-jmax, jmax + 1):
+        y = j * c
+        # |x + t*y/2| <= xcap
+        lo = (-t * y) // 2 - xcap - 1
+        hi = (-t * y) // 2 + xcap + 1
+        i_lo = (lo - j * b) // a
+        i_hi = (hi - j * b) // a + 1
+        for i in range(i_lo, i_hi + 1):
+            x = i * a + j * b
+            if x == 0 and y == 0:
+                continue
+            if abs(x * x + t * x * y + n * y * y) != N:
+                continue
+            g = K.elem(x, y)
+            if principal_ideal(g) == I:
+                return g
+    return None

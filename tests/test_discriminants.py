@@ -1,20 +1,25 @@
+import json
 import random
 
 import pytest
 
+from helpers import _box_window_member, box_discriminant_candidates
+from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
+    discriminant_candidates,
     discriminant_classes,
     discriminant_witness,
     fundamental_discriminant_data,
+    is_discriminant,
     is_unit_discriminant,
     local_square_solvable,
     relative_discriminant_general,
     same_class_mod_squares,
     same_class_mod_unit_squares,
 )
-from relquad.field import make_field
-from relquad.ideals import ideal_from_generators, primes_above, principal_ideal, unit_ideal
+from relquad.field import fundamental_unit, make_field, parse_elem
+from relquad.ideals import class_number, ideal_from_generators, primes_above, principal_ideal, unit_ideal
 
 
 def test_witness_examples(Q10, Q):
@@ -302,3 +307,34 @@ def test_local_square_solvable_nonunit_at_odd_prime(test_fields, Q):
     assert not local_square_solvable(Q.elem(3 * 7), P3, 16)  # odd valuation
     assert local_square_solvable(Q.elem(2 * 3**16), P3, 16)  # v >= t: x = 0
     assert local_square_solvable(Q.elem(7 * 3**40), P3, 60)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 17, 19, 21, 22, 23, 195, -1, -3, -15])
+def test_candidates_match_box_oracle(d):
+    # the row solve yields the box scan's members in the box scan's order
+    K = make_field(d)
+    for bound in (1, 4, 9, 20, 37):
+        got = [e.key() for e in discriminant_candidates(K, bound)]
+        assert got == [e.key() for e in box_discriminant_candidates(K, bound)], (d, bound)
+
+
+@pytest.mark.parametrize("d", [31, 46])
+def test_table_beyond_box_cliff(d, capsys):
+    # eps ~ 3040 and ~ 48670: the box scan took minutes at this bound
+    K = make_field(d)
+    assert main(["table", "--field", str(d), "--bound", "200", "--format", "json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows
+    eps4 = fundamental_unit(K) ** 4
+    deltas = [parse_elem(K, r["delta"]) for r in rows]
+    for r, delta in zip(rows, deltas):
+        assert is_discriminant(delta) and delta.is_totally_negative()
+        assert abs(delta.norm()) == r["norm"] <= 200
+        assert _box_window_member(delta, eps4), delta
+    for i, a in enumerate(deltas):
+        for b in deltas[i + 1 :]:
+            assert not same_class_mod_unit_squares(a, b), (a, b)
+
+
+def test_class_number_beyond_box_cliff():
+    assert class_number(make_field(31)) == 1

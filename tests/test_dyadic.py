@@ -226,3 +226,15 @@ def test_decompose_table_keys(desc):
         for _ in range(8):
             t = F.elem(rng.randrange(F.W), 0 if desc == "q2" else rng.randrange(F.W))
             assert space.key(u + top * t) == space.key(u), (desc, u, t)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_sample_integral_order(desc):
+    # one power of pi per digit level gives the same list, in the same
+    # order, as raising pi for every (element, digit) pair
+    F = local_field(desc)
+    depth = 2 * F.e + 2
+    outs = [F.zero]
+    for i in range(depth):
+        outs = [acc + F.res_lift(r) * F.pi**i for acc in outs for r in F.digits]
+    assert _sample_integral(F, depth) == outs

@@ -101,6 +101,22 @@ def test_fundamental_units():
         fundamental_unit(make_field())
 
 
+def test_fundamental_unit_step_cap(monkeypatch):
+    # the period of w for d = 94 is longer than 3 steps; the uncached
+    # search must stop at the cap and name both d and the cap
+    import relquad.field as field
+
+    monkeypatch.setattr(field, "CF_STEP_BOUND", 3)
+    with pytest.raises(ArithmeticError, match=r"d=94.*CF_STEP_BOUND = 3"):
+        fundamental_unit.__wrapped__(make_field(94))
+    monkeypatch.setattr(field, "_cf_step", lambda P, Q, D, s: (1, 0, 0))
+    with pytest.raises(AssertionError, match="d=94"):
+        fundamental_unit.__wrapped__(make_field(94))
+    monkeypatch.undo()
+    eps = fundamental_unit.__wrapped__(make_field(94))
+    assert abs(eps.norm()) == 1 and eps.sign_at(0) > 0
+
+
 @pytest.mark.parametrize("d", [2, 5, 10, 15])
 def test_fundamental_unit_minimal_in_box(d):
     # independent oracle: exhaustive search over small coefficients

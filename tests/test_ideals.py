@@ -4,11 +4,12 @@ from math import lcm
 
 import pytest
 
-from helpers import valuation_by_division
+from helpers import box_principal_generator, valuation_by_division
 from relquad.field import make_field
 from relquad.ideals import (
     Ideal,
     _hnf_from_vectors,
+    _norm_row,
     class_number,
     count_ideals_of_norm,
     ideal_from_generators,
@@ -298,3 +299,47 @@ def test_square_root_coords_rejects_non_integral(Q, Q10):
                 list(square_root_coords(K.elem(1), M, N))
         with pytest.raises(ValueError, match="integral delta required"):
             list(square_root_coords(K.elem(Fraction(1, 2)), one, one))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 19, 195, -1, -3, -5, -15])
+def test_norm_row_matches_scan(d):
+    # every x of the row, in order, against the norm evaluated on a range
+    # of x that holds all solutions, for point and signed intervals
+    K = make_field(d)
+    t, n = K.omega_trace, K.omega_norm
+    for y in range(-25, 26):
+        for lo, hi in ((-20, 20), (0, 0), (7, 7), (-9, -9), (1, 30), (-30, -2), (5, 4)):
+            got = [x for r in _norm_row(K, y, lo, hi) for x in r]
+            cap = abs(d) * abs(y) + 40
+            want = [x for x in range(-cap, cap) if lo <= x * x + t * x * y + n * y * y <= hi]
+            assert got == want, (d, y, lo, hi)
+
+
+def _ideals_below(K, bound):
+    return [a for m in range(1, bound) for a in ideals_of_norm(K, m)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 195, -15])
+def test_principal_generator_matches_box_oracle(d):
+    # the same element as the coordinate-box scan, not merely a generator,
+    # for every integral ideal of norm < 60
+    K = make_field(d)
+    for a in _ideals_below(K, 60):
+        assert a.principal_generator() == box_principal_generator(a), (d, a)
+
+
+def test_principal_generator_over_q(Q):
+    for a in _ideals_below(Q, 60):
+        g = a.principal_generator()
+        assert principal_ideal(g) == a and g.x > 0
+
+
+def test_divides_matches_inverse_route(test_fields):
+    # self | other iff other * self^-1 is integral, on integral and
+    # fractional pairs
+    for K in test_fields:
+        small = _ideals_below(K, 13)
+        pool = small + [a * b.inverse() for a in small[:8] for b in small[1:8]]
+        for a in pool:
+            for b in pool:
+                assert a.divides(b) == (b * a.inverse()).is_integral(), (K, a, b)
