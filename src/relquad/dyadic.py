@@ -14,9 +14,14 @@ Square classes rest on the local square theorem (O'Meara, Introduction to
 Quadratic Forms, 63:1; the paper's appendix on U_k): every unit of
 U_(2e+1) = 1 + 4 pi O is a square.  So the square class of a unit depends
 only on its residue modulo pi^(2e+1), and a field's square-class space
-classifies the (q - 1) q^(2e) classes of O*/U_(2e+1) once, with square
-certificates, when it is first built.  decompose() afterwards strips the
-valuation and reads that table, with no further square test.
+classifies the (q - 1) q^(2e) classes of O*/U_(2e+1) once, when it is first
+built.  It does so from explicit squares, with no square test: the classes
+of the squares s^2 of the units s modulo pi^(e+1), times the products of
+the basis units, are the entries of the table, and each entry's square
+witness is that s times the basis product.  decompose() afterwards strips
+the valuation and reads that table.  Square certificates (sqrt_certificate)
+stay as the independent square test: the trace criterion of the duality
+report runs on them, and the tests check the table against them.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ RAMIFIED_CLASSES = (-1, -5, 2, -2, 10, -10)
 
 
 class LocalField:
-    """One of the seven dyadic fields, at a fixed working precision
+    """One of the eight dyadic fields, at a fixed working precision
     (pi-adic digits; coordinates are carried modulo 2^precision).
 
     The descriptor is immutable and element operations are pure, but the
@@ -228,7 +233,8 @@ class LocalElem:
         if F.kind == "q2":
             v = v2
         elif F.kind == "unram":
-            assert v2 % 2 == 0
+            if v2 % 2:  # the norm of 2^v * unit is 4^v * odd
+                raise AssertionError(f"unramified norm with odd 2-adic valuation {v2}")
             v = v2 // 2
         else:
             v = v2
@@ -251,24 +257,29 @@ class LocalElem:
         F = self.field
         W = F.W
         if F.kind == "q2":
-            assert self.a % 2 == 0
+            if self.a % 2:
+                raise ValueError(f"{self} is not divisible by pi")
             return LocalElem(F, (self.a // 2) % W, 0)
         if F.kind == "unram":
-            assert self.a % 2 == 0 and self.b % 2 == 0
+            if self.a % 2 or self.b % 2:
+                raise ValueError(f"{self} is not divisible by pi")
             return LocalElem(F, (self.a // 2) % W, (self.b // 2) % W)
         if F.c % 2 == 0:  # pi = sqrt c; x / pi = b + (a / c) sqrt c
-            assert self.a % 2 == 0
+            if self.a % 2:
+                raise ValueError(f"{self} is not divisible by pi")
             u = F.c // 2
             return LocalElem(F, self.b, (self.a // 2) * pow(u, -1, W) % W)
         # pi = 1 + sqrt c: x / pi = x conj(pi) / (1 - c), v2(1 - c) = 1
         y = self * LocalElem(F, 1, -1 % W)
         u = (1 - F.c) // 2
-        assert y.a % 2 == 0 and y.b % 2 == 0
+        if y.a % 2 or y.b % 2:
+            raise ValueError(f"{self} is not divisible by pi")
         inv = pow(u, -1, W)
         return LocalElem(F, (y.a // 2) * inv % W, (y.b // 2) * inv % W)
 
     def div_exact_int(self, k: int) -> "LocalElem":
-        assert self.a % k == 0 and self.b % k == 0
+        if self.a % k or self.b % k:
+            raise ValueError(f"{self} is not divisible by {k}")
         F = self.field
         return LocalElem(F, (self.a // k) % F.W, (self.b // k) % F.W)
 
@@ -276,8 +287,9 @@ class LocalElem:
         out = self.field.one
         base = self
         if k < 0:
-            base = base.unit_inverse() if base.valuation() == 0 else None
-            assert base is not None
+            if base.valuation() != 0:
+                raise ValueError(f"negative power {k} of the non-unit {self}")
+            base = base.unit_inverse()
             k = -k
         while k:
             if k & 1:
@@ -380,7 +392,8 @@ def _newton_unit_sqrt(u: LocalElem) -> LocalElem | None:
     """Square root of u in U_(2e+1) by z -> (z + u/z)/2."""
     F = u.field
     lvl = unit_level(u)
-    assert lvl >= 2 * F.e + 1
+    if lvl < 2 * F.e + 1:
+        raise AssertionError(f"Newton square root needs U_{2 * F.e + 1}, got U_{lvl}")
     z = F.one
     for _ in range(F.precision * F.e + 8):
         nz = (z + u * z.unit_inverse()).div_exact_int(2)
@@ -431,25 +444,23 @@ class SquareClassSpace:
     it is linear (checked by the duality test suite, not assumed here).
 
     By the local square theorem (O'Meara 63:1) the square class of a unit u
-    depends only on u modulo pi^(2e+1).  The constructor, which runs on the
-    field's first space() call, picks the basis and then classifies one unit
-    of each of the (q - 1) q^(2e) classes of O*/U_(2e+1) by square
-    certificates: table[key(u)] is u's bitmask over the unit basis.  After
-    that decompose() is a shift by the valuation and one table read."""
+    depends only on u modulo pi^(2e+1), so table[key(u)] is u's bitmask over
+    the unit basis for each of the (q - 1) q^(2e) classes of O*/U_(2e+1).
+    The constructor, which runs on the field's first space() call, builds
+    basis and table in one scan from explicit squares, with no square test.
+    Since 2 = pi^e * unit, s^2 mod pi^(2e+1) depends only on s mod pi^(e+1),
+    so the units s of depth e+1 give every unit square modulo pi^(2e+1);
+    their classes enter the table with mask 0.  The candidates of
+    _unit_candidates are then walked in order.  One whose key is not yet in
+    the table lies outside the span of the basis so far, modulo squares, and
+    becomes the next basis unit b_i; for each product b_m of earlier basis
+    units it adds key(b_m b_i s^2) -> m | 1 << i.  Every entry has a square
+    witness: a unit u in the class of b_m b_i s^2 satisfies
+    u * b_m b_i = (b_m b_i s)^2 modulo U_(2e+1), a square.  After that
+    decompose() is a shift by the valuation and one table read."""
 
     def __init__(self, F: LocalField):
         self.field = F
-        units = _unit_candidates(F)
-        basis_units: list[LocalElem] = []
-        for cand in units:
-            if len(basis_units) == F.dim - 1:
-                break
-            if _first_square_mask(cand, basis_units) is not None:
-                continue
-            basis_units.append(cand)
-        if len(basis_units) != F.dim - 1:
-            raise AssertionError("unit square classes not exhausted")
-        self.basis = [F.pi, *basis_units]
         self.dim = F.dim
         # HNF Z(a, 0) + Z(b, c) of the coordinates of pi^(2e+1) O; the
         # vectors (W, 0), (0, W) make it the 2-adic lattice
@@ -459,12 +470,29 @@ class SquareClassSpace:
             t = top * F.elem(0, 1)
             vecs.append((t.a, t.b))
         self._lattice = _hnf_from_vectors(vecs)
-        self.table: dict[int, int] = {}
-        for u in units:
-            mask = _first_square_mask(u, basis_units)
-            if mask is None:
-                raise AssertionError("unit outside the span of the square-class basis")
-            self.table[self.key(u)] = mask
+        squares: dict[int, LocalElem] = {}
+        for s in _sample_integral(F, F.e + 1):
+            if s.valuation() == 0:
+                squares.setdefault(self.key(s * s), s * s)
+        self.table: dict[int, int] = dict.fromkeys(squares, 0)
+        basis_units: list[LocalElem] = []
+        span = [F.one]  # span[m] = product of basis_units[i] over the bits i of m
+        for cand in _unit_candidates(F):
+            if len(basis_units) == F.dim - 1:
+                break
+            if self.key(cand) in self.table:
+                continue
+            bit = 1 << len(basis_units)
+            coset = [b * cand for b in span]
+            for m, b in enumerate(coset):
+                for sq in squares.values():
+                    if self.table.setdefault(self.key(b * sq), m | bit) != m | bit:
+                        raise AssertionError("basis units dependent modulo squares")
+            basis_units.append(cand)
+            span += coset
+        if len(basis_units) != F.dim - 1:
+            raise AssertionError("unit square classes not exhausted")
+        self.basis = [F.pi, *basis_units]
         classes = (len(F.digits) - 1) * len(F.digits) ** (2 * F.e)
         if len(self.table) != classes:
             raise AssertionError(
@@ -501,19 +529,6 @@ def _unit_candidates(F: LocalField):
     # prefer classically featured units first (-1, small odd integers)
     cands.sort(key=lambda u: u.key() != (-1 % F.W, 0))
     return cands
-
-
-def _first_square_mask(u: LocalElem, basis: list[LocalElem]) -> int | None:
-    """The least bitmask m with u * prod(basis[i] for bit i of m) a square,
-    or None if u is outside the span of the basis modulo squares."""
-    for mask in range(1 << len(basis)):
-        prod = u
-        for i, b in enumerate(basis):
-            if mask >> i & 1:
-                prod = prod * b
-        if is_square(prod):
-            return mask
-    return None
 
 
 def _gf2_reduce(rows: list[int], vec: int) -> int:
@@ -561,10 +576,11 @@ def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
     target = F.dim - 1
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
-        pool = _sample_integral(F, depth)
-        for u in pool:
-            for v in pool:
-                val = u * u - a * (v * v)
+        squares = [u * u for u in _sample_integral(F, depth)]
+        a_squares = [a * v2 for v2 in squares]
+        for u2 in squares:
+            for av2 in a_squares:
+                val = u2 - av2
                 if not val or val.valuation() is None:
                     continue
                 _gf2_insert(rows, space.decompose(val))
@@ -804,7 +820,8 @@ def _gf2_rank(rows: list[int]) -> int:
 
 
 def _as_rational(F: LocalField, x: LocalElem) -> int:
-    assert F.kind == "q2"
+    if F.kind != "q2":
+        raise ValueError(f"{F} is not Q2")
     a = x.a
     # small signed representative of the canonical coordinate
     return a - F.W if a > F.W // 2 else a

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they check: interval arithmetic for
 signs, exhaustive coefficient searches for units, brute-force residue
-enumeration for congruences, and full coordinate-box scans for the norm
-form (the searches that ideals._norm_row replaced).
+enumeration for congruences, full coordinate-box scans for the norm
+form (the searches that ideals._norm_row replaced), and square certificates
+for the dyadic unit square classes (the search that the explicit squares of
+dyadic.SquareClassSpace replaced).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from relquad.dyadic import LocalElem, LocalField, _unit_candidates, is_square
 from relquad.field import Elem, QuadField, fundamental_unit
 from relquad.ideals import Ideal, principal_ideal
 
@@ -183,3 +186,39 @@ def box_principal_generator(I: Ideal) -> Elem | None:
             if principal_ideal(g) == I:
                 return g
     return None
+
+
+# -- square certificates: the unit square-class search the explicit squares replaced
+
+
+def _first_square_mask(u: LocalElem, basis: list[LocalElem]) -> int | None:
+    """The least bitmask m with u * prod(basis[i] for bit i of m) a square,
+    or None if u is outside the span of the basis modulo squares."""
+    for mask in range(1 << len(basis)):
+        prod = u
+        for i, b in enumerate(basis):
+            if mask >> i & 1:
+                prod = prod * b
+        if is_square(prod):
+            return mask
+    return None
+
+
+def certificate_square_classes(F: LocalField, key) -> tuple[list[LocalElem], dict[int, int]]:
+    """The unit basis and unit table of F's square-class space, built by
+    square certificates: a candidate joins the basis unless some product with
+    earlier basis units is a square, and every unit's mask is the first such
+    product.  The table is keyed by key(u)."""
+    units = _unit_candidates(F)
+    basis_units: list[LocalElem] = []
+    for cand in units:
+        if len(basis_units) == F.dim - 1:
+            break
+        if _first_square_mask(cand, basis_units) is None:
+            basis_units.append(cand)
+    table = {}
+    for u in units:
+        mask = _first_square_mask(u, basis_units)
+        assert mask is not None, u
+        table[key(u)] = mask
+    return basis_units, table

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,10 @@ from relquad.dyadic import (
     tame_symbol,
     unit_level,
 )
-from relquad.dyadic import _first_square_mask, _sample_integral, _shift_down
+from relquad import dyadic
+from relquad.dyadic import SquareClassSpace, _sample_integral, _shift_down
+
+from helpers import _first_square_mask, certificate_square_classes
 
 DESCRIPTORS = ["q2", "unram"] + [f"ram:{c}" for c in RAMIFIED_CLASSES]
 
@@ -211,6 +218,25 @@ def test_decompose_table_matches_square_search(desc, extra):
             assert space.decompose(y) == v % 2 | mask << 1, (desc, y)
 
 
+@pytest.mark.parametrize("extra", [0, 4, 9])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_square_class_space_matches_certificate_build(desc, extra, monkeypatch):
+    # the space built from explicit squares runs no square test, and has
+    # the basis and table of the certificate search it replaced
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+
+    def no_certificates(x):
+        raise AssertionError("square certificate requested at set-up")
+
+    with monkeypatch.context() as m:
+        m.setattr(dyadic, "sqrt_certificate", no_certificates)
+        space = SquareClassSpace(F)
+    basis_units, table = certificate_square_classes(F, space.key)
+    assert space.basis == [F.pi, *basis_units]
+    assert space.table == table
+
+
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_decompose_table_keys(desc):
     # one key per class of O*/U_(2e+1), and a key is blind to pi^(2e+1) O
@@ -226,6 +252,31 @@ def test_decompose_table_keys(desc):
         for _ in range(8):
             t = F.elem(rng.randrange(F.W), 0 if desc == "q2" else rng.randrange(F.W))
             assert space.key(u + top * t) == space.key(u), (desc, u, t)
+
+
+def test_local_elem_preconditions_survive_optimize():
+    # dividing a unit by pi or an odd coordinate by 2, and inverting a
+    # non-unit, must raise under python -O as well (as asserts, -O returned
+    # wrong elements)
+    code = (
+        "from relquad.dyadic import RAMIFIED_CLASSES, local_field\n"
+        "descs = ['q2', 'unram'] + [f'ram:{c}' for c in RAMIFIED_CLASSES]\n"
+        "calls = [lambda F=local_field(d): F.elem(1).div_exact_pi() for d in descs]\n"
+        "calls += [lambda F=local_field(d): F.elem(3).div_exact_int(2) for d in descs]\n"
+        "calls.append(lambda: local_field('q2').elem(2) ** -1)\n"
+        "raised = 0\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        raised += 1\n"
+        "print(__debug__, len(calls), raised)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dyadic.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "17", "17"]
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)

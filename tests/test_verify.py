@@ -128,3 +128,20 @@ def test_dyadic_suite_verdict_survives_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "False", "8", "8"]
+
+
+def test_dyadic_unit_class_checks_survive_optimize():
+    # with a single candidate unit no square-class basis can be found; the
+    # set-up check must fail every field under python -O as well
+    code = (
+        "import relquad.dyadic, relquad.verify\n"
+        "relquad.dyadic._unit_candidates = lambda F: [F.one]\n"
+        "rep = relquad.verify.dyadic_suite()\n"
+        "gone = sum('unit square classes not exhausted' in f for f in rep['failures'])\n"
+        "print(__debug__, rep['ok'], len(rep['failures']), gone)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "8", "8"]
