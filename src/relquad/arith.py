@@ -98,7 +98,10 @@ def factorint(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
-            break
+            # no prime factor below sqrt(n) is left: n is 1 or a prime
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

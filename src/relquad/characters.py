@@ -6,16 +6,31 @@ to ideals coprime to delta it is a Hecke character mod (delta) whose
 conductor is the relative discriminant (delta)/f^2; the primitive version
 lives mod that conductor, and the extended coefficient function weights
 square gcds with delta by their norm.
+
+On elements the character works on integer coordinates and builds no
+ideal.  An element is read as (x + y*w)/m with integers x, y and m >= 1;
+ideals.coords_valuation gives v_P from the coordinates (Cohen, GTM 138,
+4.8), so coprimality to delta is v_P = 0 at the primes of delta, listed once
+per instance, and the value is the product of at_prime(P) over the P above
+the primes of N(x + y*w) and m where v_P is odd, times the signs that
+field.coords_sign decides on integers.  residue_table builds its lifts,
+conductor_exhaustive groups residues with Ideal.reduce_coords, and the
+coprime proxy searches, all on integer pairs.  The route through
+principal_ideal, Ideal.gcd and Ideal.factor survives as the test oracles
+tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 """
 
 from __future__ import annotations
 
-from .arith import kronecker
+from fractions import Fraction
+
+from .arith import factorint, kronecker
 from .discriminants import DiscriminantInfo, conductor_ideal
-from .field import Elem
+from .field import Elem, coords_sign
 from .ideals import (
     Ideal,
     PrimeIdeal,
+    coords_valuation,
     ideals_of_norm,
     primes_above,
     principal_ideal,
@@ -43,11 +58,14 @@ class QuadCharacter:
         self.field = info.delta.field
         self.modulus = principal_ideal(info.delta)
         self.conductor = info.rel_disc
+        # the primes of delta: coprimality to delta is v_P = 0 at each
+        self._delta_primes = tuple(P for P, _ in self.modulus.factor())
         # real embeddings where delta is negative (the sign type)
         self.negative_embeddings = tuple(
             i for i in self.field.real_embeddings if info.delta.sign_at(i) < 0
         )
         self._prime_memo: dict[PrimeIdeal, int] = {}
+        self._above_memo: dict[int, tuple[tuple[PrimeIdeal, int], ...]] = {}
         self._primitive_memo: dict[Ideal, int] = {}
 
     # -- the symbol on primes and coprime ideals -----------------------------
@@ -79,7 +97,7 @@ class QuadCharacter:
 
     def on_ideal(self, a: Ideal) -> int:
         """Multiplicative extension to fractional ideals coprime to delta."""
-        if not _coprime_to(a, self.modulus):
+        if not self._coprime(a):
             raise ValueError(f"{a} is not coprime to ({self.delta})")
         val = 1
         for P, e in a.factor():
@@ -89,11 +107,50 @@ class QuadCharacter:
 
     def on_element(self, a: Elem) -> int:
         """Character value on (a) times the signs of a at the embeddings
-        where delta is negative."""
-        val = self.on_ideal(principal_ideal(a))
+        where delta is negative; ValueError at 0 and off the coprime locus."""
+        if not a:
+            raise ValueError("the character is not defined at 0")
+        return self._on_coords(*a.integer_coords())
+
+    def _on_coords(self, x: int, y: int, m: int = 1) -> int:
+        """on_element at (x + y*w)/m, for integers x, y, not both 0, and
+        m >= 1, on integers alone."""
+        K = self.field
+        if not self._coprime_coords(x, y, m):
+            elem = K.elem(Fraction(x, m), Fraction(y, m))
+            raise ValueError(f"{elem} is not coprime to ({self.delta})")
+        if K.degree == 1:
+            norm = x
+        else:
+            norm = x * x + K.omega_trace * x * y + K.omega_norm * y * y
+        val = 1
+        for p in factorint(norm).keys() | factorint(m).keys():
+            for P, chi_P in self._values_above(p):
+                if coords_valuation(P, x, y, m) % 2:
+                    val *= chi_P
         for i in self.negative_embeddings:
-            val *= a.sign_at(i)
+            val *= coords_sign(K, x, y, i)
         return val
+
+    def _values_above(self, p: int) -> tuple[tuple[PrimeIdeal, int], ...]:
+        """(P, at_prime(P)) for the primes P above p not dividing delta,
+        memoised by the rational prime p; on the coprime locus v_P = 0 at
+        the primes of delta, so they never contribute."""
+        vals = self._above_memo.get(p)
+        if vals is None:
+            vals = tuple(
+                (P, self.at_prime(P))
+                for P in primes_above(self.field, p)
+                if P not in self._delta_primes
+            )
+            self._above_memo[p] = vals
+        return vals
+
+    def _coprime(self, a: Ideal) -> bool:
+        return not any(a.valuation(P) for P in self._delta_primes)
+
+    def _coprime_coords(self, x: int, y: int, m: int = 1) -> bool:
+        return not any(coords_valuation(P, x, y, m) for P in self._delta_primes)
 
     # -- conductor by exhaustive residue verification -------------------------
 
@@ -108,14 +165,8 @@ class QuadCharacter:
         dividing the conductor to a pair (a, b), a = b mod conductor/Q,
         with different character values."""
         table = self.residue_table()
-        factoring = []
-        for D in self.modulus.divisors():
-            groups: dict[tuple, set[int]] = {}
-            for rkey, val in table.items():
-                r = self.field.elem(*rkey)
-                groups.setdefault(D.reduce(r).key(), set()).add(val)
-            if all(len(v) == 1 for v in groups.values()):
-                factoring.append(D)
+        rows = [(x.numerator, y.numerator, val) for (x, y), val in table.items()]
+        factoring = [D for D in self.modulus.divisors() if _witness(D, rows) is None]
         cond = min(factoring, key=lambda D: D.norm_int())
         # explicit raises, not asserts: character_suite reads AssertionError
         # as a failed case, and the verdict must survive python -O
@@ -123,38 +174,34 @@ class QuadCharacter:
             raise AssertionError(f"{cond} does not divide every modulus the character factors through")
         witnesses = {}
         for Q, _ in cond.factor():
-            D = cond.divide_exact(Q.ideal)
-            groups: dict[tuple, dict[int, Elem]] = {}
-            found = None
-            for rkey, val in table.items():
-                r = self.field.elem(*rkey)
-                seen = groups.setdefault(D.reduce(r).key(), {})
-                if val not in seen:
-                    seen[val] = r
-                if len(seen) == 2:
-                    found = tuple(seen.values())
-                    break
+            found = _witness(cond.divide_exact(Q.ideal), rows)
             if found is None:
                 raise AssertionError(f"character factors through conductor/{Q}")
-            witnesses[Q] = found
+            witnesses[Q] = tuple(self.field.elem(*r) for r in found)
         return cond, table, witnesses
 
     def residue_table(self) -> dict[tuple, int]:
         """Map residue key -> character value over coprime classes mod
         (delta), each value checked on several integral lifts."""
+        K = self.field
         m = self.modulus
-        e1, *rest = m.basis_elems()
-        e2 = rest[0] if rest else None
+        # integral lifts r + s for s in these steps of the lattice (delta):
+        # +-e1 and, in a quadratic field, e2 and -e1-e2 for the HNF basis
+        # e1 = a, e2 = b + c*w
+        if K.degree == 1:
+            steps = [(m.hnf[0], 0), (-m.hnf[0], 0)]
+        else:
+            a, b, c = m.hnf
+            steps = [(a, 0), (-a, 0), (b, c), (-a - b, -c)]
         table: dict[tuple, int] = {}
-        for r in m.residues(RESIDUE_TABLE_BOUND):
-            if not r or not _coprime_to(principal_ideal(r), m):
+        for x, y in m.residue_coords(RESIDUE_TABLE_BOUND):
+            if not (x or y) or not self._coprime_coords(x, y):
                 continue
             # several genuinely different integral lifts of the class,
             # including the balanced one and a negated-direction one
-            lifts = [r, _balance(m, r), r + e1, r - e1]
-            if e2 is not None:
-                lifts += [r + e2, r - e1 - e2]
-            vals = {self.on_element(x) for x in lifts}
+            lifts = [(x, y), _balance(m, x, y), *((x + dx, y + dy) for dx, dy in steps)]
+            vals = {self._on_coords(*lift) for lift in lifts}
+            r = K.elem(x, y)
             if len(vals) != 1:  # the Hecke property; explicit, see conductor_exhaustive
                 raise AssertionError(f"character not well defined mod ({self.delta}) at {r}")
             table[r.key()] = vals.pop()
@@ -173,7 +220,7 @@ class QuadCharacter:
             return self._primitive_memo[a]
         if not _coprime_to(a, self.conductor):
             val = 0
-        elif _coprime_to(a, self.modulus):
+        elif self._coprime(a):
             val = self.on_ideal(a)
         else:
             aux, alpha = next(self.auxiliary_splits(a))
@@ -210,26 +257,21 @@ class QuadCharacter:
         each of its primes) that is coprime to delta."""
         cond = self.conductor
         extra = unit_ideal(self.field)
-        for P, _ in self.modulus.factor():
+        for P in self._delta_primes:
             if cond.valuation(P) == 0:
                 extra = extra * P.ideal
         search = cond * extra
         cond_fac = cond.factor()
-        for r in search.residues():
-            cand = _balance(search, r)
-            if not cand:
+        ax, ay, am = alpha.integer_coords()
+        for i, j in search.residue_coords():
+            x, y = _balance(search, i, j)
+            if not (x or y) or not self._coprime_coords(x, y):
                 continue
-            if not _coprime_to(principal_ideal(cand), self.modulus):
+            # cand - alpha = (dx + dy*w)/am; equality passes every Q
+            dx, dy = am * x - ax, am * y - ay
+            if (dx or dy) and any(coords_valuation(Q, dx, dy, am) < vq for Q, vq in cond_fac):
                 continue
-            ok = True
-            for Q, vq in cond_fac:
-                diff = cand - alpha
-                v = None if not diff else principal_ideal(diff).valuation(Q)
-                if v is not None and v < vq:
-                    ok = False
-                    break
-            if ok:
-                return cand
+            return self.field.elem(x, y)
         raise AssertionError("no coprime proxy found; conductor data inconsistent")
 
     # -- extended coefficient function ------------------------------------------
@@ -267,16 +309,26 @@ def _coprime_to(a: Ideal, b: Ideal) -> bool:
     return a.gcd(b).is_unit_ideal()
 
 
-def _balance(m: Ideal, r: Elem) -> Elem:
-    """Shift a residue representative toward zero to keep norms small."""
+def _witness(D: Ideal, rows: list[tuple[int, int, int]]):
+    """The first two residues (x, y), in row order, that agree modulo D but
+    carry different values, or None when the values factor through D."""
+    first: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for x, y, val in rows:
+        r = first.setdefault(D.reduce_coords(x, y), (x, y, val))
+        if r[2] != val:
+            return r[:2], (x, y)
+    return None
+
+
+def _balance(m: Ideal, x: int, y: int) -> tuple[int, int]:
+    """Shift the residue x + y*w toward zero to keep norms small."""
     if m.field.degree == 1:
         n = m.norm_int()
-        x = int(r.x) % n
+        x %= n
         if 2 * x > n:
             x -= n
-        return m.field.elem(x)
+        return x, 0
     a, b, c = m.hnf
-    x, y = int(r.x), int(r.y)
     q, j = divmod(y, c)
     x -= q * b
     if 2 * j > c:
@@ -285,7 +337,7 @@ def _balance(m: Ideal, r: Elem) -> Elem:
     x %= a
     if 2 * x > a:
         x -= a
-    return m.field.elem(x, j)
+    return x, j
 
 
 def _prime_ideals_by_norm(K, bound: int):

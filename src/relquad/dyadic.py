@@ -508,6 +508,10 @@ class SquareClassSpace:
         v = x.valuation()
         if v is None:
             raise ValueError("cannot classify 0")
+        return self._classify(x, v)
+
+    def _classify(self, x: LocalElem, v: int) -> int:
+        """decompose(x) for a caller that already holds v = x.valuation()."""
         return v % 2 | self.table[self.key(_shift_down(x, v))] << 1
 
     def rep(self, mask: int) -> LocalElem:
@@ -581,9 +585,10 @@ def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
         for u2 in squares:
             for av2 in a_squares:
                 val = u2 - av2
-                if not val or val.valuation() is None:
+                v = val.valuation()  # None for 0 and for values lost to precision
+                if v is None:
                     continue
-                _gf2_insert(rows, space.decompose(val))
+                _gf2_insert(rows, space._classify(val, v))
                 if len(rows) == target:
                     break
             if len(rows) == target:

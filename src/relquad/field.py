@@ -3,7 +3,8 @@
 Elements are stored as exact coordinates x + y*w over the integral basis
 {1, w}, where w = (1+sqrt(d))/2 for d = 1 mod 4 and w = sqrt(d) otherwise.
 All arithmetic is over fractions.Fraction; sign queries at the real
-embeddings are decided by pure rational comparisons.
+embeddings clear the denominator and are decided by integer comparisons
+(coords_sign, shared with the character's sign test).
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .arith import frac_sqrt, is_squarefree
 
 __all__ = [
     "QuadField",
     "Elem",
+    "coords_sign",
     "make_field",
     "fundamental_unit",
     "unit_power_decomposition",
@@ -222,29 +224,19 @@ class Elem:
             return self.x + self.y / 2, self.y / 2
         return self.x, self.y
 
+    def integer_coords(self) -> tuple[int, int, int]:
+        """(X, Y, m) with self = (X + Y*w)/m, integers X, Y and m >= 1 least."""
+        x, y = self.x, self.y
+        m = lcm(x.denominator, y.denominator)
+        return x.numerator * (m // x.denominator), y.numerator * (m // y.denominator), m
+
     def sign_at(self, embedding: int) -> int:
         """Exact sign (-1, 0, +1) at the given real embedding."""
         if embedding not in self.field.real_embeddings:
             raise ValueError(f"no real embedding {embedding} for {self.field}")
-        if self.field.is_rational:
-            x = self.x
-            return (x > 0) - (x < 0)
-        A, B = self.as_sqrt_coords()
-        if embedding == 1:
-            B = -B
-        # sign of A + B*sqrt(d), d > 0
-        if B == 0:
-            return (A > 0) - (A < 0)
-        if A == 0:
-            return 1 if B > 0 else -1
-        if A > 0 and B > 0:
-            return 1
-        if A < 0 and B < 0:
-            return -1
-        # opposite signs: compare A^2 with d*B^2
-        if A * A > self.field.d * B * B:
-            return 1 if A > 0 else -1
-        return 1 if B > 0 else -1
+        # clearing the positive denominator m does not change the sign
+        X, Y, _ = self.integer_coords()
+        return coords_sign(self.field, X, Y, embedding)
 
     def is_totally_positive(self) -> bool:
         return all(self.sign_at(i) > 0 for i in self.field.real_embeddings)
@@ -306,6 +298,26 @@ class Elem:
     def key(self) -> tuple:
         """Canonical sort/equality key (field-local)."""
         return (self.x, self.y)
+
+
+def coords_sign(K: QuadField, x: int, y: int, embedding: int) -> int:
+    """Exact sign (-1, 0, +1) of x + y*w at the real embedding `embedding`
+    of K, for integers x, y, decided on integers alone.
+
+    With s = t + 1, s*(x + y*w) = A + B*sqrt(d) for A = s*x + t*y and
+    B = y (B = -y at embedding 1), and s > 0.  Where A and B differ in sign
+    the sign is A's iff A^2 > d*B^2; d is not a square, so never equal."""
+    if K.degree == 1:
+        return (x > 0) - (x < 0)
+    t = K.omega_trace
+    A = (t + 1) * x + t * y
+    B = -y if embedding else y
+    if B == 0:
+        return (A > 0) - (A < 0)
+    sign_b = 1 if B > 0 else -1
+    if A * sign_b < 0 and A * A > K.d * B * B:
+        return -sign_b
+    return sign_b
 
 
 _ELEM_RE = re.compile(

@@ -16,7 +16,13 @@ arithmetic on the HNF (a, b, c) and the denominator: no ideal product and
 no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
-computation, and every call returns a fresh list.
+computation, and every call returns a fresh list.  ideals_of_norm is
+memoised per (field, n) in an LRU cache of the same size.
+
+coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
+coordinates with the primitive-part rule of Ideal.valuation
+(_primitive_valuation), so a caller holding an element needs no principal
+ideal to learn its valuations.
 
 _norm_row(K, y, lo, hi) solves lo <= N(x + y*w) <= hi for x on one row y
 with isqrt bounds, solving the norm form per row as in Cohen, GTM 138,
@@ -54,6 +60,7 @@ __all__ = [
     "minkowski_bound",
     "parse_ideal",
     "square_root_coords",
+    "coords_valuation",
 ]
 
 RESIDUE_ENUMERATION_BOUND = 1 << 20
@@ -205,26 +212,34 @@ class Ideal:
             raise ValueError("integral ideal required")
         if not e.is_integral():
             raise ValueError("integral element required")
-        K = self.field
-        if K.degree == 1:
-            return K.elem(e.x % self.hnf[0])
-        a, b, c = self.hnf
-        x, y = int(e.x), int(e.y)
-        q, j = divmod(y, c)
-        return K.elem((x - q * b) % a, j)
+        return self.field.elem(*self.reduce_coords(int(e.x), int(e.y)))
 
-    def residues(self, bound: int = RESIDUE_ENUMERATION_BOUND) -> list[Elem]:
-        """All N(a) residue representatives from the HNF box."""
+    def reduce_coords(self, x: int, y: int) -> tuple[int, int]:
+        """reduce() on the integer coordinates of x + y*w, for an integral
+        ideal: the HNF-box residue ((x - q*b) mod a, j) with y = q*c + j."""
+        if self.field.degree == 1:
+            return x % self.hnf[0], 0
+        a, b, c = self.hnf
+        q, j = divmod(y, c)
+        return (x - q * b) % a, j
+
+    def residue_coords(self, bound: int = RESIDUE_ENUMERATION_BOUND) -> list[tuple[int, int]]:
+        """The coordinates (i, j) of the N(a) residue representatives
+        i + j*w of the HNF box, j outer and i inner."""
         if not self.is_integral():
             raise ValueError("integral ideal required")
         n = self.norm_int()
         if n > bound:
             raise ValueError(f"residue enumeration bound exceeded: {n} > {bound}")
-        K = self.field
-        if K.degree == 1:
-            return [K.elem(i) for i in range(self.hnf[0])]
+        if self.field.degree == 1:
+            return [(i, 0) for i in range(n)]
         a, _, c = self.hnf
-        return [K.elem(i, j) for j in range(c) for i in range(a)]
+        return [(i, j) for j in range(c) for i in range(a)]
+
+    def residues(self, bound: int = RESIDUE_ENUMERATION_BOUND) -> list[Elem]:
+        """All N(a) residue representatives from the HNF box."""
+        K = self.field
+        return [K.elem(i, j) for i, j in self.residue_coords(bound)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -294,14 +309,16 @@ class Ideal:
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
             return self.inverse() ** (-k)
-        out = unit_ideal(self.field)
+        # square-and-multiply with no product by (1) and no unused square
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return unit_ideal(self.field) if out is None else out
 
     def gcd(self, other: "Ideal") -> "Ideal":
         """gcd = sum of the two modules."""
@@ -365,19 +382,14 @@ class Ideal:
         primitive of norm N0 = a/c (c divides a and b in every ideal HNF).
         A primitive ideal has no inert prime factor, at most P^1 at a
         ramified P, and at most one of the two primes above a split p, so
-        v_P(I0) is v_p(N0) at a ramified P and at a split P = (p, b_P, 1)
-        with b/c = b_P mod p, and 0 otherwise."""
+        v_P(I0) is _primitive_valuation's, read off N0 and the element
+        b/c + w of I0."""
         p = P.p
-        e = 2 if P.ramified else 1
         if self.field.degree == 1:
             return _vp(self.hnf[0], p) - _vp(self.den, p)
         a, b, c = self.hnf
-        v = e * (_vp(c, p) - _vp(self.den, p))
-        if P.residue_degree == 1:
-            n0 = a // c
-            if n0 % p == 0 and (P.ramified or (b // c - P.ideal.hnf[1]) % p == 0):
-                v += _vp(n0, p)
-        return v
+        e = 2 if P.ramified else 1
+        return e * (_vp(c, p) - _vp(self.den, p)) + _primitive_valuation(P, a // c, b // c, 1)
 
     def factor(self) -> list[tuple["PrimeIdeal", int]]:
         """Prime factorization; exponents may be negative for fractional
@@ -476,6 +488,43 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _primitive_valuation(P: "PrimeIdeal", n0: int, x0: int, y0: int) -> int:
+    """v_P of a primitive integral ideal I0 of norm +-n0 that contains
+    x0 + y0*w, where x0 + y0*w lies in P iff I0 does whenever p | n0 (true
+    of a generator of I0, and of b/c + w for I0 = (a/c, b/c, 1)).
+
+    A primitive ideal has no inert prime factor, at most P^1 at a ramified
+    P, and at most one of the two primes above a split p (Cohen, GTM 138,
+    4.8).  So v_P(I0) is 1 at a ramified P with p | n0, v_p(n0) at a split
+    P = (p, b_P, 1) with p | n0 and p | x0 - y0*b_P, and 0 otherwise."""
+    p = P.p
+    if P.residue_degree == 2 or n0 % p:
+        return 0
+    if P.ramified:
+        return 1
+    return _vp(n0, p) if (x0 - y0 * P.ideal.hnf[1]) % p == 0 else 0
+
+
+def coords_valuation(P: "PrimeIdeal", x: int, y: int, den: int = 1) -> int:
+    """v_P((x + y*w)/den) for integers x, y, not both 0, and den >= 1, on
+    integers alone: no ideal is built.  The content g = gcd(x, y) gives
+    e_P * v_p(g) and the denominator -e_P * v_p(den), where e_P is 2 at a
+    ramified P and 1 otherwise; the primitive part (x0, y0) generates a
+    primitive ideal of norm x0^2 + t*x0*y0 + n*y0^2, whose valuation is
+    _primitive_valuation's, the rule Ideal.valuation applies to the HNF."""
+    if not (x or y):
+        raise ValueError("valuation of 0")
+    p = P.p
+    K = P.ideal.field
+    if K.degree == 1:
+        return _vp(x, p) - _vp(den, p)
+    g = gcd(x, y)
+    x0, y0 = x // g, y // g
+    n0 = x0 * x0 + K.omega_trace * x0 * y0 + K.omega_norm * y0 * y0
+    e = 2 if P.ramified else 1
+    return e * (_vp(g, p) - _vp(den, p)) + _primitive_valuation(P, n0, x0, y0)
+
+
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
     nm = I.norm()
@@ -571,25 +620,35 @@ def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
         roots = sorted({r % 2 for r in range(2) if (r * r - t * r + n) % 2 == 0})
     else:
         s = sqrt_mod_p(K.disc % p, p)
-        assert s is not None, "kronecker symbol and root finding disagree"
         inv2 = pow(2, -1, p)
-        roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
-    assert roots, "kronecker symbol and root finding disagree"
+        roots = [] if s is None else sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
+    # explicit raises, not asserts: every prime factorization rests on these
+    if not roots:
+        raise AssertionError(
+            f"kronecker symbol {sym} and root finding disagree at p = {p} in {K}: no root"
+        )
     out = []
     for r in roots:
         P = ideal_from_generators(K, [K.elem(p), K.omega - r])
         out.append(PrimeIdeal(p, P, 1, sym == 0))
-    if sym == 1:
-        assert len(out) == 2
-    else:
-        assert len(out) == 1 and (out[0].ideal ** 2) == ideal_from_generators(K, [K.elem(p)])
+    if len(out) != (2 if sym == 1 else 1):
+        raise AssertionError(f"kronecker symbol {sym} at p = {p} in {K}, but {len(out)} prime(s) above it")
+    if sym == 0 and out[0].ideal ** 2 != ideal_from_generators(K, [K.elem(p)]):
+        raise AssertionError(f"ramified p = {p} in {K}: {out[0]} squared is not ({p})")
     return tuple(out)
 
 
 def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
-    """All integral ideals of norm exactly n, assembled multiplicatively."""
+    """All integral ideals of norm exactly n, assembled multiplicatively.
+    Memoised per (K, n) in an LRU cache of FACTOR_CACHE_SIZE entries; every
+    call returns a fresh list."""
     if n < 1:
         raise ValueError("norm must be >= 1")
+    return list(_ideals_of_norm(K, n))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
     out = [unit_ideal(K)]
     for p, e in sorted(factorint(n).items()):
         local: list[Ideal] = []
@@ -605,8 +664,8 @@ def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
                 local = [ps[0].ideal ** e]
         out = [a * b for a in out for b in local]
         if not out:
-            return []
-    return sorted(out, key=lambda a: a.hnf)
+            return ()
+    return tuple(sorted(out, key=lambda a: a.hnf))
 
 
 def count_ideals_of_norm(K: QuadField, n: int) -> int:

@@ -3,9 +3,11 @@
 These deliberately avoid the code paths they check: interval arithmetic for
 signs, exhaustive coefficient searches for units, brute-force residue
 enumeration for congruences, full coordinate-box scans for the norm
-form (the searches that ideals._norm_row replaced), and square certificates
+form (the searches that ideals._norm_row replaced), square certificates
 for the dyadic unit square classes (the search that the explicit squares of
-dyadic.SquareClassSpace replaced).
+dyadic.SquareClassSpace replaced), and the quadratic character on elements
+through principal ideals, gcds and factorizations (the route that the
+integer coordinates of characters.QuadCharacter replaced).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from relquad.dyadic import LocalElem, LocalField, _unit_candidates, is_square
+from relquad.dyadic import LocalElem, LocalField, _gf2_insert, _sample_integral, _unit_candidates, is_square
 from relquad.field import Elem, QuadField, fundamental_unit
-from relquad.ideals import Ideal, principal_ideal
+from relquad.ideals import Ideal, principal_ideal, unit_ideal
 
 
 def interval_sign(e: Elem, embedding: int, digits: int = 100) -> int:
@@ -222,3 +224,80 @@ def certificate_square_classes(F: LocalField, key) -> tuple[list[LocalElem], dic
         assert mask is not None, u
         table[key(u)] = mask
     return basis_units, table
+
+
+# -- the character on elements through ideal objects ------------------------------
+
+
+def on_element_by_ideal(chi, a: Elem) -> int:
+    """chi.on_element(a) through the principal ideal I = (a): I is coprime
+    to (delta) iff gcd(J, (delta)) = gcd(J, O) for J = I and J = I^-1 (so
+    v_P(I) <= 0 and >= 0 at every P | delta), the value is the product of
+    chi.at_prime over the odd exponents of I.factor(), and the signs come
+    from interval_sign.  ValueError at 0 and off the coprime locus."""
+    I = principal_ideal(a)
+    one = unit_ideal(a.field)
+    for J in (I, I.inverse()):
+        if J.gcd(chi.modulus) != J.gcd(one):
+            raise ValueError(f"{I} is not coprime to ({chi.delta})")
+    val = 1
+    for P, e in I.factor():
+        if e % 2:
+            val *= chi.at_prime(P)
+    for i in chi.negative_embeddings:
+        val *= interval_sign(a, i)
+    return val
+
+
+def conductor_by_ideals(chi):
+    """chi.conductor_exhaustive() on field elements and ideal objects: the
+    residues of (delta) as elements, coprimality by gcd, every lift valued by
+    on_element_by_ideal, residues grouped by Ideal.reduce."""
+    K = chi.field
+    m = chi.modulus
+    e1, *rest = m.basis_elems()
+    table = {}
+    for r in m.residues():
+        if not r or not principal_ideal(r).gcd(m).is_unit_ideal():
+            continue
+        lifts = [r, r + e1, r - e1] + ([r + rest[0], r - e1 - rest[0]] if rest else [])
+        vals = {on_element_by_ideal(chi, x) for x in lifts}
+        assert len(vals) == 1, (chi.delta, r)
+        table[r.key()] = vals.pop()
+
+    def witness(D):
+        first = {}
+        for rkey, val in table.items():
+            r = K.elem(*rkey)
+            s, sval = first.setdefault(D.reduce(r).key(), (r, val))
+            if sval != val:
+                return s, r
+        return None
+
+    factoring = [D for D in m.divisors() if witness(D) is None]
+    cond = min(factoring, key=lambda D: D.norm_int())
+    assert all(cond.divides(D) for D in factoring)
+    witnesses = {Q: witness(cond.divide_exact(Q.ideal)) for Q, _ in cond.factor()}
+    return cond, table, witnesses
+
+
+# -- the dyadic norm groups with one decompose per value ----------------------------
+
+
+def norm_class_rows_by_decompose(F: LocalField, cx: int) -> list[int]:
+    """dyadic._norm_class_subgroup(F, cx) with every sampled value skipped
+    by its own valuation test and classified by the public decompose."""
+    space = F.space()
+    a = space.rep(cx)
+    rows: list[int] = []
+    for depth in (3, 2 * F.e + 2):
+        squares = [u * u for u in _sample_integral(F, depth)]
+        for u2 in squares:
+            for v2 in squares:
+                val = u2 - a * v2
+                if not val or val.valuation() is None:
+                    continue
+                _gf2_insert(rows, space.decompose(val))
+                if len(rows) == F.dim - 1:
+                    return rows
+    return rows

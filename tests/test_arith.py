@@ -1,0 +1,39 @@
+import random
+
+import pytest
+
+from relquad.arith import factorint
+
+
+def trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorint_matches_trial_division():
+    # every n below 5000, and random n with a prime cofactor past the
+    # trial-division break (sqrt of the rest below the next small prime)
+    rng = random.Random(17)
+    nums = list(range(1, 5000)) + [rng.randrange(1, 1 << 34) for _ in range(200)]
+    for n in nums:
+        assert factorint(n) == trial_division(n), n
+        assert factorint(-n) == factorint(n)
+
+
+def test_factorint_beyond_small_primes():
+    # factors above the small-prime table go through Miller-Rabin and rho
+    p, q = 65537, 1_000_003
+    assert factorint(p * p) == {p: 2}
+    assert factorint(p * q) == {p: 1, q: 1}
+    assert factorint(2**61 - 1) == {2**61 - 1: 1}
+    assert factorint(12 * (2**61 - 1)) == {2: 2, 3: 1, 2**61 - 1: 1}
+    with pytest.raises(ValueError):
+        factorint(0)

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 
+from helpers import conductor_by_ideals, on_element_by_ideal
+from relquad import characters
 from relquad.arith import kronecker, primes_upto
 from relquad.characters import QuadCharacter
 from relquad.discriminants import conductor_ideal, discriminant_classes
@@ -64,6 +67,10 @@ def test_on_ideal_examples(Q):
     assert chi12.on_ideal(principal_ideal(Q.elem(5))) == -1
     with pytest.raises(ValueError):
         chi12.on_ideal(principal_ideal(Q.elem(6)))
+    # fractional ideals coprime to delta: (5/7) = (5)(7)^-1
+    assert chi12.on_ideal(principal_ideal(Q.elem(Fraction(5, 7)))) == -1 * -1
+    with pytest.raises(ValueError):
+        chi12.on_ideal(principal_ideal(Q.elem(Fraction(5, 6))))
 
 
 def test_on_ideal_matches_kronecker(Q):
@@ -91,6 +98,72 @@ def test_on_element_examples(Q):
     chi12 = QuadCharacter(Q.elem(12))
     vals = [chi12.on_element(Q.elem(a)) for a in (1, 5, 7, 11)]
     assert vals == [1, -1, -1, 1]  # the mod-12 character of Q(sqrt 3)
+
+
+# the integer route against the ideal oracle: Q and seven quadratic fields,
+# real and imaginary, with ramified, split and inert small primes
+ORACLE_FIELDS = (None, 5, 10, -15, 2, -1, -3, 13)
+
+
+def _both_routes(chi, a):
+    out = []
+    for route in (chi.on_element, lambda a: on_element_by_ideal(chi, a)):
+        try:
+            out.append(route(a))
+        except ValueError:
+            out.append("ValueError")
+    return out
+
+
+def test_on_element_matches_ideal_oracle():
+    # every class with |N(delta)| <= 30; integral x + y*w with |x| <= 12,
+    # |y| <= 7, and (x + y*w)/m with |x| <= 6, |y| <= 3, 2 <= m <= 7
+    agree = raised = cancelled = 0
+    for d in ORACLE_FIELDS:
+        K = make_field(d)
+        ys = range(-7, 8) if K.degree == 2 else [0]
+        elems = [K.elem(x, y) for x in range(-12, 13) for y in ys]
+        elems += [
+            K.elem(Fraction(x, m), Fraction(y, m))
+            for m in range(2, 8)
+            for x in range(-6, 7)
+            for y in (range(-3, 4) if K.degree == 2 else [0])
+        ]
+        for info in discriminant_classes(K, 30):
+            chi = QuadCharacter(info)
+            for a in elems:
+                new, oracle = _both_routes(chi, a)
+                assert new == oracle, (d, info.delta, a)
+                if not a:
+                    assert new == "ValueError"
+                elif new == "ValueError":
+                    raised += 1
+                else:
+                    agree += 1
+                    # numerator and denominator both divisible by some P | delta
+                    X, Y, m = a.integer_coords()
+                    if m > 1 and any(
+                        principal_ideal(K.elem(X, Y)).valuation(P) for P, _ in chi.modulus.factor()
+                    ):
+                        cancelled += 1
+    assert agree > 40_000 and raised > 20_000 and cancelled > 100, (agree, raised, cancelled)
+
+
+def test_conductor_exhaustive_builds_no_ideal_per_element(monkeypatch):
+    # (cond, table, witnesses) equal the ideal route's with principal_ideal
+    # unavailable to the character module
+    def no_ideals(e):
+        raise AssertionError(f"principal ideal of {e} requested")
+
+    for d in ORACLE_FIELDS:
+        K = make_field(d)
+        for info in discriminant_classes(K, 30):
+            chi = QuadCharacter(info)
+            expected = conductor_by_ideals(chi)
+            with monkeypatch.context() as m:
+                m.setattr(characters, "principal_ideal", no_ideals)
+                got = chi.conductor_exhaustive()
+            assert got == expected, (d, info.delta)
 
 
 def test_conductor_exhaustive_examples(Q, Q10):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import relquad
 
 from helpers import brute_sqrt_count
 from relquad.characters import QuadCharacter
@@ -230,3 +236,30 @@ def test_decomposition_law_small(Q):
         # the sieve agrees with listing at small norms
         for n in range(1, 40):
             assert aL[n] == len(ideals_of_norm(L, n))
+
+
+def test_local_casework_checks_survive_optimize():
+    # with local_square_solvable answering False everywhere, the casework
+    # reaches the odd-threshold branch at P = (3) for delta = 9 (no dyadic
+    # threshold at an odd prime) and at P = (2) for delta = -4 (no odd
+    # level); both must raise under python -O and name P (as asserts, -O
+    # returned counts)
+    code = (
+        "import relquad.counting as c\n"
+        "from relquad.characters import QuadCharacter\n"
+        "from relquad.field import make_field\n"
+        "from relquad.ideals import primes_above\n"
+        "Q = make_field()\n"
+        "c.local_square_solvable = lambda delta, P, t: False\n"
+        "for delta, p in ((9, 3), (-4, 2)):\n"
+        "    try:\n"
+        "        n = c.count_square_roots_local(QuadCharacter(Q.elem(delta)), primes_above(Q, p)[0], 3)\n"
+        "        print(__debug__, 'returned', n)\n"
+        "    except AssertionError as exc:\n"
+        "        print(__debug__, 'raised', f'({p})' in str(exc))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "raised", "True"] * 2

@@ -26,7 +26,7 @@ from relquad.dyadic import (
 from relquad import dyadic
 from relquad.dyadic import SquareClassSpace, _sample_integral, _shift_down
 
-from helpers import _first_square_mask, certificate_square_classes
+from helpers import _first_square_mask, certificate_square_classes, norm_class_rows_by_decompose
 
 DESCRIPTORS = ["q2", "unram"] + [f"ram:{c}" for c in RAMIFIED_CLASSES]
 
@@ -235,6 +235,17 @@ def test_square_class_space_matches_certificate_build(desc, extra, monkeypatch):
     basis_units, table = certificate_square_classes(F, space.key)
     assert space.basis == [F.pi, *basis_units]
     assert space.table == table
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_norm_class_rows_match_decompose_route(desc, extra):
+    # the norm-group search classifies each value with the valuation it
+    # already took; its rows equal those of one decompose per value
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    for cx in range(1, 1 << F.dim):
+        assert dyadic._norm_class_subgroup(F, cx) == norm_class_rows_by_decompose(F, cx), (desc, cx)
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
+
+import relquad
 
 from helpers import box_principal_generator, valuation_by_division
 from relquad.field import make_field
@@ -11,6 +17,7 @@ from relquad.ideals import (
     _hnf_from_vectors,
     _norm_row,
     class_number,
+    coords_valuation,
     count_ideals_of_norm,
     ideal_from_generators,
     ideals_of_norm,
@@ -279,6 +286,28 @@ def test_hnf_valuation_matches_division_oracle():
     assert pairs > 50_000
 
 
+def test_coords_valuation_matches_division_oracle():
+    # v_P((x + y*w)/m) read off the coordinates against dividing the
+    # principal ideal by P, at every prime above 2, 3, 5, 7 and 13
+    checked = 0
+    for d in (None, 5, 10, -15, -1, 13):
+        K = make_field(d)
+        primes = [P for p in (2, 3, 5, 7, 13) for P in primes_above(K, p)]
+        ys = range(-6, 7) if K.degree == 2 else [0]
+        for x in range(-9, 10):
+            for y in ys:
+                if not (x or y):
+                    continue
+                for m in (1, 2, 6, 9):
+                    I = principal_ideal(K.elem(Fraction(x, m), Fraction(y, m)))
+                    for P in primes:
+                        assert coords_valuation(P, x, y, m) == valuation_by_division(I, P), (K, x, y, m, P)
+                        checked += 1
+    with pytest.raises(ValueError):
+        coords_valuation(primes_above(make_field(5), 5)[0], 0, 0)
+    assert checked > 30_000
+
+
 def test_factor_returns_fresh_list(Q10):
     I = principal_ideal(Q10.elem(12))
     first = I.factor()
@@ -288,6 +317,28 @@ def test_factor_returns_fresh_list(Q10):
     assert I.factor() == expected
     assert I.factor() is not I.factor()
     assert [(P.p, e) for P, e in expected] == [(2, 4), (3, 1), (3, 1)]  # 2 ramifies
+
+
+def test_ideals_of_norm_returns_fresh_list(Q10):
+    first = ideals_of_norm(Q10, 6)
+    expected = list(first)
+    first.append(first[0])
+    first.pop(0)
+    assert ideals_of_norm(Q10, 6) == expected
+    assert ideals_of_norm(Q10, 6) is not ideals_of_norm(Q10, 6)
+    assert len(expected) == 2 and ideals_of_norm(Q10, 7) == []  # 2 ramifies, 3 splits, 7 is inert
+
+
+def test_pow_matches_repeated_products():
+    for d in (None, 10, -15):
+        K = make_field(d)
+        for n in (2, 3, 6, 10):
+            for a in ideals_of_norm(K, n):
+                power = unit_ideal(K)
+                for k in range(7):
+                    assert a**k == power, (K, a, k)
+                    assert a ** (-k) * power == unit_ideal(K), (K, a, k)
+                    power = power * a
 
 
 def test_square_root_coords_rejects_non_integral(Q, Q10):
@@ -343,3 +394,31 @@ def test_divides_matches_inverse_route(test_fields):
         for a in pool:
             for b in pool:
                 assert a.divides(b) == (b * a.inverse()).is_integral(), (K, a, b)
+
+
+def test_primes_above_checks_survive_optimize():
+    # a Kronecker symbol of +1 at the inert primes 2 and 3 of Q(sqrt 5)
+    # leaves root finding with no root; primes_above must raise under
+    # python -O and name p (as asserts, -O returned no prime for 3), and
+    # after the patch is undone it must answer as before
+    code = (
+        "import relquad.ideals as I\n"
+        "from relquad.field import make_field\n"
+        "K = make_field(5)\n"
+        "real = I.kronecker\n"
+        "I._primes_above.cache_clear()\n"
+        "I.kronecker = lambda D, p: 1\n"
+        "for p in (2, 3):\n"
+        "    try:\n"
+        "        print(__debug__, 'returned', len(I.primes_above(K, p)))\n"
+        "    except AssertionError as exc:\n"
+        "        print(__debug__, 'raised', f'p = {p} ' in str(exc))\n"
+        "I.kronecker = real\n"
+        "I._primes_above.cache_clear()\n"
+        "print([P.residue_degree for p in (2, 3) for P in I.primes_above(K, p)])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "raised", "True"] * 2 + ["[2,", "2]"]

@@ -73,12 +73,14 @@ def test_hurwitz_suite_verdict_survives_optimize():
 def test_character_suite_verdict_survives_optimize():
     # a character whose value depends on the lift breaks the Hecke property;
     # residue_table must report it under python -O as well (with the check
-    # as an assert, -O saw only the conductor mismatches it caused)
+    # as an assert, -O saw only the conductor mismatches it caused).  The
+    # lifts are evaluated on integer coordinates by _on_coords, which
+    # on_element calls too
     code = (
         "import itertools\n"
         "import relquad.characters, relquad.verify\n"
         "flip = itertools.cycle((1, -1))\n"
-        "relquad.characters.QuadCharacter.on_element = lambda self, a: next(flip)\n"
+        "relquad.characters.QuadCharacter._on_coords = lambda self, x, y, m=1: next(flip)\n"
         "rep = relquad.verify.character_suite(bound=12)\n"
         "hecke = sum('not well defined' in f for f in rep['failures'])\n"
         "print(__debug__, rep['ok'], len(rep['failures']), hecke)\n"
