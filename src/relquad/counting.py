@@ -10,7 +10,9 @@ The brute-force route (count_square_roots, square_root_pairs) is the
 integer search ideals.square_root_coords with (M, N) = (2a, 4a), the same
 kernel that finds the conductor witness, the dyadic character symbol and
 the general relative discriminant; like Ideal.residues it refuses
-N(2a) > RESIDUE_ENUMERATION_BOUND.
+N(2a) > RESIDUE_ENUMERATION_BOUND.  The local casework asks whether delta
+itself is a square mod P^(l + m), l = v_P(delta) even, which is whether its
+unit part delta/pi^l is one mod P^m: no pi^l and no element division.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import isqrt
 
 from .arith import smallest_prime_factors
 from .characters import QuadCharacter
-from .discriminants import _dyadic_ramification, local_square_solvable, uniformizer_of
+from .discriminants import _dyadic_ramification, local_square_solvable
 from .field import Elem, QuadField
 from .ideals import Ideal, PrimeIdeal, ideals_of_norm, square_root_coords, unit_ideal
 
@@ -76,23 +78,19 @@ def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
         return Np ** (k // 2)
     if l % 2:
         return 0
-    pi = uniformizer_of(P)
-    delta1 = delta / pi**l  # unit at P; other primes are irrelevant here
-    if local_square_solvable(delta1, P, 2 * e2):
-        # delta1 is a square mod 4 locally
+    # l even: the unit part is a square mod P^m iff delta is mod P^(l + m)
+    if local_square_solvable(delta, P, l + 2 * e2):
+        # the unit part is a square mod 4 locally
         if k <= l:
             return Np ** (k // 2)
-        leg_local = 1 if local_square_solvable(delta1, P, 2 * e2 + 1) else -1
+        leg_local = 1 if local_square_solvable(delta, P, l + 2 * e2 + 1) else -1
         return Np ** (l // 2) * (1 + leg_local)
-    # dyadic, delta1 not a square mod 4: the odd threshold.  Explicit
+    # dyadic, the unit part not a square mod 4: the odd threshold.  Explicit
     # raises, not asserts: the counting verdict must survive python -O
     if e2 < 1:
         raise AssertionError(f"unit part of {delta} at the odd prime {P} is not a square mod 4")
-    level = 0
-    for m in range(2 * e2 - 1, 0, -1):
-        if local_square_solvable(delta1, P, m):
-            level = m
-            break
+    odd = range(2 * e2 - 1, 0, -1)
+    level = next((m for m in odd if local_square_solvable(delta, P, l + m)), 0)
     if level < 1 or level % 2 == 0:
         raise AssertionError(f"no odd square threshold for {delta} at {P}: level {level}")
     if k >= l:

@@ -5,6 +5,11 @@ A discriminant is a nonzero algebraic integer that is a square modulo 4.
 Its conductor ideal f is the largest integral ideal with f^2 | (delta) and
 delta = x^2 mod 4f^2 solvable; the relative discriminant of K(sqrt delta)/K
 is (delta)/f^2.
+
+Valuations and local square solvability work on integer coordinates:
+local_square_solvable takes v_P from ideals.coords_valuation and searches
+roots in P^(v/2) with ideals.square_root_coords, so the dyadic conductor
+exponents build no field element and no principal ideal per residue.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     _norm_row,
+    coords_valuation,
     principal_ideal,
     square_root_coords,
     unit_ideal,
@@ -36,7 +42,6 @@ __all__ = [
     "discriminant_classes",
     "same_class_mod_unit_squares",
     "same_class_mod_squares",
-    "element_valuation",
     "uniformizer_of",
     "local_square_solvable",
 ]
@@ -72,19 +77,12 @@ class FundDiscData:
     principal_rep: Elem | None  # delta0 with f_{delta0} = (1), if f is principal
 
 
-def element_valuation(e: Elem, P: PrimeIdeal) -> int | None:
-    """v_P(e) for nonzero e (fractional allowed); None means e = 0."""
-    if not e:
-        return None
-    return principal_ideal(e).valuation(P)
-
-
 def uniformizer_of(P: PrimeIdeal) -> Elem:
     """An element of P of valuation exactly 1."""
     cands = P.ideal.basis_elems()
     cands.append(cands[0] + cands[-1])
     for c in cands:
-        if element_valuation(c, P) == 1:
+        if coords_valuation(P, *c.integer_coords()) == 1:
             return c
     raise AssertionError(f"no uniformizer among basis combinations of {P}")
 
@@ -116,38 +114,37 @@ def is_discriminant(delta: Elem) -> bool:
 
 def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     """Whether x^2 = delta mod P^target is solvable with x integral at P,
-    for any delta of K.  A delta with v_P(delta) < 0 has no solution.
+    for any delta of K, decided on integer coordinates.
 
-    Write t = target and v = v_P(delta), with v = infinity for delta = 0.
-    If v >= t, x = 0 works.  Otherwise any solution has v(x^2) = v, so
-    v must be even and x = pi^(v/2) y with y^2 = delta/pi^v mod P^(t - v).
-    At an odd P the unit u = delta/pi^v then decides it modulo P: a root
-    y0 of y^2 - u mod P is a unit with 2*y0 a unit, so Hensel's lemma
-    lifts it to a root mod every power of P.  At a dyadic P the search
-    runs over residues modulo P^s with
-    s = max(ceil(t/2), t - v_P(2) - floor(v/2)).  This s is sufficient:
-    any solution x0 has v(x0) = v/2, and x = x0 mod P^s gives
-    v(x^2 - x0^2) >= s + min(v_P(2) + v(x0), s) >= t.
+    Write t = target and v = v_P(delta) (infinity for delta = 0).  If
+    v >= t, x = 0 works.  If v < 0 or v is odd there is no root; otherwise
+    every root lies in P^(v/2).  A delta = (X + Y*w)/m is replaced by the
+    integral m^2 delta = m*X + m*Y*w and t by t + 2 v_P(m) (x solves the
+    one iff m*x solves the other).  At an odd P a root mod P^(v+1) lifts by
+    Hensel's lemma to every power of P, so t becomes v + 1.  The search
+    (ideals.square_root_coords) runs over P^(v/2) modulo P^s with
+    s = max(ceil(t/2), t - v_P(2) - v/2), which suffices: x = x0 mod P^s
+    with v(x0) = v/2 gives v(x^2 - x0^2) >= s + min(v_P(2) + v/2, s) >= t.
+    That is N(P)^(s - v/2) candidates, N(P) of them at an odd P.
     """
-    if target <= 0:
+    if target <= 0 or not delta:
         return True
-    v = element_valuation(delta, P)
-    if v is None or v >= target:
+    X, Y, m = delta.integer_coords()
+    v = coords_valuation(P, X, Y, m)
+    if v >= target:
         return True
     if v < 0 or v % 2:
         return False
+    if m > 1:
+        vm = coords_valuation(P, m, 0)
+        delta = delta.field.elem(m * X, m * Y)
+        v, target = v + 2 * vm, target + 2 * vm
     e2 = _dyadic_ramification(P)
     if e2 == 0:
-        if v:
-            delta = delta / uniformizer_of(P) ** v
-        target = s = 1
-    else:
-        s = max((target + 1) // 2, target - e2 - v // 2)
-    for x in (P.ideal**s).residues():
-        vx = element_valuation(x * x - delta, P)
-        if vx is None or vx >= target:
-            return True
-    return False
+        target = v + 1
+    s = max((target + 1) // 2, target - e2 - v // 2)
+    roots = square_root_coords(delta, P.ideal**s, P.ideal**target, P.ideal ** (v // 2))
+    return next(roots, None) is not None
 
 
 def _dyadic_ramification(P: PrimeIdeal) -> int:
@@ -173,12 +170,9 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     f = unit_ideal(K)
     for P, l in principal_ideal(delta).factor():
         e2 = _dyadic_ramification(P)
-        if e2 == 0:
-            k = l // 2
-        else:
-            k = l // 2
-            while k > 0 and not local_square_solvable(delta, P, 2 * k + 2 * e2):
-                k -= 1
+        k = l // 2
+        while e2 and k > 0 and not local_square_solvable(delta, P, 2 * k + 2 * e2):
+            k -= 1
         f = f * P.ideal**k
     rel = principal_ideal(delta).divide_exact(f * f)
     coords = next(square_root_coords(delta, f * 2, f * f * 4), None)

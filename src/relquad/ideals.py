@@ -16,8 +16,9 @@ arithmetic on the HNF (a, b, c) and the denominator: no ideal product and
 no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
-computation, and every call returns a fresh list.  ideals_of_norm is
-memoised per (field, n) in an LRU cache of the same size.
+computation, and every call returns a fresh list.  Ideal.inverse (and its
+check I * I^-1 = (1)) and ideals_of_norm, per (field, n), are memoised in
+LRU caches of the same size.  Scaling by an integer is integer products.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
@@ -30,11 +31,13 @@ with isqrt bounds, solving the norm form per row as in Cohen, GTM 138,
 their rows with it instead of evaluating the norm over a coordinate box.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
-square_root_coords(delta, M, N) is the one integer search for x^2 = delta
-mod N over the HNF box of M: the root count N(delta, a) uses (2a, 4a), the
-conductor witness (2f, 4f^2), the dyadic character symbol (2P, 4P) and the
-general relative discriminant (st, (st)^2).  Like Ideal.residues it refuses
-N(M) > RESIDUE_ENUMERATION_BOUND with a ValueError naming the bound.
+square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
+mod N over one element of L per coset of L/M: the root count N(delta, a)
+uses (2a, 4a), the conductor witness (2f, 4f^2), the dyadic character
+symbol (2P, 4P) and the general relative discriminant (st, (st)^2), all
+with L = (1), the HNF box of M; local square solvability uses
+(P^s, P^t, P^(v/2)).  Like Ideal.residues it refuses N(M)/N(L) >
+RESIDUE_ENUMERATION_BOUND with a ValueError naming the bound.
 """
 
 from __future__ import annotations
@@ -243,18 +246,6 @@ class Ideal:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _scaled(self, q: Fraction) -> "Ideal":
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("scale must be positive")
-        if self.field.degree == 1:
-            return Ideal(self.field, (self.hnf[0] * q.numerator,), self.den * q.denominator, _checked=True)
-        a, b, c = self.hnf
-        m = q.numerator
-        return Ideal(
-            self.field, (a * m, b * m, c * m), self.den * q.denominator, _checked=True
-        )
-
     def __mul__(self, other):
         if isinstance(other, Ideal):
             if self.field != other.field:
@@ -274,8 +265,11 @@ class Ideal:
                     )
             return Ideal(self.field, _hnf_from_vectors(vecs), self.den * other.den, _checked=True)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return self._scaled(abs(q))
+            # integer products on the HNF; a Fraction adds its denominator
+            if not other:
+                raise ValueError("scale must be positive")
+            hnf = tuple(x * abs(other.numerator) for x in self.hnf)
+            return Ideal(self.field, hnf, self.den * other.denominator, _checked=True)
         if isinstance(other, Elem):
             return self * principal_ideal(other)
         return NotImplemented
@@ -293,18 +287,9 @@ class Ideal:
         )
 
     def inverse(self) -> "Ideal":
-        """conj / N: for I = M/den, N(I) = a c / den^2."""
-        K = self.field
-        if K.degree == 1:
-            inv = Ideal(K, (self.den,), self.hnf[0], _checked=True)
-        else:
-            a, _, c = self.hnf
-            J = self.conj()
-            m = self.den * self.den
-            inv = Ideal(K, tuple(x * m for x in J.hnf), J.den * a * c, _checked=True)
-        if not (self * inv).is_unit_ideal():
-            raise AssertionError(f"{self} times its inverse {inv} is not (1)")
-        return inv
+        """conj / N: for I = M/den, N(I) = a c / den^2.  Memoised by ideal
+        value; the check I * I^-1 = (1) runs once per distinct ideal."""
+        return _inverse(self)
 
     def __pow__(self, k: int) -> "Ideal":
         if k < 0:
@@ -437,40 +422,49 @@ class Ideal:
         return K.elem(g.x / self.den, g.y / self.den)
 
 
-def square_root_coords(delta: Elem, M: Ideal, N: Ideal):
-    """The coordinates (i, j) of every x = i + j*w in the HNF box of the
-    integral ideal M with x^2 - delta in N, on integers, j outer and i
-    inner (the order of M.residues()).  Each x is its own canonical
-    residue mod M.  N(M) is capped like Ideal.residues."""
+def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
+    """The coordinates (x, y) of every candidate x + y*w with
+    (x + y*w)^2 - delta in N, on integers.  The candidates are one element
+    of L per coset of L/M for an integral L containing M, default (1):
+    x = i*a' + j*b', y = j*c' over L's HNF (a', b', c'), j outer and i
+    inner.  For L = (1) that is M's HNF box in the order of M.residues(),
+    each x its own residue mod M.  N(M)/N(L) is capped like Ideal.residues."""
     if not (M.is_integral() and N.is_integral()):
         raise ValueError("integral ideal required")
     if not delta.is_integral():
         raise ValueError(f"integral delta required, got {delta}")
     size = M.norm_int()
+    aL, bL, cL = 1, 0, 1
+    if L is not None:
+        if not (L.is_integral() and L.divides(M)):
+            raise ValueError(f"integral ideal required, containing {M}: got {L}")
+        size //= L.norm_int()
+        aL, bL, cL = _hnf_triple(L)
     if size > RESIDUE_ENUMERATION_BOUND:
         raise ValueError(
             f"residue enumeration bound exceeded: {size} > {RESIDUE_ENUMERATION_BOUND}"
         )
     K = delta.field
     X, Y = int(delta.x), int(delta.y)
-    if K.degree == 1:
-        n = N.hnf[0]
-        for x in range(M.hnf[0]):
-            if (x * x - X) % n == 0:
-                yield x, 0
-        return
-    t, n = K.omega_trace, K.omega_norm
-    a, _, c = M.hnf
-    A, B, C = N.hnf
-    for j in range(c):
-        jj_x = -n * j * j - X
-        jj_y = t * j * j - Y
-        for i in range(a):
-            # (i + j w)^2 - delta = u + v w; _in_hnf(A, B, C, u, v), inlined
-            u = i * i + jj_x
-            v = 2 * i * j + jj_y
+    t, n = K.omega_trace, K.omega_norm  # 0 and 0 over Q, where y stays 0
+    a, _, c = _hnf_triple(M)
+    A, B, C = _hnf_triple(N)
+    for j in range(c // cL):
+        y = j * cL
+        x0 = j * bL
+        yy_x = -n * y * y - X
+        yy_y = t * y * y - Y
+        for x in range(x0, x0 + a, aL):
+            # (x + y w)^2 - delta = u + v w; _in_hnf(A, B, C, u, v), inlined
+            u = x * x + yy_x
+            v = 2 * x * y + yy_y
             if v % C == 0 and (u - (v // C) * B) % A == 0:
-                yield i, j
+                yield x, y
+
+
+def _hnf_triple(I: Ideal) -> tuple[int, int, int]:
+    # the HNF (a, b, c) of the numerator module; (n, 0, 1) for n*Z over Q
+    return I.hnf if len(I.hnf) == 3 else (I.hnf[0], 0, 1)
 
 
 def _in_hnf(a: int, b: int, c: int, x: int, y: int) -> bool:
@@ -523,6 +517,19 @@ def coords_valuation(P: "PrimeIdeal", x: int, y: int, den: int = 1) -> int:
     n0 = x0 * x0 + K.omega_trace * x0 * y0 + K.omega_norm * y0 * y0
     e = 2 if P.ramified else 1
     return e * (_vp(g, p) - _vp(den, p)) + _primitive_valuation(P, n0, x0, y0)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _inverse(I: Ideal) -> Ideal:
+    if I.field.degree == 1:
+        inv = Ideal(I.field, (I.den,), I.hnf[0], _checked=True)
+    else:
+        a, _, c = I.hnf
+        J = I.conj()
+        inv = Ideal(I.field, tuple(x * I.den**2 for x in J.hnf), J.den * a * c, _checked=True)
+    if not (I * inv).is_unit_ideal():
+        raise AssertionError(f"{I} times its inverse {inv} is not (1)")
+    return inv
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)

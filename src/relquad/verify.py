@@ -22,7 +22,7 @@ from .counting import (
     square_stretch,
     zeta_coefficients,
 )
-from .discriminants import discriminant_classes
+from .discriminants import conductor_ideal, discriminant_classes, relative_discriminant_general
 from .dyadic import (
     LocalElem,
     LocalField,
@@ -106,35 +106,38 @@ def _hensel_root(F: LocalField, t: int, n: int, start: LocalElem) -> LocalElem:
 
 def completion_at(K: QuadField, P, precision: int | None = None):
     """(local field, image of omega) for the completion of K at a dyadic
-    prime P; the image is None over Q."""
+    prime P; the image is None over Q.  Its checks raise explicitly, not by
+    assert: conductor_suite's dyadic cross-check must survive python -O."""
     if P.p != 2:
         raise ValueError("dyadic prime required")
     if K.degree == 1:
         return LocalField("q2", precision=precision), None
     t, n = K.omega_trace, K.omega_norm
     d = K.d
-    if d % 8 == 1:  # split: completion is Q2, omega goes to a 2-adic root
-        F = LocalField("q2", precision=precision)
-        _, b, c = P.ideal.hnf
-        assert c == 1  # degree-1 prime: second HNF column is b + w, so w = -b
-        root = _hensel_root(F, t, n, F.elem((-b) % 2))
+    if d % 8 in (1, 5):  # split: Q2, omega to a 2-adic root; inert: unramified
+        if d % 8 == 1:
+            F = LocalField("q2", precision=precision)
+            _, b, c = P.ideal.hnf
+            if c != 1:  # degree-1 prime: second HNF column is b + w, so w = -b
+                raise AssertionError(f"split dyadic prime {P} of Q(sqrt {d}) has HNF c = {c}")
+            root = _hensel_root(F, t, n, F.elem((-b) % 2))
+        else:
+            F = LocalField("unram", precision=precision)
+            root = _hensel_root(F, t, n, F.elem(0, 1))
         fx = root * root - F.elem(t) * root + F.elem(n)
-        assert not fx or fx.valuation() is None or fx.valuation() >= F.precision
-        return F, root
-    if d % 8 == 5:  # inert: unramified quadratic extension
-        F = LocalField("unram", precision=precision)
-        root = _hensel_root(F, t, n, F.elem(0, 1))
-        fx = root * root - F.elem(t) * root + F.elem(n)
-        assert not fx or fx.valuation() is None or fx.valuation() >= F.precision
+        if fx and fx.valuation() is not None and fx.valuation() < F.precision:
+            raise AssertionError(f"{root} is not the image of w at {P} of Q(sqrt {d})")
         return F, root
     # ramified: Q2(sqrt c) with c the dyadic square class of d
     c = _dyadic_square_class(d)
     F = LocalField("ram", c=c, precision=precision)
     q2 = LocalField("q2", precision=F.precision)
     num, den = Fraction(d, c).numerator, Fraction(d, c).denominator
-    assert num % 2 and den % 2 and (num * pow(den, -1, 8)) % 8 == 1
+    if not (num % 2 and den % 2 and (num * pow(den, -1, 8)) % 8 == 1):
+        raise AssertionError(f"d/c = {num}/{den} is not a 2-adic unit square class 1 for d = {d}")
     s = sqrt_certificate(q2.elem(num * pow(den, -1, q2.W)))
-    assert s is not None
+    if s is None:
+        raise AssertionError(f"no 2-adic square root of d/c = {num}/{den} for d = {d} at {P}")
     return F, F.elem(0, s.a)  # sqrt d -> s * sqrt c
 
 
@@ -208,8 +211,6 @@ def conductor_suite(
     """General relative-discriminant formula against the conductor route,
     conductor scaling, and the dyadic completion cross-check (the second,
     independent path for dyadic square solvability)."""
-    from .discriminants import relative_discriminant_general
-
     K = _field(field_d)
     failures: list[str] = []
     cases = 0
@@ -223,8 +224,6 @@ def conductor_suite(
         if g.rel_disc_general != info.rel_disc:
             failures.append(f"delta {info.delta}: 4delta/(st)^2 != delta/f^2")
         # scaling: f_{4 delta} = 2 f_delta
-        from .discriminants import conductor_ideal
-
         cases += 1
         scaled = conductor_ideal(info.delta * 4)
         if scaled.f_delta != info.f_delta * 2:
@@ -385,7 +384,8 @@ def decomposition_suite(
     ones = [0] + [1] * norm_bound
     for delta0 in _fundamental_discriminants(disc_bound):
         L = make_field(squarefree_part(delta0))
-        assert L.disc == delta0
+        if L.disc != delta0:
+            raise AssertionError(f"field of delta0 = {delta0} has discriminant {L.disc}")
         aL = ideal_count_table(L, norm_bound)
         chi = QuadCharacter(Q.elem(delta0))
         conv = dirichlet_convolution(ones, primitive_character_table(chi, norm_bound))

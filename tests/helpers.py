@@ -7,7 +7,10 @@ form (the searches that ideals._norm_row replaced), square certificates
 for the dyadic unit square classes (the search that the explicit squares of
 dyadic.SquareClassSpace replaced), and the quadratic character on elements
 through principal ideals, gcds and factorizations (the route that the
-integer coordinates of characters.QuadCharacter replaced).
+integer coordinates of characters.QuadCharacter replaced), and local square
+solvability by field-element residues and principal-ideal valuations (the
+route that the integer search of discriminants.local_square_solvable
+replaced).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from relquad.discriminants import _dyadic_ramification, uniformizer_of
 from relquad.dyadic import LocalElem, LocalField, _gf2_insert, _sample_integral, _unit_candidates, is_square
 from relquad.field import Elem, QuadField, fundamental_unit
 from relquad.ideals import Ideal, principal_ideal, unit_ideal
@@ -301,3 +305,39 @@ def norm_class_rows_by_decompose(F: LocalField, cx: int) -> list[int]:
                 if len(rows) == F.dim - 1:
                     return rows
     return rows
+
+
+# -- local square solvability through field elements and principal ideals ----------
+
+
+def element_valuation(e: Elem, P) -> int | None:
+    """v_P(e) for nonzero e (fractional allowed); None means e = 0."""
+    if not e:
+        return None
+    return principal_ideal(e).valuation(P)
+
+
+def local_square_solvable_by_residues(delta: Elem, P, target: int) -> bool:
+    """discriminants.local_square_solvable by Elem residues: at an odd P the
+    unit delta/pi^v is tested modulo P, at a dyadic P every residue modulo
+    P^s with s = max(ceil(t/2), t - v_P(2) - floor(v/2)) is tried, each
+    valued through its principal ideal."""
+    if target <= 0:
+        return True
+    v = element_valuation(delta, P)
+    if v is None or v >= target:
+        return True
+    if v < 0 or v % 2:
+        return False
+    e2 = _dyadic_ramification(P)
+    if e2 == 0:
+        if v:
+            delta = delta / uniformizer_of(P) ** v
+        target = s = 1
+    else:
+        s = max((target + 1) // 2, target - e2 - v // 2)
+    for x in (P.ideal**s).residues():
+        vx = element_valuation(x * x - delta, P)
+        if vx is None or vx >= target:
+            return True
+    return False

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import _box_window_member, box_discriminant_candidates
+from helpers import _box_window_member, box_discriminant_candidates, local_square_solvable_by_residues
 from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
@@ -19,7 +19,14 @@ from relquad.discriminants import (
     same_class_mod_unit_squares,
 )
 from relquad.field import fundamental_unit, make_field, parse_elem
-from relquad.ideals import class_number, ideal_from_generators, primes_above, principal_ideal, unit_ideal
+from relquad.ideals import (
+    class_number,
+    coords_valuation,
+    ideal_from_generators,
+    primes_above,
+    principal_ideal,
+    unit_ideal,
+)
 
 
 def test_witness_examples(Q10, Q):
@@ -307,6 +314,36 @@ def test_local_square_solvable_nonunit_at_odd_prime(test_fields, Q):
     assert not local_square_solvable(Q.elem(3 * 7), P3, 16)  # odd valuation
     assert local_square_solvable(Q.elem(2 * 3**16), P3, 16)  # v >= t: x = 0
     assert local_square_solvable(Q.elem(7 * 3**40), P3, 60)
+
+
+def test_local_square_solvable_non_integral_matches_residue_oracle():
+    # delta = (x + y*w)/den against the Elem-residue route, at every P above
+    # 2, 3 and 5: 2 and 3 split in Q(sqrt -15), Q(sqrt 17) and Q(sqrt 10),
+    # 2, 3 and 5 ramify in some of them, so p | den meets v_P(delta) >= 0
+    # (split P, where m^2 delta and t + 2 v_P(m) carry the question) as
+    # well as v_P(delta) < 0
+    cases = scaled = solvable = 0
+    for d in (None, 10, -15, 17, -1):
+        K = make_field(d)
+        for p in (2, 3, 5):
+            for P in primes_above(K, p):
+                for den in (2, 3, 4, 6, 8, 9):
+                    for x in range(-6, 7):
+                        for y in range(4) if K.degree == 2 else (0,):
+                            if not (x or y):
+                                continue
+                            delta = K.elem(x, y) / den
+                            X, Y, m = delta.integer_coords()
+                            for t in range(1, 6):
+                                got = local_square_solvable(delta, P, t)
+                                expected = local_square_solvable_by_residues(delta, P, t)
+                                assert got == expected, (K, P, t, delta)
+                                cases += 1
+                                if m % p == 0 and coords_valuation(P, X, Y, m) >= 0:
+                                    scaled += 1
+                                    solvable += got
+    assert cases > 20000
+    assert scaled > 500 and 0 < solvable < scaled
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 17, 19, 21, 22, 23, 195, -1, -3, -15])

@@ -352,6 +352,47 @@ def test_square_root_coords_rejects_non_integral(Q, Q10):
             list(square_root_coords(K.elem(Fraction(1, 2)), one, one))
 
 
+def test_square_root_coords_unit_coset_ideal_is_the_box_search(test_fields):
+    # L = (1): the roots of the HNF box of M, in M.residues() order
+    for K in test_fields:
+        one = unit_ideal(K)
+        deltas = [K.elem(-4), K.elem(5)]
+        deltas += [K.elem(1, 1), K.elem(-7, 2)] if K.degree == 2 else [K.elem(8), K.elem(-3)]
+        for n in (1, 2, 4, 6, 9, 12):
+            for a in ideals_of_norm(K, n):
+                M, N = a * 2, a * 4
+                for delta in deltas:
+                    box = [
+                        (i, j)
+                        for i, j in M.residue_coords()
+                        if (K.elem(i, j) ** 2 - delta) in N
+                    ]
+                    assert list(square_root_coords(delta, M, N)) == box, (K, a, delta)
+                    assert list(square_root_coords(delta, M, N, one)) == box, (K, a, delta)
+
+
+def test_square_root_coords_enumerates_cosets_of_l(test_fields):
+    # with N = (1) every candidate is yielded: one element of L = P^k per
+    # coset of L/M, N(M)/N(L) of them
+    for K in test_fields:
+        one = unit_ideal(K)
+        for p in (2, 3, 5):
+            for P in primes_above(K, p):
+                for k in range(4):
+                    L = P.ideal**k
+                    for s in range(k, k + 3):
+                        M = P.ideal**s
+                        reps = list(square_root_coords(K.elem(0), M, one, L))
+                        assert len(reps) == M.norm_int() // L.norm_int(), (K, P, k, s)
+                        assert all(L.contains(K.elem(x, y)) for x, y in reps), (K, P, k, s)
+                        assert len({M.reduce_coords(x, y) for x, y in reps}) == len(reps), (K, P, k, s)
+    # L must contain M
+    K = test_fields[-1]
+    M = primes_above(K, 2)[0].ideal
+    with pytest.raises(ValueError, match="integral ideal required"):
+        list(square_root_coords(K.elem(0), M, unit_ideal(K), M * M))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 19, 195, -1, -3, -5, -15])
 def test_norm_row_matches_scan(d):
     # every x of the row, in order, against the norm evaluated on a range

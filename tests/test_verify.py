@@ -114,6 +114,31 @@ def test_fundamental_discriminant_checks_survive_optimize():
     assert out.stdout.split() == ["False", "raised"]
 
 
+def test_completion_checks_survive_optimize():
+    # a Newton step that stops at a residue root gives w a wrong image at
+    # the split and the inert dyadic primes; completion_at must raise under
+    # python -O as well, naming d (as asserts, -O returned the wrong image)
+    code = (
+        "import relquad.verify as v\n"
+        "from relquad.field import make_field\n"
+        "from relquad.ideals import primes_above\n"
+        "v._hensel_root = lambda F, t, n, start: start + F.elem(2)\n"
+        "for d in (17, 5):\n"
+        "    K = make_field(d)\n"
+        "    for P in primes_above(K, 2):\n"
+        "        try:\n"
+        "            v.completion_at(K, P)\n"
+        "            print(__debug__, 'returned')\n"
+        "        except AssertionError as exc:\n"
+        "            print(__debug__, 'raised', f'Q(sqrt {d})' in str(exc))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False", "raised", "True"] * 3
+
+
 def test_dyadic_suite_verdict_survives_optimize():
     # a Newton step that returns 1 yields wrong square roots; the certificate
     # check must fail every field under python -O as well (as an assert, -O
