@@ -125,7 +125,8 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     (ideals.square_root_coords) runs over P^(v/2) modulo P^s with
     s = max(ceil(t/2), t - v_P(2) - v/2), which suffices: x = x0 mod P^s
     with v(x0) = v/2 gives v(x^2 - x0^2) >= s + min(v_P(2) + v/2, s) >= t.
-    That is N(P)^(s - v/2) candidates, N(P) of them at an odd P.
+    That is N(P)^(s - v/2) candidates, N(P) of them at an odd P.  The
+    powers of P come from the memo of PrimeIdeal.power.
     """
     if target <= 0 or not delta:
         return True
@@ -143,7 +144,7 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     if e2 == 0:
         target = v + 1
     s = max((target + 1) // 2, target - e2 - v // 2)
-    roots = square_root_coords(delta, P.ideal**s, P.ideal**target, P.ideal ** (v // 2))
+    roots = square_root_coords(delta, P.power(s), P.power(target), P.power(v // 2))
     return next(roots, None) is not None
 
 

@@ -18,16 +18,29 @@ classifies the (q - 1) q^(2e) classes of O*/U_(2e+1) once, when it is first
 built.  It does so from explicit squares, with no square test: the classes
 of the squares s^2 of the units s modulo pi^(e+1), times the products of
 the basis units, are the entries of the table, and each entry's square
-witness is that s times the basis product.  decompose() afterwards strips
-the valuation and reads that table.  Square certificates (sqrt_certificate)
-stay as the independent square test: the trace criterion of the duality
-report runs on them, and the tests check the table against them.
+witness is that s times the basis product.  decompose() afterwards takes
+the unit part x / pi^v as x f_v / 2^s, with one stored factor f_v = 2^s / pi^v
+per valuation (s = ceil(v/e)), and reads that table.  Square certificates
+(sqrt_certificate) stay as the independent square test: the trace criterion
+of the duality report runs on them, and the tests check the table against
+them.
+
+A field's tables never change, so local_field() and all_local_fields()
+intern their fields, one LocalField per (kind, c, precision), as
+field.make_field interns QuadField: the square-class space, the norm groups
+of the Hilbert symbol and the digit samples are built once per field and
+precision, and every caller shares them; the intern table grows only with
+the (field, precision) pairs asked for.  The Hilbert symbol depends only on
+the two square classes; hilbert_symbol decomposes its arguments and reads
+the symbol off the norm group of the first class, and duality_report
+decomposes each class representative once and pairs the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import kronecker
 from .ideals import _hnf_from_vectors
@@ -50,11 +63,17 @@ class LocalField:
     """One of the eight dyadic fields, at a fixed working precision
     (pi-adic digits; coordinates are carried modulo 2^precision).
 
-    The descriptor is immutable and element operations are pure, but the
+    The descriptor is immutable and element operations are pure.  The
     instance caches, on first use, its square-class space (basis and unit
-    table, see SquareClassSpace) and the norm groups that hilbert_symbol
-    searches: confine an instance to one thread, or construct one per
-    thread."""
+    table, see SquareClassSpace), the norm groups that hilbert_symbol
+    searches and the digit samples of _sample_integral, the last two as
+    tuples; no code mutates any of them once built.  Each is a function of
+    the descriptor and the precision alone, so a lazy build that two threads
+    race to fill computes the same value whichever write lands: instances
+    may be shared between threads.
+    local_field() and all_local_fields() intern instances, one per (kind, c,
+    precision), so those caches are built once per process; calling
+    LocalField directly gives a private instance with caches of its own."""
 
     def __init__(self, kind: str, c: int | None = None, precision: int | None = None):
         if kind == "q2":
@@ -68,14 +87,16 @@ class LocalField:
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
-        self.precision = precision if precision is not None else 4 * self.e + 6
+        self.precision = precision if precision is not None else _default_precision(self.e)
         if self.precision < 2 * self.e + 6:
             raise ValueError("precision too small for stable square decisions")
         self.W = 1 << (self.precision + 6)  # coordinate modulus 2^(prec+6)
         self.dim = self.e * self.f + 2  # dim of K^x / (K^x)^2 over F2
         # residue field digits: F2, or F4 as bit pairs p + q*g
         self.digits = ((0, 0), (1, 0)) if self.f == 1 else ((0, 0), (1, 0), (0, 1), (1, 1))
-        self._norm_group_memo: dict[int, list[int]] = {}
+        self._norm_group_memo: dict[int, tuple[int, ...]] = {}
+        self._sample_memo: dict[int, tuple[LocalElem, ...]] = {}
+        self._square_memo: dict[int, tuple[LocalElem, ...]] = {}
         self._space = None
 
     def __repr__(self):
@@ -164,6 +185,20 @@ class LocalField:
         if self._space is None:
             self._space = SquareClassSpace(self)
         return self._space
+
+    def samples(self, depth: int) -> tuple["LocalElem", ...]:
+        """_sample_integral(self, depth), built once per depth."""
+        out = self._sample_memo.get(depth)
+        if out is None:
+            out = self._sample_memo[depth] = tuple(_sample_integral(self, depth))
+        return out
+
+    def sample_squares(self, depth: int) -> tuple["LocalElem", ...]:
+        """The squares of samples(depth), in its order, built once per depth."""
+        out = self._square_memo.get(depth)
+        if out is None:
+            out = self._square_memo[depth] = tuple(u * u for u in self.samples(depth))
+        return out
 
 
 @dataclass(frozen=True)
@@ -303,22 +338,36 @@ class LocalElem:
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:
-    """Parse "q2", "unram", or "ram:c"."""
-    if descriptor == "q2":
-        return LocalField("q2", precision=precision)
-    if descriptor == "unram":
-        return LocalField("unram", precision=precision)
+    """The interned field of "q2", "unram", or "ram:c"; precision None means
+    the field's default, and names the same instance as that default."""
+    if descriptor in ("q2", "unram"):
+        return _interned(descriptor, None, precision)
     if descriptor.startswith("ram:"):
-        return LocalField("ram", c=int(descriptor[4:]), precision=precision)
+        return _interned("ram", int(descriptor[4:]), precision)
     raise ValueError(f"unknown local field {descriptor!r}")
 
 
 def all_local_fields(precision: int | None = None) -> list[LocalField]:
+    """The eight interned fields, Q2 first, then the unramified one, then
+    the ramified ones in RAMIFIED_CLASSES order."""
     return [
-        LocalField("q2", precision=precision),
-        LocalField("unram", precision=precision),
-        *(LocalField("ram", c=c, precision=precision) for c in RAMIFIED_CLASSES),
+        _interned("q2", None, precision),
+        _interned("unram", None, precision),
+        *(_interned("ram", c, precision) for c in RAMIFIED_CLASSES),
     ]
+
+
+def _default_precision(e: int) -> int:
+    return 4 * e + 6
+
+
+def _interned(kind: str, c: int | None, precision: int | None) -> LocalField:
+    if precision is None:
+        precision = _default_precision(2 if kind == "ram" else 1)
+    return _intern_field(kind, c, precision)
+
+
+_intern_field = lru_cache(maxsize=None)(LocalField)
 
 
 # -- square detection --------------------------------------------------------
@@ -456,8 +505,13 @@ class SquareClassSpace:
     becomes the next basis unit b_i; for each product b_m of earlier basis
     units it adds key(b_m b_i s^2) -> m | 1 << i.  Every entry has a square
     witness: a unit u in the class of b_m b_i s^2 satisfies
-    u * b_m b_i = (b_m b_i s)^2 modulo U_(2e+1), a square.  After that
-    decompose() is a shift by the valuation and one table read."""
+    u * b_m b_i = (b_m b_i s)^2 modulo U_(2e+1), a square.
+
+    After that decompose() takes the unit part of x = pi^v u as
+    u = x f_v / 2^s with s = ceil(v/e) and the stored f_v = 2^s / pi^v =
+    eps^-s pi^(e s - v), where pi^e = 2 eps: one product and one exact
+    division by 2^s, whose truncation costs s <= precision + 2 bits, so u is
+    still known modulo 2^4, below pi^(2e+1).  Then one table read."""
 
     def __init__(self, F: LocalField):
         self.field = F
@@ -471,7 +525,7 @@ class SquareClassSpace:
             vecs.append((t.a, t.b))
         self._lattice = _hnf_from_vectors(vecs)
         squares: dict[int, LocalElem] = {}
-        for s in _sample_integral(F, F.e + 1):
+        for s in F.samples(F.e + 1):
             if s.valuation() == 0:
                 squares.setdefault(self.key(s * s), s * s)
         self.table: dict[int, int] = dict.fromkeys(squares, 0)
@@ -498,11 +552,21 @@ class SquareClassSpace:
             raise AssertionError(
                 f"unit table has {len(self.table)} keys, O*/U_(2e+1) has {classes} classes"
             )
+        # (f_v, s) for every valuation v <= e (precision + 2) that
+        # LocalElem.valuation reports
+        eps_inv = (F.pi**F.e).div_exact_int(2).unit_inverse()
+        shifts = [-(-v // F.e) for v in range(F.e * (F.precision + 2) + 1)]
+        self._unshift = tuple(
+            (eps_inv**s * F.pi ** (F.e * s - v), s) for v, s in enumerate(shifts)
+        )
 
     def key(self, u: LocalElem) -> int:
         """The class of u's coordinates modulo pi^(2e+1) O, as one integer."""
+        return self._key(u.a, u.b)
+
+    def _key(self, ua: int, ub: int) -> int:
         a, b, c = self._lattice
-        return u.b % c * a + (u.a - u.b // c * b) % a
+        return ub % c * a + (ua - ub // c * b) % a
 
     def decompose(self, x: LocalElem) -> int:
         v = x.valuation()
@@ -512,7 +576,13 @@ class SquareClassSpace:
 
     def _classify(self, x: LocalElem, v: int) -> int:
         """decompose(x) for a caller that already holds v = x.valuation()."""
-        return v % 2 | self.table[self.key(_shift_down(x, v))] << 1
+        return v % 2 | self.table[self._unit_key(x, v)] << 1
+
+    def _unit_key(self, x: LocalElem, v: int) -> int:
+        """key(x / pi^v) for v = x.valuation(), as x f_v / 2^s."""
+        f, s = self._unshift[v]
+        u = x * f
+        return self._key(u.a >> s, u.b >> s)
 
     def rep(self, mask: int) -> LocalElem:
         out = self.field.one
@@ -529,7 +599,7 @@ def _unit_candidates(F: LocalField):
     """The units among the digit patterns of depth 2e+1.  They cover all unit
     square classes: by the local square theorem deeper digits never change
     the class."""
-    cands = [u for u in _sample_integral(F, 2 * F.e + 1) if u.valuation() == 0]
+    cands = [u for u in F.samples(2 * F.e + 1) if u.valuation() == 0]
     # prefer classically featured units first (-1, small odd integers)
     cands.sort(key=lambda u: u.key() != (-1 % F.W, 0))
     return cands
@@ -561,26 +631,44 @@ def hilbert_symbol(x: LocalElem, y: LocalElem) -> int:
     cx = space.decompose(x)
     if cx == 0:
         return 1
-    cy = space.decompose(y)
-    if cy == 0:
+    return _class_symbol(F, cx, space.decompose(y))
+
+
+def _class_symbol(F: LocalField, cx: int, cy: int) -> int:
+    """The Hilbert symbol of the square classes cx and cy: +1 iff cx or cy
+    is trivial or cy lies in the norm group of K(sqrt a)/K, a of class cx."""
+    if cx == 0 or cy == 0:
         return 1
-    rows = _norm_class_subgroup(F, cx)
-    return 1 if _gf2_reduce(rows, cy) == 0 else -1
+    return 1 if _gf2_reduce(_norm_rows(F, cx), cy) == 0 else -1
 
 
 def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
     """Row basis of the classes of nonzero values of u^2 - a v^2, where a
     represents class cx.  This is the norm group of K(sqrt a)/K, of index
-    exactly 2; the search stops when that index is reached."""
+    exactly 2; the search stops when that index is reached.  Memoised per
+    field; every call returns a fresh list."""
+    return list(_norm_rows(F, cx))
+
+
+def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     memo = F._norm_group_memo
-    if cx in memo:
-        return memo[cx]
+    rows = memo.get(cx)
+    if rows is None:
+        rows = memo[cx] = _search_norm_rows(F, cx)
+    return rows
+
+
+def _search_norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
+    # u^2 - a v^2 over the pairs of squares of the samples at depth 3, then
+    # 2e + 2, u outer and v inner.  The first u is 0, whose values -a v^2 all
+    # lie in one class, so its pass reaches every v before the rows can fill:
+    # forming a v^2 for the whole depth up front costs no extra product.
     space = F.space()
     a = space.rep(cx)
     target = F.dim - 1
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
-        squares = [u * u for u in _sample_integral(F, depth)]
+        squares = F.sample_squares(depth)
         a_squares = [a * v2 for v2 in squares]
         for u2 in squares:
             for av2 in a_squares:
@@ -590,15 +678,8 @@ def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
                     continue
                 _gf2_insert(rows, space._classify(val, v))
                 if len(rows) == target:
-                    break
-            if len(rows) == target:
-                break
-        if len(rows) == target:
-            break
-    if len(rows) != target:
-        raise AssertionError("norm group search did not reach index 2")
-    memo[cx] = rows
-    return rows
+                    return tuple(rows)
+    raise AssertionError("norm group search did not reach index 2")
 
 
 # -- classical oracles ----------------------------------------------------------
@@ -657,7 +738,7 @@ def product_formula_holds(a, b, precision: int | None = None) -> bool:
     a, b = Fraction(a), Fraction(b)
     from .arith import factorint
 
-    F = LocalField("q2", precision=precision)
+    F = local_field("q2", precision)
     total = hilbert_symbol(F.from_rational(a), F.from_rational(b))
     total *= real_symbol(a, b)
     odd_primes = set()
@@ -681,15 +762,16 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
     for i in range(F.dim):
         _gf2_insert(full, 1 << i)
     out[-1] = full
+    one = F.one
     for k in range(0, F.e + 1):
         rows: list[int] = []
         expected = 1 + F.f * (F.e - k)
-        for t in _sample_integral(F, depth=2 * F.e + 2):
-            u = F.one + t * F.pi ** (2 * k)
+        pi_2k = F.pi ** (2 * k)
+        for t in F.samples(2 * F.e + 2):
+            u = one + t * pi_2k
             if u.valuation() != 0:
                 continue
-            vec = space.decompose(u)
-            _gf2_insert(rows, vec)
+            _gf2_insert(rows, space._classify(u, 0))
         if len(rows) != expected:
             raise AssertionError(
                 f"V_{k} has dimension {len(rows)}, cardinality lemma wants {expected}"
@@ -717,9 +799,13 @@ def span_masks(rows: list[int]) -> set[int]:
     return out
 
 
-def orthogonal_complement(F: LocalField, rows: list[int]) -> list[int]:
-    """All classes pairing trivially with a subspace, via the Gram matrix."""
-    gram = gram_matrix(F)
+def orthogonal_complement(
+    F: LocalField, rows: list[int], gram: list[list[int]] | None = None
+) -> list[int]:
+    """All classes pairing trivially with a subspace, via the Gram matrix
+    (gram_matrix(F) unless the caller passes it)."""
+    if gram is None:
+        gram = gram_matrix(F)
     comp: list[int] = []
     for m in range(1 << F.dim):
         if all(_pair_bit(gram, m, r) == 0 for r in rows):
@@ -755,7 +841,7 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     space = F.space()
     reps = space.all_reps()
     n = 1 << F.dim
-    table = [[hilbert_symbol(reps[i], reps[j]) for j in range(n)] for i in range(n)]
+    table = _symbol_table(F, reps)
     symmetric = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     # decompose must be linear on products of representatives
     linear = all(
@@ -772,7 +858,7 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     filtration = unit_filtration(F)
     dims = {k: len(rows) for k, rows in filtration.items()}
     duality = all(
-        span_masks(orthogonal_complement(F, filtration[k]))
+        span_masks(orthogonal_complement(F, filtration[k], gram))
         == span_masks(filtration[F.e - k])
         for k in range(-1, F.e + 2)
     )
@@ -809,6 +895,14 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     }
 
 
+def _symbol_table(F: LocalField, reps: list[LocalElem]) -> list[list[int]]:
+    """hilbert_symbol(reps[i], reps[j]) for every i, j, with each element
+    decomposed once."""
+    space = F.space()
+    classes = [space.decompose(x) for x in reps]
+    return [[_class_symbol(F, ci, cj) for cj in classes] for ci in classes]
+
+
 def _row_to_mask(row: list[int]) -> int:
     m = 0
     for i, bit in enumerate(row):
@@ -835,30 +929,36 @@ def _as_rational(F: LocalField, x: LocalElem) -> int:
 def _even_levels_pair_trivially(F: LocalField) -> bool:
     # (U_i, U_j) = 1 for even i, j >= 0 with i + j = 2e, sampled across
     # all square classes the groups meet
-    for i in range(0, 2 * F.e + 1, 2):
-        j = 2 * F.e - i
-        us = [F.one + t * F.pi**i for t in _sample_integral(F, 2 * F.e + 2 - i)]
-        vs = [F.one + t * F.pi**j for t in _sample_integral(F, 2 * F.e + 2 - j)]
-        us = [u for u in us if u.valuation() == 0]
-        vs = [v for v in vs if v.valuation() == 0]
-        seen_u = {}
-        for u in us:
-            seen_u.setdefault(F.space().decompose(u), u)
-        seen_v = {}
-        for v in vs:
-            seen_v.setdefault(F.space().decompose(v), v)
-        for u in seen_u.values():
-            for v in seen_v.values():
-                if hilbert_symbol(u, v) != 1:
+    levels = {i: _level_classes(F, i) for i in range(0, 2 * F.e + 1, 2)}
+    for i, us in levels.items():
+        for cu in us:
+            for cv in levels[2 * F.e - i]:
+                if _class_symbol(F, cu, cv) != 1:
                     return False
     return True
 
 
+def _level_classes(F: LocalField, i: int) -> set[int]:
+    """The square classes of the units 1 + t pi^i, t over the samples of
+    depth 2e + 2 - i."""
+    space = F.space()
+    one, pi_i = F.one, F.pi**i
+    out = set()
+    for t in F.samples(2 * F.e + 2 - i):
+        u = one + t * pi_i
+        if u.valuation() == 0:
+            out.add(space._classify(u, 0))
+    return out
+
+
 def _units_mod_squares_constructive(F: LocalField) -> bool:
     # U_2k = U_(2k+1) U_k^2 for 0 <= k <= e-1, constructively
+    one = F.one
     for k in range(0, F.e):
-        for t in _sample_integral(F, 2):
-            u = F.one + t * F.pi ** (2 * k)
+        pi_k = F.pi**k
+        pi_2k = pi_k * pi_k
+        for t in F.samples(2):
+            u = one + t * pi_2k
             if u.valuation() != 0:
                 continue
             lvl_elem = u - F.one
@@ -868,7 +968,7 @@ def _units_mod_squares_constructive(F: LocalField) -> bool:
             if lvl >= 2 * k + 1:
                 continue  # already in U_(2k+1), factor (1)^2
             t_res = F.res_sqrt(F.residue(_shift_down(lvl_elem, 2 * k)))
-            factor = F.one + F.res_lift(t_res) * F.pi**k
+            factor = one + F.res_lift(t_res) * pi_k
             rem = u * (factor * factor).unit_inverse()
             lv = (rem - F.one).valuation()
             if lv is not None and lv < 2 * k + 1:
@@ -879,7 +979,7 @@ def _units_mod_squares_constructive(F: LocalField) -> bool:
 def _trace_criterion_exhaustive(F: LocalField) -> bool:
     # on U_2e = 1 + 4x: square iff residue trace of x vanishes; the
     # certificate's unit part must sit in U_e (up to sign)
-    for x in _sample_integral(F, 2):
+    for x in F.samples(2):
         u = F.one + x * F.elem(4)
         if u.valuation() != 0:
             continue

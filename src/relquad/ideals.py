@@ -17,8 +17,8 @@ no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
 computation, and every call returns a fresh list.  Ideal.inverse (and its
-check I * I^-1 = (1)) and ideals_of_norm, per (field, n), are memoised in
-LRU caches of the same size.  Scaling by an integer is integer products.
+check I * I^-1 = (1)), ideals_of_norm, per (field, n), and the prime powers
+PrimeIdeal.power, per (P, k), are memoised in LRU caches of the same size.  Scaling by an integer is integer products.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
@@ -603,8 +603,17 @@ class PrimeIdeal:
     def norm(self) -> int:
         return self.p**self.residue_degree
 
+    def power(self, k: int) -> Ideal:
+        """The ideal P^k, memoised by (P, k) like Ideal.inverse."""
+        return _prime_power(self, k)
+
     def __str__(self):
         return self.ideal.pretty()
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _prime_power(P: PrimeIdeal, k: int) -> Ideal:
+    return P.ideal**k
 
 
 def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:

@@ -10,7 +10,8 @@ through principal ideals, gcds and factorizations (the route that the
 integer coordinates of characters.QuadCharacter replaced), and local square
 solvability by field-element residues and principal-ideal valuations (the
 route that the integer search of discriminants.local_square_solvable
-replaced).
+replaced), and the dyadic pairing with one Hilbert symbol per pair of
+elements (the route that dyadic.duality_report's class table replaced).
 """
 
 from __future__ import annotations
@@ -19,7 +20,19 @@ from fractions import Fraction
 from math import isqrt
 
 from relquad.discriminants import _dyadic_ramification, uniformizer_of
-from relquad.dyadic import LocalElem, LocalField, _gf2_insert, _sample_integral, _unit_candidates, is_square
+from relquad.dyadic import (
+    LocalElem,
+    LocalField,
+    _gf2_insert,
+    _sample_integral,
+    _unit_candidates,
+    gram_matrix,
+    hilbert_symbol,
+    is_square,
+    orthogonal_complement,
+    span_masks,
+    unit_filtration,
+)
 from relquad.field import Elem, QuadField, fundamental_unit
 from relquad.ideals import Ideal, principal_ideal, unit_ideal
 
@@ -341,3 +354,20 @@ def local_square_solvable_by_residues(delta: Elem, P, target: int) -> bool:
         if vx is None or vx >= target:
             return True
     return False
+
+
+# -- the dyadic pairing on elements ------------------------------------------------
+
+
+def element_pairing(F: LocalField) -> tuple[list[list[int]], list[list[int]], bool]:
+    """The symbol table, the Gram matrix and the duality check of
+    dyadic.duality_report with one hilbert_symbol call per pair of class
+    representatives, and gram_matrix rebuilt for every filtration level."""
+    reps = F.space().all_reps()
+    table = [[hilbert_symbol(x, y) for y in reps] for x in reps]
+    filtration = unit_filtration(F)
+    duality = all(
+        span_masks(orthogonal_complement(F, filtration[k])) == span_masks(filtration[F.e - k])
+        for k in range(-1, F.e + 2)
+    )
+    return table, gram_matrix(F), duality

@@ -125,3 +125,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].split("\t")[0] == "norm"
+
+
+def test_reused_parser_matches_fresh_parsers(capsys):
+    # main() parses every request with one parser; a run of mixed requests,
+    # usage errors among them, must print and exit as with a fresh parser
+    # per request
+    from relquad import cli
+
+    requests = [
+        ["fdelta", "--field", "10", "--delta", "-4"],
+        ["table", "--field", "5", "--bound", "30", "--format", "json"],
+        ["table", "--field", "5"],  # argparse usage error: no --bound
+        ["conductor", "--field", "0", "--delta", "-12"],
+        ["fdelta", "--field", "0", "--delta", "7"],  # not a discriminant
+        ["hurwitz", "--delta", "-23"],
+        ["local-duality", "--field", "ram:-5"],
+        ["char", "--field", "0", "--delta", "-12", "--ideal", "[2]/1"],
+        ["zeta-coeffs", "--field", "5", "--delta", "-4", "--bound", "12"],
+        ["no-such-command"],
+        ["table", "--field", "10", "--bound", "9"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    cli._parser.cache_clear()
+    reused = [run(argv) for argv in requests]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 0]
+    assert cli.build_parser() is not cli.build_parser()

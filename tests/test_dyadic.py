@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,12 @@ from relquad.dyadic import (
 from relquad import dyadic
 from relquad.dyadic import SquareClassSpace, _sample_integral, _shift_down
 
-from helpers import _first_square_mask, certificate_square_classes, norm_class_rows_by_decompose
+from helpers import (
+    _first_square_mask,
+    certificate_square_classes,
+    element_pairing,
+    norm_class_rows_by_decompose,
+)
 
 DESCRIPTORS = ["q2", "unram"] + [f"ram:{c}" for c in RAMIFIED_CLASSES]
 
@@ -300,3 +306,131 @@ def test_sample_integral_order(desc):
     for i in range(depth):
         outs = [acc + F.res_lift(r) * F.pi**i for acc in outs for r in F.digits]
     assert _sample_integral(F, depth) == outs
+
+
+def _descriptor_args(desc):
+    return ("ram", int(desc[4:])) if desc.startswith("ram:") else (desc, None)
+
+
+def test_local_fields_are_interned():
+    # one field per (kind, c, precision): the default precision names the
+    # same instance as its explicit value, precision + 4 another one
+    fields = all_local_fields()
+    assert [local_field(d) for d in DESCRIPTORS] == fields
+    for desc, F in zip(DESCRIPTORS, fields):
+        assert local_field(desc) is F
+        assert local_field(desc, F.precision) is F
+        fine = local_field(desc, F.precision + 4)
+        assert fine is not F and fine.precision == F.precision + 4
+        assert local_field(desc, F.precision + 4) is fine
+        assert all_local_fields(F.precision + 4)[DESCRIPTORS.index(desc)] is fine
+        assert LocalField(*_descriptor_args(desc)) is not F
+        assert F.space() is F.space()
+    assert local_field("ram:2") is not local_field("ram:-2")
+
+
+def test_field_caches_are_immutable():
+    # shared caches hold tuples; the norm-group rows reach callers as fresh lists
+    F = local_field("unram")
+    assert isinstance(F.samples(3), tuple) and F.samples(3) is F.samples(3)
+    assert list(F.samples(3)) == _sample_integral(F, 3)
+    assert F.sample_squares(3) == tuple(u * u for u in _sample_integral(F, 3))
+    rows = dyadic._norm_class_subgroup(F, 1)
+    rows.append(0)
+    assert dyadic._norm_class_subgroup(F, 1) == rows[:-1]
+    assert all(isinstance(r, tuple) for r in F._norm_group_memo.values())
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_pairing_table_matches_element_symbols(desc, extra):
+    # the report's class table and Gram matrix against one Hilbert symbol
+    # per pair of elements and a Gram matrix rebuilt per filtration level
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    table, gram, duality = element_pairing(F)
+    assert dyadic._symbol_table(F, F.space().all_reps()) == table
+    rep = duality_report(desc, F.precision)
+    assert rep["gram"] == gram
+    assert rep["duality_ok"] == duality
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_private_field_report_matches_interned(desc, monkeypatch):
+    # a LocalField built directly shares no cache with the interned one and
+    # must give the same report
+    interned = duality_report(desc)
+    with monkeypatch.context() as m:
+        m.setattr(dyadic, "local_field", lambda d, p=None: LocalField(*_descriptor_args(d), p))
+        private = duality_report(desc)
+    assert private == interned
+
+
+@pytest.mark.parametrize("extra", [0, 4, 9])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_unit_part_matches_shift_down(desc, extra):
+    # x f_v / 2^s has the key and the mask of v divisions by pi, on every
+    # digit pattern of depth 2e + 3 and on those times pi and pi^2
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    space = F.space()
+    for x in _sample_integral(F, 2 * F.e + 3):
+        if not x:
+            continue
+        for y in (x, x * F.pi, x * F.pi * F.pi):
+            v = y.valuation()
+            key = space.key(_shift_down(y, v))
+            assert space._unit_key(y, v) == key, (desc, y)
+            assert space.decompose(y) == v % 2 | space.table[key] << 1, (desc, y)
+
+
+def test_unit_part_at_the_valuation_cap():
+    # the deepest valuation decompose accepts still leaves the unit part's
+    # class readable
+    for F in all_local_fields():
+        space = F.space()
+        top = F.e * (F.precision + 2)
+        for u in (F.one, space.basis[-1]):
+            y = u * F.pi**top
+            assert y.valuation() == top
+            assert space._unit_key(y, top) == space.key(_shift_down(y, top)), F
+
+
+def test_shared_fields_survive_racing_threads(monkeypatch):
+    # threads race to fill the lazy caches of fields no other test builds;
+    # every report and symbol must equal those of private fields
+    extra = 13
+    pairs = [((3, 1), (2, -5)), ((-1, 0), (6, 7)), ((5, 2), (-3, 4))]
+
+    def run(descs):
+        out = {}
+        for desc in descs:
+            F = dyadic.local_field(desc)
+            F = dyadic.local_field(desc, F.precision + extra)
+            elems = [F.elem(a, 0 if desc == "q2" else b) for pair in pairs for a, b in pair]
+            symbols = [hilbert_symbol(x, y) for x, y in zip(elems[::2], elems[1::2])]
+            out[desc] = (duality_report(desc, F.precision), symbols)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(dyadic, "local_field", lambda d, p=None: LocalField(*_descriptor_args(d), p))
+        expected = run(DESCRIPTORS)
+    results = []
+
+    def worker(k):
+        got = run(DESCRIPTORS[k:] + DESCRIPTORS[:k])
+        results.append(got)
+
+    threads = [threading.Thread(target=worker, args=(k % len(DESCRIPTORS),)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    assert all(got == expected for got in results)

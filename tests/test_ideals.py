@@ -463,3 +463,18 @@ def test_primes_above_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "raised", "True"] * 2 + ["[2,", "2]"]
+
+
+def test_prime_power_memo_matches_square_and_multiply():
+    # PrimeIdeal.power serves P^k from an LRU memo; every power equals the
+    # square-and-multiply power and the running product, and a repeated
+    # request is a memo hit
+    for d in (None, 5, 10, -15):
+        K = make_field(d)
+        for p in (2, 3, 5):
+            for P in primes_above(K, p):
+                product = unit_ideal(K)
+                for k in range(13):
+                    assert P.power(k) == P.ideal**k == product, (d, p, k)
+                    assert P.power(k) is P.power(k)
+                    product = product * P.ideal
