@@ -5,10 +5,16 @@ duality of the even-level unit filtration under the Hilbert pairing.
 The eight fields are Q2 itself, its unramified quadratic extension
 (basis {1, w}, w^2 = w + 1, i.e. Q2(sqrt 5)), and the six ramified
 quadratic extensions Q2(sqrt c) for c in {-1, -5, 2, -2, 10, -10}.
-Elements are truncated: coordinates live modulo 2^precision, which pins
-the element modulo pi^(e * precision); every decision used here stabilizes
-far below that depth, and the test protocol re-runs everything at
-precision + 4 demanding identical answers.
+An element is a + b t over the field's generator t, and one rule
+t^2 = T t + C serves all three kinds: (T, C) = (0, 0) for Q2, whose b
+coordinate stays 0, (1, 1) for the unramified field (t = w) and (0, c) for
+Q2(sqrt c).  Product, conjugate (a + T b) - b t, norm a^2 + T a b - C b^2
+(a^2 over Q2), valuation, unit inverse and residue are each written once
+from (T, C), as the paper's appendix treats every dyadic field of degree
+at most 2 at once.  Elements are truncated: coordinates live modulo
+2^precision, which pins the element modulo pi^(e * precision); every
+decision used here stabilizes far below that depth, and the test protocol
+re-runs everything at precision + 4 demanding identical answers.
 
 Square classes rest on the local square theorem (O'Meara, Introduction to
 Quadratic Forms, 63:1; the paper's appendix on U_k): every unit of
@@ -30,10 +36,12 @@ intern their fields, one LocalField per (kind, c, precision), as
 field.make_field interns QuadField: the square-class space, the norm groups
 of the Hilbert symbol and the digit samples are built once per field and
 precision, and every caller shares them; the intern table grows only with
-the (field, precision) pairs asked for.  The Hilbert symbol depends only on
-the two square classes; hilbert_symbol decomposes its arguments and reads
-the symbol off the norm group of the first class, and duality_report
-decomposes each class representative once and pairs the classes.
+the (field, precision) pairs asked for.  The package gets every field
+there; a LocalField built directly is a private instance, for tests.  The
+Hilbert symbol depends only on the two square classes; hilbert_symbol
+decomposes its arguments and reads the symbol off the norm group of the
+first class, and duality_report decomposes each class representative once
+and pairs the classes.
 """
 
 from __future__ import annotations
@@ -71,19 +79,23 @@ class LocalField:
     the descriptor and the precision alone, so a lazy build that two threads
     race to fill computes the same value whichever write lands: instances
     may be shared between threads.
+    The generator t of the basis {1, t} satisfies t^2 = T t + C, with
+    (T, C) = (0, 0) for Q2, (1, 1) for the unramified field and (0, c) for
+    Q2(sqrt c); LocalElem's arithmetic reads only these two constants.
     local_field() and all_local_fields() intern instances, one per (kind, c,
-    precision), so those caches are built once per process; calling
-    LocalField directly gives a private instance with caches of its own."""
+    precision), so those caches are built once per process, and they are
+    the package's only way to a field.  Calling LocalField directly gives a
+    private instance with caches of its own; that is for tests."""
 
     def __init__(self, kind: str, c: int | None = None, precision: int | None = None):
         if kind == "q2":
-            self.e, self.f, self.c = 1, 1, None
-        elif kind == "unram":
-            self.e, self.f, self.c = 1, 2, None
+            self.e, self.f, self.c, self.T, self.C = 1, 1, None, 0, 0
+        elif kind == "unram":  # w^2 = w + 1
+            self.e, self.f, self.c, self.T, self.C = 1, 2, None, 1, 1
         elif kind == "ram":
             if c not in RAMIFIED_CLASSES:
                 raise ValueError(f"ramified class must be one of {RAMIFIED_CLASSES}")
-            self.e, self.f, self.c = 2, 1, c
+            self.e, self.f, self.c, self.T, self.C = 2, 1, c, 0, c
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
@@ -146,10 +158,8 @@ class LocalField:
         """Image in the residue field: a bit for F2, a bit pair p + q*g for F4."""
         if self.f == 2:
             return (x.a & 1, x.b & 1)
-        if self.kind == "q2" or self.c % 2 == 0:
-            return (x.a & 1, 0)
-        # pi = 1 + sqrt c: sqrt c = 1 mod pi
-        return ((x.a + x.b) & 1, 0)
+        # f = 1 makes T = 0, and on F2 t = t^2 = C
+        return ((x.a + self.C * x.b) & 1, 0)
 
     def res_mul(self, r, s):
         p1, q1 = r
@@ -209,16 +219,10 @@ class LocalElem:
 
     def __mul__(self, other: "LocalElem") -> "LocalElem":
         F = self.field
-        W = F.W
-        if F.kind == "q2":
-            return LocalElem(F, self.a * other.a % W, 0)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if F.kind == "unram":  # w^2 = w + 1
-            return LocalElem(
-                F, (a1 * a2 + b1 * b2) % W, (a1 * b2 + b1 * a2 + b1 * b2) % W
-            )
+        bb = b1 * b2  # t^2 = T t + C
         return LocalElem(
-            F, (a1 * a2 + F.c * b1 * b2) % W, (a1 * b2 + b1 * a2) % W
+            F, (a1 * a2 + F.C * bb) % F.W, (a1 * b2 + b1 * a2 + F.T * bb) % F.W
         )
 
     def __add__(self, other):
@@ -237,24 +241,19 @@ class LocalElem:
         return self.a != 0 or self.b != 0
 
     def norm_int(self) -> int:
-        """Norm to Q2 of the canonical representative, as an exact integer."""
+        """x conj(x) = a^2 + T a b - C b^2 of the canonical representative,
+        as an exact integer; over Q2 that is a^2."""
         F = self.field
-        if F.kind == "q2":
-            return self.a
-        if F.kind == "unram":
-            return self.a * self.a + self.a * self.b - self.b * self.b
-        return self.a * self.a - F.c * self.b * self.b
+        a, b = self.a, self.b
+        return a * a + F.T * a * b - F.C * b * b
 
     def conj(self) -> "LocalElem":
         F = self.field
-        if F.kind == "q2":
-            return self
-        if F.kind == "unram":
-            return LocalElem(F, (self.a + self.b) % F.W, -self.b % F.W)
-        return LocalElem(F, self.a, -self.b % F.W)
+        return LocalElem(F, (self.a + F.T * self.b) % F.W, -self.b % F.W)
 
     def valuation(self) -> int | None:
-        """pi-adic valuation; None means indistinguishable from 0 here."""
+        """pi-adic valuation e v2(N(x)) / 2; None means indistinguishable
+        from 0 here."""
         F = self.field
         if not self:
             return None
@@ -265,14 +264,9 @@ class LocalElem:
         while n % 2 == 0:
             n //= 2
             v2 += 1
-        if F.kind == "q2":
-            v = v2
-        elif F.kind == "unram":
-            if v2 % 2:  # the norm of 2^v * unit is 4^v * odd
-                raise AssertionError(f"unramified norm with odd 2-adic valuation {v2}")
-            v = v2 // 2
-        else:
-            v = v2
+        if F.e * v2 % 2:  # for e = 1 the norm of 2^v * unit is 4^v * odd
+            raise AssertionError(f"norm with odd 2-adic valuation {v2} in {F}")
+        v = F.e * v2 // 2
         if v > F.e * (F.precision + 2):
             return None
         return v
@@ -282,8 +276,6 @@ class LocalElem:
         n = self.norm_int()
         if n % 2 == 0:
             raise ValueError("not a unit")
-        if F.kind == "q2":
-            return LocalElem(F, pow(self.a, -1, F.W), 0)
         inv_n = pow(n, -1, F.W)
         c = self.conj()
         return LocalElem(F, c.a * inv_n % F.W, c.b * inv_n % F.W)
@@ -291,11 +283,7 @@ class LocalElem:
     def div_exact_pi(self) -> "LocalElem":
         F = self.field
         W = F.W
-        if F.kind == "q2":
-            if self.a % 2:
-                raise ValueError(f"{self} is not divisible by pi")
-            return LocalElem(F, (self.a // 2) % W, 0)
-        if F.kind == "unram":
+        if F.e == 1:  # pi = 2
             if self.a % 2 or self.b % 2:
                 raise ValueError(f"{self} is not divisible by pi")
             return LocalElem(F, (self.a // 2) % W, (self.b // 2) % W)
@@ -460,7 +448,7 @@ def square_mod_level(u: LocalElem, target: int) -> bool:
         return True
     F = u.field
     depth = (target + 1) // 2 + F.e
-    for x in _sample_integral(F, depth):
+    for x in F.samples(depth):
         diff = x * x - u
         if not diff:
             return True
@@ -642,15 +630,11 @@ def _class_symbol(F: LocalField, cx: int, cy: int) -> int:
     return 1 if _gf2_reduce(_norm_rows(F, cx), cy) == 0 else -1
 
 
-def _norm_class_subgroup(F: LocalField, cx: int) -> list[int]:
+def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     """Row basis of the classes of nonzero values of u^2 - a v^2, where a
     represents class cx.  This is the norm group of K(sqrt a)/K, of index
     exactly 2; the search stops when that index is reached.  Memoised per
-    field; every call returns a fresh list."""
-    return list(_norm_rows(F, cx))
-
-
-def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
+    field."""
     memo = F._norm_group_memo
     rows = memo.get(cx)
     if rows is None:
@@ -755,23 +739,19 @@ def product_formula_holds(a, b, precision: int | None = None) -> bool:
 
 def unit_filtration(F: LocalField) -> dict[int, list[int]]:
     """V_k = image of U_(2k) in the square classes, as GF(2) row bases,
-    for k = -1 .. e+1; dimensions must match 1 + f(e-k) for 0 <= k <= e."""
-    space = F.space()
+    for k = -1 .. e+1; dimensions must match 1 + f(e-k) for 0 <= k <= e.
+    V_k is spanned by _level_classes(F, 2k), which reaches every residue of
+    U_(2k) modulo pi^(2e+2), deeper than the square class depends on."""
     out: dict[int, list[int]] = {}
     full: list[int] = []
     for i in range(F.dim):
         _gf2_insert(full, 1 << i)
     out[-1] = full
-    one = F.one
     for k in range(0, F.e + 1):
         rows: list[int] = []
         expected = 1 + F.f * (F.e - k)
-        pi_2k = F.pi ** (2 * k)
-        for t in F.samples(2 * F.e + 2):
-            u = one + t * pi_2k
-            if u.valuation() != 0:
-                continue
-            _gf2_insert(rows, space._classify(u, 0))
+        for cls in _level_classes(F, 2 * k):
+            _gf2_insert(rows, cls)
         if len(rows) != expected:
             raise AssertionError(
                 f"V_{k} has dimension {len(rows)}, cardinality lemma wants {expected}"

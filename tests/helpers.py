@@ -302,7 +302,7 @@ def conductor_by_ideals(chi):
 
 
 def norm_class_rows_by_decompose(F: LocalField, cx: int) -> list[int]:
-    """dyadic._norm_class_subgroup(F, cx) with every sampled value skipped
+    """dyadic._norm_rows(F, cx) with every sampled value skipped
     by its own valuation test and classified by the public decompose."""
     space = F.space()
     a = space.rep(cx)

@@ -26,6 +26,7 @@ from relquad.dyadic import (
 )
 from relquad import dyadic
 from relquad.dyadic import SquareClassSpace, _sample_integral, _shift_down
+from relquad.field import make_field
 
 from helpers import (
     _first_square_mask,
@@ -251,7 +252,7 @@ def test_norm_class_rows_match_decompose_route(desc, extra):
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     for cx in range(1, 1 << F.dim):
-        assert dyadic._norm_class_subgroup(F, cx) == norm_class_rows_by_decompose(F, cx), (desc, cx)
+        assert list(dyadic._norm_rows(F, cx)) == norm_class_rows_by_decompose(F, cx), (desc, cx)
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
@@ -330,14 +331,13 @@ def test_local_fields_are_interned():
 
 
 def test_field_caches_are_immutable():
-    # shared caches hold tuples; the norm-group rows reach callers as fresh lists
+    # shared caches hold tuples; every call gets the one stored tuple of norm-group rows
     F = local_field("unram")
     assert isinstance(F.samples(3), tuple) and F.samples(3) is F.samples(3)
     assert list(F.samples(3)) == _sample_integral(F, 3)
     assert F.sample_squares(3) == tuple(u * u for u in _sample_integral(F, 3))
-    rows = dyadic._norm_class_subgroup(F, 1)
-    rows.append(0)
-    assert dyadic._norm_class_subgroup(F, 1) == rows[:-1]
+    rows = dyadic._norm_rows(F, 1)
+    assert isinstance(rows, tuple) and dyadic._norm_rows(F, 1) is rows
     assert all(isinstance(r, tuple) for r in F._norm_group_memo.values())
 
 
@@ -434,3 +434,33 @@ def test_shared_fields_survive_racing_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == len(threads)
     assert all(got == expected for got in results)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_generator_rule_matches_global_arithmetic(desc):
+    # t^2 = T t + C against field.Elem: a + b w in Q(sqrt 5), w^2 = w + 1,
+    # for the unramified field and a + b sqrt c in Q(sqrt c) for ram:c; the
+    # product, the conjugate and the norm agree modulo W.  Over Q2 the norm
+    # is a^2 and the product that of the integers
+    F = local_field(desc)
+    W = F.W
+    grid = [0, 1, 2, 3, -5, 12, W - 7, (1 << F.precision) + 1]
+    if desc == "q2":
+        for a1 in grid:
+            x = F.elem(a1)
+            assert x.norm_int() == x.a * x.a and x.conj() == x
+            for a2 in grid:
+                assert (x * F.elem(a2)).key() == (a1 * a2 % W, 0)
+        return
+    K = make_field(5 if desc == "unram" else F.c)
+
+    def coords(X):
+        return (int(X.x) % W, int(X.y) % W)
+
+    pairs = [(a, b) for a in grid for b in grid]
+    for a1, b1 in pairs:
+        x, X = F.elem(a1, b1), K.elem(a1 % W, b1 % W)
+        assert x.conj().key() == coords(X.conj()), (desc, a1, b1)
+        assert x.norm_int() == X.norm(), (desc, a1, b1)
+        for a2, b2 in pairs[::7]:
+            assert (x * F.elem(a2, b2)).key() == coords(X * K.elem(a2, b2)), (desc, a1, b1, a2, b2)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import relquad
+from relquad import dyadic, verify
 from relquad.discriminants import conductor_ideal
 from relquad.field import make_field
 from relquad.ideals import primes_above, principal_ideal
@@ -172,3 +173,30 @@ def test_dyadic_unit_class_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "False", "8", "8"]
+
+
+@pytest.mark.parametrize(("d", "desc"), [(None, "q2"), (5, "unram"), (10, "ram:10"), (-7, "q2")])
+def test_completion_uses_interned_fields(d, desc):
+    # completions share the interned field, and so its digit samples and
+    # square-class tables, with every other caller
+    K = make_field(d)
+    for P in primes_above(K, 2):
+        assert completion_at(K, P)[0] is dyadic.local_field(desc), (d, P)
+
+
+def test_dyadic_suite_compares_whole_reports(monkeypatch):
+    # a rerun at precision + 4 that differs only in `symmetric` fails the
+    # suite: the stability check compares whole reports, not chosen keys
+    real = verify.duality_report
+
+    def flipped(desc, precision=None):
+        rep = real(desc, precision)
+        if precision is not None:
+            rep = dict(rep, symmetric=not rep["symmetric"])
+        return rep
+
+    assert run_suite("dyadic", descriptor="q2")["ok"]
+    monkeypatch.setattr(verify, "duality_report", flipped)
+    rep = run_suite("dyadic", descriptor="q2")
+    assert not rep["ok"]
+    assert rep["failures"] == ["q2: decisions changed at precision +4"]
