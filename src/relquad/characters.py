@@ -7,16 +7,22 @@ conductor is the relative discriminant (delta)/f^2; the primitive version
 lives mod that conductor, and the extended coefficient function weights
 square gcds with delta by their norm.
 
+The primitive character follows the splitting law: at a prime P off the
+conductor it is +1 or -1 as P splits or stays inert in K(sqrt delta), which
+at a P dividing f is one local_square_solvable call on the unit part (local
+square theorem).  The route through an auxiliary prime in the ideal class
+is the test oracle tests/helpers.py::primitive_by_auxiliary_prime.
+
 On elements the character works on integer coordinates and builds no
 ideal.  An element is read as (x + y*w)/m with integers x, y and m >= 1;
 ideals.coords_valuation gives v_P from the coordinates (Cohen, GTM 138,
 4.8), so coprimality to delta is v_P = 0 at the primes of delta, listed once
 per instance, and the value is the product of at_prime(P) over the P above
 the primes of N(x + y*w) and m where v_P is odd, times the signs that
-field.coords_sign decides on integers.  residue_table builds its lifts,
-conductor_exhaustive groups residues with Ideal.reduce_coords, and the
-coprime proxy searches, all on integer pairs.  The route through
-principal_ideal, Ideal.gcd and Ideal.factor survives as the test oracles
+field.coords_sign decides on integers.  residue_table builds its lifts and
+conductor_exhaustive groups residues with Ideal.reduce_coords, both on
+integer pairs.  The route through principal_ideal, Ideal.gcd and
+Ideal.factor survives as the test oracles
 tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 """
 
@@ -25,7 +31,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import factorint, kronecker
-from .discriminants import DiscriminantInfo, conductor_ideal
+from .discriminants import (
+    DiscriminantInfo,
+    _dyadic_ramification,
+    conductor_ideal,
+    local_square_solvable,
+)
 from .field import Elem, coords_sign
 from .ideals import (
     Ideal,
@@ -40,7 +51,6 @@ from .ideals import (
 
 __all__ = ["QuadCharacter"]
 
-AUX_PRIME_NORM_BOUND = 10_000
 RESIDUE_TABLE_BOUND = 4096  # largest N(delta) whose residue table is built
 
 
@@ -66,7 +76,7 @@ class QuadCharacter:
         )
         self._prime_memo: dict[PrimeIdeal, int] = {}
         self._above_memo: dict[int, tuple[tuple[PrimeIdeal, int], ...]] = {}
-        self._primitive_memo: dict[Ideal, int] = {}
+        self._unit_part_memo: dict[PrimeIdeal, int] = {}
 
     # -- the symbol on primes and coprime ideals -----------------------------
 
@@ -210,69 +220,40 @@ class QuadCharacter:
     # -- primitive character ----------------------------------------------------
 
     def primitive(self, a: Ideal) -> int:
-        """The primitive character mod (delta)/f^2 on an integral ideal:
-        0 off the conductor; the plain symbol on ideals coprime to delta;
-        otherwise evaluated through an auxiliary prime in the ideal class
-        of a and a coprime residue proxy."""
+        """The primitive character mod the conductor (delta)/f^2 on an
+        integral ideal, by the splitting law: 0 if a meets the conductor,
+        else the product over P^e || a, e odd, of +1 or -1 as P splits or
+        stays inert in K(sqrt delta); at P off delta that is at_prime(P)."""
         if not a.is_integral():
             raise ValueError("integral ideal required")
-        if a in self._primitive_memo:
-            return self._primitive_memo[a]
-        if not _coprime_to(a, self.conductor):
+        val = 1
+        for P, e in a.factor():
+            if P in self._delta_primes:
+                chi_P = self._unit_part_value(P)
+                if not chi_P:
+                    return 0
+                if e % 2:
+                    val *= chi_P
+            elif e % 2:
+                val *= self.at_prime(P)
+        return val
+
+    def _unit_part_value(self, P: PrimeIdeal) -> int:
+        """primitive's value at a prime P of delta, memoised: 0 on the
+        conductor; off it v_P(delta) is even, the unit part is a square mod 4
+        at P, and P splits iff it is one mod 4P (local square theorem,
+        O'Meara 63:1; Hensel at an odd P): iff delta is a square mod
+        P^(v_P(delta) + 2 v_P(2) + 1)."""
+        memo = self._unit_part_memo
+        if P in memo:
+            return memo[P]
+        if self.conductor.valuation(P):
             val = 0
-        elif self._coprime(a):
-            val = self.on_ideal(a)
         else:
-            aux, alpha = next(self.auxiliary_splits(a))
-            val = self.primitive_via(aux, alpha)
-        self._primitive_memo[a] = val
+            target = self.modulus.valuation(P) + 2 * _dyadic_ramification(P) + 1
+            val = 1 if local_square_solvable(self.delta, P, target) else -1
+        memo[P] = val
         return val
-
-    def primitive_via(self, aux: PrimeIdeal, alpha: Elem) -> int:
-        """Primitive value of (alpha)*aux through the coprime proxy route."""
-        b = self._coprime_proxy(alpha)
-        val = self.at_prime(aux) * self.on_element(b)
-        for i in self.negative_embeddings:
-            val *= alpha.sign_at(i)
-        return val
-
-    def auxiliary_splits(self, a: Ideal):
-        """Pairs (P, alpha) with P prime, P not dividing delta, and
-        a = (alpha) * P; searched by increasing prime norm."""
-        found = False
-        for P in _prime_ideals_by_norm(self.field, AUX_PRIME_NORM_BOUND):
-            if self.modulus.valuation(P) != 0:
-                continue
-            g = (a * P.ideal.inverse()).principal_generator()
-            if g is not None:
-                found = True
-                yield P, g
-        if not found:
-            raise ArithmeticError(
-                f"no auxiliary prime of norm <= {AUX_PRIME_NORM_BOUND} in the class of {a}"
-            )
-
-    def _coprime_proxy(self, alpha: Elem) -> Elem:
-        """Integral b = alpha mod conductor (to full conductor precision at
-        each of its primes) that is coprime to delta."""
-        cond = self.conductor
-        extra = unit_ideal(self.field)
-        for P in self._delta_primes:
-            if cond.valuation(P) == 0:
-                extra = extra * P.ideal
-        search = cond * extra
-        cond_fac = cond.factor()
-        ax, ay, am = alpha.integer_coords()
-        for i, j in search.residue_coords():
-            x, y = _balance(search, i, j)
-            if not (x or y) or not self._coprime_coords(x, y):
-                continue
-            # cand - alpha = (dx + dy*w)/am; equality passes every Q
-            dx, dy = am * x - ax, am * y - ay
-            if (dx or dy) and any(coords_valuation(Q, dx, dy, am) < vq for Q, vq in cond_fac):
-                continue
-            return self.field.elem(x, y)
-        raise AssertionError("no coprime proxy found; conductor data inconsistent")
 
     # -- extended coefficient function ------------------------------------------
 
@@ -305,10 +286,6 @@ class QuadCharacter:
         return per_ideal, sums
 
 
-def _coprime_to(a: Ideal, b: Ideal) -> bool:
-    return a.gcd(b).is_unit_ideal()
-
-
 def _witness(D: Ideal, rows: list[tuple[int, int, int]]):
     """The first two residues (x, y), in row order, that agree modulo D but
     carry different values, or None when the values factor through D."""
@@ -339,29 +316,3 @@ def _balance(m: Ideal, x: int, y: int) -> tuple[int, int]:
         x -= a
     return x, j
 
-
-def _prime_ideals_by_norm(K, bound: int):
-    """Prime ideals of K by increasing norm: norm p for split/ramified
-    primes, norm p^2 for inert ones."""
-    from .arith import is_prime, primes_upto
-
-    for n in range(2, bound + 1):
-        if is_prime(n):
-            for P in primes_above(K, n):
-                if P.norm() == n:
-                    yield P
-        else:
-            r = _exact_prime_sqrt(n)
-            if r is not None:
-                for P in primes_above(K, r):
-                    if P.norm() == n:
-                        yield P
-
-
-def _exact_prime_sqrt(n: int) -> int | None:
-    from math import isqrt
-
-    from .arith import is_prime
-
-    r = isqrt(n)
-    return r if r * r == n and is_prime(r) else None

@@ -74,11 +74,11 @@ class LocalField:
     The descriptor is immutable and element operations are pure.  The
     instance caches, on first use, its square-class space (basis and unit
     table, see SquareClassSpace), the norm groups that hilbert_symbol
-    searches and the digit samples of _sample_integral, the last two as
-    tuples; no code mutates any of them once built.  Each is a function of
-    the descriptor and the precision alone, so a lazy build that two threads
-    race to fill computes the same value whichever write lands: instances
-    may be shared between threads.
+    searches, the digit samples of _sample_integral and the unit classes of
+    _level_classes, the last three as tuples; no code mutates any of them
+    once built.  Each is a function of the descriptor and the precision
+    alone, so a lazy build that two threads race to fill computes the same
+    value whichever write lands: instances may be shared between threads.
     The generator t of the basis {1, t} satisfies t^2 = T t + C, with
     (T, C) = (0, 0) for Q2, (1, 1) for the unramified field and (0, c) for
     Q2(sqrt c); LocalElem's arithmetic reads only these two constants.
@@ -109,6 +109,7 @@ class LocalField:
         self._norm_group_memo: dict[int, tuple[int, ...]] = {}
         self._sample_memo: dict[int, tuple[LocalElem, ...]] = {}
         self._square_memo: dict[int, tuple[LocalElem, ...]] = {}
+        self._level_memo: dict[int, tuple[int, ...]] = {}
         self._space = None
 
     def __repr__(self):
@@ -918,16 +919,15 @@ def _even_levels_pair_trivially(F: LocalField) -> bool:
     return True
 
 
-def _level_classes(F: LocalField, i: int) -> set[int]:
+def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     """The square classes of the units 1 + t pi^i, t over the samples of
-    depth 2e + 2 - i."""
-    space = F.space()
-    one, pi_i = F.one, F.pi**i
-    out = set()
-    for t in F.samples(2 * F.e + 2 - i):
-        u = one + t * pi_i
-        if u.valuation() == 0:
-            out.add(space._classify(u, 0))
+    depth 2e + 2 - i, built once per field and level."""
+    out = F._level_memo.get(i)
+    if out is None:
+        space, one, pi_i = F.space(), F.one, F.pi**i
+        units = (one + t * pi_i for t in F.samples(2 * F.e + 2 - i))
+        out = tuple({space._classify(u, 0) for u in units if u.valuation() == 0})
+        F._level_memo[i] = out
     return out
 
 

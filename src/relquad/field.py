@@ -23,7 +23,6 @@ __all__ = [
     "coords_sign",
     "make_field",
     "fundamental_unit",
-    "unit_power_decomposition",
     "is_unit_square",
     "unit_square_class_reps",
     "roots_of_unity",
@@ -403,45 +402,12 @@ def roots_of_unity(K: QuadField) -> list[Elem]:
     return out
 
 
-def unit_power_decomposition(u: Elem) -> tuple[Elem, int]:
-    """Write a unit of a real quadratic field as zeta * eps^k with
-    zeta in {1,-1}; returns (zeta, k).  Exact repeated division."""
-    K = u.field
-    if abs(u.norm()) != 1 or not u.is_integral():
-        raise ValueError("not a unit")
-    eps = fundamental_unit(K)
-    k = 0
-    v = u
-    # normalize first embedding positive
-    sign = v.sign_at(0)
-    if sign < 0:
-        v = -v
-    # now sigma1(v) > 0; shrink into [1, eps) by exact comparisons
-    while (v - 1).sign_at(0) < 0:  # sigma1(v) < 1
-        v = v * eps
-        k -= 1
-    while ((v - eps).sign_at(0) >= 0) or v == eps:  # sigma1(v) >= eps
-        v = v / eps
-        k += 1
-        if not v.is_integral():
-            raise AssertionError("unit decomposition left the ring")
-    if v != K.one:
-        raise AssertionError(f"residual unit {v} not 1; input was not a unit?")
-    zeta = K.one if sign > 0 else -K.one
-    return zeta, k
-
-
 def is_unit_square(u: Elem) -> bool:
-    """True iff the unit u is the square of a unit."""
-    K = u.field
+    """True iff the unit u is the square of a unit.  A unit that is a square
+    in K is one: its root is integral with norm +-1."""
     if not u.is_integral() or abs(u.norm()) != 1:
         raise ValueError("not a unit")
-    if K.is_rational:
-        return u.x == 1
-    if K.is_imaginary_quadratic:
-        return any(u == z * z for z in roots_of_unity(K))
-    zeta, k = unit_power_decomposition(u)
-    return zeta == K.one and k % 2 == 0
+    return u.is_square()
 
 
 def unit_square_class_reps(K: QuadField) -> list[Elem]:

@@ -9,6 +9,7 @@ descriptions and stay empty on a healthy build.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .characters import QuadCharacter
 from .counting import (
@@ -294,7 +295,7 @@ def identity_suite(
         for n in range(1, norm_bound + 1):
             order_n = sum(
                 aK[m] * pair_counts[n // (m * m)]
-                for m in range(1, int(n**0.5) + 1)
+                for m in range(1, isqrt(n) + 1)
                 if n % (m * m) == 0
             )
             cases += 2

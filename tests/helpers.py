@@ -10,8 +10,13 @@ through principal ideals, gcds and factorizations (the route that the
 integer coordinates of characters.QuadCharacter replaced), and local square
 solvability by field-element residues and principal-ideal valuations (the
 route that the integer search of discriminants.local_square_solvable
-replaced), and the dyadic pairing with one Hilbert symbol per pair of
-elements (the route that dyadic.duality_report's class table replaced).
+replaced), the dyadic pairing with one Hilbert symbol per pair of
+elements (the route that dyadic.duality_report's class table replaced), the
+primitive character through an auxiliary prime in the ideal class and a
+coprime residue proxy (the route that the splitting law of
+characters.QuadCharacter.primitive replaced), and the decomposition of a
+real unit as +-eps^k (the route that field.is_unit_square's square test
+replaced).
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from relquad.arith import is_prime
+from relquad.characters import _balance
 from relquad.discriminants import _dyadic_ramification, uniformizer_of
 from relquad.dyadic import (
     LocalElem,
@@ -33,8 +40,8 @@ from relquad.dyadic import (
     span_masks,
     unit_filtration,
 )
-from relquad.field import Elem, QuadField, fundamental_unit
-from relquad.ideals import Ideal, principal_ideal, unit_ideal
+from relquad.field import Elem, QuadField, fundamental_unit, roots_of_unity
+from relquad.ideals import Ideal, coords_valuation, primes_above, principal_ideal, unit_ideal
 
 
 def interval_sign(e: Elem, embedding: int, digits: int = 100) -> int:
@@ -371,3 +378,132 @@ def element_pairing(F: LocalField) -> tuple[list[list[int]], list[list[int]], bo
         for k in range(-1, F.e + 2)
     )
     return table, gram_matrix(F), duality
+
+
+# -- the primitive character through an auxiliary prime ----------------------------
+
+AUX_PRIME_NORM_BOUND = 10_000
+
+
+def primitive_by_auxiliary_prime(chi, a: Ideal) -> int:
+    """chi.primitive(a) through the class group: 0 off the conductor; the
+    plain symbol on ideals coprime to delta; otherwise evaluated through an
+    auxiliary prime in the ideal class of a and a coprime residue proxy."""
+    if not a.is_integral():
+        raise ValueError("integral ideal required")
+    if not a.gcd(chi.conductor).is_unit_ideal():
+        return 0
+    if chi._coprime(a):
+        return chi.on_ideal(a)
+    aux, alpha = next(auxiliary_splits(chi, a))
+    return primitive_via(chi, aux, alpha)
+
+
+def primitive_via(chi, aux, alpha: Elem) -> int:
+    """Primitive value of (alpha)*aux through the coprime proxy route."""
+    b = _coprime_proxy(chi, alpha)
+    val = chi.at_prime(aux) * chi.on_element(b)
+    for i in chi.negative_embeddings:
+        val *= alpha.sign_at(i)
+    return val
+
+
+def auxiliary_splits(chi, a: Ideal):
+    """Pairs (P, alpha) with P prime, P not dividing delta, and
+    a = (alpha) * P; searched by increasing prime norm."""
+    found = False
+    for P in _prime_ideals_by_norm(chi.field, AUX_PRIME_NORM_BOUND):
+        if chi.modulus.valuation(P) != 0:
+            continue
+        g = (a * P.ideal.inverse()).principal_generator()
+        if g is not None:
+            found = True
+            yield P, g
+    if not found:
+        raise ArithmeticError(
+            f"no auxiliary prime of norm <= {AUX_PRIME_NORM_BOUND} in the class of {a}"
+        )
+
+
+def _coprime_proxy(chi, alpha: Elem) -> Elem:
+    """Integral b = alpha mod conductor (to full conductor precision at
+    each of its primes) that is coprime to delta."""
+    cond = chi.conductor
+    extra = unit_ideal(chi.field)
+    for P in chi._delta_primes:
+        if cond.valuation(P) == 0:
+            extra = extra * P.ideal
+    search = cond * extra
+    cond_fac = cond.factor()
+    ax, ay, am = alpha.integer_coords()
+    for i, j in search.residue_coords():
+        x, y = _balance(search, i, j)
+        if not (x or y) or not chi._coprime_coords(x, y):
+            continue
+        # cand - alpha = (dx + dy*w)/am; equality passes every Q
+        dx, dy = am * x - ax, am * y - ay
+        if (dx or dy) and any(coords_valuation(Q, dx, dy, am) < vq for Q, vq in cond_fac):
+            continue
+        return chi.field.elem(x, y)
+    raise AssertionError("no coprime proxy found; conductor data inconsistent")
+
+
+def _prime_ideals_by_norm(K, bound: int):
+    """Prime ideals of K by increasing norm: norm p for split/ramified
+    primes, norm p^2 for inert ones."""
+    for n in range(2, bound + 1):
+        if is_prime(n):
+            for P in primes_above(K, n):
+                if P.norm() == n:
+                    yield P
+        else:
+            r = isqrt(n)
+            if r * r == n and is_prime(r):
+                for P in primes_above(K, r):
+                    if P.norm() == n:
+                        yield P
+
+
+# -- unit squares through the decomposition +-eps^k --------------------------------
+
+
+def unit_power_decomposition(u: Elem) -> tuple[Elem, int]:
+    """Write a unit of a real quadratic field as zeta * eps^k with
+    zeta in {1,-1}; returns (zeta, k).  Exact repeated division."""
+    K = u.field
+    if abs(u.norm()) != 1 or not u.is_integral():
+        raise ValueError("not a unit")
+    eps = fundamental_unit(K)
+    k = 0
+    v = u
+    # normalize first embedding positive
+    sign = v.sign_at(0)
+    if sign < 0:
+        v = -v
+    # now sigma1(v) > 0; shrink into [1, eps) by exact comparisons
+    while (v - 1).sign_at(0) < 0:  # sigma1(v) < 1
+        v = v * eps
+        k -= 1
+    while ((v - eps).sign_at(0) >= 0) or v == eps:  # sigma1(v) >= eps
+        v = v / eps
+        k += 1
+        if not v.is_integral():
+            raise AssertionError("unit decomposition left the ring")
+    if v != K.one:
+        raise AssertionError(f"residual unit {v} not 1; input was not a unit?")
+    zeta = K.one if sign > 0 else -K.one
+    return zeta, k
+
+
+def is_unit_square_by_decomposition(u: Elem) -> bool:
+    """field.is_unit_square(u) without a square root: +1 over Q, a square of
+    a root of unity in an imaginary field, +eps^(2j) in a real field."""
+    K = u.field
+    if not u.is_integral() or abs(u.norm()) != 1:
+        raise ValueError("not a unit")
+    if K.is_rational:
+        return u.x == 1
+    if K.is_imaginary_quadratic:
+        return any(u == z * z for z in roots_of_unity(K))
+    zeta, k = unit_power_decomposition(u)
+    return zeta == K.one and k % 2 == 0

@@ -97,7 +97,7 @@ def test_criterion_6_hurwitz():
 
 def test_criterion_7_dyadic_appendix():
     rep = dyadic_suite(**ACCEPTANCE_PARAMS["dyadic"])
-    _criterion(7, "seven local fields: bilinear symmetric nondegenerate tables, "
+    _criterion(7, "eight local fields: bilinear symmetric nondegenerate tables, "
                   "filtration cardinalities, duality, unit-group lemmas, trace "
                   "criterion, closed-form oracle over Q2", rep["failures"])
 

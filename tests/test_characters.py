@@ -4,13 +4,20 @@ from itertools import islice
 
 import pytest
 
-from helpers import conductor_by_ideals, on_element_by_ideal
+from helpers import (
+    auxiliary_splits,
+    conductor_by_ideals,
+    on_element_by_ideal,
+    primitive_by_auxiliary_prime,
+    primitive_via,
+)
 from relquad import characters
 from relquad.arith import kronecker, primes_upto
 from relquad.characters import QuadCharacter
 from relquad.discriminants import conductor_ideal, discriminant_classes
 from relquad.field import make_field
 from relquad.ideals import (
+    Ideal,
     ideal_from_generators,
     ideals_of_norm,
     primes_above,
@@ -214,11 +221,50 @@ def test_primitive_independent_of_auxiliary(Q10, Q5):
                     if a.gcd(mod).is_unit_ideal() or not a.gcd(chi.conductor).is_unit_ideal():
                         continue
                     vals = {
-                        chi.primitive_via(P, alpha)
-                        for P, alpha in islice(chi.auxiliary_splits(a), 3)
+                        primitive_via(chi, P, alpha)
+                        for P, alpha in islice(auxiliary_splits(chi, a), 3)
                     }
                     assert len(vals) == 1
                     assert vals.pop() == chi.primitive(a)
+
+
+def _auxiliary_cases(d):
+    """(chi, ideals) for every class with |N(delta)| <= 20 of Q(sqrt d) and
+    its ideals of norm <= 40."""
+    K = make_field(d)
+    ideals = [a for n in range(1, 41) for a in ideals_of_norm(K, n)]
+    return [(QuadCharacter(info), ideals) for info in discriminant_classes(K, 20)]
+
+
+@pytest.mark.parametrize("d", [None, 5, 10, -15, 2, -1, 13])
+def test_primitive_matches_auxiliary_oracle(d):
+    # the splitting law against the class-group route, including the
+    # ideals that meet delta but not the conductor
+    auxiliary = 0
+    for chi, ideals in _auxiliary_cases(d):
+        for a in ideals:
+            assert chi.primitive(a) == primitive_by_auxiliary_prime(chi, a), (d, chi.delta, a)
+            auxiliary += not chi._coprime(a) and a.gcd(chi.conductor).is_unit_ideal()
+    assert auxiliary > 0
+
+
+def test_primitive_needs_no_principal_generator(monkeypatch):
+    # the values equal the oracle's with principal generators unavailable
+    def no_generator(self):
+        raise AssertionError(f"principal generator of {self} requested")
+
+    for d in (10, -15):
+        cases = [
+            (chi, a, primitive_by_auxiliary_prime(chi, a))
+            for chi, ideals in _auxiliary_cases(d)
+            for a in ideals
+            if not chi._coprime(a) and a.gcd(chi.conductor).is_unit_ideal()
+        ]
+        assert cases
+        with monkeypatch.context() as m:
+            m.setattr(Ideal, "principal_generator", no_generator)
+            for chi, a, expected in cases:
+                assert chi.primitive(a) == expected, (d, chi.delta, a)
 
 
 def test_primitive_class_invariance(Q10, Q):

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import interval_sign, units_with_coeff_bound
+from helpers import (
+    interval_sign,
+    is_unit_square_by_decomposition,
+    unit_power_decomposition,
+    units_with_coeff_bound,
+)
 from relquad.field import (
     fundamental_unit,
     is_unit_square,
     make_field,
     parse_elem,
     roots_of_unity,
-    unit_power_decomposition,
     unit_square_class_reps,
 )
 
@@ -147,6 +151,24 @@ def test_is_unit_square_examples():
     assert not is_unit_square(fundamental_unit(K10))
     with pytest.raises(ValueError):
         is_unit_square(K10.elem(2))
+
+
+def test_is_unit_square_matches_decomposition():
+    # +-eps^k and their conjugates in real fields, products of roots of
+    # unity in imaginary fields and Q, against the +-eps^k oracle
+    units = []
+    for d in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 29, 97):
+        K = make_field(d)
+        eps = fundamental_unit(K)
+        for k in range(-7, 8):
+            for u in (eps**k, -(eps**k)):
+                units += [u, u.conj()]
+    for d in (None, -1, -3, -15, -5, -7):
+        zs = roots_of_unity(make_field(d))
+        units += [z1 * z2 for z1 in zs for z2 in zs]
+    assert len(units) == 1088
+    for u in units:
+        assert is_unit_square(u) == is_unit_square_by_decomposition(u), u
 
 
 def test_unit_square_stability():
