@@ -4,6 +4,7 @@ quadratic residue characters and their conductors, root counting with its
 reciprocity formula, generalized Hurwitz class numbers over Q, and the
 dyadic theory of the Hilbert symbol on higher unit groups."""
 
+from .arith import BoundExceeded
 from .characters import QuadCharacter
 from .counting import (
     count_square_roots,

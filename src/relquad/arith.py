@@ -13,6 +13,19 @@ from math import gcd, isqrt
 _SMALL_PRIME_LIMIT = 1 << 16
 
 
+class BoundExceeded(ValueError):
+    """A size cap refused an input: names the operation, the input and the
+    bound, e.g. a residue enumeration of more than RESIDUE_ENUMERATION_BOUND
+    classes.  A ValueError, so the CLI reports it with exit code 2."""
+
+    def __init__(self, operation: str, subject: str, size: int, bound: int):
+        super().__init__(f"{operation} bound exceeded for {subject}: {size} > {bound}")
+        self.operation = operation
+        self.subject = subject
+        self.size = size
+        self.bound = bound
+
+
 @lru_cache(maxsize=None)
 def _small_primes() -> tuple[int, ...]:
     n = _SMALL_PRIME_LIMIT

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import factorint, kronecker
+from .arith import BoundExceeded, factorint, kronecker
 from .discriminants import (
     DiscriminantInfo,
     _dyadic_ramification,
@@ -203,8 +203,13 @@ class QuadCharacter:
         else:
             a, b, c = m.hnf
             steps = [(a, 0), (-a, 0), (b, c), (-a - b, -c)]
+        n = m.norm_int()
+        if n > RESIDUE_TABLE_BOUND:
+            raise BoundExceeded(
+                "character residue table", f"delta = {self.delta}", n, RESIDUE_TABLE_BOUND
+            )
         table: dict[tuple, int] = {}
-        for x, y in m.residue_coords(RESIDUE_TABLE_BOUND):
+        for x, y in m.residue_coords():
             if not (x or y) or not self._coprime_coords(x, y):
                 continue
             # several genuinely different integral lifts of the class,

@@ -46,7 +46,7 @@ def cmd_fdelta(args) -> int:
         "f_delta_pretty": info.f_delta.pretty(),
         "rel_disc_hnf": str(info.rel_disc),
     }
-    fd = fundamental_discriminant_data(delta)
+    fd = fundamental_discriminant_data(info)
     if fd.principal_rep is not None:
         rec["principal_rep"] = str(fd.principal_rep)
     _emit(args, rec)

@@ -10,6 +10,13 @@ Valuations and local square solvability work on integer coordinates:
 local_square_solvable takes v_P from ideals.coords_valuation and searches
 roots in P^(v/2) with ideals.square_root_coords, so the dyadic conductor
 exponents build no field element and no principal ideal per residue.
+
+The class enumeration runs on integer pairs (x, y) too:
+discriminant_candidates yields them, discriminant_classes applies the
+mod-4 witness test and the sign test (field.coords_sign) to them, sorts
+them, buckets them by the HNF of (x + y*w) and keeps one per class modulo
+unit squares by field.coords_is_square; only the representatives become
+Elems, for conductor_ideal.  Cohen, GTM 138, 5.2 and 5.7-5.8.
 """
 
 from __future__ import annotations
@@ -17,10 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .field import Elem, QuadField, fundamental_unit, is_unit_square
+from .field import (
+    Elem,
+    QuadField,
+    coords_is_square,
+    coords_mul,
+    coords_sign,
+    fundamental_unit,
+)
 from .ideals import (
     Ideal,
     PrimeIdeal,
+    _hnf_from_vectors,
     _norm_row,
     coords_valuation,
     principal_ideal,
@@ -91,20 +106,19 @@ def discriminant_witness(delta: Elem) -> Elem | None:
     """x mod 2 with x^2 = delta mod 4, or None if delta is not a discriminant."""
     if not delta or not delta.is_integral():
         raise ValueError("nonzero integral element required")
-    K = delta.field
-    if K.degree == 1:
-        X = int(delta.x)
-        for i in (0, 1):
-            if (i * i - X) % 4 == 0:
-                return K.elem(i)
-        return None
+    coords = _witness_coords(delta.field, int(delta.x), int(delta.y))
+    return None if coords is None else delta.field.elem(*coords)
+
+
+def _witness_coords(K: QuadField, X: int, Y: int) -> tuple[int, int] | None:
+    # (i, j) in {0, 1}^2 with (i + j w)^2 = X + Y w mod 4, j = 0 over Q
     t, n = K.omega_trace, K.omega_norm
-    X, Y = int(delta.x), int(delta.y)
+    js = (0, 1) if K.degree == 2 else (0,)
     for i in (0, 1):
-        for j in (0, 1):
+        for j in js:
             # (i + j w)^2 = (i^2 - n j^2) + (2 i j + t j^2) w
             if (i * i - n * j * j - X) % 4 == 0 and (2 * i * j + t * j * j - Y) % 4 == 0:
-                return K.elem(i, j)
+                return i, j
     return None
 
 
@@ -162,28 +176,35 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     contributes the largest k <= floor(l/2) such that x^2 = delta is
     solvable modulo P^(2k + 2 v_P(2)), decided by finite residue search.
     The witness is the first root of x^2 = delta mod 4f^2 in the HNF box
-    of 2f (square_root_coords).
+    of 2f (square_root_coords).  (delta) is built once, P^k comes from
+    PrimeIdeal.power, and f = (1) takes no ideal product or division.
     """
     w = discriminant_witness(delta)
     if w is None:
         raise ValueError(f"{delta} is not a discriminant (not a square mod 4)")
     K = delta.field
-    f = unit_ideal(K)
-    for P, l in principal_ideal(delta).factor():
+    dl = principal_ideal(delta)
+    f = None  # (1) until a prime contributes
+    for P, l in dl.factor():
         e2 = _dyadic_ramification(P)
         k = l // 2
         while e2 and k > 0 and not local_square_solvable(delta, P, 2 * k + 2 * e2):
             k -= 1
-        f = f * P.ideal**k
-    rel = principal_ideal(delta).divide_exact(f * f)
-    coords = next(square_root_coords(delta, f * 2, f * f * 4), None)
+        if k:
+            f = P.power(k) if f is None else f * P.power(k)
+    if f is None:
+        f, f2, rel = unit_ideal(K), unit_ideal(K), dl
+    else:
+        f2 = f * f
+        rel = dl.divide_exact(f2)
+    coords = next(square_root_coords(delta, f * 2, f2 * 4), None)
     if coords is None:
         raise AssertionError("per-prime solvability holds but no global witness found")
     return DiscriminantInfo(
         delta=delta,
         f_delta=f,
         rel_disc=rel,
-        is_square_in_K=delta.is_square(),
+        is_square_in_K=coords_is_square(K, int(delta.x), int(delta.y)),
         witness_x=K.elem(*coords),
     )
 
@@ -217,8 +238,12 @@ def is_unit_discriminant(delta: Elem) -> bool:
     return info.rel_disc.is_unit_ideal()
 
 
-def fundamental_discriminant_data(delta: Elem) -> FundDiscData:
-    info = conductor_ideal(delta)
+def fundamental_discriminant_data(delta: "Elem | DiscriminantInfo") -> FundDiscData:
+    """Local components, real signs and, when f is principal, a
+    representative of conductor (1).  Accepts the DiscriminantInfo of
+    conductor_ideal in place of delta, as is_unit_discriminant does."""
+    info = delta if isinstance(delta, DiscriminantInfo) else conductor_ideal(delta)
+    delta = info.delta
     K = delta.field
     comps = []
     for P, l in principal_ideal(delta).factor():
@@ -247,18 +272,21 @@ def fundamental_discriminant_data(delta: Elem) -> FundDiscData:
 
 
 def same_class_mod_squares(d1: Elem, d2: Elem) -> bool:
-    """Whether d1/d2 is a square in K^x."""
-    return (d1 * d2).is_square()
+    """Whether d1/d2 is a square in K^x: whether d1*d2, scaled by the
+    square of its denominator m1*m2, is a square, on integers."""
+    if d1.field != d2.field:
+        raise ValueError("elements of different fields")
+    X1, Y1, m1 = d1.integer_coords()
+    X2, Y2, m2 = d2.integer_coords()
+    x, y = coords_mul(d1.field, X1, Y1, X2, Y2)
+    m = m1 * m2
+    return coords_is_square(d1.field, m * x, m * y)
 
 
 def same_class_mod_unit_squares(d1: Elem, d2: Elem) -> bool:
-    """Whether d1/d2 is the square of a unit of O."""
-    if d1.field.degree == 1:
-        return d1 == d2
-    if principal_ideal(d1) != principal_ideal(d2):
-        return False
-    u = d1 / d2
-    return is_unit_square(u)
+    """Whether d1/d2 is the square of a unit of O: (d1) = (d2) makes d1/d2
+    a unit, and a unit that is a square in K is the square of a unit."""
+    return principal_ideal(d1) == principal_ideal(d2) and same_class_mod_squares(d1, d2)
 
 
 def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
@@ -284,7 +312,8 @@ def _window_member(P: int, Q: int, E: int, F: int, d: int) -> bool:
 def discriminant_candidates(K: QuadField, norm_bound: int):
     """All integral delta with |N(delta)| <= norm_bound, restricted (real
     case) to the fundamental-unit window |log|s1(delta)/s2(delta)|| <=
-    2 log eps; yields every class member seen, y ascending, then x.
+    2 log eps; yields the integer coordinates (x, y) of every class member
+    seen, y ascending, then x.
 
     Each row y of the coordinate box is solved for -B <= N(x + y*w) <= B
     by ideals._norm_row and clamped to the box's x-range, so the members
@@ -294,8 +323,8 @@ def discriminant_candidates(K: QuadField, norm_bound: int):
     window test is two integer sign tests on sqrt(d)-coordinates."""
     if K.degree == 1:
         for a in range(1, norm_bound + 1):
-            yield K.elem(a)
-            yield K.elem(-a)
+            yield a, 0
+            yield -a, 0
         return
     t = K.omega_trace
     d = K.d
@@ -320,7 +349,7 @@ def discriminant_candidates(K: QuadField, norm_bound: int):
                 if x == 0 and y == 0:
                     continue
                 if window is None or _window_member(2 * x + t * y, (2 - t) * y, *window, d):
-                    yield K.elem(x, y)
+                    yield x, y
 
 
 def discriminant_classes(
@@ -329,26 +358,33 @@ def discriminant_classes(
     """Representatives of all discriminant classes modulo squares of units
     with |N(delta)| <= norm_bound, optionally restricted to totally negative
     discriminants.  The representative is the lexicographically least
-    coordinate pair among class members inside the enumeration window."""
+    coordinate pair among class members inside the enumeration window.
+
+    Runs on integer pairs: delta and r with (delta) = (r) share a class
+    iff the unit delta/r = delta*r/r^2 is a square, that is iff delta*r is
+    one; (delta) is the HNF of the module spanned by delta and delta*w."""
     if sign not in ("any", "totally_negative"):
         raise ValueError("sign must be 'any' or 'totally_negative'")
+    negative = sign == "totally_negative"
+    embeddings = K.real_embeddings
     cands = []
-    for delta in discriminant_candidates(K, norm_bound):
-        if discriminant_witness(delta) is None:
+    for x, y in discriminant_candidates(K, norm_bound):
+        if _witness_coords(K, x, y) is None:
             continue
-        if sign == "totally_negative" and not delta.is_totally_negative():
+        if negative and not all(coords_sign(K, x, y, e) < 0 for e in embeddings):
             continue
-        cands.append(delta)
-    cands.sort(key=lambda e: e.key())
-    reps: list[Elem] = []
+        cands.append((x, y))
+    cands.sort()
     if K.degree == 1:
         reps = cands
     else:
-        groups: dict[tuple, list[Elem]] = {}
-        for delta in cands:
-            gkey = principal_ideal(delta).hnf
-            bucket = groups.setdefault(gkey, [])
-            if not any(is_unit_square(delta / r) for r in bucket):
-                bucket.append(delta)
-                reps.append(delta)
-    return [conductor_ideal(r) for r in reps]
+        t, n = K.omega_trace, K.omega_norm
+        reps = []
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for x, y in cands:
+            # delta = x + y*w and delta*w = -n*y + (x + t*y)*w span (delta)
+            bucket = groups.setdefault(_hnf_from_vectors([(x, y), (-n * y, x + t * y)]), [])
+            if not any(coords_is_square(K, *coords_mul(K, x, y, *r)) for r in bucket):
+                bucket.append((x, y))
+                reps.append((x, y))
+    return [conductor_ideal(K.elem(x, y)) for x, y in reps]

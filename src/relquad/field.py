@@ -2,9 +2,11 @@
 
 Elements are stored as exact coordinates x + y*w over the integral basis
 {1, w}, where w = (1+sqrt(d))/2 for d = 1 mod 4 and w = sqrt(d) otherwise.
-All arithmetic is over fractions.Fraction; sign queries at the real
-embeddings clear the denominator and are decided by integer comparisons
-(coords_sign, shared with the character's sign test).
+Elem arithmetic is over fractions.Fraction.  Signs at the real embeddings
+and square roots clear the denominator and are decided on integers:
+coords_sign and coords_sqrt take integer coordinates (x, y), so the
+discriminant-class enumeration, the conductor's square test and the
+character's sign test run without building an Elem.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .arith import frac_sqrt, is_squarefree
+from .arith import is_squarefree
 
 __all__ = [
     "QuadField",
     "Elem",
     "coords_sign",
+    "coords_mul",
+    "coords_sqrt",
+    "coords_is_square",
     "make_field",
     "fundamental_unit",
     "is_unit_square",
@@ -181,14 +186,16 @@ class Elem:
     def __pow__(self, k: int):
         if k < 0:
             return (self.field.one / self) ** (-k)
-        out = self.field.one
+        # square-and-multiply with no product by one and no unused square
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return self.field.one if out is None else out
 
     def _coerce(self, other) -> "Elem":
         if isinstance(other, Elem):
@@ -245,44 +252,17 @@ class Elem:
 
     def is_square(self) -> bool:
         """Whether the element is a square in K."""
-        return self.sqrt() is not None
+        X, Y, m = self.integer_coords()
+        return coords_is_square(self.field, m * X, m * Y)
 
     def sqrt(self) -> "Elem | None":
-        """An exact square root in K, or None."""
-        if not self:
-            return self
-        K = self.field
-        if K.is_rational:
-            r = frac_sqrt(self.x)
-            return None if r is None else K.elem(r)
-        A, B = self.as_sqrt_coords()
-        d = K.d
-
-        def from_sqrt(p: Fraction, q: Fraction) -> Elem:
-            # p + q sqrt(d) back to {1, w} coordinates
-            if d % 4 == 1:
-                return K.elem(p - q, 2 * q)
-            return K.elem(p, q)
-
-        if B == 0:
-            r = frac_sqrt(A)
-            if r is not None:
-                return from_sqrt(r, Fraction(0))
-            q = frac_sqrt(A / d)
-            if q is not None:
-                return from_sqrt(Fraction(0), q)
+        """An exact square root in K, or None.  With self = (X + Y*w)/m,
+        the root is coords_sqrt's root of m*(X + Y*w) = m^2 * self over m."""
+        X, Y, m = self.integer_coords()
+        root = coords_sqrt(self.field, m * X, m * Y)
+        if root is None:
             return None
-        disc = A * A - d * B * B
-        r = frac_sqrt(disc)
-        if r is None:
-            return None
-        for p2 in ((A + r) / 2, (A - r) / 2):
-            p = frac_sqrt(p2)
-            if p is not None and p != 0:
-                q = B / (2 * p)
-                if p * p + d * q * q == A:
-                    return from_sqrt(p, q)
-        return None
+        return Elem(self.field, Fraction(root[0], m), Fraction(root[1], m))
 
     def __str__(self):
         if self.field.is_rational:
@@ -317,6 +297,49 @@ def coords_sign(K: QuadField, x: int, y: int, embedding: int) -> int:
     if A * sign_b < 0 and A * A > K.d * B * B:
         return -sign_b
     return sign_b
+
+
+def coords_mul(K: QuadField, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
+    """The coordinates of (x1 + y1*w)(x2 + y2*w), with w^2 = t*w - n."""
+    t, n = K.omega_trace, K.omega_norm
+    return x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2
+
+
+def coords_sqrt(K: QuadField, x: int, y: int) -> tuple[int, int] | None:
+    """Integer coordinates (u, v) of a square root u + v*w of x + y*w, for
+    integers x, y, or None if x + y*w is not a square in K.
+
+    A root of an integral element is integral.  In sqrt(d)-coordinates,
+    with s = t + 1, s*(x + y*w) = A/s + (B/s)*sqrt(d) for A = s*(s*x + t*y)
+    and B = s*y, and a root (P + Q*sqrt(d))/s needs P^2 + d*Q^2 = A and
+    2*P*Q = B.  Then (P^2 - d*Q^2)^2 = A^2 - d*B^2 = r^2, so P^2 is
+    (A + r)/2 or (A - r)/2, d*Q^2 = A - P^2, and Q has the sign of B.  The
+    root returned has P >= 0, from (A + r)/2 if that one works."""
+    if K.degree == 1:
+        r = isqrt(x) if x >= 0 else -1
+        return (r, 0) if r * r == x else None
+    t, d = K.omega_trace, K.d
+    s = t + 1
+    A, B = s * (s * x + t * y), s * y
+    disc = A * A - d * B * B
+    r = isqrt(disc) if disc >= 0 else -1
+    if r * r != disc:
+        return None
+    for p2 in ((A + r) // 2, (A - r) // 2):
+        q2, rem = divmod(A - p2, d)
+        if p2 < 0 or q2 < 0 or rem:
+            continue
+        P, Q = isqrt(p2), isqrt(q2)
+        if B < 0:
+            Q = -Q
+        if P * P == p2 and Q * Q == q2 and 2 * P * Q == B:
+            return (P - t * Q) // s, Q
+    return None
+
+
+def coords_is_square(K: QuadField, x: int, y: int) -> bool:
+    """Whether x + y*w is a square in K, for integers x, y (coords_sqrt)."""
+    return coords_sqrt(K, x, y) is not None
 
 
 _ELEM_RE = re.compile(

@@ -37,7 +37,7 @@ uses (2a, 4a), the conductor witness (2f, 4f^2), the dyadic character
 symbol (2P, 4P) and the general relative discriminant (st, (st)^2), all
 with L = (1), the HNF box of M; local square solvability uses
 (P^s, P^t, P^(v/2)).  Like Ideal.residues it refuses N(M)/N(L) >
-RESIDUE_ENUMERATION_BOUND with a ValueError naming the bound.
+RESIDUE_ENUMERATION_BOUND with an arith.BoundExceeded naming the bound.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .arith import factorint, kronecker, sqrt_mod_p, xgcd
+from .arith import BoundExceeded, factorint, kronecker, sqrt_mod_p, xgcd
 from .field import Elem, QuadField, fundamental_unit, parse_elem
 
 __all__ = [
@@ -226,23 +226,26 @@ class Ideal:
         q, j = divmod(y, c)
         return (x - q * b) % a, j
 
-    def residue_coords(self, bound: int = RESIDUE_ENUMERATION_BOUND) -> list[tuple[int, int]]:
+    def residue_coords(self) -> list[tuple[int, int]]:
         """The coordinates (i, j) of the N(a) residue representatives
-        i + j*w of the HNF box, j outer and i inner."""
+        i + j*w of the HNF box, j outer and i inner; at most
+        RESIDUE_ENUMERATION_BOUND of them."""
         if not self.is_integral():
             raise ValueError("integral ideal required")
         n = self.norm_int()
-        if n > bound:
-            raise ValueError(f"residue enumeration bound exceeded: {n} > {bound}")
+        if n > RESIDUE_ENUMERATION_BOUND:
+            raise BoundExceeded(
+                "residue enumeration", f"the ideal {self.pretty()}", n, RESIDUE_ENUMERATION_BOUND
+            )
         if self.field.degree == 1:
             return [(i, 0) for i in range(n)]
         a, _, c = self.hnf
         return [(i, j) for j in range(c) for i in range(a)]
 
-    def residues(self, bound: int = RESIDUE_ENUMERATION_BOUND) -> list[Elem]:
+    def residues(self) -> list[Elem]:
         """All N(a) residue representatives from the HNF box."""
         K = self.field
-        return [K.elem(i, j) for i, j in self.residue_coords(bound)]
+        return [K.elem(i, j) for i, j in self.residue_coords()]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -441,8 +444,8 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
         size //= L.norm_int()
         aL, bL, cL = _hnf_triple(L)
     if size > RESIDUE_ENUMERATION_BOUND:
-        raise ValueError(
-            f"residue enumeration bound exceeded: {size} > {RESIDUE_ENUMERATION_BOUND}"
+        raise BoundExceeded(
+            "residue enumeration", f"the ideal {M.pretty()}", size, RESIDUE_ENUMERATION_BOUND
         )
     K = delta.field
     X, Y = int(delta.x), int(delta.y)

@@ -16,7 +16,11 @@ primitive character through an auxiliary prime in the ideal class and a
 coprime residue proxy (the route that the splitting law of
 characters.QuadCharacter.primitive replaced), and the decomposition of a
 real unit as +-eps^k (the route that field.is_unit_square's square test
-replaced).
+replaced), square roots over Fraction coordinates (the route that the
+integer kernel field.coords_sqrt replaced), and the discriminant-class
+enumeration over field elements, deduplicated by dividing and taking
+Fraction square roots (the route that the integer pairs of
+discriminants.discriminant_classes replaced).
 """
 
 from __future__ import annotations
@@ -24,9 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from relquad.arith import is_prime
+from relquad.arith import frac_sqrt, is_prime
 from relquad.characters import _balance
-from relquad.discriminants import _dyadic_ramification, uniformizer_of
+from relquad.discriminants import (
+    DiscriminantInfo,
+    _dyadic_ramification,
+    conductor_ideal,
+    discriminant_candidates,
+    discriminant_witness,
+    uniformizer_of,
+)
 from relquad.dyadic import (
     LocalElem,
     LocalField,
@@ -507,3 +518,81 @@ def is_unit_square_by_decomposition(u: Elem) -> bool:
         return any(u == z * z for z in roots_of_unity(K))
     zeta, k = unit_power_decomposition(u)
     return zeta == K.one and k % 2 == 0
+
+
+# -- square roots and class enumeration over Fraction elements ------------------
+
+
+def sqrt_by_fractions(e: Elem) -> Elem | None:
+    """An exact square root of e in K, or None, on the Fraction coordinates
+    A + B*sqrt(d): the root p + q*sqrt(d) has p^2 = (A +- r)/2 for
+    r^2 = A^2 - d*B^2 and q = B/(2p)."""
+    if not e:
+        return e
+    K = e.field
+    if K.is_rational:
+        r = frac_sqrt(e.x)
+        return None if r is None else K.elem(r)
+    A, B = e.as_sqrt_coords()
+    d = K.d
+
+    def from_sqrt(p: Fraction, q: Fraction) -> Elem:
+        # p + q sqrt(d) back to {1, w} coordinates
+        if d % 4 == 1:
+            return K.elem(p - q, 2 * q)
+        return K.elem(p, q)
+
+    if B == 0:
+        r = frac_sqrt(A)
+        if r is not None:
+            return from_sqrt(r, Fraction(0))
+        q = frac_sqrt(A / d)
+        if q is not None:
+            return from_sqrt(Fraction(0), q)
+        return None
+    disc = A * A - d * B * B
+    r = frac_sqrt(disc)
+    if r is None:
+        return None
+    for p2 in ((A + r) / 2, (A - r) / 2):
+        p = frac_sqrt(p2)
+        if p is not None and p != 0:
+            q = B / (2 * p)
+            if p * p + d * q * q == A:
+                return from_sqrt(p, q)
+    return None
+
+
+def discriminant_classes_by_elems(
+    K: QuadField, norm_bound: int, sign: str = "any"
+) -> list[DiscriminantInfo]:
+    """discriminant_classes over field elements: the witness and sign tests
+    on Elems, buckets keyed by the HNF of principal_ideal(delta), and a
+    class kept unless delta/r is a square (sqrt_by_fractions) for an r
+    before it in its bucket.  is_square_in_K is checked the same way."""
+    if sign not in ("any", "totally_negative"):
+        raise ValueError("sign must be 'any' or 'totally_negative'")
+    cands = []
+    for x, y in discriminant_candidates(K, norm_bound):
+        delta = K.elem(x, y)
+        if discriminant_witness(delta) is None:
+            continue
+        if sign == "totally_negative" and not delta.is_totally_negative():
+            continue
+        cands.append(delta)
+    cands.sort(key=lambda e: e.key())
+    reps: list[Elem] = []
+    if K.degree == 1:
+        reps = cands
+    else:
+        groups: dict[tuple, list[Elem]] = {}
+        for delta in cands:
+            bucket = groups.setdefault(principal_ideal(delta).hnf, [])
+            if not any(sqrt_by_fractions(delta / r) is not None for r in bucket):
+                bucket.append(delta)
+                reps.append(delta)
+    infos = [conductor_ideal(r) for r in reps]
+    for info in infos:
+        if info.is_square_in_K != (sqrt_by_fractions(info.delta) is not None):
+            raise AssertionError(f"is_square_in_K is wrong for {info.delta}")
+    return infos

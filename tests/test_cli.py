@@ -113,6 +113,23 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
 
 
+def test_residue_enumeration_bound_exit_code(capsys):
+    # count enumerates 2a: N((2 * 524289)) = 1048578 > RESIDUE_ENUMERATION_BOUND
+    code, out, err = run_cli(
+        "count", "--field", "0", "--delta", "1", "--ideal", "[524289]/1", capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert "residue enumeration bound exceeded for the ideal (1048578): 1048578 > 1048576" in err
+
+
+def test_residue_table_bound_exit_code(capsys):
+    # the first class of Q at bound 4100 is -4100, whose residue table the
+    # character suite would build: N = 4100 > RESIDUE_TABLE_BOUND = 4096
+    code, out, err = run_cli("verify", "character", "--field", "0", "--bound", "4100", capsys=capsys)
+    assert code == 2 and out == ""
+    assert "character residue table bound exceeded for delta = -4100: 4100 > 4096" in err
+
+
 def test_module_entry_point():
     src = str(Path(relquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

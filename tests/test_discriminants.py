@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from helpers import _box_window_member, box_discriminant_candidates, local_square_solvable_by_residues
+import helpers
+from helpers import (
+    _box_window_member,
+    box_discriminant_candidates,
+    discriminant_classes_by_elems,
+    local_square_solvable_by_residues,
+)
+from relquad import cli
 from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
@@ -18,7 +25,7 @@ from relquad.discriminants import (
     same_class_mod_squares,
     same_class_mod_unit_squares,
 )
-from relquad.field import fundamental_unit, make_field, parse_elem
+from relquad.field import Elem, fundamental_unit, make_field, parse_elem
 from relquad.ideals import (
     class_number,
     coords_valuation,
@@ -185,6 +192,27 @@ def test_fundamental_data_examples(Q, Q10, Q5):
     assert conductor_ideal(Q5.elem(-4)).f_delta.is_unit_ideal()
 
 
+def test_fundamental_data_accepts_info(test_fields, monkeypatch):
+    # the DiscriminantInfo stands in for delta, and cmd_fdelta computes the
+    # conductor once, plus once for the principal representative's check
+    for K in test_fields:
+        for info in discriminant_classes(K, 30):
+            assert fundamental_discriminant_data(info) == fundamental_discriminant_data(info.delta)
+    calls = []
+
+    def counted(delta):
+        calls.append(delta)
+        return conductor_ideal(delta)
+
+    monkeypatch.setattr(cli, "conductor_ideal", counted)
+    monkeypatch.setattr("relquad.discriminants.conductor_ideal", counted)
+    assert main(["fdelta", "--field", "0", "--delta", "-12"]) == 0
+    assert [int(d.x) for d in calls] == [-12, -3]
+    calls.clear()
+    assert main(["fdelta", "--field", "10", "--delta", "-4"]) == 0  # f nonprincipal
+    assert len(calls) == 1
+
+
 def test_fundamental_data_local_components(Q10):
     fd = fundamental_discriminant_data(Q10.elem(-4))
     info = conductor_ideal(Q10.elem(-4))
@@ -348,11 +376,45 @@ def test_local_square_solvable_non_integral_matches_residue_oracle():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 17, 19, 21, 22, 23, 195, -1, -3, -15])
 def test_candidates_match_box_oracle(d):
-    # the row solve yields the box scan's members in the box scan's order
+    # the row solve yields the box scan's members, as integer pairs, in the
+    # box scan's order
     K = make_field(d)
     for bound in (1, 4, 9, 20, 37):
-        got = [e.key() for e in discriminant_candidates(K, bound)]
-        assert got == [e.key() for e in box_discriminant_candidates(K, bound)], (d, bound)
+        got = list(discriminant_candidates(K, bound))
+        box = [(int(e.x), int(e.y)) for e in box_discriminant_candidates(K, bound)]
+        assert got == box, (d, bound)
+
+
+@pytest.mark.parametrize(
+    "d", [None, 2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 195, -1, -3, -5, -15, -21, -105]
+)
+def test_classes_match_elem_oracle(d):
+    # the integer-pair enumeration against the Elem route it replaced, at
+    # every bound up to 60 and with both signs
+    K = make_field(d)
+    for bound in range(1, 61):
+        for sign in ("any", "totally_negative"):
+            expected = discriminant_classes_by_elems(K, bound, sign)
+            assert discriminant_classes(K, bound, sign) == expected, (d, bound, sign)
+
+
+def test_classes_build_no_quotient_and_no_fraction_root(monkeypatch):
+    # the enumeration and the conductors divide no field elements and take
+    # no Fraction square root; at the bound 60 the Elem route divides
+    # delta/r in every quadratic field here
+    def refuse(*args):
+        raise AssertionError("Fraction route used")
+
+    expected = {
+        (d, sign): discriminant_classes_by_elems(make_field(d), 60, sign)
+        for d in (None, 5, 10, 19, -3, -15)
+        for sign in ("any", "totally_negative")
+    }
+    monkeypatch.setattr(Elem, "__truediv__", refuse)
+    monkeypatch.setattr(helpers, "sqrt_by_fractions", refuse)
+    for d in (None, 5, 10, 19, -3, -15):
+        for sign in ("any", "totally_negative"):
+            assert discriminant_classes(make_field(d), 60, sign) == expected[d, sign]
 
 
 @pytest.mark.parametrize("d", [31, 46])

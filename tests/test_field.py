@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from helpers import (
     interval_sign,
     is_unit_square_by_decomposition,
+    sqrt_by_fractions,
     unit_power_decomposition,
     units_with_coeff_bound,
 )
 from relquad.field import (
+    coords_is_square,
+    coords_mul,
+    coords_sqrt,
     fundamental_unit,
     is_unit_square,
     make_field,
@@ -230,3 +234,54 @@ def test_sqrt_and_is_square_grid():
                     assert g.is_square() == (s is not None)
                     seen += 1
     assert seen == 9450
+
+
+def test_sqrt_kernel_matches_fraction_oracle():
+    # the grid above and the rationals d*a/k, where d | A in sqrt(d)
+    # coordinates, each with its square: Elem.sqrt returns the same root as
+    # the Fraction route, and coords_is_square / coords_sqrt agree with it
+    # on the integer coordinates m*(X + Y*w) of m^2 * g
+    seen = squares = 0
+    for d in (None, 5, 10, -15, -1, 13):
+        K = make_field(d)
+        ys = range(-12, 13) if K.degree == 2 else (0,)
+        elems = [
+            K.elem(Fraction(x, k), Fraction(y, k))
+            for k in (1, 2, 3)
+            for x in range(-12, 13)
+            for y in ys
+        ]
+        if d is not None:
+            elems += [K.elem(Fraction(d * a, k)) for a in range(-12, 13) for k in (1, 2, 3)]
+        for g in elems + [g * g for g in elems]:
+            expected = sqrt_by_fractions(g)
+            assert g.sqrt() == expected, (K, g)
+            X, Y, m = g.integer_coords()
+            root = coords_sqrt(K, m * X, m * Y)
+            assert coords_is_square(K, m * X, m * Y) == (expected is not None) == (root is not None)
+            if root is not None:
+                assert K.elem(*root) == expected * m, (K, g)
+                squares += 1
+            seen += 1
+    assert seen == 2 * (9450 + 5 * 75) and squares > 9450
+
+
+def test_coords_mul_matches_elem_product():
+    for d in (None, 5, 10, -15, -3):
+        K = make_field(d)
+        ys = range(-4, 5) if K.degree == 2 else (0,)
+        pairs = [(x, y) for x in range(-5, 6) for y in ys]
+        for x1, y1 in pairs:
+            for x2, y2 in pairs[::7]:
+                assert K.elem(*coords_mul(K, x1, y1, x2, y2)) == K.elem(x1, y1) * K.elem(x2, y2)
+
+
+def test_pow_matches_repeated_multiplication():
+    for d in (None, 5, 10, -15, -3):
+        K = make_field(d)
+        for g in (K.elem(Fraction(3, 2)), K.elem(2, 1) if K.degree == 2 else K.elem(-7)):
+            expected = K.one
+            for k in range(20):
+                assert g**k == expected, (K, g, k)
+                assert g ** (-k) == K.one / expected, (K, g, k)
+                expected = expected * g

@@ -11,6 +11,7 @@ import pytest
 import relquad
 
 from helpers import box_principal_generator, valuation_by_division
+from relquad.arith import BoundExceeded
 from relquad.field import make_field
 from relquad.ideals import (
     Ideal,
@@ -478,3 +479,14 @@ def test_prime_power_memo_matches_square_and_multiply():
                     assert P.power(k) == P.ideal**k == product, (d, p, k)
                     assert P.power(k) is P.power(k)
                     product = product * P.ideal
+
+
+def test_residue_coords_bound_is_typed():
+    K = make_field(10)
+    I = principal_ideal(K.elem(1025))  # norm 1025^2 = 1050625 > 2^20
+    with pytest.raises(BoundExceeded) as exc:
+        I.residues()
+    err = exc.value
+    assert isinstance(err, ValueError)
+    assert (err.operation, err.size, err.bound) == ("residue enumeration", 1050625, 1 << 20)
+    assert "(1025)" in err.subject and "1050625 > 1048576" in str(err)
