@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
-All output is deterministic for identical flags.
+Exit codes: 0 on success, 1 on verification failure, 2 on usage errors,
+3 on an internal error (an AssertionError from a broken internal
+invariant).  All output is deterministic for identical flags.
 """
 
 from __future__ import annotations
@@ -303,6 +304,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

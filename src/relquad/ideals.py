@@ -18,7 +18,12 @@ cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
 computation, and every call returns a fresh list.  Ideal.inverse (and its
 check I * I^-1 = (1)), ideals_of_norm, per (field, n), and the prime powers
-PrimeIdeal.power, per (P, k), are memoised in LRU caches of the same size.  Scaling by an integer is integer products.
+PrimeIdeal.power, per (P, k), are memoised in LRU caches of the same size.
+So is the product of two ideals, by value: the key is the field and the
+(hnf, den) of each factor, in a fixed order so that I * J and J * I share
+an entry, and a hit compares integer tuples only.  An Ideal stores its
+hash, taken once at construction.  Scaling by an integer or a Fraction is
+integer products, and the product by an element is not memoised.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
@@ -101,7 +106,7 @@ def _hnf_from_vectors(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
 class Ideal:
     """Nonzero fractional ideal.  Immutable after construction."""
 
-    __slots__ = ("field", "hnf", "den")
+    __slots__ = ("field", "hnf", "den", "_hash")
 
     def __init__(self, field: QuadField, hnf: tuple[int, ...], den: int = 1, _checked=False):
         if den <= 0:
@@ -130,6 +135,8 @@ class Ideal:
         self.field = field
         self.hnf = hnf
         self.den = den
+        # fields compare by d, so the hash is taken on d
+        self._hash = hash((field.d, hnf, den))
 
     # -- basic structure ----------------------------------------------------
 
@@ -160,15 +167,17 @@ class Ideal:
         ]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Ideal)
-            and self.field == other.field
+            and self.field.d == other.field.d
             and self.hnf == other.hnf
             and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field, self.hnf, self.den))
+        return self._hash
 
     def __repr__(self):
         return f"Ideal({self})"
@@ -251,30 +260,27 @@ class Ideal:
 
     def __mul__(self, other):
         if isinstance(other, Ideal):
-            if self.field != other.field:
+            K = self.field
+            if K is not other.field and K != other.field:
                 raise ValueError("ideals of different fields")
-            if self.field.degree == 1:
-                return Ideal(
-                    self.field, (self.hnf[0] * other.hnf[0],), self.den * other.den, _checked=True
-                )
-            t, n = self.field.omega_trace, self.field.omega_norm
-            a1, b1, c1 = self.hnf
-            a2, b2, c2 = other.hnf
-            vecs = []
-            for x1, y1 in ((a1, 0), (b1, c1)):
-                for x2, y2 in ((a2, 0), (b2, c2)):
-                    vecs.append(
-                        (x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2)
-                    )
-            return Ideal(self.field, _hnf_from_vectors(vecs), self.den * other.den, _checked=True)
+            # one memo entry per unordered pair of factors
+            f1, f2 = (self.hnf, self.den), (other.hnf, other.den)
+            if f2 < f1:
+                f1, f2 = f2, f1
+            return _product(K, *f1, *f2)
         if isinstance(other, (int, Fraction)):
-            # integer products on the HNF; a Fraction adds its denominator
+            # integer products on the HNF; a Fraction adds its denominator,
+            # and the sign is dropped: (-s) * I = s * I
             if not other:
-                raise ValueError("scale must be positive")
+                raise ValueError("scale must be nonzero")
             hnf = tuple(x * abs(other.numerator) for x in self.hnf)
             return Ideal(self.field, hnf, self.den * other.denominator, _checked=True)
         if isinstance(other, Elem):
-            return self * principal_ideal(other)
+            # a principal ideal built for this one product: not memoised
+            J = principal_ideal(other)
+            if self.field != J.field:
+                raise ValueError("ideals of different fields")
+            return _hnf_product(self.field, self.hnf, self.den, J.hnf, J.den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -520,6 +526,29 @@ def coords_valuation(P: "PrimeIdeal", x: int, y: int, den: int = 1) -> int:
     n0 = x0 * x0 + K.omega_trace * x0 * y0 + K.omega_norm * y0 * y0
     e = 2 if P.ramified else 1
     return e * (_vp(g, p) - _vp(den, p)) + _primitive_valuation(P, n0, x0, y0)
+
+
+def _hnf_product(
+    K: QuadField, hnf1: tuple[int, ...], den1: int, hnf2: tuple[int, ...], den2: int
+) -> Ideal:
+    """The product of the ideals hnf1/den1 and hnf2/den2 of K: the HNF of
+    the four products of their Z-bases (Cohen, GTM 138, 5.2)."""
+    if K.degree == 1:
+        return Ideal(K, (hnf1[0] * hnf2[0],), den1 * den2, _checked=True)
+    t, n = K.omega_trace, K.omega_norm
+    a1, b1, c1 = hnf1
+    a2, b2, c2 = hnf2
+    vecs = []
+    for x1, y1 in ((a1, 0), (b1, c1)):
+        for x2, y2 in ((a2, 0), (b2, c2)):
+            vecs.append((x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2))
+    return Ideal(K, _hnf_from_vectors(vecs), den1 * den2, _checked=True)
+
+
+# Ideal * Ideal, memoised by value: keyed on the field and the plain
+# (hnf, den) of each factor, never on Ideal objects, so a hit compares
+# tuples of ints and runs no Ideal.__eq__
+_product = lru_cache(maxsize=FACTOR_CACHE_SIZE)(_hnf_product)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)

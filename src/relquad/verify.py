@@ -68,6 +68,7 @@ def _report(suite: str, cases: int, failures: list[str], **extra) -> dict:
         "suite": suite,
         "cases": cases,
         "failures": failures[:50],
+        "failure_count": len(failures),
         "ok": not failures,
         **extra,
     }
@@ -425,7 +426,14 @@ SUITES = {
 
 def run_suite(name: str, **kwargs) -> dict:
     if name == "all":
-        merged = {"suite": "all", "cases": 0, "failures": [], "ok": True, "parts": {}}
+        merged = {
+            "suite": "all",
+            "cases": 0,
+            "failures": [],
+            "failure_count": 0,
+            "ok": True,
+            "parts": {},
+        }
         for part, fn in SUITES.items():
             params = ACCEPTANCE_PARAMS[part]
             if part in FIELD_SUITES:
@@ -437,7 +445,8 @@ def run_suite(name: str, **kwargs) -> dict:
                 merged["parts"][key] = rep
                 merged["cases"] += rep["cases"]
                 merged["failures"] += rep["failures"]
-        merged["ok"] = not merged["failures"]
+                merged["failure_count"] += rep["failure_count"]
+        merged["ok"] = not merged["failure_count"]
         return merged
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

@@ -20,7 +20,9 @@ replaced), square roots over Fraction coordinates (the route that the
 integer kernel field.coords_sqrt replaced), and the discriminant-class
 enumeration over field elements, deduplicated by dividing and taking
 Fraction square roots (the route that the integer pairs of
-discriminants.discriminant_classes replaced).
+discriminants.discriminant_classes replaced), and the product of two ideals
+computed afresh on every call (the route that the value memo of
+Ideal.__mul__ replaced).
 """
 
 from __future__ import annotations
@@ -52,7 +54,14 @@ from relquad.dyadic import (
     unit_filtration,
 )
 from relquad.field import Elem, QuadField, fundamental_unit, roots_of_unity
-from relquad.ideals import Ideal, coords_valuation, primes_above, principal_ideal, unit_ideal
+from relquad.ideals import (
+    Ideal,
+    _hnf_from_vectors,
+    coords_valuation,
+    primes_above,
+    principal_ideal,
+    unit_ideal,
+)
 
 
 def interval_sign(e: Elem, embedding: int, digits: int = 100) -> int:
@@ -114,6 +123,25 @@ def valuation_by_division(I: Ideal, P) -> int:
         if not I.is_integral():
             return v
         v += 1
+
+
+def ideal_product_by_vectors(I: Ideal, J: Ideal) -> Ideal:
+    """I * J with no memo: the HNF of the four products of the Z-bases,
+    built on every call, and a product of numerators over Q."""
+    K = I.field
+    if K != J.field:
+        raise ValueError("ideals of different fields")
+    if K.degree == 1:
+        return Ideal(K, (I.hnf[0] * J.hnf[0],), I.den * J.den)
+    t, n = K.omega_trace, K.omega_norm
+    a1, b1, c1 = I.hnf
+    a2, b2, c2 = J.hnf
+    vecs = [
+        (x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2)
+        for x1, y1 in ((a1, 0), (b1, c1))
+        for x2, y2 in ((a2, 0), (b2, c2))
+    ]
+    return Ideal(K, _hnf_from_vectors(vecs), I.den * J.den)
 
 
 # -- box searches: the eps-scaled scans the norm-form row solver replaced --------

@@ -113,6 +113,18 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a broken internal invariant is exit code 3, not 1 (verification
+    # failure), and prints one line instead of a traceback
+    def broken(delta):
+        raise AssertionError("factorization does not reassemble")
+
+    monkeypatch.setattr("relquad.cli.conductor_ideal", broken)
+    code, out, err = run_cli("conductor", "--field", "0", "--delta", "-12", capsys=capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: factorization does not reassemble\n"
+
+
 def test_residue_enumeration_bound_exit_code(capsys):
     # count enumerates 2a: N((2 * 524289)) = 1048578 > RESIDUE_ENUMERATION_BOUND
     code, out, err = run_cli(

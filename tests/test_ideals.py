@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -10,10 +11,12 @@ import pytest
 
 import relquad
 
-from helpers import box_principal_generator, valuation_by_division
+from helpers import box_principal_generator, ideal_product_by_vectors, valuation_by_division
 from relquad.arith import BoundExceeded
-from relquad.field import make_field
+from relquad import ideals
+from relquad.field import QuadField, make_field
 from relquad.ideals import (
+    FACTOR_CACHE_SIZE,
     Ideal,
     _hnf_from_vectors,
     _norm_row,
@@ -490,3 +493,103 @@ def test_residue_coords_bound_is_typed():
     assert isinstance(err, ValueError)
     assert (err.operation, err.size, err.bound) == ("residue enumeration", 1050625, 1 << 20)
     assert "(1025)" in err.subject and "1050625 > 1048576" in str(err)
+
+
+def _ideals_with_denominators(K, bound=30):
+    # the integral ideals of norm <= bound, and each over 2 and over 3
+    base = [I for n in range(1, bound + 1) for I in ideals_of_norm(K, n)]
+    return [I * Fraction(1, m) for m in (1, 2, 3) for I in base]
+
+
+def test_product_memo_matches_uncached_oracle(test_fields):
+    # every product, on a miss and on a hit and in both orders, equals the
+    # product computed afresh from the four basis products
+    for K in test_fields:
+        ideals._product.cache_clear()
+        pool = _ideals_with_denominators(K)
+        for I in pool:
+            for J in pool:
+                expected = ideal_product_by_vectors(I, J)
+                assert I * J == expected and J * I == expected, (K, I, J)
+
+
+def test_product_memo_is_bounded_by_the_factor_policy():
+    assert ideals._product.cache_info().maxsize == FACTOR_CACHE_SIZE
+
+
+def test_equal_ideals_hash_equal_across_routes():
+    K = make_field(10)
+    p2 = p2_of(K)
+    routes = [
+        p2 * p2,
+        principal_ideal(K.elem(2)),
+        ideal_from_generators(K, [K.elem(4), K.elem(6)]),
+        parse_ideal(K, "[[2,0],[0,2]]"),
+        parse_ideal(K, "(2, 2*w)"),
+        Ideal(K, (4, 0, 4), 2),
+    ]
+    for I in routes:
+        assert I == routes[0] and hash(I) == hash(routes[0]), I
+    # a field built directly equals the interned one, and so do its ideals
+    fresh, interned = QuadField(5), make_field(5)
+    assert fresh is not interned
+    I, J = Ideal(fresh, (11, 3, 1)), Ideal(interned, (11, 3, 1))
+    assert I == J and hash(I) == hash(J)
+    assert I * J == J * J and hash(I * J) == hash(J * J)
+
+
+def test_product_memo_keeps_fields_apart():
+    # Q(sqrt 5) and Q(sqrt 13) share the HNFs of n*(1); their products must
+    # come from separate memo entries, and mixing them must still raise
+    K5, K13 = make_field(5), make_field(13)
+    for warm in (False, True):
+        if not warm:
+            ideals._product.cache_clear()
+        for hnf in ((1, 0, 1), (2, 0, 2), (3, 0, 3)):
+            I5, I13 = Ideal(K5, hnf), Ideal(K13, hnf)
+            assert (I5 * I5).field == K5 and (I13 * I13).field == K13
+            assert I5 * I5 != I13 * I13
+            with pytest.raises(ValueError, match="different fields"):
+                I5 * I13
+            with pytest.raises(ValueError, match="different fields"):
+                I13 * I5
+
+
+def test_product_memo_under_threads():
+    # four threads multiply the same pool, each in its own order, starting
+    # from a cold memo; every product must be the oracle's
+    K = make_field(-15)
+    pool = _ideals_with_denominators(K, 12)
+    pairs = [(i, j) for i in range(len(pool)) for j in range(len(pool))]
+    expected = {(i, j): ideal_product_by_vectors(pool[i], pool[j]) for i, j in pairs}
+    bad = []
+
+    def work(seed):
+        order = pairs[:]
+        random.Random(seed).shuffle(order)
+        for i, j in order:
+            if pool[i] * pool[j] != expected[i, j]:
+                bad.append((i, j))
+
+    ideals._product.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_scale_sign_is_dropped_and_zero_raises(Q, Q10):
+    for I in (p2_of(Q10), principal_ideal(Q.elem(6)) * Fraction(1, 5)):
+        assert I * -2 == I * 2 == 2 * I == -2 * I
+        assert I * Fraction(-1, 2) == I * Fraction(1, 2)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ValueError, match="nonzero"):
+                I * zero

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,9 +46,33 @@ def test_conductor_suite_includes_dyadic_crosscheck(Q10):
 
 def test_suite_reports_shape():
     rep = run_suite("hurwitz", bound=100)
-    assert set(rep) >= {"suite", "cases", "failures", "ok"}
+    assert set(rep) >= {"suite", "cases", "failures", "failure_count", "ok"}
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_failure_count_is_the_true_count(monkeypatch):
+    # a sabotaged Hurwitz oracle fails all 100 discriminants down to -200:
+    # the report keeps 50 failures but counts every one, and run_suite("all")
+    # adds up the parts' counts
+    from relquad.tables import validate_record
+
+    monkeypatch.setattr("relquad.hurwitz.hurwitz_class_number_forms", lambda delta: Fraction(999))
+    rep = verify.hurwitz_suite(bound=200)
+    assert (rep["failure_count"], len(rep["failures"]), rep["ok"]) == (100, 50, False)
+    assert validate_record(rep, "verify_report") == []
+    monkeypatch.setattr(
+        verify,
+        "SUITES",
+        {
+            "hurwitz": lambda **kw: verify.hurwitz_suite(bound=200),
+            "decomposition": lambda **kw: verify._report("decomposition", 1, ["one"]),
+        },
+    )
+    merged = run_suite("all")
+    assert (merged["failure_count"], len(merged["failures"]), merged["ok"]) == (101, 51, False)
+    assert validate_record(merged, "verify_report") == []
+    assert [p["failure_count"] for p in merged["parts"].values()] == [100, 1]
 
 
 def test_decomposition_suite_small():
