@@ -28,8 +28,6 @@ tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .arith import BoundExceeded, factorint, kronecker
 from .discriminants import (
     DiscriminantInfo,
@@ -94,9 +92,9 @@ class QuadCharacter:
             if P.residue_degree == 2:
                 n = int(self.delta.norm())
             elif self.field.degree == 1:
-                n = int(self.delta.x)
+                n = self.delta.X
             else:
-                n = int(self.delta.x) - int(self.delta.y) * P.ideal.hnf[1]
+                n = self.delta.X - self.delta.Y * P.ideal.hnf[1]
             val = kronecker(n, P.p)
         else:
             # exhaustive: x^2 = delta mod 4P with x over residues of 2P
@@ -120,15 +118,14 @@ class QuadCharacter:
         where delta is negative; ValueError at 0 and off the coprime locus."""
         if not a:
             raise ValueError("the character is not defined at 0")
-        return self._on_coords(*a.integer_coords())
+        return self._on_coords(a.X, a.Y, a.m)
 
     def _on_coords(self, x: int, y: int, m: int = 1) -> int:
         """on_element at (x + y*w)/m, for integers x, y, not both 0, and
         m >= 1, on integers alone."""
         K = self.field
         if not self._coprime_coords(x, y, m):
-            elem = K.elem(Fraction(x, m), Fraction(y, m))
-            raise ValueError(f"{elem} is not coprime to ({self.delta})")
+            raise ValueError(f"{Elem(K, x, y, m)} is not coprime to ({self.delta})")
         if K.degree == 1:
             norm = x
         else:

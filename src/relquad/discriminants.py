@@ -24,19 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .field import (
-    Elem,
-    QuadField,
-    coords_is_square,
-    coords_mul,
-    coords_sign,
-    fundamental_unit,
-)
+from .field import Elem, QuadField, coords_is_square, coords_mul, coords_sign, fundamental_unit
 from .ideals import (
     Ideal,
     PrimeIdeal,
     _hnf_from_vectors,
     _norm_row,
+    _unit_box,
     coords_valuation,
     principal_ideal,
     square_root_coords,
@@ -97,7 +91,7 @@ def uniformizer_of(P: PrimeIdeal) -> Elem:
     cands = P.ideal.basis_elems()
     cands.append(cands[0] + cands[-1])
     for c in cands:
-        if coords_valuation(P, *c.integer_coords()) == 1:
+        if coords_valuation(P, c.X, c.Y, c.m) == 1:
             return c
     raise AssertionError(f"no uniformizer among basis combinations of {P}")
 
@@ -106,7 +100,7 @@ def discriminant_witness(delta: Elem) -> Elem | None:
     """x mod 2 with x^2 = delta mod 4, or None if delta is not a discriminant."""
     if not delta or not delta.is_integral():
         raise ValueError("nonzero integral element required")
-    coords = _witness_coords(delta.field, int(delta.x), int(delta.y))
+    coords = _witness_coords(delta.field, delta.X, delta.Y)
     return None if coords is None else delta.field.elem(*coords)
 
 
@@ -144,15 +138,15 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     """
     if target <= 0 or not delta:
         return True
-    X, Y, m = delta.integer_coords()
-    v = coords_valuation(P, X, Y, m)
+    m = delta.m
+    v = coords_valuation(P, delta.X, delta.Y, m)
     if v >= target:
         return True
     if v < 0 or v % 2:
         return False
     if m > 1:
         vm = coords_valuation(P, m, 0)
-        delta = delta.field.elem(m * X, m * Y)
+        delta = Elem(delta.field, m * delta.X, m * delta.Y)
         v, target = v + 2 * vm, target + 2 * vm
     e2 = _dyadic_ramification(P)
     if e2 == 0:
@@ -204,7 +198,7 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
         delta=delta,
         f_delta=f,
         rel_disc=rel,
-        is_square_in_K=coords_is_square(K, int(delta.x), int(delta.y)),
+        is_square_in_K=delta.is_square(),
         witness_x=K.elem(*coords),
     )
 
@@ -272,15 +266,8 @@ def fundamental_discriminant_data(delta: "Elem | DiscriminantInfo") -> FundDiscD
 
 
 def same_class_mod_squares(d1: Elem, d2: Elem) -> bool:
-    """Whether d1/d2 is a square in K^x: whether d1*d2, scaled by the
-    square of its denominator m1*m2, is a square, on integers."""
-    if d1.field != d2.field:
-        raise ValueError("elements of different fields")
-    X1, Y1, m1 = d1.integer_coords()
-    X2, Y2, m2 = d2.integer_coords()
-    x, y = coords_mul(d1.field, X1, Y1, X2, Y2)
-    m = m1 * m2
-    return coords_is_square(d1.field, m * x, m * y)
+    """Whether d1/d2 is a square in K^x: whether d1*d2 = d1/d2 * d2^2 is one."""
+    return (d1 * d2).is_square()
 
 
 def same_class_mod_unit_squares(d1: Elem, d2: Elem) -> bool:
@@ -334,13 +321,8 @@ def discriminant_candidates(K: QuadField, norm_bound: int):
         xc = isqrt(norm_bound) + 1
         window = None
     else:
-        eps = fundamental_unit(K)
-        A, B = eps.as_sqrt_coords()
-        E = A + B * (isqrt(d) + 1)  # rational upper bound for sigma1(eps)
-        mult = 2 if t == 1 else 1
-        ymax = isqrt(int(norm_bound * E * E * mult * mult / d)) + 1
-        xc = isqrt(int(norm_bound * E * E)) + 1
-        window = tuple(int(2 * v) for v in (eps**4).as_sqrt_coords())
+        xc, ymax = _unit_box(K, norm_bound)
+        window = tuple(int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
     for y in range(-ymax, ymax + 1):
         lo = (-t * y) // 2 - xc - 1
         hi = (-t * y) // 2 + xc + 1
@@ -365,6 +347,8 @@ def discriminant_classes(
     one; (delta) is the HNF of the module spanned by delta and delta*w."""
     if sign not in ("any", "totally_negative"):
         raise ValueError("sign must be 'any' or 'totally_negative'")
+    if norm_bound < 0:
+        raise ValueError(f"norm bound must be >= 0, got {norm_bound}")
     negative = sign == "totally_negative"
     embeddings = K.real_embeddings
     cands = []

@@ -1,23 +1,24 @@
 """Base field K: the rationals or a quadratic field Q(sqrt(d)).
 
-Elements are stored as exact coordinates x + y*w over the integral basis
-{1, w}, where w = (1+sqrt(d))/2 for d = 1 mod 4 and w = sqrt(d) otherwise.
-Elem arithmetic is over fractions.Fraction.  Signs at the real embeddings
-and square roots clear the denominator and are decided on integers:
-coords_sign and coords_sqrt take integer coordinates (x, y), so the
-discriminant-class enumeration, the conductor's square test and the
-character's sign test run without building an Elem.
+An element is stored as integers (X + Y*w)/m over the integral basis
+{1, w}, w = (1+sqrt(d))/2 for d = 1 mod 4 and sqrt(d) otherwise (Y = 0
+over Q), normalised to m >= 1 and gcd(X, Y, m) = 1, with zero as (0, 0, 1)
+(Cohen, GTM 138, 4.2.2): equal elements have equal triples, and an element
+is integral iff m = 1.  Products, real signs and square roots are the
+integer kernels coords_mul, coords_sign and coords_sqrt, which the class
+enumeration also calls on bare pairs.  Fraction appears only at the
+boundary: QuadField.elem and parse_elem take rationals, and x, y, norm,
+trace and as_sqrt_coords return them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .arith import is_squarefree
+from .arith import BoundExceeded, is_squarefree
 
 __all__ = [
     "QuadField",
@@ -65,6 +66,7 @@ class QuadField:
                 self.omega_trace = 0
                 self.omega_norm = -d
             self.signature = (2, 0) if d > 0 else (0, 1)
+        self._hash = hash(("QuadField", d))
 
     @property
     def is_rational(self) -> bool:
@@ -85,10 +87,15 @@ class QuadField:
         return (0, 1) if self.d > 0 else ()
 
     def elem(self, x, y=0) -> "Elem":
-        x, y = Fraction(x), Fraction(y)
-        if self.is_rational and y != 0:
+        """x + y*w for rationals x and y (anything Fraction() accepts)."""
+        m = 1
+        if not (isinstance(x, int) and isinstance(y, int)):
+            x, y = Fraction(x), Fraction(y)
+            m = lcm(x.denominator, y.denominator)
+            x, y = x.numerator * (m // x.denominator), y.numerator * (m // y.denominator)
+        if y and self.is_rational:
             raise ValueError("rational field elements have no omega part")
-        return Elem(self, x, y)
+        return Elem(self, x, y, m)
 
     __call__ = elem
 
@@ -119,10 +126,10 @@ class QuadField:
         return "Q" if self.is_rational else f"Q(sqrt{{{self.d}}})"
 
     def __eq__(self, other):
-        return isinstance(other, QuadField) and self.d == other.d
+        return self is other or (isinstance(other, QuadField) and self.d == other.d)
 
     def __hash__(self):
-        return hash(("QuadField", self.d))
+        return self._hash
 
 
 @lru_cache(maxsize=None)
@@ -131,54 +138,86 @@ def make_field(d: int | None = None) -> QuadField:
     return QuadField(d)
 
 
-@dataclass(frozen=True)
 class Elem:
-    """x + y*w with exact rational coordinates."""
+    """(X + Y*w)/m with integers X, Y and m >= 1, gcd(X, Y, m) = 1.
+    Immutable after construction."""
 
-    field: QuadField
-    x: Fraction
-    y: Fraction
+    __slots__ = ("field", "X", "Y", "m")
 
-    def _chk(self, other: "Elem"):
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError("elements of different fields")
+    def __init__(self, field: QuadField, X: int, Y: int = 0, m: int = 1):
+        if m != 1:
+            if m <= 0:
+                if not m:
+                    raise ZeroDivisionError("element denominator 0")
+                X, Y, m = -X, -Y, -m
+            g = gcd(X, Y, m)
+            if g != 1:
+                X, Y, m = X // g, Y // g, m // g
+        self.field, self.X, self.Y, self.m = field, X, Y, m
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.X, self.m)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, self.m)
+
+    def __eq__(self, other):
+        if not isinstance(other, Elem):
+            return NotImplemented
+        return (self.field.d, self.X, self.Y, self.m) == (other.field.d, other.X, other.Y, other.m)
+
+    def __hash__(self):
+        return hash((self.field.d, self.X, self.Y, self.m))
+
+    def __repr__(self):
+        return f"Elem(field={self.field!r}, x={self.x!r}, y={self.y!r})"
+
+    def _coerce(self, other) -> "Elem":
+        if isinstance(other, Elem):
+            if self.field is not other.field and self.field != other.field:
+                raise ValueError("elements of different fields")
+            return other
+        return self.field.elem(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return Elem(self.field, self.x + other.x, self.y + other.y)
+        o = self._coerce(other)
+        m1, m2 = self.m, o.m
+        if m1 == m2:
+            return Elem(self.field, self.X + o.X, self.Y + o.Y, m1)
+        return Elem(self.field, self.X * m2 + o.X * m1, self.Y * m2 + o.Y * m1, m1 * m2)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return Elem(self.field, self.x - other.x, self.y - other.y)
+        return self.__add__(-self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        return Elem(self.field, -self.x, -self.y)
+        return Elem(self.field, -self.X, -self.Y, self.m)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        # w^2 = t*w - n
-        t, n = self.field.omega_trace, self.field.omega_norm
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        return Elem(self.field, x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2)
+        o = self._coerce(other)
+        x, y = coords_mul(self.field, self.X, self.Y, o.X, o.Y)
+        return Elem(self.field, x, y, self.m * o.m)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other:
+        o = self._coerce(other)
+        if not o:
             raise ZeroDivisionError("division by zero field element")
-        if self.field.degree == 1:
-            return Elem(self.field, self.x / other.x, Fraction(0))
-        nm = other.norm()
-        prod = self * other.conj()
-        return Elem(self.field, prod.x / nm, prod.y / nm)
+        # 1/o = m * conj(X + Y*w) / N(X + Y*w), conj(X + Y*w) = (X + t*Y) - Y*w
+        K = self.field
+        X, Y = o.X, o.Y
+        t = K.omega_trace
+        nm = X * X + t * X * Y + K.omega_norm * Y * Y
+        x, y = coords_mul(K, self.X, self.Y, X + t * Y, -Y)
+        return Elem(K, x * o.m, y * o.m, self.m * nm)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -197,52 +236,38 @@ class Elem:
                 base = base * base
         return self.field.one if out is None else out
 
-    def _coerce(self, other) -> "Elem":
-        if isinstance(other, Elem):
-            self._chk(other)
-            return other
-        return Elem(self.field, Fraction(other), Fraction(0))
-
     def __bool__(self):
-        return self.x != 0 or self.y != 0
+        return self.X != 0 or self.Y != 0
 
     def conj(self) -> "Elem":
-        t = self.field.omega_trace
-        return Elem(self.field, self.x + t * self.y, -self.y)
+        return Elem(self.field, self.X + self.field.omega_trace * self.Y, -self.Y, self.m)
 
     def trace(self) -> Fraction:
-        return 2 * self.x + self.field.omega_trace * self.y
+        return Fraction(2 * self.X + self.field.omega_trace * self.Y, self.m)
 
     def norm(self) -> Fraction:
-        if self.field.is_rational:
-            return self.x
-        t, n = self.field.omega_trace, self.field.omega_norm
-        return self.x * self.x + t * self.x * self.y + n * self.y * self.y
+        K, X, Y = self.field, self.X, self.Y
+        if K.is_rational:
+            return Fraction(X, self.m)
+        return Fraction(X * X + K.omega_trace * X * Y + K.omega_norm * Y * Y, self.m * self.m)
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.m == 1
 
     def as_sqrt_coords(self) -> tuple[Fraction, Fraction]:
         """(A, B) with the element equal to A + B*sqrt(d)."""
         if self.field.is_rational:
             return self.x, Fraction(0)
         if self.field.d % 4 == 1:
-            return self.x + self.y / 2, self.y / 2
+            return Fraction(2 * self.X + self.Y, 2 * self.m), Fraction(self.Y, 2 * self.m)
         return self.x, self.y
-
-    def integer_coords(self) -> tuple[int, int, int]:
-        """(X, Y, m) with self = (X + Y*w)/m, integers X, Y and m >= 1 least."""
-        x, y = self.x, self.y
-        m = lcm(x.denominator, y.denominator)
-        return x.numerator * (m // x.denominator), y.numerator * (m // y.denominator), m
 
     def sign_at(self, embedding: int) -> int:
         """Exact sign (-1, 0, +1) at the given real embedding."""
         if embedding not in self.field.real_embeddings:
             raise ValueError(f"no real embedding {embedding} for {self.field}")
         # clearing the positive denominator m does not change the sign
-        X, Y, _ = self.integer_coords()
-        return coords_sign(self.field, X, Y, embedding)
+        return coords_sign(self.field, self.X, self.Y, embedding)
 
     def is_totally_positive(self) -> bool:
         return all(self.sign_at(i) > 0 for i in self.field.real_embeddings)
@@ -251,28 +276,27 @@ class Elem:
         return all(self.sign_at(i) < 0 for i in self.field.real_embeddings)
 
     def is_square(self) -> bool:
-        """Whether the element is a square in K."""
-        X, Y, m = self.integer_coords()
-        return coords_is_square(self.field, m * X, m * Y)
+        """Whether the element is a square in K: whether m^2 * self is one."""
+        m = self.m
+        return coords_is_square(self.field, m * self.X, m * self.Y)
 
     def sqrt(self) -> "Elem | None":
-        """An exact square root in K, or None.  With self = (X + Y*w)/m,
-        the root is coords_sqrt's root of m*(X + Y*w) = m^2 * self over m."""
-        X, Y, m = self.integer_coords()
-        root = coords_sqrt(self.field, m * X, m * Y)
+        """An exact square root in K, or None: coords_sqrt's root of
+        m*(X + Y*w) = m^2 * self, over m."""
+        m = self.m
+        root = coords_sqrt(self.field, m * self.X, m * self.Y)
         if root is None:
             return None
-        return Elem(self.field, Fraction(root[0], m), Fraction(root[1], m))
+        return Elem(self.field, root[0], root[1], m)
 
     def __str__(self):
-        if self.field.is_rational:
-            return str(self.x)
-        if self.y == 0:
-            return str(self.x)
-        ytxt = f"{self.y}*w" if self.y > 0 else f"-{-self.y}*w"
-        if self.x == 0:
+        x, y = self.x, self.y
+        if y == 0:
+            return str(x)
+        ytxt = f"{y}*w" if y > 0 else f"-{-y}*w"
+        if x == 0:
             return ytxt
-        return f"{self.x}+{ytxt}" if self.y > 0 else f"{self.x}{ytxt}"
+        return f"{x}+{ytxt}" if y > 0 else f"{x}{ytxt}"
 
     def key(self) -> tuple:
         """Canonical sort/equality key (field-local)."""
@@ -407,10 +431,8 @@ def fundamental_unit(K: QuadField) -> Elem:
                 if cand.sign_at(0) > 0 and (cand - 1).sign_at(0) > 0:
                     return cand
             raise AssertionError("no associate > 1")
-    raise ArithmeticError(
-        f"continued fraction of omega did not close for d={d} "
-        f"within CF_STEP_BOUND = {CF_STEP_BOUND} steps"
-    )
+    # the period of w is longer: it takes at least CF_STEP_BOUND + 1 steps
+    raise BoundExceeded("continued fraction of omega", f"d={d}", CF_STEP_BOUND + 1, CF_STEP_BOUND)
 
 
 def roots_of_unity(K: QuadField) -> list[Elem]:

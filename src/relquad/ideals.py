@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .arith import BoundExceeded, factorint, kronecker, sqrt_mod_p, xgcd
+from .arith import BoundExceeded, factorint, is_prime, kronecker, sqrt_mod_p, xgcd
 from .field import Elem, QuadField, fundamental_unit, parse_elem
 
 __all__ = [
@@ -157,14 +157,11 @@ class Ideal:
         return self.hnf[0] * self.hnf[2]
 
     def basis_elems(self) -> list[Elem]:
-        K = self.field
+        K, den = self.field, self.den
         if K.degree == 1:
-            return [K.elem(Fraction(self.hnf[0], self.den))]
+            return [Elem(K, self.hnf[0], 0, den)]
         a, b, c = self.hnf
-        return [
-            K.elem(Fraction(a, self.den)),
-            K.elem(Fraction(b, self.den), Fraction(c, self.den)),
-        ]
+        return [Elem(K, a, 0, den), Elem(K, b, c, den)]
 
     def __eq__(self, other):
         if self is other:
@@ -190,23 +187,22 @@ class Ideal:
 
     def pretty(self) -> str:
         """Two-generator display "(a, b+c*w)", collapsing n*O to "(n)"."""
-        if self.field.degree == 1:
-            return f"({Fraction(self.hnf[0], self.den)})"
+        K, den = self.field, self.den
+        if K.degree == 1:
+            return f"({Elem(K, self.hnf[0], 0, den)})"
         a, b, c = self.hnf
-        g1 = Fraction(a, self.den)
+        g1 = Elem(K, a, 0, den)
         if b == 0 and c == a:
             return f"({g1})"
-        g2 = self.field.elem(Fraction(b, self.den), Fraction(c, self.den))
-        return f"({g1}, {g2})"
+        return f"({g1}, {Elem(K, b, c, den)})"
 
     # -- membership and residues --------------------------------------------
 
     def contains(self, e: Elem) -> bool:
-        x = e.x * self.den
-        y = e.y * self.den
-        if x.denominator != 1 or y.denominator != 1:
-            return False
-        return self._contains_coords(x.numerator, y.numerator)
+        # den * (X + Y*w)/m must have integer coordinates in the module
+        x, rx = divmod(e.X * self.den, e.m)
+        y, ry = divmod(e.Y * self.den, e.m)
+        return not (rx or ry) and self._contains_coords(x, y)
 
     def _contains_coords(self, x: int, y: int) -> bool:
         # whether (x + y*w)/self.den lies in this ideal, for integers x, y
@@ -224,7 +220,7 @@ class Ideal:
             raise ValueError("integral ideal required")
         if not e.is_integral():
             raise ValueError("integral element required")
-        return self.field.elem(*self.reduce_coords(int(e.x), int(e.y)))
+        return Elem(self.field, *self.reduce_coords(e.X, e.Y))
 
     def reduce_coords(self, x: int, y: int) -> tuple[int, int]:
         """reduce() on the integer coordinates of x + y*w, for an integral
@@ -423,12 +419,12 @@ class Ideal:
         field over the rows the positive definite norm form allows."""
         K = self.field
         if K.degree == 1:
-            return K.elem(Fraction(self.hnf[0], self.den))
+            return Elem(K, self.hnf[0], 0, self.den)
         num = Ideal(K, self.hnf, 1, _checked=True)
         g = _principal_generator_integral(num)
         if g is None:
             return None
-        return K.elem(g.x / self.den, g.y / self.den)
+        return Elem(K, g.X, g.Y, self.den)
 
 
 def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
@@ -454,7 +450,7 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
             "residue enumeration", f"the ideal {M.pretty()}", size, RESIDUE_ENUMERATION_BOUND
         )
     K = delta.field
-    X, Y = int(delta.x), int(delta.y)
+    X, Y = delta.X, delta.Y
     t, n = K.omega_trace, K.omega_norm  # 0 and 0 over Q, where y stays 0
     a, _, c = _hnf_triple(M)
     A, B, C = _hnf_triple(N)
@@ -597,25 +593,19 @@ def ideal_from_generators(K: QuadField, gens) -> Ideal:
     elems = []
     for g in gens:
         if not isinstance(g, Elem):
-            g = K.elem(Fraction(g))
+            g = K.elem(g)
         if g:
             elems.append(g)
     if not elems:
         raise ValueError("no nonzero generators")
-    den = 1
-    for g in elems:
-        den = lcm(den, g.x.denominator, g.y.denominator)
+    den = lcm(*(g.m for g in elems))
     if K.degree == 1:
-        n = 0
-        for g in elems:
-            n = gcd(n, g.x.numerator * (den // g.x.denominator))
-        return Ideal(K, (abs(n),), den)
+        return Ideal(K, (abs(gcd(*(g.X * (den // g.m) for g in elems))),), den)
     # den*g = X + Y w with integers X, Y, and (X + Y w) w = -n Y + (X + t Y) w
     t, n = K.omega_trace, K.omega_norm
     vecs = []
     for g in elems:
-        X = g.x.numerator * (den // g.x.denominator)
-        Y = g.y.numerator * (den // g.y.denominator)
+        X, Y = g.X * (den // g.m), g.Y * (den // g.m)
         vecs.append((X, Y))
         vecs.append((-n * Y, X + t * Y))
     return Ideal(K, _hnf_from_vectors(vecs), den, _checked=True)
@@ -657,6 +647,8 @@ def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
 
 @lru_cache(maxsize=None)
 def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
+    if not is_prime(p):
+        raise ValueError(f"primes above {p} in {K}: {p} is not a prime")
     if K.degree == 1:
         return (PrimeIdeal(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
     t, n = K.omega_trace, K.omega_norm
@@ -790,6 +782,19 @@ def _norm_row(K: QuadField, y: int, lo: int, hi: int) -> tuple[range, ...]:
     return (xs(-u_hi, -u_lo), xs(u_lo, u_hi))
 
 
+def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
+    """(xcap, ycap) > (|A|, |y|) for x + y*w = A + B*sqrt(d) of the real
+    field K in the box |s1|, |s2| <= sqrt(N)*eps, from the bound
+    E = A_eps + B_eps*(isqrt(d) + 1) > eps with s*E an integer, s = t + 1:
+    |A| <= sqrt(N)*E and |y| = s*|B| <= s*sqrt(N)*E/sqrt(d)."""
+    eps = fundamental_unit(K)
+    t = K.omega_trace
+    s = t + 1
+    sE = s * eps.X + t * eps.Y + eps.Y * (isqrt(K.d) + 1)
+    R = N * sE * sE
+    return isqrt(R // (s * s)) + 1, isqrt(R // K.d) + 1
+
+
 def _principal_generator_integral(I: Ideal) -> Elem | None:
     """The first g = i*a + j*(b + c*w) of I with |N(g)| = N(I), or None.
 
@@ -814,21 +819,13 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
         for j in range(-jmax, jmax + 1):
             row = [x for r in _norm_row(K, j * c, N, N) for x in r if (x - j * b) % a == 0]
             for x in reversed(row):
-                g = K.elem(x, j * c)
+                g = Elem(K, x, j * c)
                 if principal_ideal(g) == I:
                     return g
         return None
     # real quadratic: generator box bounded through the fundamental unit
-    eps = fundamental_unit(K)
-    A, B = eps.as_sqrt_coords()
-    d = K.d
-    E = A + B * (isqrt(d) + 1)  # rational upper bound for sigma1(eps)
-    R2 = N * E * E  # (sqrt(N) * eps)^2 upper bound
-    # y in sqrt-coords is y/2 (t=1) or y (t=0); |y_sqrt| <= sqrt(R2/d)
-    mult = 2 if t == 1 else 1
-    ycap = isqrt(int(R2 * mult * mult / d)) + 1
+    xcap, ycap = _unit_box(K, N)
     jmax = ycap // c + 1
-    xcap = isqrt(int(R2)) + 1
     for j in range(-jmax, jmax + 1):
         y = j * c
         # |x + t*y/2| <= xcap, widened to whole steps of a
@@ -837,7 +834,7 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
         row = sorted(x for m in (N, -N) for r in _norm_row(K, y, m, m) for x in r)
         for x in row:
             if x_lo <= x <= x_hi and (x - j * b) % a == 0:
-                g = K.elem(x, y)
+                g = Elem(K, x, y)
                 if principal_ideal(g) == I:
                     return g
     return None

@@ -61,7 +61,7 @@ def table_rows(K: QuadField, bound: int, sign: str = "totally_negative") -> list
     for info in discriminant_classes(K, bound, sign=sign):
         extras = {"unit_discriminant": info.rel_disc.is_unit_ideal()}
         if K.degree == 1:
-            delta_int = int(info.delta.x)
+            delta_int = info.delta.X
             if delta_int < 0:
                 extras["H"] = hurwitz_class_number(delta_int)
         rows.append(

@@ -147,10 +147,9 @@ def completion_at(K: QuadField, P, precision: int | None = None):
 
 def embed_element(F: LocalField, omega_img, e: Elem) -> LocalElem:
     """Exact image of an integral element under the completion embedding."""
-    x, y = int(e.x), int(e.y)
     if omega_img is None:
-        return F.elem(x)
-    return F.elem(x) + F.elem(y) * omega_img
+        return F.elem(e.X)
+    return F.elem(e.X) + F.elem(e.Y) * omega_img
 
 
 # -- suites ---------------------------------------------------------------------
@@ -307,7 +306,7 @@ def identity_suite(
         if K.degree == 1:
             for n in range(1, min(60, norm_bound) + 1):
                 cases += 1
-                if order_ideal_count_sublattice(int(info.delta.x), n) != lhs[n]:
+                if order_ideal_count_sublattice(info.delta.X, n) != lhs[n]:
                     failures.append(f"sublattice count fails: delta {info.delta}, n={n}")
     return _report("identity", cases, failures, field=field_d or 0)
 

@@ -22,13 +22,15 @@ enumeration over field elements, deduplicated by dividing and taking
 Fraction square roots (the route that the integer pairs of
 discriminants.discriminant_classes replaced), and the product of two ideals
 computed afresh on every call (the route that the value memo of
-Ideal.__mul__ replaced).
+Ideal.__mul__ replaced), and elements over two Fraction coordinates (the
+route that the integer triple (X, Y, m) of field.Elem replaced).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from relquad.arith import frac_sqrt, is_prime
 from relquad.characters import _balance
@@ -53,7 +55,15 @@ from relquad.dyadic import (
     span_masks,
     unit_filtration,
 )
-from relquad.field import Elem, QuadField, fundamental_unit, roots_of_unity
+from relquad.field import (
+    Elem,
+    QuadField,
+    coords_is_square,
+    coords_sign,
+    coords_sqrt,
+    fundamental_unit,
+    roots_of_unity,
+)
 from relquad.ideals import (
     Ideal,
     _hnf_from_vectors,
@@ -474,7 +484,7 @@ def _coprime_proxy(chi, alpha: Elem) -> Elem:
             extra = extra * P.ideal
     search = cond * extra
     cond_fac = cond.factor()
-    ax, ay, am = alpha.integer_coords()
+    ax, ay, am = alpha.X, alpha.Y, alpha.m
     for i, j in search.residue_coords():
         x, y = _balance(search, i, j)
         if not (x or y) or not chi._coprime_coords(x, y):
@@ -624,3 +634,144 @@ def discriminant_classes_by_elems(
         if info.is_square_in_K != (sqrt_by_fractions(info.delta) is not None):
             raise AssertionError(f"is_square_in_K is wrong for {info.delta}")
     return infos
+
+
+# -- elements over Fraction coordinates ------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionElem:
+    """x + y*w with exact rational coordinates: the Elem that stored two
+    Fractions, kept as the oracle of the integer triple (X, Y, m) of
+    field.Elem.  Its sign and square tests clear the denominator and call
+    the field's integer kernels, as the old Elem did."""
+
+    field: QuadField
+    x: Fraction
+    y: Fraction
+
+    def _chk(self, other: "FractionElem"):
+        if self.field is not other.field and self.field != other.field:
+            raise ValueError("elements of different fields")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionElem(self.field, self.x + other.x, self.y + other.y)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return FractionElem(self.field, self.x - other.x, self.y - other.y)
+
+    def __rsub__(self, other):
+        return self._coerce(other).__sub__(self)
+
+    def __neg__(self):
+        return FractionElem(self.field, -self.x, -self.y)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        # w^2 = t*w - n
+        t, n = self.field.omega_trace, self.field.omega_norm
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        return FractionElem(self.field, x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if not other:
+            raise ZeroDivisionError("division by zero field element")
+        if self.field.degree == 1:
+            return FractionElem(self.field, self.x / other.x, Fraction(0))
+        nm = other.norm()
+        prod = self * other.conj()
+        return FractionElem(self.field, prod.x / nm, prod.y / nm)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other).__truediv__(self)
+
+    def __pow__(self, k: int):
+        one = FractionElem(self.field, Fraction(1), Fraction(0))
+        if k < 0:
+            return (one / self) ** (-k)
+        # square-and-multiply with no product by one and no unused square
+        out = None
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return one if out is None else out
+
+    def _coerce(self, other) -> "FractionElem":
+        if isinstance(other, FractionElem):
+            self._chk(other)
+            return other
+        return FractionElem(self.field, Fraction(other), Fraction(0))
+
+    def __bool__(self):
+        return self.x != 0 or self.y != 0
+
+    def conj(self) -> "FractionElem":
+        t = self.field.omega_trace
+        return FractionElem(self.field, self.x + t * self.y, -self.y)
+
+    def trace(self) -> Fraction:
+        return 2 * self.x + self.field.omega_trace * self.y
+
+    def norm(self) -> Fraction:
+        if self.field.is_rational:
+            return self.x
+        t, n = self.field.omega_trace, self.field.omega_norm
+        return self.x * self.x + t * self.x * self.y + n * self.y * self.y
+
+    def is_integral(self) -> bool:
+        return self.x.denominator == 1 and self.y.denominator == 1
+
+    def integer_coords(self) -> tuple[int, int, int]:
+        """(X, Y, m) with self = (X + Y*w)/m, integers X, Y and m >= 1 least."""
+        x, y = self.x, self.y
+        m = lcm(x.denominator, y.denominator)
+        return x.numerator * (m // x.denominator), y.numerator * (m // y.denominator), m
+
+    def sign_at(self, embedding: int) -> int:
+        """Exact sign (-1, 0, +1) at the given real embedding."""
+        if embedding not in self.field.real_embeddings:
+            raise ValueError(f"no real embedding {embedding} for {self.field}")
+        # clearing the positive denominator m does not change the sign
+        X, Y, _ = self.integer_coords()
+        return coords_sign(self.field, X, Y, embedding)
+
+    def is_square(self) -> bool:
+        """Whether the element is a square in K."""
+        X, Y, m = self.integer_coords()
+        return coords_is_square(self.field, m * X, m * Y)
+
+    def sqrt(self) -> "FractionElem | None":
+        """An exact square root in K, or None.  With self = (X + Y*w)/m,
+        the root is coords_sqrt's root of m*(X + Y*w) = m^2 * self over m."""
+        X, Y, m = self.integer_coords()
+        root = coords_sqrt(self.field, m * X, m * Y)
+        if root is None:
+            return None
+        return FractionElem(self.field, Fraction(root[0], m), Fraction(root[1], m))
+
+    def __str__(self):
+        if self.field.is_rational:
+            return str(self.x)
+        if self.y == 0:
+            return str(self.x)
+        ytxt = f"{self.y}*w" if self.y > 0 else f"-{-self.y}*w"
+        if self.x == 0:
+            return ytxt
+        return f"{self.x}+{ytxt}" if self.y > 0 else f"{self.x}{ytxt}"
+
+    def key(self) -> tuple:
+        """Canonical sort/equality key (field-local)."""
+        return (self.x, self.y)

@@ -148,7 +148,7 @@ def test_on_element_matches_ideal_oracle():
                 else:
                     agree += 1
                     # numerator and denominator both divisible by some P | delta
-                    X, Y, m = a.integer_coords()
+                    X, Y, m = a.X, a.Y, a.m
                     if m > 1 and any(
                         principal_ideal(K.elem(X, Y)).valuation(P) for P, _ in chi.modulus.factor()
                     ):

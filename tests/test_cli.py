@@ -142,6 +142,12 @@ def test_residue_table_bound_exit_code(capsys):
     assert "character residue table bound exceeded for delta = -4100: 4100 > 4096" in err
 
 
+def test_negative_table_bound_exit_code(capsys):
+    code, out, err = run_cli("table", "--field", "5", "--bound", "-1", capsys=capsys)
+    assert code == 2 and out == ""
+    assert "norm bound must be >= 0, got -1" in err
+
+
 def test_module_entry_point():
     src = str(Path(relquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -361,7 +361,7 @@ def test_local_square_solvable_non_integral_matches_residue_oracle():
                             if not (x or y):
                                 continue
                             delta = K.elem(x, y) / den
-                            X, Y, m = delta.integer_coords()
+                            X, Y, m = delta.X, delta.Y, delta.m
                             for t in range(1, 6):
                                 got = local_square_solvable(delta, P, t)
                                 expected = local_square_solvable_by_residues(delta, P, t)
@@ -396,6 +396,15 @@ def test_classes_match_elem_oracle(d):
         for sign in ("any", "totally_negative"):
             expected = discriminant_classes_by_elems(K, bound, sign)
             assert discriminant_classes(K, bound, sign) == expected, (d, bound, sign)
+
+
+def test_classes_refuse_negative_bound():
+    # a negative bound is refused up front and named; bound 0 has no class
+    for d in (None, 5, 10, -15):
+        K = make_field(d)
+        with pytest.raises(ValueError, match=r"norm bound must be >= 0, got -1"):
+            discriminant_classes(K, -1)
+        assert discriminant_classes(K, 0) == []
 
 
 def test_classes_build_no_quotient_and_no_fraction_root(monkeypatch):

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FractionElem,
     interval_sign,
     is_unit_square_by_decomposition,
     sqrt_by_fractions,
     unit_power_decomposition,
     units_with_coeff_bound,
 )
+from relquad.arith import BoundExceeded
 from relquad.field import (
+    QuadField,
     coords_is_square,
     coords_mul,
     coords_sqrt,
@@ -39,6 +42,17 @@ def test_make_field_conventions():
 def test_make_field_rejects(bad):
     with pytest.raises(ValueError):
         make_field.__wrapped__(bad)
+
+
+def test_field_hash_stored_and_equality():
+    # a fresh field and the interned one hash and compare alike; the hash
+    # is taken once, at construction
+    K = QuadField(5)
+    assert K is not make_field(5)
+    assert hash(K) == hash(make_field(5)) == hash(("QuadField", 5))
+    assert K == make_field(5) and make_field(5) == K and K != make_field(13)
+    assert K._hash == hash(("QuadField", 5))
+    assert QuadField(None) == make_field() and hash(QuadField(None)) == hash(make_field())
 
 
 def test_norm_trace_examples(Q10, Q5):
@@ -115,8 +129,9 @@ def test_fundamental_unit_step_cap(monkeypatch):
     import relquad.field as field
 
     monkeypatch.setattr(field, "CF_STEP_BOUND", 3)
-    with pytest.raises(ArithmeticError, match=r"d=94.*CF_STEP_BOUND = 3"):
+    with pytest.raises(BoundExceeded, match=r"continued fraction of omega .*d=94: 4 > 3") as exc:
         fundamental_unit.__wrapped__(make_field(94))
+    assert exc.value.bound == 3
     monkeypatch.setattr(field, "_cf_step", lambda P, Q, D, s: (1, 0, 0))
     with pytest.raises(AssertionError, match="d=94"):
         fundamental_unit.__wrapped__(make_field(94))
@@ -256,7 +271,7 @@ def test_sqrt_kernel_matches_fraction_oracle():
         for g in elems + [g * g for g in elems]:
             expected = sqrt_by_fractions(g)
             assert g.sqrt() == expected, (K, g)
-            X, Y, m = g.integer_coords()
+            X, Y, m = g.X, g.Y, g.m
             root = coords_sqrt(K, m * X, m * Y)
             assert coords_is_square(K, m * X, m * Y) == (expected is not None) == (root is not None)
             if root is not None:
@@ -285,3 +300,58 @@ def test_pow_matches_repeated_multiplication():
                 assert g**k == expected, (K, g, k)
                 assert g ** (-k) == K.one / expected, (K, g, k)
                 expected = expected * g
+
+
+# Q, d = -1 and -3, and squarefree d = 1 and d != 1 (mod 4) of both signs
+PROPERTY_FIELDS = (
+    [None, -1, -3]
+    + [5, 13, 17, 21, 33, 105, -7, -11, -15, -19, -23]
+    + [2, 3, 6, 7, 10, 15, -2, -5, -6, -10]
+)
+_rationals = st.one_of(st.just(0), st.fractions(min_value=-60, max_value=60, max_denominator=12))
+
+
+def _same(e, f) -> bool:
+    # an integer Elem and a FractionElem (or None) denote the same element
+    if e is None or f is None:
+        return e is None and f is None
+    return (e.x, e.y) == (f.x, f.y) and str(e) == str(f) and e.key() == f.key()
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(PROPERTY_FIELDS),
+    st.tuples(_rationals, _rationals),
+    st.tuples(_rationals, _rationals),
+    st.integers(-4, 5),
+)
+def test_integer_elem_matches_fraction_oracle(d, c1, c2, k):
+    K = make_field(d)
+    if K.is_rational:
+        c1, c2 = (c1[0], 0), (c2[0], 0)
+    a, b = K.elem(*c1), K.elem(*c2)
+    fa, fb = (FractionElem(K, Fraction(x), Fraction(y)) for x, y in (c1, c2))
+    assert len(PROPERTY_FIELDS) == 24
+    assert a.m >= 1 and (a.X, a.Y, a.m) == fa.integer_coords()
+    assert _same(a, fa) and _same(b, fb)
+    assert _same(a + b, fa + fb) and _same(a - b, fa - fb) and _same(a * b, fa * fb)
+    third = Fraction(1, 3)
+    assert _same(a + 3, fa + 3) and _same(2 - a, 2 - fa) and _same(a * third, fa * third)
+    if b:
+        assert _same(a / b, fa / fb) and _same(1 / b, 1 / fb)
+    if a or k >= 0:
+        assert _same(a**k, fa**k)
+    assert _same(a.conj(), fa.conj()) and _same(-a, -fa)
+    for got, expected in ((a.norm(), fa.norm()), (a.trace(), fa.trace())):
+        assert got == expected and type(got) is type(expected) is Fraction
+    assert a.is_integral() == fa.is_integral()
+    half = K.d is not None and K.d % 4 == 1  # w = (1 + sqrt(d))/2
+    assert a.as_sqrt_coords() == ((fa.x + fa.y / 2, fa.y / 2) if half else (fa.x, fa.y))
+    for i in K.real_embeddings:
+        assert a.sign_at(i) == fa.sign_at(i)
+    for e, f in ((a, fa), (a * a, fa * fa), (a * b * b, fa * fb * fb)):
+        assert _same(e.sqrt(), f.sqrt()) and e.is_square() == f.is_square()
+    assert (a == b) == (fa == fb) and (a.key() < b.key()) == (fa.key() < fb.key())
+    assert a == K.elem(*c1) and hash(a) == hash(K.elem(*c1))
+    if a == b:
+        assert hash(a) == hash(b)

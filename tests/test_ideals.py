@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -270,6 +271,16 @@ def test_primes_above_returns_fresh_list(Q10):
     expected = list(first)
     first.clear()
     assert primes_above(Q10, 3) == expected and len(expected) == 2
+
+
+def test_primes_above_rejects_non_primes(Q, Q5):
+    # a composite, a unit and a prime power are refused with a ValueError
+    # naming p and the field, not answered or failed as an internal invariant
+    for K, p in ((Q, 4), (Q, 1), (Q5, 9), (Q5, 4)):
+        message = rf"primes above {p} in {re.escape(str(K))}: {p} is not a prime"
+        with pytest.raises(ValueError, match=message):
+            primes_above(K, p)
+    assert [P.p for P in primes_above(Q5, 11)] == [11, 11]
 
 
 def test_hnf_valuation_matches_division_oracle():
