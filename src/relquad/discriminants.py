@@ -22,6 +22,7 @@ Elems, for conductor_ideal.  Cohen, GTM 138, 5.2 and 5.7-5.8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .field import Elem, QuadField, coords_is_square, coords_mul, coords_sign, fundamental_unit
@@ -296,6 +297,15 @@ def _window_member(P: int, Q: int, E: int, F: int, d: int) -> bool:
     return below and _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d)
 
 
+@lru_cache(maxsize=None)
+def _unit_window(K: QuadField) -> tuple[int, int]:
+    """(E, F) with 2 eps^4 = E + F sqrt(d), the window bound of
+    _window_member, computed once per interned real field (as
+    fundamental_unit is)."""
+    E, F = (int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
+    return E, F
+
+
 def discriminant_candidates(K: QuadField, norm_bound: int):
     """All integral delta with |N(delta)| <= norm_bound, restricted (real
     case) to the fundamental-unit window |log|s1(delta)/s2(delta)|| <=
@@ -322,7 +332,7 @@ def discriminant_candidates(K: QuadField, norm_bound: int):
         window = None
     else:
         xc, ymax = _unit_box(K, norm_bound)
-        window = tuple(int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
+        window = _unit_window(K)
     for y in range(-ymax, ymax + 1):
         lo = (-t * y) // 2 - xc - 1
         hi = (-t * y) // 2 + xc + 1

@@ -31,17 +31,29 @@ per valuation (s = ceil(v/e)), and reads that table.  Square certificates
 of the duality report runs on them, and the tests check the table against
 them.
 
+The arithmetic runs on integer coordinate pairs (a, b) modulo W, with no
+object per step: _mul is the product by the t^2 rule, _valuation takes v2
+of the norm from its lowest set bit, and SquareClassSpace._classify_coords
+is decompose on a pair.  LocalElem is the public wrapper over one pair; its
+product and valuation and SquareClassSpace.decompose call the same kernels,
+and the hot loops of the square-class space, the norm-group search and the
+duality report call them on pairs directly.  The report holds its symbol
+table as one bitmask row per class (bit j of row i set iff the symbol is
+-1), so bilinearity in the first argument is one XOR per pair of rows, and
+it pairs classes through the Gram matrix's rows as masks.
+
 A field's tables never change, so local_field() and all_local_fields()
 intern their fields, one LocalField per (kind, c, precision), as
-field.make_field interns QuadField: the square-class space, the norm groups
+field.make_field interns QuadField: the square-class space, the symbol rows
 of the Hilbert symbol and the digit samples are built once per field and
 precision, and every caller shares them; the intern table grows only with
 the (field, precision) pairs asked for.  The package gets every field
 there; a LocalField built directly is a private instance, for tests.  The
 Hilbert symbol depends only on the two square classes; hilbert_symbol
-decomposes its arguments and reads the symbol off the norm group of the
-first class, and duality_report decomposes each class representative once
-and pairs the classes.
+decomposes its arguments and reads the symbol off the row of the first
+class, the classes outside its norm group, searched once per class; and
+duality_report decomposes each class representative once and pairs the
+classes.
 """
 
 from __future__ import annotations
@@ -73,10 +85,9 @@ class LocalField:
 
     The descriptor is immutable and element operations are pure.  The
     instance caches, on first use, its square-class space (basis and unit
-    table, see SquareClassSpace), the norm groups that hilbert_symbol
-    searches, the digit samples of _sample_integral and the unit classes of
-    _level_classes, the last three as tuples; no code mutates any of them
-    once built.  Each is a function of the descriptor and the precision
+    table, see SquareClassSpace), the symbol rows that hilbert_symbol reads
+    (as ints), the digit samples of _sample_integral and the unit classes of
+    _level_classes (as tuples); no code mutates any of them once built.  Each is a function of the descriptor and the precision
     alone, so a lazy build that two threads race to fill computes the same
     value whichever write lands: instances may be shared between threads.
     The generator t of the basis {1, t} satisfies t^2 = T t + C, with
@@ -103,10 +114,11 @@ class LocalField:
         if self.precision < 2 * self.e + 6:
             raise ValueError("precision too small for stable square decisions")
         self.W = 1 << (self.precision + 6)  # coordinate modulus 2^(prec+6)
+        self.vcap = self.e * (self.precision + 2)  # deepest valuation reported
         self.dim = self.e * self.f + 2  # dim of K^x / (K^x)^2 over F2
         # residue field digits: F2, or F4 as bit pairs p + q*g
         self.digits = ((0, 0), (1, 0)) if self.f == 1 else ((0, 0), (1, 0), (0, 1), (1, 1))
-        self._norm_group_memo: dict[int, tuple[int, ...]] = {}
+        self._symbol_memo: dict[int, int] = {}
         self._sample_memo: dict[int, tuple[LocalElem, ...]] = {}
         self._square_memo: dict[int, tuple[LocalElem, ...]] = {}
         self._level_memo: dict[int, tuple[int, ...]] = {}
@@ -212,19 +224,39 @@ class LocalField:
         return out
 
 
+def _mul(F: LocalField, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int]:
+    """The pair of (a1 + b1 t)(a2 + b2 t) modulo W, by t^2 = T t + C."""
+    bb = b1 * b2
+    W = F.W
+    return (a1 * a2 + F.C * bb) % W, (a1 * b2 + b1 * a2 + F.T * bb) % W
+
+
+def _valuation(F: LocalField, a: int, b: int) -> int | None:
+    """pi-adic valuation e v2(N) / 2 of a + b t, with N = a^2 + T a b - C b^2
+    the exact norm of the pair; None for a zero norm and beyond F.vcap, where
+    the element is indistinguishable from 0 here."""
+    n = a * a + F.T * a * b - F.C * b * b
+    if n == 0:
+        return None
+    v2 = (n & -n).bit_length() - 1
+    if F.e * v2 % 2:  # for e = 1 the norm of 2^v * unit is 4^v * odd
+        raise AssertionError(f"norm with odd 2-adic valuation {v2} in {F}")
+    v = F.e * v2 // 2
+    return None if v > F.vcap else v
+
+
 @dataclass(frozen=True)
 class LocalElem:
+    """a + b t over the generator t of the field, as the coordinates modulo
+    W; the public wrapper over the pair kernels _mul and _valuation."""
+
     field: LocalField
     a: int
     b: int = 0
 
     def __mul__(self, other: "LocalElem") -> "LocalElem":
         F = self.field
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        bb = b1 * b2  # t^2 = T t + C
-        return LocalElem(
-            F, (a1 * a2 + F.C * bb) % F.W, (a1 * b2 + b1 * a2 + F.T * bb) % F.W
-        )
+        return LocalElem(F, *_mul(F, self.a, self.b, other.a, other.b))
 
     def __add__(self, other):
         F = self.field
@@ -255,22 +287,7 @@ class LocalElem:
     def valuation(self) -> int | None:
         """pi-adic valuation e v2(N(x)) / 2; None means indistinguishable
         from 0 here."""
-        F = self.field
-        if not self:
-            return None
-        n = self.norm_int()
-        if n == 0:
-            return None
-        v2 = 0
-        while n % 2 == 0:
-            n //= 2
-            v2 += 1
-        if F.e * v2 % 2:  # for e = 1 the norm of 2^v * unit is 4^v * odd
-            raise AssertionError(f"norm with odd 2-adic valuation {v2} in {F}")
-        v = F.e * v2 // 2
-        if v > F.e * (F.precision + 2):
-            return None
-        return v
+        return _valuation(self.field, self.a, self.b)
 
     def unit_inverse(self) -> "LocalElem":
         F = self.field
@@ -480,6 +497,10 @@ class SquareClassSpace:
 
     decompose() expresses any nonzero element as a bitmask over the basis;
     it is linear (checked by the duality test suite, not assumed here).
+    _classify_coords() is decompose on a coordinate pair, the kernel that
+    decompose, hilbert_symbol and the hot loops of the duality report call;
+    the constructor runs on pairs as well, and LocalElem appears only in the
+    public basis and representatives.
 
     By the local square theorem (O'Meara 63:1) the square class of a unit u
     depends only on u modulo pi^(2e+1), so table[key(u)] is u's bitmask over
@@ -494,7 +515,9 @@ class SquareClassSpace:
     becomes the next basis unit b_i; for each product b_m of earlier basis
     units it adds key(b_m b_i s^2) -> m | 1 << i.  Every entry has a square
     witness: a unit u in the class of b_m b_i s^2 satisfies
-    u * b_m b_i = (b_m b_i s)^2 modulo U_(2e+1), a square.
+    u * b_m b_i = (b_m b_i s)^2 modulo U_(2e+1), a square.  The products
+    b_m of all the basis, pi included, are kept as the pairs of the class
+    representatives, rep_pairs[m].
 
     After that decompose() takes the unit part of x = pi^v u as
     u = x f_v / 2^s with s = ceil(v/e) and the stored f_v = 2^s / pi^v =
@@ -510,26 +533,27 @@ class SquareClassSpace:
         top = F.pi ** (2 * F.e + 1)
         vecs = [(top.a, top.b), (F.W, 0), (0, F.W)]
         if F.kind != "q2":
-            t = top * F.elem(0, 1)
-            vecs.append((t.a, t.b))
+            vecs.append(_mul(F, top.a, top.b, 0, 1))
         self._lattice = _hnf_from_vectors(vecs)
-        squares: dict[int, LocalElem] = {}
+        key = self._key
+        squares: dict[int, tuple[int, int]] = {}
         for s in F.samples(F.e + 1):
-            if s.valuation() == 0:
-                squares.setdefault(self.key(s * s), s * s)
+            if _valuation(F, s.a, s.b) == 0:
+                sq = _mul(F, s.a, s.b, s.a, s.b)
+                squares.setdefault(key(*sq), sq)
         self.table: dict[int, int] = dict.fromkeys(squares, 0)
         basis_units: list[LocalElem] = []
-        span = [F.one]  # span[m] = product of basis_units[i] over the bits i of m
+        span = [(1, 0)]  # span[m] = product of basis_units[i] over the bits i of m
         for cand in _unit_candidates(F):
             if len(basis_units) == F.dim - 1:
                 break
             if self.key(cand) in self.table:
                 continue
             bit = 1 << len(basis_units)
-            coset = [b * cand for b in span]
-            for m, b in enumerate(coset):
-                for sq in squares.values():
-                    if self.table.setdefault(self.key(b * sq), m | bit) != m | bit:
+            coset = [_mul(F, ba, bb, cand.a, cand.b) for ba, bb in span]
+            for m, (ba, bb) in enumerate(coset):
+                for sa, sb in squares.values():
+                    if self.table.setdefault(key(*_mul(F, ba, bb, sa, sb)), m | bit) != m | bit:
                         raise AssertionError("basis units dependent modulo squares")
             basis_units.append(cand)
             span += coset
@@ -541,12 +565,17 @@ class SquareClassSpace:
             raise AssertionError(
                 f"unit table has {len(self.table)} keys, O*/U_(2e+1) has {classes} classes"
             )
+        pi = F.pi
+        self.rep_pairs = tuple(
+            pair for ua, ub in span for pair in ((ua, ub), _mul(F, ua, ub, pi.a, pi.b))
+        )
         # (f_v, s) for every valuation v <= e (precision + 2) that
-        # LocalElem.valuation reports
+        # _valuation reports, f_v as its pair
         eps_inv = (F.pi**F.e).div_exact_int(2).unit_inverse()
-        shifts = [-(-v // F.e) for v in range(F.e * (F.precision + 2) + 1)]
+        shifts = [-(-v // F.e) for v in range(F.vcap + 1)]
         self._unshift = tuple(
-            (eps_inv**s * F.pi ** (F.e * s - v), s) for v, s in enumerate(shifts)
+            ((f.a, f.b), s)
+            for f, s in ((eps_inv**s * F.pi ** (F.e * s - v), s) for v, s in enumerate(shifts))
         )
 
     def key(self, u: LocalElem) -> int:
@@ -558,27 +587,27 @@ class SquareClassSpace:
         return ub % c * a + (ua - ub // c * b) % a
 
     def decompose(self, x: LocalElem) -> int:
-        v = x.valuation()
+        return self._classify_coords(x.a, x.b)
+
+    def _classify_coords(self, a: int, b: int, v: int | None = None) -> int:
+        """decompose on the pair (a, b); v is _valuation(F, a, b) when the
+        caller already holds it.  One product by f_v, a shift and a table
+        read."""
         if v is None:
-            raise ValueError("cannot classify 0")
-        return self._classify(x, v)
+            v = _valuation(self.field, a, b)
+            if v is None:
+                raise ValueError("cannot classify 0")
+        return v % 2 | self.table[self._unit_key(a, b, v)] << 1
 
-    def _classify(self, x: LocalElem, v: int) -> int:
-        """decompose(x) for a caller that already holds v = x.valuation()."""
-        return v % 2 | self.table[self._unit_key(x, v)] << 1
-
-    def _unit_key(self, x: LocalElem, v: int) -> int:
-        """key(x / pi^v) for v = x.valuation(), as x f_v / 2^s."""
-        f, s = self._unshift[v]
-        u = x * f
-        return self._key(u.a >> s, u.b >> s)
+    def _unit_key(self, a: int, b: int, v: int) -> int:
+        """key(x / pi^v) of the pair (a, b) of x, v = _valuation, as x f_v / 2^s."""
+        (fa, fb), s = self._unshift[v]
+        ua, ub = _mul(self.field, a, b, fa, fb)
+        return self._key(ua >> s, ub >> s)
 
     def rep(self, mask: int) -> LocalElem:
-        out = self.field.one
-        for i in range(self.dim):
-            if mask >> i & 1:
-                out = out * self.basis[i]
-        return out
+        """The product of the basis elements over the bits of mask."""
+        return LocalElem(self.field, *self.rep_pairs[mask])
 
     def all_reps(self) -> list[LocalElem]:
         return [self.rep(m) for m in range(1 << self.dim)]
@@ -626,42 +655,51 @@ def hilbert_symbol(x: LocalElem, y: LocalElem) -> int:
 def _class_symbol(F: LocalField, cx: int, cy: int) -> int:
     """The Hilbert symbol of the square classes cx and cy: +1 iff cx or cy
     is trivial or cy lies in the norm group of K(sqrt a)/K, a of class cx."""
-    if cx == 0 or cy == 0:
-        return 1
-    return 1 if _gf2_reduce(_norm_rows(F, cx), cy) == 0 else -1
+    return -1 if _symbol_row(F, cx) >> cy & 1 else 1
+
+
+def _symbol_row(F: LocalField, cx: int) -> int:
+    """The classes cy with (cx, cy) = -1, as a mask over the 2^dim classes:
+    bit cy is set iff cx is nontrivial and cy is outside the norm group of
+    cx.  Memoised per field, so each class's norm group is searched once."""
+    memo = F._symbol_memo
+    row = memo.get(cx)
+    if row is None:
+        row = 0
+        if cx:
+            rows = _norm_rows(F, cx)
+            for cy in range(1, 1 << F.dim):
+                if _gf2_reduce(rows, cy):
+                    row |= 1 << cy
+        memo[cx] = row
+    return row
 
 
 def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     """Row basis of the classes of nonzero values of u^2 - a v^2, where a
     represents class cx.  This is the norm group of K(sqrt a)/K, of index
-    exactly 2; the search stops when that index is reached.  Memoised per
-    field."""
-    memo = F._norm_group_memo
-    rows = memo.get(cx)
-    if rows is None:
-        rows = memo[cx] = _search_norm_rows(F, cx)
-    return rows
-
-
-def _search_norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
+    exactly 2; the search stops when that index is reached."""
     # u^2 - a v^2 over the pairs of squares of the samples at depth 3, then
     # 2e + 2, u outer and v inner.  The first u is 0, whose values -a v^2 all
     # lie in one class, so its pass reaches every v before the rows can fill:
     # forming a v^2 for the whole depth up front costs no extra product.
     space = F.space()
-    a = space.rep(cx)
+    classify = space._classify_coords
+    xa, xb = space.rep_pairs[cx]
+    W = F.W
     target = F.dim - 1
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
         squares = F.sample_squares(depth)
-        a_squares = [a * v2 for v2 in squares]
+        a_squares = [_mul(F, xa, xb, v2.a, v2.b) for v2 in squares]
         for u2 in squares:
-            for av2 in a_squares:
-                val = u2 - av2
-                v = val.valuation()  # None for 0 and for values lost to precision
+            ua, ub = u2.a, u2.b
+            for pa, pb in a_squares:
+                va, vb = (ua - pa) % W, (ub - pb) % W
+                v = _valuation(F, va, vb)  # None for 0 and for values lost to precision
                 if v is None:
                     continue
-                _gf2_insert(rows, space._classify(val, v))
+                _gf2_insert(rows, classify(va, vb, v))
                 if len(rows) == target:
                     return tuple(rows)
     raise AssertionError("norm group search did not reach index 2")
@@ -780,67 +818,45 @@ def span_masks(rows: list[int]) -> set[int]:
     return out
 
 
-def orthogonal_complement(
-    F: LocalField, rows: list[int], gram: list[list[int]] | None = None
-) -> list[int]:
-    """All classes pairing trivially with a subspace, via the Gram matrix
-    (gram_matrix(F) unless the caller passes it)."""
-    if gram is None:
-        gram = gram_matrix(F)
-    comp: list[int] = []
-    for m in range(1 << F.dim):
-        if all(_pair_bit(gram, m, r) == 0 for r in rows):
-            _gf2_insert(comp, m)
-    return comp
-
-
-def _pair_bit(gram: list[list[int]], m1: int, m2: int) -> int:
-    bit = 0
-    for i in range(len(gram)):
-        if not (m1 >> i & 1):
-            continue
-        for j in range(len(gram)):
-            if m2 >> j & 1:
-                bit ^= gram[i][j]
-    return bit
+def _orthogonal_classes(F: LocalField, gram_rows: list[int], rows: list[int]) -> set[int]:
+    """Every class m with <m, r> = 0 for all r in rows, where bit j of
+    gram_rows[i] is the Gram bit of basis classes i and j.  <m, r> is the
+    parity of m & w_r, with bit i of w_r the parity of gram_rows[i] & r."""
+    ws = [
+        sum(((g & r).bit_count() & 1) << i for i, g in enumerate(gram_rows)) for r in rows
+    ]
+    return {m for m in range(1 << F.dim) if not any((m & w).bit_count() & 1 for w in ws)}
 
 
 def gram_matrix(F: LocalField) -> list[list[int]]:
-    """Gram bits g[i][j] = (1 - hilbert(basis_i, basis_j)) / 2."""
+    """Gram bits g[i][j] = (1 - hilbert(basis_i, basis_j)) / 2, with each
+    basis element decomposed once."""
     space = F.space()
-    n = F.dim
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = (1 - hilbert_symbol(space.basis[i], space.basis[j])) // 2
-    return out
+    classes = [space.decompose(b) for b in space.basis]
+    return [[_symbol_row(F, ci) >> cj & 1 for cj in classes] for ci in classes]
 
 
 def duality_report(descriptor: str, precision: int | None = None) -> dict:
     """Everything the appendix asserts about one field, as a dict of checks."""
     F = local_field(descriptor, precision)
     space = F.space()
-    reps = space.all_reps()
+    reps = space.rep_pairs
     n = 1 << F.dim
+    # row i of the symbol table: bit j set iff (reps[i], reps[j]) = -1
     table = _symbol_table(F, reps)
-    symmetric = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
-    # decompose must be linear on products of representatives
-    linear = all(
-        space.decompose(reps[i] * reps[j]) == i ^ j for i in range(n) for j in range(n)
+    symmetric = all(
+        (table[i] >> j ^ table[j] >> i) & 1 == 0 for i in range(n) for j in range(i)
     )
-    bilinear = all(
-        table[i][j] * table[k][j] == table[i ^ k][j]
-        for i in range(n)
-        for k in range(n)
-        for j in range(n)
-    )
+    linear = _decompose_linear(F, reps)
+    # (x y, z) = (x, z)(y, z) for the classes x = i, y = k and every z = j at once
+    bilinear = all(table[i] ^ table[k] == table[i ^ k] for i in range(n) for k in range(n))
     gram = gram_matrix(F)
-    nondeg = _gf2_rank([_row_to_mask(r) for r in gram]) == F.dim
+    gram_rows = [_row_to_mask(r) for r in gram]
+    nondeg = _gf2_rank(gram_rows) == F.dim
     filtration = unit_filtration(F)
     dims = {k: len(rows) for k, rows in filtration.items()}
     duality = all(
-        span_masks(orthogonal_complement(F, filtration[k], gram))
-        == span_masks(filtration[F.e - k])
+        _orthogonal_classes(F, gram_rows, filtration[k]) == span_masks(filtration[F.e - k])
         for k in range(-1, F.e + 2)
     )
     even_pairs = _even_levels_pair_trivially(F)
@@ -850,7 +866,7 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     if F.kind == "q2":
         q2_oracle = all(
             hilbert_symbol_q2_formula(_as_rational(F, reps[i]), _as_rational(F, reps[j]))
-            == table[i][j]
+            == (-1 if table[i] >> j & 1 else 1)
             for i in range(n)
             for j in range(n)
         )
@@ -876,12 +892,28 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     }
 
 
-def _symbol_table(F: LocalField, reps: list[LocalElem]) -> list[list[int]]:
-    """hilbert_symbol(reps[i], reps[j]) for every i, j, with each element
-    decomposed once."""
-    space = F.space()
-    classes = [space.decompose(x) for x in reps]
-    return [[_class_symbol(F, ci, cj) for cj in classes] for ci in classes]
+def _decompose_linear(F: LocalField, reps) -> bool:
+    """decompose is linear on the products of the representative pairs:
+    the class of reps[i] reps[j] is i ^ j, for all n^2 products."""
+    classify = F.space()._classify_coords
+    for i, (a1, b1) in enumerate(reps):
+        for j, (a2, b2) in enumerate(reps):
+            if classify(*_mul(F, a1, b1, a2, b2)) != i ^ j:
+                return False
+    return True
+
+
+def _symbol_table(F: LocalField, reps) -> list[int]:
+    """The Hilbert symbols of the pairs reps[i], reps[j] as bitmask rows:
+    bit j of row i is set iff the symbol is -1.  Each pair is decomposed
+    once."""
+    classify = F.space()._classify_coords
+    classes = [classify(a, b) for a, b in reps]
+    rows = []
+    for ci in classes:
+        sym = _symbol_row(F, ci)
+        rows.append(sum((sym >> cj & 1) << j for j, cj in enumerate(classes)))
+    return rows
 
 
 def _row_to_mask(row: list[int]) -> int:
@@ -899,10 +931,10 @@ def _gf2_rank(rows: list[int]) -> int:
     return len(basis)
 
 
-def _as_rational(F: LocalField, x: LocalElem) -> int:
+def _as_rational(F: LocalField, x: tuple[int, int]) -> int:
     if F.kind != "q2":
         raise ValueError(f"{F} is not Q2")
-    a = x.a
+    a = x[0]
     # small signed representative of the canonical coordinate
     return a - F.W if a > F.W // 2 else a
 
@@ -912,10 +944,10 @@ def _even_levels_pair_trivially(F: LocalField) -> bool:
     # all square classes the groups meet
     levels = {i: _level_classes(F, i) for i in range(0, 2 * F.e + 1, 2)}
     for i, us in levels.items():
+        partners = sum(1 << cv for cv in levels[2 * F.e - i])
         for cu in us:
-            for cv in levels[2 * F.e - i]:
-                if _class_symbol(F, cu, cv) != 1:
-                    return False
+            if _symbol_row(F, cu) & partners:
+                return False
     return True
 
 
@@ -924,10 +956,14 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     depth 2e + 2 - i, built once per field and level."""
     out = F._level_memo.get(i)
     if out is None:
-        space, one, pi_i = F.space(), F.one, F.pi**i
-        units = (one + t * pi_i for t in F.samples(2 * F.e + 2 - i))
-        out = tuple({space._classify(u, 0) for u in units if u.valuation() == 0})
-        F._level_memo[i] = out
+        classify, pi_i, W = F.space()._classify_coords, F.pi**i, F.W
+        classes = set()
+        for t in F.samples(2 * F.e + 2 - i):
+            ua, ub = _mul(F, t.a, t.b, pi_i.a, pi_i.b)
+            ua = (ua + 1) % W
+            if _valuation(F, ua, ub) == 0:
+                classes.add(classify(ua, ub, 0))
+        out = F._level_memo[i] = tuple(classes)
     return out
 
 

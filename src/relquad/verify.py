@@ -146,7 +146,10 @@ def completion_at(K: QuadField, P, precision: int | None = None):
 
 
 def embed_element(F: LocalField, omega_img, e: Elem) -> LocalElem:
-    """Exact image of an integral element under the completion embedding."""
+    """Exact image of an integral element under the completion embedding;
+    ValueError for an element that is not integral."""
+    if not e.is_integral():
+        raise ValueError(f"embed_element needs an integral element, got {e}")
     if omega_img is None:
         return F.elem(e.X)
     return F.elem(e.X) + F.elem(e.Y) * omega_img

@@ -23,7 +23,15 @@ Fraction square roots (the route that the integer pairs of
 discriminants.discriminant_classes replaced), and the product of two ideals
 computed afresh on every call (the route that the value memo of
 Ideal.__mul__ replaced), and elements over two Fraction coordinates (the
-route that the integer triple (X, Y, m) of field.Elem replaced).
+route that the integer triple (X, Y, m) of field.Elem replaced), and the
+dyadic valuation by dividing the norm by 2 (the loop that the lowest-set-bit
+read of dyadic._valuation replaced), and the duality report's checks in
+their scalar forms: decompose on one LocalElem product per pair of
+representatives, symmetry and bilinearity over the +-1 entries of the
+symbol table, and the orthogonal complement by one pair bit per pair of
+classes over a Gram matrix of one Hilbert symbol per pair of basis elements
+(the routes that the integer pairs and bitmask rows of dyadic.duality_report
+replaced).
 """
 
 from __future__ import annotations
@@ -45,13 +53,12 @@ from relquad.discriminants import (
 from relquad.dyadic import (
     LocalElem,
     LocalField,
+    SquareClassSpace,
     _gf2_insert,
     _sample_integral,
     _unit_candidates,
-    gram_matrix,
     hilbert_symbol,
     is_square,
-    orthogonal_complement,
     span_masks,
     unit_filtration,
 )
@@ -418,15 +425,93 @@ def local_square_solvable_by_residues(delta: Elem, P, target: int) -> bool:
 def element_pairing(F: LocalField) -> tuple[list[list[int]], list[list[int]], bool]:
     """The symbol table, the Gram matrix and the duality check of
     dyadic.duality_report with one hilbert_symbol call per pair of class
-    representatives, and gram_matrix rebuilt for every filtration level."""
+    representatives and per pair of basis elements, and the orthogonal
+    complements by pair bits."""
     reps = F.space().all_reps()
     table = [[hilbert_symbol(x, y) for y in reps] for x in reps]
-    filtration = unit_filtration(F)
-    duality = all(
-        span_masks(orthogonal_complement(F, filtration[k])) == span_masks(filtration[F.e - k])
+    gram = gram_by_symbols(F)
+    return table, gram, duality_by_pair_bits(F, gram, unit_filtration(F))
+
+
+def gram_by_symbols(F: LocalField) -> list[list[int]]:
+    """Gram bits (1 - hilbert_symbol(basis_i, basis_j)) / 2, one symbol per pair."""
+    basis = F.space().basis
+    return [[(1 - hilbert_symbol(x, y)) // 2 for y in basis] for x in basis]
+
+
+def pair_bit(gram: list[list[int]], m1: int, m2: int) -> int:
+    """The pairing of the classes m1 and m2, one Gram bit per pair of their bits."""
+    bit = 0
+    for i in range(len(gram)):
+        if not (m1 >> i & 1):
+            continue
+        for j in range(len(gram)):
+            if m2 >> j & 1:
+                bit ^= gram[i][j]
+    return bit
+
+
+def orthogonal_complement_by_pair_bits(
+    F: LocalField, rows: list[int], gram: list[list[int]]
+) -> list[int]:
+    """The row basis of all classes pairing trivially with every row."""
+    comp: list[int] = []
+    for m in range(1 << F.dim):
+        if all(pair_bit(gram, m, r) == 0 for r in rows):
+            _gf2_insert(comp, m)
+    return comp
+
+
+def duality_by_pair_bits(F: LocalField, gram: list[list[int]], filtration) -> bool:
+    """duality_ok: V_k's orthogonal complement spans V_(e-k) for every k."""
+    return all(
+        span_masks(orthogonal_complement_by_pair_bits(F, filtration[k], gram))
+        == span_masks(filtration[F.e - k])
         for k in range(-1, F.e + 2)
     )
-    return table, gram_matrix(F), duality
+
+
+def symmetric_by_entries(table: list[list[int]]) -> bool:
+    n = len(table)
+    return all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
+
+
+def bilinear_by_entries(table: list[list[int]]) -> bool:
+    """(x y, z) = (x, z)(y, z) over every triple of classes."""
+    n = len(table)
+    return all(
+        table[i][j] * table[k][j] == table[i ^ k][j]
+        for i in range(n)
+        for k in range(n)
+        for j in range(n)
+    )
+
+
+def decompose_linear_by_elems(space: SquareClassSpace) -> bool:
+    """decompose(reps[i] * reps[j]) == i ^ j with one LocalElem product and
+    one public decompose per pair of representatives."""
+    reps = space.all_reps()
+    n = len(reps)
+    return all(space.decompose(reps[i] * reps[j]) == i ^ j for i in range(n) for j in range(n))
+
+
+def local_valuation_by_halving(F: LocalField, a: int, b: int) -> int | None:
+    """The valuation of a + b t, its norm divided by 2 until it is odd."""
+    if not (a or b):
+        return None
+    n = a * a + F.T * a * b - F.C * b * b
+    if n == 0:
+        return None
+    v2 = 0
+    while n % 2 == 0:
+        n //= 2
+        v2 += 1
+    if F.e * v2 % 2:
+        raise AssertionError(f"norm with odd 2-adic valuation {v2} in {F}")
+    v = F.e * v2 // 2
+    if v > F.e * (F.precision + 2):
+        return None
+    return v
 
 
 # -- the primitive character through an auxiliary prime ----------------------------

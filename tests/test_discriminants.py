@@ -10,7 +10,7 @@ from helpers import (
     discriminant_classes_by_elems,
     local_square_solvable_by_residues,
 )
-from relquad import cli
+from relquad import cli, discriminants
 from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
@@ -383,6 +383,23 @@ def test_candidates_match_box_oracle(d):
         got = list(discriminant_candidates(K, bound))
         box = [(int(e.x), int(e.y)) for e in box_discriminant_candidates(K, bound)]
         assert got == box, (d, bound)
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 46])
+def test_unit_window_built_once_per_field(d, monkeypatch):
+    # eps^4 is raised once per field: a warm enumeration multiplies no
+    # element, and its window is that of eps^4 computed afresh
+    K = make_field(d)
+    first = list(discriminant_candidates(K, 30))
+    E, F = (int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
+
+    def no_products(self, other):
+        raise AssertionError("element product in a warm enumeration")
+
+    with monkeypatch.context() as m:
+        m.setattr(Elem, "__mul__", no_products)
+        assert list(discriminant_candidates(K, 30)) == first
+    assert discriminants._unit_window(K) == (E, F)
 
 
 @pytest.mark.parametrize(

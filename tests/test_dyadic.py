@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relquad.dyadic import (
     RAMIFIED_CLASSES,
@@ -25,14 +27,21 @@ from relquad.dyadic import (
     unit_level,
 )
 from relquad import dyadic
-from relquad.dyadic import SquareClassSpace, _sample_integral, _shift_down
+from relquad.dyadic import LocalElem, SquareClassSpace, _sample_integral, _shift_down
 from relquad.field import make_field
 
 from helpers import (
     _first_square_mask,
+    bilinear_by_entries,
     certificate_square_classes,
+    decompose_linear_by_elems,
+    duality_by_pair_bits,
     element_pairing,
+    gram_by_symbols,
+    local_valuation_by_halving,
     norm_class_rows_by_decompose,
+    orthogonal_complement_by_pair_bits,
+    symmetric_by_entries,
 )
 
 DESCRIPTORS = ["q2", "unram"] + [f"ram:{c}" for c in RAMIFIED_CLASSES]
@@ -331,14 +340,18 @@ def test_local_fields_are_interned():
 
 
 def test_field_caches_are_immutable():
-    # shared caches hold tuples; every call gets the one stored tuple of norm-group rows
+    # shared caches hold tuples and ints; the symbol rows are read off one
+    # norm-group search per class
     F = local_field("unram")
     assert isinstance(F.samples(3), tuple) and F.samples(3) is F.samples(3)
     assert list(F.samples(3)) == _sample_integral(F, 3)
     assert F.sample_squares(3) == tuple(u * u for u in _sample_integral(F, 3))
     rows = dyadic._norm_rows(F, 1)
-    assert isinstance(rows, tuple) and dyadic._norm_rows(F, 1) is rows
-    assert all(isinstance(r, tuple) for r in F._norm_group_memo.values())
+    assert isinstance(rows, tuple)
+    assert dyadic._symbol_row(F, 1) == sum(
+        1 << cy for cy in range(1 << F.dim) if cy not in dyadic.span_masks(list(rows))
+    )
+    assert F._symbol_memo and all(isinstance(r, int) for r in F._symbol_memo.values())
 
 
 @pytest.mark.parametrize("extra", [0, 4])
@@ -349,7 +362,8 @@ def test_pairing_table_matches_element_symbols(desc, extra):
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     table, gram, duality = element_pairing(F)
-    assert dyadic._symbol_table(F, F.space().all_reps()) == table
+    rows = dyadic._symbol_table(F, F.space().rep_pairs)
+    assert [[-1 if row >> j & 1 else 1 for j in range(len(rows))] for row in rows] == table
     rep = duality_report(desc, F.precision)
     assert rep["gram"] == gram
     assert rep["duality_ok"] == duality
@@ -380,7 +394,7 @@ def test_unit_part_matches_shift_down(desc, extra):
         for y in (x, x * F.pi, x * F.pi * F.pi):
             v = y.valuation()
             key = space.key(_shift_down(y, v))
-            assert space._unit_key(y, v) == key, (desc, y)
+            assert space._unit_key(y.a, y.b, v) == key, (desc, y)
             assert space.decompose(y) == v % 2 | space.table[key] << 1, (desc, y)
 
 
@@ -393,7 +407,7 @@ def test_unit_part_at_the_valuation_cap():
         for u in (F.one, space.basis[-1]):
             y = u * F.pi**top
             assert y.valuation() == top
-            assert space._unit_key(y, top) == space.key(_shift_down(y, top)), F
+            assert space._unit_key(y.a, y.b, top) == space.key(_shift_down(y, top)), F
 
 
 def test_shared_fields_survive_racing_threads(monkeypatch):
@@ -464,3 +478,158 @@ def test_generator_rule_matches_global_arithmetic(desc):
         assert x.norm_int() == X.norm(), (desc, a1, b1)
         for a2, b2 in pairs[::7]:
             assert (x * F.elem(a2, b2)).key() == coords(X * K.elem(a2, b2)), (desc, a1, b1, a2, b2)
+
+
+def _global_product(F, x, y):
+    # the product of two pairs through field.Elem, as in
+    # test_generator_rule_matches_global_arithmetic
+    if F.kind == "q2":
+        return x[0] * y[0] % F.W, 0
+    K = make_field(5 if F.kind == "unram" else F.c)
+    P = K.elem(*x) * K.elem(*y)
+    return int(P.x) % F.W, int(P.y) % F.W
+
+
+def _draw_pair(data, F):
+    # zero, any pair, or a unit times pi^k with k up to and past the
+    # valuation cap, where the value is lost to precision
+    shape = data.draw(st.sampled_from(["zero", "any", "unit_times_pi_power"]))
+    if shape == "zero":
+        return 0, 0
+    a = data.draw(st.integers(0, F.W - 1))
+    b = 0 if F.kind == "q2" else data.draw(st.integers(0, F.W - 1))
+    if shape == "any":
+        return a, b
+    # a odd, and b even when c is odd, make the norm odd
+    a, b = a | 1, b & ~1 if F.kind == "ram" and F.c % 2 else b
+    k = data.draw(
+        st.one_of(
+            st.integers(0, F.vcap + F.e + 2), st.sampled_from([F.vcap - 1, F.vcap, F.vcap + 1])
+        )
+    )
+    if F.kind == "q2":
+        return a * 2**k % F.W, 0
+    K = make_field(5 if F.kind == "unram" else F.c)
+    pi = F.pi
+    x = K.elem(a, b) * K.elem(pi.a, pi.b) ** k
+    return int(x.x) % F.W, int(x.y) % F.W
+
+
+_KERNEL_CASES = [(desc, extra) for desc in DESCRIPTORS for extra in (0, 4)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_KERNEL_CASES), st.data())
+def test_pair_kernels_match_oracles(case, data):
+    # _valuation against the halving loop, _mul against field.Elem, and
+    # _classify_coords against the square-certificate search
+    desc, extra = case
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    space = F.space()
+    x, y = _draw_pair(data, F), _draw_pair(data, F)
+    assert dyadic._mul(F, *x, *y) == _global_product(F, x, y), (desc, x, y)
+    for a, b in (x, y):
+        v = local_valuation_by_halving(F, a, b)
+        assert dyadic._valuation(F, a, b) == v, (desc, a, b)
+        if v is None:
+            with pytest.raises(ValueError, match="cannot classify 0"):
+                space._classify_coords(a, b)
+            continue
+        mask = _first_square_mask(_shift_down(LocalElem(F, a, b), v), space.basis[1:])
+        assert mask is not None, (desc, a, b)
+        assert space._classify_coords(a, b) == v % 2 | mask << 1, (desc, a, b)
+
+
+def test_kernel_draws_reach_the_cap():
+    # the pi^k draws above reach valuation vcap exactly and lose vcap + 1
+    for F in all_local_fields():
+        pi = F.pi
+        at_cap = pi ** F.vcap
+        assert dyadic._valuation(F, at_cap.a, at_cap.b) == F.vcap
+        past = at_cap * pi
+        assert past and dyadic._valuation(F, past.a, past.b) is None
+
+
+_REPORT_CHECKS = ("decompose_linear", "symmetric", "bilinear", "duality_ok")
+
+
+def _scalar_checks(F, table):
+    # the four checks in their scalar forms, on the +-1 table given
+    space = F.space()
+    return {
+        "decompose_linear": decompose_linear_by_elems(space),
+        "symmetric": symmetric_by_entries(table),
+        "bilinear": bilinear_by_entries(table),
+        "duality_ok": duality_by_pair_bits(F, gram_by_symbols(F), dyadic.unit_filtration(F)),
+    }
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_duality_checks_catch_a_flipped_symbol(desc, monkeypatch):
+    # one entry of the symbol table flipped: the report's checks read False
+    # exactly where their scalar forms on the flipped table do
+    F = local_field(desc)
+    table = element_pairing(F)[0]
+    n = len(table)
+    real = dyadic._symbol_table
+    for i, j in sorted({(0, 0), (0, n - 1), (1, 2), (n - 1, 1), (n - 1, n - 1), (n // 2, 3)}):
+        flipped = [row[:] for row in table]
+        flipped[i][j] = -flipped[i][j]
+        expected = _scalar_checks(F, flipped)
+
+        def flip(F, reps, i=i, j=j):
+            rows = real(F, reps)
+            rows[i] ^= 1 << j
+            return rows
+
+        with monkeypatch.context() as m:
+            m.setattr(dyadic, "_symbol_table", flip)
+            rep = duality_report(desc)
+        assert {key: rep[key] for key in _REPORT_CHECKS} == expected, (desc, i, j)
+        assert not expected["bilinear"] and expected["symmetric"] == (i == j)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_duality_checks_catch_a_flipped_unit_class(desc, monkeypatch):
+    # one entry of space.table flipped on a private field: the report's
+    # checks read False exactly where their scalar forms on that field do,
+    # or both routes stop at the same set-up check.  Every flip shows, and
+    # each of the four checks is the one that shows it for some entry
+    keys = sorted(local_field(desc).space().table)
+    failed = dict.fromkeys(_REPORT_CHECKS, 0)
+    for key in keys:
+        F = LocalField(*_descriptor_args(desc))
+        F.space().table[key] ^= 1
+        try:
+            expected = _scalar_checks(F, element_pairing(F)[0])
+        except AssertionError as exc:
+            expected = str(exc)
+        with monkeypatch.context() as m:
+            m.setattr(dyadic, "local_field", lambda d, p=None, F=F: F)
+            try:
+                rep = duality_report(desc)
+                got = {k: rep[k] for k in _REPORT_CHECKS}
+            except AssertionError as exc:
+                got = str(exc)
+        assert got == expected, (desc, key)
+        if isinstance(expected, dict):
+            assert not all(expected.values()), (desc, key)
+            for k, ok in expected.items():
+                failed[k] += not ok
+    assert all(failed.values()), (desc, failed)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_orthogonal_classes_match_pair_bits(desc):
+    # the classes orthogonal through the mask rows of the Gram matrix span
+    # the pair-bit complement, for every filtration level and every class
+    F = local_field(desc)
+    gram = dyadic.gram_matrix(F)
+    assert gram == gram_by_symbols(F)
+    gram_rows = [dyadic._row_to_mask(r) for r in gram]
+    filtration = dyadic.unit_filtration(F)
+    subspaces = [filtration[k] for k in filtration] + [[m] for m in range(1 << F.dim)]
+    for rows in subspaces:
+        expected = dyadic.span_masks(orthogonal_complement_by_pair_bits(F, rows, gram))
+        assert dyadic._orthogonal_classes(F, gram_rows, rows) == expected, (desc, rows)

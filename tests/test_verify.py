@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,6 +36,19 @@ def test_completion_embedding_rational():
     F, omega_img = completion_at(Q, P)
     assert omega_img is None
     assert embed_element(F, None, Q.elem(24)).valuation() == 3
+
+
+@pytest.mark.parametrize("d", [None, 5, 10])
+def test_embed_element_rejects_non_integral(d):
+    # a denominator cannot be dropped: 1/2 must not embed as the image of 1
+    K = make_field(d)
+    P = primes_above(K, 2)[0]
+    F, omega_img = completion_at(K, P)
+    elems = [K.elem(Fraction(1, 2))] + ([K.elem(Fraction(3, 4), 1)] if d else [])
+    for e in elems:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            embed_element(F, omega_img, e)
+    assert embed_element(F, omega_img, K.elem(1)) == F.one
 
 
 def test_conductor_suite_includes_dyadic_crosscheck(Q10):
