@@ -572,11 +572,12 @@ class SquareClassSpace:
         # (f_v, s) for every valuation v <= e (precision + 2) that
         # _valuation reports, f_v as its pair
         eps_inv = (F.pi**F.e).div_exact_int(2).unit_inverse()
-        shifts = [-(-v // F.e) for v in range(F.vcap + 1)]
-        self._unshift = tuple(
-            ((f.a, f.b), s)
-            for f, s in ((eps_inv**s * F.pi ** (F.e * s - v), s) for v, s in enumerate(shifts))
-        )
+        unshift = []
+        for v in range(F.vcap + 1):
+            s = -(-v // F.e)
+            f = eps_inv**s * F.pi ** (F.e * s - v)
+            unshift.append(((f.a, f.b), s))
+        self._unshift = tuple(unshift)
 
     def key(self, u: LocalElem) -> int:
         """The class of u's coordinates modulo pi^(2e+1) O, as one integer."""
