@@ -51,9 +51,11 @@ def primes_upto(n: int) -> list[int]:
 
 
 def smallest_prime_factors(n: int) -> list[int]:
-    """spf[k] = least prime factor of k (spf[0]=spf[1]=0), for k <= n."""
-    spf = list(range(n + 1))
-    spf[0] = spf[1] = 0
+    """spf[k] = least prime factor of k (spf[0]=spf[1]=0), for k <= n:
+    [0] at n = 0, [0, 0] at n = 1; ValueError at a negative n."""
+    if n < 0:
+        raise ValueError(f"sieve bound must be >= 0, got {n}")
+    spf = [0, 0][: n + 1] + list(range(2, n + 1))
     for p in range(2, isqrt(n) + 1):
         if spf[p] == p:
             for m in range(p * p, n + 1, p):

@@ -13,18 +13,35 @@ the general relative discriminant; like Ideal.residues it refuses
 N(2a) > RESIDUE_ENUMERATION_BOUND.  The local casework asks whether delta
 itself is a square mod P^(l + m), l = v_P(delta) even, which is whether its
 unit part delta/pi^l is one mod P^m: no pi^l and no element division.
+
+The Dirichlet tables of the decomposition law (ideal_count_table,
+primitive_character_table, dirichlet_convolution) cost O(1) per index once
+the primes up to the bound are known.  One prime-power sieve per bound,
+cached, gives the least prime factor p of k and the power q of p exactly
+dividing k.  The ideal count is multiplicative, filled as a(q) a(k/q), with
+a local rule at each prime power; the primitive character is completely
+multiplicative, filled as chi(p) chi(k/p), with prime values from the
+character's own routes; the convolution skips zero terms on both sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
-from .arith import smallest_prime_factors
+from .arith import kronecker, smallest_prime_factors
 from .characters import QuadCharacter
 from .discriminants import _dyadic_ramification, local_square_solvable
 from .field import Elem, QuadField
-from .ideals import Ideal, PrimeIdeal, ideals_of_norm, square_root_coords, unit_ideal
+from .ideals import (
+    Ideal,
+    PrimeIdeal,
+    ideals_of_norm,
+    primes_above,
+    square_root_coords,
+    unit_ideal,
+)
 
 __all__ = [
     "count_square_roots",
@@ -195,78 +212,106 @@ def order_ideal_count_sublattice(delta: int, n: int) -> int:
 # -- Dirichlet series tables ---------------------------------------------------
 
 
-def ideal_count_table(K: QuadField, norm_bound: int) -> list[int]:
-    """[0, #ideals of norm 1, 2, ..., norm_bound], sieved."""
-    from .arith import kronecker
+def _check_bound(norm_bound: int) -> None:
+    if norm_bound < 0:
+        raise ValueError(f"norm bound must be >= 0, got {norm_bound}")
 
+
+@lru_cache(maxsize=4)
+def _prime_power_sieve(norm_bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(spf, q) for 0 <= k <= norm_bound: spf[k] the least prime factor of k
+    and q[k] the exact power of spf[k] dividing k, both 0 at k = 0 and 1.
+    One pass: q[k] = q[k/p] p if p = spf[k] also divides k/p, else p."""
     spf = smallest_prime_factors(norm_bound)
-    sym: dict[int, int] = {}
+    q = [0] * (norm_bound + 1)
+    for k in range(2, norm_bound + 1):
+        p = spf[k]
+        r = k // p
+        q[k] = q[r] * p if spf[r] == p else p
+    return tuple(spf), tuple(q)
+
+
+def ideal_count_table(K: QuadField, norm_bound: int) -> list[int]:
+    """[0, #ideals of norm 1, 2, ..., norm_bound], sieved; [0] at bound 0.
+
+    The count is multiplicative, so a(k) = a(q) a(k/q) for the prime power
+    q || k, q < k.  At p^e it follows the decomposition of p, read off one
+    kronecker(disc, p) per prime: a(p^e) = a(p^(e-1)) + 1 = e + 1 if p
+    splits, 1 - a(p^(e-1)) = (e + 1) mod 2 if p is inert, 1 if p ramifies.
+    Over Q every entry from 1 on is 1."""
+    _check_bound(norm_bound)
     out = [0] * (norm_bound + 1)
-    for n in range(1, norm_bound + 1):
-        total = 1
-        m = n
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if K.degree == 1:
-                continue
-            s = sym.get(p)
-            if s is None:
-                s = sym[p] = kronecker(K.disc, p)
-            if s == 1:
-                total *= e + 1
-            elif s == -1 and e % 2:
-                total = 0
-                break
-        out[n] = total
+    if norm_bound < 1:
+        return out
+    if K.degree == 1:
+        out[1:] = [1] * norm_bound
+        return out
+    spf, q = _prime_power_sieve(norm_bound)
+    disc = K.disc
+    sym: dict[int, int] = {}
+    out[1] = 1
+    for k in range(2, norm_bound + 1):
+        qk = q[k]
+        if qk != k:
+            out[k] = out[qk] * out[k // qk]
+            continue
+        p = spf[k]
+        s = sym.get(p)
+        if s is None:
+            s = sym[p] = kronecker(disc, p)
+        if s == 1:
+            out[k] = out[k // p] + 1
+        elif s == -1:
+            out[k] = 1 - out[k // p]
+        else:
+            out[k] = 1
     return out
 
 
 def primitive_character_table(chi: QuadCharacter, norm_bound: int) -> list[int]:
-    """chi'(n) for n <= bound over Q: completely multiplicative from the
-    prime values, zero at primes dividing the conductor."""
-    from .ideals import primes_above
+    """chi'(n) for n <= bound over Q; [0] at bound 0.
 
+    Completely multiplicative: chi'(n) = chi'(p) chi'(n/p) for p = spf(n) < n.
+    A prime value comes from the character itself, chi.primitive((p)) at a
+    prime of delta (zero on the conductor) and chi.at_prime otherwise."""
     K = chi.field
     if K.degree != 1:
         raise ValueError("rational base field required")
-    spf = smallest_prime_factors(norm_bound)
-    pv: dict[int, int] = {}
+    _check_bound(norm_bound)
     out = [0] * (norm_bound + 1)
-    out[1] = 1 if norm_bound >= 1 else 0
+    if norm_bound < 1:
+        return out
+    spf, _ = _prime_power_sieve(norm_bound)
+    out[1] = 1
     for n in range(2, norm_bound + 1):
-        total = 1
-        m = n
-        while m > 1 and total:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            v = pv.get(p)
-            if v is None:
-                P = primes_above(K, p)[0]
-                if chi.modulus.valuation(P) != 0:
-                    v = chi.primitive(P.ideal)  # 0 unless prime to conductor
-                else:
-                    v = chi.at_prime(P)
-                pv[p] = v
-            total *= v**e
-        out[n] = total
+        p = spf[n]
+        if p != n:
+            out[n] = out[p] * out[n // p]
+            continue
+        P = primes_above(K, p)[0]
+        if chi.modulus.valuation(P) != 0:
+            out[n] = chi.primitive(P.ideal)  # 0 unless prime to conductor
+        else:
+            out[n] = chi.at_prime(P)
     return out
 
 
 def dirichlet_convolution(A: list[int], B: list[int]) -> list[int]:
+    """(A * B)(m) = sum of A(d) B(m/d) over d | m, for m up to the shorter
+    list's last index; index 0 stays 0.  Zeros are skipped on both sides:
+    each nonzero A(d) walks the nonzero entries of B up to index n/d."""
     n = min(len(A), len(B)) - 1
     out = [0] * (n + 1)
+    nonzero = [(k, b) for k, b in enumerate(B[1 : n + 1], 1) if b]
     for d in range(1, n + 1):
-        if not A[d]:
+        a = A[d]
+        if not a:
             continue
-        for m in range(d, n + 1, d):
-            out[m] += A[d] * B[m // d]
+        limit = n // d
+        for k, b in nonzero:
+            if k > limit:
+                break
+            out[d * k] += a * b
     return out
 
 

@@ -647,10 +647,11 @@ def hilbert_symbol(x: LocalElem, y: LocalElem) -> int:
     if (F.kind, F.c, F.precision) != (G.kind, G.c, G.precision):
         raise ValueError("elements of different fields")
     space = F.space()
-    cx = space.decompose(x)
+    # both decomposed first, so a zero argument raises in either order
+    cx, cy = space.decompose(x), space.decompose(y)
     if cx == 0:
         return 1
-    return _class_symbol(F, cx, space.decompose(y))
+    return _class_symbol(F, cx, cy)
 
 
 def _class_symbol(F: LocalField, cx: int, cy: int) -> int:

@@ -615,12 +615,32 @@ def principal_ideal(e: Elem) -> Ideal:
     return ideal_from_generators(e.field, [e])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeIdeal:
+    """A prime ideal above p.  Interned by primes_above; like Ideal it stores
+    its hash and tests identity first, with the values of the generated
+    dataclass comparison and hash."""
+
     p: int
     ideal: Ideal
     residue_degree: int
     ramified: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self) -> tuple:
+        return (self.p, self.ideal, self.residue_degree, self.ramified)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return self._hash
 
     def norm(self) -> int:
         return self.p**self.residue_degree

@@ -31,6 +31,10 @@ representatives, symmetry and bilinearity over the +-1 entries of the
 symbol table, and the orthogonal complement by one pair bit per pair of
 classes over a Gram matrix of one Hilbert symbol per pair of basis elements
 (the routes that the integer pairs and bitmask rows of dyadic.duality_report
+replaced), and the Dirichlet tables of the decomposition law with every n
+factored again by trial division over the least prime factors and every
+product of the convolution multiplied out (the routes that the cached
+prime-power sieve and the zero-skipping convolution of relquad.counting
 replaced).
 """
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from relquad.arith import frac_sqrt, is_prime
+from relquad.arith import frac_sqrt, is_prime, kronecker, smallest_prime_factors
 from relquad.characters import _balance
 from relquad.discriminants import (
     DiscriminantInfo,
@@ -860,3 +864,74 @@ class FractionElem:
     def key(self) -> tuple:
         """Canonical sort/equality key (field-local)."""
         return (self.x, self.y)
+
+
+def ideal_count_table_by_factoring(K: QuadField, norm_bound: int) -> list[int]:
+    """[0, #ideals of norm 1, 2, ..., norm_bound], sieved."""
+    spf = smallest_prime_factors(norm_bound)
+    sym: dict[int, int] = {}
+    out = [0] * (norm_bound + 1)
+    for n in range(1, norm_bound + 1):
+        total = 1
+        m = n
+        while m > 1:
+            p = spf[m]
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if K.degree == 1:
+                continue
+            s = sym.get(p)
+            if s is None:
+                s = sym[p] = kronecker(K.disc, p)
+            if s == 1:
+                total *= e + 1
+            elif s == -1 and e % 2:
+                total = 0
+                break
+        out[n] = total
+    return out
+
+
+def primitive_character_table_by_factoring(chi, norm_bound: int) -> list[int]:
+    """chi'(n) for n <= bound over Q: completely multiplicative from the
+    prime values, zero at primes dividing the conductor."""
+    K = chi.field
+    if K.degree != 1:
+        raise ValueError("rational base field required")
+    spf = smallest_prime_factors(norm_bound)
+    pv: dict[int, int] = {}
+    out = [0] * (norm_bound + 1)
+    out[1] = 1 if norm_bound >= 1 else 0
+    for n in range(2, norm_bound + 1):
+        total = 1
+        m = n
+        while m > 1 and total:
+            p = spf[m]
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            v = pv.get(p)
+            if v is None:
+                P = primes_above(K, p)[0]
+                if chi.modulus.valuation(P) != 0:
+                    v = chi.primitive(P.ideal)  # 0 unless prime to conductor
+                else:
+                    v = chi.at_prime(P)
+                pv[p] = v
+            total *= v**e
+        out[n] = total
+    return out
+
+
+def dirichlet_convolution_by_loops(A: list[int], B: list[int]) -> list[int]:
+    n = min(len(A), len(B)) - 1
+    out = [0] * (n + 1)
+    for d in range(1, n + 1):
+        if not A[d]:
+            continue
+        for m in range(d, n + 1, d):
+            out[m] += A[d] * B[m // d]
+    return out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relquad.arith import factorint
+from relquad.arith import factorint, smallest_prime_factors
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -37,3 +37,12 @@ def test_factorint_beyond_small_primes():
     assert factorint(12 * (2**61 - 1)) == {2: 2, 3: 1, 2**61 - 1: 1}
     with pytest.raises(ValueError):
         factorint(0)
+
+
+def test_smallest_prime_factors_small_bounds():
+    # bounds 0 and 1 raised IndexError
+    assert smallest_prime_factors(0) == [0]
+    assert smallest_prime_factors(1) == [0, 0]
+    assert smallest_prime_factors(12) == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2]
+    with pytest.raises(ValueError, match="got -1"):
+        smallest_prime_factors(-1)

@@ -148,6 +148,15 @@ def test_negative_table_bound_exit_code(capsys):
     assert "norm bound must be >= 0, got -1" in err
 
 
+def test_zeta_coeffs_bound_zero_and_negative(capsys):
+    # both exited 1 with an IndexError traceback from the sieve of bound 0
+    code, out, err = run_cli("zeta-coeffs", "--field", "5", "--delta=5", "--bound", "0", capsys=capsys)
+    assert code == 0 and out == "n\tcoeff\tconvolution_coeff\n" and err == ""
+    code, out, err = run_cli("zeta-coeffs", "--field", "5", "--delta=5", "--bound", "-1", capsys=capsys)
+    assert code == 2 and out == ""
+    assert "norm bound must be >= 0, got -1" in err
+
+
 def test_module_entry_point():
     src = str(Path(relquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -5,10 +5,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relquad
 
-from helpers import brute_sqrt_count
+from helpers import (
+    brute_sqrt_count,
+    dirichlet_convolution_by_loops,
+    ideal_count_table_by_factoring,
+    primitive_character_table_by_factoring,
+)
+from relquad import counting
 from relquad.characters import QuadCharacter
 from relquad.counting import (
     RootPair,
@@ -263,3 +271,72 @@ def test_local_casework_checks_survive_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "raised", "True"] * 2
+
+
+# Q, Q(i), Q(sqrt -3), d = 1 mod 4 and d != 1 mod 4 of both signs
+TABLE_FIELDS = [None, -1, -3, 5, 13, -7, -15, 2, 3, 10, -2, -5, -6]
+# fundamental delta0, and non-fundamental ones whose conductor is a proper
+# divisor of delta (zeros at the conductor, +-1 at the other primes of delta)
+TABLE_DELTAS = [-4, -3, 5, 8, -8, 12, 21, -20, 24, -24, 45, -16, 48, -75, 20, -12, 72, 125, -36]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(TABLE_FIELDS), st.integers(0, 600))
+def test_ideal_count_table_matches_factoring(d, bound):
+    K = make_field(d)
+    assert ideal_count_table(K, bound) == ideal_count_table_by_factoring(K, bound)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(TABLE_DELTAS), st.integers(0, 600))
+def test_primitive_character_table_matches_factoring(delta, bound):
+    chi = QuadCharacter(make_field().elem(delta))
+    table = primitive_character_table(chi, bound)
+    # the oracle writes out[1] before checking the bound, so it has no bound 0
+    assert table == (primitive_character_table_by_factoring(chi, bound) if bound else [0])
+
+
+_entries = st.lists(st.integers(-3, 3), max_size=80)
+
+
+@settings(max_examples=200)
+@given(_entries, _entries)
+def test_dirichlet_convolution_matches_loops(A, B):
+    # zeros, negative entries, unequal lengths and empty lists
+    assert dirichlet_convolution(A, B) == dirichlet_convolution_by_loops(A, B)
+
+
+def test_dirichlet_tables_at_bound_zero(Q, Q5):
+    # at the parent the sieve of bound 0 raised IndexError
+    assert ideal_count_table(Q, 0) == ideal_count_table(Q5, 0) == [0]
+    assert primitive_character_table(QuadCharacter(Q.elem(5)), 0) == [0]
+    assert dirichlet_convolution([0], [0]) == [0]
+
+
+@pytest.mark.parametrize("bound", [-1, -7])
+def test_dirichlet_tables_refuse_negative_bounds(Q, Q5, bound):
+    for call in (
+        lambda: ideal_count_table(Q, bound),
+        lambda: ideal_count_table(Q5, bound),
+        lambda: primitive_character_table(QuadCharacter(Q.elem(5)), bound),
+    ):
+        with pytest.raises(ValueError, match=f"norm bound must be >= 0, got {bound}"):
+            call()
+
+
+def test_decomposition_builds_one_sieve_per_bound(monkeypatch):
+    from relquad.verify import decomposition_suite
+
+    calls = []
+    sieve = counting.smallest_prime_factors
+
+    def counted(n):
+        calls.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(counting, "smallest_prime_factors", counted)
+    counting._prime_power_sieve.cache_clear()
+    # both tables of every delta0 read the one sieve of bound 97
+    assert decomposition_suite(disc_bound=12, norm_bound=97)["failure_count"] == 0
+    assert decomposition_suite(disc_bound=12, norm_bound=97)["failure_count"] == 0
+    assert calls == [97]

@@ -143,6 +143,19 @@ def test_hilbert_examples():
     assert hilbert_symbol_q2_formula(2, 3) == -1
 
 
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_hilbert_symbol_refuses_zero_in_both_orders(desc):
+    # the symbol lives on nonzero pairs; with a square first argument the
+    # zero second argument was never decomposed and the symbol returned 1
+    F = local_field(desc)
+    for x in (F.one, F.elem(4), F.pi):
+        for args in ((x, F.zero), (F.zero, x)):
+            with pytest.raises(ValueError, match="cannot classify 0"):
+                hilbert_symbol(*args)
+    with pytest.raises(ValueError, match="cannot classify 0"):
+        hilbert_symbol(F.zero, F.zero)
+
+
 def test_q2_oracle_full_table():
     rep = duality_report("q2")
     assert rep["q2_closed_form_oracle"]

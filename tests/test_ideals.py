@@ -19,6 +19,7 @@ from relquad.field import QuadField, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
+    PrimeIdeal,
     _hnf_from_vectors,
     _norm_row,
     class_number,
@@ -281,6 +282,21 @@ def test_primes_above_rejects_non_primes(Q, Q5):
         with pytest.raises(ValueError, match=message):
             primes_above(K, p)
     assert [P.p for P in primes_above(Q5, 11)] == [11, 11]
+
+
+def test_prime_ideal_built_by_hand_equals_the_interned_one():
+    # PrimeIdeal stores its hash: a copy built from the same values equals
+    # the interned prime, hashes alike and finds it in a dict, on every route
+    for d in (None, 5, 10, -15, -1):
+        K = make_field(d)
+        for p in (2, 3, 5, 7):
+            for P in primes_above(K, p):
+                copy = PrimeIdeal(P.p, Ideal(K, P.ideal.hnf, P.ideal.den), P.residue_degree, P.ramified)
+                assert copy is not P and copy == P and P == copy
+                assert hash(copy) == hash(P) == hash((P.p, P.ideal, P.residue_degree, P.ramified))
+                assert {P: p}[copy] == p
+                assert copy != PrimeIdeal(P.p, P.ideal, P.residue_degree, not P.ramified)
+                assert copy != P.ideal and P.ideal != copy
 
 
 def test_hnf_valuation_matches_division_oracle():
