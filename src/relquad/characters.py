@@ -19,14 +19,24 @@ ideals.coords_valuation gives v_P from the coordinates (Cohen, GTM 138,
 4.8), so coprimality to delta is v_P = 0 at the primes of delta, listed once
 per instance, and the value is the product of at_prime(P) over the P above
 the primes of N(x + y*w) and m where v_P is odd, times the signs that
-field.coords_sign decides on integers.  residue_table builds its lifts and
-conductor_exhaustive groups residues with Ideal.reduce_coords, both on
+field.coords_sign decides on integers.  on_element checks coprimality once;
+the kernel _on_coords trusts its caller, so residue_table, whose lifts of a
+class are congruent mod (delta) and share v_P = 0 at every P | delta, checks
+it once per class rather than once per lift.  residue_table builds its lifts
+and conductor_exhaustive groups residues with Ideal.reduce_coords, both on
 integer pairs.  The route through principal_ideal, Ideal.gcd and
 Ideal.factor survives as the test oracles
 tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
+
+The values at primes, the prime values above each rational prime and the
+primitive values at the primes of delta are pure functions of delta, so
+every QuadCharacter of one delta shares them: _memos(delta) keeps the three
+dicts in a process-wide LRU cache of CHARACTER_MEMO_SIZE discriminants.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .arith import BoundExceeded, factorint, kronecker
 from .discriminants import (
@@ -44,19 +54,30 @@ from .ideals import (
     primes_above,
     principal_ideal,
     square_root_coords,
-    unit_ideal,
 )
 
 __all__ = ["QuadCharacter"]
 
 RESIDUE_TABLE_BOUND = 4096  # largest N(delta) whose residue table is built
+CHARACTER_MEMO_SIZE = 1 << 10  # discriminants whose character memos are kept
+
+
+@lru_cache(maxsize=CHARACTER_MEMO_SIZE)
+def _memos(delta: Elem) -> tuple[dict, dict, dict]:
+    """The memo triple (prime, above, unit_part) of the character of delta:
+    at_prime by P, _values_above by p and _unit_part_value by P.  Keyed on
+    delta, whose equality includes its field, so equal coordinates in
+    different fields keep separate memos."""
+    return {}, {}, {}
 
 
 class QuadCharacter:
     """All character data attached to one discriminant.
 
-    Instances memoize prime values in a plain dict; share an instance
-    across threads only behind a lock, or give each thread its own.
+    Instances of one delta share the memos of _memos(delta).  Every entry
+    is a pure function of delta and is written whole, so a concurrent
+    writer can only store the value already there; sharing across threads
+    needs no lock.
     """
 
     def __init__(self, delta: Elem | DiscriminantInfo):
@@ -66,15 +87,14 @@ class QuadCharacter:
         self.field = info.delta.field
         self.modulus = principal_ideal(info.delta)
         self.conductor = info.rel_disc
-        # the primes of delta: coprimality to delta is v_P = 0 at each
-        self._delta_primes = tuple(P for P, _ in self.modulus.factor())
+        # the primes P of delta, with v_P(delta): coprimality to delta is
+        # v_P = 0 at each
+        self._delta_primes = dict(self.modulus.factor())
         # real embeddings where delta is negative (the sign type)
         self.negative_embeddings = tuple(
             i for i in self.field.real_embeddings if info.delta.sign_at(i) < 0
         )
-        self._prime_memo: dict[PrimeIdeal, int] = {}
-        self._above_memo: dict[int, tuple[tuple[PrimeIdeal, int], ...]] = {}
-        self._unit_part_memo: dict[PrimeIdeal, int] = {}
+        self._prime_memo, self._above_memo, self._unit_part_memo = _memos(info.delta)
 
     # -- the symbol on primes and coprime ideals -----------------------------
 
@@ -118,20 +138,24 @@ class QuadCharacter:
         where delta is negative; ValueError at 0 and off the coprime locus."""
         if not a:
             raise ValueError("the character is not defined at 0")
+        if not self._coprime_coords(a.X, a.Y, a.m):
+            raise ValueError(f"{a} is not coprime to ({self.delta})")
         return self._on_coords(a.X, a.Y, a.m)
 
     def _on_coords(self, x: int, y: int, m: int = 1) -> int:
         """on_element at (x + y*w)/m, for integers x, y, not both 0, and
-        m >= 1, on integers alone."""
+        m >= 1, on integers alone.  The caller has checked that the element
+        is coprime to delta."""
         K = self.field
-        if not self._coprime_coords(x, y, m):
-            raise ValueError(f"{Elem(K, x, y, m)} is not coprime to ({self.delta})")
         if K.degree == 1:
             norm = x
         else:
             norm = x * x + K.omega_trace * x * y + K.omega_norm * y * y
+        primes = factorint(norm).keys()
+        if m != 1:
+            primes = primes | factorint(m).keys()
         val = 1
-        for p in factorint(norm).keys() | factorint(m).keys():
+        for p in primes:
             for P, chi_P in self._values_above(p):
                 if coords_valuation(P, x, y, m) % 2:
                     val *= chi_P
@@ -210,7 +234,8 @@ class QuadCharacter:
             if not (x or y) or not self._coprime_coords(x, y):
                 continue
             # several genuinely different integral lifts of the class,
-            # including the balanced one and a negated-direction one
+            # including the balanced one and a negated-direction one; all
+            # congruent to x + y*w mod (delta), so coprime to it as well
             lifts = [(x, y), _balance(m, x, y), *((x + dx, y + dy) for dx, dy in steps)]
             vals = {self._on_coords(*lift) for lift in lifts}
             r = K.elem(x, y)
@@ -261,23 +286,30 @@ class QuadCharacter:
 
     def extended(self, a: Ideal) -> int:
         """Norm-weighted extension: N(g) * primitive(a/g^2) when
-        gcd(a, delta) = g^2 with g dividing f, else 0."""
+        gcd(a, delta) = g^2 with g dividing f, else 0.  The gcd is read off
+        min(v_P(a), v_P(delta)) at the primes of delta."""
         if not a.is_integral():
             raise ValueError("integral ideal required")
-        g0 = a.gcd(self.modulus)
-        if g0.is_unit_ideal():
-            return self.primitive(a)
-        g = unit_ideal(self.field)
-        for P, e in g0.factor():
+        g = None
+        for P, l in self._delta_primes.items():
+            e = min(a.valuation(P), l)
             if e % 2:
                 return 0
-            g = g * P.ideal ** (e // 2)
+            if e:
+                h = P.ideal ** (e // 2)
+                g = h if g is None else g * h
+        if g is None:
+            return self.primitive(a)
         if not g.divides(self.info.f_delta):
             return 0
         return g.norm_int() * self.primitive(a.divide_exact(g * g))
 
     def coefficients(self, norm_bound: int):
-        """((ideal -> value) table, per-norm sums) for norms 1..bound."""
+        """((ideal -> value) table, per-norm sums) for norms 1..bound;
+        ValueError for a negative bound."""
+        from .counting import _check_bound  # counting imports this module
+
+        _check_bound(norm_bound)
         per_ideal: dict[Ideal, int] = {}
         sums = [0] * (norm_bound + 1)
         for n in range(1, norm_bound + 1):

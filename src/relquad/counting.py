@@ -10,9 +10,13 @@ The brute-force route (count_square_roots, square_root_pairs) is the
 integer search ideals.square_root_coords with (M, N) = (2a, 4a), the same
 kernel that finds the conductor witness, the dyadic character symbol and
 the general relative discriminant; like Ideal.residues it refuses
-N(2a) > RESIDUE_ENUMERATION_BOUND.  The local casework asks whether delta
-itself is a square mod P^(l + m), l = v_P(delta) even, which is whether its
-unit part delta/pi^l is one mod P^m: no pi^l and no element division.
+N(2a) > RESIDUE_ENUMERATION_BOUND.  Its roots are memoised per (delta, a)
+by _roots, an LRU cache of FACTOR_CACHE_SIZE entries, so the counting,
+zeta and pair routes of one (delta, a) run one search between them; the
+integrality checks stay in front of it, and the formula and local routes
+never read it.  The local casework asks whether delta itself is a square
+mod P^(l + m), l = v_P(delta) even, which is whether its unit part
+delta/pi^l is one mod P^m: no pi^l and no element division.
 
 The Dirichlet tables of the decomposition law (ideal_count_table,
 primitive_character_table, dirichlet_convolution) cost O(1) per index once
@@ -35,6 +39,7 @@ from .characters import QuadCharacter
 from .discriminants import _dyadic_ramification, local_square_solvable
 from .field import Elem, QuadField
 from .ideals import (
+    FACTOR_CACHE_SIZE,
     Ideal,
     PrimeIdeal,
     ideals_of_norm,
@@ -64,7 +69,16 @@ def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
     if not a.is_integral():
         raise ValueError("integral ideal required")
-    return sum(1 for _ in square_root_coords(delta, a * 2, a * 4))
+    if not delta.is_integral():
+        raise ValueError(f"integral delta required, got {delta}")
+    return len(_roots(delta, a))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _roots(delta: Elem, a: Ideal) -> tuple[tuple[int, int], ...]:
+    """The coordinates of the roots b mod 2a of b^2 = delta mod 4a, in the
+    order of square_root_coords, for an integral delta and a."""
+    return tuple(square_root_coords(delta, a * 2, a * 4))
 
 
 def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
@@ -128,6 +142,7 @@ def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
 
 def zeta_coefficients(delta: Elem, norm_bound: int, method: str = "brute") -> list[int]:
     """[0, N(delta, a) summed over norm 1, ..., norm bound]."""
+    _check_bound(norm_bound)
     K = delta.field
     chi = QuadCharacter(delta) if method != "brute" else None
     out = [0] * (norm_bound + 1)
@@ -154,12 +169,15 @@ class RootPair:
 
 
 def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
+    """Every root pair (a, b) with N(a) <= bound, by norm, then ideal, then
+    root in the order of square_root_coords; a fresh list on every call."""
+    _check_bound(norm_bound)
     K = delta.field
     return [
         RootPair(a_ideal=a, b=K.elem(i, j))
         for n in range(1, norm_bound + 1)
         for a in ideals_of_norm(K, n)
-        for i, j in square_root_coords(delta, a * 2, a * 4)
+        for i, j in _roots(delta, a)
     ]
 
 
@@ -317,6 +335,7 @@ def dirichlet_convolution(A: list[int], B: list[int]) -> list[int]:
 
 def square_stretch(A: list[int], norm_bound: int) -> list[int]:
     """Coefficients of the series with A at square indices: n = m^2 -> A[m]."""
+    _check_bound(norm_bound)
     out = [0] * (norm_bound + 1)
     m = 1
     while m * m <= norm_bound:

@@ -35,7 +35,9 @@ replaced), and the Dirichlet tables of the decomposition law with every n
 factored again by trial division over the least prime factors and every
 product of the convolution multiplied out (the routes that the cached
 prime-power sieve and the zero-skipping convolution of relquad.counting
-replaced).
+replaced), and the extended character with gcd(a, delta) taken as an ideal
+and factored (the route that the valuations at the primes of delta in
+characters.QuadCharacter.extended replaced).
 """
 
 from __future__ import annotations
@@ -331,6 +333,23 @@ def on_element_by_ideal(chi, a: Elem) -> int:
     for i in chi.negative_embeddings:
         val *= interval_sign(a, i)
     return val
+
+
+def extended_by_gcd(chi, a: Ideal) -> int:
+    """chi.extended(a) with g0 = gcd(a, (delta)) built as an ideal: the
+    primitive value when g0 = (1), else 0 unless g0 = g^2 with g | f, when
+    it is N(g) * primitive(a/g^2)."""
+    g0 = a.gcd(chi.modulus)
+    if g0.is_unit_ideal():
+        return chi.primitive(a)
+    g = unit_ideal(chi.field)
+    for P, e in g0.factor():
+        if e % 2:
+            return 0
+        g = g * P.ideal ** (e // 2)
+    if not g.divides(chi.info.f_delta):
+        return 0
+    return g.norm_int() * chi.primitive(a.divide_exact(g * g))
 
 
 def conductor_by_ideals(chi):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -7,6 +8,7 @@ import pytest
 from helpers import (
     auxiliary_splits,
     conductor_by_ideals,
+    extended_by_gcd,
     on_element_by_ideal,
     primitive_by_auxiliary_prime,
     primitive_via,
@@ -105,6 +107,68 @@ def test_on_element_examples(Q):
     chi12 = QuadCharacter(Q.elem(12))
     vals = [chi12.on_element(Q.elem(a)) for a in (1, 5, 7, 11)]
     assert vals == [1, -1, -1, 1]  # the mod-12 character of Q(sqrt 3)
+
+
+def test_on_element_refuses_elements_not_coprime_to_delta(Q, Q10):
+    # the coprimality check sits in on_element, in front of the coordinate
+    # kernel; its error names the element, integral or not
+    cases = [
+        (QuadCharacter(Q.elem(-4)), [Q.elem(6), Q.elem(Fraction(2, 3)), Q.elem(Fraction(3, 2))]),
+        (
+            QuadCharacter(Q10.elem(-4)),
+            [Q10.elem(2), Q10.sqrt_gen, Q10.sqrt_gen / 3, Q10.elem(Fraction(5, 2))],
+        ),
+    ]
+    for chi, elems in cases:
+        for a in elems:
+            with pytest.raises(ValueError, match=re.escape(f"{a} is not coprime to")):
+                chi.on_element(a)
+        with pytest.raises(ValueError, match="not defined at 0"):
+            chi.on_element(chi.field.elem(0))
+
+
+def test_characters_of_one_delta_share_prime_values(monkeypatch, Q5):
+    # a second QuadCharacter of the same delta reads the first one's memo:
+    # every at_prime value is computed by one kronecker call in all
+    characters._memos.cache_clear()
+    calls = []
+
+    def counted(n, p):
+        calls.append(p)
+        return kronecker(n, p)
+
+    monkeypatch.setattr(characters, "kronecker", counted)
+    info = discriminant_classes(Q5, 30)[3]
+    first = QuadCharacter(info)
+    odd = [
+        P
+        for p in primes_upto(60)[1:]
+        for P in primes_above(Q5, p)
+        if first.modulus.valuation(P) == 0
+    ]
+    values = [first.at_prime(P) for P in odd]
+    assert len(calls) == len(odd)
+    for chi in (QuadCharacter(info), QuadCharacter(info.delta)):
+        assert [chi.at_prime(P) for P in odd] == values
+        assert chi.on_ideal(odd[0].ideal * odd[1].ideal) == values[0] * values[1]
+    assert len(calls) == len(odd)
+    # a dropped memo is refilled with the same values
+    characters._memos.cache_clear()
+    assert [QuadCharacter(info).at_prime(P) for P in odd] == values
+    assert len(calls) == 2 * len(odd)
+
+
+def test_character_memos_keep_fields_apart(Q, Q5):
+    # 5 is a square in Q(sqrt 5), so its character is trivial there, while
+    # over Q the prime 3 is inert in Q(sqrt 5); equal coordinates in the two
+    # fields must not share the values above 3, in either order of use
+    assert Q.elem(5).X == Q5.elem(5).X and Q.elem(5) != Q5.elem(5)
+    for first, second in ((Q, Q5), (Q5, Q)):
+        characters._memos.cache_clear()
+        chis = {K: QuadCharacter(K.elem(5)) for K in (first, second)}
+        assert chis[Q]._prime_memo is not chis[Q5]._prime_memo
+        got = {K: chis[K].on_element(K.elem(3)) for K in (first, second)}
+        assert got == {Q: -1, Q5: 1}
 
 
 # the integer route against the ideal oracle: Q and seven quadratic fields,
@@ -288,6 +352,23 @@ def test_extended_examples(Q):
     assert chi16.extended(unit_ideal(Q)) == 1
     chi12 = QuadCharacter(Q.elem(12))
     assert chi12.extended(principal_ideal(Q.elem(5))) == -1  # kronecker(12, 5)
+
+
+def test_extended_matches_gcd_oracle():
+    # valuations at the primes of delta against gcd(a, delta) as an ideal,
+    # on every class with |N(delta)| <= 60 and every ideal of norm <= 40
+    kinds = {"coprime": 0, "zero": 0, "square gcd": 0}
+    for d in ORACLE_FIELDS:
+        K = make_field(d)
+        ideals = [a for n in range(1, 41) for a in ideals_of_norm(K, n)]
+        for info in discriminant_classes(K, 60):
+            chi = QuadCharacter(info)
+            for a in ideals:
+                val = chi.extended(a)
+                assert val == extended_by_gcd(chi, a), (d, info.delta, a)
+                g0 = a.gcd(chi.modulus)
+                kinds["coprime" if g0.is_unit_ideal() else "square gcd" if val else "zero"] += 1
+    assert min(kinds.values()) > 300, kinds
 
 
 def test_coefficients_examples(Q, Q5):

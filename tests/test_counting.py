@@ -36,10 +36,12 @@ from relquad.counting import (
 from relquad.discriminants import discriminant_classes
 from relquad.field import make_field
 from relquad.ideals import (
+    FACTOR_CACHE_SIZE,
     RESIDUE_ENUMERATION_BOUND,
     ideal_from_generators,
     ideals_of_norm,
     principal_ideal,
+    square_root_coords,
     unit_ideal,
 )
 
@@ -340,3 +342,63 @@ def test_decomposition_builds_one_sieve_per_bound(monkeypatch):
     assert decomposition_suite(disc_bound=12, norm_bound=97)["failure_count"] == 0
     assert decomposition_suite(disc_bound=12, norm_bound=97)["failure_count"] == 0
     assert calls == [97]
+
+
+@pytest.mark.parametrize("bound", [-1, -7])
+def test_series_refuse_negative_bounds(Q, bound):
+    # each returned an empty table for a negative bound
+    delta = Q.elem(5)
+    for call in (
+        lambda: zeta_coefficients(delta, bound),
+        lambda: zeta_coefficients(delta, bound, method="local"),
+        lambda: QuadCharacter(delta).coefficients(bound),
+        lambda: square_stretch([0, 1, 1], bound),
+        lambda: square_root_pairs(delta, bound),
+    ):
+        with pytest.raises(ValueError, match=f"norm bound must be >= 0, got {bound}"):
+            call()
+
+
+# Q and quadratic fields of both signs, with d = 1 and d != 1 mod 4
+ROOT_FIELDS = [None, 5, 10, -15, -1, 2, -3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(ROOT_FIELDS),
+    st.integers(-30, 30),
+    st.integers(-6, 6),
+    st.integers(1, 24),
+    st.data(),
+)
+def test_root_memo_matches_unmemoised_search(d, x, y, n, data):
+    # on a miss, on a hit and after the memo has dropped the entry
+    K = make_field(d)
+    delta = K.elem(x, y if K.degree == 2 else 0)
+    ideals = ideals_of_norm(K, n)
+    if not (delta and ideals):
+        return
+    a = data.draw(st.sampled_from(ideals))
+    expected = sum(1 for _ in square_root_coords(delta, a * 2, a * 4))
+    counting._roots.cache_clear()
+    assert count_square_roots(delta, a) == expected
+    assert count_square_roots(delta, a) == expected
+    counting._roots.cache_clear()
+    assert count_square_roots(delta, a) == expected
+
+
+def test_root_memo_is_bounded_by_the_factor_policy():
+    assert counting._roots.cache_info().maxsize == FACTOR_CACHE_SIZE
+
+
+def test_root_pairs_cannot_poison_the_memo(Q10):
+    counting._roots.cache_clear()
+    delta = Q10.elem(-4)
+    first = square_root_pairs(delta, 12)
+    expected = list(first)
+    assert len(expected) == sum(zeta_coefficients(delta, 12))
+    first.clear()
+    first.append(RootPair(a_ideal=unit_ideal(Q10), b=Q10.elem(7)))
+    again = square_root_pairs(delta, 12)
+    assert again == expected and again is not first
+    assert sum(zeta_coefficients(delta, 12)) == len(expected)

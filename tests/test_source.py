@@ -32,3 +32,52 @@ def test_only_dyadic_builds_local_fields():
                 if name == "LocalField":
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# functions that intern one object per key: a field, its unit, the primes
+# above p, a unit window, the small-prime list, the CLI parser and a dyadic
+# field; every other memo has a size
+UNBOUNDED_MEMOS = {
+    "arith._small_primes",
+    "cli._parser",
+    "discriminants._unit_window",
+    "dyadic._intern_field",
+    "field.fundamental_unit",
+    "field.make_field",
+    "ideals._primes_above",
+}
+
+
+def _unbounded_cache_call(node) -> bool:
+    """Whether node is lru_cache(maxsize=None), lru_cache(None) or cache."""
+    if isinstance(node, ast.Call):
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        if name != "lru_cache":
+            return False
+        size = node.args[0] if node.args else None
+        for kw in node.keywords:
+            if kw.arg == "maxsize":
+                size = kw.value
+        return isinstance(size, ast.Constant) and size.value is None
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name == "cache"
+
+
+def test_every_unbounded_memo_interns():
+    # an lru_cache without a size grows for the life of the process, and
+    # a bounded one reports its size through cache_info()
+    found = set()
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _unbounded_cache_call(dec):
+                        found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if _unbounded_cache_call(node.value.func):
+                    found.update(f"{path.stem}.{t.id}" for t in node.targets)
+    assert found <= UNBOUNDED_MEMOS, sorted(found - UNBOUNDED_MEMOS)
+    # the walk sees both forms: decorators and wrapped assignments
+    assert {"field.make_field", "dyadic._intern_field"} <= found
