@@ -172,24 +172,28 @@ def cmd_local_duality(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the keyword each suite takes --bound as; only dyadic takes --precision
+    bound_key = {
+        "counting": "ideal_bound",
+        "character": "bound",
+        "conductor": "bound",
+        "identity": "norm_bound",
+        "hurwitz": "bound",
+        "decomposition": "norm_bound",
+    }.get(args.suite)
     kwargs = {}
+    if args.bound is not None:
+        if bound_key is None:
+            raise ValueError(f"verify {args.suite} does not take --bound")
+        kwargs[bound_key] = args.bound
+    if args.precision is not None:
+        if args.suite != "dyadic":
+            raise ValueError(f"verify {args.suite} does not take --precision")
+        kwargs["precision"] = args.precision
     if args.suite in FIELD_SUITES:
         kwargs["field_d"] = int(args.field) if args.field else None
-        if args.bound:
-            key = {
-                "counting": "ideal_bound",
-                "character": "bound",
-                "conductor": "bound",
-                "identity": "norm_bound",
-            }[args.suite]
-            kwargs[key] = args.bound
-    elif args.suite == "hurwitz" and args.bound:
-        kwargs["bound"] = args.bound
-    elif args.suite == "dyadic":
-        if args.field:
-            kwargs["descriptor"] = args.field
-        if args.precision:
-            kwargs["precision"] = args.precision
+    elif args.suite == "dyadic" and args.field:
+        kwargs["descriptor"] = args.field
     rep = run_suite(args.suite, **kwargs)
     print(json.dumps(_json_safe(rep), indent=1, sort_keys=True))
     return 0 if rep["ok"] else 1

@@ -184,7 +184,8 @@ def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
 def order_ideal_count(delta: Elem, n: int) -> int:
     """Number of pairs (b ideal, root pair class (a, x)) with
     N(b)^2 N(a) = n; counts the ideals of the order O + O(b+sqrt delta)/2
-    of index n through the pair parametrization."""
+    of index n through the pair parametrization; n >= 1."""
+    _check_index(n)
     K = delta.field
     total = 0
     for m in range(1, isqrt(n) + 1):
@@ -201,7 +202,9 @@ def order_ideal_count(delta: Elem, n: int) -> int:
 
 def order_ideal_count_sublattice(delta: int, n: int) -> int:
     """Independent oracle over Q: ideals of index n in Z + Z(delta+sqrt delta)/2,
-    counted as HNF sublattices stable under multiplication by the generator."""
+    counted as HNF sublattices stable under multiplication by the generator;
+    n >= 1."""
+    _check_index(n)
     if delta % 4 not in (0, 1):
         raise ValueError("delta must be 0 or 1 mod 4")
     from .arith import divisors
@@ -225,6 +228,11 @@ def order_ideal_count_sublattice(delta: int, n: int) -> int:
                 continue
             count += 1
     return count
+
+
+def _check_index(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"index n must be >= 1, got {n}")
 
 
 # -- Dirichlet series tables ---------------------------------------------------

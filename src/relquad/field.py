@@ -391,48 +391,65 @@ def parse_elem(K: QuadField, text: str) -> Elem:
 # ---------------------------------------------------------------------------
 # units
 
-CF_STEP_BOUND = 100000  # continued-fraction steps fundamental_unit may take
+CF_STEP_BOUND = 100000  # steps a continued-fraction walk may take
 
 
 def _cf_step(P: int, Q: int, D: int, s: int) -> tuple[int, int, int]:
-    # one step of the continued fraction of (P + sqrt D)/Q; returns (a, P', Q')
-    a = (P + s) // Q
+    # one step of the continued fraction of (P + sqrt D)/Q, s = isqrt(D),
+    # for either sign of Q; returns (a, P', Q')
+    a = (P + s + (Q < 0)) // Q
     P1 = a * Q - P
     Q1 = (D - P1 * P1) // Q
     return a, P1, Q1
+
+
+def _cf_convergents(P: int, Q: int, D: int, operation: str, subject: str):
+    """The convergents (p, q) of (P + sqrt D)/Q, for nonsquare D > 0 and
+    Q | D - P^2, through the preperiod and one period, at most
+    CF_STEP_BOUND steps (_cf_step and the bound are read at call time).
+    A complete quotient (P_k + sqrt D)/Q_k is reduced iff P_k <= s and
+    s - P_k < Q_k <= s + P_k, s = isqrt(D); from the first reduced one the
+    expansion is periodic, so the walk ends when it recurs.  For a root of
+    a form f of discriminant D with Q = +-2 f(1, 0), |f(p_k, q_k)| =
+    |Q_(k+1)|/2 (Cohen, GTM 138, 5.7)."""
+    s = isqrt(D)
+    p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
+    q_prev, q_cur = 1, 0
+    first = None  # the first reduced (P_k, Q_k)
+    for _ in range(CF_STEP_BOUND):
+        a, P, Q = _cf_step(P, Q, D, s)
+        if Q == 0:
+            raise AssertionError(f"{operation} for {subject} reached Q = 0")
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        yield p_cur, q_cur
+        if first == (P, Q):
+            return
+        if first is None and P <= s and s - P < Q <= s + P:
+            first = (P, Q)
+    # the walk needs at least CF_STEP_BOUND + 1 steps
+    raise BoundExceeded(operation, subject, CF_STEP_BOUND + 1, CF_STEP_BOUND)
 
 
 @lru_cache(maxsize=None)
 def fundamental_unit(K: QuadField) -> Elem:
     """Smallest unit > 1 of a real quadratic field, by the continued
     fraction of w.  Convergents p/q of w give elements p - q*w of norm
-    p^2 - t p q + n q^2; the first with norm +-1 yields the unit."""
+    p^2 - t p q + n q^2; the first with norm +-1, within one period,
+    yields the unit."""
     if not K.is_real_quadratic:
         raise ValueError("fundamental unit requires a real quadratic field")
     d = K.d
     t, n = K.omega_trace, K.omega_norm
-    if d % 4 == 1:
-        P, Q, D = 1, 2, d
-    else:
-        P, Q, D = 0, 1, d
-    s = isqrt(D)
-    p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
-    q_prev, q_cur = 1, 0
-    for _ in range(CF_STEP_BOUND):
-        a, P, Q = _cf_step(P, Q, D, s)
-        if Q <= 0:
-            raise AssertionError(f"continued fraction of omega for d={d} reached Q = {Q} <= 0")
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        nm = p_cur * p_cur - t * p_cur * q_cur + n * q_cur * q_cur
-        if abs(nm) == 1:
-            eta = K.elem(p_cur, -q_cur)
+    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
+    for p, q in _cf_convergents(P, Q, d, "continued fraction of omega", f"d={d}"):
+        if abs(p * p - t * p * q + n * q * q) == 1:
+            eta = K.elem(p, -q)
             for cand in (eta, -eta, eta.conj(), -eta.conj()):
                 if cand.sign_at(0) > 0 and (cand - 1).sign_at(0) > 0:
                     return cand
             raise AssertionError("no associate > 1")
-    # the period of w is longer: it takes at least CF_STEP_BOUND + 1 steps
-    raise BoundExceeded("continued fraction of omega", f"d={d}", CF_STEP_BOUND + 1, CF_STEP_BOUND)
+    raise AssertionError(f"no unit in a period of omega for d={d}")
 
 
 def roots_of_unity(K: QuadField) -> list[Elem]:

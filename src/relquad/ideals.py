@@ -32,8 +32,9 @@ ideal to learn its valuations.
 
 _norm_row(K, y, lo, hi) solves lo <= N(x + y*w) <= hi for x on one row y
 with isqrt bounds, solving the norm form per row as in Cohen, GTM 138,
-5.7-5.8.  The principal generator search and discriminant_candidates walk
-their rows with it instead of evaluating the norm over a coordinate box.
+5.7-5.8.  discriminant_candidates and the imaginary principal generator
+search walk their rows with it; a real one walks the continued fraction
+of a root of the ideal's norm form, as fundamental_unit walks that of w.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
 square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
@@ -54,7 +55,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import BoundExceeded, factorint, is_prime, kronecker, sqrt_mod_p, xgcd
-from .field import Elem, QuadField, fundamental_unit, parse_elem
+from .field import Elem, QuadField, _cf_convergents, coords_mul, fundamental_unit, parse_elem
 
 __all__ = [
     "Ideal",
@@ -63,7 +64,6 @@ __all__ = [
     "principal_ideal",
     "primes_above",
     "ideals_of_norm",
-    "count_ideals_of_norm",
     "class_number",
     "minkowski_bound",
     "parse_ideal",
@@ -413,10 +413,11 @@ class Ideal:
     def principal_generator(self) -> Elem | None:
         """A generator if the ideal is principal, else None.
 
-        The search solves the norm form row by row (_norm_row): for a real
-        field over the fundamental-unit box |s1(g)|, |s2(g)| <= sqrt(N) eps,
-        made exact through integer coefficient bounds; for an imaginary
-        field over the rows the positive definite norm form allows."""
+        For a real field a continued-fraction walk over a root of the norm
+        form yields a generator g, and the result is the least associate
+        +-g*eps^k inside the box |s1|, |s2| <= sqrt(N) eps, made exact
+        through integer bounds; for an imaginary field, the first solution
+        of the positive definite norm form solved row by row (_norm_row)."""
         K = self.field
         if K.degree == 1:
             return Elem(K, self.hnf[0], 0, self.den)
@@ -728,22 +729,6 @@ def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
     return tuple(sorted(out, key=lambda a: a.hnf))
 
 
-def count_ideals_of_norm(K: QuadField, n: int) -> int:
-    """Number of integral ideals of norm n."""
-    if K.degree == 1:
-        return 1
-    total = 1
-    for p, e in factorint(n).items():
-        sym = kronecker(K.disc, p)
-        if sym == 1:
-            total *= e + 1
-        elif sym == -1:
-            if e % 2:
-                return 0
-        # ramified contributes factor 1
-    return total
-
-
 def minkowski_bound(K: QuadField) -> int:
     """An integer upper bound for the Minkowski constant of K: every ideal
     class contains an integral ideal of norm <= this bound."""
@@ -815,20 +800,46 @@ def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
     return isqrt(R // (s * s)) + 1, isqrt(R // K.d) + 1
 
 
-def _principal_generator_integral(I: Ideal) -> Elem | None:
-    """The first g = i*a + j*(b + c*w) of I with |N(g)| = N(I), or None.
+def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
+    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
+    if alpha >= 0 and beta >= 0:
+        return True
+    if alpha <= 0 and beta <= 0:
+        return False
+    return (alpha > 0) == (alpha * alpha > d * beta * beta)
 
-    Rows run over j ascending.  In row j (y = j*c) the norm equation is
-    solved by _norm_row for {N} (imaginary) or {+N, -N} (real), and a
-    solution x is in I iff x = j*b mod a; an element of I whose norm has
-    the absolute value N(I) generates I.  Within a row x runs descending
-    for imaginary K and ascending, clamped to the box's i-range, for real
-    K: the order of the coordinate-box scan kept as the test oracle
-    tests/helpers.py::box_principal_generator, so both return the same
-    generator.  The real rows cover the fundamental-unit box |s1(g)|,
-    |s2(g)| <= sqrt(N) * eps, made exact through integer coefficient
-    bounds: O(eps sqrt(N/d)) rows of O(1) work, where the box scan made
-    O(N eps^2) norm evaluations."""
+
+def _cf_generator(I: Ideal) -> tuple[int, int] | None:
+    """Coordinates of a generator of the integral ideal I = c*J of a real
+    field, J = (A, b' + w), or None.  N(p*A + q*(b' + w)) = A f_J(p, q)
+    for f_J = (A, B, C) = (A, 2b' + t, N(b' + w)/A), so J is principal iff
+    f_J is GL2(Z)-equivalent to the norm form of O.  Then its root
+    (-B + sqrt(disc))/2A is equivalent to w, and by Serret's theorem its
+    continued fraction ends in the period of w, which has a complete
+    quotient with |Q| = 2: a convergent with |f_J(p, q)| = 1."""
+    K = I.field
+    a, b, c = I.hnf
+    t = K.omega_trace
+    A, b1 = a // c, b // c
+    B = 2 * b1 + t
+    C = (b1 * b1 + t * b1 + K.omega_norm) // A
+    for p, q in _cf_convergents(-B, 2 * A, K.disc, "continued fraction of a norm-form root", f"{I} in {K}"):
+        if abs(A * p * p + B * p * q + C * q * q) == 1:
+            # p*A + q*(b' + w) generates J, so c times it generates I
+            return p * a + q * b, q * c
+    return None
+
+
+def _principal_generator_integral(I: Ideal) -> Elem | None:
+    """The first g = i*a + j*(b + c*w) of I with |N(g)| = N(I), or None, in
+    the order of the box scan tests/helpers.py::box_principal_generator:
+    j ascending, then x, descending (imaginary) or ascending (real).
+
+    Imaginary K: _norm_row solves N = N(I) in row j, y = j*c, and x is in I
+    iff x = j*b mod a.  Real K: the least (y, x) among the associates
+    +-g*eps^k of _cf_generator's g in the oracle's box, whose points have
+    s*|s1|, s*|s2| <= sR (s = t + 1); eps scales |s1| by eps and conj(eps)
+    |s2|, so the walk goes each way from g until the one it scales > sR."""
     K = I.field
     N = I.norm_int()
     a, b, c = I.hnf
@@ -843,21 +854,27 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
                 if principal_ideal(g) == I:
                     return g
         return None
-    # real quadratic: generator box bounded through the fundamental unit
+    g = _cf_generator(I)
+    if g is None:
+        return None
     xcap, ycap = _unit_box(K, N)
     jmax = ycap // c + 1
-    for j in range(-jmax, jmax + 1):
-        y = j * c
-        # |x + t*y/2| <= xcap, widened to whole steps of a
-        x_lo = ((-t * y) // 2 - xcap - 1 - j * b) // a * a + j * b
-        x_hi = ((-t * y) // 2 + xcap + 1 - j * b) // a * a + j * b + a
-        row = sorted(x for m in (N, -N) for r in _norm_row(K, y, m, m) for x in r)
-        for x in row:
-            if x_lo <= x <= x_hi and (x - j * b) % a == 0:
-                g = Elem(K, x, y)
-                if principal_ideal(g) == I:
-                    return g
-    return None
+    d, s = K.d, t + 1
+    sR = s * (xcap + 1 + a) + (ycap + c) * (isqrt(d) + 1)
+    eps = fundamental_unit(K)
+    best = None
+    for unit, e in ((eps, 1), (eps.conj(), -1)):
+        x, y = g
+        # the embedding unit scales, times s: u + e*y*sqrt(d), u = s*x + t*y
+        while _sqrt_d_nonneg(sR - s * x - t * y, -e * y, d) and _sqrt_d_nonneg(sR + s * x + t * y, e * y, d):
+            for x1, y1 in ((x, y), (-x, -y)):
+                j = y1 // c
+                x_lo = ((-t * y1) // 2 - xcap - 1 - j * b) // a * a + j * b
+                x_hi = ((-t * y1) // 2 + xcap + 1 - j * b) // a * a + j * b + a
+                if abs(j) <= jmax and x_lo <= x1 <= x_hi and (best is None or (y1, x1) < best):
+                    best = (y1, x1)
+            x, y = coords_mul(K, x, y, unit.X, unit.Y)
+    return None if best is None else Elem(K, best[1], best[0])
 
 
 # -- parsing ---------------------------------------------------------------------

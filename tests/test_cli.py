@@ -9,6 +9,7 @@ import pytest
 import relquad
 from relquad.cli import main
 from relquad.tables import validate_record
+from relquad.verify import _fundamental_discriminants
 
 
 def run_cli(*argv, capsys=None):
@@ -100,6 +101,54 @@ def test_verify_cli(capsys):
     rec = json.loads(out)
     assert code == 0 and rec["ok"]
     assert validate_record(rec, "verify_report") == []
+
+
+def test_verify_decomposition_takes_its_bound(capsys):
+    # the suite ran its default norm bound of 10,000 whatever --bound said
+    code, out, _ = run_cli("verify", "decomposition", "--bound", "5", capsys=capsys)
+    rec = json.loads(out)
+    assert code == 0 and rec["ok"]
+    assert rec["cases"] == 5 * len(_fundamental_discriminants(100))
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dyadic", "--bound", "5"], "--bound"),
+        (["all", "--bound", "5"], "--bound"),
+        (["hurwitz", "--precision", "3"], "--precision"),
+        (["counting", "--field", "5", "--precision", "3"], "--precision"),
+    ],
+)
+def test_verify_refuses_flags_its_suite_does_not_take(capsys, argv, flag):
+    code, out, err = run_cli("verify", *argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[0]} does not take {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fdelta", "--delta=36"],
+        ["conductor", "--delta=36"],
+        ["char", "--delta=36", "--ideal", "(3, 1+w)"],
+        ["count", "--delta=36", "--ideal", "(3, 1+w)"],
+    ],
+)
+def test_large_unit_field_requests_finish(argv):
+    # eps has 30 digits in Q(sqrt 10007); with a search over the rows of
+    # the fundamental-unit box, fdelta was still running after 20 s, so a
+    # slow route coming back fails here instead of hanging the suite
+    src = str(Path(relquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relquad", argv[0], "--field", "10007", *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_errors(capsys):

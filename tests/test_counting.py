@@ -210,6 +210,19 @@ def test_order_ideal_counts_gaussian(Q):
     assert subl == expected
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_order_ideal_counts_refuse_indices_below_one(Q, Q10, n):
+    # order_ideal_count raised an isqrt error at n = -1; the sublattice
+    # count raised "factorint(0)" at n = 0 and returned 0 at n = -3
+    for call in (
+        lambda: order_ideal_count(Q.elem(-4), n),
+        lambda: order_ideal_count(Q10.elem(-4), n),
+        lambda: order_ideal_count_sublattice(-4, n),
+    ):
+        with pytest.raises(ValueError, match=f"index n must be >= 1, got {n}"):
+            call()
+
+
 def test_order_ideal_identities(test_fields):
     for K in test_fields:
         for info in discriminant_classes(K, 12):

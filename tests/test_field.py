@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
 from relquad.arith import BoundExceeded
 from relquad.field import (
     QuadField,
+    _cf_step,
     coords_is_square,
     coords_mul,
     coords_sqrt,
@@ -138,6 +140,26 @@ def test_fundamental_unit_step_cap(monkeypatch):
     monkeypatch.undo()
     eps = fundamental_unit.__wrapped__(make_field(94))
     assert abs(eps.norm()) == 1 and eps.sign_at(0) > 0
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 40, 184, 40028])
+def test_cf_step_floors_for_both_signs_of_q(D):
+    # a = floor((P + sqrt D)/Q) for Q of either sign, checked on integers:
+    # with v = P - a*Q, Q > 0 needs 0 <= v + sqrt D < Q, and Q < 0 needs
+    # Q < v + sqrt D <= 0 (never 0 for nonsquare D)
+    def sqrt_d_above(x):  # x < sqrt D, exactly
+        return x < 0 or x * x < D
+
+    s = isqrt(D)
+    for P in range(-70, 71):
+        for Q in range(-70, 71):
+            if Q == 0 or (D - P * P) % Q:
+                continue
+            a, P1, Q1 = _cf_step(P, Q, D, s)
+            v = P - a * Q
+            lo, hi = (-v, Q - v) if Q > 0 else (Q - v, -v)
+            assert sqrt_d_above(lo) and not sqrt_d_above(hi), (D, P, Q, a)
+            assert P1 == -v and Q1 * Q == D - P1 * P1, (D, P, Q)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10, 15])

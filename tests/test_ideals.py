@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from pathlib import Path
 
@@ -12,8 +13,14 @@ import pytest
 
 import relquad
 
-from helpers import box_principal_generator, ideal_product_by_vectors, valuation_by_division
-from relquad.arith import BoundExceeded
+from helpers import (
+    box_principal_generator,
+    ideal_product_by_vectors,
+    row_principal_generator,
+    valuation_by_division,
+)
+from relquad.arith import BoundExceeded, primes_upto
+from relquad.counting import ideal_count_table
 from relquad import ideals
 from relquad.field import QuadField, make_field
 from relquad.ideals import (
@@ -24,7 +31,6 @@ from relquad.ideals import (
     _norm_row,
     class_number,
     coords_valuation,
-    count_ideals_of_norm,
     ideal_from_generators,
     ideals_of_norm,
     parse_ideal,
@@ -199,8 +205,9 @@ def test_ideals_of_norm(Q10):
     assert ideals_of_norm(Q10, 2) == [p2_of(Q10)]
     assert len(ideals_of_norm(Q10, 3)) == 2  # kronecker(40,3)=1, split
     assert ideals_of_norm(Q10, 1) == [unit_ideal(Q10)]
+    counts = ideal_count_table(Q10, 79)
     for n in range(1, 80):
-        assert len(ideals_of_norm(Q10, n)) == count_ideals_of_norm(Q10, n)
+        assert len(ideals_of_norm(Q10, n)) == counts[n]
 
 
 def test_class_numbers():
@@ -209,6 +216,19 @@ def test_class_numbers():
     assert class_number(make_field(-15)) == 2
     assert class_number(make_field(-1)) == 1
     assert class_number(make_field(195)) == 4  # Cl(K) = [2,2] for disc 780
+
+
+def test_principality_with_a_large_fundamental_unit():
+    # eps has 30 digits in Q(sqrt 10007), so a search over the rows of the
+    # fundamental-unit box would walk about eps*sqrt(N/d) rows; the walk
+    # over a continued-fraction period decides each prime in milliseconds
+    K = make_field(10007)
+    for p in primes_upto(50):
+        for P in primes_above(K, p):
+            g = P.ideal.principal_generator()
+            assert g is not None and principal_ideal(g) == P.ideal, P
+    assert class_number(make_field(94)) == 1
+    assert class_number(K) == 1
 
 
 def test_valuation_fractional(Q10):
@@ -442,13 +462,18 @@ def _ideals_below(K, bound):
     return [a for m in range(1, bound) for a in ideals_of_norm(K, m)]
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 195, -15])
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 46, 79, 82, 85, 195, -15])
 def test_principal_generator_matches_box_oracle(d):
     # the same element as the coordinate-box scan, not merely a generator,
-    # for every integral ideal of norm < 60
+    # for every integral ideal of norm < 60 (< 31 for d > 40) and for each
+    # of them divided by 3; the box scan is out of reach for d = 46, whose
+    # rows the row-by-row oracle solves instead
     K = make_field(d)
-    for a in _ideals_below(K, 60):
-        assert a.principal_generator() == box_principal_generator(a), (d, a)
+    oracle = lru_cache(maxsize=None)(row_principal_generator if d == 46 else box_principal_generator)
+    for a in _ideals_below(K, 60 if d < 40 else 31):
+        for I in (a, a * Fraction(1, 3)):
+            g = oracle(Ideal(K, I.hnf, 1))
+            assert I.principal_generator() == (None if g is None else g / I.den), (d, I)
 
 
 def test_principal_generator_over_q(Q):

@@ -81,3 +81,17 @@ def test_every_unbounded_memo_interns():
     assert found <= UNBOUNDED_MEMOS, sorted(found - UNBOUNDED_MEMOS)
     # the walk sees both forms: decorators and wrapped assignments
     assert {"field.make_field", "dyadic._intern_field"} <= found
+
+
+def test_one_continued_fraction_loop():
+    # fundamental_unit and the real principality test read their
+    # convergents from field._cf_convergents, the one caller of _cf_step
+    callers = []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cf_step":
+                        callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["field._cf_convergents"], callers
