@@ -192,7 +192,9 @@ def cmd_verify(args) -> int:
         kwargs["precision"] = args.precision
     if args.suite in FIELD_SUITES:
         kwargs["field_d"] = int(args.field) if args.field else None
-    elif args.suite == "dyadic" and args.field:
+    elif args.field is not None:
+        if args.suite != "dyadic":
+            raise ValueError(f"verify {args.suite} does not take --field")
         kwargs["descriptor"] = args.field
     rep = run_suite(args.suite, **kwargs)
     print(json.dumps(_json_safe(rep), indent=1, sort_keys=True))

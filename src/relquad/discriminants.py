@@ -31,7 +31,6 @@ from .ideals import (
     PrimeIdeal,
     _hnf_from_vectors,
     _norm_row,
-    _sqrt_d_nonneg,
     _unit_box,
     coords_valuation,
     principal_ideal,
@@ -276,6 +275,15 @@ def same_class_mod_unit_squares(d1: Elem, d2: Elem) -> bool:
     """Whether d1/d2 is the square of a unit of O: (d1) = (d2) makes d1/d2
     a unit, and a unit that is a square in K is the square of a unit."""
     return principal_ideal(d1) == principal_ideal(d2) and same_class_mod_squares(d1, d2)
+
+
+def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
+    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
+    if alpha >= 0 and beta >= 0:
+        return True
+    if alpha <= 0 and beta <= 0:
+        return False
+    return (alpha > 0) == (alpha * alpha > d * beta * beta)
 
 
 def _window_member(P: int, Q: int, E: int, F: int, d: int) -> bool:

@@ -403,15 +403,15 @@ def _cf_step(P: int, Q: int, D: int, s: int) -> tuple[int, int, int]:
     return a, P1, Q1
 
 
-def _cf_convergents(P: int, Q: int, D: int, operation: str, subject: str):
+def _cf_convergents(P: int, Q: int, D: int, operation: str, subject):
     """The convergents (p, q) of (P + sqrt D)/Q, for nonsquare D > 0 and
     Q | D - P^2, through the preperiod and one period, at most
-    CF_STEP_BOUND steps (_cf_step and the bound are read at call time).
-    A complete quotient (P_k + sqrt D)/Q_k is reduced iff P_k <= s and
-    s - P_k < Q_k <= s + P_k, s = isqrt(D); from the first reduced one the
-    expansion is periodic, so the walk ends when it recurs.  For a root of
-    a form f of discriminant D with Q = +-2 f(1, 0), |f(p_k, q_k)| =
-    |Q_(k+1)|/2 (Cohen, GTM 138, 5.7)."""
+    CF_STEP_BOUND steps (_cf_step and the bound are read at call time;
+    subject() names the input in an error).  A complete quotient
+    (P_k + sqrt D)/Q_k is reduced iff P_k <= s and s - P_k < Q_k <= s + P_k,
+    s = isqrt(D); from the first reduced one the expansion is periodic, so
+    the walk ends when it recurs.  For a root of a form f of discriminant D
+    with Q = +-2 f(1, 0), |f(p_k, q_k)| = |Q_(k+1)|/2 (Cohen, GTM 138, 5.7)."""
     s = isqrt(D)
     p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_cur = 1, 0
@@ -419,7 +419,7 @@ def _cf_convergents(P: int, Q: int, D: int, operation: str, subject: str):
     for _ in range(CF_STEP_BOUND):
         a, P, Q = _cf_step(P, Q, D, s)
         if Q == 0:
-            raise AssertionError(f"{operation} for {subject} reached Q = 0")
+            raise AssertionError(f"{operation} for {subject()} reached Q = 0")
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         yield p_cur, q_cur
@@ -428,7 +428,7 @@ def _cf_convergents(P: int, Q: int, D: int, operation: str, subject: str):
         if first is None and P <= s and s - P < Q <= s + P:
             first = (P, Q)
     # the walk needs at least CF_STEP_BOUND + 1 steps
-    raise BoundExceeded(operation, subject, CF_STEP_BOUND + 1, CF_STEP_BOUND)
+    raise BoundExceeded(operation, subject(), CF_STEP_BOUND + 1, CF_STEP_BOUND)
 
 
 @lru_cache(maxsize=None)
@@ -442,7 +442,7 @@ def fundamental_unit(K: QuadField) -> Elem:
     d = K.d
     t, n = K.omega_trace, K.omega_norm
     P, Q = (1, 2) if d % 4 == 1 else (0, 1)
-    for p, q in _cf_convergents(P, Q, d, "continued fraction of omega", f"d={d}"):
+    for p, q in _cf_convergents(P, Q, d, "continued fraction of omega", lambda: f"d={d}"):
         if abs(p * p - t * p * q + n * q * q) == 1:
             eta = K.elem(p, -q)
             for cand in (eta, -eta, eta.conj(), -eta.conj()):

@@ -800,15 +800,6 @@ def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
     return isqrt(R // (s * s)) + 1, isqrt(R // K.d) + 1
 
 
-def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
-    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
-    if alpha >= 0 and beta >= 0:
-        return True
-    if alpha <= 0 and beta <= 0:
-        return False
-    return (alpha > 0) == (alpha * alpha > d * beta * beta)
-
-
 def _cf_generator(I: Ideal) -> tuple[int, int] | None:
     """Coordinates of a generator of the integral ideal I = c*J of a real
     field, J = (A, b' + w), or None.  N(p*A + q*(b' + w)) = A f_J(p, q)
@@ -823,7 +814,7 @@ def _cf_generator(I: Ideal) -> tuple[int, int] | None:
     A, b1 = a // c, b // c
     B = 2 * b1 + t
     C = (b1 * b1 + t * b1 + K.omega_norm) // A
-    for p, q in _cf_convergents(-B, 2 * A, K.disc, "continued fraction of a norm-form root", f"{I} in {K}"):
+    for p, q in _cf_convergents(-B, 2 * A, K.disc, "continued fraction of a norm-form root", lambda: f"{I} in {K}"):
         if abs(A * p * p + B * p * q + C * q * q) == 1:
             # p*A + q*(b' + w) generates J, so c times it generates I
             return p * a + q * b, q * c
@@ -837,9 +828,11 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
 
     Imaginary K: _norm_row solves N = N(I) in row j, y = j*c, and x is in I
     iff x = j*b mod a.  Real K: the least (y, x) among the associates
-    +-g*eps^k of _cf_generator's g in the oracle's box, whose points have
-    s*|s1|, s*|s2| <= sR (s = t + 1); eps scales |s1| by eps and conj(eps)
-    |s2|, so the walk goes each way from g until the one it scales > sR."""
+    +-g*eps^k of _cf_generator's g in the oracle's box, whose rows have
+    |y| <= Y.  Times s = t + 1, x + y*w embeds as u +- y*sqrt(d), u = s*x +
+    t*y; eps scales the first by eps, conj(eps) the second.  Once the one it
+    scales dominates (u*y has its sign), min(|u|, |y|*sqrt(d)) grows, so
+    the walk each way from g stops at |y| > Y and u^2 > d*Y^2."""
     K = I.field
     N = I.norm_int()
     a, b, c = I.hnf
@@ -858,20 +851,17 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
     if g is None:
         return None
     xcap, ycap = _unit_box(K, N)
-    jmax = ycap // c + 1
-    d, s = K.d, t + 1
-    sR = s * (xcap + 1 + a) + (ycap + c) * (isqrt(d) + 1)
+    # the oracle's box: rows |y| <= Y, and in each the x = j*b mod a in
+    # m +- (xcap + 1), m = (-t*y)//2, and one step of a beyond each end,
+    # which for an x of I is -X < x - m <= X
+    s, X, Y = t + 1, xcap + 1 + a, (ycap // c + 1) * c
     eps = fundamental_unit(K)
     best = None
     for unit, e in ((eps, 1), (eps.conj(), -1)):
         x, y = g
-        # the embedding unit scales, times s: u + e*y*sqrt(d), u = s*x + t*y
-        while _sqrt_d_nonneg(sR - s * x - t * y, -e * y, d) and _sqrt_d_nonneg(sR + s * x + t * y, e * y, d):
+        while e * (u := s * x + t * y) * y < 0 or abs(y) <= Y or u * u <= K.d * Y * Y:
             for x1, y1 in ((x, y), (-x, -y)):
-                j = y1 // c
-                x_lo = ((-t * y1) // 2 - xcap - 1 - j * b) // a * a + j * b
-                x_hi = ((-t * y1) // 2 + xcap + 1 - j * b) // a * a + j * b + a
-                if abs(j) <= jmax and x_lo <= x1 <= x_hi and (best is None or (y1, x1) < best):
+                if abs(y1) <= Y and -X < x1 - (-t * y1) // 2 <= X and (best is None or (y1, x1) < best):
                     best = (y1, x1)
             x, y = coords_mul(K, x, y, unit.X, unit.Y)
     return None if best is None else Elem(K, best[1], best[0])

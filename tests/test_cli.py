@@ -118,6 +118,9 @@ def test_verify_decomposition_takes_its_bound(capsys):
         (["all", "--bound", "5"], "--bound"),
         (["hurwitz", "--precision", "3"], "--precision"),
         (["counting", "--field", "5", "--precision", "3"], "--precision"),
+        (["hurwitz", "--field", "5"], "--field"),
+        (["decomposition", "--field", "5", "--bound", "3"], "--field"),
+        (["all", "--field", "5"], "--field"),
     ],
 )
 def test_verify_refuses_flags_its_suite_does_not_take(capsys, argv, flag):

@@ -22,7 +22,7 @@ from helpers import (
 from relquad.arith import BoundExceeded, primes_upto
 from relquad.counting import ideal_count_table
 from relquad import ideals
-from relquad.field import QuadField, make_field
+from relquad.field import QuadField, coords_mul, fundamental_unit, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
@@ -465,15 +465,35 @@ def _ideals_below(K, bound):
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 46, 79, 82, 85, 195, -15])
 def test_principal_generator_matches_box_oracle(d):
     # the same element as the coordinate-box scan, not merely a generator,
-    # for every integral ideal of norm < 60 (< 31 for d > 40) and for each
-    # of them divided by 3; the box scan is out of reach for d = 46, whose
-    # rows the row-by-row oracle solves instead
+    # for every integral ideal of norm < 60 and for each of them divided
+    # by 3; the box scan is out of reach for d = 46 (eps = 24335 + 3588w),
+    # whose rows the row-by-row oracle solves instead, below norm 31
     K = make_field(d)
     oracle = lru_cache(maxsize=None)(row_principal_generator if d == 46 else box_principal_generator)
-    for a in _ideals_below(K, 60 if d < 40 else 31):
+    for a in _ideals_below(K, 31 if d == 46 else 60):
         for I in (a, a * Fraction(1, 3)):
             g = oracle(Ideal(K, I.hnf, 1))
             assert I.principal_generator() == (None if g is None else g / I.den), (d, I)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 22, 79])
+def test_principal_generator_from_any_associate(monkeypatch, d):
+    # the associate walk must reach the box whichever generator the
+    # continued fraction yields, also one far outside the box on the side
+    # a way of the walk shrinks
+    K = make_field(d)
+    ideals_below = _ideals_below(K, 31)
+    want = [a.principal_generator() for a in ideals_below]
+    found = ideals._cf_generator
+    for k in (-6, 6):
+        u = fundamental_unit(K) ** k
+
+        def shifted(I, u=u):
+            g = found(I)
+            return None if g is None else coords_mul(K, *g, u.X, u.Y)
+
+        monkeypatch.setattr(ideals, "_cf_generator", shifted)
+        assert [a.principal_generator() for a in ideals_below] == want, k
 
 
 def test_principal_generator_over_q(Q):
