@@ -11,28 +11,26 @@ local_square_solvable takes v_P from ideals.coords_valuation and searches
 roots in P^(v/2) with ideals.square_root_coords, so the dyadic conductor
 exponents build no field element and no principal ideal per residue.
 
-The class enumeration runs on integer pairs (x, y) too:
-discriminant_candidates yields them, discriminant_classes applies the
-mod-4 witness test and the sign test (field.coords_sign) to them, sorts
-them, buckets them by the HNF of (x + y*w) and keeps one per class modulo
-unit squares by field.coords_is_square; only the representatives become
-Elems, for conductor_ideal.  Cohen, GTM 138, 5.2 and 5.7-5.8.
+The class enumeration builds each class modulo unit squares once, as a
+principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
+u*g, and keeps its least member in the window of discriminant_classes; all
+on integer pairs, with only the representatives made Elems, for
+conductor_ideal.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
+from functools import lru_cache, partial
 
-from .field import Elem, QuadField, coords_is_square, coords_mul, coords_sign, fundamental_unit
+from .field import Elem, QuadField, coords_mul, coords_sign, fundamental_unit, roots_of_unity, unit_square_class_reps
 from .ideals import (
     Ideal,
     PrimeIdeal,
-    _hnf_from_vectors,
-    _norm_row,
-    _unit_box,
+    _cf_generator,
+    _gauss_generator,
     coords_valuation,
+    ideals_of_norm,
     principal_ideal,
     square_root_coords,
     unit_ideal,
@@ -267,14 +265,17 @@ def fundamental_discriminant_data(delta: "Elem | DiscriminantInfo") -> FundDiscD
 
 
 def same_class_mod_squares(d1: Elem, d2: Elem) -> bool:
-    """Whether d1/d2 is a square in K^x: whether d1*d2 = d1/d2 * d2^2 is one."""
+    """Whether d1/d2 is a square in K^x: whether d1*d2 = d1/d2 * d2^2 is one (d1, d2 != 0)."""
+    for name, e in (("d1", d1), ("d2", d2)):
+        if not e:
+            raise ValueError(f"{name} must be nonzero, got {e}")
     return (d1 * d2).is_square()
 
 
 def same_class_mod_unit_squares(d1: Elem, d2: Elem) -> bool:
     """Whether d1/d2 is the square of a unit of O: (d1) = (d2) makes d1/d2
     a unit, and a unit that is a square in K is the square of a unit."""
-    return principal_ideal(d1) == principal_ideal(d2) and same_class_mod_squares(d1, d2)
+    return same_class_mod_squares(d1, d2) and principal_ideal(d1) == principal_ideal(d2)
 
 
 def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
@@ -286,62 +287,47 @@ def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
     return (alpha > 0) == (alpha * alpha > d * beta * beta)
 
 
-def _window_member(P: int, Q: int, E: int, F: int, d: int) -> bool:
-    # 2*delta = P + Q sqrt(d) and 2*eps^4 = E + F sqrt(d), all integers.
-    # |log|s1(delta)/s2(delta)|| <= 2 log eps, as two exact sign tests:
-    # s1(delta^2) <= s1(eps^4) s2(delta^2) and symmetrically, scaled by 8
-    # with (2 delta)^2 = a + b sqrt(d).
+def _window_side(P: int, Q: int, E: int, F: int, d: int) -> int:
+    """0 if delta is in the window |log|s1(delta)/s2(delta)|| <= 2 log eps,
+    else the side it leaves by: 1 for |s1/s2| > eps^2, -1 for < eps^-2.
+    With 2*delta = P + Q sqrt(d), 2*eps^4 = E + F sqrt(d) and (2 delta)^2 =
+    a + b sqrt(d), all integers, these are two exact sign tests, s1(delta^2)
+    <= s1(eps^4) s2(delta^2) and symmetrically, scaled by 8."""
     a = P * P + d * Q * Q
     b = 2 * P * Q
-    below = _sqrt_d_nonneg(E * a - F * b * d - 2 * a, F * a - E * b - 2 * b, d)
-    return below and _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d)
+    if not _sqrt_d_nonneg(E * a - F * b * d - 2 * a, F * a - E * b - 2 * b, d):
+        return 1
+    if not _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d):
+        return -1
+    return 0
 
 
 @lru_cache(maxsize=None)
 def _unit_window(K: QuadField) -> tuple[int, int]:
     """(E, F) with 2 eps^4 = E + F sqrt(d), the window bound of
-    _window_member, computed once per interned real field (as
+    _window_side, computed once per interned real field (as
     fundamental_unit is)."""
     E, F = (int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
     return E, F
 
 
-def discriminant_candidates(K: QuadField, norm_bound: int):
-    """All integral delta with |N(delta)| <= norm_bound, restricted (real
-    case) to the fundamental-unit window |log|s1(delta)/s2(delta)|| <=
-    2 log eps; yields the integer coordinates (x, y) of every class member
-    seen, y ascending, then x.
-
-    Each row y of the coordinate box is solved for -B <= N(x + y*w) <= B
-    by ideals._norm_row and clamped to the box's x-range, so the members
-    and their order are those of a scan of the whole box (the test oracle
-    tests/helpers.py::box_discriminant_candidates), at the cost of
-    O(eps sqrt(B/d)) rows plus the hits instead of O(B eps^2) norms.  The
-    window test is two integer sign tests on sqrt(d)-coordinates."""
-    if K.degree == 1:
-        for a in range(1, norm_bound + 1):
-            yield a, 0
-            yield -a, 0
-        return
-    t = K.omega_trace
-    d = K.d
-    if K.is_imaginary_quadratic:
-        # positive definite: |disc| y^2 <= 4N
-        ymax = isqrt(4 * norm_bound // abs(K.disc)) + 1
-        xc = isqrt(norm_bound) + 1
-        window = None
-    else:
-        xc, ymax = _unit_box(K, norm_bound)
-        window = _unit_window(K)
-    for y in range(-ymax, ymax + 1):
-        lo = (-t * y) // 2 - xc - 1
-        hi = (-t * y) // 2 + xc + 1
-        for r in _norm_row(K, y, -norm_bound, norm_bound):
-            for x in range(max(r.start, lo), min(r.stop, hi + 1)):
-                if x == 0 and y == 0:
-                    continue
-                if window is None or _window_member(2 * x + t * y, (2 - t) * y, *window, d):
-                    yield x, y
+def _window_least(K: QuadField, x: int, y: int) -> tuple[int, int]:
+    """The least (x, y) of the class of x + y*w modulo unit squares of the
+    real field K in the window of _window_side.  eps^2 multiplies |s1/s2|
+    by eps^4, the width of the closed window, and conj(eps)^2 divides it by
+    eps^4: so the walk enters the window, which holds one or two members."""
+    t, d = K.omega_trace, K.d
+    window, eps = _unit_window(K), fundamental_unit(K)
+    up = coords_mul(K, eps.X, eps.Y, eps.X, eps.Y)
+    down = coords_mul(K, eps.X + t * eps.Y, -eps.Y, eps.X + t * eps.Y, -eps.Y)
+    while side := _window_side(2 * x + t * y, (2 - t) * y, *window, d):
+        x, y = coords_mul(K, x, y, *(down if side > 0 else up))
+    members = [(x, y)]
+    for step in (up, down):
+        x1, y1 = coords_mul(K, x, y, *step)
+        if not _window_side(2 * x1 + t * y1, (2 - t) * y1, *window, d):
+            members.append((x1, y1))
+    return min(members)
 
 
 def discriminant_classes(
@@ -349,36 +335,39 @@ def discriminant_classes(
 ) -> list[DiscriminantInfo]:
     """Representatives of all discriminant classes modulo squares of units
     with |N(delta)| <= norm_bound, optionally restricted to totally negative
-    discriminants.  The representative is the lexicographically least
-    coordinate pair among class members inside the enumeration window.
-
-    Runs on integer pairs: delta and r with (delta) = (r) share a class
-    iff the unit delta/r = delta*r/r^2 is a square, that is iff delta*r is
-    one; (delta) is the HNF of the module spanned by delta and delta*w."""
+    discriminants, sorted: the least coordinate pair of each class in the
+    window of _window_side for a real field, in the whole class otherwise.
+    A class is a principal ideal (g) and a unit u of unit_square_class_reps,
+    so each is built once, as u*g; its mod-4 witness and its signs do not
+    change under unit squares, so they are tested once."""
     if sign not in ("any", "totally_negative"):
         raise ValueError("sign must be 'any' or 'totally_negative'")
     if norm_bound < 0:
         raise ValueError(f"norm bound must be >= 0, got {norm_bound}")
     negative = sign == "totally_negative"
-    embeddings = K.real_embeddings
-    cands = []
-    for x, y in discriminant_candidates(K, norm_bound):
-        if _witness_coords(K, x, y) is None:
-            continue
-        if negative and not all(coords_sign(K, x, y, e) < 0 for e in embeddings):
-            continue
-        cands.append((x, y))
-    cands.sort()
-    if K.degree == 1:
-        reps = cands
+    units = [(u.X, u.Y) for u in unit_square_class_reps(K)]
+    if K.is_real_quadratic:
+        generator, least = _cf_generator, partial(_window_least, K)
     else:
-        t, n = K.omega_trace, K.omega_norm
-        reps = []
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for x, y in cands:
-            # delta = x + y*w and delta*w = -n*y + (x + t*y)*w span (delta)
-            bucket = groups.setdefault(_hnf_from_vectors([(x, y), (-n * y, x + t * y)]), [])
-            if not any(coords_is_square(K, *coords_mul(K, x, y, *r)) for r in bucket):
-                bucket.append((x, y))
-                reps.append((x, y))
+        generator = _gauss_generator if K.degree == 2 else lambda I: (I.hnf[0], 0)
+        squares = [coords_mul(K, z.X, z.Y, z.X, z.Y) for z in roots_of_unity(K)]
+        least = lambda x, y: min(coords_mul(K, x, y, *z2) for z2 in squares)
+    # N(x^2 + 4y) = N(x)^2 = 0, 1 mod 4, and N(delta) > 0 if K is imaginary or delta totally negative
+    excluded = (2, 3) if K.degree == 2 and (negative or K.is_imaginary_quadratic) else (2,)
+    reps = []
+    for n in range(1, norm_bound + 1):
+        if n % 4 in excluded:
+            continue
+        for I in ideals_of_norm(K, n):
+            g = generator(I)
+            if g is None:
+                continue
+            for u in units:
+                x, y = coords_mul(K, *g, *u)
+                if _witness_coords(K, x, y) is None:
+                    continue
+                if negative and not all(coords_sign(K, x, y, e) < 0 for e in K.real_embeddings):
+                    continue
+                reps.append(least(x, y))
+    reps.sort()
     return [conductor_ideal(K.elem(x, y)) for x, y in reps]

@@ -480,7 +480,8 @@ def unit_square_class_reps(K: QuadField) -> list[Elem]:
         zs = roots_of_unity(K)
         reps: list[Elem] = []
         for z in zs:
-            if not any(is_unit_square(z / r) for r in reps):
+            # z/r = z*conj(r) for a root of unity r
+            if not any(is_unit_square(z * r.conj()) for r in reps):
                 reps.append(z)
         return reps
     eps = fundamental_unit(K)

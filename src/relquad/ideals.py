@@ -30,11 +30,10 @@ coordinates with the primitive-part rule of Ideal.valuation
 (_primitive_valuation), so a caller holding an element needs no principal
 ideal to learn its valuations.
 
-_norm_row(K, y, lo, hi) solves lo <= N(x + y*w) <= hi for x on one row y
-with isqrt bounds, solving the norm form per row as in Cohen, GTM 138,
-5.7-5.8.  discriminant_candidates and the imaginary principal generator
-search walk their rows with it; a real one walks the continued fraction
-of a root of the ideal's norm form, as fundamental_unit walks that of w.
+Principality reads the norm form f_J of I = c*J (_norm_form, Cohen, GTM
+138, 5.2): a real field walks the continued fraction of a root of f_J, as
+fundamental_unit walks that of w (5.7); an imaginary one reduces f_J by
+Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
 square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
@@ -55,7 +54,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import BoundExceeded, factorint, is_prime, kronecker, sqrt_mod_p, xgcd
-from .field import Elem, QuadField, _cf_convergents, coords_mul, fundamental_unit, parse_elem
+from .field import Elem, QuadField, _cf_convergents, coords_mul, fundamental_unit, parse_elem, roots_of_unity
 
 __all__ = [
     "Ideal",
@@ -411,13 +410,9 @@ class Ideal:
     # -- principality ----------------------------------------------------------
 
     def principal_generator(self) -> Elem | None:
-        """A generator if the ideal is principal, else None.
-
-        For a real field a continued-fraction walk over a root of the norm
-        form yields a generator g, and the result is the least associate
-        +-g*eps^k inside the box |s1|, |s2| <= sqrt(N) eps, made exact
-        through integer bounds; for an imaginary field, the first solution
-        of the positive definite norm form solved row by row (_norm_row)."""
+        """A generator if the ideal is principal, else None: over a
+        quadratic field, the generator _principal_generator_integral picks
+        for the numerator, over the denominator."""
         K = self.field
         if K.degree == 1:
             return Elem(K, self.hnf[0], 0, self.den)
@@ -675,7 +670,7 @@ def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     t, n = K.omega_trace, K.omega_norm
     sym = kronecker(K.disc, p)
     if sym == -1:
-        return (PrimeIdeal(p, ideal_from_generators(K, [K.elem(p)]), 2, False),)
+        return (PrimeIdeal(p, Ideal(K, (p, 0, p)), 2, False),)
     # roots of x^2 - t x + n mod p
     if p == 2:
         roots = sorted({r % 2 for r in range(2) if (r * r - t * r + n) % 2 == 0})
@@ -690,11 +685,11 @@ def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
         )
     out = []
     for r in roots:
-        P = ideal_from_generators(K, [K.elem(p), K.omega - r])
-        out.append(PrimeIdeal(p, P, 1, sym == 0))
+        # (p, w - r) = Z p + Z (w - r): N(w - r) = r^2 - t r + n = 0 mod p
+        out.append(PrimeIdeal(p, Ideal(K, (p, -r % p, 1)), 1, sym == 0))
     if len(out) != (2 if sym == 1 else 1):
         raise AssertionError(f"kronecker symbol {sym} at p = {p} in {K}, but {len(out)} prime(s) above it")
-    if sym == 0 and out[0].ideal ** 2 != ideal_from_generators(K, [K.elem(p)]):
+    if sym == 0 and out[0].ideal ** 2 != Ideal(K, (p, 0, p)):
         raise AssertionError(f"ramified p = {p} in {K}: {out[0]} squared is not ({p})")
     return tuple(out)
 
@@ -710,23 +705,22 @@ def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
-    out = [unit_ideal(K)]
-    for p, e in sorted(factorint(n).items()):
-        local: list[Ideal] = []
-        if K.degree == 1:
-            local = [Ideal(K, (p**e,), 1, _checked=True)]
-        else:
-            ps = primes_above(K, p)
-            if len(ps) == 2:
-                local = [ps[0].ideal ** i * ps[1].ideal ** (e - i) for i in range(e + 1)]
-            elif ps[0].residue_degree == 2:
-                local = [ps[0].ideal ** (e // 2)] if e % 2 == 0 else []
-            else:  # ramified
-                local = [ps[0].ideal ** e]
-        out = [a * b for a in out for b in local]
-        if not out:
-            return ()
-    return tuple(sorted(out, key=lambda a: a.hnf))
+    # those of norm n/p^e (memoised) times those of norm p^e, p the largest prime | n
+    if n == 1:
+        return (unit_ideal(K),)
+    p, e = max(factorint(n).items())
+    if K.degree == 1:
+        local = [Ideal(K, (p**e,), 1, _checked=True)]
+    else:
+        ps = primes_above(K, p)
+        if len(ps) == 2:
+            local = [ps[0].power(i) * ps[1].power(e - i) for i in range(e + 1)]
+        elif ps[0].residue_degree == 2:
+            local = [ps[0].power(e // 2)] if e % 2 == 0 else []
+        else:  # ramified
+            local = [ps[0].power(e)]
+    rest = _ideals_of_norm(K, n // p**e)
+    return tuple(sorted((a * b for a in rest for b in local), key=lambda a: a.hnf))
 
 
 def minkowski_bound(K: QuadField) -> int:
@@ -758,40 +752,12 @@ def class_number(K: QuadField) -> int:
 # -- principal generator search ------------------------------------------------
 
 
-def _norm_row(K: QuadField, y: int, lo: int, hi: int) -> tuple[range, ...]:
-    """Every x with lo <= N(x + y*w) <= hi, ascending, as disjoint ranges.
-
-    With u = s*x + t*y and s = t + 1 the norm is s^2 N = u^2 - d y^2, that
-    is 4N = (2x + y)^2 - d y^2 for t = 1 and N = x^2 - d y^2 for t = 0.  So
-    u^2 lies in [s^2 lo + d y^2, s^2 hi + d y^2], an interval of |u| read
-    off with isqrt, and each of the (at most two) intervals of u gives an
-    interval of x.  Exact on integers, for real and imaginary K."""
-    t = K.omega_trace
-    s = t + 1
-    dy2 = K.d * y * y
-    top = s * s * hi + dy2
-    if top < 0:
-        return ()
-    u_hi = isqrt(top)
-    bot = s * s * lo + dy2
-    u_lo = isqrt(bot - 1) + 1 if bot > 0 else 0
-    if u_lo > u_hi:
-        return ()
-    ty = t * y
-
-    def xs(u1: int, u2: int) -> range:  # x with u1 <= s*x + t*y <= u2
-        return range(-((ty - u1) // s), (u2 - ty) // s + 1)
-
-    if u_lo == 0:
-        return (xs(-u_hi, u_hi),)
-    return (xs(-u_hi, -u_lo), xs(u_lo, u_hi))
-
-
 def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
     """(xcap, ycap) > (|A|, |y|) for x + y*w = A + B*sqrt(d) of the real
     field K in the box |s1|, |s2| <= sqrt(N)*eps, from the bound
     E = A_eps + B_eps*(isqrt(d) + 1) > eps with s*E an integer, s = t + 1:
-    |A| <= sqrt(N)*E and |y| = s*|B| <= s*sqrt(N)*E/sqrt(d)."""
+    |A| <= sqrt(N)*E and |y| = s*|B| <= s*sqrt(N)*E/sqrt(d).  The associate
+    walk of _principal_generator_integral is its only caller."""
     eps = fundamental_unit(K)
     t = K.omega_trace
     s = t + 1
@@ -800,57 +766,75 @@ def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
     return isqrt(R // (s * s)) + 1, isqrt(R // K.d) + 1
 
 
-def _cf_generator(I: Ideal) -> tuple[int, int] | None:
-    """Coordinates of a generator of the integral ideal I = c*J of a real
-    field, J = (A, b' + w), or None.  N(p*A + q*(b' + w)) = A f_J(p, q)
-    for f_J = (A, B, C) = (A, 2b' + t, N(b' + w)/A), so J is principal iff
-    f_J is GL2(Z)-equivalent to the norm form of O.  Then its root
-    (-B + sqrt(disc))/2A is equivalent to w, and by Serret's theorem its
-    continued fraction ends in the period of w, which has a complete
-    quotient with |Q| = 2: a convergent with |f_J(p, q)| = 1."""
+def _norm_form(I: Ideal) -> tuple[int, int, int]:
+    """f_J = (A, B, C) = (A, 2b' + t, N(b' + w)/A), of the discriminant of
+    K, for I = c*J with HNF (a, b, c), J = (A, b' + w): N(p*A + q*(b' + w))
+    = A f_J(p, q), so c*(p*A + q*(b' + w)) = (p*a + q*b) + q*c*w generates
+    I iff f_J(p, q) = +-1."""
     K = I.field
     a, b, c = I.hnf
     t = K.omega_trace
     A, b1 = a // c, b // c
-    B = 2 * b1 + t
-    C = (b1 * b1 + t * b1 + K.omega_norm) // A
+    return A, 2 * b1 + t, (b1 * b1 + t * b1 + K.omega_norm) // A
+
+
+def _cf_generator(I: Ideal) -> tuple[int, int] | None:
+    """Coordinates of a generator of the integral ideal I of a real field,
+    or None.  J is principal iff f_J (_norm_form) is GL2(Z)-equivalent to
+    the norm form of O; then by Serret's theorem the continued fraction of
+    its root (-B + sqrt(disc))/2A ends in the period of w, which has a
+    complete quotient with |Q| = 2: a convergent with |f_J(p, q)| = 1."""
+    K = I.field
+    a, b, c = I.hnf
+    A, B, C = _norm_form(I)
     for p, q in _cf_convergents(-B, 2 * A, K.disc, "continued fraction of a norm-form root", lambda: f"{I} in {K}"):
         if abs(A * p * p + B * p * q + C * q * q) == 1:
-            # p*A + q*(b' + w) generates J, so c times it generates I
             return p * a + q * b, q * c
     return None
 
 
-def _principal_generator_integral(I: Ideal) -> Elem | None:
-    """The first g = i*a + j*(b + c*w) of I with |N(g)| = N(I), or None, in
-    the order of the box scan tests/helpers.py::box_principal_generator:
-    j ascending, then x, descending (imaginary) or ascending (real).
-
-    Imaginary K: _norm_row solves N = N(I) in row j, y = j*c, and x is in I
-    iff x = j*b mod a.  Real K: the least (y, x) among the associates
-    +-g*eps^k of _cf_generator's g in the oracle's box, whose rows have
-    |y| <= Y.  Times s = t + 1, x + y*w embeds as u +- y*sqrt(d), u = s*x +
-    t*y; eps scales the first by eps, conj(eps) the second.  Once the one it
-    scales dominates (u*y has its sign), min(|u|, |y|*sqrt(d)) grows, so
-    the walk each way from g stops at |y| > Y and u^2 > d*Y^2."""
-    K = I.field
-    N = I.norm_int()
+def _gauss_generator(I: Ideal) -> tuple[int, int] | None:
+    """Coordinates of a generator of the integral ideal I of an imaginary
+    field, or None, by Lagrange-Gauss reduction of the positive definite
+    f_J (_norm_form; Cohen, GTM 138, 5.3-5.4): the basis (v1, v2) with
+    f_J(x v1 + y v2) = A x^2 + B x y + C y^2 is reduced on integers until
+    -A < B <= A <= C, so A = f_J(v1) is the least nonzero value of f_J."""
     a, b, c = I.hnf
-    t = K.omega_trace
+    A, B, C = _norm_form(I)
+    (p1, q1), (p2, q2) = (1, 0), (0, 1)
+    while True:
+        # v2 += k v1 with -A < B + 2Ak <= A
+        k = (A - B) // (2 * A)
+        p2, q2 = p2 + k * p1, q2 + k * q1
+        B, C = B + 2 * A * k, (A * k + B) * k + C
+        if C >= A:
+            break
+        (p1, q1), (p2, q2), A, C = (p2, q2), (p1, q1), C, A
+    return (p1 * a + q1 * b, q1 * c) if A == 1 else None
+
+
+def _principal_generator_integral(I: Ideal) -> Elem | None:
+    """The generator of I that the box scan of tests/helpers.py finds
+    first, or None: of _gauss_generator's g*zeta, zeta a root of unity, the
+    least in (y, -x) for an imaginary K; of _cf_generator's +-g*eps^k in the
+    box's rows |y| <= Y, the least (y, x) for a real K.  Times s = t + 1,
+    x + y*w embeds as u +- y*sqrt(d), u = s*x + t*y; eps scales the first
+    by eps, conj(eps) the second.  Once the one it scales dominates (u*y
+    has its sign), min(|u|, |y|*sqrt(d)) grows, so the walk each way from g
+    stops at |y| > Y and u^2 > d*Y^2."""
+    K = I.field
     if K.is_imaginary_quadratic:
-        # positive definite norm form: |disc| y^2 <= 4N
-        jmax = isqrt(4 * N // abs(K.disc)) // c
-        for j in range(-jmax, jmax + 1):
-            row = [x for r in _norm_row(K, j * c, N, N) for x in r if (x - j * b) % a == 0]
-            for x in reversed(row):
-                g = Elem(K, x, j * c)
-                if principal_ideal(g) == I:
-                    return g
-        return None
+        g = _gauss_generator(I)
+        if g is None:
+            return None
+        y, minus_x = min((y, -x) for x, y in (coords_mul(K, *g, z.X, z.Y) for z in roots_of_unity(K)))
+        return Elem(K, -minus_x, y)
     g = _cf_generator(I)
     if g is None:
         return None
-    xcap, ycap = _unit_box(K, N)
+    a, _, c = I.hnf
+    t = K.omega_trace
+    xcap, ycap = _unit_box(K, I.norm_int())
     # the oracle's box: rows |y| <= Y, and in each the x = j*b mod a in
     # m +- (xcap + 1), m = (-t*y)//2, and one step of a beyond each end,
     # which for an x of I is -X < x - m <= X

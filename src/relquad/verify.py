@@ -1,14 +1,18 @@
 """Verification sweeps behind the `verify` CLI subcommand and the
 acceptance suite.
 
-Each suite returns a JSON-serializable report {suite, cases, failures, ok}.
-A case is one checked identity instance; failures carry human-readable
-descriptions and stay empty on a healthy build.
+Each suite returns a JSON-serializable report {suite, cases, failures,
+failure_count, ok, seconds}: a case is one checked identity instance,
+failures stay empty on a healthy build, seconds is the wall time.
+run_suite("all") sums its parts and writes a progress line per part to stderr.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from fractions import Fraction
+from functools import wraps
 from math import isqrt
 
 from .characters import QuadCharacter
@@ -72,6 +76,15 @@ def _report(suite: str, cases: int, failures: list[str], **extra) -> dict:
         "ok": not failures,
         **extra,
     }
+
+
+def _timed(suite):
+    """The suite with its wall time added to its report as seconds."""
+    @wraps(suite)
+    def run(*args, **kwargs) -> dict:
+        start = time.perf_counter()
+        return dict(suite(*args, **kwargs), seconds=round(time.perf_counter() - start, 3))
+    return run
 
 
 def _field(field_d: int | None) -> QuadField:
@@ -158,6 +171,7 @@ def embed_element(F: LocalField, omega_img, e: Elem) -> LocalElem:
 # -- suites ---------------------------------------------------------------------
 
 
+@_timed
 def counting_suite(
     field_d=None,
     delta_bound: int = ACCEPTANCE_PARAMS["counting"]["delta_bound"],
@@ -183,6 +197,7 @@ def counting_suite(
     return _report("counting", cases, failures, field=field_d or 0)
 
 
+@_timed
 def character_suite(
     field_d=None, bound: int = ACCEPTANCE_PARAMS["character"]["bound"]
 ) -> dict:
@@ -211,6 +226,7 @@ def character_suite(
     return _report("character", cases, failures, field=field_d or 0)
 
 
+@_timed
 def conductor_suite(
     field_d=None, bound: int = ACCEPTANCE_PARAMS["conductor"]["bound"]
 ) -> dict:
@@ -257,6 +273,7 @@ def conductor_suite(
     return _report("conductor", cases, failures, field=field_d or 0)
 
 
+@_timed
 def identity_suite(
     field_d=None,
     delta_bound: int = ACCEPTANCE_PARAMS["identity"]["delta_bound"],
@@ -314,6 +331,7 @@ def identity_suite(
     return _report("identity", cases, failures, field=field_d or 0)
 
 
+@_timed
 def dyadic_suite(
     descriptor: str = ACCEPTANCE_PARAMS["dyadic"]["descriptor"],
     precision: int | None = None,
@@ -346,6 +364,7 @@ def dyadic_suite(
     return _report("dyadic", cases, failures, reports=reports)
 
 
+@_timed
 def hurwitz_suite(bound: int = ACCEPTANCE_PARAMS["hurwitz"]["bound"]) -> dict:
     failures: list[str] = []
     cases = 0
@@ -372,6 +391,7 @@ def hurwitz_suite(bound: int = ACCEPTANCE_PARAMS["hurwitz"]["bound"]) -> dict:
     return _report("hurwitz", cases, failures, bound=bound)
 
 
+@_timed
 def decomposition_suite(
     disc_bound: int = ACCEPTANCE_PARAMS["decomposition"]["disc_bound"],
     norm_bound: int = ACCEPTANCE_PARAMS["decomposition"]["norm_bound"],
@@ -434,6 +454,7 @@ def run_suite(name: str, **kwargs) -> dict:
             "failures": [],
             "failure_count": 0,
             "ok": True,
+            "seconds": 0.0,
             "parts": {},
         }
         for part, fn in SUITES.items():
@@ -448,6 +469,9 @@ def run_suite(name: str, **kwargs) -> dict:
                 merged["cases"] += rep["cases"]
                 merged["failures"] += rep["failures"]
                 merged["failure_count"] += rep["failure_count"]
+                merged["seconds"] = round(merged["seconds"] + rep["seconds"], 3)
+                status = "ok" if rep["ok"] else f"FAIL ({rep['failure_count']} failures)"
+                print(f"verify all: {key} {status}, {rep['cases']} cases, {rep['seconds']} s", file=sys.stderr, flush=True)
         merged["ok"] = not merged["failure_count"]
         return merged
     if name not in SUITES:

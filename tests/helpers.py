@@ -3,7 +3,10 @@
 These deliberately avoid the code paths they check: interval arithmetic for
 signs, exhaustive coefficient searches for units, brute-force residue
 enumeration for congruences, full coordinate-box scans for the norm
-form (the searches that ideals._norm_row replaced), square certificates
+form and its solution row by row (the searches that the continued-fraction
+walk of ideals._cf_generator, the form reduction of ideals._gauss_generator
+and the principal-ideal enumeration of discriminants.discriminant_classes
+replaced, with the HNF-bucket merge of the last), square certificates
 for the dyadic unit square classes (the search that the explicit squares of
 dyadic.SquareClassSpace replaced), and the quadratic character on elements
 through principal ideals, gcds and factorizations (the route that the
@@ -37,10 +40,7 @@ product of the convolution multiplied out (the routes that the cached
 prime-power sieve and the zero-skipping convolution of relquad.counting
 replaced), and the extended character with gcd(a, delta) taken as an ideal
 and factored (the route that the valuations at the primes of delta in
-characters.QuadCharacter.extended replaced), and the principal generator
-of a real field by solving the norm form row by row over the
-fundamental-unit box (the search that the continued-fraction walk of
-ideals._cf_generator replaced).
+characters.QuadCharacter.extended replaced).
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ from relquad.characters import _balance
 from relquad.discriminants import (
     DiscriminantInfo,
     _dyadic_ramification,
+    _unit_window,
+    _window_side,
+    _witness_coords,
     conductor_ideal,
-    discriminant_candidates,
     discriminant_witness,
     uniformizer_of,
 )
@@ -75,6 +77,7 @@ from relquad.field import (
     Elem,
     QuadField,
     coords_is_square,
+    coords_mul,
     coords_sign,
     coords_sqrt,
     fundamental_unit,
@@ -83,7 +86,6 @@ from relquad.field import (
 from relquad.ideals import (
     Ideal,
     _hnf_from_vectors,
-    _norm_row,
     _unit_box,
     coords_valuation,
     primes_above,
@@ -170,6 +172,110 @@ def ideal_product_by_vectors(I: Ideal, J: Ideal) -> Ideal:
         for x2, y2 in ((a2, 0), (b2, c2))
     ]
     return Ideal(K, _hnf_from_vectors(vecs), I.den * J.den)
+
+
+# -- row searches: the norm form solved row by row, which the principal-ideal
+# enumeration of discriminant_classes and the form reduction of
+# ideals._gauss_generator replaced
+
+
+def _norm_row(K: QuadField, y: int, lo: int, hi: int) -> tuple[range, ...]:
+    """Every x with lo <= N(x + y*w) <= hi, ascending, as disjoint ranges.
+
+    With u = s*x + t*y and s = t + 1 the norm is s^2 N = u^2 - d y^2, that
+    is 4N = (2x + y)^2 - d y^2 for t = 1 and N = x^2 - d y^2 for t = 0.  So
+    u^2 lies in [s^2 lo + d y^2, s^2 hi + d y^2], an interval of |u| read
+    off with isqrt, and each of the (at most two) intervals of u gives an
+    interval of x.  Exact on integers, for real and imaginary K."""
+    t = K.omega_trace
+    s = t + 1
+    dy2 = K.d * y * y
+    top = s * s * hi + dy2
+    if top < 0:
+        return ()
+    u_hi = isqrt(top)
+    bot = s * s * lo + dy2
+    u_lo = isqrt(bot - 1) + 1 if bot > 0 else 0
+    if u_lo > u_hi:
+        return ()
+    ty = t * y
+
+    def xs(u1: int, u2: int) -> range:  # x with u1 <= s*x + t*y <= u2
+        return range(-((ty - u1) // s), (u2 - ty) // s + 1)
+
+    if u_lo == 0:
+        return (xs(-u_hi, u_hi),)
+    return (xs(-u_hi, -u_lo), xs(u_lo, u_hi))
+
+
+def discriminant_candidates(K: QuadField, norm_bound: int):
+    """All integral delta with |N(delta)| <= norm_bound, restricted (real
+    case) to the fundamental-unit window |log|s1(delta)/s2(delta)|| <=
+    2 log eps; yields the integer coordinates (x, y) of every class member
+    seen, y ascending, then x.
+
+    Each row y of the coordinate box is solved for -B <= N(x + y*w) <= B
+    by _norm_row and clamped to the box's x-range, so the members and
+    their order are those of box_discriminant_candidates, at the cost of
+    O(eps sqrt(B/d)) rows plus the hits instead of O(B eps^2) norms."""
+    if K.degree == 1:
+        for a in range(1, norm_bound + 1):
+            yield a, 0
+            yield -a, 0
+        return
+    t = K.omega_trace
+    d = K.d
+    if K.is_imaginary_quadratic:
+        # positive definite: |disc| y^2 <= 4N
+        ymax = isqrt(4 * norm_bound // abs(K.disc)) + 1
+        xc = isqrt(norm_bound) + 1
+        window = None
+    else:
+        xc, ymax = _unit_box(K, norm_bound)
+        window = _unit_window(K)
+    for y in range(-ymax, ymax + 1):
+        lo = (-t * y) // 2 - xc - 1
+        hi = (-t * y) // 2 + xc + 1
+        for r in _norm_row(K, y, -norm_bound, norm_bound):
+            for x in range(max(r.start, lo), min(r.stop, hi + 1)):
+                if x == 0 and y == 0:
+                    continue
+                if window is None or not _window_side(2 * x + t * y, (2 - t) * y, *window, d):
+                    yield x, y
+
+
+def discriminant_classes_by_buckets(K: QuadField, pairs, sign: str = "any") -> list[DiscriminantInfo]:
+    """discriminant_classes from the class members (x, y) in pairs, those
+    of discriminant_candidates(K, B) or of box_discriminant_candidates(K,
+    B): the mod-4 witness and
+    sign tests on every member, then the members sorted, bucketed by the
+    HNF of (x + y*w) and one kept per class modulo unit squares by
+    coords_is_square: delta and r with (delta) = (r) share a class iff the
+    unit delta/r = delta*r/r^2 is a square."""
+    if sign not in ("any", "totally_negative"):
+        raise ValueError("sign must be 'any' or 'totally_negative'")
+    embeddings = K.real_embeddings
+    cands = []
+    for x, y in pairs:
+        if _witness_coords(K, x, y) is None:
+            continue
+        if sign == "totally_negative" and not all(coords_sign(K, x, y, e) < 0 for e in embeddings):
+            continue
+        cands.append((x, y))
+    cands.sort()
+    if K.degree == 1:
+        reps = cands
+    else:
+        t, n = K.omega_trace, K.omega_norm
+        reps = []
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for x, y in cands:
+            # delta = x + y*w and delta*w = -n*y + (x + t*y)*w span (delta)
+            bucket = groups.setdefault(_hnf_from_vectors([(x, y), (-n * y, x + t * y)]), [])
+            if not any(coords_is_square(K, *coords_mul(K, x, y, *r)) for r in bucket):
+                bucket.append((x, y))
+                reps.append((x, y))
+    return [conductor_ideal(K.elem(x, y)) for x, y in reps]
 
 
 # -- box searches: the eps-scaled scans the norm-form row solver replaced --------
@@ -282,15 +388,27 @@ def box_principal_generator(I: Ideal) -> Elem | None:
 
 
 def row_principal_generator(I: Ideal) -> Elem | None:
-    """box_principal_generator's generator of an integral ideal of a real
-    field, or None, found by solving the norm form +-N(I) on each row of
-    the box with ideals._norm_row: O(eps sqrt(N/d)) rows where the box scan
-    evaluates O(eps^2/sqrt(d)) norms, so it reaches fields such as d = 46
-    (eps about 48670) that the box scan cannot."""
+    """box_principal_generator's generator of an integral ideal, or None,
+    found by solving the norm form +-N(I) on each row of the box with
+    _norm_row.  For a real field that is O(eps sqrt(N/d)) rows where the
+    box scan evaluates O(eps^2/sqrt(d)) norms, so it reaches fields such as
+    d = 46 (eps about 48670) that the box scan cannot; for an imaginary
+    field, the O(sqrt(N/|D|)) rows of the positive definite norm form,
+    each scanned from its largest x."""
     K = I.field
     N = I.norm_int()
     a, b, c = I.hnf
     t = K.omega_trace
+    if K.is_imaginary_quadratic:
+        # positive definite norm form: |disc| y^2 <= 4N
+        jmax = isqrt(4 * N // abs(K.disc)) // c
+        for j in range(-jmax, jmax + 1):
+            row = [x for r in _norm_row(K, j * c, N, N) for x in r if (x - j * b) % a == 0]
+            for x in reversed(row):
+                g = Elem(K, x, j * c)
+                if principal_ideal(g) == I:
+                    return g
+        return None
     xcap, ycap = _unit_box(K, N)
     jmax = ycap // c + 1
     for j in range(-jmax, jmax + 1):
@@ -743,10 +861,11 @@ def sqrt_by_fractions(e: Elem) -> Elem | None:
 def discriminant_classes_by_elems(
     K: QuadField, norm_bound: int, sign: str = "any"
 ) -> list[DiscriminantInfo]:
-    """discriminant_classes over field elements: the witness and sign tests
-    on Elems, buckets keyed by the HNF of principal_ideal(delta), and a
-    class kept unless delta/r is a square (sqrt_by_fractions) for an r
-    before it in its bucket.  is_square_in_K is checked the same way."""
+    """discriminant_classes over field elements, from the members of
+    discriminant_candidates: the witness and sign tests on Elems, buckets
+    keyed by the HNF of principal_ideal(delta), and a class kept unless
+    delta/r is a square (sqrt_by_fractions) for an r before it in its
+    bucket.  is_square_in_K is checked the same way."""
     if sign not in ("any", "totally_negative"):
         raise ValueError("sign must be 'any' or 'totally_negative'")
     cands = []

@@ -111,6 +111,41 @@ def test_verify_decomposition_takes_its_bound(capsys):
     assert rec["cases"] == 5 * len(_fundamental_discriminants(100))
 
 
+def test_verify_all_reports_seconds_and_progress(capsys, monkeypatch):
+    # verify all at small bounds: stdout is the one JSON report, which
+    # validates, and so does each part, with the parts' seconds summed; the
+    # progress lines, one per part, go to stderr only
+    from relquad import verify
+
+    monkeypatch.setattr(
+        verify,
+        "ACCEPTANCE_PARAMS",
+        {
+            "counting": {"delta_bound": 5, "ideal_bound": 5},
+            "character": {"bound": 10},
+            "conductor": {"bound": 10},
+            "identity": {"delta_bound": 4, "norm_bound": 5},
+            "dyadic": {"descriptor": "q2"},
+            "hurwitz": {"bound": 20},
+            "decomposition": {"disc_bound": 8, "norm_bound": 20},
+        },
+    )
+    code, out, err = run_cli("verify", "all", capsys=capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"]
+    assert validate_record(rep, "verify_report") == []
+    parts = rep["parts"]
+    assert len(parts) == 4 * 4 + 3
+    for part in parts.values():
+        assert validate_record(part, "verify_report") == []
+    assert rep["seconds"] == pytest.approx(sum(p["seconds"] for p in parts.values()), abs=1e-9)
+    lines = {line.split()[2]: line for line in err.splitlines()}
+    assert len(lines) == len(err.splitlines()) and set(lines) == set(parts)
+    for key, part in parts.items():
+        assert lines[key] == f"verify all: {key} ok, {part['cases']} cases, {part['seconds']} s"
+    assert "verify all:" not in out
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -132,20 +167,26 @@ def test_verify_refuses_flags_its_suite_does_not_take(capsys, argv, flag):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fdelta", "--delta=36"],
-        ["conductor", "--delta=36"],
-        ["char", "--delta=36", "--ideal", "(3, 1+w)"],
-        ["count", "--delta=36", "--ideal", "(3, 1+w)"],
+        ["fdelta", "--field", "10007", "--delta=36"],
+        ["conductor", "--field", "10007", "--delta=36"],
+        ["char", "--field", "10007", "--delta=36", "--ideal", "(3, 1+w)"],
+        ["count", "--field", "10007", "--delta=36", "--ideal", "(3, 1+w)"],
+        ["unit-discs", "--field", "10007"],
+        ["unit-discs", "--field", "94"],
+        ["table", "--field", "94", "--bound", "200"],
+        ["table", "--field", "139", "--bound", "50"],
     ],
 )
 def test_large_unit_field_requests_finish(argv):
-    # eps has 30 digits in Q(sqrt 10007); with a search over the rows of
-    # the fundamental-unit box, fdelta was still running after 20 s, so a
-    # slow route coming back fails here instead of hanging the suite
+    # eps has 30 digits in Q(sqrt 10007), 7 in Q(sqrt 94) and 11 in
+    # Q(sqrt 139); with searches over the rows of the fundamental-unit box,
+    # fdelta --field 10007 was still running after 20 s, table --field 94
+    # took 17 s and table --field 139 did not finish in 120 s, so a slow
+    # route coming back fails here instead of hanging the suite
     src = str(Path(relquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "relquad", argv[0], "--field", "10007", *argv[1:]],
+        [sys.executable, "-m", "relquad", *argv],
         capture_output=True,
         text=True,
         env=env,

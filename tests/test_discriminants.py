@@ -7,6 +7,8 @@ import helpers
 from helpers import (
     _box_window_member,
     box_discriminant_candidates,
+    discriminant_candidates,
+    discriminant_classes_by_buckets,
     discriminant_classes_by_elems,
     local_square_solvable_by_residues,
 )
@@ -14,7 +16,6 @@ from relquad import cli, discriminants
 from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
-    discriminant_candidates,
     discriminant_classes,
     discriminant_witness,
     fundamental_discriminant_data,
@@ -377,12 +378,16 @@ def test_local_square_solvable_non_integral_matches_residue_oracle():
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 17, 19, 21, 22, 23, 195, -1, -3, -15])
 def test_candidates_match_box_oracle(d):
     # the row solve yields the box scan's members, as integer pairs, in the
-    # box scan's order
+    # box scan's order, and the classes built from principal ideals are
+    # those the bucket merge keeps of the box scan's members, with both signs
     K = make_field(d)
     for bound in (1, 4, 9, 20, 37):
-        got = list(discriminant_candidates(K, bound))
+        rows = list(discriminant_candidates(K, bound))
         box = [(int(e.x), int(e.y)) for e in box_discriminant_candidates(K, bound)]
-        assert got == box, (d, bound)
+        assert rows == box, (d, bound)
+        for sign in ("any", "totally_negative"):
+            expected = discriminant_classes_by_buckets(K, box, sign)
+            assert discriminant_classes(K, bound, sign) == expected, (d, bound, sign)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10, 46])
@@ -390,7 +395,7 @@ def test_unit_window_built_once_per_field(d, monkeypatch):
     # eps^4 is raised once per field: a warm enumeration multiplies no
     # element, and its window is that of eps^4 computed afresh
     K = make_field(d)
-    first = list(discriminant_candidates(K, 30))
+    first = discriminant_classes(K, 30)
     E, F = (int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
 
     def no_products(self, other):
@@ -398,7 +403,7 @@ def test_unit_window_built_once_per_field(d, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(Elem, "__mul__", no_products)
-        assert list(discriminant_candidates(K, 30)) == first
+        assert discriminant_classes(K, 30) == first
     assert discriminants._unit_window(K) == (E, F)
 
 
@@ -406,13 +411,30 @@ def test_unit_window_built_once_per_field(d, monkeypatch):
     "d", [None, 2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 195, -1, -3, -5, -15, -21, -105]
 )
 def test_classes_match_elem_oracle(d):
-    # the integer-pair enumeration against the Elem route it replaced, at
-    # every bound up to 60 and with both signs
+    # the classes built from principal ideals against the Elem route over
+    # the members of the row enumeration, at every bound up to 60 and with
+    # both signs
     K = make_field(d)
     for bound in range(1, 61):
         for sign in ("any", "totally_negative"):
             expected = discriminant_classes_by_elems(K, bound, sign)
             assert discriminant_classes(K, bound, sign) == expected, (d, bound, sign)
+
+
+def test_same_class_refuses_zero():
+    # 0 * delta = 0 is a square, so same_class_mod_squares said True, and
+    # principal_ideal(0) raised an error that did not name the argument
+    for d in (None, 5, -15):
+        K = make_field(d)
+        for fn in (same_class_mod_squares, same_class_mod_unit_squares):
+            with pytest.raises(ValueError, match=r"^d1 must be nonzero, got 0$"):
+                fn(K.elem(0), K.elem(1))
+            with pytest.raises(ValueError, match=r"^d2 must be nonzero, got 0$"):
+                fn(K.elem(-3), K.elem(0))
+            with pytest.raises(ValueError, match=r"^d1 must be nonzero, got 0$"):
+                fn(K.elem(0), K.elem(0))
+            assert fn(K.elem(-3), K.elem(-3))
+            assert not fn(K.elem(-3), K.elem(2))
 
 
 def test_classes_refuse_negative_bound():

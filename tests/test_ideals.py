@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -14,6 +15,7 @@ import pytest
 import relquad
 
 from helpers import (
+    _norm_row,
     box_principal_generator,
     ideal_product_by_vectors,
     row_principal_generator,
@@ -28,7 +30,6 @@ from relquad.ideals import (
     Ideal,
     PrimeIdeal,
     _hnf_from_vectors,
-    _norm_row,
     class_number,
     coords_valuation,
     ideal_from_generators,
@@ -494,6 +495,34 @@ def test_principal_generator_from_any_associate(monkeypatch, d):
 
         monkeypatch.setattr(ideals, "_cf_generator", shifted)
         assert [a.principal_generator() for a in ideals_below] == want, k
+
+
+IMAGINARY_FIELDS = (-1, -2, -3, -5, -6, -7, -11, -14, -15, -19, -21, -23, -26, -43, -105, -163, -1000003)
+
+
+@pytest.mark.parametrize("d", IMAGINARY_FIELDS)
+def test_reduced_generator_matches_row_oracle(d):
+    # the form reduction returns the row search's first hit, the associate
+    # least in (y, -x), for every integral ideal of norm < 400, and None
+    # exactly where the row search finds no generator
+    K = make_field(d)
+    ideals_below = _ideals_below(K, 400)
+    for I in ideals_below:
+        assert I.principal_generator() == row_principal_generator(I), (d, I)
+    assert len(ideals_below) >= 100
+
+
+def test_reduced_generator_of_large_prime_powers():
+    # P^36 above 3 in Q(sqrt -2) was still running after 60 s with a search
+    # over the rows of the norm form; the reduction takes O(log N) steps
+    K = make_field(-2)
+    P = primes_above(K, 3)[0].ideal
+    for k in (36, 200):
+        I = P**k
+        start = time.perf_counter()
+        g = I.principal_generator()
+        assert time.perf_counter() - start < 1.0, k
+        assert g.norm() == 3**k and principal_ideal(g) == I, k
 
 
 def test_principal_generator_over_q(Q):

@@ -80,7 +80,7 @@ def test_failure_count_is_the_true_count(monkeypatch):
         "SUITES",
         {
             "hurwitz": lambda **kw: verify.hurwitz_suite(bound=200),
-            "decomposition": lambda **kw: verify._report("decomposition", 1, ["one"]),
+            "decomposition": verify._timed(lambda **kw: verify._report("decomposition", 1, ["one"])),
         },
     )
     merged = run_suite("all")
