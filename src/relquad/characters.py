@@ -15,30 +15,34 @@ is the test oracle tests/helpers.py::primitive_by_auxiliary_prime.
 
 On elements the character works on integer coordinates and builds no
 ideal.  An element is read as (x + y*w)/m with integers x, y and m >= 1;
-ideals.coords_valuation gives v_P from the coordinates (Cohen, GTM 138,
-4.8), so coprimality to delta is v_P = 0 at the primes of delta, listed once
-per instance, and the value is the product of at_prime(P) over the P above
-the primes of N(x + y*w) and m where v_P is odd, times the signs that
-field.coords_sign decides on integers.  on_element checks coprimality once;
-the kernel _on_coords trusts its caller, so residue_table, whose lifts of a
-class are congruent mod (delta) and share v_P = 0 at every P | delta, checks
-it once per class rather than once per lift.  residue_table builds its lifts
-and conductor_exhaustive groups residues with Ideal.reduce_coords, both on
-integer pairs.  The route through principal_ideal, Ideal.gcd and
+ideals._coords_factor gives its factorization from the coordinates (Cohen,
+GTM 138, 4.8), so coprimality to delta is that no prime of delta appears in
+it, and the value is the product of at_prime(P) over its odd exponents,
+times the signs that field.coords_sign decides on integers.  The
+factorization depends only on the element, not on delta, and is memoised
+in the ideals layer per (field, x, y, m), so the small lifts that recur for
+every delta of a field are factored once.  on_element checks coprimality
+once; the kernel _on_coords trusts its caller, so residue_table, whose
+lifts of a class are congruent mod (delta) and share v_P = 0 at every
+P | delta, checks it once per class rather than once per lift.  Each lift
+is valued from its own factorization, on the ideal side: the Hecke check
+never goes through the reciprocity law.  residue_table builds its
+lifts and conductor_exhaustive groups residues with Ideal.reduce_coords,
+both on integer pairs.  The route through principal_ideal, Ideal.gcd and
 Ideal.factor survives as the test oracles
 tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 
-The values at primes, the prime values above each rational prime and the
-primitive values at the primes of delta are pure functions of delta, so
-every QuadCharacter of one delta shares them: _memos(delta) keeps the three
-dicts in a process-wide LRU cache of CHARACTER_MEMO_SIZE discriminants.
+The values at primes and the primitive values at the primes of delta are
+pure functions of delta, so every QuadCharacter of one delta shares them:
+_memos(delta) keeps the two dicts in a process-wide LRU cache of
+CHARACTER_MEMO_SIZE discriminants.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import BoundExceeded, factorint, kronecker
+from .arith import BoundExceeded, kronecker
 from .discriminants import (
     DiscriminantInfo,
     _dyadic_ramification,
@@ -49,9 +53,8 @@ from .field import Elem, coords_sign
 from .ideals import (
     Ideal,
     PrimeIdeal,
-    coords_valuation,
+    _coords_factor,
     ideals_of_norm,
-    primes_above,
     principal_ideal,
     square_root_coords,
 )
@@ -63,12 +66,12 @@ CHARACTER_MEMO_SIZE = 1 << 10  # discriminants whose character memos are kept
 
 
 @lru_cache(maxsize=CHARACTER_MEMO_SIZE)
-def _memos(delta: Elem) -> tuple[dict, dict, dict]:
-    """The memo triple (prime, above, unit_part) of the character of delta:
-    at_prime by P, _values_above by p and _unit_part_value by P.  Keyed on
-    delta, whose equality includes its field, so equal coordinates in
-    different fields keep separate memos."""
-    return {}, {}, {}
+def _memos(delta: Elem) -> tuple[dict, dict]:
+    """The memo pair (prime, unit_part) of the character of delta: at_prime
+    and _unit_part_value, each by P.  Keyed on delta, whose equality
+    includes its field, so equal coordinates in different fields keep
+    separate memos."""
+    return {}, {}
 
 
 class QuadCharacter:
@@ -94,7 +97,7 @@ class QuadCharacter:
         self.negative_embeddings = tuple(
             i for i in self.field.real_embeddings if info.delta.sign_at(i) < 0
         )
-        self._prime_memo, self._above_memo, self._unit_part_memo = _memos(info.delta)
+        self._prime_memo, self._unit_part_memo = _memos(info.delta)
 
     # -- the symbol on primes and coprime ideals -----------------------------
 
@@ -145,43 +148,21 @@ class QuadCharacter:
     def _on_coords(self, x: int, y: int, m: int = 1) -> int:
         """on_element at (x + y*w)/m, for integers x, y, not both 0, and
         m >= 1, on integers alone.  The caller has checked that the element
-        is coprime to delta."""
+        is coprime to delta, so no prime of delta is in its factorization."""
         K = self.field
-        if K.degree == 1:
-            norm = x
-        else:
-            norm = x * x + K.omega_trace * x * y + K.omega_norm * y * y
-        primes = factorint(norm).keys()
-        if m != 1:
-            primes = primes | factorint(m).keys()
         val = 1
-        for p in primes:
-            for P, chi_P in self._values_above(p):
-                if coords_valuation(P, x, y, m) % 2:
-                    val *= chi_P
+        for P, v in _coords_factor(K, x, y, m):
+            if v % 2:
+                val *= self.at_prime(P)
         for i in self.negative_embeddings:
             val *= coords_sign(K, x, y, i)
         return val
-
-    def _values_above(self, p: int) -> tuple[tuple[PrimeIdeal, int], ...]:
-        """(P, at_prime(P)) for the primes P above p not dividing delta,
-        memoised by the rational prime p; on the coprime locus v_P = 0 at
-        the primes of delta, so they never contribute."""
-        vals = self._above_memo.get(p)
-        if vals is None:
-            vals = tuple(
-                (P, self.at_prime(P))
-                for P in primes_above(self.field, p)
-                if P not in self._delta_primes
-            )
-            self._above_memo[p] = vals
-        return vals
 
     def _coprime(self, a: Ideal) -> bool:
         return not any(a.valuation(P) for P in self._delta_primes)
 
     def _coprime_coords(self, x: int, y: int, m: int = 1) -> bool:
-        return not any(coords_valuation(P, x, y, m) for P in self._delta_primes)
+        return not any(P in self._delta_primes for P, _ in _coords_factor(self.field, x, y, m))
 
     # -- conductor by exhaustive residue verification -------------------------
 

@@ -345,6 +345,20 @@ def discriminant_classes(
     if norm_bound < 0:
         raise ValueError(f"norm bound must be >= 0, got {norm_bound}")
     negative = sign == "totally_negative"
+    # N(x^2 + 4y) = N(x)^2 = 0, 1 mod 4, and N(delta) > 0 if K is imaginary or delta totally negative
+    excluded = (2, 3) if K.degree == 2 and (negative or K.is_imaginary_quadratic) else (2,)
+    ideals = (
+        I for n in range(1, norm_bound + 1) if n % 4 not in excluded for I in ideals_of_norm(K, n)
+    )
+    return _class_reps(K, ideals, negative)
+
+
+def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
+    """The sorted classes modulo unit squares of the discriminants delta
+    with (delta) among the given integral ideals, totally negative ones
+    only if negative: for each principal ideal (g), every u*g with u in
+    unit_square_class_reps that passes the mod-4 witness (and the sign
+    test), as its least member."""
     units = [(u.X, u.Y) for u in unit_square_class_reps(K)]
     if K.is_real_quadratic:
         generator, least = _cf_generator, partial(_window_least, K)
@@ -352,22 +366,17 @@ def discriminant_classes(
         generator = _gauss_generator if K.degree == 2 else lambda I: (I.hnf[0], 0)
         squares = [coords_mul(K, z.X, z.Y, z.X, z.Y) for z in roots_of_unity(K)]
         least = lambda x, y: min(coords_mul(K, x, y, *z2) for z2 in squares)
-    # N(x^2 + 4y) = N(x)^2 = 0, 1 mod 4, and N(delta) > 0 if K is imaginary or delta totally negative
-    excluded = (2, 3) if K.degree == 2 and (negative or K.is_imaginary_quadratic) else (2,)
     reps = []
-    for n in range(1, norm_bound + 1):
-        if n % 4 in excluded:
+    for I in ideals:
+        g = generator(I)
+        if g is None:
             continue
-        for I in ideals_of_norm(K, n):
-            g = generator(I)
-            if g is None:
+        for u in units:
+            x, y = coords_mul(K, *g, *u)
+            if _witness_coords(K, x, y) is None:
                 continue
-            for u in units:
-                x, y = coords_mul(K, *g, *u)
-                if _witness_coords(K, x, y) is None:
-                    continue
-                if negative and not all(coords_sign(K, x, y, e) < 0 for e in K.real_embeddings):
-                    continue
-                reps.append(least(x, y))
+            if negative and not all(coords_sign(K, x, y, e) < 0 for e in K.real_embeddings):
+                continue
+            reps.append(least(x, y))
     reps.sort()
     return [conductor_ideal(K.elem(x, y)) for x, y in reps]

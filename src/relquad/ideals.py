@@ -17,18 +17,21 @@ no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
 computation, and every call returns a fresh list.  Ideal.inverse (and its
-check I * I^-1 = (1)), ideals_of_norm, per (field, n), and the prime powers
-PrimeIdeal.power, per (P, k), are memoised in LRU caches of the same size.
-So is the product of two ideals, by value: the key is the field and the
-(hnf, den) of each factor, in a fixed order so that I * J and J * I share
-an entry, and a hit compares integer tuples only.  An Ideal stores its
-hash, taken once at construction.  Scaling by an integer or a Fraction is
-integer products, and the product by an element is not memoised.
+check I * I^-1 = (1)), ideals_of_norm, per (field, n), the prime powers
+PrimeIdeal.power, per (P, k), and the factorization of an element by its
+coordinates, _coords_factor, per (field, x, y, m), are memoised in LRU
+caches of the same size.  So is the product of two ideals, by value: the
+key is the field and the (hnf, den) of each factor, in a fixed order so
+that I * J and J * I share an entry, and a hit compares integer tuples
+only.  An Ideal stores its hash, taken once at construction.  Scaling by
+an integer or a Fraction is integer products, and the product by an
+element is not memoised.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
 (_primitive_valuation), so a caller holding an element needs no principal
-ideal to learn its valuations.
+ideal to learn its valuations; _coords_factor(K, x, y, m) reads the whole
+factorization of ((x + y*w)/m) that way.
 
 Principality reads the norm form f_J of I = c*J (_norm_form, Cohen, GTM
 138, 5.2): a real field walks the continued fraction of a root of f_J, as
@@ -518,6 +521,26 @@ def coords_valuation(P: "PrimeIdeal", x: int, y: int, den: int = 1) -> int:
     n0 = x0 * x0 + K.omega_trace * x0 * y0 + K.omega_norm * y0 * y0
     e = 2 if P.ramified else 1
     return e * (_vp(g, p) - _vp(den, p)) + _primitive_valuation(P, n0, x0, y0)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _coords_factor(K: QuadField, x: int, y: int, m: int) -> tuple[tuple["PrimeIdeal", int], ...]:
+    """The factorization of the principal ideal ((x + y*w)/m), for integers
+    x, y, not both 0, and m >= 1, as (P, v_P) pairs with v_P != 0 in the
+    order of Ideal.factor: the primes of N(x + y*w) and of m, each valued
+    by coords_valuation.  Memoised per (K, x, y, m), so an element asked
+    about again, for another delta of K say, is factored once."""
+    norm = x if K.degree == 1 else x * x + K.omega_trace * x * y + K.omega_norm * y * y
+    support = factorint(norm).keys()
+    if m != 1:
+        support = support | factorint(m).keys()
+    out = []
+    for p in sorted(support):
+        for P in _primes_above(K, p):
+            v = coords_valuation(P, x, y, m)
+            if v:
+                out.append((P, v))
+    return tuple(out)
 
 
 def _hnf_product(

@@ -13,16 +13,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from math import isqrt
 
 from .discriminants import (
     DiscriminantInfo,
+    _class_reps,
     discriminant_classes,
     same_class_mod_squares,
     same_class_mod_unit_squares,
 )
 from .field import Elem, QuadField
 from .hurwitz import hurwitz_class_number
-from .ideals import Ideal, ideal_from_generators, minkowski_bound
+from .ideals import Ideal, ideal_from_generators, ideals_of_norm, minkowski_bound
 
 __all__ = [
     "TableRow",
@@ -83,10 +85,13 @@ def unit_discriminants(K: QuadField) -> tuple[list[DiscriminantInfo], int]:
 
     Window soundness: if (delta) = f^2 then scaling by gamma^2 with
     (gamma) = f/c, c the smallest ideal in the class of f, lands a class
-    representative with (delta') = c^2, so N(delta') <= minkowski^2."""
+    representative with (delta') = c^2, so N(delta') <= minkowski^2.  Such
+    a (delta) is J^2 with N(J) <= isqrt(window), so only the classes of
+    those squares are built."""
     window = minkowski_bound(K) ** 2
+    squares = (J * J for k in range(1, isqrt(window) + 1) for J in ideals_of_norm(K, k))
     found: list[DiscriminantInfo] = []
-    for info in discriminant_classes(K, window, sign="any"):
+    for info in _class_reps(K, squares, negative=False):
         if not info.rel_disc.is_unit_ideal():
             continue
         if any(same_class_mod_squares(info.delta, other.delta) for other in found):

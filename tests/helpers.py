@@ -58,7 +58,9 @@ from relquad.discriminants import (
     _window_side,
     _witness_coords,
     conductor_ideal,
+    discriminant_classes,
     discriminant_witness,
+    same_class_mod_squares,
     uniformizer_of,
 )
 from relquad.dyadic import (
@@ -88,6 +90,7 @@ from relquad.ideals import (
     _hnf_from_vectors,
     _unit_box,
     coords_valuation,
+    minkowski_bound,
     primes_above,
     principal_ideal,
     unit_ideal,
@@ -482,6 +485,41 @@ def on_element_by_ideal(chi, a: Elem) -> int:
     for i in chi.negative_embeddings:
         val *= interval_sign(a, i)
     return val
+
+
+def residue_table_by_ideal(chi) -> dict[tuple, int]:
+    """chi.residue_table() with every lift valued by on_element_by_ideal:
+    the residues of (delta) as elements, coprimality by gcd, and the lifts
+    residue_table takes (the residue, its balanced form and the residue
+    plus +-e1 and, in a quadratic field, e2 and -e1-e2 of the HNF basis)."""
+    K = chi.field
+    m = chi.modulus
+    e1, *rest = m.basis_elems()
+    steps = [e1, -e1] + ([rest[0], -e1 - rest[0]] if rest else [])
+    table = {}
+    for r in m.residues():
+        if not r or not principal_ideal(r).gcd(m).is_unit_ideal():
+            continue
+        lifts = [r, K.elem(*_balance(m, r.X, r.Y))] + [r + s for s in steps]
+        vals = {on_element_by_ideal(chi, x) for x in lifts}
+        assert len(vals) == 1, (chi.delta, r)
+        table[r.key()] = vals.pop()
+    return table
+
+
+def unit_discriminants_by_classes(K: QuadField) -> tuple[list[DiscriminantInfo], int]:
+    """tables.unit_discriminants(K) over every class of the window: the
+    conductor of each class with |N(delta)| <= minkowski^2, keeping those
+    with (delta) = f^2, one per class modulo squares."""
+    window = minkowski_bound(K) ** 2
+    found: list[DiscriminantInfo] = []
+    for info in discriminant_classes(K, window, sign="any"):
+        if not info.rel_disc.is_unit_ideal():
+            continue
+        if any(same_class_mod_squares(info.delta, other.delta) for other in found):
+            continue
+        found.append(info)
+    return found, window
 
 
 def extended_by_gcd(chi, a: Ideal) -> int:

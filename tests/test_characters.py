@@ -12,8 +12,9 @@ from helpers import (
     on_element_by_ideal,
     primitive_by_auxiliary_prime,
     primitive_via,
+    residue_table_by_ideal,
 )
-from relquad import characters
+from relquad import characters, ideals
 from relquad.arith import kronecker, primes_upto
 from relquad.characters import QuadCharacter
 from relquad.discriminants import conductor_ideal, discriminant_classes
@@ -161,14 +162,41 @@ def test_characters_of_one_delta_share_prime_values(monkeypatch, Q5):
 def test_character_memos_keep_fields_apart(Q, Q5):
     # 5 is a square in Q(sqrt 5), so its character is trivial there, while
     # over Q the prime 3 is inert in Q(sqrt 5); equal coordinates in the two
-    # fields must not share the values above 3, in either order of use
+    # fields must not share the values above 3, in either order of use; nor
+    # may they share the factorization of 3, memoised by coordinates
     assert Q.elem(5).X == Q5.elem(5).X and Q.elem(5) != Q5.elem(5)
     for first, second in ((Q, Q5), (Q5, Q)):
         characters._memos.cache_clear()
+        ideals._coords_factor.cache_clear()
         chis = {K: QuadCharacter(K.elem(5)) for K in (first, second)}
         assert chis[Q]._prime_memo is not chis[Q5]._prime_memo
         got = {K: chis[K].on_element(K.elem(3)) for K in (first, second)}
         assert got == {Q: -1, Q5: 1}
+        assert ideals._coords_factor.cache_info().currsize == 2
+        factors = {K: ideals._coords_factor(K, 3, 0, 1) for K in (first, second)}
+        assert factors[Q] != factors[Q5]
+        assert [P.ideal.field for P, _ in factors[Q] + factors[Q5]] == [Q, Q5]
+
+
+def test_residue_tables_match_ideal_oracle_cold_and_warm():
+    # the 38 classes of the benchmark sweep (|N(delta)| <= 30 in Q(sqrt 5),
+    # Q(sqrt 10) and Q(sqrt -15)): every residue table, its lifts valued from
+    # the element factorizations, equals the table whose lifts are valued by
+    # factoring principal ideals, first with the factorization memo empty,
+    # then with it filled by the first pass
+    chis = [
+        QuadCharacter(info)
+        for d in (5, 10, -15)
+        for info in discriminant_classes(make_field(d), 30)
+    ]
+    assert len(chis) == 38
+    expected = [residue_table_by_ideal(chi) for chi in chis]
+    ideals._coords_factor.cache_clear()
+    assert [chi.residue_table() for chi in chis] == expected
+    warm = ideals._coords_factor.cache_info()
+    assert warm.currsize > 0
+    assert [chi.residue_table() for chi in chis] == expected
+    assert ideals._coords_factor.cache_info().misses == warm.misses
 
 
 # the integer route against the ideal oracle: Q and seven quadratic fields,

@@ -11,6 +11,7 @@ from helpers import (
     discriminant_classes_by_buckets,
     discriminant_classes_by_elems,
     local_square_solvable_by_residues,
+    unit_discriminants_by_classes,
 )
 from relquad import cli, discriminants
 from relquad.cli import main
@@ -35,6 +36,7 @@ from relquad.ideals import (
     principal_ideal,
     unit_ideal,
 )
+from relquad.tables import unit_discriminants
 
 
 def test_witness_examples(Q10, Q):
@@ -146,6 +148,17 @@ def test_unit_discriminants(Q10, Q):
     assert not is_unit_discriminant(Q10.elem(-2))
     assert is_unit_discriminant(Q.elem(1))
     assert conductor_ideal(Q10.elem(-2)).f_delta.is_unit_ideal()
+
+
+@pytest.mark.parametrize(
+    "d", [-1, -3, -15, -21, -105, 5, 2, 10, 15, 7, 195, 23, 19, 22, 31, 94, 139, 10007]
+)
+def test_unit_discriminants_match_all_classes_oracle(d):
+    # the classes built from the squares J^2, N(J)^2 <= window, against
+    # conductors of every class in the window: the 14 fields of the
+    # benchmark catalog, and four with large fundamental units
+    K = make_field(d)
+    assert unit_discriminants(K) == unit_discriminants_by_classes(K)
 
 
 def test_conductor_scaling(test_fields):

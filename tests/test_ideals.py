@@ -24,7 +24,7 @@ from helpers import (
 from relquad.arith import BoundExceeded, primes_upto
 from relquad.counting import ideal_count_table
 from relquad import ideals
-from relquad.field import QuadField, coords_mul, fundamental_unit, make_field
+from relquad.field import Elem, QuadField, coords_mul, fundamental_unit, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
@@ -358,6 +358,27 @@ def test_coords_valuation_matches_division_oracle():
     with pytest.raises(ValueError):
         coords_valuation(primes_above(make_field(5), 5)[0], 0, 0)
     assert checked > 30_000
+
+
+def test_coords_factor_matches_ideal_factor():
+    # the memoised factorization read off coordinates against factoring the
+    # principal ideal: Q and seven quadratic fields, real and imaginary, with
+    # ramified, split and inert small primes, integral and not
+    ideals._coords_factor.cache_clear()
+    checked = 0
+    for d in (None, -1, -3, -15, 2, 5, 10, 13):
+        K = make_field(d)
+        ys = range(-12, 13) if K.degree == 2 else [0]
+        for x in range(-12, 13):
+            for y in ys:
+                if not (x or y):
+                    continue
+                for m in (1, 2, 3, 4, 6):
+                    expected = tuple(principal_ideal(Elem(K, x, y, m)).factor())
+                    assert ideals._coords_factor(K, x, y, m) == expected, (K, x, y, m)
+                    checked += 1
+    assert checked == 24 * 5 + 7 * 624 * 5
+    assert ideals._coords_factor.cache_info().maxsize == FACTOR_CACHE_SIZE
 
 
 def test_factor_returns_fresh_list(Q10):
