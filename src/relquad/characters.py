@@ -32,10 +32,24 @@ both on integer pairs.  The route through principal_ideal, Ideal.gcd and
 Ideal.factor survives as the test oracles
 tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 
-The values at primes and the primitive values at the primes of delta are
-pure functions of delta, so every QuadCharacter of one delta shares them:
-_memos(delta) keeps the two dicts in a process-wide LRU cache of
-CHARACTER_MEMO_SIZE discriminants.
+On ideals the character works on prime factorizations and builds no
+ideal.  extended and primitive are one kernel, _value, over the pairs
+(P, v) of a.factor(): at a prime of delta, e = min(v, v_P(delta)) is the
+exponent of gcd(a, delta), the value is 0 unless e is even and e/2 <=
+v_P(f), and N(P)^(e/2) is the norm weight; the exponent left over is valued
+by the splitting law, _unit_part_value at a prime of delta (0 on the
+conductor) and at_prime elsewhere.  primitive is the kernel with no weight.
+counting.count_square_roots_formula runs the same kernel on exponent
+vectors.  The route that builds g as an ideal product and divides a by g^2
+survives as the test oracle tests/helpers.py::extended_by_ideals.
+
+Everything else a character needs is a pure function of delta, so every
+QuadCharacter of one delta shares it: _memos(delta), a process-wide LRU
+cache of CHARACTER_MEMO_SIZE discriminants, holds one entry per delta with
+the set-up (the modulus (delta), v_P(delta) and v_P(f) at the primes of
+delta, and the sign type), filled by the first character of delta, and
+the memos of at_prime, of _unit_part_value and of the local verdicts of
+counting.count_square_roots_local, each by P.
 """
 
 from __future__ import annotations
@@ -66,21 +80,50 @@ CHARACTER_MEMO_SIZE = 1 << 10  # discriminants whose character memos are kept
 
 
 @lru_cache(maxsize=CHARACTER_MEMO_SIZE)
-def _memos(delta: Elem) -> tuple[dict, dict]:
-    """The memo pair (prime, unit_part) of the character of delta: at_prime
-    and _unit_part_value, each by P.  Keyed on delta, whose equality
-    includes its field, so equal coordinates in different fields keep
-    separate memos."""
-    return {}, {}
+def _memos(delta: Elem) -> "_DeltaMemo":
+    """The memo entry shared by the characters of delta.  Keyed on delta,
+    whose equality includes its field, so equal coordinates in different
+    fields keep separate entries."""
+    return _DeltaMemo()
+
+
+class _DeltaMemo:
+    """What every QuadCharacter of one delta shares.
+
+    setup is None until the first character of delta stores the tuple
+    (modulus, delta_primes, f_exponents, negative_embeddings): (delta), its
+    primes with v_P(delta), v_P(f) at those primes, and the real embeddings
+    where delta is negative.  prime and unit_part hold at_prime and
+    _unit_part_value by P; local holds the verdicts of the local casework
+    of counting.count_square_roots_local by P."""
+
+    __slots__ = ("setup", "prime", "unit_part", "local")
+
+    def __init__(self):
+        self.setup = None
+        self.prime = {}
+        self.unit_part = {}
+        self.local = {}
+
+
+def _setup(info: DiscriminantInfo) -> tuple:
+    """The set-up tuple of _DeltaMemo for the discriminant of info."""
+    delta = info.delta
+    modulus = principal_ideal(delta)
+    delta_primes = dict(modulus.factor())
+    f_exponents = {P: info.f_delta.valuation(P) for P in delta_primes}
+    negative = tuple(i for i in delta.field.real_embeddings if delta.sign_at(i) < 0)
+    return modulus, delta_primes, f_exponents, negative
 
 
 class QuadCharacter:
     """All character data attached to one discriminant.
 
-    Instances of one delta share the memos of _memos(delta).  Every entry
-    is a pure function of delta and is written whole, so a concurrent
-    writer can only store the value already there; sharing across threads
-    needs no lock.
+    Instances of one delta share the set-up and memos of _memos(delta).
+    Every entry is a pure function of delta and is written whole, so a
+    concurrent writer can only store the value already there; sharing
+    across threads needs no lock.  A DiscriminantInfo passed in must be
+    the one conductor_ideal(delta) returns: its f fills the shared set-up.
     """
 
     def __init__(self, delta: Elem | DiscriminantInfo):
@@ -88,16 +131,15 @@ class QuadCharacter:
         self.info = info
         self.delta = info.delta
         self.field = info.delta.field
-        self.modulus = principal_ideal(info.delta)
         self.conductor = info.rel_disc
-        # the primes P of delta, with v_P(delta): coprimality to delta is
-        # v_P = 0 at each
-        self._delta_primes = dict(self.modulus.factor())
-        # real embeddings where delta is negative (the sign type)
-        self.negative_embeddings = tuple(
-            i for i in self.field.real_embeddings if info.delta.sign_at(i) < 0
-        )
-        self._prime_memo, self._unit_part_memo = _memos(info.delta)
+        memo = _memos(info.delta)
+        if memo.setup is None:
+            memo.setup = _setup(info)
+        # the primes P of delta map to v_P(delta), so coprimality to delta
+        # is v_P = 0 at each; _f_exponents maps them to v_P(f); the negative
+        # embeddings are the sign type
+        self.modulus, self._delta_primes, self._f_exponents, self.negative_embeddings = memo.setup
+        self._prime_memo, self._unit_part_memo, self._local_memo = memo.prime, memo.unit_part, memo.local
 
     # -- the symbol on primes and coprime ideals -----------------------------
 
@@ -106,7 +148,7 @@ class QuadCharacter:
         memo = self._prime_memo
         if P in memo:
             return memo[P]
-        if self.modulus.valuation(P) != 0:
+        if P in self._delta_primes:
             raise ValueError(f"{P} divides ({self.delta})")
         if P.p != 2:
             # Legendre symbol of an integer n = delta in O/P: at an inert P,
@@ -225,7 +267,7 @@ class QuadCharacter:
             table[r.key()] = vals.pop()
         return table
 
-    # -- primitive character ----------------------------------------------------
+    # -- primitive and extended characters ------------------------------------
 
     def primitive(self, a: Ideal) -> int:
         """The primitive character mod the conductor (delta)/f^2 on an
@@ -234,56 +276,64 @@ class QuadCharacter:
         stays inert in K(sqrt delta); at P off delta that is at_prime(P)."""
         if not a.is_integral():
             raise ValueError("integral ideal required")
+        return self._value(a.factor(), False)
+
+    def extended(self, a: Ideal) -> int:
+        """Norm-weighted extension: N(g) * primitive(a/g^2) when
+        gcd(a, delta) = g^2 with g dividing f, else 0."""
+        if not a.is_integral():
+            raise ValueError("integral ideal required")
+        return self._value(a.factor(), True)
+
+    def _value(self, pairs, weighted: bool) -> int:
+        """The kernel of extended (weighted) and primitive on the pairs
+        (P, v), v >= 1, of an integral ideal a = prod P^v.  At a prime of
+        delta, weighted, e = min(v, v_P(delta)) is v_P of gcd(a, delta):
+        the value is 0 unless e is even and e/2 <= v_P(f), and N(P)^(e/2)
+        is the factor of N(g).  What is left of v is the exponent of P in
+        a/g^2, valued by the splitting law: _unit_part_value at a prime of
+        delta, 0 on the conductor, and at_prime elsewhere, each at odd
+        exponents only."""
         val = 1
-        for P, e in a.factor():
-            if P in self._delta_primes:
-                chi_P = self._unit_part_value(P)
-                if not chi_P:
+        for P, v in pairs:
+            l = self._delta_primes.get(P)
+            if l is None:
+                if v % 2:
+                    val *= self.at_prime(P)
+                continue
+            if weighted:
+                e = min(v, l)
+                if e % 2 or e // 2 > self._f_exponents[P]:
                     return 0
-                if e % 2:
-                    val *= chi_P
-            elif e % 2:
-                val *= self.at_prime(P)
+                if e:
+                    val *= P.norm() ** (e // 2)
+                    v -= e
+                    if not v:
+                        continue
+            chi_P = self._unit_part_value(P)
+            if not chi_P:
+                return 0
+            if v % 2:
+                val *= chi_P
         return val
 
     def _unit_part_value(self, P: PrimeIdeal) -> int:
         """primitive's value at a prime P of delta, memoised: 0 on the
-        conductor; off it v_P(delta) is even, the unit part is a square mod 4
-        at P, and P splits iff it is one mod 4P (local square theorem,
-        O'Meara 63:1; Hensel at an odd P): iff delta is a square mod
-        P^(v_P(delta) + 2 v_P(2) + 1)."""
+        conductor, where v_P(delta) > 2 v_P(f); off it v_P(delta) is even,
+        the unit part is a square mod 4 at P, and P splits iff it is one
+        mod 4P (local square theorem, O'Meara 63:1; Hensel at an odd P):
+        iff delta is a square mod P^(v_P(delta) + 2 v_P(2) + 1)."""
         memo = self._unit_part_memo
         if P in memo:
             return memo[P]
-        if self.conductor.valuation(P):
+        l = self._delta_primes[P]
+        if l > 2 * self._f_exponents[P]:
             val = 0
         else:
-            target = self.modulus.valuation(P) + 2 * _dyadic_ramification(P) + 1
+            target = l + 2 * _dyadic_ramification(P) + 1
             val = 1 if local_square_solvable(self.delta, P, target) else -1
         memo[P] = val
         return val
-
-    # -- extended coefficient function ------------------------------------------
-
-    def extended(self, a: Ideal) -> int:
-        """Norm-weighted extension: N(g) * primitive(a/g^2) when
-        gcd(a, delta) = g^2 with g dividing f, else 0.  The gcd is read off
-        min(v_P(a), v_P(delta)) at the primes of delta."""
-        if not a.is_integral():
-            raise ValueError("integral ideal required")
-        g = None
-        for P, l in self._delta_primes.items():
-            e = min(a.valuation(P), l)
-            if e % 2:
-                return 0
-            if e:
-                h = P.ideal ** (e // 2)
-                g = h if g is None else g * h
-        if g is None:
-            return self.primitive(a)
-        if not g.divides(self.info.f_delta):
-            return 0
-        return g.norm_int() * self.primitive(a.divide_exact(g * g))
 
     def coefficients(self, norm_bound: int):
         """((ideal -> value) table, per-norm sums) for norms 1..bound;

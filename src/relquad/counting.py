@@ -4,7 +4,21 @@ The central object is N(a) = card{ x mod 2a : x^2 = delta mod 4a }.  It is
 computed three independent ways: brute-force residue enumeration, the
 divisor sum of the extended character over divisors b | a with a/b
 squarefree, and a fast multiplicative evaluator assembled from local
-casework at each prime power.  All three must agree everywhere.
+casework at each prime power.  All three must agree everywhere, and all
+three refuse a fractional ideal.
+
+The divisor sum and the local casework work on the prime factorization of
+a and build no ideal.  With a = prod P^e, the divisor sum runs over the
+2^omega exponent choices k_P in {e, e - 1} and values each with the
+character's exponent kernel, QuadCharacter._value; it stays a sum over all
+divisors, independent of the local casework.  The local count at P^k reads
+v_P(delta) from the character's prime dict.  At a prime of delta with
+v_P(delta) even it rests on at most three local_square_solvable verdicts,
+decided once per (delta, P) and kept in the local memo of
+characters._memos(delta): a prime recurs across the ideals of one delta
+and across its characters.  The route over divisors built as ideal
+products survives as the test oracle
+tests/helpers.py::count_square_roots_formula_by_ideals.
 
 The brute-force route (count_square_roots, square_root_pairs) is the
 integer search ideals.square_root_coords with (M, N) = (2a, 4a), the same
@@ -31,7 +45,8 @@ character's own routes; the convolution skips zero terms on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from math import isqrt
 
 from .arith import kronecker, smallest_prime_factors
@@ -45,7 +60,6 @@ from .ideals import (
     ideals_of_norm,
     primes_above,
     square_root_coords,
-    unit_ideal,
 )
 
 __all__ = [
@@ -67,8 +81,7 @@ __all__ = [
 
 def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
-    if not a.is_integral():
-        raise ValueError("integral ideal required")
+    _check_integral(a)
     if not delta.is_integral():
         raise ValueError(f"integral delta required, got {delta}")
     return len(_roots(delta, a))
@@ -82,25 +95,24 @@ def _roots(delta: Elem, a: Ideal) -> tuple[tuple[int, int], ...]:
 
 
 def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
-    """Divisor sum of the extended character over b | a with a/b squarefree."""
-    if not a.is_integral():
-        raise ValueError("integral ideal required")
-    # divisors b of a with squarefree quotient: each prime keeps e or e-1;
-    # the two powers of each prime are built once
-    divs = [unit_ideal(a.field)]
-    for P, e in a.factor():
-        low = P.ideal ** (e - 1)
-        powers = (low * P.ideal, low)
-        divs = [b * q for b in divs for q in powers]
-    return sum(chi.extended(b) for b in divs)
+    """Divisor sum of the extended character over b | a with a/b squarefree:
+    with a = prod P^e, each b is an exponent choice k_P in {e, e - 1},
+    valued by the character's kernel on its pairs (P, k_P), k_P >= 1."""
+    _check_integral(a)
+    fac = a.factor()
+    total = 0
+    for ks in product(*((e, e - 1) for _, e in fac)):
+        total += chi._value([(P, k) for (P, _), k in zip(fac, ks) if k], True)
+    return total
 
 
 def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
-    """N(P^k) from the local casework at one prime power."""
+    """N(P^k) from the local casework at one prime power, k >= 0."""
+    if k < 0:
+        raise ValueError(f"exponent k must be >= 0, got {k} at {P}")
     if k == 0:
         return 1
-    delta = chi.delta
-    l = chi.modulus.valuation(P)
+    l = chi._delta_primes.get(P, 0)
     if l == 0:
         return 1 + chi.at_prime(P)
     e2 = _dyadic_ramification(P)
@@ -109,29 +121,48 @@ def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
         return Np ** (k // 2)
     if l % 2:
         return 0
-    # l even: the unit part is a square mod P^m iff delta is mod P^(l + m)
-    if local_square_solvable(delta, P, l + 2 * e2):
-        # the unit part is a square mod 4 locally
+    unit_square, t = _local_verdicts(chi, P, l, e2)
+    if unit_square:
+        # the unit part is a square mod 4 locally; t is +-1 as it is one mod 4P
         if k <= l:
             return Np ** (k // 2)
-        leg_local = 1 if local_square_solvable(delta, P, l + 2 * e2 + 1) else -1
-        return Np ** (l // 2) * (1 + leg_local)
-    # dyadic, the unit part not a square mod 4: the odd threshold.  Explicit
-    # raises, not asserts: the counting verdict must survive python -O
-    if e2 < 1:
-        raise AssertionError(f"unit part of {delta} at the odd prime {P} is not a square mod 4")
-    odd = range(2 * e2 - 1, 0, -1)
-    level = next((m for m in odd if local_square_solvable(delta, P, l + m)), 0)
-    if level < 1 or level % 2 == 0:
-        raise AssertionError(f"no odd square threshold for {delta} at {P}: level {level}")
+        return Np ** (l // 2) * (1 + t)
+    # dyadic, the unit part not a square mod 4: t is the odd threshold
     if k >= l:
         return 0
-    if 2 * e2 + k - l <= level:
+    if 2 * e2 + k - l <= t:
         return Np ** (k // 2)
     return 0
 
 
+def _local_verdicts(chi: QuadCharacter, P: PrimeIdeal, l: int, e2: int) -> tuple[bool, int]:
+    """(unit_square, t) at a prime P of delta with l = v_P(delta) even and
+    e2 = v_P(2), memoised in the character's entry for delta: whether the
+    unit part is a square mod 4 at P, and then t = +-1 as it is one mod 4P,
+    else the odd level below 2 e2 up to which it is a square.  The unit
+    part is a square mod P^m iff delta is mod P^(l + m)."""
+    memo = chi._local_memo
+    if P in memo:
+        return memo[P]
+    delta = chi.delta
+    if local_square_solvable(delta, P, l + 2 * e2):
+        out = True, 1 if local_square_solvable(delta, P, l + 2 * e2 + 1) else -1
+    else:
+        # explicit raises, not asserts: the counting verdict must survive python -O
+        if e2 < 1:
+            raise AssertionError(f"unit part of {delta} at the odd prime {P} is not a square mod 4")
+        odd = range(2 * e2 - 1, 0, -1)
+        level = next((m for m in odd if local_square_solvable(delta, P, l + m)), 0)
+        if level < 1 or level % 2 == 0:
+            raise AssertionError(f"no odd square threshold for {delta} at {P}: level {level}")
+        out = False, level
+    memo[P] = out
+    return out
+
+
 def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
+    """N(a) as the product of the local counts N(P^e) over P^e || a."""
+    _check_integral(a)
     total = 1
     for P, e in a.factor():
         total *= count_square_roots_local(chi, P, e)
@@ -141,21 +172,21 @@ def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
 
 
 def zeta_coefficients(delta: Elem, norm_bound: int, method: str = "brute") -> list[int]:
-    """[0, N(delta, a) summed over norm 1, ..., norm bound]."""
+    """[0, N(delta, a) summed over norm 1, ..., norm bound], by the brute,
+    local or formula route."""
+    if method not in ("brute", "local", "formula"):
+        raise ValueError(f"unknown method {method!r}")
     _check_bound(norm_bound)
+    if method == "brute":
+        count = partial(count_square_roots, delta)
+    else:
+        route = count_square_roots_local_product if method == "local" else count_square_roots_formula
+        count = partial(route, QuadCharacter(delta))
     K = delta.field
-    chi = QuadCharacter(delta) if method != "brute" else None
     out = [0] * (norm_bound + 1)
     for n in range(1, norm_bound + 1):
         for a in ideals_of_norm(K, n):
-            if method == "brute":
-                out[n] += count_square_roots(delta, a)
-            elif method == "local":
-                out[n] += count_square_roots_local_product(chi, a)
-            elif method == "formula":
-                out[n] += count_square_roots_formula(chi, a)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            out[n] += count(a)
     return out
 
 
@@ -228,6 +259,11 @@ def order_ideal_count_sublattice(delta: int, n: int) -> int:
                 continue
             count += 1
     return count
+
+
+def _check_integral(a: Ideal) -> None:
+    if not a.is_integral():
+        raise ValueError(f"integral ideal required, got {a}")
 
 
 def _check_index(n: int) -> None:
@@ -315,7 +351,7 @@ def primitive_character_table(chi: QuadCharacter, norm_bound: int) -> list[int]:
             out[n] = out[p] * out[n // p]
             continue
         P = primes_above(K, p)[0]
-        if chi.modulus.valuation(P) != 0:
+        if P in chi._delta_primes:
             out[n] = chi.primitive(P.ideal)  # 0 unless prime to conductor
         else:
             out[n] = chi.at_prime(P)

@@ -40,7 +40,11 @@ product of the convolution multiplied out (the routes that the cached
 prime-power sieve and the zero-skipping convolution of relquad.counting
 replaced), and the extended character with gcd(a, delta) taken as an ideal
 and factored (the route that the valuations at the primes of delta in
-characters.QuadCharacter.extended replaced).
+characters.QuadCharacter.extended replaced), and with g = gcd(a, delta)^(1/2)
+built as an ideal product and a/g^2 by exact division, and the divisor sum
+of the counting formula over divisors built as ideal products (the routes
+that the exponent kernel of characters.QuadCharacter and the exponent
+choices of counting.count_square_roots_formula replaced).
 """
 
 from __future__ import annotations
@@ -95,6 +99,11 @@ from relquad.ideals import (
     principal_ideal,
     unit_ideal,
 )
+
+# the integer and exponent routes against the ideal oracles: Q and seven
+# quadratic fields, real and imaginary, with ramified, split and inert small
+# primes
+ORACLE_FIELDS = (None, 5, 10, -15, 2, -1, -3, 13)
 
 
 def interval_sign(e: Elem, embedding: int, digits: int = 100) -> int:
@@ -537,6 +546,37 @@ def extended_by_gcd(chi, a: Ideal) -> int:
     if not g.divides(chi.info.f_delta):
         return 0
     return g.norm_int() * chi.primitive(a.divide_exact(g * g))
+
+
+def extended_by_ideals(chi, a: Ideal) -> int:
+    """chi.extended(a) with g built as an ideal product from the valuations
+    of a at the primes of delta, tested as a divisor of f, and primitive
+    taken on a/g^2 by exact division."""
+    if not a.is_integral():
+        raise ValueError("integral ideal required")
+    g = unit_ideal(chi.field)
+    for P, l in chi.modulus.factor():
+        e = min(a.valuation(P), l)
+        if e % 2:
+            return 0
+        g = g * P.ideal ** (e // 2)
+    if not g.divides(chi.info.f_delta):
+        return 0
+    return g.norm_int() * chi.primitive(a.divide_exact(g * g))
+
+
+def count_square_roots_formula_by_ideals(chi, a: Ideal, extended=extended_by_ideals) -> int:
+    """The divisor sum of counting.count_square_roots_formula with every
+    divisor b | a, a/b squarefree, built as an Ideal product and valued by
+    extended(chi, b)."""
+    if not a.is_integral():
+        raise ValueError("integral ideal required")
+    divs = [unit_ideal(a.field)]
+    for P, e in a.factor():
+        low = P.ideal ** (e - 1)
+        powers = (low * P.ideal, low)
+        divs = [b * q for b in divs for q in powers]
+    return sum(extended(chi, b) for b in divs)
 
 
 def conductor_by_ideals(chi):

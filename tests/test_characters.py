@@ -6,17 +6,24 @@ from itertools import islice
 import pytest
 
 from helpers import (
+    ORACLE_FIELDS,
     auxiliary_splits,
     conductor_by_ideals,
     extended_by_gcd,
+    extended_by_ideals,
     on_element_by_ideal,
     primitive_by_auxiliary_prime,
     primitive_via,
     residue_table_by_ideal,
 )
-from relquad import characters, ideals
+from relquad import characters, counting, discriminants, ideals
 from relquad.arith import kronecker, primes_upto
 from relquad.characters import QuadCharacter
+from relquad.counting import (
+    count_square_roots,
+    count_square_roots_local,
+    count_square_roots_local_product,
+)
 from relquad.discriminants import conductor_ideal, discriminant_classes
 from relquad.field import make_field
 from relquad.ideals import (
@@ -159,6 +166,44 @@ def test_characters_of_one_delta_share_prime_values(monkeypatch, Q5):
     assert len(calls) == 2 * len(odd)
 
 
+def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5):
+    # delta = -4 in Q(sqrt 5): (2) is inert with v = 2, so the local casework
+    # at (2) takes local_square_solvable verdicts.  The set-up and the
+    # verdicts live in one entry of _memos(delta) for characters built from
+    # the info and from delta, and a dropped entry is refilled with the same
+    characters._memos.cache_clear()
+    calls = []
+
+    def counted(delta, P, t):
+        calls.append((P, t))
+        return discriminants.local_square_solvable(delta, P, t)
+
+    monkeypatch.setattr(counting, "local_square_solvable", counted)
+    info = discriminant_classes(Q5, 30)[0]
+    assert info.delta == Q5.elem(-4)
+    pool = [a for n in range(1, 65) for a in ideals_of_norm(Q5, n)]
+    first = QuadCharacter(info)
+    setup = characters._memos(info.delta).setup
+    counts = [count_square_roots_local_product(first, a) for a in pool]
+    verdicts = dict(first._local_memo)
+    assert [str(P) for P in verdicts] == ["(2)"]
+    assert 1 <= len(calls) <= 3
+    made = len(calls)
+    for chi in (QuadCharacter(info), QuadCharacter(info.delta)):
+        assert chi._local_memo is first._local_memo
+        assert (chi.modulus, chi._delta_primes, chi._f_exponents, chi.negative_embeddings) == setup
+        assert chi._delta_primes is first._delta_primes
+        assert [count_square_roots_local_product(chi, a) for a in pool] == counts
+    assert characters._memos.cache_info().currsize == 1
+    assert len(calls) == made
+    characters._memos.cache_clear()
+    again = QuadCharacter(info.delta)
+    assert characters._memos(info.delta).setup == setup
+    assert [count_square_roots_local_product(again, a) for a in pool] == counts
+    assert again._local_memo == verdicts
+    assert len(calls) == 2 * made
+
+
 def test_character_memos_keep_fields_apart(Q, Q5):
     # 5 is a square in Q(sqrt 5), so its character is trivial there, while
     # over Q the prime 3 is inert in Q(sqrt 5); equal coordinates in the two
@@ -176,6 +221,33 @@ def test_character_memos_keep_fields_apart(Q, Q5):
         factors = {K: ideals._coords_factor(K, 3, 0, 1) for K in (first, second)}
         assert factors[Q] != factors[Q5]
         assert [P.ideal.field for P, _ in factors[Q] + factors[Q5]] == [Q, Q5]
+    # delta = 20: v_(2) = 2 in both fields, but the unit part 5 is a square
+    # mod 8 only in Q(sqrt 5); the set-up and the local verdicts at (2) of
+    # the two fields keep separate entries, in either order of use
+    expected = {
+        K: [count_square_roots(K.elem(20), primes_above(K, 2)[0].ideal ** k) for k in range(1, 5)]
+        for K in (Q, Q5)
+    }
+    assert expected == {Q: [1, 2, 0, 0], Q5: [1, 4, 8, 8]}
+    for first, second in ((Q, Q5), (Q5, Q)):
+        characters._memos.cache_clear()
+        chis = {K: QuadCharacter(K.elem(20)) for K in (first, second)}
+        assert characters._memos.cache_info().currsize == 2
+        assert chis[Q]._local_memo is not chis[Q5]._local_memo
+        assert chis[Q].modulus.field == Q and chis[Q5].modulus.field == Q5
+        assert {K: chis[K]._f_exponents for K in chis} == {
+            Q: {primes_above(Q, 2)[0]: 1, primes_above(Q, 5)[0]: 0},
+            Q5: {primes_above(Q5, 2)[0]: 1, primes_above(Q5, 5)[0]: 1},
+        }
+        got = {
+            K: [count_square_roots_local(chis[K], primes_above(K, 2)[0], k) for k in range(1, 5)]
+            for K in (first, second)
+        }
+        assert got == expected
+        assert {K: list(chis[K]._local_memo.values()) for K in chis} == {
+            Q: [(True, -1)],
+            Q5: [(True, 1)],
+        }
 
 
 def test_residue_tables_match_ideal_oracle_cold_and_warm():
@@ -197,11 +269,6 @@ def test_residue_tables_match_ideal_oracle_cold_and_warm():
     assert warm.currsize > 0
     assert [chi.residue_table() for chi in chis] == expected
     assert ideals._coords_factor.cache_info().misses == warm.misses
-
-
-# the integer route against the ideal oracle: Q and seven quadratic fields,
-# real and imaginary, with ramified, split and inert small primes
-ORACLE_FIELDS = (None, 5, 10, -15, 2, -1, -3, 13)
 
 
 def _both_routes(chi, a):
@@ -383,8 +450,9 @@ def test_extended_examples(Q):
 
 
 def test_extended_matches_gcd_oracle():
-    # valuations at the primes of delta against gcd(a, delta) as an ideal,
-    # on every class with |N(delta)| <= 60 and every ideal of norm <= 40
+    # the exponent kernel against gcd(a, delta) as an ideal and against g
+    # built as an ideal product, on every class with |N(delta)| <= 60 and
+    # every ideal of norm <= 40
     kinds = {"coprime": 0, "zero": 0, "square gcd": 0}
     for d in ORACLE_FIELDS:
         K = make_field(d)
@@ -393,7 +461,7 @@ def test_extended_matches_gcd_oracle():
             chi = QuadCharacter(info)
             for a in ideals:
                 val = chi.extended(a)
-                assert val == extended_by_gcd(chi, a), (d, info.delta, a)
+                assert val == extended_by_gcd(chi, a) == extended_by_ideals(chi, a), (d, info.delta, a)
                 g0 = a.gcd(chi.modulus)
                 kinds["coprime" if g0.is_unit_ideal() else "square gcd" if val else "zero"] += 1
     assert min(kinds.values()) > 300, kinds

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 import relquad
 
 from helpers import (
+    ORACLE_FIELDS,
     brute_sqrt_count,
+    count_square_roots_formula_by_ideals,
     dirichlet_convolution_by_loops,
+    extended_by_gcd,
     ideal_count_table_by_factoring,
     primitive_character_table_by_factoring,
 )
-from relquad import counting
+from relquad import characters, counting, ideals
 from relquad.characters import QuadCharacter
 from relquad.counting import (
     RootPair,
@@ -40,6 +44,7 @@ from relquad.ideals import (
     RESIDUE_ENUMERATION_BOUND,
     ideal_from_generators,
     ideals_of_norm,
+    primes_above,
     principal_ideal,
     square_root_coords,
     unit_ideal,
@@ -101,6 +106,90 @@ def test_reciprocity_small_sweep(test_fields):
                     brute = count_square_roots(info.delta, a)
                     assert brute == count_square_roots_formula(chi, a)
                     assert brute == count_square_roots_local_product(chi, a)
+
+
+def test_formula_matches_ideal_divisor_oracles():
+    # the exponent choices against the divisors built as ideal products and
+    # valued with g as an ideal product or with gcd(a, delta) as an ideal,
+    # on every class with |N(delta)| <= 60: every ideal of norm <= 40, and
+    # P^e, 3 <= e <= v_P(delta) + 5, at the primes P of delta, past every
+    # threshold of the local casework
+    powers = 0
+    for d in ORACLE_FIELDS:
+        K = make_field(d)
+        pool = [a for n in range(1, 41) for a in ideals_of_norm(K, n)]
+        for info in discriminant_classes(K, 60):
+            chi = QuadCharacter(info)
+            high = [P.ideal**e for P, l in chi.modulus.factor() for e in range(3, l + 6)]
+            powers += len(high)
+            for a in pool + high:
+                val = count_square_roots_formula(chi, a)
+                assert val == count_square_roots_formula_by_ideals(chi, a), (d, info.delta, a)
+                assert val == count_square_roots_formula_by_ideals(chi, a, extended_by_gcd)
+                assert val == count_square_roots_local_product(chi, a), (d, info.delta, a)
+                if a in high and a.norm_int() <= 1024:
+                    assert val == count_square_roots(info.delta, a), (d, info.delta, a)
+    assert powers > 1000
+
+
+def test_formula_and_local_routes_build_no_ideal_product(monkeypatch):
+    # with the ideal layer's own memos warm (factorizations, prime powers),
+    # every character memo dropped and Ideal * Ideal raising, both routes
+    # still match brute force; the divisor enumeration by ideal products
+    # does not get past the patch
+    cases = []
+    for d in (None, 5, 10, -15):
+        K = make_field(d)
+        pool = [a for n in range(1, 30) for a in ideals_of_norm(K, n)]
+        for info in discriminant_classes(K, 30):
+            chi = QuadCharacter(info)
+            for a in pool:
+                cases.append((info, a, count_square_roots(info.delta, a)))
+                count_square_roots_formula(chi, a)
+                count_square_roots_local_product(chi, a)
+    characters._memos.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("ideal product")
+
+    monkeypatch.setattr(ideals, "_product", refuse)
+    for info, a, brute in cases:
+        chi = QuadCharacter(info)
+        assert count_square_roots_formula(chi, a) == brute, (info.delta, a)
+        assert count_square_roots_local_product(chi, a) == brute, (info.delta, a)
+    info, a, _ = next(case for case in cases if len(case[1].factor()) > 1)
+    with pytest.raises(AssertionError, match="ideal product"):
+        count_square_roots_formula_by_ideals(QuadCharacter(info), a)
+
+
+def test_local_route_refuses_fractional_ideals_and_negative_exponents(Q5):
+    # the product returned 0 at P^-1 and the local count answered k = -1;
+    # every counting route names the ideal, the local count the exponent
+    chi = QuadCharacter(Q5.elem(-3))
+    P = primes_above(Q5, 11)[0]
+    a = P.ideal.inverse()
+    for route in (
+        lambda: count_square_roots_local_product(chi, a),
+        lambda: count_square_roots_formula(chi, a),
+        lambda: count_square_roots(chi.delta, a),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"integral ideal required, got {a}")):
+            route()
+    with pytest.raises(ValueError, match="exponent k must be >= 0, got -1"):
+        count_square_roots_local(chi, P, -1)
+    assert count_square_roots_local_product(chi, P.ideal) == count_square_roots(chi.delta, P.ideal)
+
+
+def test_zeta_coefficients_check_the_method_first(Q):
+    # an unknown method returned [0] at bound 0, and at bound >= 1 a
+    # non-discriminant delta reported "not a discriminant" instead
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        zeta_coefficients(Q.elem(5), 0, method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        zeta_coefficients(Q.elem(3), 4, method="bogus")
+    with pytest.raises(ValueError, match="not a discriminant"):
+        zeta_coefficients(Q.elem(3), 4, method="formula")
+    assert zeta_coefficients(Q.elem(5), 0, method="formula") == [0]
 
 
 def test_multiplicativity_and_stability(Q, Q10):
