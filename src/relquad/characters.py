@@ -46,8 +46,9 @@ survives as the test oracle tests/helpers.py::extended_by_ideals.
 Everything else a character needs is a pure function of delta, so every
 QuadCharacter of one delta shares it: _memos(delta), a process-wide LRU
 cache of CHARACTER_MEMO_SIZE discriminants, holds one entry per delta with
-the set-up (the modulus (delta), v_P(delta) and v_P(f) at the primes of
-delta, and the sign type), filled by the first character of delta, and
+the DiscriminantInfo of conductor_ideal(delta) and the set-up (the modulus
+(delta), v_P(delta) and v_P(f) at the primes of delta, and the sign type),
+filled by the first character of delta, whichever way it is built, and
 the memos of at_prime, of _unit_part_value and of the local verdicts of
 counting.count_square_roots_local, each by P.
 """
@@ -90,30 +91,35 @@ def _memos(delta: Elem) -> "_DeltaMemo":
 class _DeltaMemo:
     """What every QuadCharacter of one delta shares.
 
-    setup is None until the first character of delta stores the tuple
+    info and setup are None until the first character of delta stores the
+    DiscriminantInfo that conductor_ideal(delta) returns and the tuple
     (modulus, delta_primes, f_exponents, negative_embeddings): (delta), its
     primes with v_P(delta), v_P(f) at those primes, and the real embeddings
-    where delta is negative.  prime and unit_part hold at_prime and
-    _unit_part_value by P; local holds the verdicts of the local casework
-    of counting.count_square_roots_local by P."""
+    where delta is negative.  Both are computed before either is stored,
+    info first and setup last, so readers test setup; an element that is
+    not a discriminant leaves both None.  prime and unit_part hold at_prime
+    and _unit_part_value by P; local holds the verdicts of the local
+    casework of counting.count_square_roots_local by P."""
 
-    __slots__ = ("setup", "prime", "unit_part", "local")
+    __slots__ = ("info", "setup", "prime", "unit_part", "local")
 
     def __init__(self):
-        self.setup = None
+        self.info = self.setup = None
         self.prime = {}
         self.unit_part = {}
         self.local = {}
 
 
-def _setup(info: DiscriminantInfo) -> tuple:
-    """The set-up tuple of _DeltaMemo for the discriminant of info."""
+def _fill(memo: _DeltaMemo, info: DiscriminantInfo) -> None:
+    """Store info, which conductor_ideal returned, and the set-up tuple of
+    its discriminant in memo."""
     delta = info.delta
     modulus = principal_ideal(delta)
     delta_primes = dict(modulus.factor())
     f_exponents = {P: info.f_delta.valuation(P) for P in delta_primes}
     negative = tuple(i for i in delta.field.real_embeddings if delta.sign_at(i) < 0)
-    return modulus, delta_primes, f_exponents, negative
+    memo.info = info
+    memo.setup = modulus, delta_primes, f_exponents, negative
 
 
 class QuadCharacter:
@@ -122,23 +128,35 @@ class QuadCharacter:
     Instances of one delta share the set-up and memos of _memos(delta).
     Every entry is a pure function of delta and is written whole, so a
     concurrent writer can only store the value already there; sharing
-    across threads needs no lock.  A DiscriminantInfo passed in must be
-    the one conductor_ideal(delta) returns: its f fills the shared set-up.
+    across threads needs no lock.  The entry keeps the DiscriminantInfo
+    that conductor_ideal(delta) returns, and a character built from an
+    element reads it rather than running conductor_ideal again.  A
+    DiscriminantInfo passed in must equal that entry, or ValueError; one
+    that conductor_ideal returned may fill an empty entry itself, while any
+    other is checked against a fresh conductor_ideal(delta) first.
     """
 
     def __init__(self, delta: Elem | DiscriminantInfo):
-        info = delta if isinstance(delta, DiscriminantInfo) else conductor_ideal(delta)
-        self.info = info
-        self.delta = info.delta
-        self.field = info.delta.field
-        self.conductor = info.rel_disc
-        memo = _memos(info.delta)
+        given = None
+        if isinstance(delta, DiscriminantInfo):
+            given, delta = delta, delta.delta
+        memo = _memos(delta)
         if memo.setup is None:
-            memo.setup = _setup(info)
+            # an info that conductor_ideal returned stands in for that call;
+            # a delta that is not a discriminant raises here, memo left empty
+            trusted = given is not None and given.from_conductor_ideal
+            _fill(memo, given if trusted else conductor_ideal(delta))
         # the primes P of delta map to v_P(delta), so coprimality to delta
         # is v_P = 0 at each; _f_exponents maps them to v_P(f); the negative
         # embeddings are the sign type
         self.modulus, self._delta_primes, self._f_exponents, self.negative_embeddings = memo.setup
+        info = memo.info
+        if given is not None and given is not info and given != info:
+            raise ValueError(f"the DiscriminantInfo given for {delta} is not conductor_ideal({delta})")
+        self.info = info
+        self.delta = delta
+        self.field = delta.field
+        self.conductor = info.rel_disc
         self._prime_memo, self._unit_part_memo, self._local_memo = memo.prime, memo.unit_part, memo.local
 
     # -- the symbol on primes and coprime ideals -----------------------------

@@ -20,7 +20,7 @@ conductor_ideal.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .field import Elem, QuadField, coords_mul, coords_sign, fundamental_unit, roots_of_unity, unit_square_class_reps
@@ -62,6 +62,10 @@ class DiscriminantInfo:
     rel_disc: Ideal
     is_square_in_K: bool
     witness_x: Elem  # x with x^2 = delta mod 4 f^2
+    # True only on the infos conductor_ideal returns, which QuadCharacter
+    # trusts without running conductor_ideal again; a copy made by hand or
+    # by dataclasses.replace reads False
+    from_conductor_ideal: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -193,13 +197,15 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     coords = next(square_root_coords(delta, f * 2, f2 * 4), None)
     if coords is None:
         raise AssertionError("per-prime solvability holds but no global witness found")
-    return DiscriminantInfo(
+    info = DiscriminantInfo(
         delta=delta,
         f_delta=f,
         rel_disc=rel,
         is_square_in_K=delta.is_square(),
         witness_x=K.elem(*coords),
     )
+    object.__setattr__(info, "from_conductor_ideal", True)
+    return info
 
 
 def relative_discriminant_general(delta: Elem) -> GeneralDiscFactorization:

@@ -33,14 +33,22 @@ them.
 
 The arithmetic runs on integer coordinate pairs (a, b) modulo W, with no
 object per step: _mul is the product by the t^2 rule, _valuation takes v2
-of the norm from its lowest set bit, and SquareClassSpace._classify_coords
-is decompose on a pair.  LocalElem is the public wrapper over one pair; its
-product and valuation and SquareClassSpace.decompose call the same kernels,
-and the hot loops of the square-class space, the norm-group search and the
-duality report call them on pairs directly.  The report holds its symbol
-table as one bitmask row per class (bit j of row i set iff the symbol is
--1), so bilinearity in the first argument is one XOR per pair of rows, and
-it pairs classes through the Gram matrix's rows as masks.
+of the norm from its lowest set bit, _unit_inverse, _div_pi and _div_int
+divide, and SquareClassSpace._classify_coords is decompose on a pair, one
+function body that takes the valuation, the product by f_v, the shift, the
+lattice key and the table read.  LocalElem is the public wrapper over one
+pair, immutable, with __slots__; its operations, sqrt_certificate and
+SquareClassSpace.decompose call the same kernels, and the hot loops of the
+square-class space, the norm-group search and the duality report call them
+on pairs directly.  The square certificate and the units-mod-squares lemma
+run on pairs as well: sqrt_certificate wraps its pair kernel _sqrt_coords,
+which builds a LocalElem only for the input and output of the Newton step,
+and the certificate returned is the only other one.  The report's
+linearity check classifies each unordered product of two representatives
+once, since _mul gives the same pair in both argument orders.  The report
+holds its symbol table as one bitmask row per class (bit j of row i set iff
+the symbol is -1), so bilinearity in the first argument is one XOR per pair
+of rows, and it pairs classes through the Gram matrix's rows as masks.
 
 A field's tables never change, so local_field() and all_local_fields()
 intern their fields, one LocalField per (kind, c, precision), as
@@ -58,7 +66,6 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,9 +94,11 @@ class LocalField:
     instance caches, on first use, its square-class space (basis and unit
     table, see SquareClassSpace), the symbol rows that hilbert_symbol reads
     (as ints), the digit samples of _sample_integral and the unit classes of
-    _level_classes (as tuples); no code mutates any of them once built.  Each is a function of the descriptor and the precision
-    alone, so a lazy build that two threads race to fill computes the same
-    value whichever write lands: instances may be shared between threads.
+    _level_classes (as tuples); no code mutates any of them once built.
+    The elements one, zero and pi are built with the instance.  Each cache
+    is a function of the descriptor and the precision alone, so a lazy
+    build that two threads race to fill computes the same value whichever
+    write lands: instances may be shared between threads.
     The generator t of the basis {1, t} satisfies t^2 = T t + C, with
     (T, C) = (0, 0) for Q2, (1, 1) for the unramified field and (0, c) for
     Q2(sqrt c); LocalElem's arithmetic reads only these two constants.
@@ -118,6 +127,11 @@ class LocalField:
         self.dim = self.e * self.f + 2  # dim of K^x / (K^x)^2 over F2
         # residue field digits: F2, or F4 as bit pairs p + q*g
         self.digits = ((0, 0), (1, 0)) if self.f == 1 else ((0, 0), (1, 0), (0, 1), (1, 1))
+        self.zero, self.one = LocalElem(self, 0, 0), LocalElem(self, 1, 0)
+        if self.e == 1:
+            self.pi = LocalElem(self, 2, 0)
+        else:  # sqrt c for even c, 1 + sqrt c for odd c
+            self.pi = LocalElem(self, self.c % 2, 1)
         self._symbol_memo: dict[int, int] = {}
         self._sample_memo: dict[int, tuple[LocalElem, ...]] = {}
         self._square_memo: dict[int, tuple[LocalElem, ...]] = {}
@@ -137,22 +151,6 @@ class LocalField:
 
     __call__ = elem
 
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
-
-    @property
-    def pi(self) -> "LocalElem":
-        if self.e == 1:
-            return self.elem(2)
-        if self.c % 2 == 0:
-            return self.elem(0, 1)  # sqrt c
-        return self.elem(1, 1)  # 1 + sqrt c
-
     def from_rational(self, q) -> "LocalElem":
         """Embed a nonzero rational, normalizing the even part to pi^(0 or 1)
         times a unit (enough for square-class work)."""
@@ -169,10 +167,7 @@ class LocalField:
 
     def residue(self, x: "LocalElem") -> tuple[int, int]:
         """Image in the residue field: a bit for F2, a bit pair p + q*g for F4."""
-        if self.f == 2:
-            return (x.a & 1, x.b & 1)
-        # f = 1 makes T = 0, and on F2 t = t^2 = C
-        return ((x.a + self.C * x.b) & 1, 0)
+        return _residue(self, x.a, x.b)
 
     def res_mul(self, r, s):
         p1, q1 = r
@@ -225,7 +220,8 @@ class LocalField:
 
 
 def _mul(F: LocalField, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int]:
-    """The pair of (a1 + b1 t)(a2 + b2 t) modulo W, by t^2 = T t + C."""
+    """The pair of (a1 + b1 t)(a2 + b2 t) modulo W, by t^2 = T t + C.  The
+    formula is symmetric in its two arguments."""
     bb = b1 * b2
     W = F.W
     return (a1 * a2 + F.C * bb) % W, (a1 * b2 + b1 * a2 + F.T * bb) % W
@@ -245,14 +241,109 @@ def _valuation(F: LocalField, a: int, b: int) -> int | None:
     return None if v > F.vcap else v
 
 
-@dataclass(frozen=True)
+def _unit_inverse(F: LocalField, a: int, b: int) -> tuple[int, int]:
+    """The pair of 1 / (a + b t), its conjugate over its odd norm."""
+    n = a * a + F.T * a * b - F.C * b * b
+    if n % 2 == 0:
+        raise ValueError("not a unit")
+    W = F.W
+    inv_n = pow(n, -1, W)
+    return (a + F.T * b) % W * inv_n % W, -b % W * inv_n % W
+
+
+def _div_pi(F: LocalField, a: int, b: int) -> tuple[int, int]:
+    """The pair of (a + b t) / pi; ValueError unless pi divides it."""
+    W = F.W
+    if F.e == 1:  # pi = 2
+        if a % 2 or b % 2:
+            raise ValueError(f"{LocalElem(F, a, b)} is not divisible by pi")
+        return (a // 2) % W, (b // 2) % W
+    if F.c % 2 == 0:  # pi = sqrt c; x / pi = b + (a / c) sqrt c
+        if a % 2:
+            raise ValueError(f"{LocalElem(F, a, b)} is not divisible by pi")
+        return b, (a // 2) * pow(F.c // 2, -1, W) % W
+    # pi = 1 + sqrt c: x / pi = x conj(pi) / (1 - c), v2(1 - c) = 1
+    ya, yb = _mul(F, a, b, 1, -1 % W)
+    if ya % 2 or yb % 2:
+        raise ValueError(f"{LocalElem(F, a, b)} is not divisible by pi")
+    inv = pow((1 - F.c) // 2, -1, W)
+    return (ya // 2) * inv % W, (yb // 2) * inv % W
+
+
+def _shift_coords(F: LocalField, a: int, b: int, v: int) -> tuple[int, int]:
+    """The pair of (a + b t) / pi^v, by v exact divisions."""
+    for _ in range(v):
+        a, b = _div_pi(F, a, b)
+    return a, b
+
+
+def _div_int(F: LocalField, a: int, b: int, k: int) -> tuple[int, int]:
+    """The pair of (a + b t) / k; ValueError unless k divides both."""
+    if a % k or b % k:
+        raise ValueError(f"{LocalElem(F, a, b)} is not divisible by {k}")
+    return (a // k) % F.W, (b // k) % F.W
+
+
+def _pi_power(F: LocalField, k: int) -> tuple[int, int]:
+    """The pair of pi^k for k >= 0."""
+    pa, pb = F.pi.a, F.pi.b
+    a, b = 1, 0
+    for _ in range(k):
+        a, b = _mul(F, a, b, pa, pb)
+    return a, b
+
+
+def _residue(F: LocalField, a: int, b: int) -> tuple[int, int]:
+    """Image of a + b t in the residue field: a bit for F2, a bit pair
+    p + q*g for F4."""
+    if F.f == 2:
+        return (a & 1, b & 1)
+    # f = 1 makes T = 0, and on F2 t = t^2 = C
+    return ((a + F.C * b) & 1, 0)
+
+
+def _agree(F: LocalField, a1: int, b1: int, a2: int, b2: int) -> bool:
+    """The two pairs are indistinguishable modulo pi^(e * precision)."""
+    W = F.W
+    da, db = (a1 - a2) % W, (b1 - b2) % W
+    if not (da or db):
+        return True
+    v = _valuation(F, da, db)
+    return v is None or v >= F.e * F.precision
+
+
 class LocalElem:
     """a + b t over the generator t of the field, as the coordinates modulo
-    W; the public wrapper over the pair kernels _mul and _valuation."""
+    W; the public wrapper over the pair kernels.  Immutable: the slots are
+    written once, by __init__, and attribute assignment raises.  Equal and
+    hashable by (field, a, b)."""
 
-    field: LocalField
-    a: int
-    b: int = 0
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field: LocalField, a: int, b: int = 0):
+        _set_field(self, field)
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable LocalElem")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable LocalElem")
+
+    def __eq__(self, other):
+        if other.__class__ is not LocalElem:
+            return NotImplemented
+        return (self.field, self.a, self.b) == (other.field, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b))
+
+    def __repr__(self):
+        return f"LocalElem(field={self.field!r}, a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self):
+        return LocalElem, (self.field, self.a, self.b)
 
     def __mul__(self, other: "LocalElem") -> "LocalElem":
         F = self.field
@@ -291,38 +382,15 @@ class LocalElem:
 
     def unit_inverse(self) -> "LocalElem":
         F = self.field
-        n = self.norm_int()
-        if n % 2 == 0:
-            raise ValueError("not a unit")
-        inv_n = pow(n, -1, F.W)
-        c = self.conj()
-        return LocalElem(F, c.a * inv_n % F.W, c.b * inv_n % F.W)
+        return LocalElem(F, *_unit_inverse(F, self.a, self.b))
 
     def div_exact_pi(self) -> "LocalElem":
         F = self.field
-        W = F.W
-        if F.e == 1:  # pi = 2
-            if self.a % 2 or self.b % 2:
-                raise ValueError(f"{self} is not divisible by pi")
-            return LocalElem(F, (self.a // 2) % W, (self.b // 2) % W)
-        if F.c % 2 == 0:  # pi = sqrt c; x / pi = b + (a / c) sqrt c
-            if self.a % 2:
-                raise ValueError(f"{self} is not divisible by pi")
-            u = F.c // 2
-            return LocalElem(F, self.b, (self.a // 2) * pow(u, -1, W) % W)
-        # pi = 1 + sqrt c: x / pi = x conj(pi) / (1 - c), v2(1 - c) = 1
-        y = self * LocalElem(F, 1, -1 % W)
-        u = (1 - F.c) // 2
-        if y.a % 2 or y.b % 2:
-            raise ValueError(f"{self} is not divisible by pi")
-        inv = pow(u, -1, W)
-        return LocalElem(F, (y.a // 2) * inv % W, (y.b // 2) * inv % W)
+        return LocalElem(F, *_div_pi(F, self.a, self.b))
 
     def div_exact_int(self, k: int) -> "LocalElem":
-        if self.a % k or self.b % k:
-            raise ValueError(f"{self} is not divisible by {k}")
         F = self.field
-        return LocalElem(F, (self.a // k) % F.W, (self.b // k) % F.W)
+        return LocalElem(F, *_div_int(F, self.a, self.b, k))
 
     def __pow__(self, k: int) -> "LocalElem":
         out = self.field.one
@@ -341,6 +409,10 @@ class LocalElem:
 
     def key(self):
         return (self.a, self.b)
+
+
+# the slots' own writers, which __init__ calls past the refusing __setattr__
+_set_field, _set_a, _set_b = (LocalElem.__dict__[name].__set__ for name in LocalElem.__slots__)
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:
@@ -386,7 +458,7 @@ def unit_level(u: LocalElem) -> int:
     cap = 2 * F.e + 1
     if u.valuation() != 0:
         raise ValueError("unit required")
-    v = (u - F.one).valuation()
+    v = _valuation(F, (u.a - 1) % F.W, u.b % F.W)
     return cap if v is None else min(v, cap)
 
 
@@ -395,67 +467,76 @@ def sqrt_certificate(x: LocalElem) -> LocalElem | None:
 
     Iterative reduction: strip pi^2, take residue square roots at even
     levels below 2e, apply the trace criterion at level 2e, and finish
-    with Newton above 2e (the local square theorem's range)."""
+    with Newton above 2e (the local square theorem's range).  The work runs
+    on pairs, in _sqrt_coords."""
     F = x.field
-    v = x.valuation()
+    root = _sqrt_coords(F, x.a, x.b)
+    return None if root is None else LocalElem(F, *root)
+
+
+def _sqrt_coords(F: LocalField, a: int, b: int) -> tuple[int, int] | None:
+    """sqrt_certificate on the pair (a, b): the pair of the certificate, or
+    None if a + b t is not a square.  It reads no square-class table.  The
+    Newton step takes and returns a LocalElem; every other step is a pair
+    kernel."""
+    v = _valuation(F, a, b)
     if v is None:
         raise ValueError("cannot decide squareness of 0 at this precision")
     if v % 2:
         return None
-    half = F.pi ** (v // 2)
-    u = _shift_down(x, v)
-    w = F.one
-    two_e = 2 * F.e
+    W, two_e = F.W, 2 * F.e
+    ua, ub = _shift_coords(F, a, b, v)
+    wa, wb = 1, 0
     for _ in range(4 * F.e + 8):
-        lvl_elem = u - F.one
-        lvl = lvl_elem.valuation()
+        la, lb = (ua - 1) % W, ub % W  # u - 1
+        lvl = _valuation(F, la, lb)
         if lvl is None or lvl >= two_e + 1:
             break
         if lvl % 2 and lvl < two_e:
             return None
         if lvl == two_e:
             # u = 1 + 4 t: square iff the residue trace of t vanishes
-            t = lvl_elem.div_exact_int(4)
-            y = F.artin_schreier_solve(F.residue(t))
+            y = F.artin_schreier_solve(_residue(F, *_div_int(F, la, lb, 4)))
             if y is None:
                 return None
-            factor = F.one + F.res_lift(y) * F.elem(2)
+            fa, fb = 1 + 2 * y[0], 2 * y[1]  # 1 + 2 lift(y)
         else:
             # even level below 2e: divide by (1 + pi^(lvl/2) t)^2
-            t_res = F.res_sqrt(F.residue(_shift_down(lvl_elem, lvl)))
-            factor = F.one + F.res_lift(t_res) * F.pi ** (lvl // 2)
-        w = w * factor
-        u = u * (factor * factor).unit_inverse()
+            t0, t1 = F.res_sqrt(_residue(F, *_shift_coords(F, la, lb, lvl)))
+            fa, fb = _mul(F, t0, t1, *_pi_power(F, lvl // 2))
+            fa = (fa + 1) % W
+        wa, wb = _mul(F, wa, wb, fa, fb)
+        ua, ub = _mul(F, ua, ub, *_unit_inverse(F, *_mul(F, fa, fb, fa, fb)))
     else:
         raise AssertionError("square reduction did not terminate")
-    z = _newton_unit_sqrt(u)
+    z = _newton_unit_sqrt(LocalElem(F, ua, ub))
     if z is None:
         return None
-    cert = half * w * z
-    if not agree_at_precision(cert * cert, x):
+    ca, cb = _mul(F, *_mul(F, *_pi_power(F, v // 2), wa, wb), z.a, z.b)
+    if not _agree(F, *_mul(F, ca, cb, ca, cb), a, b):
         raise AssertionError("certificate fails at precision")
-    return cert
+    return ca, cb
 
 
 def _shift_down(x: LocalElem, v: int) -> LocalElem:
-    for _ in range(v):
-        x = x.div_exact_pi()
-    return x
+    return LocalElem(x.field, *_shift_coords(x.field, x.a, x.b, v))
 
 
 def _newton_unit_sqrt(u: LocalElem) -> LocalElem | None:
-    """Square root of u in U_(2e+1) by z -> (z + u/z)/2."""
+    """Square root of u in U_(2e+1) by z -> (z + u/z)/2, on pairs."""
     F = u.field
     lvl = unit_level(u)
     if lvl < 2 * F.e + 1:
         raise AssertionError(f"Newton square root needs U_{2 * F.e + 1}, got U_{lvl}")
-    z = F.one
+    W, ua, ub = F.W, u.a, u.b
+    za, zb = 1, 0
     for _ in range(F.precision * F.e + 8):
-        nz = (z + u * z.unit_inverse()).div_exact_int(2)
-        if nz == z:
+        qa, qb = _mul(F, ua, ub, *_unit_inverse(F, za, zb))
+        na, nb = _div_int(F, (za + qa) % W, (zb + qb) % W, 2)
+        if na == za and nb == zb:
             break
-        z = nz
-    return z
+        za, zb = na, nb
+    return LocalElem(F, za, zb)
 
 
 def square_mod_level(u: LocalElem, target: int) -> bool:
@@ -478,11 +559,7 @@ def square_mod_level(u: LocalElem, target: int) -> bool:
 
 def agree_at_precision(x: LocalElem, y: LocalElem) -> bool:
     """Indistinguishable modulo pi^(e * precision)."""
-    diff = x - y
-    if not diff:
-        return True
-    v = diff.valuation()
-    return v is None or v >= x.field.e * x.field.precision
+    return _agree(x.field, x.a, x.b, y.a, y.b)
 
 
 def is_square(x: LocalElem) -> bool:
@@ -592,16 +669,24 @@ class SquareClassSpace:
 
     def _classify_coords(self, a: int, b: int, v: int | None = None) -> int:
         """decompose on the pair (a, b); v is _valuation(F, a, b) when the
-        caller already holds it.  One product by f_v, a shift and a table
-        read."""
+        caller already holds it.  One product by f_v, a shift, the lattice
+        key and a table read, in this one body: the classify kernel."""
+        F = self.field
         if v is None:
-            v = _valuation(self.field, a, b)
+            v = _valuation(F, a, b)
             if v is None:
                 raise ValueError("cannot classify 0")
-        return v % 2 | self.table[self._unit_key(a, b, v)] << 1
+        (fa, fb), s = self._unshift[v]
+        W, bb = F.W, b * fb
+        ua = (a * fa + F.C * bb) % W >> s
+        ub = (a * fb + b * fa + F.T * bb) % W >> s
+        la, lb, lc = self._lattice
+        return v % 2 | self.table[ub % lc * la + (ua - ub // lc * lb) % la] << 1
 
     def _unit_key(self, a: int, b: int, v: int) -> int:
-        """key(x / pi^v) of the pair (a, b) of x, v = _valuation, as x f_v / 2^s."""
+        """key(x / pi^v) of the pair (a, b) of x, v = _valuation, as x f_v / 2^s:
+        the key step of _classify_coords composed from _mul and _key, which
+        the tests check against v divisions by pi."""
         (fa, fb), s = self._unshift[v]
         ua, ub = _mul(self.field, a, b, fa, fb)
         return self._key(ua >> s, ub >> s)
@@ -896,10 +981,14 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
 
 def _decompose_linear(F: LocalField, reps) -> bool:
     """decompose is linear on the products of the representative pairs:
-    the class of reps[i] reps[j] is i ^ j, for all n^2 products."""
+    the class of reps[i] reps[j] is i ^ j.  _mul is one formula symmetric
+    in its arguments, so reps[j] reps[i] is the same pair as reps[i]
+    reps[j], and each of the n (n + 1) / 2 distinct products is classified
+    once, for i <= j."""
     classify = F.space()._classify_coords
     for i, (a1, b1) in enumerate(reps):
-        for j, (a2, b2) in enumerate(reps):
+        for j in range(i, len(reps)):
+            a2, b2 = reps[j]
             if classify(*_mul(F, a1, b1, a2, b2)) != i ^ j:
                 return False
     return True
@@ -970,25 +1059,23 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
 
 
 def _units_mod_squares_constructive(F: LocalField) -> bool:
-    # U_2k = U_(2k+1) U_k^2 for 0 <= k <= e-1, constructively
-    one = F.one
+    # U_2k = U_(2k+1) U_k^2 for 0 <= k <= e-1, constructively, on pairs
+    W = F.W
     for k in range(0, F.e):
-        pi_k = F.pi**k
-        pi_2k = pi_k * pi_k
+        pka, pkb = _pi_power(F, k)
+        p2a, p2b = _mul(F, pka, pkb, pka, pkb)
         for t in F.samples(2):
-            u = one + t * pi_2k
-            if u.valuation() != 0:
+            la, lb = _mul(F, t.a, t.b, p2a, p2b)  # u - 1 for u = 1 + t pi^2k
+            ua = (la + 1) % W
+            if _valuation(F, ua, lb) != 0:
                 continue
-            lvl_elem = u - F.one
-            lvl = lvl_elem.valuation()
-            if lvl is None or lvl < 2 * k:
-                continue
-            if lvl >= 2 * k + 1:
-                continue  # already in U_(2k+1), factor (1)^2
-            t_res = F.res_sqrt(F.residue(_shift_down(lvl_elem, 2 * k)))
-            factor = one + F.res_lift(t_res) * pi_k
-            rem = u * (factor * factor).unit_inverse()
-            lv = (rem - F.one).valuation()
+            if _valuation(F, la, lb) != 2 * k:
+                continue  # None or above 2k: already in U_(2k+1), factor (1)^2
+            t0, t1 = F.res_sqrt(_residue(F, *_shift_coords(F, la, lb, 2 * k)))
+            fa, fb = _mul(F, t0, t1, pka, pkb)
+            fa = (fa + 1) % W
+            ra, rb = _mul(F, ua, lb, *_unit_inverse(F, *_mul(F, fa, fb, fa, fb)))
+            lv = _valuation(F, (ra - 1) % W, rb)
             if lv is not None and lv < 2 * k + 1:
                 return False
     return True
@@ -996,21 +1083,20 @@ def _units_mod_squares_constructive(F: LocalField) -> bool:
 
 def _trace_criterion_exhaustive(F: LocalField) -> bool:
     # on U_2e = 1 + 4x: square iff residue trace of x vanishes; the
-    # certificate's unit part must sit in U_e (up to sign)
+    # certificate's unit part must sit in U_e (up to sign).  The
+    # certificates are _sqrt_coords's, on pairs
+    W = F.W
     for x in F.samples(2):
-        u = F.one + x * F.elem(4)
-        if u.valuation() != 0:
+        ua, ub = (4 * x.a + 1) % W, 4 * x.b % W
+        if _valuation(F, ua, ub) != 0:
             continue
-        expect = F.res_trace(F.residue(x)) == 0
-        cert = sqrt_certificate(u)
+        expect = F.res_trace(_residue(F, x.a, x.b)) == 0
+        cert = _sqrt_coords(F, ua, ub)
         if (cert is not None) != expect:
             return False
         if cert is not None:
-            ok = False
-            for w in (cert, -cert):
-                lv = (w - F.one).valuation()
-                if lv is None or lv >= F.e:
-                    ok = True
-            if not ok:
+            ca, cb = cert
+            levels = (_valuation(F, (ca - 1) % W, cb), _valuation(F, (-ca - 1) % W, -cb % W))
+            if not any(lv is None or lv >= F.e for lv in levels):
                 return False
     return True

@@ -8,7 +8,9 @@ walk of ideals._cf_generator, the form reduction of ideals._gauss_generator
 and the principal-ideal enumeration of discriminants.discriminant_classes
 replaced, with the HNF-bucket merge of the last), square certificates
 for the dyadic unit square classes (the search that the explicit squares of
-dyadic.SquareClassSpace replaced), and the quadratic character on elements
+dyadic.SquareClassSpace replaced), square certificates computed step by
+step on LocalElem objects (the route that the pair kernels of
+dyadic.sqrt_certificate replaced), and the quadratic character on elements
 through principal ideals, gcds and factorizations (the route that the
 integer coordinates of characters.QuadCharacter replaced), and local square
 solvability by field-element residues and principal-ideal valuations (the
@@ -73,11 +75,14 @@ from relquad.dyadic import (
     SquareClassSpace,
     _gf2_insert,
     _sample_integral,
+    _shift_down,
     _unit_candidates,
+    agree_at_precision,
     hilbert_symbol,
     is_square,
     span_masks,
     unit_filtration,
+    unit_level,
 )
 from relquad.field import (
     Elem,
@@ -471,6 +476,57 @@ def certificate_square_classes(F: LocalField, key) -> tuple[list[LocalElem], dic
         assert mask is not None, u
         table[key(u)] = mask
     return basis_units, table
+
+
+# -- square certificates on LocalElem objects: the route the pair kernels replaced
+
+
+def sqrt_certificate_by_elems(x: LocalElem) -> LocalElem | None:
+    """dyadic.sqrt_certificate with every step a LocalElem operation: strip
+    pi^2, take residue square roots at even levels below 2e, apply the trace
+    criterion at level 2e, and finish with Newton above 2e."""
+    F = x.field
+    v = x.valuation()
+    if v is None:
+        raise ValueError("cannot decide squareness of 0 at this precision")
+    if v % 2:
+        return None
+    half = F.pi ** (v // 2)
+    u = _shift_down(x, v)
+    w = F.one
+    two_e = 2 * F.e
+    for _ in range(4 * F.e + 8):
+        lvl_elem = u - F.one
+        lvl = lvl_elem.valuation()
+        if lvl is None or lvl >= two_e + 1:
+            break
+        if lvl % 2 and lvl < two_e:
+            return None
+        if lvl == two_e:
+            t = lvl_elem.div_exact_int(4)
+            y = F.artin_schreier_solve(F.residue(t))
+            if y is None:
+                return None
+            factor = F.one + F.res_lift(y) * F.elem(2)
+        else:
+            t_res = F.res_sqrt(F.residue(_shift_down(lvl_elem, lvl)))
+            factor = F.one + F.res_lift(t_res) * F.pi ** (lvl // 2)
+        w = w * factor
+        u = u * (factor * factor).unit_inverse()
+    else:
+        raise AssertionError("square reduction did not terminate")
+    if unit_level(u) < 2 * F.e + 1:
+        raise AssertionError(f"Newton square root needs U_{2 * F.e + 1}")
+    z = F.one
+    for _ in range(F.precision * F.e + 8):
+        nz = (z + u * z.unit_inverse()).div_exact_int(2)
+        if nz == z:
+            break
+        z = nz
+    cert = half * w * z
+    if not agree_at_precision(cert * cert, x):
+        raise AssertionError("certificate fails at precision")
+    return cert
 
 
 # -- the character on elements through ideal objects ------------------------------

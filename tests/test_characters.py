@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -202,6 +203,65 @@ def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5)
     assert [count_square_roots_local_product(again, a) for a in pool] == counts
     assert again._local_memo == verdicts
     assert len(calls) == 2 * made
+
+
+def test_hand_made_info_cannot_poison_the_shared_setup(Q):
+    # over Q, f(-16) = (2); an info claiming f = (1) is refused, naming
+    # delta, and leaves the memo with the true info: a fresh character of
+    # -16 still weights gcd (4) by N(f) = 2, and a hand-made info equal to
+    # the true one is accepted
+    characters._memos.cache_clear()
+    delta = Q.elem(-16)
+    true = conductor_ideal(delta)
+    bad = replace(true, f_delta=unit_ideal(Q), rel_disc=principal_ideal(Q.elem(16)))
+    assert not bad.from_conductor_ideal and true.from_conductor_ideal
+    with pytest.raises(ValueError, match="-16"):
+        QuadCharacter(bad)
+    memo = characters._memos(delta)
+    assert memo.info == true and memo.info.f_delta == principal_ideal(Q.elem(2))
+    assert QuadCharacter(delta).extended(principal_ideal(Q.elem(4))) == 2
+    with pytest.raises(ValueError, match="-16"):
+        QuadCharacter(bad)
+    assert QuadCharacter(replace(true)).info == true
+    assert characters._memos(delta).info.f_delta == principal_ideal(Q.elem(2))
+
+
+def test_characters_from_elements_read_the_memo_info(monkeypatch, Q5):
+    # the first character of delta runs conductor_ideal once; later ones,
+    # from the element or from the info, read the memo's info
+    characters._memos.cache_clear()
+    calls = []
+
+    def counted(delta):
+        calls.append(delta)
+        return conductor_ideal(delta)
+
+    monkeypatch.setattr(characters, "conductor_ideal", counted)
+    delta = Q5.elem(-12)
+    first = QuadCharacter(delta)
+    assert calls == [delta] and first.info == conductor_ideal(delta)
+    for _ in range(3):
+        again = QuadCharacter(delta)
+        assert again.info is first.info and again.conductor == first.conductor
+    assert QuadCharacter(first.info).info is first.info
+    assert calls == [delta]
+
+
+def test_non_discriminant_leaves_no_memo_entry_filled(Q, Q5):
+    # an element that is not a square mod 4 raises conductor_ideal's
+    # ValueError every time, and its memo entry stays empty
+    for K, x in ((Q, 3), (Q5, 2)):
+        characters._memos.cache_clear()
+        delta = K.elem(x)
+        with pytest.raises(ValueError) as first:
+            conductor_ideal(delta)
+        for _ in range(2):
+            with pytest.raises(ValueError) as got:
+                QuadCharacter(delta)
+            assert str(got.value) == str(first.value)
+            memo = characters._memos(delta)
+            assert memo.info is None and memo.setup is None
+            assert not memo.prime and not memo.unit_part and not memo.local
 
 
 def test_character_memos_keep_fields_apart(Q, Q5):

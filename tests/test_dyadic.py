@@ -41,6 +41,7 @@ from helpers import (
     local_valuation_by_halving,
     norm_class_rows_by_decompose,
     orthogonal_complement_by_pair_bits,
+    sqrt_certificate_by_elems,
     symmetric_by_entries,
 )
 
@@ -255,15 +256,35 @@ def test_square_class_space_matches_certificate_build(desc, extra, monkeypatch):
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
 
-    def no_certificates(x):
+    def no_certificates(*args):
         raise AssertionError("square certificate requested at set-up")
 
     with monkeypatch.context() as m:
         m.setattr(dyadic, "sqrt_certificate", no_certificates)
+        m.setattr(dyadic, "_sqrt_coords", no_certificates)
         space = SquareClassSpace(F)
     basis_units, table = certificate_square_classes(F, space.key)
     assert space.basis == [F.pi, *basis_units]
     assert space.table == table
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_sqrt_certificate_matches_element_route(desc, extra):
+    # the certificate on pairs against the LocalElem route it replaced, on
+    # every nonzero digit pattern of depth 2e + 2: the same certificate, or
+    # None for both; the pair kernel gives the certificate's pair
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    squares = 0
+    for x in F.samples(2 * F.e + 2):
+        if not x:
+            continue
+        cert = sqrt_certificate_by_elems(x)
+        assert sqrt_certificate(x) == cert, (desc, x)
+        assert dyadic._sqrt_coords(F, x.a, x.b) == (None if cert is None else (cert.a, cert.b))
+        squares += cert is not None
+    assert squares, desc
 
 
 @pytest.mark.parametrize("extra", [0, 4])
@@ -646,3 +667,111 @@ def test_orthogonal_classes_match_pair_bits(desc):
     for rows in subspaces:
         expected = dyadic.span_masks(orthogonal_complement_by_pair_bits(F, rows, gram))
         assert dyadic._orthogonal_classes(F, gram_rows, rows) == expected, (desc, rows)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_products_of_representatives_are_symmetric(desc):
+    # the premise of classifying each unordered product once in
+    # _decompose_linear: both argument orders give the same pair
+    F = local_field(desc)
+    reps = F.space().rep_pairs
+    for p in reps:
+        for q in reps:
+            assert dyadic._mul(F, *p, *q) == dyadic._mul(F, *q, *p), (desc, p, q)
+
+
+def test_local_elem_is_immutable_and_equal_by_value():
+    F = local_field("ram:-5")
+    x = F.elem(3, 4)
+    for name in ("field", "a", "b", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.a
+    assert (x.field, x.a, x.b) == (F, 3, 4)
+    y = LocalElem(F, 3, 4)
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != F.elem(3, 5) and x != F.elem(4, 4)
+    assert x != local_field("ram:-5", F.precision + 4).elem(3, 4)
+    assert x != LocalField("ram", -5).elem(3, 4)
+    assert x != (3, 4) and len({x, y, F.elem(3, 5)}) == 2
+    assert repr(x) == f"LocalElem(field={F!r}, a=3, b=4)"
+
+
+def test_field_constants_are_per_instance():
+    # one, zero and pi are built with the field: the same object on every
+    # access, and never shared with a private field or another precision
+    for desc in DESCRIPTORS:
+        F = local_field(desc)
+        fine = local_field(desc, F.precision + 4)
+        private = LocalField(*_descriptor_args(desc))
+        for name, pair in (("zero", (0, 0)), ("one", (1, 0))):
+            assert getattr(F, name) is getattr(F, name) and getattr(F, name).key() == pair
+        assert F.pi is F.pi and F.pi.valuation() == 1
+        for G in (fine, private):
+            for name in ("zero", "one", "pi"):
+                mine, theirs = getattr(F, name), getattr(G, name)
+                assert mine is not theirs and mine != theirs and mine.key() == theirs.key()
+                assert theirs.field is G, (desc, name)
+
+
+def test_dyadic_verify_verdicts_survive_optimize():
+    # relquad verify dyadic exits 0 under python -O; with the certificate
+    # kernel of the trace criterion returning None, that check, and only
+    # that one, fails in all eight fields and the exit code is 1
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import relquad.dyadic as dyadic\n"
+        "from relquad.cli import main\n"
+        "if sys.argv[1] == 'broken':\n"
+        "    dyadic._sqrt_coords = lambda F, a, b: None\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['verify', 'dyadic'])\n"
+        "rep = json.loads(out.getvalue())\n"
+        "failed = sorted({f.split(': ')[1] for f in rep['failures']})\n"
+        "print(json.dumps([__debug__, code, len(rep['reports']), failed]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dyadic.__file__).parents[1])}
+    runs = {}
+    for mode in ("real", "broken"):
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code, mode], capture_output=True, text=True, env=env, check=True
+        )
+        runs[mode] = out.stdout.strip()
+    assert runs["real"] == '[false, 0, 8, []]'
+    assert runs["broken"] == '[false, 1, 8, ["trace_criterion_level_2e fails"]]'
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_decompose_linear_classifies_each_unordered_product_once(desc, monkeypatch):
+    # the linearity check sends the n (n + 1) / 2 products reps[i] reps[j],
+    # i <= j, squares included, through the classify kernel, one call each,
+    # and they are all the n^2 products
+    F = local_field(desc)
+    space = F.space()
+    reps = space.rep_pairs
+    n = len(reps)
+    seen = []
+    real = SquareClassSpace._classify_coords
+
+    def recorded(self, a, b, v=None):
+        seen.append((a, b))
+        return real(self, a, b, v)
+
+    monkeypatch.setattr(SquareClassSpace, "_classify_coords", recorded)
+    assert dyadic._decompose_linear(F, reps)
+    expected = [dyadic._mul(F, *reps[i], *reps[j]) for i in range(n) for j in range(i, n)]
+    assert len(seen) == n * (n + 1) // 2 and sorted(seen) == sorted(expected)
+    assert set(seen) == {dyadic._mul(F, *p, *q) for p in reps for q in reps}
+
+
+@pytest.mark.parametrize("desc", [d for d in DESCRIPTORS if d != "q2"])
+def test_units_mod_squares_lemma_sees_a_wrong_root(desc, monkeypatch):
+    # with every residue square root taken as 0, the factor built at level
+    # 2k is 1 and leaves u outside U_(2k+1), and the lemma check reads False;
+    # over Q2 the check is vacuous, as every unit lies in U_1
+    F = LocalField(*_descriptor_args(desc))
+    assert dyadic._units_mod_squares_constructive(F)
+    monkeypatch.setattr(LocalField, "res_sqrt", lambda self, r: (0, 0))
+    assert not dyadic._units_mod_squares_constructive(F)
