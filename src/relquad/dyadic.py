@@ -37,7 +37,7 @@ of the norm from its lowest set bit, _unit_inverse, _div_pi and _div_int
 divide, and SquareClassSpace._classify_coords is decompose on a pair, one
 function body that takes the valuation, the product by f_v, the shift, the
 lattice key and the table read.  LocalElem is the public wrapper over one
-pair, immutable, with __slots__; its operations, sqrt_certificate and
+pair, a frozen dataclass; its operations, sqrt_certificate and
 SquareClassSpace.decompose call the same kernels, and the hot loops of the
 square-class space, the norm-group search and the duality report call them
 on pairs directly.  The square certificate and the units-mod-squares lemma
@@ -66,6 +66,7 @@ classes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -193,9 +194,7 @@ class LocalField:
         raise AssertionError("trace-zero element without Artin-Schreier solution")
 
     def res_lift(self, r) -> "LocalElem":
-        if self.f == 2:
-            return self.elem(r[0], r[1])
-        return self.elem(r[0])
+        return LocalElem(self, *_res_lift(self, r))
 
     # -- square classes --------------------------------------------------------
 
@@ -302,6 +301,12 @@ def _residue(F: LocalField, a: int, b: int) -> tuple[int, int]:
     return ((a + F.C * b) & 1, 0)
 
 
+def _res_lift(F: LocalField, r) -> tuple[int, int]:
+    """The pair of the digit that lifts the residue r: p + q t for p + q*g in
+    F4, p for p in F2."""
+    return (r[0], r[1]) if F.f == 2 else (r[0], 0)
+
+
 def _agree(F: LocalField, a1: int, b1: int, a2: int, b2: int) -> bool:
     """The two pairs are indistinguishable modulo pi^(e * precision)."""
     W = F.W
@@ -312,38 +317,14 @@ def _agree(F: LocalField, a1: int, b1: int, a2: int, b2: int) -> bool:
     return v is None or v >= F.e * F.precision
 
 
+@dataclass(frozen=True)
 class LocalElem:
     """a + b t over the generator t of the field, as the coordinates modulo
-    W; the public wrapper over the pair kernels.  Immutable: the slots are
-    written once, by __init__, and attribute assignment raises.  Equal and
-    hashable by (field, a, b)."""
+    W; the public wrapper over the pair kernels."""
 
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: LocalField, a: int, b: int = 0):
-        _set_field(self, field)
-        _set_a(self, a)
-        _set_b(self, b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable LocalElem")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable LocalElem")
-
-    def __eq__(self, other):
-        if other.__class__ is not LocalElem:
-            return NotImplemented
-        return (self.field, self.a, self.b) == (other.field, other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
-
-    def __repr__(self):
-        return f"LocalElem(field={self.field!r}, a={self.a!r}, b={self.b!r})"
-
-    def __reduce__(self):
-        return LocalElem, (self.field, self.a, self.b)
+    field: LocalField
+    a: int
+    b: int = 0
 
     def __mul__(self, other: "LocalElem") -> "LocalElem":
         F = self.field
@@ -409,10 +390,6 @@ class LocalElem:
 
     def key(self):
         return (self.a, self.b)
-
-
-# the slots' own writers, which __init__ calls past the refusing __setattr__
-_set_field, _set_a, _set_b = (LocalElem.__dict__[name].__set__ for name in LocalElem.__slots__)
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:
@@ -499,11 +476,12 @@ def _sqrt_coords(F: LocalField, a: int, b: int) -> tuple[int, int] | None:
             y = F.artin_schreier_solve(_residue(F, *_div_int(F, la, lb, 4)))
             if y is None:
                 return None
-            fa, fb = 1 + 2 * y[0], 2 * y[1]  # 1 + 2 lift(y)
+            ya, yb = _res_lift(F, y)
+            fa, fb = 1 + 2 * ya, 2 * yb  # 1 + 2 lift(y)
         else:
             # even level below 2e: divide by (1 + pi^(lvl/2) t)^2
-            t0, t1 = F.res_sqrt(_residue(F, *_shift_coords(F, la, lb, lvl)))
-            fa, fb = _mul(F, t0, t1, *_pi_power(F, lvl // 2))
+            t = F.res_sqrt(_residue(F, *_shift_coords(F, la, lb, lvl)))
+            fa, fb = _mul(F, *_res_lift(F, t), *_pi_power(F, lvl // 2))
             fa = (fa + 1) % W
         wa, wb = _mul(F, wa, wb, fa, fb)
         ua, ub = _mul(F, ua, ub, *_unit_inverse(F, *_mul(F, fa, fb, fa, fb)))
@@ -516,10 +494,6 @@ def _sqrt_coords(F: LocalField, a: int, b: int) -> tuple[int, int] | None:
     if not _agree(F, *_mul(F, ca, cb, ca, cb), a, b):
         raise AssertionError("certificate fails at precision")
     return ca, cb
-
-
-def _shift_down(x: LocalElem, v: int) -> LocalElem:
-    return LocalElem(x.field, *_shift_coords(x.field, x.a, x.b, v))
 
 
 def _newton_unit_sqrt(u: LocalElem) -> LocalElem | None:
@@ -682,14 +656,6 @@ class SquareClassSpace:
         ub = (a * fb + b * fa + F.T * bb) % W >> s
         la, lb, lc = self._lattice
         return v % 2 | self.table[ub % lc * la + (ua - ub // lc * lb) % la] << 1
-
-    def _unit_key(self, a: int, b: int, v: int) -> int:
-        """key(x / pi^v) of the pair (a, b) of x, v = _valuation, as x f_v / 2^s:
-        the key step of _classify_coords composed from _mul and _key, which
-        the tests check against v divisions by pi."""
-        (fa, fb), s = self._unshift[v]
-        ua, ub = _mul(self.field, a, b, fa, fb)
-        return self._key(ua >> s, ub >> s)
 
     def rep(self, mask: int) -> LocalElem:
         """The product of the basis elements over the bits of mask."""
@@ -1071,8 +1037,8 @@ def _units_mod_squares_constructive(F: LocalField) -> bool:
                 continue
             if _valuation(F, la, lb) != 2 * k:
                 continue  # None or above 2k: already in U_(2k+1), factor (1)^2
-            t0, t1 = F.res_sqrt(_residue(F, *_shift_coords(F, la, lb, 2 * k)))
-            fa, fb = _mul(F, t0, t1, pka, pkb)
+            t = F.res_sqrt(_residue(F, *_shift_coords(F, la, lb, 2 * k)))
+            fa, fb = _mul(F, *_res_lift(F, t), pka, pkb)
             fa = (fa + 1) % W
             ra, rb = _mul(F, ua, lb, *_unit_inverse(F, *_mul(F, fa, fb, fa, fb)))
             lv = _valuation(F, (ra - 1) % W, rb)

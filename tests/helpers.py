@@ -75,7 +75,7 @@ from relquad.dyadic import (
     SquareClassSpace,
     _gf2_insert,
     _sample_integral,
-    _shift_down,
+    _shift_coords,
     _unit_candidates,
     agree_at_precision,
     hilbert_symbol,
@@ -442,6 +442,11 @@ def row_principal_generator(I: Ideal) -> Elem | None:
     return None
 
 
+def shift_down(x: LocalElem, v: int) -> LocalElem:
+    """x / pi^v, by v exact divisions by pi."""
+    return LocalElem(x.field, *_shift_coords(x.field, x.a, x.b, v))
+
+
 # -- square certificates: the unit square-class search the explicit squares replaced
 
 
@@ -492,7 +497,7 @@ def sqrt_certificate_by_elems(x: LocalElem) -> LocalElem | None:
     if v % 2:
         return None
     half = F.pi ** (v // 2)
-    u = _shift_down(x, v)
+    u = shift_down(x, v)
     w = F.one
     two_e = 2 * F.e
     for _ in range(4 * F.e + 8):
@@ -509,7 +514,7 @@ def sqrt_certificate_by_elems(x: LocalElem) -> LocalElem | None:
                 return None
             factor = F.one + F.res_lift(y) * F.elem(2)
         else:
-            t_res = F.res_sqrt(F.residue(_shift_down(lvl_elem, lvl)))
+            t_res = F.res_sqrt(F.residue(shift_down(lvl_elem, lvl)))
             factor = F.one + F.res_lift(t_res) * F.pi ** (lvl // 2)
         w = w * factor
         u = u * (factor * factor).unit_inverse()

@@ -27,7 +27,7 @@ from relquad.dyadic import (
     unit_level,
 )
 from relquad import dyadic
-from relquad.dyadic import LocalElem, SquareClassSpace, _sample_integral, _shift_down
+from relquad.dyadic import LocalElem, SquareClassSpace, _sample_integral
 from relquad.field import make_field
 
 from helpers import (
@@ -41,6 +41,7 @@ from helpers import (
     local_valuation_by_halving,
     norm_class_rows_by_decompose,
     orthogonal_complement_by_pair_bits,
+    shift_down,
     sqrt_certificate_by_elems,
     symmetric_by_entries,
 )
@@ -244,7 +245,7 @@ def test_decompose_table_matches_square_search(desc, extra):
             continue
         for y in (x, x * F.pi, x * F.pi * F.pi):
             v = y.valuation()
-            mask = _first_square_mask(_shift_down(y, v), space.basis[1:])
+            mask = _first_square_mask(shift_down(y, v), space.basis[1:])
             assert space.decompose(y) == v % 2 | mask << 1, (desc, y)
 
 
@@ -417,8 +418,8 @@ def test_private_field_report_matches_interned(desc, monkeypatch):
 @pytest.mark.parametrize("extra", [0, 4, 9])
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_unit_part_matches_shift_down(desc, extra):
-    # x f_v / 2^s has the key and the mask of v divisions by pi, on every
-    # digit pattern of depth 2e + 3 and on those times pi and pi^2
+    # the classify kernel's x f_v / 2^s reads the class of v divisions by pi,
+    # on every digit pattern of depth 2e + 3 and on those times pi and pi^2
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     space = F.space()
@@ -427,9 +428,9 @@ def test_unit_part_matches_shift_down(desc, extra):
             continue
         for y in (x, x * F.pi, x * F.pi * F.pi):
             v = y.valuation()
-            key = space.key(_shift_down(y, v))
-            assert space._unit_key(y.a, y.b, v) == key, (desc, y)
-            assert space.decompose(y) == v % 2 | space.table[key] << 1, (desc, y)
+            expect = v % 2 | space.table[space.key(shift_down(y, v))] << 1
+            assert space._classify_coords(y.a, y.b, v) == expect, (desc, y)
+            assert space.decompose(y) == expect, (desc, y)
 
 
 def test_unit_part_at_the_valuation_cap():
@@ -441,7 +442,9 @@ def test_unit_part_at_the_valuation_cap():
         for u in (F.one, space.basis[-1]):
             y = u * F.pi**top
             assert y.valuation() == top
-            assert space._unit_key(y.a, y.b, top) == space.key(_shift_down(y, top)), F
+            expect = top % 2 | space.table[space.key(shift_down(y, top))] << 1
+            assert space._classify_coords(y.a, y.b, top) == expect, F
+            assert space.decompose(y) == expect, F
 
 
 def test_shared_fields_survive_racing_threads(monkeypatch):
@@ -570,7 +573,7 @@ def test_pair_kernels_match_oracles(case, data):
             with pytest.raises(ValueError, match="cannot classify 0"):
                 space._classify_coords(a, b)
             continue
-        mask = _first_square_mask(_shift_down(LocalElem(F, a, b), v), space.basis[1:])
+        mask = _first_square_mask(shift_down(LocalElem(F, a, b), v), space.basis[1:])
         assert mask is not None, (desc, a, b)
         assert space._classify_coords(a, b) == v % 2 | mask << 1, (desc, a, b)
 
