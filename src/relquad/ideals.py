@@ -46,6 +46,10 @@ symbol (2P, 4P) and the general relative discriminant (st, (st)^2), all
 with L = (1), the HNF box of M; local square solvability uses
 (P^s, P^t, P^(v/2)).  Like Ideal.residues it refuses N(M)/N(L) >
 RESIDUE_ENUMERATION_BOUND with an arith.BoundExceeded naming the bound.
+In each row of candidates the w-coordinate of x^2 - delta is linear in x,
+so the search tests only the one residue class of x where N's w-condition
+holds; the search over the whole box survives as the test oracle
+tests/helpers.py::square_root_coords_by_box.
 """
 
 from __future__ import annotations
@@ -432,7 +436,10 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
     of L per coset of L/M for an integral L containing M, default (1):
     x = i*a' + j*b', y = j*c' over L's HNF (a', b', c'), j outer and i
     inner.  For L = (1) that is M's HNF box in the order of M.residues(),
-    each x its own residue mod M.  N(M)/N(L) is capped like Ideal.residues."""
+    each x its own residue mod M.  A row tests only the i that make the
+    w-coordinate of (x + y*w)^2 - delta divisible by N's c, one class mod
+    c/g or none, and yields in that order.  N(M)/N(L) is capped like
+    Ideal.residues."""
     if not (M.is_integral() and N.is_integral()):
         raise ValueError("integral ideal required")
     if not delta.is_integral():
@@ -453,16 +460,25 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
     t, n = K.omega_trace, K.omega_norm  # 0 and 0 over Q, where y stays 0
     a, _, c = _hnf_triple(M)
     A, B, C = _hnf_triple(N)
+    rows = a // aL  # aL divides a, as a lies in L
     for j in range(c // cL):
         y = j * cL
         x0 = j * bL
         yy_x = -n * y * y - X
-        yy_y = t * y * y - Y
-        for x in range(x0, x0 + a, aL):
-            # (x + y w)^2 - delta = u + v w; _in_hnf(A, B, C, u, v), inlined
-            u = x * x + yy_x
-            v = 2 * x * y + yy_y
-            if v % C == 0 and (u - (v // C) * B) % A == 0:
+        # (x + y w)^2 - delta = u + v w with x = x0 + i aL: v = v0 + i k is
+        # linear in i, so C | v confines i to one class mod C/g, g = gcd(k, C),
+        # or to none; the search runs over that class only, in the same order
+        v0 = 2 * x0 * y + t * y * y - Y
+        k = 2 * y * aL
+        g = gcd(k, C)
+        if v0 % g:
+            continue
+        step = C // g
+        i0 = -(v0 // g) * pow(k // g, -1, step) % step
+        for i in range(i0, rows, step):
+            x = x0 + i * aL
+            # _in_hnf(A, B, C, u, v), inlined; C | v holds by the choice of i
+            if (x * x + yy_x - ((v0 + i * k) // C) * B) % A == 0:
                 yield x, y
 
 

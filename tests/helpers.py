@@ -39,8 +39,10 @@ classes over a Gram matrix of one Hilbert symbol per pair of basis elements
 replaced), and the Dirichlet tables of the decomposition law with every n
 factored again by trial division over the least prime factors and every
 product of the convolution multiplied out (the routes that the cached
-prime-power sieve and the zero-skipping convolution of relquad.counting
-replaced), and the extended character with gcd(a, delta) taken as an ideal
+prime-power sieve and the strided hyperbola-split convolution of
+relquad.counting replaced), and the square-root search over the whole HNF
+box, testing every x of each row (the loop that the one residue class of x
+per row of ideals.square_root_coords replaced), and the extended character with gcd(a, delta) taken as an ideal
 and factored (the route that the valuations at the primes of delta in
 characters.QuadCharacter.extended replaced), and with g = gcd(a, delta)^(1/2)
 built as an ideal product and a/g^2 by exact division, and the divisor sum
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from relquad.arith import frac_sqrt, is_prime, kronecker, smallest_prime_factors
+from relquad.arith import BoundExceeded, frac_sqrt, is_prime, kronecker, smallest_prime_factors
 from relquad.characters import _balance
 from relquad.discriminants import (
     DiscriminantInfo,
@@ -95,8 +97,10 @@ from relquad.field import (
     roots_of_unity,
 )
 from relquad.ideals import (
+    RESIDUE_ENUMERATION_BOUND,
     Ideal,
     _hnf_from_vectors,
+    _hnf_triple,
     _unit_box,
     coords_valuation,
     minkowski_bound,
@@ -1243,3 +1247,37 @@ def dirichlet_convolution_by_loops(A: list[int], B: list[int]) -> list[int]:
         for m in range(d, n + 1, d):
             out[m] += A[d] * B[m // d]
     return out
+
+
+def square_root_coords_by_box(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
+    """ideals.square_root_coords testing every x of each row of the box:
+    the same candidates x = i*a' + j*b', y = j*c' over L's HNF, j outer and
+    i inner, and the same checks and bound."""
+    if not (M.is_integral() and N.is_integral()):
+        raise ValueError("integral ideal required")
+    if not delta.is_integral():
+        raise ValueError(f"integral delta required, got {delta}")
+    size = M.norm_int()
+    aL, bL, cL = 1, 0, 1
+    if L is not None:
+        if not (L.is_integral() and L.divides(M)):
+            raise ValueError(f"integral ideal required, containing {M}: got {L}")
+        size //= L.norm_int()
+        aL, bL, cL = _hnf_triple(L)
+    if size > RESIDUE_ENUMERATION_BOUND:
+        raise BoundExceeded(
+            "residue enumeration", f"the ideal {M.pretty()}", size, RESIDUE_ENUMERATION_BOUND
+        )
+    K = delta.field
+    X, Y = delta.X, delta.Y
+    t, n = K.omega_trace, K.omega_norm
+    a, _, c = _hnf_triple(M)
+    A, B, C = _hnf_triple(N)
+    for j in range(c // cL):
+        y = j * cL
+        x0 = j * bL
+        for x in range(x0, x0 + a, aL):
+            u = x * x - n * y * y - X
+            v = 2 * x * y + t * y * y - Y
+            if v % C == 0 and (u - (v // C) * B) % A == 0:
+                yield x, y

@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from helpers import (
     primitive_character_table_by_factoring,
 )
 from relquad import characters, counting, ideals
+from relquad.arith import kronecker, primes_upto
 from relquad.characters import QuadCharacter
 from relquad.counting import (
     RootPair,
@@ -408,6 +410,64 @@ _entries = st.lists(st.integers(-3, 3), max_size=80)
 def test_dirichlet_convolution_matches_loops(A, B):
     # zeros, negative entries, unequal lengths and empty lists
     assert dirichlet_convolution(A, B) == dirichlet_convolution_by_loops(A, B)
+
+
+def _long_entries(rng, length: int) -> list[int]:
+    # zeros and +-1 (the skipped and the map(add / sub) updates) mixed with
+    # small and 13-digit entries (the map(mul) updates)
+    kinds = (0, 1, -1, 2, -3, 10**12, -(10**12))
+    return [rng.choice(kinds) if rng.random() < 0.6 else rng.randint(-(10**12), 10**12) for _ in range(length)]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 600), st.integers(0, 600), st.integers(0, 2**32))
+def test_dirichlet_convolution_matches_loops_on_long_lists(la, lb, seed):
+    # both halves of the hyperbola split, every coefficient branch, unequal
+    # lengths and the empty list
+    rng = random.Random(seed)
+    A, B = _long_entries(rng, la), _long_entries(rng, lb)
+    out = dirichlet_convolution(A, B)
+    assert out == dirichlet_convolution_by_loops(A, B)
+    assert len(out) == min(la, lb)
+
+
+# Q(sqrt d) with d = 1 mod 8 (2 splits), d = 5 mod 8 (2 inert) and d != 1
+# mod 4 (2 ramified), of both signs
+SYMBOL_FIELDS = [17, -7, 33, 5, -3, 13, 2, -1, 10, 3]
+
+
+@pytest.mark.parametrize("d", SYMBOL_FIELDS)
+def test_decomposition_sides_use_separate_symbol_routes(d, monkeypatch):
+    K = make_field(d)
+    expected = {bound: ideal_count_table_by_factoring(K, bound) for bound in (0, 1, 2, 600)}
+
+    def refuse(*args):
+        raise AssertionError(f"kronecker{args} called")
+
+    # every binding of kronecker in relquad, relquad.arith's own and
+    # counting's should it ever import one; the oracle keeps its own
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "relquad" and hasattr(module, "kronecker"):
+            monkeypatch.setattr(module, "kronecker", refuse)
+    for bound, table in expected.items():
+        assert ideal_count_table(K, bound) == table, (d, bound)
+    monkeypatch.undo()
+
+    # the character side reaches at_prime's kronecker once per odd prime off
+    # delta, on a cold memo
+    delta = K.disc
+    characters._memos.cache_clear()
+    chi = QuadCharacter(make_field().elem(delta))
+    calls = []
+
+    def counted(n, p):
+        calls.append(p)
+        return kronecker(n, p)
+
+    monkeypatch.setattr(characters, "kronecker", counted)
+    table = primitive_character_table(chi, 600)
+    assert table == primitive_character_table_by_factoring(chi, 600)
+    assert sorted(calls) == [p for p in primes_upto(600) if p > 2 and delta % p], d
 
 
 def test_dirichlet_tables_at_bound_zero(Q, Q5):

@@ -19,6 +19,7 @@ from helpers import (
     box_principal_generator,
     ideal_product_by_vectors,
     row_principal_generator,
+    square_root_coords_by_box,
     valuation_by_division,
 )
 from relquad.arith import BoundExceeded, primes_upto
@@ -464,6 +465,29 @@ def test_square_root_coords_enumerates_cosets_of_l(test_fields):
     M = primes_above(K, 2)[0].ideal
     with pytest.raises(ValueError, match="integral ideal required"):
         list(square_root_coords(K.elem(0), M, unit_ideal(K), M * M))
+
+
+@pytest.mark.parametrize("d", [None, -1, -3, -15, 2, 5, 10, 13])
+def test_square_root_coords_matches_box_search(d):
+    # the one residue class of x per row against every x of the row: the
+    # same yields in the same order, for L = (1) with (M, N) = (2a, 4a) and
+    # (a, a^2), and for L = P^k as local_square_solvable passes it
+    K = make_field(d)
+    ys = range(-5, 6) if K.degree == 2 else [0]
+    deltas = [K.elem(x, y) for x in range(-9, 10) for y in ys]
+    cases = []
+    for n in range(1, 13):
+        for a in ideals_of_norm(K, n):
+            cases += [(a * 2, a * 4, None), (a, a * a, None)]
+    for p in (2, 3, 5):
+        for P in primes_above(K, p):
+            for k in range(3):
+                for s in range(max(k, 1), k + 3):
+                    cases += [(P.power(s), P.power(t), P.power(k)) for t in (s, 2 * s - k + 1)]
+    for M, N, L in cases:
+        for delta in deltas:
+            found = list(square_root_coords(delta, M, N, L))
+            assert found == list(square_root_coords_by_box(delta, M, N, L)), (K, M, N, L, delta)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 19, 195, -1, -3, -5, -15])

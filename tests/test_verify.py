@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -108,6 +109,37 @@ def test_hurwitz_suite_verdict_survives_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.split() == ["False", "False", "10"]
+
+
+def test_decomposition_verdict_survives_optimize():
+    # the CLI verdict of the decomposition law under python -O: exit 0 as it
+    # stands, and exit 1 with every discriminant counted once the convolution
+    # returns one entry with its sign flipped
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    argv = ["verify", "decomposition", "--bound", "60"]
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "relquad", *argv], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["failure_count"] == 0
+    code = (
+        "import sys\n"
+        "import relquad.verify\n"
+        "from relquad.cli import main\n"
+        "conv = relquad.verify.dirichlet_convolution\n"
+        "def flipped(A, B):\n"
+        "    out = conv(A, B)\n"
+        "    out[7] = -out[7] or 1\n"
+        "    return out\n"
+        "relquad.verify.dirichlet_convolution = flipped\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 1, out.stderr
+    rep = json.loads(out.stdout)
+    assert (rep["ok"], rep["failure_count"]) == (False, len(verify._fundamental_discriminants(100)))
 
 
 def test_character_suite_verdict_survives_optimize():
