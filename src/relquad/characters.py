@@ -47,8 +47,9 @@ Everything else a character needs is a pure function of delta, so every
 QuadCharacter of one delta shares it: _memos(delta), a process-wide LRU
 cache of CHARACTER_MEMO_SIZE discriminants, holds one entry per delta with
 the DiscriminantInfo of conductor_ideal(delta) and the set-up (the modulus
-(delta), v_P(delta) and v_P(f) at the primes of delta, and the sign type),
-filled by the first character of delta, whichever way it is built, and
+(delta), v_P(delta) and v_P(f) at the primes of delta, all three read off
+the factorization that info keeps, and the sign type), filled by the first
+character of delta, whichever way it is built, and
 the memos of at_prime, of _unit_part_value and of the local verdicts of
 counting.count_square_roots_local, each by P.
 """
@@ -69,9 +70,9 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     _coords_factor,
+    _hnf_triple,
+    _root_coords,
     ideals_of_norm,
-    principal_ideal,
-    square_root_coords,
 )
 
 __all__ = ["QuadCharacter"]
@@ -112,11 +113,10 @@ class _DeltaMemo:
 
 def _fill(memo: _DeltaMemo, info: DiscriminantInfo) -> None:
     """Store info, which conductor_ideal returned, and the set-up tuple of
-    its discriminant in memo."""
+    its discriminant in memo: (delta), v_P(delta) and v_P(f) are those the
+    info keeps, so no second (delta) is built or factored."""
     delta = info.delta
-    modulus = principal_ideal(delta)
-    delta_primes = dict(modulus.factor())
-    f_exponents = {P: info.f_delta.valuation(P) for P in delta_primes}
+    modulus, delta_primes, f_exponents = info._factorization
     negative = tuple(i for i in delta.field.real_embeddings if delta.sign_at(i) < 0)
     memo.info = info
     memo.setup = modulus, delta_primes, f_exponents, negative
@@ -180,8 +180,10 @@ class QuadCharacter:
                 n = self.delta.X - self.delta.Y * P.ideal.hnf[1]
             val = kronecker(n, P.p)
         else:
-            # exhaustive: x^2 = delta mod 4P with x over residues of 2P
-            root = next(square_root_coords(self.delta, P.ideal * 2, P.ideal * 4), None)
+            # exhaustive: x^2 = delta mod 4P with x over residues of 2P, on
+            # P's HNF triple scaled by 2 and 4
+            two_p, four_p = _hnf_triple(P.ideal, 2), _hnf_triple(P.ideal, 4)
+            root = next(_root_coords(self.field, self.delta.X, self.delta.Y, two_p, four_p), None)
             val = 1 if root is not None else -1
         memo[P] = val
         return val

@@ -21,14 +21,14 @@ products survives as the test oracle
 tests/helpers.py::count_square_roots_formula_by_ideals.
 
 The brute-force route (count_square_roots, square_root_pairs) is the
-integer search ideals.square_root_coords with (M, N) = (2a, 4a), the same
-kernel that finds the conductor witness, the dyadic character symbol and
-the general relative discriminant; like Ideal.residues it refuses
-N(2a) > RESIDUE_ENUMERATION_BOUND.  Its roots are memoised per (delta, a)
-by _roots, an LRU cache of FACTOR_CACHE_SIZE entries, so the counting,
-zeta and pair routes of one (delta, a) run one search between them; the
-integrality checks stay in front of it, and the formula and local routes
-never read it.  The local casework asks whether delta itself is a square
+integer search kernel ideals._root_coords on a's HNF triple scaled by 2
+and 4, the same kernel that finds the conductor witness and the dyadic
+character symbol, with no ideal 2a or 4a built; like Ideal.residues it
+refuses N(2a) > RESIDUE_ENUMERATION_BOUND.  Its roots are memoised per
+(delta, a) by _roots, an LRU cache of FACTOR_CACHE_SIZE entries, so the
+counting, zeta and pair routes of one (delta, a) run one search between
+them; the integrality checks of delta and a stay in front of it, and the
+formula and local routes never read it.  The local casework asks whether delta itself is a square
 mod P^(l + m), l = v_P(delta) even, which is whether its unit part
 delta/pi^l is one mod P^m: no pi^l and no element division.
 
@@ -64,8 +64,9 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     ideals_of_norm,
+    _hnf_triple,
     _primes_above,
-    square_root_coords,
+    _root_coords,
 )
 
 __all__ = [
@@ -88,16 +89,16 @@ __all__ = [
 def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
     _check_integral(a)
-    if not delta.is_integral():
-        raise ValueError(f"integral delta required, got {delta}")
+    _check_integral_delta(delta)
     return len(_roots(delta, a))
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _roots(delta: Elem, a: Ideal) -> tuple[tuple[int, int], ...]:
     """The coordinates of the roots b mod 2a of b^2 = delta mod 4a, in the
-    order of square_root_coords, for an integral delta and a."""
-    return tuple(square_root_coords(delta, a * 2, a * 4))
+    order of square_root_coords, for an integral delta and a: the search
+    kernel on a's HNF triple scaled by 2 and 4, with no Ideal built."""
+    return tuple(_root_coords(delta.field, delta.X, delta.Y, _hnf_triple(a, 2), _hnf_triple(a, 4)))
 
 
 def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
@@ -209,6 +210,7 @@ def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
     """Every root pair (a, b) with N(a) <= bound, by norm, then ideal, then
     root in the order of square_root_coords; a fresh list on every call."""
     _check_bound(norm_bound)
+    _check_integral_delta(delta)
     K = delta.field
     return [
         RootPair(a_ideal=a, b=K.elem(i, j))
@@ -270,6 +272,12 @@ def order_ideal_count_sublattice(delta: int, n: int) -> int:
 def _check_integral(a: Ideal) -> None:
     if not a.is_integral():
         raise ValueError(f"integral ideal required, got {a}")
+
+
+def _check_integral_delta(delta: Elem) -> None:
+    # the search kernel under _roots reads delta's integer coordinates
+    if not delta.is_integral():
+        raise ValueError(f"integral delta required, got {delta}")
 
 
 def _check_index(n: int) -> None:

@@ -11,11 +11,24 @@ local_square_solvable takes v_P from ideals.coords_valuation and searches
 roots in P^(v/2) with ideals.square_root_coords, so the dyadic conductor
 exponents build no field element and no principal ideal per residue.
 
+Every fact of delta is computed once, from the pairs (P, l = v_P(delta))
+of the factorization of (delta): k_P = v_P(f), f = prod P^k and rel_disc =
+prod P^(l - 2k) from the memo of PrimeIdeal.power, with no ideal division,
+and the witness by the search kernel ideals._root_coords on the HNF
+triples of f and f^2 scaled by 2 and 4, with no ideal 2f or 4f^2 built.
+The DiscriminantInfo keeps (delta) and the dicts P -> v_P(delta) and P ->
+v_P(f), so characters and fundamental_discriminant_data read them rather
+than build and factor (delta) again.  The route that factored (delta)
+afresh and divided by f^2 is the test oracle
+tests/helpers.py::conductor_by_division.
+
 The class enumeration builds each class modulo unit squares once, as a
 principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
 u*g, and keeps its least member in the window of discriminant_classes; all
-on integer pairs, with only the representatives made Elems, for
-conductor_ideal.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
+on integer pairs, with only the representatives made Elems.  Their
+conductors are read off the ideal (g) = (delta) each was built from, so a
+row of a table or of unit_discriminants never builds (delta).  Cohen, GTM
+138, 5.2-5.4 and 5.7-5.8.
 """
 
 from __future__ import annotations
@@ -29,6 +42,8 @@ from .ideals import (
     PrimeIdeal,
     _cf_generator,
     _gauss_generator,
+    _hnf_triple,
+    _root_coords,
     coords_valuation,
     ideals_of_norm,
     principal_ideal,
@@ -62,10 +77,18 @@ class DiscriminantInfo:
     rel_disc: Ideal
     is_square_in_K: bool
     witness_x: Elem  # x with x^2 = delta mod 4 f^2
-    # True only on the infos conductor_ideal returns, which QuadCharacter
-    # trusts without running conductor_ideal again; a copy made by hand or
-    # by dataclasses.replace reads False
-    from_conductor_ideal: bool = field(default=False, init=False, compare=False, repr=False)
+    # set only on the infos conductor_ideal returns: (modulus, delta_primes,
+    # f_exponents), that is (delta), the dict P -> v_P(delta) in the order
+    # of Ideal.factor and the dict P -> v_P(f) over the same P; a copy made
+    # by hand or by dataclasses.replace holds None
+    _factorization: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def from_conductor_ideal(self) -> bool:
+        """True only on the infos conductor_ideal returns, which
+        QuadCharacter and fundamental_discriminant_data trust without
+        running conductor_ideal again."""
+        return self._factorization is not None
 
 
 @dataclass(frozen=True)
@@ -172,29 +195,41 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     Odd primes P^l || (delta) contribute floor(l/2); a dyadic prime
     contributes the largest k <= floor(l/2) such that x^2 = delta is
     solvable modulo P^(2k + 2 v_P(2)), decided by finite residue search.
-    The witness is the first root of x^2 = delta mod 4f^2 in the HNF box
-    of 2f (square_root_coords).  (delta) is built once, P^k comes from
-    PrimeIdeal.power, and f = (1) takes no ideal product or division.
-    """
-    w = discriminant_witness(delta)
-    if w is None:
+    (delta) is built and factored once, and every fact of delta is read
+    off its pairs (P, l) by _conductor: f = prod P^k and rel_disc =
+    prod P^(l - 2k), from the memo of PrimeIdeal.power, with no ideal
+    division.  The witness is the first root of x^2 = delta mod 4f^2 in the
+    HNF box of 2f, searched on f's and f^2's HNF triples scaled by 2 and 4
+    (ideals._root_coords).  The returned info keeps (delta), v_P(delta)
+    and v_P(f) at each P | delta in its _factorization field, which
+    characters and fundamental_discriminant_data read."""
+    if not delta or not delta.is_integral():
+        raise ValueError("nonzero integral element required")
+    if _witness_coords(delta.field, delta.X, delta.Y) is None:
         raise ValueError(f"{delta} is not a discriminant (not a square mod 4)")
+    return _conductor(delta, principal_ideal(delta))
+
+
+def _conductor(delta: Elem, modulus: Ideal) -> DiscriminantInfo:
+    """conductor_ideal(delta) for a discriminant delta and modulus = (delta),
+    which the caller vouches for: _class_reps passes the ideal it built
+    delta from, so a row of the table factors (delta) once."""
     K = delta.field
-    dl = principal_ideal(delta)
-    f = None  # (1) until a prime contributes
-    for P, l in dl.factor():
+    delta_primes = dict(modulus.factor())
+    f_exponents = {}
+    for P, l in delta_primes.items():
         e2 = _dyadic_ramification(P)
         k = l // 2
         while e2 and k > 0 and not local_square_solvable(delta, P, 2 * k + 2 * e2):
             k -= 1
-        if k:
-            f = P.power(k) if f is None else f * P.power(k)
-    if f is None:
-        f, f2, rel = unit_ideal(K), unit_ideal(K), dl
+        f_exponents[P] = k
+    f = _prime_product(K, f_exponents.items())
+    if f.is_unit_ideal():
+        f2, rel = f, modulus
     else:
         f2 = f * f
-        rel = dl.divide_exact(f2)
-    coords = next(square_root_coords(delta, f * 2, f2 * 4), None)
+        rel = _prime_product(K, ((P, l - 2 * f_exponents[P]) for P, l in delta_primes.items()))
+    coords = next(_root_coords(K, delta.X, delta.Y, _hnf_triple(f, 2), _hnf_triple(f2, 4)), None)
     if coords is None:
         raise AssertionError("per-prime solvability holds but no global witness found")
     info = DiscriminantInfo(
@@ -204,8 +239,18 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
         is_square_in_K=delta.is_square(),
         witness_x=K.elem(*coords),
     )
-    object.__setattr__(info, "from_conductor_ideal", True)
+    object.__setattr__(info, "_factorization", (modulus, delta_primes, f_exponents))
     return info
+
+
+def _prime_product(K: QuadField, pairs) -> Ideal:
+    # prod P^e over the pairs (P, e), e >= 0, from the memo of
+    # PrimeIdeal.power; (1), with no product, if every e is 0
+    out = None
+    for P, e in pairs:
+        if e:
+            out = P.power(e) if out is None else out * P.power(e)
+    return unit_ideal(K) if out is None else out
 
 
 def relative_discriminant_general(delta: Elem) -> GeneralDiscFactorization:
@@ -240,13 +285,26 @@ def is_unit_discriminant(delta: Elem) -> bool:
 def fundamental_discriminant_data(delta: "Elem | DiscriminantInfo") -> FundDiscData:
     """Local components, real signs and, when f is principal, a
     representative of conductor (1).  Accepts the DiscriminantInfo of
-    conductor_ideal in place of delta, as is_unit_discriminant does."""
-    info = delta if isinstance(delta, DiscriminantInfo) else conductor_ideal(delta)
+    conductor_ideal in place of delta, as is_unit_discriminant does; an
+    info that conductor_ideal did not return (one made by hand or by
+    dataclasses.replace) must equal conductor_ideal(delta), or ValueError.
+    The primes of delta and v_P(delta), v_P(f) at each are read off the
+    factorization the info keeps."""
+    if isinstance(delta, DiscriminantInfo):
+        info = delta
+        if not info.from_conductor_ideal:
+            info = conductor_ideal(info.delta)
+            if info != delta:
+                d = info.delta
+                raise ValueError(f"the DiscriminantInfo given for {d} is not conductor_ideal({d})")
+    else:
+        info = conductor_ideal(delta)
     delta = info.delta
     K = delta.field
+    _, delta_primes, f_exponents = info._factorization
     comps = []
-    for P, l in principal_ideal(delta).factor():
-        k = info.f_delta.valuation(P)
+    for P, l in delta_primes.items():
+        k = f_exponents[P]
         pi = uniformizer_of(P)
         comp = delta / pi ** (2 * k)
         residual = l - 2 * k
@@ -364,7 +422,8 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
     with (delta) among the given integral ideals, totally negative ones
     only if negative: for each principal ideal (g), every u*g with u in
     unit_square_class_reps that passes the mod-4 witness (and the sign
-    test), as its least member."""
+    test), as its least member, with its conductor read off (g) itself,
+    the ideal (delta) of every member (_conductor)."""
     units = [(u.X, u.Y) for u in unit_square_class_reps(K)]
     if K.is_real_quadratic:
         generator, least = _cf_generator, partial(_window_least, K)
@@ -383,6 +442,7 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
                 continue
             if negative and not all(coords_sign(K, x, y, e) < 0 for e in K.real_embeddings):
                 continue
-            reps.append(least(x, y))
-    reps.sort()
-    return [conductor_ideal(K.elem(x, y)) for x, y in reps]
+            # (delta) = (u*g) = I: the conductor reads I's factorization
+            reps.append((least(x, y), I))
+    reps.sort(key=lambda rep: rep[0])
+    return [_conductor(K.elem(x, y), I) for (x, y), I in reps]

@@ -40,12 +40,17 @@ Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
 square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
-mod N over one element of L per coset of L/M: the root count N(delta, a)
-uses (2a, 4a), the conductor witness (2f, 4f^2), the dyadic character
-symbol (2P, 4P) and the general relative discriminant (st, (st)^2), all
-with L = (1), the HNF box of M; local square solvability uses
-(P^s, P^t, P^(v/2)).  Like Ideal.residues it refuses N(M)/N(L) >
-RESIDUE_ENUMERATION_BOUND with an arith.BoundExceeded naming the bound.
+mod N over one element of L per coset of L/M.  It is the validated entry,
+taking ideals; its kernel _root_coords takes delta's coordinates and the
+HNF triples of M, N and L.  The root count N(delta, a) searches (2a, 4a),
+the conductor witness (2f, 4f^2) and the dyadic character symbol (2P, 4P)
+on the kernel, each scaling a triple it holds by an integer
+(_hnf_triple(a, 2)), so no Ideal is built for the search; the general
+relative discriminant (st, (st)^2) and local square solvability
+(P^s, P^t, P^(v/2)) go through the entry.  All but the last use L = (1),
+the HNF box of M.  Like Ideal.residues the kernel refuses N(M)/N(L) >
+RESIDUE_ENUMERATION_BOUND with an arith.BoundExceeded naming the bound and
+M, whose text it formats only then.
 In each row of candidates the w-coordinate of x^2 - delta is linear in x,
 so the search tests only the one residue class of x where N's w-condition
 holds; the search over the whole box survives as the test oracle
@@ -436,30 +441,48 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
     of L per coset of L/M for an integral L containing M, default (1):
     x = i*a' + j*b', y = j*c' over L's HNF (a', b', c'), j outer and i
     inner.  For L = (1) that is M's HNF box in the order of M.residues(),
-    each x its own residue mod M.  A row tests only the i that make the
-    w-coordinate of (x + y*w)^2 - delta divisible by N's c, one class mod
-    c/g or none, and yields in that order.  N(M)/N(L) is capped like
-    Ideal.residues."""
+    each x its own residue mod M.  The validated entry: it checks the
+    integrality of delta, M, N and L and that L contains M, then runs the
+    search kernel _root_coords on the HNF triples, which caps N(M)/N(L)
+    like Ideal.residues."""
     if not (M.is_integral() and N.is_integral()):
         raise ValueError("integral ideal required")
     if not delta.is_integral():
         raise ValueError(f"integral delta required, got {delta}")
-    size = M.norm_int()
-    aL, bL, cL = 1, 0, 1
+    triple_L = 1, 0, 1
     if L is not None:
         if not (L.is_integral() and L.divides(M)):
             raise ValueError(f"integral ideal required, containing {M}: got {L}")
-        size //= L.norm_int()
-        aL, bL, cL = _hnf_triple(L)
+        triple_L = _hnf_triple(L)
+    yield from _root_coords(delta.field, delta.X, delta.Y, _hnf_triple(M), _hnf_triple(N), triple_L)
+
+
+def _root_coords(
+    K: QuadField,
+    X: int,
+    Y: int,
+    M: tuple[int, int, int],
+    N: tuple[int, int, int],
+    L: tuple[int, int, int] = (1, 0, 1),
+):
+    """The search of square_root_coords on integers alone: delta = X + Y*w
+    integral, and M, N, L the HNF triples (_hnf_triple) of integral ideals
+    with L containing M, which the caller vouches for.  A caller that holds
+    an ideal a scales its triple by an integer (_hnf_triple(a, 2)), so the
+    root count's (2a, 4a), the conductor witness's (2f, 4f^2) and the dyadic
+    character symbol's (2P, 4P) build no Ideal.  N(M)/N(L) above
+    RESIDUE_ENUMERATION_BOUND raises BoundExceeded naming M, whose text is
+    formatted only then.  A row tests only the i that make the w-coordinate
+    of (x + y*w)^2 - delta divisible by N's c, one class mod c/g or none,
+    and yields in that order."""
+    a, _, c = M
+    aL, bL, cL = L
+    size = a * c // (aL * cL)
     if size > RESIDUE_ENUMERATION_BOUND:
-        raise BoundExceeded(
-            "residue enumeration", f"the ideal {M.pretty()}", size, RESIDUE_ENUMERATION_BOUND
-        )
-    K = delta.field
-    X, Y = delta.X, delta.Y
+        ideal = Ideal(K, M[:1] if K.degree == 1 else M, 1, _checked=True).pretty()
+        raise BoundExceeded("residue enumeration", f"the ideal {ideal}", size, RESIDUE_ENUMERATION_BOUND)
     t, n = K.omega_trace, K.omega_norm  # 0 and 0 over Q, where y stays 0
-    a, _, c = _hnf_triple(M)
-    A, B, C = _hnf_triple(N)
+    A, B, C = N
     rows = a // aL  # aL divides a, as a lies in L
     for j in range(c // cL):
         y = j * cL
@@ -482,9 +505,14 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
                 yield x, y
 
 
-def _hnf_triple(I: Ideal) -> tuple[int, int, int]:
-    # the HNF (a, b, c) of the numerator module; (n, 0, 1) for n*Z over Q
-    return I.hnf if len(I.hnf) == 3 else (I.hnf[0], 0, 1)
+def _hnf_triple(I: Ideal, scale: int = 1) -> tuple[int, int, int]:
+    """The HNF (a, b, c) of the numerator module of scale*I, scale >= 1,
+    by integer products; (n, 0, 1) for n*Z over Q.  For an integral I
+    that is the HNF of the ideal I * scale, which is not built."""
+    if len(I.hnf) == 1:
+        return I.hnf[0] * scale, 0, 1
+    a, b, c = I.hnf
+    return a * scale, b * scale, c * scale
 
 
 def _in_hnf(a: int, b: int, c: int, x: int, y: int) -> bool:

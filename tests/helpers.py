@@ -48,7 +48,11 @@ characters.QuadCharacter.extended replaced), and with g = gcd(a, delta)^(1/2)
 built as an ideal product and a/g^2 by exact division, and the divisor sum
 of the counting formula over divisors built as ideal products (the routes
 that the exponent kernel of characters.QuadCharacter and the exponent
-choices of counting.count_square_roots_formula replaced).
+choices of counting.count_square_roots_formula replaced), and the conductor
+with (delta) factored afresh, rel_disc by exact division (delta)/f^2 and
+the witness searched on the ideals 2f and 4f^2 (the route that the reused
+factorization and the HNF-triple search of discriminants.conductor_ideal
+replaced).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from relquad.discriminants import (
     conductor_ideal,
     discriminant_classes,
     discriminant_witness,
+    local_square_solvable,
     same_class_mod_squares,
     uniformizer_of,
 )
@@ -106,6 +111,7 @@ from relquad.ideals import (
     minkowski_bound,
     primes_above,
     principal_ideal,
+    square_root_coords,
     unit_ideal,
 )
 
@@ -1281,3 +1287,23 @@ def square_root_coords_by_box(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None =
             v = 2 * x * y + t * y * y - Y
             if v % C == 0 and (u - (v // C) * B) % A == 0:
                 yield x, y
+
+
+def conductor_by_division(delta: Elem) -> tuple[Ideal, Ideal, Elem]:
+    """(f, rel_disc, witness_x) of a discriminant delta by the route
+    discriminants.conductor_ideal took before it reused one factorization:
+    (delta) built and factored here, k_P by the same dyadic descent, f as a
+    product of prime powers, rel_disc = (delta)/f^2 by exact division, and
+    the witness as the first root in the box of the ideal 2f modulo 4f^2."""
+    K = delta.field
+    dl = principal_ideal(delta)
+    f = unit_ideal(K)
+    for P, l in dl.factor():
+        e2 = _dyadic_ramification(P)
+        k = l // 2
+        while e2 and k > 0 and not local_square_solvable(delta, P, 2 * k + 2 * e2):
+            k -= 1
+        f = f * P.ideal**k
+    f2 = f * f
+    x, y = next(square_root_coords(delta, f * 2, f2 * 4))
+    return f, dl.divide_exact(f2), K.elem(x, y)

@@ -33,6 +33,7 @@ from relquad.ideals import (
     ideals_of_norm,
     primes_above,
     principal_ideal,
+    square_root_coords,
     unit_ideal,
 )
 
@@ -203,6 +204,26 @@ def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5)
     assert [count_square_roots_local_product(again, a) for a in pool] == counts
     assert again._local_memo == verdicts
     assert len(calls) == 2 * made
+
+
+@pytest.mark.parametrize("d", [None, -1, -3, -15, 2, 5, 10])
+def test_dyadic_at_prime_matches_ideal_argument_search(d):
+    # at a dyadic P the symbol searches P's HNF triple scaled by 2 and 4:
+    # the same verdict as square_root_coords on the ideals 2P and 4P, and as
+    # the full residue search of 4P, at every dyadic P off delta
+    K = make_field(d)
+    characters._memos.cache_clear()
+    checked = 0
+    for info in discriminant_classes(K, 80):
+        chi = QuadCharacter(info)
+        for P in primes_above(K, 2):
+            if P in chi._delta_primes:
+                continue
+            root = next(square_root_coords(info.delta, P.ideal * 2, P.ideal * 4), None)
+            want = 1 if root is not None else -1
+            assert chi.at_prime(P) == want == brute_symbol(chi, P), (K, info.delta, P)
+            checked += 1
+    assert checked > 10
 
 
 def test_hand_made_info_cannot_poison_the_shared_setup(Q):
@@ -377,7 +398,8 @@ def test_on_element_matches_ideal_oracle():
 
 def test_conductor_exhaustive_builds_no_ideal_per_element(monkeypatch):
     # (cond, table, witnesses) equal the ideal route's with principal_ideal
-    # unavailable to the character module
+    # unavailable to the character module, which no longer imports it, and
+    # to the ideals module, whose Ideal * Elem would build one
     def no_ideals(e):
         raise AssertionError(f"principal ideal of {e} requested")
 
@@ -387,7 +409,8 @@ def test_conductor_exhaustive_builds_no_ideal_per_element(monkeypatch):
             chi = QuadCharacter(info)
             expected = conductor_by_ideals(chi)
             with monkeypatch.context() as m:
-                m.setattr(characters, "principal_ideal", no_ideals)
+                m.setattr(characters, "principal_ideal", no_ideals, raising=False)
+                m.setattr(ideals, "principal_ideal", no_ideals)
                 got = chi.conductor_exhaustive()
             assert got == expected, (d, info.delta)
 

@@ -63,6 +63,25 @@ def test_count_examples(Q, Q10):
     assert chi.extended(p2) + chi.extended(unit_ideal(Q10)) == 1
 
 
+@pytest.mark.parametrize("d", [None, -1, -3, -15, 2, 5, 10])
+def test_roots_match_ideal_argument_search(d):
+    # _roots searches a's HNF triple scaled by 2 and 4 and builds no ideal:
+    # the same roots in the same order as square_root_coords on the ideals
+    # 2a and 4a, for every integral a of norm <= 30
+    K = make_field(d)
+    ys = range(-2, 3) if K.degree == 2 else [0]
+    deltas = [K.elem(x, y) for x in range(-7, 8) for y in ys]
+    counting._roots.cache_clear()
+    found = 0
+    for n in range(1, 31):
+        for a in ideals_of_norm(K, n):
+            for delta in deltas:
+                roots = counting._roots(delta, a)
+                assert roots == tuple(square_root_coords(delta, a * 2, a * 4)), (K, a, delta)
+                found += len(roots)
+    assert found > 200
+
+
 def test_count_rejects_non_integral_delta(Q, Q10):
     # the integer enumeration must not truncate 9/2 to 4 and count 4's roots
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,13 +8,14 @@ import helpers
 from helpers import (
     _box_window_member,
     box_discriminant_candidates,
+    conductor_by_division,
     discriminant_candidates,
     discriminant_classes_by_buckets,
     discriminant_classes_by_elems,
     local_square_solvable_by_residues,
     unit_discriminants_by_classes,
 )
-from relquad import cli, discriminants
+from relquad import cli, discriminants, ideals, tables
 from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
@@ -225,6 +227,110 @@ def test_fundamental_data_accepts_info(test_fields, monkeypatch):
     calls.clear()
     assert main(["fdelta", "--field", "10", "--delta", "-4"]) == 0  # f nonprincipal
     assert len(calls) == 1
+
+
+def test_hand_made_info_is_checked_by_fundamental_data(Q):
+    # over Q, f(-16) = (2); an info claiming f = (1) is refused with a
+    # ValueError naming delta, not a broken invariant, and a hand-made info
+    # equal to the true one reads as the true one
+    true = conductor_ideal(Q.elem(-16))
+    bad = replace(true, f_delta=unit_ideal(Q), rel_disc=principal_ideal(Q.elem(16)))
+    assert not bad.from_conductor_ideal and true.from_conductor_ideal
+    with pytest.raises(ValueError, match="-16"):
+        fundamental_discriminant_data(bad)
+    expected = fundamental_discriminant_data(true)
+    assert expected.principal_rep == Q.elem(-4)
+    assert fundamental_discriminant_data(replace(true)) == expected
+    assert fundamental_discriminant_data(Q.elem(-16)) == expected
+
+
+def test_fundamental_data_builds_no_second_modulus(test_fields, monkeypatch):
+    # on an info of conductor_ideal the primes of delta, v_P(delta) and
+    # v_P(f) come from the kept factorization: the only principal ideal
+    # built is the one of the principal representative's conductor check
+    infos = [info for K in test_fields for info in discriminant_classes(K, 40)]
+    expected = [fundamental_discriminant_data(info) for info in infos]
+    built = []
+
+    def counted(e):
+        built.append(e)
+        return principal_ideal(e)
+
+    monkeypatch.setattr(discriminants, "principal_ideal", counted)
+    for info, want in zip(infos, expected):
+        built.clear()
+        got = fundamental_discriminant_data(info)
+        assert got == want, info.delta
+        assert built == ([] if got.principal_rep is None else [got.principal_rep]), info.delta
+
+
+def _class_reps_infos(monkeypatch, module, run):
+    # every info _class_reps returns while run() executes, read through
+    # the binding of module
+    seen = []
+    class_reps = discriminants._class_reps
+
+    def recorded(*args, **kwargs):
+        out = class_reps(*args, **kwargs)
+        seen.extend(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_class_reps", recorded)
+        run()
+    return seen
+
+
+def _check_reused_factorization(infos):
+    for info in infos:
+        delta = info.delta
+        fresh = conductor_ideal(delta)
+        assert (info.f_delta, info.rel_disc, info.witness_x) == (fresh.f_delta, fresh.rel_disc, fresh.witness_x)
+        assert (info.f_delta, info.rel_disc, info.witness_x) == conductor_by_division(delta), delta
+        modulus, delta_primes, f_exponents = info._factorization
+        dl = principal_ideal(delta)
+        assert modulus == dl and list(delta_primes.items()) == dl.factor(), delta
+        assert f_exponents == {P: info.f_delta.valuation(P) for P in delta_primes}, delta
+        assert info.from_conductor_ideal
+
+
+def _clear_ideal_memos():
+    for memo in (ideals._factor, ideals._coords_factor, ideals._prime_power, ideals._product, ideals._inverse):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("d", [5, 10])
+def test_table_classes_reuse_the_factorization_of_delta(d, monkeypatch):
+    # the rows of table --bound 500: each info's conductor, read off the
+    # ideal _class_reps built delta from, equals a from-scratch
+    # conductor_ideal and the division route; no row builds (delta) again
+    K = make_field(d)
+    _clear_ideal_memos()
+
+    def refuse(e):
+        raise AssertionError(f"principal ideal of {e} built for a table row")
+
+    with monkeypatch.context() as m:
+        m.setattr(discriminants, "principal_ideal", refuse)
+        infos = _class_reps_infos(monkeypatch, discriminants, lambda: tables.table_rows(K, 500))
+    assert len(infos) == len(tables.table_rows(K, 500)) > 50
+    _check_reused_factorization(infos)
+
+
+def test_unit_disc_classes_reuse_the_factorization_of_delta(monkeypatch):
+    # every class unit_discriminants builds, over the fixture fields and
+    # three with large fundamental units
+    fixture = tables.load_fixture("unit_discriminants.json")
+    fields = sorted({row["d"] for row in fixture.values()} | {94, 139, 10007})
+    assert len(fields) >= 7
+    total = 0
+    for d in fields:
+        K = make_field(d)
+        _clear_ideal_memos()
+        infos = _class_reps_infos(monkeypatch, tables, lambda: unit_discriminants(K))
+        _check_reused_factorization(infos)
+        total += len(infos)
+    assert total > 100
 
 
 def test_fundamental_data_local_components(Q10):

@@ -24,7 +24,7 @@ from helpers import (
 )
 from relquad.arith import BoundExceeded, primes_upto
 from relquad.counting import ideal_count_table
-from relquad import ideals
+from relquad import counting, ideals
 from relquad.field import Elem, QuadField, coords_mul, fundamental_unit, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
@@ -488,6 +488,32 @@ def test_square_root_coords_matches_box_search(d):
         for delta in deltas:
             found = list(square_root_coords(delta, M, N, L))
             assert found == list(square_root_coords_by_box(delta, M, N, L)), (K, M, N, L, delta)
+
+
+def test_triple_kernel_names_the_ideal_like_the_entry(monkeypatch):
+    # with the cap lowered, the search on a's HNF triple scaled by 2 and 4
+    # (counting._roots, which builds no ideal) refuses every a that the
+    # entry refuses on the ideals 2a and 4a, with the same text; principal
+    # and non-principal a, over Q and two quadratic fields
+    monkeypatch.setattr(ideals, "RESIDUE_ENUMERATION_BOUND", 20)
+    refused = set()
+    for d in (None, -15, 10):
+        K = make_field(d)
+        delta = K.elem(-3)
+        counting._roots.cache_clear()
+        for n in range(1, 13):
+            for a in ideals_of_norm(K, n):
+                if (a * 2).norm_int() <= 20:
+                    assert counting._roots(delta, a) == tuple(square_root_coords(delta, a * 2, a * 4))
+                    continue
+                with pytest.raises(BoundExceeded) as want:
+                    next(square_root_coords(delta, a * 2, a * 4))
+                with pytest.raises(BoundExceeded) as got:
+                    counting._roots(delta, a)
+                assert str(got.value) == str(want.value), (K, a)
+                assert f"the ideal {(a * 2).pretty()}:" in str(got.value)
+                refused.add((a * 2).pretty().count(","))
+    assert refused == {0, 1}  # "(n)" and "(a, b + c*w)" both named
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10, 13, 19, 195, -1, -3, -5, -15])
