@@ -14,7 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import QuadCharacter
-from .counting import count_square_roots, count_square_roots_formula, zeta_coefficients
+from .counting import (
+    count_square_roots,
+    count_square_roots_formula,
+    dirichlet_convolution,
+    ideal_count_table,
+    square_stretch,
+    zeta_coefficients,
+)
 from .discriminants import conductor_ideal, fundamental_discriminant_data
 from .dyadic import duality_report
 from .field import make_field, parse_elem
@@ -91,8 +98,6 @@ def cmd_zeta_coeffs(args) -> int:
     delta = parse_elem(K, args.delta)
     zd = zeta_coefficients(delta, args.bound)
     chi = QuadCharacter(delta)
-    from .counting import dirichlet_convolution, ideal_count_table, square_stretch
-
     aK = ideal_count_table(K, args.bound)
     _, sums = chi.coefficients(args.bound)
     conv = dirichlet_convolution(aK, sums)
@@ -299,12 +304,30 @@ def build_parser() -> argparse.ArgumentParser:
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser main() reuses: built on the first call, since parse_args
-    keeps no state between calls."""
+    keeps no state between calls.  Its subcommand parsers, which _parse
+    calls directly, live inside it, so cache_clear() drops them too."""
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace parse_args(argv) gives on _parser(), in one argparse
+    pass when argv[0] names a subcommand: that subcommand's parser reads
+    argv[1:], as the full parser would hand them on, and raises the same
+    usage errors.  An argv it leaves arguments over from, and any argv that
+    does not start with a subcommand (none, -h, an unknown command), goes
+    through the full parser, which prints the same help or usage error as
+    it would have for the whole request."""
+    ap = _parser()
+    sub = ap._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

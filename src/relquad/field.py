@@ -290,17 +290,29 @@ class Elem:
         return Elem(self.field, root[0], root[1], m)
 
     def __str__(self):
-        x, y = self.x, self.y
-        if y == 0:
-            return str(x)
-        ytxt = f"{y}*w" if y > 0 else f"-{-y}*w"
-        if x == 0:
+        """The text x+y*w, x-y*w, x or y*w, with x = X/m and y = Y/m each
+        written as str(Fraction) writes it (p/q in lowest terms, p when
+        q = 1), from the integers alone: no Fraction is built."""
+        X, Y, m = self.X, self.Y, self.m
+        xtxt = _ratio_text(X, m)
+        if not Y:
+            return xtxt
+        ytxt = f"{_ratio_text(Y, m)}*w" if Y > 0 else f"-{_ratio_text(-Y, m)}*w"
+        if not X:
             return ytxt
-        return f"{x}+{ytxt}" if y > 0 else f"{x}{ytxt}"
+        return f"{xtxt}+{ytxt}" if Y > 0 else xtxt + ytxt
 
     def key(self) -> tuple:
         """Canonical sort/equality key (field-local)."""
         return (self.x, self.y)
+
+
+def _ratio_text(n: int, m: int) -> str:
+    # str(Fraction(n, m)) for m >= 1, reduced by a gcd only when m > 1
+    if m == 1:
+        return str(n)
+    g = gcd(n, m)
+    return str(n // g) if g == m else f"{n // g}/{m // g}"
 
 
 def coords_sign(K: QuadField, x: int, y: int, embedding: int) -> int:
@@ -366,21 +378,31 @@ def coords_is_square(K: QuadField, x: int, y: int) -> bool:
     return coords_sqrt(K, x, y) is not None
 
 
+# x may not stop inside a number, or "12*w" would read as x = 1 with an
+# unsigned omega part 2*w
 _ELEM_RE = re.compile(
-    r"^\s*(?P<x>[+-]?\d+(?:/\d+)?)?\s*"
+    r"^\s*(?P<x>[+-]?\d+(?:/\d+)?(?![\d/]))?\s*"
     r"(?P<yterm>(?P<sign>[+-])?\s*(?:(?P<y>\d+(?:/\d+)?)\s*\*\s*)?w)?\s*$"
 )
 
 
+def _rational(text: str) -> int | Fraction:
+    # integer text is read by int; p/q by Fraction, so "3/0" raises
+    # ZeroDivisionError as Fraction does
+    return Fraction(text) if "/" in text else int(text)
+
+
 def parse_elem(K: QuadField, text: str) -> Elem:
-    """Parse "x+y*w" (rationals as p/q), also plain "x", "y*w", "w", "-w"."""
+    """Parse "x+y*w" (rationals as p/q), also plain "x", "y*w", "w", "-w".
+    Coordinates without "/" are read as integers, so an integral element
+    goes to QuadField.elem with no Fraction built."""
     m = _ELEM_RE.match(text)
     if not m or (m.group("x") is None and m.group("yterm") is None):
         raise ValueError(f"cannot parse element {text!r}")
-    x = Fraction(m.group("x")) if m.group("x") else Fraction(0)
-    y = Fraction(0)
+    x = _rational(m.group("x")) if m.group("x") else 0
+    y = 0
     if m.group("yterm"):
-        y = Fraction(m.group("y")) if m.group("y") else Fraction(1)
+        y = _rational(m.group("y")) if m.group("y") else 1
         if m.group("sign") == "-":
             y = -y
         elif m.group("sign") is None and m.group("x") is not None:

@@ -75,7 +75,8 @@ def table_rows(K: QuadField, bound: int, sign: str = "totally_negative") -> list
                 extras=extras,
             )
         )
-    rows.sort(key=lambda r: (r.norm, r.delta.key()))
+    # table deltas are integral, so (X, Y) orders them as (x, y) would
+    rows.sort(key=lambda r: (r.norm, r.delta.X, r.delta.Y))
     return rows
 
 

@@ -39,7 +39,7 @@ from .dyadic import (
 )
 from .field import Elem, QuadField, make_field
 from .hurwitz import hurwitz_row
-from .ideals import ideals_of_norm, primes_above, principal_ideal
+from .ideals import ideals_of_norm, primes_above
 
 __all__ = [
     "run_suite",
@@ -250,10 +250,11 @@ def conductor_suite(
         scaled = conductor_ideal(info.delta * 4)
         if scaled.f_delta != info.f_delta * 2:
             failures.append(f"delta {info.delta}: conductor scaling failed")
-        # dyadic two-path agreement
-        dl = principal_ideal(info.delta)
+        # dyadic two-path agreement, with v_P(delta) read off the
+        # factorization of (delta) that the info keeps
+        _, delta_primes, _ = info._factorization
         for P, (F, omega_img) in completions.items():
-            l = dl.valuation(P)
+            l = delta_primes.get(P, 0)
             if l == 0:
                 continue
             cases += 1

@@ -52,17 +52,23 @@ choices of counting.count_square_roots_formula replaced), and the conductor
 with (delta) factored afresh, rel_disc by exact division (delta)/f^2 and
 the witness searched on the ideals 2f and 4f^2 (the route that the reused
 factorization and the HNF-triple search of discriminants.conductor_ideal
+replaced), and element text written and read over Fraction coordinates
+(the routes that the integer text of field.Elem.__str__ and parse_elem
+replaced), and a CLI request parsed by one parse_args on a freshly built
+full parser (the route that cli.main's dispatch to the subcommand's parser
 replaced).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
 from relquad.arith import BoundExceeded, frac_sqrt, is_prime, kronecker, smallest_prime_factors
 from relquad.characters import _balance
+from relquad.cli import build_parser
 from relquad.discriminants import (
     DiscriminantInfo,
     _dyadic_ramification,
@@ -92,6 +98,7 @@ from relquad.dyadic import (
     unit_level,
 )
 from relquad.field import (
+    _ELEM_RE,
     Elem,
     QuadField,
     coords_is_square,
@@ -1307,3 +1314,46 @@ def conductor_by_division(delta: Elem) -> tuple[Ideal, Ideal, Elem]:
     f2 = f * f
     x, y = next(square_root_coords(delta, f * 2, f2 * 4))
     return f, dl.divide_exact(f2), K.elem(x, y)
+
+
+def elem_text_by_fractions(e: Elem) -> str:
+    """str(e) as field.Elem.__str__ wrote it before it read the integers
+    X, Y and m: through the two Fractions x and y."""
+    x, y = e.x, e.y
+    if y == 0:
+        return str(x)
+    ytxt = f"{y}*w" if y > 0 else f"-{-y}*w"
+    if x == 0:
+        return ytxt
+    return f"{x}+{ytxt}" if y > 0 else f"{x}{ytxt}"
+
+
+def parse_elem_by_fractions(K: QuadField, text: str) -> Elem:
+    """field.parse_elem as it read every coordinate, integer text too,
+    through Fraction."""
+    m = _ELEM_RE.match(text)
+    if not m or (m.group("x") is None and m.group("yterm") is None):
+        raise ValueError(f"cannot parse element {text!r}")
+    x = Fraction(m.group("x")) if m.group("x") else Fraction(0)
+    y = Fraction(0)
+    if m.group("yterm"):
+        y = Fraction(m.group("y")) if m.group("y") else Fraction(1)
+        if m.group("sign") == "-":
+            y = -y
+        elif m.group("sign") is None and m.group("x") is not None:
+            raise ValueError(f"missing sign before omega part in {text!r}")
+    return K.elem(x, y)
+
+
+def main_by_full_parser(argv=None) -> int:
+    """relquad.cli.main as it parsed every request before the dispatch to
+    the subcommand's parser: one parse_args on a freshly built full parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3

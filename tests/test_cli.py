@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import main_by_full_parser
 
 import relquad
+from relquad import cli
 from relquad.cli import main
 from relquad.tables import validate_record
 from relquad.verify import _fundamental_discriminants
@@ -301,3 +304,87 @@ def test_reused_parser_matches_fresh_parsers(capsys):
     assert reused == fresh
     assert [code for code, _ in reused] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 0]
     assert cli.build_parser() is not cli.build_parser()
+
+
+# every subcommand once, then help, usage errors and argument forms that
+# the full parser and a subcommand's own parser could read differently
+DISPATCH_CORPUS = [
+    ["fdelta", "--field", "5", "--delta", "-3"],
+    ["conductor", "--field", "0", "--delta", "-12"],
+    ["char", "--field", "10", "--delta", "-4", "--ideal", "(3, 1+w)"],
+    ["count", "--field", "10", "--delta", "-4", "--ideal", "(2, w)"],
+    ["zeta-coeffs", "--field", "5", "--delta", "5", "--bound", "8", "--format", "json"],
+    ["table", "--field", "10", "--bound", "30"],
+    ["unit-discs", "--field", "10"],
+    ["hurwitz", "--upto", "12", "--format", "json"],
+    ["local-duality", "--field", "q2"],
+    ["verify", "hurwitz", "--bound", "20"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    *([cmd, "-h"] for cmd in ("fdelta", "table", "verify", "zeta-coeffs")),
+    ["fdelta", "--field", "5", "--help", "--delta", "-3"],
+    ["fdelta", "--field", "5"],
+    ["table", "--bound", "9"],
+    ["verify"],
+    ["fdelta", "--field", "five", "--delta", "-3"],
+    ["table", "--field", "5", "--bound", "9.5"],
+    ["table", "--field", "5", "--bound", "9", "--format", "xml"],
+    ["verify", "everything"],
+    ["table", "--field", "5", "--bound", "9", "--jobs", "2"],
+    ["fdelta", "--field", "5", "--delta", "-3", "--jobs=2"],
+    ["fdelta", "--field", "5", "--delta", "-3", "extra"],
+    ["fdelta", "extra", "--field", "5", "--delta", "-3", "-h"],
+    ["verify", "hurwitz", "counting"],
+    ["fdelta", "--field", "5", "--field", "10", "--delta", "-4"],
+    ["fdelta", "--fie", "5", "--del", "-3"],
+    ["zeta-coeffs", "--f", "5", "--delta", "5"],
+    ["fdelta", "--field", "5", "--delta", "-3"],
+    ["fdelta", "--field", "5", "--delta=-3"],
+    ["fdelta", "--field", "5", "--delta"],
+    ["--field", "5", "fdelta", "--delta", "-3"],
+    ["-h", "fdelta"],
+    ["no-such-command", "--field", "5"],
+    ["--", "fdelta", "--field", "5", "--delta", "-3"],
+    ["fdelta", "--", "--field", "5", "--delta", "-3"],
+    ["fdelta", "--field", "5", "--delta", "-3", "--"],
+    ["hurwitz", "--delta", "-23", "--", "-3"],
+    ["fdelta", "--field", "0", "--delta", "7"],
+    ["hurwitz"],
+]
+
+
+def _outcome(fn, argv, capsys):
+    try:
+        code = fn(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    # a verify report times itself
+    return code, re.sub(r'"seconds": [0-9.e-]+', '"seconds": _', out), err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_matches_full_parser(argv, capsys):
+    # main() parses a request that names its subcommand with that
+    # subcommand's parser alone; exit code, stdout and stderr must be those
+    # of one parse_args on the full parser
+    assert _outcome(main, list(argv), capsys) == _outcome(main_by_full_parser, list(argv), capsys)
+    # and a request that parses gives the full parser's namespace, command
+    # included
+    try:
+        full = cli.build_parser().parse_args(list(argv))
+    except SystemExit:
+        return
+    assert cli._parse(list(argv)) == full
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # main(None) parses sys.argv[1:], as parse_args(None) does
+    for argv in (["fdelta", "--field", "10", "--delta", "-4"], ["--field", "5"], ["table", "--bound", "9"]):
+        monkeypatch.setattr(sys, "argv", ["relquad", *argv])
+        assert _outcome(main, None, capsys) == _outcome(main_by_full_parser, argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["relquad", "fdelta", "--field", "10", "--delta", "-4"])
+    code, out, _ = _outcome(main, None, capsys)
+    assert code == 0 and json.loads(out)["norm"] == "16"

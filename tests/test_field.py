@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     FractionElem,
+    elem_text_by_fractions,
     interval_sign,
     is_unit_square_by_decomposition,
+    parse_elem_by_fractions,
     sqrt_by_fractions,
     unit_power_decomposition,
     units_with_coeff_bound,
 )
 from relquad.arith import BoundExceeded
 from relquad.field import (
+    Elem,
     QuadField,
     _cf_step,
     coords_is_square,
@@ -243,7 +246,19 @@ def test_roots_of_unity_counts():
 
 def test_elem_text_roundtrip():
     K = make_field(10)
-    for e in [K.elem(Fraction(-5, 2), Fraction(1, 3)), K.elem(0, -1), K.elem(7), K.omega]:
+    for e in [
+        K.elem(Fraction(-5, 2), Fraction(1, 3)),
+        K.elem(0, -1),
+        K.elem(7),
+        K.omega,
+        K.elem(Fraction(1, 2), Fraction(-3, 4)),
+        K.elem(Fraction(-7, 6)),
+        K.elem(0, Fraction(5, 12)),
+        K.elem(Fraction(2, 3), Fraction(4, 3)),
+        K.elem(Fraction(3, 4), Fraction(-1, 6)),
+        K.elem(0, 12),
+        K.elem(0, Fraction(-12, 5)),
+    ]:
         assert parse_elem(K, str(e)) == e
     Q = make_field()
     assert parse_elem(Q, "-12") == Q.elem(-12)
@@ -251,6 +266,53 @@ def test_elem_text_roundtrip():
     assert parse_elem(K, "-w") == -K.omega
     with pytest.raises(ValueError):
         parse_elem(K, "3 w")
+
+
+ORACLE_TEXT_FIELDS = (None, 5, 10, -15, -1, 2)
+
+
+def test_elem_text_matches_fraction_oracle():
+    # str(e) from the integers X, Y, m against the text of the Fractions
+    # x and y: zero and negative coordinates, and m in {1, 2, 3, 4, 6, 12}
+    # before the gcd normalisation of Elem
+    rng = random.Random(20271019)
+    for d in ORACLE_TEXT_FIELDS:
+        K = make_field(d)
+        for _ in range(500):
+            X, Y = (rng.choice((0, rng.randint(-30, 30), rng.randint(-(10**25), 10**25))) for _ in "XY")
+            e = Elem(K, X, 0 if K.is_rational else Y, rng.choice((1, 2, 3, 4, 6, 12)))
+            assert str(e) == elem_text_by_fractions(e), (d, e.X, e.Y, e.m)
+
+
+def _parse_outcome(parse, K, text):
+    try:
+        return parse(K, text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+PARSE_TEXTS = [
+    "0", "-0", "+3", "-12", "3/6", "-4/6", "+7/1", "0/5", "w", "-w", "+w", "2*w", "-2*w",
+    "3/4*w", "1+w", "1-w", "1 + 2 * w", " -5/2 - 1/3*w ", "12-6/4*w", "-0-0*w", "7+0/3*w",
+    "12*w", "-12*w", "+12*w", "5/12*w", "-123/45*w", "1 2*w", "12w", "12/*w",
+    "3/0", "1+3/0*w", "0/0*w", "3 w", "3w", "w+1", "", " ", "1/", "/2", "2*", "1+-w", "1.5",
+    "--1", "1e3", "1_000", "\u0663+\u0664*w", "x", "+-3", "5*w*w", "9" * 5000, "-" + "9" * 5000,
+]
+
+
+def test_parse_elem_matches_fraction_oracle():
+    # integer text read by int against every coordinate read by Fraction:
+    # the same element, or the same exception type and text
+    rng = random.Random(20271020)
+    for d in ORACLE_TEXT_FIELDS:
+        K = make_field(d)
+        texts = list(PARSE_TEXTS)
+        for _ in range(200):
+            X, Y = rng.randint(-40, 40), 0 if K.is_rational else rng.randint(-40, 40)
+            text = str(Elem(K, X, Y, rng.choice((1, 2, 3, 4, 6, 12))))
+            texts += [text, text.replace("+", " + ").replace("*", " * "), text + "  "]
+        for text in texts:
+            assert _parse_outcome(parse_elem, K, text) == _parse_outcome(parse_elem_by_fractions, K, text), (d, text)
 
 
 def test_sqrt_and_is_square_grid():

@@ -59,6 +59,34 @@ def test_conductor_suite_includes_dyadic_crosscheck(Q10):
     assert rep["cases"] > 2 * 10
 
 
+def test_conductor_suite_reads_the_kept_factorization(monkeypatch):
+    # the dyadic two-path check reads v_P(delta) off the factorization the
+    # info keeps: with principal_ideal gone from verify, the reports equal
+    # those of the parent, which built (delta) once more per class
+    monkeypatch.setattr(
+        "relquad.verify.principal_ideal",
+        lambda delta: pytest.fail("conductor_suite built (delta) again"),
+        raising=False,
+    )
+    for d, cases in ((0, 150), (5, 52), (10, 80)):
+        rep = verify.conductor_suite(d, bound=60)
+        rep.pop("seconds")
+        assert rep == {
+            "suite": "conductor",
+            "cases": cases,
+            "failures": [],
+            "failure_count": 0,
+            "ok": True,
+            "field": d,
+        }
+    # and the local path still reaches every dyadic prime of delta: with no
+    # local square found, each delta with v_P(f) > 0 at P | 2 fails there
+    monkeypatch.setattr(verify, "square_mod_level", lambda loc, level: False)
+    rep = verify.conductor_suite(0, bound=60)
+    assert not rep["ok"] and rep["failure_count"] > 0
+    assert all(re.fullmatch(r"delta -?\d+: local conductor exponent 0 != global [1-9]\d* at .+", f) for f in rep["failures"])
+
+
 def test_suite_reports_shape():
     rep = run_suite("hurwitz", bound=100)
     assert set(rep) >= {"suite", "cases", "failures", "failure_count", "ok"}
