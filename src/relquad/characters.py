@@ -18,26 +18,28 @@ ideal.  An element is read as (x + y*w)/m with integers x, y and m >= 1;
 ideals._coords_factor gives its factorization from the coordinates (Cohen,
 GTM 138, 4.8), so coprimality to delta is that no prime of delta appears in
 it, and the value is the product of at_prime(P) over its odd exponents,
-times the signs that field.coords_sign decides on integers.  The
-factorization depends only on the element, not on delta, and is memoised
-in the ideals layer per (field, x, y, m), so the small lifts that recur for
-every delta of a field are factored once.  on_element checks coprimality
-once; the kernel _on_coords trusts its caller, so residue_table, whose
-lifts of a class are congruent mod (delta) and share v_P = 0 at every
-P | delta, checks it once per class rather than once per lift.  Each lift
-is valued from its own factorization, on the ideal side: the Hecke check
-never goes through the reciprocity law.  residue_table builds its
-lifts and conductor_exhaustive groups residues with Ideal.reduce_coords,
-both on integer pairs.  The route through principal_ideal, Ideal.gcd and
+times the signs that field.coords_sign decides on integers; _on_coords
+reads at_prime's memo once per such P and calls at_prime only on a miss.
+The factorization depends only on the element, not on delta, and is
+memoised in the ideals layer per (field, x, y, m), so the small lifts that
+recur for every delta of a field are factored once.  on_element checks
+coprimality once; the kernel _on_coords trusts its caller, so
+residue_table, whose lifts of a class are congruent mod (delta) and share
+v_P = 0 at every P | delta, checks it once per class rather than once per
+lift.  Each lift is valued from its own factorization, on the ideal side:
+the Hecke check never goes through the reciprocity law.  residue_table
+builds its lifts and conductor_exhaustive groups residues with
+Ideal.reduce_coords, both on integer pairs.  The route through principal_ideal, Ideal.gcd and
 Ideal.factor survives as the test oracles
 tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 
 On ideals the character works on prime factorizations and builds no
-ideal.  extended and primitive are one kernel, _value, over the pairs
-(P, v) of a.factor(): at a prime of delta, e = min(v, v_P(delta)) is the
-exponent of gcd(a, delta), the value is 0 unless e is even and e/2 <=
-v_P(f), and N(P)^(e/2) is the norm weight; the exponent left over is valued
-by the splitting law, _unit_part_value at a prime of delta (0 on the
+ideal.  on_ideal reads the memoised tuple ideals._factor(a) in place, with
+no copy, and extended and primitive are one kernel, _value, over its pairs
+(P, v): at a prime of delta, e = min(v, v_P(delta)) is the exponent of
+gcd(a, delta), the value is 0 unless e is even and e/2 <= v_P(f), and
+N(P)^(e/2) is the norm weight; the exponent left over is valued by the
+splitting law, _unit_part_value at a prime of delta (0 on the
 conductor) and at_prime elsewhere.  primitive is the kernel with no weight.
 counting.count_square_roots_formula runs the same kernel on exponent
 vectors.  The route that builds g as an ideal product and divides a by g^2
@@ -56,6 +58,7 @@ counting.count_square_roots_local, each by P.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .arith import BoundExceeded, kronecker
@@ -70,6 +73,7 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     _coords_factor,
+    _factor,
     _hnf_triple,
     _root_coords,
     ideals_of_norm,
@@ -164,8 +168,9 @@ class QuadCharacter:
     def at_prime(self, P: PrimeIdeal) -> int:
         """+1 if delta is a square mod 4P, else -1; P must not divide delta."""
         memo = self._prime_memo
-        if P in memo:
-            return memo[P]
+        val = memo.get(P)
+        if val is not None:
+            return val
         if P in self._delta_primes:
             raise ValueError(f"{P} divides ({self.delta})")
         if P.p != 2:
@@ -193,7 +198,7 @@ class QuadCharacter:
         if not self._coprime(a):
             raise ValueError(f"{a} is not coprime to ({self.delta})")
         val = 1
-        for P, e in a.factor():
+        for P, e in _factor(a):
             if e % 2:
                 val *= self.at_prime(P)
         return val
@@ -212,10 +217,12 @@ class QuadCharacter:
         m >= 1, on integers alone.  The caller has checked that the element
         is coprime to delta, so no prime of delta is in its factorization."""
         K = self.field
+        memo = self._prime_memo
         val = 1
         for P, v in _coords_factor(K, x, y, m):
             if v % 2:
-                val *= self.at_prime(P)
+                # at_prime's memo, read once; its values are +-1, never 0
+                val *= memo.get(P) or self.at_prime(P)
         for i in self.negative_embeddings:
             val *= coords_sign(K, x, y, i)
         return val
@@ -281,10 +288,10 @@ class QuadCharacter:
             # congruent to x + y*w mod (delta), so coprime to it as well
             lifts = [(x, y), _balance(m, x, y), *((x + dx, y + dy) for dx, dy in steps)]
             vals = {self._on_coords(*lift) for lift in lifts}
-            r = K.elem(x, y)
             if len(vals) != 1:  # the Hecke property; explicit, see conductor_exhaustive
-                raise AssertionError(f"character not well defined mod ({self.delta}) at {r}")
-            table[r.key()] = vals.pop()
+                raise AssertionError(f"character not well defined mod ({self.delta}) at {K.elem(x, y)}")
+            # K.elem(x, y).key() of the integral residue
+            table[Fraction(x), Fraction(y)] = vals.pop()
         return table
 
     # -- primitive and extended characters ------------------------------------
@@ -296,14 +303,14 @@ class QuadCharacter:
         stays inert in K(sqrt delta); at P off delta that is at_prime(P)."""
         if not a.is_integral():
             raise ValueError("integral ideal required")
-        return self._value(a.factor(), False)
+        return self._value(_factor(a), False)
 
     def extended(self, a: Ideal) -> int:
         """Norm-weighted extension: N(g) * primitive(a/g^2) when
         gcd(a, delta) = g^2 with g dividing f, else 0."""
         if not a.is_integral():
             raise ValueError("integral ideal required")
-        return self._value(a.factor(), True)
+        return self._value(_factor(a), True)
 
     def _value(self, pairs, weighted: bool) -> int:
         """The kernel of extended (weighted) and primitive on the pairs

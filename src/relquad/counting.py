@@ -64,6 +64,7 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     ideals_of_norm,
+    _factor,
     _hnf_triple,
     _primes_above,
     _root_coords,
@@ -106,7 +107,7 @@ def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
     with a = prod P^e, each b is an exponent choice k_P in {e, e - 1},
     valued by the character's kernel on its pairs (P, k_P), k_P >= 1."""
     _check_integral(a)
-    fac = a.factor()
+    fac = _factor(a)
     total = 0
     for ks in product(*((e, e - 1) for _, e in fac)):
         total += chi._value([(P, k) for (P, _), k in zip(fac, ks) if k], True)
@@ -171,7 +172,7 @@ def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
     """N(a) as the product of the local counts N(P^e) over P^e || a."""
     _check_integral(a)
     total = 1
-    for P, e in a.factor():
+    for P, e in _factor(a):
         total *= count_square_roots_local(chi, P, e)
         if total == 0:
             return 0

@@ -16,16 +16,19 @@ arithmetic on the HNF (a, b, c) and the denominator: no ideal product and
 no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit; its reassembly check runs once per distinct ideal, inside the cached
-computation, and every call returns a fresh list.  Ideal.inverse (and its
-check I * I^-1 = (1)), ideals_of_norm, per (field, n), the prime powers
-PrimeIdeal.power, per (P, k), and the factorization of an element by its
-coordinates, _coords_factor, per (field, x, y, m), are memoised in LRU
-caches of the same size.  So is the product of two ideals, by value: the
-key is the field and the (hnf, den) of each factor, in a fixed order so
-that I * J and J * I share an entry, and a hit compares integer tuples
-only.  An Ideal stores its hash, taken once at construction.  Scaling by
-an integer or a Fraction is integer products, and the product by an
-element is not memoised.
+computation.  The package's own readers (divisors, moebius, the character
+values and the counting routes) iterate the memoised tuple _factor(I) in
+place; Ideal.factor copies it into a fresh list for outside callers.
+Ideal.inverse (and its check I * I^-1 = (1)), ideals_of_norm, per (field,
+n), the prime powers PrimeIdeal.power, per (P, k), and the factorization
+of an element by its coordinates, _coords_factor, per (field, x, y, m),
+are memoised in LRU caches of the same size.  So is the product of two
+ideals, by value: the key is the field and the (hnf, den) of each factor,
+in a fixed order so that I * J and J * I share an entry, and a hit
+compares integer tuples only; two ideals over one interned field go
+straight to that memo, after one identity test.  An Ideal stores its
+hash, taken once at construction.  Scaling by an integer or a Fraction is
+integer products, and the product by an element is not memoised.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
@@ -270,11 +273,12 @@ class Ideal:
             K = self.field
             if K is not other.field and K != other.field:
                 raise ValueError("ideals of different fields")
-            # one memo entry per unordered pair of factors
-            f1, f2 = (self.hnf, self.den), (other.hnf, other.den)
-            if f2 < f1:
-                f1, f2 = f2, f1
-            return _product(K, *f1, *f2)
+            # one memo entry per unordered pair of factors, the lesser
+            # (hnf, den) first, with no key tuple built here
+            h1, h2 = self.hnf, other.hnf
+            if h2 < h1 or (h2 == h1 and other.den < self.den):
+                return _product(K, h2, other.den, h1, self.den)
+            return _product(K, h1, self.den, h2, other.den)
         if isinstance(other, (int, Fraction)):
             # integer products on the HNF; a Fraction adds its denominator,
             # and the sign is dropped: (-s) * I = s * I
@@ -352,10 +356,16 @@ class Ideal:
 
     def divides(self, other: "Ideal") -> bool:
         """self | other, decided as other within self: the basis elements
-        of other lie in self.  No inverse and no ideal product."""
-        if self.field != other.field:
+        of other lie in self.  No inverse and no ideal product; for two
+        integral ideals of a quadratic field, two _in_hnf tests."""
+        K = self.field
+        if K is not other.field and K != other.field:
             raise ValueError("ideals of different fields")
         d1, d2 = self.den, other.den
+        if d1 == d2 == 1 and K.degree == 2:
+            a, b, c = self.hnf
+            x, y, z = other.hnf
+            return _in_hnf(a, b, c, x, 0) and _in_hnf(a, b, c, y, z)
         vecs = [(other.hnf[0], 0)]
         if self.field.degree == 2:
             vecs.append(other.hnf[1:])
@@ -402,14 +412,19 @@ class Ideal:
         if not self.is_integral():
             raise ValueError("integral ideal required")
         divs = [unit_ideal(self.field)]
-        for P, e in self.factor():
+        for P, e in _factor(self):
             divs = [d * P.ideal**k for d in divs for k in range(e + 1)]
         return sorted(divs, key=lambda d: (d.norm_int(), d.hnf))
 
     def moebius(self) -> int:
-        fac = self.factor()
-        if any(e > 1 for _, e in fac):
-            return 0
+        """The Moebius function of an integral ideal: 0 if the square of a
+        prime divides it, else (-1)^k for its k prime factors."""
+        if self.den != 1:
+            raise ValueError("integral ideal required")
+        fac = _factor(self)
+        for _, e in fac:
+            if e > 1:
+                return 0
         return (-1) ** len(fac)
 
     def sigma(self, s: int) -> Fraction:

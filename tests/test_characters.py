@@ -441,6 +441,50 @@ def test_hecke_property_and_conductor_small(test_fields):
                 assert chi.on_element(a) != chi.on_element(b)
 
 
+def _prime_splitting_lifts(chi):
+    # a prime with odd exponent in one of the two lifts x + y*w and
+    # (x + a) + y*w of a coprime class, a = the HNF's first entry of
+    # (delta), but not in the other: residue_table values both lifts
+    K, a = chi.field, chi.modulus.hnf[0]
+    for x, y in chi.modulus.residue_coords():
+        if not (x or y) or not chi._coprime_coords(x, y):
+            continue
+        odd = [{P for P, v in ideals._coords_factor(K, u, y, 1) if v % 2} for u in (x, x + a)]
+        for P, v in ideals._coords_factor(K, x, y, 1) + ideals._coords_factor(K, x + a, y, 1):
+            if P in odd[0] ^ odd[1]:
+                return P
+    return None
+
+
+@pytest.mark.parametrize("d", [5, -15])
+def test_hecke_check_fires_on_the_prime_memo(d):
+    # _on_coords reads the shared prime memo; a flipped value there at a
+    # prime that some lifts of a class carry to an odd power and others do
+    # not must break the Hecke check of residue_table and
+    # conductor_exhaustive, which name delta
+    K = make_field(d)
+    flipped = 0
+    for info in discriminant_classes(K, 30):
+        chi = QuadCharacter(info)
+        table = chi.residue_table()  # fills the memo at every lift's primes
+        P = _prime_splitting_lifts(chi)
+        if P is None:
+            assert chi.modulus.is_unit_ideal() and table == {}, info.delta  # delta = 1
+            continue
+        memo = characters._memos(info.delta).prime
+        saved = memo[P]
+        memo[P] = -saved
+        try:
+            for check in (chi.residue_table, chi.conductor_exhaustive):
+                with pytest.raises(AssertionError, match=re.escape(f"not well defined mod ({info.delta})")):
+                    check()
+        finally:
+            memo[P] = saved
+        assert chi.residue_table() == table
+        flipped += 1
+    assert flipped >= 10, flipped
+
+
 def test_primitive_examples(Q):
     chi = QuadCharacter(Q.elem(-12))
     two = principal_ideal(Q.elem(2))

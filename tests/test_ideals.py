@@ -596,6 +596,33 @@ def test_reduced_generator_of_large_prime_powers():
         assert g.norm() == 3**k and principal_ideal(g) == I, k
 
 
+def _moebius_by_factoring(a):
+    # (-1)^omega(a), or 0 if a prime appears twice, with every exponent
+    # found by repeated division
+    K, omega = a.field, 0
+    for p in primes_upto(a.norm_int()):
+        for P in primes_above(K, p):
+            e = valuation_by_division(a, P)
+            if e > 1:
+                return 0
+            omega += e
+    return (-1) ** omega
+
+
+def test_moebius_matches_factoring_and_refuses_fractional_ideals(Q, test_fields):
+    for I in (Ideal(Q, (1,), 2), Ideal(Q, (3,), 2), primes_above(make_field(5), 11)[0].ideal.inverse()):
+        with pytest.raises(ValueError, match="integral ideal required"):
+            I.moebius()
+    for K in test_fields:
+        for a in _ideals_below(K, 60):
+            assert a.moebius() == _moebius_by_factoring(a), (K, a)
+            for m in (2, 3):
+                b = a * Fraction(1, m)
+                if not b.is_integral():
+                    with pytest.raises(ValueError, match="integral ideal required"):
+                        b.moebius()
+
+
 def test_principal_generator_over_q(Q):
     for a in _ideals_below(Q, 60):
         g = a.principal_generator()
@@ -725,6 +752,41 @@ def test_product_memo_keeps_fields_apart():
                 I5 * I13
             with pytest.raises(ValueError, match="different fields"):
                 I13 * I5
+
+
+def test_product_fast_path_keeps_semantics():
+    # two ideals over one interned field go straight to the product memo;
+    # a fresh but equal field, a different field and the scalar operands
+    # keep the general path and its results
+    K, fresh, K10 = make_field(5), QuadField(5), make_field(10)
+    assert fresh is not K
+    ideals._product.cache_clear()
+    pool = _ideals_with_denominators(K, 12)
+    for I in pool:
+        I_fresh = Ideal(fresh, I.hnf, I.den)
+        for J in pool:
+            expected = I * J
+            assert expected.field is K and expected == ideal_product_by_vectors(I, J), (I, J)
+            assert J * I is expected, (I, J)
+            assert I_fresh * J is expected and J * I_fresh is expected, (I, J)
+            assert I_fresh.divides(J) == I.divides(J), (I, J)
+    for I in pool[:6]:
+        for other in (Ideal(K10, (1, 0, 1)), Ideal(QuadField(10), (2, 0, 2))):
+            with pytest.raises(ValueError, match="different fields"):
+                I * other
+            with pytest.raises(ValueError, match="different fields"):
+                other * I
+        for e in (K.elem(3), K.elem(-3), K.elem(Fraction(2, 3)), K.elem(1, 1), K.elem(Fraction(1, 2), -3)):
+            expected = ideal_product_by_vectors(I, principal_ideal(e))
+            assert I * e == expected, (I, e)
+            if e.y == 0:
+                assert I * e.x == expected and e.x * I == expected, (I, e)
+                if e.x.denominator == 1:
+                    n = int(e.x)
+                    assert I * n == expected and n * I == expected, (I, e)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ValueError, match="nonzero"):
+                I * zero
 
 
 def test_product_memo_under_threads():
