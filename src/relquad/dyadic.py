@@ -21,47 +21,36 @@ Quadratic Forms, 63:1; the paper's appendix on U_k): every unit of
 U_(2e+1) = 1 + 4 pi O is a square.  So the square class of a unit depends
 only on its residue modulo pi^(2e+1), and a field's square-class space
 classifies the (q - 1) q^(2e) classes of O*/U_(2e+1) once, when it is first
-built.  It does so from explicit squares, with no square test: the classes
-of the squares s^2 of the units s modulo pi^(e+1), times the products of
-the basis units, are the entries of the table, and each entry's square
-witness is that s times the basis product.  decompose() afterwards takes
-the unit part x / pi^v as x f_v / 2^s, with one stored factor f_v = 2^s / pi^v
-per valuation (s = ceil(v/e)), and reads that table.  Square certificates
-(sqrt_certificate) stay as the independent square test: the trace criterion
-of the duality report runs on them, and the tests check the table against
-them.
+built, from explicit squares with no square test (see SquareClassSpace).
+decompose() then takes the unit part x / pi^v as x f_v / 2^s, with one
+stored factor f_v = 2^s / pi^v per valuation, and reads that table.  Square
+certificates (sqrt_certificate, on its pair kernel _sqrt_coords) stay the
+independent square test: the trace criterion of the duality report runs on
+them, and the tests check the table against them.
 
 The arithmetic runs on integer coordinate pairs (a, b) modulo W, with no
 object per step: _mul is the product by the t^2 rule, _valuation takes v2
-of the norm from its lowest set bit, _unit_inverse, _div_pi and _div_int
-divide, and SquareClassSpace._classify_coords is decompose on a pair, one
-function body that takes the valuation, the product by f_v, the shift, the
-lattice key and the table read.  LocalElem is the public wrapper over one
-pair, a frozen dataclass; its operations, sqrt_certificate and
-SquareClassSpace.decompose call the same kernels, and the hot loops of the
-square-class space, the norm-group search and the duality report call them
-on pairs directly.  The square certificate and the units-mod-squares lemma
-run on pairs as well: sqrt_certificate wraps its pair kernel _sqrt_coords,
-which builds a LocalElem only for the input and output of the Newton step,
-and the certificate returned is the only other one.  The report's
-linearity check classifies each unordered product of two representatives
-once, since _mul gives the same pair in both argument orders.  The report
-holds its symbol table as one bitmask row per class (bit j of row i set iff
-the symbol is -1), so bilinearity in the first argument is one XOR per pair
-of rows, and it pairs classes through the Gram matrix's rows as masks.
+of the norm from its lowest set bit, and _unit_inverse, _div_pi and _div_int
+divide.  SquareClassSpace._classify_pairs is decompose on a batch of pairs,
+the package's one body of the classify logic: the valuation, the product by
+f_v, the shift, the lattice key and the table read.  decompose, the
+norm-group search and the level classes send it one pair or a few; the
+duality report sends it all its pairs at once.  LocalElem is the public
+wrapper over one pair, a frozen dataclass.
+
+The duality report checks the appendix by GF(2) linear algebra on bitmask
+rows, one per class (bit j of row i set iff the symbol is -1).  Linearity
+classifies each unordered product of two representatives once, as the
+product is symmetric; bilinearity is n identities, not n^2 (_rows_linear);
+the duality V_k^perp = V_(e-k) is inclusion plus dimension
+(_complement_is_span), with no enumeration of the 2^dim classes; over Q2
+the closed form runs on the representatives split once on integers.
 
 A field's tables never change, so local_field() and all_local_fields()
-intern their fields, one LocalField per (kind, c, precision), as
-field.make_field interns QuadField: the square-class space, the symbol rows
-of the Hilbert symbol and the digit samples are built once per field and
-precision, and every caller shares them; the intern table grows only with
-the (field, precision) pairs asked for.  The package gets every field
-there; a LocalField built directly is a private instance, for tests.  The
-Hilbert symbol depends only on the two square classes; hilbert_symbol
-decomposes its arguments and reads the symbol off the row of the first
-class, the classes outside its norm group, searched once per class; and
-duality_report decomposes each class representative once and pairs the
-classes.
+intern one LocalField per (kind, c, precision), and every caller shares its
+square-class space, Hilbert-symbol rows and digit samples (see LocalField).
+hilbert_symbol reads the symbol off the row of the first class: the classes
+outside its norm group, searched once per class.
 """
 
 from __future__ import annotations
@@ -547,11 +536,10 @@ class SquareClassSpace:
     """Basis of K^x/(K^x)^2 over F2: pi first, then e*f + 1 units.
 
     decompose() expresses any nonzero element as a bitmask over the basis;
-    it is linear (checked by the duality test suite, not assumed here).
-    _classify_coords() is decompose on a coordinate pair, the kernel that
-    decompose, hilbert_symbol and the hot loops of the duality report call;
-    the constructor runs on pairs as well, and LocalElem appears only in the
-    public basis and representatives.
+    it is linear (checked by the duality report, not assumed here).
+    _classify_pairs() is decompose on a batch of coordinate pairs; the
+    constructor runs on pairs too, and LocalElem appears only in the public
+    basis and representatives.
 
     By the local square theorem (O'Meara 63:1) the square class of a unit u
     depends only on u modulo pi^(2e+1), so table[key(u)] is u's bitmask over
@@ -639,23 +627,28 @@ class SquareClassSpace:
         return ub % c * a + (ua - ub // c * b) % a
 
     def decompose(self, x: LocalElem) -> int:
-        return self._classify_coords(x.a, x.b)
+        return self._classify_pairs(((x.a, x.b),))[0]
 
-    def _classify_coords(self, a: int, b: int, v: int | None = None) -> int:
-        """decompose on the pair (a, b); v is _valuation(F, a, b) when the
-        caller already holds it.  One product by f_v, a shift, the lattice
-        key and a table read, in this one body: the classify kernel."""
+    def _classify_pairs(self, pairs) -> list[int]:
+        """decompose on each coordinate pair (a, b) of pairs, in order: the
+        classify kernel, the package's one body of the classify logic.  Per
+        pair the valuation, one product by f_v, a shift, the lattice key and
+        a table read; ValueError for a pair that is 0 at this precision."""
         F = self.field
-        if v is None:
+        W, T, C = F.W, F.T, F.C
+        unshift, table = self._unshift, self.table
+        la, lb, lc = self._lattice
+        out = []
+        for a, b in pairs:
             v = _valuation(F, a, b)
             if v is None:
                 raise ValueError("cannot classify 0")
-        (fa, fb), s = self._unshift[v]
-        W, bb = F.W, b * fb
-        ua = (a * fa + F.C * bb) % W >> s
-        ub = (a * fb + b * fa + F.T * bb) % W >> s
-        la, lb, lc = self._lattice
-        return v % 2 | self.table[ub % lc * la + (ua - ub // lc * lb) % la] << 1
+            (fa, fb), s = unshift[v]
+            bb = b * fb
+            ua = (a * fa + C * bb) % W >> s
+            ub = (a * fb + b * fa + T * bb) % W >> s
+            out.append(v % 2 | table[ub % lc * la + (ua - ub // lc * lb) % la] << 1)
+        return out
 
     def rep(self, mask: int) -> LocalElem:
         """The product of the basis elements over the bits of mask."""
@@ -737,7 +730,7 @@ def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     # lie in one class, so its pass reaches every v before the rows can fill:
     # forming a v^2 for the whole depth up front costs no extra product.
     space = F.space()
-    classify = space._classify_coords
+    classify = space._classify_pairs
     xa, xb = space.rep_pairs[cx]
     W = F.W
     target = F.dim - 1
@@ -752,7 +745,7 @@ def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
                 v = _valuation(F, va, vb)  # None for 0 and for values lost to precision
                 if v is None:
                     continue
-                _gf2_insert(rows, classify(va, vb, v))
+                _gf2_insert(rows, classify(((va, vb),))[0])
                 if len(rows) == target:
                     return tuple(rows)
     raise AssertionError("norm group search did not reach index 2")
@@ -766,12 +759,25 @@ def hilbert_symbol_q2_formula(a, b) -> int:
     a, b = Fraction(a), Fraction(b)
     if not a or not b:
         raise ValueError("nonzero arguments required")
-    alpha, u = _padic_split(a, 2, 8)
-    beta, v = _padic_split(b, 2, 8)
-    eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
-    om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
-    ex = eps_u * eps_v + alpha * om_v + beta * om_u
-    return -1 if ex % 2 else 1
+    s = _q2_split(a.numerator, a.denominator)
+    return -1 if _q2_exponent(s, _q2_split(b.numerator, b.denominator)) else 1
+
+
+def _q2_split(num: int, den: int = 1) -> tuple[int, int, int]:
+    """(alpha, eps(u), omega(u)) of num / den = 2^alpha u, u a 2-adic unit,
+    for nonzero integers: alpha from the lowest set bits, u modulo 8 as the
+    product of the odd parts (an odd den is its own inverse modulo 8)."""
+    vn, vd = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    u = (num >> vn) * (den >> vd) & 7
+    return vn - vd, (u - 1) // 2 % 2, (u * u - 1) // 8 % 2
+
+
+def _q2_exponent(s: tuple[int, int, int], t: tuple[int, int, int]) -> int:
+    """The exponent of the Q2 closed form modulo 2, on two _q2_split results:
+    1 iff the Hilbert symbol is -1."""
+    alpha, eps_u, om_u = s
+    beta, eps_v, om_v = t
+    return (eps_u * eps_v + alpha * om_v + beta * om_u) % 2
 
 
 def tame_symbol(a, b, p: int) -> int:
@@ -834,11 +840,7 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
     for k = -1 .. e+1; dimensions must match 1 + f(e-k) for 0 <= k <= e.
     V_k is spanned by _level_classes(F, 2k), which reaches every residue of
     U_(2k) modulo pi^(2e+2), deeper than the square class depends on."""
-    out: dict[int, list[int]] = {}
-    full: list[int] = []
-    for i in range(F.dim):
-        _gf2_insert(full, 1 << i)
-    out[-1] = full
+    out: dict[int, list[int]] = {-1: [1 << i for i in reversed(range(F.dim))]}
     for k in range(0, F.e + 1):
         rows: list[int] = []
         expected = 1 + F.f * (F.e - k)
@@ -864,21 +866,17 @@ def _sample_integral(F: LocalField, depth: int):
     return outs
 
 
-def span_masks(rows: list[int]) -> set[int]:
-    out = {0}
-    for r in rows:
-        out |= {m ^ r for m in out}
-    return out
-
-
-def _orthogonal_classes(F: LocalField, gram_rows: list[int], rows: list[int]) -> set[int]:
-    """Every class m with <m, r> = 0 for all r in rows, where bit j of
-    gram_rows[i] is the Gram bit of basis classes i and j.  <m, r> is the
-    parity of m & w_r, with bit i of w_r the parity of gram_rows[i] & r."""
-    ws = [
-        sum(((g & r).bit_count() & 1) << i for i, g in enumerate(gram_rows)) for r in rows
-    ]
-    return {m for m in range(1 << F.dim) if not any((m & w).bit_count() & 1 for w in ws)}
+def _complement_is_span(gram_rows: list[int], rows: list[int], comp: list[int]) -> bool:
+    """Whether the classes orthogonal to all of rows are the span of comp,
+    where bit j of gram_rows[i] is the Gram bit of basis classes i and j.
+    <m, r> is the parity of m & w_r, bit i of w_r the parity of
+    gram_rows[i] & r: the complement is the kernel of the functionals ws, of
+    dimension dim - rank(ws), and it is span(comp) iff every row of comp is
+    annihilated by every w (inclusion) and the dimensions agree."""
+    ws = [sum(((g & r).bit_count() & 1) << i for i, g in enumerate(gram_rows)) for r in rows]
+    if any((c & w).bit_count() & 1 for c in comp for w in ws):
+        return False
+    return len(gram_rows) - _gf2_rank(ws) == _gf2_rank(comp)
 
 
 def gram_matrix(F: LocalField) -> list[list[int]]:
@@ -892,37 +890,26 @@ def gram_matrix(F: LocalField) -> list[list[int]]:
 def duality_report(descriptor: str, precision: int | None = None) -> dict:
     """Everything the appendix asserts about one field, as a dict of checks."""
     F = local_field(descriptor, precision)
-    space = F.space()
-    reps = space.rep_pairs
+    reps = F.space().rep_pairs
     n = 1 << F.dim
     # row i of the symbol table: bit j set iff (reps[i], reps[j]) = -1
     table = _symbol_table(F, reps)
-    symmetric = all(
-        (table[i] >> j ^ table[j] >> i) & 1 == 0 for i in range(n) for j in range(i)
-    )
+    symmetric = all((table[i] >> j ^ table[j] >> i) & 1 == 0 for i in range(n) for j in range(i))
     linear = _decompose_linear(F, reps)
-    # (x y, z) = (x, z)(y, z) for the classes x = i, y = k and every z = j at once
-    bilinear = all(table[i] ^ table[k] == table[i ^ k] for i in range(n) for k in range(n))
+    bilinear = _rows_linear(table)
     gram = gram_matrix(F)
     gram_rows = [_row_to_mask(r) for r in gram]
     nondeg = _gf2_rank(gram_rows) == F.dim
     filtration = unit_filtration(F)
     dims = {k: len(rows) for k, rows in filtration.items()}
     duality = all(
-        _orthogonal_classes(F, gram_rows, filtration[k]) == span_masks(filtration[F.e - k])
+        _complement_is_span(gram_rows, filtration[k], filtration[F.e - k])
         for k in range(-1, F.e + 2)
     )
     even_pairs = _even_levels_pair_trivially(F)
     lemma_sq = _units_mod_squares_constructive(F)
     trace_crit = _trace_criterion_exhaustive(F)
-    q2_oracle = True
-    if F.kind == "q2":
-        q2_oracle = all(
-            hilbert_symbol_q2_formula(_as_rational(F, reps[i]), _as_rational(F, reps[j]))
-            == (-1 if table[i] >> j & 1 else 1)
-            for i in range(n)
-            for j in range(n)
-        )
+    q2_oracle = _q2_oracle(F, reps, table) if F.kind == "q2" else True
     return {
         "field": descriptor,
         "precision": F.precision,
@@ -939,61 +926,73 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
         "units_mod_squares_lemma": lemma_sq,
         "trace_criterion_level_2e": trace_crit,
         "q2_closed_form_oracle": q2_oracle,
-        "filtration_cardinalities_ok": all(
-            dims[k] == 1 + F.f * (F.e - k) for k in range(0, F.e + 1)
-        ),
+        "filtration_cardinalities_ok": all(dims[k] == 1 + F.f * (F.e - k) for k in range(F.e + 1)),
     }
 
 
 def _decompose_linear(F: LocalField, reps) -> bool:
     """decompose is linear on the products of the representative pairs:
-    the class of reps[i] reps[j] is i ^ j.  _mul is one formula symmetric
-    in its arguments, so reps[j] reps[i] is the same pair as reps[i]
-    reps[j], and each of the n (n + 1) / 2 distinct products is classified
-    once, for i <= j."""
-    classify = F.space()._classify_coords
-    for i, (a1, b1) in enumerate(reps):
-        for j in range(i, len(reps)):
-            a2, b2 = reps[j]
-            if classify(*_mul(F, a1, b1, a2, b2)) != i ^ j:
-                return False
-    return True
+    the class of reps[i] reps[j] is i ^ j.  The product by the t^2 rule is
+    symmetric in its arguments, so reps[j] reps[i] is the same pair as
+    reps[i] reps[j]: each of the n (n + 1) / 2 distinct products, i <= j,
+    is formed once, inline with _mul's formula, and all of them go through
+    the classify kernel in one batch."""
+    W, T, C = F.W, F.T, F.C
+    products = [
+        ((a1 * a2 + C * b1 * b2) % W, (a1 * b2 + b1 * a2 + T * b1 * b2) % W)
+        for i, (a1, b1) in enumerate(reps)
+        for a2, b2 in reps[i:]
+    ]
+    n = len(reps)
+    return F.space()._classify_pairs(products) == [i ^ j for i in range(n) for j in range(i, n)]
 
 
 def _symbol_table(F: LocalField, reps) -> list[int]:
     """The Hilbert symbols of the pairs reps[i], reps[j] as bitmask rows:
-    bit j of row i is set iff the symbol is -1.  Each pair is decomposed
-    once."""
-    classify = F.space()._classify_coords
-    classes = [classify(a, b) for a, b in reps]
-    rows = []
-    for ci in classes:
-        sym = _symbol_row(F, ci)
-        rows.append(sum((sym >> cj & 1) << j for j, cj in enumerate(classes)))
-    return rows
+    bit j of row i is set iff the symbol is -1.  The representatives are
+    classified in one batch.  In the order SquareClassSpace builds them,
+    reps[i] of class i, row i is the class row _symbol_row(F, i) itself;
+    any other order permutes the bits of the class rows."""
+    classes = F.space()._classify_pairs(reps)
+    syms = [_symbol_row(F, ci) for ci in classes]
+    if classes == list(range(len(reps))):
+        return syms
+    return [sum((sym >> cj & 1) << j for j, cj in enumerate(classes)) for sym in syms]
+
+
+def _rows_linear(table: list[int]) -> bool:
+    """Bilinearity in the first argument, (x y, z) = (x, z)(y, z) for all
+    x, y and every z at once, i.e. T(i ^ k) = T(i) ^ T(k) for all i, k, for
+    the rows T, checked as the n identities T(0) = 0 and
+    T(i) = T(i & (i - 1)) ^ T(i & -i) for 1 <= i < n.  Proof of equivalence:
+    these are instances (i = k = 0; i split into its lowest set bit and the
+    rest), and conversely, by induction on the set bits, they make T(i) the
+    XOR of T(1 << b) over the bits b of i; the bits of i ^ k are those of i
+    and k less the common ones, which cancel, so T(i ^ k) = T(i) ^ T(k)."""
+    return table[0] == 0 and all(
+        table[i] == table[i & (i - 1)] ^ table[i & -i] for i in range(1, len(table))
+    )
+
+
+def _q2_oracle(F: LocalField, reps, table: list[int]) -> bool:
+    """The Q2 closed form agrees with the symbol table on every pair of
+    representatives, each split once, as the small signed integer of its
+    canonical coordinate."""
+    splits = [_q2_split(a - F.W if a > F.W // 2 else a) for a, _ in reps]
+    return all(
+        _q2_exponent(s, t) == row >> j & 1
+        for s, row in zip(splits, table)
+        for j, t in enumerate(splits)
+    )
 
 
 def _row_to_mask(row: list[int]) -> int:
-    m = 0
-    for i, bit in enumerate(row):
-        if bit:
-            m |= 1 << i
-    return m
+    return sum(bit << i for i, bit in enumerate(row))
 
 
 def _gf2_rank(rows: list[int]) -> int:
     basis: list[int] = []
-    for r in rows:
-        _gf2_insert(basis, r)
-    return len(basis)
-
-
-def _as_rational(F: LocalField, x: tuple[int, int]) -> int:
-    if F.kind != "q2":
-        raise ValueError(f"{F} is not Q2")
-    a = x[0]
-    # small signed representative of the canonical coordinate
-    return a - F.W if a > F.W // 2 else a
+    return sum(_gf2_insert(basis, r) for r in rows)
 
 
 def _even_levels_pair_trivially(F: LocalField) -> bool:
@@ -1013,14 +1012,14 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     depth 2e + 2 - i, built once per field and level."""
     out = F._level_memo.get(i)
     if out is None:
-        classify, pi_i, W = F.space()._classify_coords, F.pi**i, F.W
-        classes = set()
+        pi_i, W = F.pi**i, F.W
+        units = []
         for t in F.samples(2 * F.e + 2 - i):
             ua, ub = _mul(F, t.a, t.b, pi_i.a, pi_i.b)
             ua = (ua + 1) % W
             if _valuation(F, ua, ub) == 0:
-                classes.add(classify(ua, ub, 0))
-        out = F._level_memo[i] = tuple(classes)
+                units.append((ua, ub))
+        out = F._level_memo[i] = tuple(set(F.space()._classify_pairs(units)))
     return out
 
 

@@ -174,15 +174,24 @@ class Elem:
     def __repr__(self):
         return f"Elem(field={self.field!r}, x={self.x!r}, y={self.y!r})"
 
-    def _coerce(self, other) -> "Elem":
+    def _coerce(self, other) -> "Elem | None":
+        """other as an element of this field; None for an operand that
+        field.elem refuses with TypeError, such as an Ideal, so that the
+        arithmetic dunders return NotImplemented and Python tries the other
+        operand's reflected method."""
         if isinstance(other, Elem):
             if self.field is not other.field and self.field != other.field:
                 raise ValueError("elements of different fields")
             return other
-        return self.field.elem(other)
+        try:
+            return self.field.elem(other)
+        except TypeError:
+            return None
 
     def __add__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         m1, m2 = self.m, o.m
         if m1 == m2:
             return Elem(self.field, self.X + o.X, self.Y + o.Y, m1)
@@ -191,16 +200,20 @@ class Elem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.__add__(-o)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        o = self._coerce(other)
+        return NotImplemented if o is None else o.__sub__(self)
 
     def __neg__(self):
         return Elem(self.field, -self.X, -self.Y, self.m)
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         x, y = coords_mul(self.field, self.X, self.Y, o.X, o.Y)
         return Elem(self.field, x, y, self.m * o.m)
 
@@ -209,6 +222,8 @@ class Elem:
 
     def __truediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero field element")
         # 1/o = m * conj(X + Y*w) / N(X + Y*w), conj(X + Y*w) = (X + t*Y) - Y*w
@@ -220,7 +235,8 @@ class Elem:
         return Elem(K, x * o.m, y * o.m, self.m * nm)
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        o = self._coerce(other)
+        return NotImplemented if o is None else o.__truediv__(self)
 
     def __pow__(self, k: int):
         if k < 0:

@@ -290,19 +290,18 @@ def identity_suite(
     for info in discriminant_classes(K, delta_bound):
         chi = QuadCharacter(info)
         f = info.f_delta
-        tds = [(t, dd) for t in f.divisors() for dd in f.divide_exact(t).divisors()]
+        # t dd^2 and its coefficient depend on the pair (t, dd) alone
+        tds = [
+            (t * dd * dd, t.moebius() * chi.primitive(t) * dd.norm_int())
+            for t in f.divisors()
+            for dd in f.divide_exact(t).divisors()
+        ]
         per_ideal, chi_sums = chi.coefficients(norm_bound)
         for a, val in per_ideal.items():
             total = 0
-            for t, dd in tds:
-                td2 = t * dd * dd
+            for td2, coeff in tds:
                 if td2.divides(a):
-                    total += (
-                        t.moebius()
-                        * chi.primitive(t)
-                        * dd.norm_int()
-                        * chi.primitive(a.divide_exact(td2))
-                    )
+                    total += coeff * chi.primitive(a.divide_exact(td2))
             cases += 1
             if total != val:
                 failures.append(f"divisor-sum identity fails: delta {info.delta}, {a}")

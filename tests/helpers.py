@@ -56,7 +56,14 @@ replaced), and element text written and read over Fraction coordinates
 (the routes that the integer text of field.Elem.__str__ and parse_elem
 replaced), and a CLI request parsed by one parse_args on a freshly built
 full parser (the route that cli.main's dispatch to the subcommand's parser
-replaced).
+replaced), and the duality report's checks in their set and pair forms:
+the orthogonal classes of each level listed over all 2^dim classes against
+the span of the complementary level (the route that the inclusion-plus-
+dimension test of dyadic._complement_is_span replaced), bilinearity over
+all n^2 pairs of symbol rows (the route that the n identities
+of dyadic._rows_linear replaced), and the Q2 closed form on Fraction values
+with the valuations found by division (the route that the integer split
+dyadic._q2_split replaced).
 """
 
 from __future__ import annotations
@@ -93,7 +100,6 @@ from relquad.dyadic import (
     agree_at_precision,
     hilbert_symbol,
     is_square,
-    span_masks,
     unit_filtration,
     unit_level,
 )
@@ -788,6 +794,66 @@ def orthogonal_complement_by_pair_bits(
         if all(pair_bit(gram, m, r) == 0 for r in rows):
             _gf2_insert(comp, m)
     return comp
+
+
+def span_masks(rows: list[int]) -> set[int]:
+    """Every class in the span of rows, the span doubled once per row."""
+    out = {0}
+    for r in rows:
+        out |= {m ^ r for m in out}
+    return out
+
+
+def orthogonal_classes(F: LocalField, gram_rows: list[int], rows: list[int]) -> set[int]:
+    """Every class m with <m, r> = 0 for all r in rows, one test per class
+    of all 2^dim, where bit j of gram_rows[i] is the Gram bit of basis
+    classes i and j.  <m, r> is the parity of m & w_r, with bit i of w_r
+    the parity of gram_rows[i] & r."""
+    ws = [sum(((g & r).bit_count() & 1) << i for i, g in enumerate(gram_rows)) for r in rows]
+    return {m for m in range(1 << F.dim) if not any((m & w).bit_count() & 1 for w in ws)}
+
+
+def duality_by_classes(F: LocalField, gram_rows: list[int], filtration) -> bool:
+    """duality_ok as two sets of classes per level: the orthogonal classes
+    of V_k against the span of V_(e-k)."""
+    return all(
+        orthogonal_classes(F, gram_rows, filtration[k]) == span_masks(filtration[F.e - k])
+        for k in range(-1, F.e + 2)
+    )
+
+
+def bilinear_by_row_pairs(rows: list[int]) -> bool:
+    """rows[i] ^ rows[k] == rows[i ^ k] for all n^2 pairs of classes."""
+    n = len(rows)
+    return all(rows[i] ^ rows[k] == rows[i ^ k] for i in range(n) for k in range(n))
+
+
+def hilbert_symbol_q2_by_division(a, b) -> int:
+    """The Q2 closed form (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u))
+    with the 2-adic valuations found by dividing by 2 and the units u, v
+    taken modulo 8 by a modular inverse of the odd denominator."""
+    parts = []
+    for q in (Fraction(a), Fraction(b)):
+        num, den, v = q.numerator, q.denominator, 0
+        while num % 2 == 0:
+            num, v = num // 2, v + 1
+        while den % 2 == 0:
+            den, v = den // 2, v - 1
+        parts.append((v, num * pow(den, -1, 8) % 8))
+    (alpha, u), (beta, w) = parts
+    ex = (u - 1) // 2 * ((w - 1) // 2) + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+    return -1 if ex % 2 else 1
+
+
+def q2_oracle_by_fractions(F: LocalField, table: list[list[int]]) -> bool:
+    """q2_closed_form_oracle on the +-1 table, with one closed form per pair
+    of representatives on their Fraction values."""
+    reps = [Fraction(r.a - F.W if r.a > F.W // 2 else r.a) for r in F.space().all_reps()]
+    return all(
+        hilbert_symbol_q2_by_division(x, y) == table[i][j]
+        for i, x in enumerate(reps)
+        for j, y in enumerate(reps)
+    )
 
 
 def duality_by_pair_bits(F: LocalField, gram: list[list[int]], filtration) -> bool:

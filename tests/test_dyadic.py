@@ -33,15 +33,21 @@ from relquad.field import make_field
 from helpers import (
     _first_square_mask,
     bilinear_by_entries,
+    bilinear_by_row_pairs,
     certificate_square_classes,
     decompose_linear_by_elems,
+    duality_by_classes,
     duality_by_pair_bits,
     element_pairing,
     gram_by_symbols,
     local_valuation_by_halving,
     norm_class_rows_by_decompose,
+    hilbert_symbol_q2_by_division,
+    orthogonal_classes,
     orthogonal_complement_by_pair_bits,
+    q2_oracle_by_fractions,
     shift_down,
+    span_masks,
     sqrt_certificate_by_elems,
     symmetric_by_entries,
 )
@@ -384,7 +390,7 @@ def test_field_caches_are_immutable():
     rows = dyadic._norm_rows(F, 1)
     assert isinstance(rows, tuple)
     assert dyadic._symbol_row(F, 1) == sum(
-        1 << cy for cy in range(1 << F.dim) if cy not in dyadic.span_masks(list(rows))
+        1 << cy for cy in range(1 << F.dim) if cy not in span_masks(list(rows))
     )
     assert F._symbol_memo and all(isinstance(r, int) for r in F._symbol_memo.values())
 
@@ -429,7 +435,7 @@ def test_unit_part_matches_shift_down(desc, extra):
         for y in (x, x * F.pi, x * F.pi * F.pi):
             v = y.valuation()
             expect = v % 2 | space.table[space.key(shift_down(y, v))] << 1
-            assert space._classify_coords(y.a, y.b, v) == expect, (desc, y)
+            assert space._classify_pairs([(y.a, y.b)]) == [expect], (desc, y)
             assert space.decompose(y) == expect, (desc, y)
 
 
@@ -443,7 +449,7 @@ def test_unit_part_at_the_valuation_cap():
             y = u * F.pi**top
             assert y.valuation() == top
             expect = top % 2 | space.table[space.key(shift_down(y, top))] << 1
-            assert space._classify_coords(y.a, y.b, top) == expect, F
+            assert space._classify_pairs([(y.a, y.b)]) == [expect], F
             assert space.decompose(y) == expect, F
 
 
@@ -559,7 +565,7 @@ _KERNEL_CASES = [(desc, extra) for desc in DESCRIPTORS for extra in (0, 4)]
 @given(st.sampled_from(_KERNEL_CASES), st.data())
 def test_pair_kernels_match_oracles(case, data):
     # _valuation against the halving loop, _mul against field.Elem, and
-    # _classify_coords against the square-certificate search
+    # the classify kernel against the square-certificate search
     desc, extra = case
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
@@ -571,11 +577,11 @@ def test_pair_kernels_match_oracles(case, data):
         assert dyadic._valuation(F, a, b) == v, (desc, a, b)
         if v is None:
             with pytest.raises(ValueError, match="cannot classify 0"):
-                space._classify_coords(a, b)
+                space._classify_pairs([(a, b)])
             continue
         mask = _first_square_mask(shift_down(LocalElem(F, a, b), v), space.basis[1:])
         assert mask is not None, (desc, a, b)
-        assert space._classify_coords(a, b) == v % 2 | mask << 1, (desc, a, b)
+        assert space._classify_pairs([(a, b)]) == [v % 2 | mask << 1], (desc, a, b)
 
 
 def test_kernel_draws_reach_the_cap():
@@ -658,6 +664,113 @@ def test_duality_checks_catch_a_flipped_unit_class(desc, monkeypatch):
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_report_checks_match_oracles_under_random_flips(desc, monkeypatch):
+    # 1-3 entries of the symbol table flipped per trial, on fixed seeds: the
+    # n-identity bilinearity, the row symmetry, the inclusion-plus-dimension
+    # duality and the split-once Q2 closed form read what their n^2 and
+    # 2^dim forms read on the same rows
+    F = local_field(desc)
+    n = 1 << F.dim
+    rng = random.Random(f"flips:{desc}")
+    gram_rows = [dyadic._row_to_mask(r) for r in gram_by_symbols(F)]
+    duality = duality_by_classes(F, gram_rows, dyadic.unit_filtration(F))
+    real = dyadic._symbol_table
+    symmetric_seen = set()
+    for trial in range(12):
+        entries = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))}
+        if trial % 3 == 0:  # a mirrored pair keeps the table symmetric
+            i, j = rng.sample(range(n), 2)
+            entries = {(i, j), (j, i)}
+        rows = real(F, F.space().rep_pairs)
+        for i, j in entries:
+            rows[i] ^= 1 << j
+        with monkeypatch.context() as m:
+            m.setattr(dyadic, "_symbol_table", lambda F, reps, rows=rows: list(rows))
+            rep = duality_report(desc)
+        entries = [[-1 if row >> j & 1 else 1 for j in range(n)] for row in rows]
+        expected = {
+            "bilinear": bilinear_by_row_pairs(rows),
+            "symmetric": symmetric_by_entries(entries),
+            "duality_ok": duality,
+            "q2_closed_form_oracle": q2_oracle_by_fractions(F, entries) if desc == "q2" else True,
+        }
+        assert {key: rep[key] for key in expected} == expected, (desc, entries)
+        symmetric_seen.add(expected["symmetric"])
+    assert symmetric_seen == {False, True}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_rows_linear_matches_row_pairs(dim):
+    # the n identities against the n^2 pairs on random linear maps, the same
+    # with 1-3 rows changed, and random rows
+    rng = random.Random(f"linear:{dim}")
+    n = 1 << dim
+    verdicts = set()
+    for trial in range(40):
+        images = [rng.randrange(1 << n) for _ in range(dim)]
+        rows = [0] * n
+        for i in range(1, n):
+            rows[i] = rows[i & (i - 1)] ^ images[(i & -i).bit_length() - 1]
+        if trial % 4 == 1:
+            for _ in range(rng.randint(1, 3)):
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        elif trial % 4 == 2:
+            rows = [rng.randrange(1 << n) for _ in range(n)]
+        ok = dyadic._rows_linear(rows)
+        assert ok == bilinear_by_row_pairs(rows), (dim, rows)
+        verdicts.add(ok)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_complement_form_matches_class_sets(desc):
+    # inclusion plus dimension against the orthogonal classes of all 2^dim,
+    # on the real Gram matrix and on random ones, degenerate ones included,
+    # for random row sets with zero, repeated and dependent rows, and
+    # candidate complements that are the true one (with dependent rows
+    # added), one row short, one row off, or random
+    F = local_field(desc)
+    rng = random.Random(f"complement:{desc}")
+    real_gram = [dyadic._row_to_mask(r) for r in gram_by_symbols(F)]
+    verdicts = set()
+    for trial in range(60):
+        gram_rows = real_gram if trial % 2 else [rng.randrange(1 << F.dim) for _ in range(F.dim)]
+        rows = [rng.randrange(1 << F.dim) for _ in range(rng.randint(0, F.dim))]
+        if rows and trial % 3 == 0:
+            rows += [rows[0], rows[0] ^ rows[-1], 0]
+        ortho = orthogonal_classes(F, gram_rows, rows)
+        basis: list[int] = []
+        for m in sorted(ortho):
+            dyadic._gf2_insert(basis, m)
+        kind = trial % 4
+        if kind == 0:
+            comp = basis + [basis[0] ^ basis[-1]] if basis else [0]
+        elif kind == 1:
+            comp = basis[1:]
+        elif kind == 2:
+            comp = basis[:-1] + [rng.randrange(1 << F.dim)]
+        else:
+            comp = [rng.randrange(1 << F.dim) for _ in range(rng.randint(0, F.dim))]
+        ok = dyadic._complement_is_span(gram_rows, rows, comp)
+        assert ok == (ortho == span_masks(comp)), (desc, gram_rows, rows, comp)
+        verdicts.add(ok)
+    assert verdicts == {False, True}
+
+
+def test_q2_formula_matches_division_oracle():
+    # the closed form on the shared integer split against valuations found
+    # by division, over signed fractions with even and odd parts
+    rng = random.Random("q2-formula")
+    values = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-3, 8)]
+    for _ in range(120):
+        num = rng.choice((-1, 1)) * rng.randrange(1, 400)
+        values.append(Fraction(num, rng.randrange(1, 60)))
+    for a in values:
+        for b in values[::7]:
+            assert hilbert_symbol_q2_formula(a, b) == hilbert_symbol_q2_by_division(a, b), (a, b)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_orthogonal_classes_match_pair_bits(desc):
     # the classes orthogonal through the mask rows of the Gram matrix span
     # the pair-bit complement, for every filtration level and every class
@@ -668,8 +781,8 @@ def test_orthogonal_classes_match_pair_bits(desc):
     filtration = dyadic.unit_filtration(F)
     subspaces = [filtration[k] for k in filtration] + [[m] for m in range(1 << F.dim)]
     for rows in subspaces:
-        expected = dyadic.span_masks(orthogonal_complement_by_pair_bits(F, rows, gram))
-        assert dyadic._orthogonal_classes(F, gram_rows, rows) == expected, (desc, rows)
+        expected = span_masks(orthogonal_complement_by_pair_bits(F, rows, gram))
+        assert orthogonal_classes(F, gram_rows, rows) == expected, (desc, rows)
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
@@ -746,23 +859,54 @@ def test_dyadic_verify_verdicts_survive_optimize():
     assert runs["broken"] == '[false, 1, 8, ["trace_criterion_level_2e fails"]]'
 
 
+def test_local_duality_verdict_survives_optimize():
+    # relquad local-duality exits 0 under python -O; with one entry of the
+    # symbol table flipped the report shows bilinear false and exits 1
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import relquad.dyadic as dyadic\n"
+        "from relquad.cli import main\n"
+        "if sys.argv[1] == 'broken':\n"
+        "    real = dyadic._symbol_table\n"
+        "    def flipped(F, reps):\n"
+        "        rows = real(F, reps)\n"
+        "        rows[1] ^= 1 << 2\n"
+        "        return rows\n"
+        "    dyadic._symbol_table = flipped\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['local-duality', '--field', 'ram:-5'])\n"
+        "rep = json.loads(out.getvalue())\n"
+        "print(json.dumps([__debug__, code, rep['bilinear']]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dyadic.__file__).parents[1])}
+    runs = {}
+    for mode in ("real", "broken"):
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code, mode], capture_output=True, text=True, env=env, check=True
+        )
+        runs[mode] = out.stdout.strip()
+    assert runs["real"] == "[false, 0, true]"
+    assert runs["broken"] == "[false, 1, false]"
+
+
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_decompose_linear_classifies_each_unordered_product_once(desc, monkeypatch):
     # the linearity check sends the n (n + 1) / 2 products reps[i] reps[j],
-    # i <= j, squares included, through the classify kernel, one call each,
-    # and they are all the n^2 products
+    # i <= j, squares included, through the batched classify kernel, each
+    # one once, and they are all the n^2 products
     F = local_field(desc)
     space = F.space()
     reps = space.rep_pairs
     n = len(reps)
     seen = []
-    real = SquareClassSpace._classify_coords
+    real = SquareClassSpace._classify_pairs
 
-    def recorded(self, a, b, v=None):
-        seen.append((a, b))
-        return real(self, a, b, v)
+    def recorded(self, pairs):
+        seen.extend(pairs)
+        return real(self, pairs)
 
-    monkeypatch.setattr(SquareClassSpace, "_classify_coords", recorded)
+    monkeypatch.setattr(SquareClassSpace, "_classify_pairs", recorded)
     assert dyadic._decompose_linear(F, reps)
     expected = [dyadic._mul(F, *reps[i], *reps[j]) for i in range(n) for j in range(i, n)]
     assert len(seen) == n * (n + 1) // 2 and sorted(seen) == sorted(expected)

@@ -789,6 +789,31 @@ def test_product_fast_path_keeps_semantics():
                 I * zero
 
 
+def test_elem_times_ideal_is_the_reflected_product():
+    # Elem returns NotImplemented for an operand field.elem refuses with a
+    # TypeError, so e * I reaches Ideal.__rmul__ and equals I * e; a sum
+    # with an ideal or any operation with a bare object still raises
+    # TypeError, and int, Fraction and string operands behave as before
+    for K in (make_field(), make_field(5)):
+        for I in (principal_ideal(K.elem(2)), Ideal(K, (3,) if K.is_rational else (3, 0, 3), 2)):
+            for e in (K.elem(3), K.elem(Fraction(-2, 5)), K.one):
+                assert e * I == I * e == ideal_product_by_vectors(I, principal_ideal(e)), (K, I, e)
+            e = K.elem(3)
+            for op in (lambda: e + I, lambda: I + e, lambda: e - I, lambda: e / I, lambda: I / e):
+                with pytest.raises(TypeError):
+                    op()
+        e = K.elem(3)
+        for op in (lambda: e * object(), lambda: object() * e, lambda: e + object(), lambda: e - None):
+            with pytest.raises(TypeError):
+                op()
+        for x in (2, Fraction(-1, 3), "1/2", "7"):
+            y = K.elem(x)
+            assert e * x == x * e == K.elem(3) * y and e + x == x + e == e + y, (K, x)
+            assert e - x == -(x - e) == e - y and e / x == e / y and x / e == y / e, (K, x)
+        with pytest.raises(ValueError, match="Invalid literal"):
+            e * "w"
+
+
 def test_product_memo_under_threads():
     # four threads multiply the same pool, each in its own order, starting
     # from a cold memo; every product must be the oracle's

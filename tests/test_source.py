@@ -95,3 +95,39 @@ def test_one_continued_fraction_loop():
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cf_step":
                         callers.append(f"{path.stem}.{fn.name}")
     assert callers == ["field._cf_convergents"], callers
+
+
+def _reads_classify_tables(fn) -> bool:
+    """Whether fn reads an attribute _unshift or indexes an attribute table,
+    directly or through a local name bound to it."""
+    aliases = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            targets = [t for tgt in node.targets for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])]
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value] * len(targets)
+            for t, v in zip(targets, values):
+                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "table":
+                    aliases.add(t.id)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and node.attr == "_unshift" and isinstance(node.ctx, ast.Load):
+            return True
+        if isinstance(node, ast.Subscript):
+            v = node.value
+            if (isinstance(v, ast.Attribute) and v.attr == "table") or (
+                isinstance(v, ast.Name) and v.id in aliases
+            ):
+                return True
+    return False
+
+
+def test_one_classify_kernel():
+    # decompose, the norm-group search, the level classes and the duality
+    # report classify through SquareClassSpace._classify_pairs, the one
+    # function that reads the unshift factors or indexes the unit table
+    readers = []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and _reads_classify_tables(fn):
+                readers.append(f"{path.stem}.{fn.name}")
+    assert readers == ["dyadic._classify_pairs"], readers
