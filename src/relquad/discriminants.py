@@ -24,19 +24,19 @@ tests/helpers.py::conductor_by_division.
 
 The class enumeration builds each class modulo unit squares once, as a
 principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
-u*g, and keeps its least member in the window of discriminant_classes; all
-on integer pairs, with only the representatives made Elems.  Their
-conductors are read off the ideal (g) = (delta) each was built from, so a
-row of a table or of unit_discriminants never builds (delta).  Cohen, GTM
-138, 5.2-5.4 and 5.7-5.8.
+u*g, and keeps its least member in the window of field._window_least,
+the walk that Ideal.principal_generator shares; all on integer pairs,
+with only the representatives made Elems.  Their conductors are read off
+the ideal (g) = (delta) each was built from, so a row of a table or of
+unit_discriminants never builds (delta).  Cohen, GTM 138, 5.2-5.4 and
+5.7-5.8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
 
-from .field import Elem, QuadField, coords_mul, coords_sign, fundamental_unit, roots_of_unity, unit_square_class_reps
+from .field import Elem, QuadField, _window_least, coords_mul, coords_sign, roots_of_unity, unit_square_class_reps
 from .ideals import (
     Ideal,
     PrimeIdeal,
@@ -342,65 +342,14 @@ def same_class_mod_unit_squares(d1: Elem, d2: Elem) -> bool:
     return same_class_mod_squares(d1, d2) and principal_ideal(d1) == principal_ideal(d2)
 
 
-def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
-    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
-    if alpha >= 0 and beta >= 0:
-        return True
-    if alpha <= 0 and beta <= 0:
-        return False
-    return (alpha > 0) == (alpha * alpha > d * beta * beta)
-
-
-def _window_side(P: int, Q: int, E: int, F: int, d: int) -> int:
-    """0 if delta is in the window |log|s1(delta)/s2(delta)|| <= 2 log eps,
-    else the side it leaves by: 1 for |s1/s2| > eps^2, -1 for < eps^-2.
-    With 2*delta = P + Q sqrt(d), 2*eps^4 = E + F sqrt(d) and (2 delta)^2 =
-    a + b sqrt(d), all integers, these are two exact sign tests, s1(delta^2)
-    <= s1(eps^4) s2(delta^2) and symmetrically, scaled by 8."""
-    a = P * P + d * Q * Q
-    b = 2 * P * Q
-    if not _sqrt_d_nonneg(E * a - F * b * d - 2 * a, F * a - E * b - 2 * b, d):
-        return 1
-    if not _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d):
-        return -1
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _unit_window(K: QuadField) -> tuple[int, int]:
-    """(E, F) with 2 eps^4 = E + F sqrt(d), the window bound of
-    _window_side, computed once per interned real field (as
-    fundamental_unit is)."""
-    E, F = (int(2 * v) for v in (fundamental_unit(K) ** 4).as_sqrt_coords())
-    return E, F
-
-
-def _window_least(K: QuadField, x: int, y: int) -> tuple[int, int]:
-    """The least (x, y) of the class of x + y*w modulo unit squares of the
-    real field K in the window of _window_side.  eps^2 multiplies |s1/s2|
-    by eps^4, the width of the closed window, and conj(eps)^2 divides it by
-    eps^4: so the walk enters the window, which holds one or two members."""
-    t, d = K.omega_trace, K.d
-    window, eps = _unit_window(K), fundamental_unit(K)
-    up = coords_mul(K, eps.X, eps.Y, eps.X, eps.Y)
-    down = coords_mul(K, eps.X + t * eps.Y, -eps.Y, eps.X + t * eps.Y, -eps.Y)
-    while side := _window_side(2 * x + t * y, (2 - t) * y, *window, d):
-        x, y = coords_mul(K, x, y, *(down if side > 0 else up))
-    members = [(x, y)]
-    for step in (up, down):
-        x1, y1 = coords_mul(K, x, y, *step)
-        if not _window_side(2 * x1 + t * y1, (2 - t) * y1, *window, d):
-            members.append((x1, y1))
-    return min(members)
-
-
 def discriminant_classes(
     K: QuadField, norm_bound: int, sign: str = "any"
 ) -> list[DiscriminantInfo]:
     """Representatives of all discriminant classes modulo squares of units
     with |N(delta)| <= norm_bound, optionally restricted to totally negative
     discriminants, sorted: the least coordinate pair of each class in the
-    window of _window_side for a real field, in the whole class otherwise.
+    window eps^-2 <= |s1/s2| <= eps^2 of field._window_least for a real
+    field, in the whole class otherwise.
     A class is a principal ideal (g) and a unit u of unit_square_class_reps,
     so each is built once, as u*g; its mod-4 witness and its signs do not
     change under unit squares, so they are tested once."""
@@ -426,7 +375,7 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
     the ideal (delta) of every member (_conductor)."""
     units = [(u.X, u.Y) for u in unit_square_class_reps(K)]
     if K.is_real_quadratic:
-        generator, least = _cf_generator, partial(_window_least, K)
+        generator, least = _cf_generator, lambda x, y: _window_least(K, x, y, 2)
     else:
         generator = _gauss_generator if K.degree == 2 else lambda I: (I.hnf[0], 0)
         squares = [coords_mul(K, z.X, z.Y, z.X, z.Y) for z in roots_of_unity(K)]

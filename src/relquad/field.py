@@ -6,9 +6,11 @@ over Q), normalised to m >= 1 and gcd(X, Y, m) = 1, with zero as (0, 0, 1)
 (Cohen, GTM 138, 4.2.2): equal elements have equal triples, and an element
 is integral iff m = 1.  Products, real signs and square roots are the
 integer kernels coords_mul, coords_sign and coords_sqrt, which the class
-enumeration also calls on bare pairs.  Fraction appears only at the
-boundary: QuadField.elem and parse_elem take rationals, and x, y, norm,
-trace and as_sqrt_coords return them.
+enumeration also calls on bare pairs; _window_least walks a pair by a
+power of the fundamental unit into a balanced window, for the class
+enumeration and Ideal.principal_generator alike.  Fraction appears only
+at the boundary: QuadField.elem and parse_elem take rationals, and x, y,
+norm, trace and as_sqrt_coords return them.
 """
 
 from __future__ import annotations
@@ -488,6 +490,61 @@ def fundamental_unit(K: QuadField) -> Elem:
                     return cand
             raise AssertionError("no associate > 1")
     raise AssertionError(f"no unit in a period of omega for d={d}")
+
+
+def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
+    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
+    if alpha >= 0 and beta >= 0:
+        return True
+    if alpha <= 0 and beta <= 0:
+        return False
+    return (alpha > 0) == (alpha * alpha > d * beta * beta)
+
+
+def _window_side(P: int, Q: int, E: int, F: int, d: int) -> int:
+    """0 if delta is in the closed window u^-1 <= |s1(delta)/s2(delta)| <= u
+    of a unit u with s1(u) > 0, else the side it leaves by: 1 above, -1
+    below.  With 2*delta = P + Q sqrt(d), 2*u^2 = E + F sqrt(d) and
+    (2 delta)^2 = a + b sqrt(d), all integers, these are two exact sign
+    tests, s1(delta^2) <= s1(u^2) s2(delta^2) and symmetrically, scaled by 8."""
+    a = P * P + d * Q * Q
+    b = 2 * P * Q
+    if not _sqrt_d_nonneg(E * a - F * b * d - 2 * a, F * a - E * b - 2 * b, d):
+        return 1
+    if not _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d):
+        return -1
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _unit_window(K: QuadField, k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """For u = eps^k of the real field K: (E, F) with 2u^2 = E + F sqrt(d),
+    the window bound of _window_side, and the coordinates of u and of
+    u^-1 = N(u) conj(u), computed once per interned field and k (as
+    fundamental_unit is)."""
+    u = fundamental_unit(K) ** k
+    E, F = (int(2 * v) for v in (u * u).as_sqrt_coords())
+    n = int(u.norm())
+    return (E, F), (u.X, u.Y), (n * (u.X + K.omega_trace * u.Y), -n * u.Y)
+
+
+def _window_least(K: QuadField, x: int, y: int, k: int) -> tuple[int, int]:
+    """The least (x, y) of x + y*w times the powers of u = eps^k in the
+    real field K that lie in the window of _window_side.  u multiplies
+    |s1/s2| by eps^(2k) (|s2(u)| = 1/u), the width of the closed window,
+    and u^-1 divides it by that: so the walk enters the window, which holds
+    one or two members.  s1(u) > 0, so every member's s1 has the sign of
+    s1(x + y*w).  Discriminant classes walk by eps^2, generators by eps."""
+    t, d = K.omega_trace, K.d
+    window, up, down = _unit_window(K, k)
+    while side := _window_side(2 * x + t * y, (2 - t) * y, *window, d):
+        x, y = coords_mul(K, x, y, *(down if side > 0 else up))
+    members = [(x, y)]
+    for step in (up, down):
+        x1, y1 = coords_mul(K, x, y, *step)
+        if not _window_side(2 * x1 + t * y1, (2 - t) * y1, *window, d):
+            members.append((x1, y1))
+    return min(members)
 
 
 def roots_of_unity(K: QuadField) -> list[Elem]:

@@ -39,7 +39,9 @@ factorization of ((x + y*w)/m) that way.
 Principality reads the norm form f_J of I = c*J (_norm_form, Cohen, GTM
 138, 5.2): a real field walks the continued fraction of a root of f_J, as
 fundamental_unit walks that of w (5.7); an imaginary one reduces f_J by
-Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.
+Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.  A
+real field's generator is then walked by eps into the window of
+field._window_least, the walk the discriminant classes take by eps^2.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
 square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
@@ -69,7 +71,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .arith import BoundExceeded, factorint, is_prime, kronecker, sqrt_mod_p, xgcd
-from .field import Elem, QuadField, _cf_convergents, coords_mul, fundamental_unit, parse_elem, roots_of_unity
+from .field import Elem, QuadField, _cf_convergents, _window_least, coords_mul, coords_sign, parse_elem, roots_of_unity
 
 __all__ = [
     "Ideal",
@@ -834,20 +836,6 @@ def class_number(K: QuadField) -> int:
 # -- principal generator search ------------------------------------------------
 
 
-def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
-    """(xcap, ycap) > (|A|, |y|) for x + y*w = A + B*sqrt(d) of the real
-    field K in the box |s1|, |s2| <= sqrt(N)*eps, from the bound
-    E = A_eps + B_eps*(isqrt(d) + 1) > eps with s*E an integer, s = t + 1:
-    |A| <= sqrt(N)*E and |y| = s*|B| <= s*sqrt(N)*E/sqrt(d).  The associate
-    walk of _principal_generator_integral is its only caller."""
-    eps = fundamental_unit(K)
-    t = K.omega_trace
-    s = t + 1
-    sE = s * eps.X + t * eps.Y + eps.Y * (isqrt(K.d) + 1)
-    R = N * sE * sE
-    return isqrt(R // (s * s)) + 1, isqrt(R // K.d) + 1
-
-
 def _norm_form(I: Ideal) -> tuple[int, int, int]:
     """f_J = (A, B, C) = (A, 2b' + t, N(b' + w)/A), of the discriminant of
     K, for I = c*J with HNF (a, b, c), J = (A, b' + w): N(p*A + q*(b' + w))
@@ -896,14 +884,11 @@ def _gauss_generator(I: Ideal) -> tuple[int, int] | None:
 
 
 def _principal_generator_integral(I: Ideal) -> Elem | None:
-    """The generator of I that the box scan of tests/helpers.py finds
-    first, or None: of _gauss_generator's g*zeta, zeta a root of unity, the
-    least in (y, -x) for an imaginary K; of _cf_generator's +-g*eps^k in the
-    box's rows |y| <= Y, the least (y, x) for a real K.  Times s = t + 1,
-    x + y*w embeds as u +- y*sqrt(d), u = s*x + t*y; eps scales the first
-    by eps, conj(eps) the second.  Once the one it scales dominates (u*y
-    has its sign), min(|u|, |y|*sqrt(d)) grows, so the walk each way from g
-    stops at |y| > Y and u^2 > d*Y^2."""
+    """The generator of I fixed by I alone, or None: of _gauss_generator's
+    g*zeta, zeta a root of unity, the least in (y, -x) for an imaginary K;
+    for a real K, of the associates +-g*eps^k of _cf_generator's g with
+    s1 > 0, the least (x, y) of the one or two in the window eps^-1 <=
+    |s1/s2| <= eps (field._window_least by u = eps)."""
     K = I.field
     if K.is_imaginary_quadratic:
         g = _gauss_generator(I)
@@ -914,23 +899,10 @@ def _principal_generator_integral(I: Ideal) -> Elem | None:
     g = _cf_generator(I)
     if g is None:
         return None
-    a, _, c = I.hnf
-    t = K.omega_trace
-    xcap, ycap = _unit_box(K, I.norm_int())
-    # the oracle's box: rows |y| <= Y, and in each the x = j*b mod a in
-    # m +- (xcap + 1), m = (-t*y)//2, and one step of a beyond each end,
-    # which for an x of I is -X < x - m <= X
-    s, X, Y = t + 1, xcap + 1 + a, (ycap // c + 1) * c
-    eps = fundamental_unit(K)
-    best = None
-    for unit, e in ((eps, 1), (eps.conj(), -1)):
-        x, y = g
-        while e * (u := s * x + t * y) * y < 0 or abs(y) <= Y or u * u <= K.d * Y * Y:
-            for x1, y1 in ((x, y), (-x, -y)):
-                if abs(y1) <= Y and -X < x1 - (-t * y1) // 2 <= X and (best is None or (y1, x1) < best):
-                    best = (y1, x1)
-            x, y = coords_mul(K, x, y, unit.X, unit.Y)
-    return None if best is None else Elem(K, best[1], best[0])
+    x, y = g
+    if coords_sign(K, x, y, 0) < 0:
+        x, y = -x, -y
+    return Elem(K, *_window_least(K, x, y, 1))
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -79,8 +79,6 @@ from relquad.cli import build_parser
 from relquad.discriminants import (
     DiscriminantInfo,
     _dyadic_ramification,
-    _unit_window,
-    _window_side,
     _witness_coords,
     conductor_ideal,
     discriminant_classes,
@@ -107,6 +105,8 @@ from relquad.field import (
     _ELEM_RE,
     Elem,
     QuadField,
+    _unit_window,
+    _window_side,
     coords_is_square,
     coords_mul,
     coords_sign,
@@ -119,7 +119,6 @@ from relquad.ideals import (
     Ideal,
     _hnf_from_vectors,
     _hnf_triple,
-    _unit_box,
     coords_valuation,
     minkowski_bound,
     primes_above,
@@ -272,7 +271,7 @@ def discriminant_candidates(K: QuadField, norm_bound: int):
         window = None
     else:
         xc, ymax = _unit_box(K, norm_bound)
-        window = _unit_window(K)
+        window = _unit_window(K, 2)[0]
     for y in range(-ymax, ymax + 1):
         lo = (-t * y) // 2 - xc - 1
         hi = (-t * y) // 2 + xc + 1
@@ -321,12 +320,26 @@ def discriminant_classes_by_buckets(K: QuadField, pairs, sign: str = "any") -> l
 # -- box searches: the eps-scaled scans the norm-form row solver replaced --------
 
 
-def _box_window_member(delta: Elem, eps4: Elem) -> bool:
-    # |log|s1(delta)/s2(delta)|| <= 2 log eps, as two exact sign tests:
-    # s1(delta^2) <= s1(eps^4) s2(delta^2) and symmetrically.
+def _unit_box(K: QuadField, N: int) -> tuple[int, int]:
+    """(xcap, ycap) > (|A|, |y|) for x + y*w = A + B*sqrt(d) of the real
+    field K in the box |s1|, |s2| <= sqrt(N)*eps, from the bound
+    E = A_eps + B_eps*(isqrt(d) + 1) > eps with s*E an integer, s = t + 1:
+    |A| <= sqrt(N)*E and |y| = s*|B| <= s*sqrt(N)*E/sqrt(d)."""
+    eps = fundamental_unit(K)
+    t = K.omega_trace
+    s = t + 1
+    sE = s * eps.X + t * eps.Y + eps.Y * (isqrt(K.d) + 1)
+    R = N * sE * sE
+    return isqrt(R // (s * s)) + 1, isqrt(R // K.d) + 1
+
+
+def _box_window_member(delta: Elem, u2: Elem) -> bool:
+    # u^-1 <= |s1(delta)/s2(delta)| <= u for u2 = u^2, u = eps^2 for the
+    # classes and eps for generators, as two exact sign tests:
+    # s1(delta^2) <= s1(u^2) s2(delta^2) and symmetrically.
     d2 = delta * delta
     c2 = d2.conj()
-    return (eps4 * c2 - d2).sign_at(0) >= 0 and (eps4 * d2 - c2).sign_at(0) >= 0
+    return (u2 * c2 - d2).sign_at(0) >= 0 and (u2 * d2 - c2).sign_at(0) >= 0
 
 
 def box_discriminant_candidates(K: QuadField, norm_bound: int):
@@ -425,6 +438,26 @@ def box_principal_generator(I: Ideal) -> Elem | None:
             if principal_ideal(g) == I:
                 return g
     return None
+
+
+def balanced_associate(g: Elem) -> Elem:
+    """The associate of a generator g of a real field that
+    Ideal.principal_generator returns, by Elem arithmetic: of the
+    +-g*eps^k with |k| <= 8 and s1 > 0, those in the window
+    eps^-1 <= |s1/s2| <= eps of _box_window_member with eps^2, least in
+    (x, y).  g itself over Q or an imaginary field."""
+    K = g.field
+    if not K.is_real_quadratic:
+        return g
+    eps = fundamental_unit(K)
+    eps2 = eps * eps
+    members = [
+        h
+        for k in range(-8, 9)
+        for h in (g * eps**k, -g * eps**k)
+        if h.sign_at(0) > 0 and _box_window_member(h, eps2)
+    ]
+    return min(members, key=lambda h: (h.x, h.y))
 
 
 def row_principal_generator(I: Ideal) -> Elem | None:

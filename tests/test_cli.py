@@ -37,6 +37,32 @@ def test_fdelta_principal_rep(capsys):
     assert validate_record(rec, "fdelta") == []
 
 
+@pytest.mark.parametrize("d", [5, 2, 10, 15, 7, 195, 23, 19, 22, 94, 10007])
+def test_fdelta_square_has_principal_rep_one(d, capsys):
+    # f = (6) for delta = 36, and 6 is its generator in the unit window, so
+    # delta/g^2 = 1; the least associate in the eps-box made it 13 - 8w in
+    # Q(sqrt 5) and a 60-digit element in Q(sqrt 10007)
+    code, out, _ = run_cli("fdelta", "--field", str(d), "--delta=36", capsys=capsys)
+    assert code == 0 and json.loads(out)["principal_rep"] == "1"
+
+
+def test_fdelta_with_a_huge_unit_finishes():
+    # eps has 21,198 bits in Q(sqrt 1000000007): the least associate of 2
+    # in the eps-box had 21,199 bits, and its text exceeded Python's
+    # 4300-digit limit, so fdelta exited 2
+    src = str(Path(relquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relquad", "fdelta", "--field", "1000000007", "--delta=-4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["principal_rep"] == "-1"
+
+
 def test_conductor_and_char(capsys):
     code, out, _ = run_cli("conductor", "--field", "0", "--delta", "-12", capsys=capsys)
     assert code == 0 and json.loads(out)["rel_disc"] == "[3]/1"

@@ -15,7 +15,7 @@ from helpers import (
     local_square_solvable_by_residues,
     unit_discriminants_by_classes,
 )
-from relquad import cli, discriminants, ideals, tables
+from relquad import cli, discriminants, field, ideals, tables
 from relquad.cli import main
 from relquad.discriminants import (
     conductor_ideal,
@@ -523,7 +523,7 @@ def test_unit_window_built_once_per_field(d, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Elem, "__mul__", no_products)
         assert discriminant_classes(K, 30) == first
-    assert discriminants._unit_window(K) == (E, F)
+    assert field._unit_window(K, 2)[0] == (E, F)
 
 
 @pytest.mark.parametrize(

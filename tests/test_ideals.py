@@ -11,21 +11,24 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import relquad
 
 from helpers import (
     _norm_row,
+    balanced_associate,
     box_principal_generator,
     ideal_product_by_vectors,
     row_principal_generator,
     square_root_coords_by_box,
     valuation_by_division,
 )
-from relquad.arith import BoundExceeded, primes_upto
+from relquad.arith import BoundExceeded, is_squarefree, primes_upto
 from relquad.counting import ideal_count_table
 from relquad import counting, ideals
-from relquad.field import Elem, QuadField, coords_mul, fundamental_unit, make_field
+from relquad.field import Elem, QuadField, _window_least, coords_mul, fundamental_unit, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
@@ -536,16 +539,46 @@ def _ideals_below(K, bound):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 15, 19, 22, 23, 46, 79, 82, 85, 195, -15])
 def test_principal_generator_matches_box_oracle(d):
-    # the same element as the coordinate-box scan, not merely a generator,
-    # for every integral ideal of norm < 60 and for each of them divided
-    # by 3; the box scan is out of reach for d = 46 (eps = 24335 + 3588w),
-    # whose rows the row-by-row oracle solves instead, below norm 31
+    # the same element as the balanced associate of the coordinate-box
+    # scan's generator (the scan's own generator in an imaginary field),
+    # not merely a generator, for every integral ideal of norm < 60 and for
+    # each of them divided by 3; the box scan is out of reach for d = 46
+    # (eps = 24335 + 3588w), whose rows the row-by-row oracle solves
+    # instead, below norm 31
     K = make_field(d)
     oracle = lru_cache(maxsize=None)(row_principal_generator if d == 46 else box_principal_generator)
     for a in _ideals_below(K, 31 if d == 46 else 60):
         for I in (a, a * Fraction(1, 3)):
             g = oracle(Ideal(K, I.hnf, 1))
-            assert I.principal_generator() == (None if g is None else g / I.den), (d, I)
+            assert I.principal_generator() == (None if g is None else balanced_associate(g) / I.den), (d, I)
+
+
+REAL_SQUAREFREE = [d for d in range(2, 5001) if is_squarefree(d)]
+
+
+@settings(deadline=None)
+@given(
+    d=st.sampled_from(REAL_SQUAREFREE),
+    x=st.integers(-12, 12),
+    y=st.integers(-12, 12),
+    k=st.integers(-8, 8),
+    sign=st.sampled_from((1, -1)),
+)
+def test_principal_generator_ignores_the_associate(d, x, y, k, sign):
+    # the generator of (+-g*eps^k) is the one of (g), generates it, has
+    # s1 > 0 and is the balanced associate; the window walk reaches it
+    # from the far associate itself
+    assume(x or y)
+    K = make_field(d)
+    g = K.elem(x, y)
+    h = g * fundamental_unit(K) ** k * sign
+    I = principal_ideal(h)
+    got = I.principal_generator()
+    assert got == principal_ideal(g).principal_generator()
+    assert principal_ideal(got) == I and got.sign_at(0) > 0
+    assert got == balanced_associate(g)
+    start = h if h.sign_at(0) > 0 else -h
+    assert _window_least(K, start.X, start.Y, 1) == (got.X, got.Y)
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 22, 79])
