@@ -327,8 +327,13 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    # output is exact, so integers of any length are printed in full:
+    # Python's integer-to-text limit is lifted for the call and restored
+    # after it, which leaves an in-process caller's interpreter as it was
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -336,6 +341,8 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

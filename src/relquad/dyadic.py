@@ -28,15 +28,22 @@ certificates (sqrt_certificate, on its pair kernel _sqrt_coords) stay the
 independent square test: the trace criterion of the duality report runs on
 them, and the tests check the table against them.
 
-The arithmetic runs on integer coordinate pairs (a, b) modulo W, with no
-object per step: _mul is the product by the t^2 rule, _valuation takes v2
-of the norm from its lowest set bit, and _unit_inverse, _div_pi and _div_int
-divide.  SquareClassSpace._classify_pairs is decompose on a batch of pairs,
-the package's one body of the classify logic: the valuation, the product by
-f_v, the shift, the lattice key and the table read.  decompose, the
-norm-group search and the level classes send it one pair or a few; the
-duality report sends it all its pairs at once.  LocalElem is the public
-wrapper over one pair, a frozen dataclass.
+Every internal computation runs on integer coordinate pairs (a, b) modulo
+W, with no object per step: _mul is the product by the t^2 rule, _valuation
+takes v2 of the norm from its lowest set bit, and _unit_inverse, _div_pi and
+_div_int divide.  The digit samples, their squares, the square-class
+space's set-up, the certificates and the level classes are pairs and
+tuples of pairs.  SquareClassSpace._classify_pairs is decompose on a batch
+of pairs, the package's one body of the classify logic: the valuation, the
+product by f_v, the shift, the lattice key and the table read.  decompose
+sends it one pair, hilbert_symbol its two arguments, the norm-group search
+one value at a time, and the level classes and the duality report whole
+batches.  LocalElem, a frozen dataclass over one pair, is the public
+boundary only: the field's elem, zero, one and pi, the arguments of
+is_square, sqrt_certificate, decompose and hilbert_symbol, the certificate
+sqrt_certificate returns, the space's rep, all_reps and basis, and the
+completions of verify.completion_at.  A field builds three LocalElems, its
+constants; its first duality report builds no more.
 
 The duality report checks the appendix by GF(2) linear algebra on bitmask
 rows, one per class (bit j of row i set iff the symbol is -1).  Linearity
@@ -83,8 +90,9 @@ class LocalField:
     The descriptor is immutable and element operations are pure.  The
     instance caches, on first use, its square-class space (basis and unit
     table, see SquareClassSpace), the symbol rows that hilbert_symbol reads
-    (as ints), the digit samples of _sample_integral and the unit classes of
-    _level_classes (as tuples); no code mutates any of them once built.
+    (as ints), the digit samples of _sample_integral and their squares (as
+    tuples of coordinate pairs) and the unit classes of _level_classes (as
+    tuples); no code mutates any of them once built.
     The elements one, zero and pi are built with the instance.  Each cache
     is a function of the descriptor and the precision alone, so a lazy
     build that two threads race to fill computes the same value whichever
@@ -123,8 +131,8 @@ class LocalField:
         else:  # sqrt c for even c, 1 + sqrt c for odd c
             self.pi = LocalElem(self, self.c % 2, 1)
         self._symbol_memo: dict[int, int] = {}
-        self._sample_memo: dict[int, tuple[LocalElem, ...]] = {}
-        self._square_memo: dict[int, tuple[LocalElem, ...]] = {}
+        self._sample_memo: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._square_memo: dict[int, tuple[tuple[int, int], ...]] = {}
         self._level_memo: dict[int, tuple[int, ...]] = {}
         self._space = None
 
@@ -148,16 +156,9 @@ class LocalField:
         if not q:
             raise ValueError("nonzero rational required")
         v, u = _padic_split(q, 2, self.W)
-        out = self.elem(u)
-        if v % 2:
-            out = out * self.elem(2)
-        return out
+        return self.elem(2 * u if v % 2 else u)
 
     # -- residue field ---------------------------------------------------------
-
-    def residue(self, x: "LocalElem") -> tuple[int, int]:
-        """Image in the residue field: a bit for F2, a bit pair p + q*g for F4."""
-        return _residue(self, x.a, x.b)
 
     def res_mul(self, r, s):
         p1, q1 = r
@@ -182,9 +183,6 @@ class LocalField:
                 return y
         raise AssertionError("trace-zero element without Artin-Schreier solution")
 
-    def res_lift(self, r) -> "LocalElem":
-        return LocalElem(self, *_res_lift(self, r))
-
     # -- square classes --------------------------------------------------------
 
     def space(self) -> "SquareClassSpace":
@@ -192,18 +190,21 @@ class LocalField:
             self._space = SquareClassSpace(self)
         return self._space
 
-    def samples(self, depth: int) -> tuple["LocalElem", ...]:
-        """_sample_integral(self, depth), built once per depth."""
+    def samples(self, depth: int) -> tuple[tuple[int, int], ...]:
+        """The pairs of _sample_integral(self, depth), built once per depth."""
         out = self._sample_memo.get(depth)
         if out is None:
             out = self._sample_memo[depth] = tuple(_sample_integral(self, depth))
         return out
 
-    def sample_squares(self, depth: int) -> tuple["LocalElem", ...]:
-        """The squares of samples(depth), in its order, built once per depth."""
+    def sample_squares(self, depth: int) -> tuple[tuple[int, int], ...]:
+        """The pairs of the squares of samples(depth), in its order, built
+        once per depth."""
         out = self._square_memo.get(depth)
         if out is None:
-            out = self._square_memo[depth] = tuple(u * u for u in self.samples(depth))
+            out = self._square_memo[depth] = tuple(
+                _mul(self, a, b, a, b) for a, b in self.samples(depth)
+            )
         return out
 
 
@@ -244,16 +245,16 @@ def _div_pi(F: LocalField, a: int, b: int) -> tuple[int, int]:
     W = F.W
     if F.e == 1:  # pi = 2
         if a % 2 or b % 2:
-            raise ValueError(f"{LocalElem(F, a, b)} is not divisible by pi")
+            raise ValueError(f"the pair {(a, b)} of {F} is not divisible by pi")
         return (a // 2) % W, (b // 2) % W
     if F.c % 2 == 0:  # pi = sqrt c; x / pi = b + (a / c) sqrt c
         if a % 2:
-            raise ValueError(f"{LocalElem(F, a, b)} is not divisible by pi")
+            raise ValueError(f"the pair {(a, b)} of {F} is not divisible by pi")
         return b, (a // 2) * pow(F.c // 2, -1, W) % W
     # pi = 1 + sqrt c: x / pi = x conj(pi) / (1 - c), v2(1 - c) = 1
     ya, yb = _mul(F, a, b, 1, -1 % W)
     if ya % 2 or yb % 2:
-        raise ValueError(f"{LocalElem(F, a, b)} is not divisible by pi")
+        raise ValueError(f"the pair {(a, b)} of {F} is not divisible by pi")
     inv = pow((1 - F.c) // 2, -1, W)
     return (ya // 2) * inv % W, (yb // 2) * inv % W
 
@@ -268,7 +269,7 @@ def _shift_coords(F: LocalField, a: int, b: int, v: int) -> tuple[int, int]:
 def _div_int(F: LocalField, a: int, b: int, k: int) -> tuple[int, int]:
     """The pair of (a + b t) / k; ValueError unless k divides both."""
     if a % k or b % k:
-        raise ValueError(f"{LocalElem(F, a, b)} is not divisible by {k}")
+        raise ValueError(f"the pair {(a, b)} of {F} is not divisible by {k}")
     return (a // k) % F.W, (b // k) % F.W
 
 
@@ -354,14 +355,6 @@ class LocalElem:
         F = self.field
         return LocalElem(F, *_unit_inverse(F, self.a, self.b))
 
-    def div_exact_pi(self) -> "LocalElem":
-        F = self.field
-        return LocalElem(F, *_div_pi(F, self.a, self.b))
-
-    def div_exact_int(self, k: int) -> "LocalElem":
-        F = self.field
-        return LocalElem(F, *_div_int(F, self.a, self.b, k))
-
     def __pow__(self, k: int) -> "LocalElem":
         out = self.field.one
         base = self
@@ -376,9 +369,6 @@ class LocalElem:
             base = base * base
             k >>= 1
         return out
-
-    def key(self):
-        return (self.a, self.b)
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:
@@ -442,9 +432,9 @@ def sqrt_certificate(x: LocalElem) -> LocalElem | None:
 
 def _sqrt_coords(F: LocalField, a: int, b: int) -> tuple[int, int] | None:
     """sqrt_certificate on the pair (a, b): the pair of the certificate, or
-    None if a + b t is not a square.  It reads no square-class table.  The
-    Newton step takes and returns a LocalElem; every other step is a pair
-    kernel."""
+    None if a + b t is not a square.  It reads no square-class table.  Every
+    step, the Newton step included, is a pair kernel; sqrt_certificate
+    wraps the result."""
     v = _valuation(F, a, b)
     if v is None:
         raise ValueError("cannot decide squareness of 0 at this precision")
@@ -476,22 +466,19 @@ def _sqrt_coords(F: LocalField, a: int, b: int) -> tuple[int, int] | None:
         ua, ub = _mul(F, ua, ub, *_unit_inverse(F, *_mul(F, fa, fb, fa, fb)))
     else:
         raise AssertionError("square reduction did not terminate")
-    z = _newton_unit_sqrt(LocalElem(F, ua, ub))
-    if z is None:
-        return None
-    ca, cb = _mul(F, *_mul(F, *_pi_power(F, v // 2), wa, wb), z.a, z.b)
+    ca, cb = _mul(F, *_mul(F, *_pi_power(F, v // 2), wa, wb), *_newton_unit_sqrt(F, ua, ub))
     if not _agree(F, *_mul(F, ca, cb, ca, cb), a, b):
         raise AssertionError("certificate fails at precision")
     return ca, cb
 
 
-def _newton_unit_sqrt(u: LocalElem) -> LocalElem | None:
-    """Square root of u in U_(2e+1) by z -> (z + u/z)/2, on pairs."""
-    F = u.field
-    lvl = unit_level(u)
-    if lvl < 2 * F.e + 1:
+def _newton_unit_sqrt(F: LocalField, ua: int, ub: int) -> tuple[int, int]:
+    """The pair of the square root of ua + ub t in U_(2e+1), by
+    z -> (z + u/z)/2."""
+    W = F.W
+    lvl = _valuation(F, (ua - 1) % W, ub)
+    if lvl is not None and lvl < 2 * F.e + 1:
         raise AssertionError(f"Newton square root needs U_{2 * F.e + 1}, got U_{lvl}")
-    W, ua, ub = F.W, u.a, u.b
     za, zb = 1, 0
     for _ in range(F.precision * F.e + 8):
         qa, qb = _mul(F, ua, ub, *_unit_inverse(F, za, zb))
@@ -499,7 +486,7 @@ def _newton_unit_sqrt(u: LocalElem) -> LocalElem | None:
         if na == za and nb == zb:
             break
         za, zb = na, nb
-    return LocalElem(F, za, zb)
+    return za, zb
 
 
 def square_mod_level(u: LocalElem, target: int) -> bool:
@@ -509,12 +496,10 @@ def square_mod_level(u: LocalElem, target: int) -> bool:
     if target <= 0:
         return True
     F = u.field
-    depth = (target + 1) // 2 + F.e
-    for x in F.samples(depth):
-        diff = x * x - u
-        if not diff:
-            return True
-        v = diff.valuation()
+    W = F.W
+    for xa, xb in F.samples((target + 1) // 2 + F.e):
+        sa, sb = _mul(F, xa, xb, xa, xb)
+        v = _valuation(F, (sa - u.a) % W, (sb - u.b) % W)  # None for 0 too
         if v is None or v >= target:
             return True
     return False
@@ -537,9 +522,10 @@ class SquareClassSpace:
 
     decompose() expresses any nonzero element as a bitmask over the basis;
     it is linear (checked by the duality report, not assumed here).
-    _classify_pairs() is decompose on a batch of coordinate pairs; the
-    constructor runs on pairs too, and LocalElem appears only in the public
-    basis and representatives.
+    _classify_pairs() is decompose on a batch of coordinate pairs.  The
+    constructor runs on pairs and keeps pairs only; LocalElem appears only
+    at the public boundary: decompose's argument, and rep, all_reps and
+    basis, which wrap pairs of rep_pairs (basis[i] is rep(1 << i)).
 
     By the local square theorem (O'Meara 63:1) the square class of a unit u
     depends only on u modulo pi^(2e+1), so table[key(u)] is u's bitmask over
@@ -569,60 +555,56 @@ class SquareClassSpace:
         self.dim = F.dim
         # HNF Z(a, 0) + Z(b, c) of the coordinates of pi^(2e+1) O; the
         # vectors (W, 0), (0, W) make it the 2-adic lattice
-        top = F.pi ** (2 * F.e + 1)
-        vecs = [(top.a, top.b), (F.W, 0), (0, F.W)]
+        top = _pi_power(F, 2 * F.e + 1)
+        vecs = [top, (F.W, 0), (0, F.W)]
         if F.kind != "q2":
-            vecs.append(_mul(F, top.a, top.b, 0, 1))
+            vecs.append(_mul(F, *top, 0, 1))
         self._lattice = _hnf_from_vectors(vecs)
         key = self._key
         squares: dict[int, tuple[int, int]] = {}
-        for s in F.samples(F.e + 1):
-            if _valuation(F, s.a, s.b) == 0:
-                sq = _mul(F, s.a, s.b, s.a, s.b)
+        for sa, sb in F.samples(F.e + 1):
+            if _valuation(F, sa, sb) == 0:
+                sq = _mul(F, sa, sb, sa, sb)
                 squares.setdefault(key(*sq), sq)
         self.table: dict[int, int] = dict.fromkeys(squares, 0)
-        basis_units: list[LocalElem] = []
-        span = [(1, 0)]  # span[m] = product of basis_units[i] over the bits i of m
-        for cand in _unit_candidates(F):
-            if len(basis_units) == F.dim - 1:
+        span = [(1, 0)]  # span[m] = product of the basis units over the bits of m
+        for ca, cb in _unit_candidates(F):
+            if len(span) == 1 << (F.dim - 1):
                 break
-            if self.key(cand) in self.table:
+            if key(ca, cb) in self.table:
                 continue
-            bit = 1 << len(basis_units)
-            coset = [_mul(F, ba, bb, cand.a, cand.b) for ba, bb in span]
+            bit = len(span)  # 1 << (the number of basis units so far)
+            coset = [_mul(F, ba, bb, ca, cb) for ba, bb in span]
             for m, (ba, bb) in enumerate(coset):
                 for sa, sb in squares.values():
                     if self.table.setdefault(key(*_mul(F, ba, bb, sa, sb)), m | bit) != m | bit:
                         raise AssertionError("basis units dependent modulo squares")
-            basis_units.append(cand)
             span += coset
-        if len(basis_units) != F.dim - 1:
+        if len(span) != 1 << (F.dim - 1):
             raise AssertionError("unit square classes not exhausted")
-        self.basis = [F.pi, *basis_units]
         classes = (len(F.digits) - 1) * len(F.digits) ** (2 * F.e)
         if len(self.table) != classes:
             raise AssertionError(
                 f"unit table has {len(self.table)} keys, O*/U_(2e+1) has {classes} classes"
             )
-        pi = F.pi
-        self.rep_pairs = tuple(
-            pair for ua, ub in span for pair in ((ua, ub), _mul(F, ua, ub, pi.a, pi.b))
-        )
+        pi = _pi_power(F, 1)
+        self.rep_pairs = tuple(pair for u in span for pair in (u, _mul(F, *u, *pi)))
         # (f_v, s) for every valuation v <= e (precision + 2) that
-        # _valuation reports, f_v as its pair
-        eps_inv = (F.pi**F.e).div_exact_int(2).unit_inverse()
+        # _valuation reports, f_v = eps^-s pi^(e s - v) as its pair; g is
+        # eps^-s, one factor eps^-1 more whenever s steps up
+        eps_inv = _unit_inverse(F, *_div_int(F, *_pi_power(F, F.e), 2))
+        g = (1, 0)
         unshift = []
         for v in range(F.vcap + 1):
             s = -(-v // F.e)
-            f = eps_inv**s * F.pi ** (F.e * s - v)
-            unshift.append(((f.a, f.b), s))
+            if v and (v - 1) % F.e == 0:
+                g = _mul(F, *g, *eps_inv)
+            unshift.append((_mul(F, *g, *_pi_power(F, F.e * s - v)), s))
         self._unshift = tuple(unshift)
 
-    def key(self, u: LocalElem) -> int:
-        """The class of u's coordinates modulo pi^(2e+1) O, as one integer."""
-        return self._key(u.a, u.b)
-
     def _key(self, ua: int, ub: int) -> int:
+        """The class of the pair's coordinates modulo pi^(2e+1) O, as one
+        integer."""
         a, b, c = self._lattice
         return ub % c * a + (ua - ub // c * b) % a
 
@@ -657,14 +639,19 @@ class SquareClassSpace:
     def all_reps(self) -> list[LocalElem]:
         return [self.rep(m) for m in range(1 << self.dim)]
 
+    @property
+    def basis(self) -> list[LocalElem]:
+        """pi, then the unit basis: the representatives of the single bits."""
+        return [self.rep(1 << i) for i in range(self.dim)]
 
-def _unit_candidates(F: LocalField):
-    """The units among the digit patterns of depth 2e+1.  They cover all unit
-    square classes: by the local square theorem deeper digits never change
-    the class."""
-    cands = [u for u in F.samples(2 * F.e + 1) if u.valuation() == 0]
+
+def _unit_candidates(F: LocalField) -> list[tuple[int, int]]:
+    """The pairs of the units among the digit patterns of depth 2e+1.  They
+    cover all unit square classes: by the local square theorem deeper
+    digits never change the class."""
+    cands = [u for u in F.samples(2 * F.e + 1) if _valuation(F, *u) == 0]
     # prefer classically featured units first (-1, small odd integers)
-    cands.sort(key=lambda u: u.key() != (-1 % F.W, 0))
+    cands.sort(key=lambda u: u != (F.W - 1, 0))
     return cands
 
 
@@ -688,13 +675,10 @@ def hilbert_symbol(x: LocalElem, y: LocalElem) -> int:
     of y's square class in the norm-class subgroup of K(sqrt x)/K."""
     F = x.field
     G = y.field
-    if (F.kind, F.c, F.precision) != (G.kind, G.c, G.precision):
+    if F is not G and (F.kind, F.c, F.precision) != (G.kind, G.c, G.precision):
         raise ValueError("elements of different fields")
-    space = F.space()
-    # both decomposed first, so a zero argument raises in either order
-    cx, cy = space.decompose(x), space.decompose(y)
-    if cx == 0:
-        return 1
+    # both classified in one batch, so a zero argument raises in either order
+    cx, cy = F.space()._classify_pairs(((x.a, x.b), (y.a, y.b)))
     return _class_symbol(F, cx, cy)
 
 
@@ -713,10 +697,11 @@ def _symbol_row(F: LocalField, cx: int) -> int:
     if row is None:
         row = 0
         if cx:
-            rows = _norm_rows(F, cx)
-            for cy in range(1, 1 << F.dim):
-                if _gf2_reduce(rows, cy):
-                    row |= 1 << cy
+            # the rows are independent, so span lists each of its classes once
+            span = [0]
+            for r in _norm_rows(F, cx):
+                span += [m ^ r for m in span]
+            row = (1 << (1 << F.dim)) - 1 ^ sum(1 << m for m in span)
         memo[cx] = row
     return row
 
@@ -729,6 +714,8 @@ def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     # 2e + 2, u outer and v inner.  The first u is 0, whose values -a v^2 all
     # lie in one class, so its pass reaches every v before the rows can fill:
     # forming a v^2 for the whole depth up front costs no extra product.
+    # The kernel takes each value's valuation once; the search skips the
+    # values it refuses, 0 and those lost to precision.
     space = F.space()
     classify = space._classify_pairs
     xa, xb = space.rep_pairs[cx]
@@ -737,15 +724,14 @@ def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
         squares = F.sample_squares(depth)
-        a_squares = [_mul(F, xa, xb, v2.a, v2.b) for v2 in squares]
-        for u2 in squares:
-            ua, ub = u2.a, u2.b
+        a_squares = [_mul(F, xa, xb, va, vb) for va, vb in squares]
+        for ua, ub in squares:
             for pa, pb in a_squares:
-                va, vb = (ua - pa) % W, (ub - pb) % W
-                v = _valuation(F, va, vb)  # None for 0 and for values lost to precision
-                if v is None:
+                try:
+                    (cls,) = classify((((ua - pa) % W, (ub - pb) % W),))
+                except ValueError:
                     continue
-                _gf2_insert(rows, classify(((va, vb),))[0])
+                _gf2_insert(rows, cls)
                 if len(rows) == target:
                     return tuple(rows)
     raise AssertionError("norm group search did not reach index 2")
@@ -856,13 +842,15 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
 
 
 def _sample_integral(F: LocalField, depth: int):
-    """Every sum of lifted digits times pi^i, i < depth; the digit at the
-    deepest level varies fastest."""
-    outs = [F.zero]
-    for i in range(depth):
-        pi_i = F.pi**i
-        terms = [F.res_lift(r) * pi_i for r in F.digits]
-        outs = [acc + term for acc in outs for term in terms]
+    """The pairs of every sum of lifted digits times pi^i, i < depth; the
+    digit at the deepest level varies fastest."""
+    W = F.W
+    pi, pi_i = _pi_power(F, 1), (1, 0)
+    outs = [(0, 0)]
+    for _ in range(depth):
+        terms = [_mul(F, *_res_lift(F, r), *pi_i) for r in F.digits]
+        outs = [((a + ta) % W, (b + tb) % W) for a, b in outs for ta, tb in terms]
+        pi_i = _mul(F, *pi_i, *pi)
     return outs
 
 
@@ -880,10 +868,10 @@ def _complement_is_span(gram_rows: list[int], rows: list[int], comp: list[int]) 
 
 
 def gram_matrix(F: LocalField) -> list[list[int]]:
-    """Gram bits g[i][j] = (1 - hilbert(basis_i, basis_j)) / 2, with each
-    basis element decomposed once."""
+    """Gram bits g[i][j] = (1 - hilbert(basis_i, basis_j)) / 2, with the
+    basis elements classified once, in one batch."""
     space = F.space()
-    classes = [space.decompose(b) for b in space.basis]
+    classes = space._classify_pairs([space.rep_pairs[1 << i] for i in range(F.dim)])
     return [[_symbol_row(F, ci) >> cj & 1 for cj in classes] for ci in classes]
 
 
@@ -1012,10 +1000,10 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     depth 2e + 2 - i, built once per field and level."""
     out = F._level_memo.get(i)
     if out is None:
-        pi_i, W = F.pi**i, F.W
+        pi_i, W = _pi_power(F, i), F.W
         units = []
-        for t in F.samples(2 * F.e + 2 - i):
-            ua, ub = _mul(F, t.a, t.b, pi_i.a, pi_i.b)
+        for ta, tb in F.samples(2 * F.e + 2 - i):
+            ua, ub = _mul(F, ta, tb, *pi_i)
             ua = (ua + 1) % W
             if _valuation(F, ua, ub) == 0:
                 units.append((ua, ub))
@@ -1029,8 +1017,8 @@ def _units_mod_squares_constructive(F: LocalField) -> bool:
     for k in range(0, F.e):
         pka, pkb = _pi_power(F, k)
         p2a, p2b = _mul(F, pka, pkb, pka, pkb)
-        for t in F.samples(2):
-            la, lb = _mul(F, t.a, t.b, p2a, p2b)  # u - 1 for u = 1 + t pi^2k
+        for ta, tb in F.samples(2):
+            la, lb = _mul(F, ta, tb, p2a, p2b)  # u - 1 for u = 1 + t pi^2k
             ua = (la + 1) % W
             if _valuation(F, ua, lb) != 0:
                 continue
@@ -1051,11 +1039,11 @@ def _trace_criterion_exhaustive(F: LocalField) -> bool:
     # certificate's unit part must sit in U_e (up to sign).  The
     # certificates are _sqrt_coords's, on pairs
     W = F.W
-    for x in F.samples(2):
-        ua, ub = (4 * x.a + 1) % W, 4 * x.b % W
+    for xa, xb in F.samples(2):
+        ua, ub = (4 * xa + 1) % W, 4 * xb % W
         if _valuation(F, ua, ub) != 0:
             continue
-        expect = F.res_trace(_residue(F, x.a, x.b)) == 0
+        expect = F.res_trace(_residue(F, xa, xb)) == 0
         cert = _sqrt_coords(F, ua, ub)
         if (cert is not None) != expect:
             return False

@@ -91,7 +91,9 @@ from relquad.dyadic import (
     LocalElem,
     LocalField,
     SquareClassSpace,
+    _div_int,
     _gf2_insert,
+    _residue,
     _sample_integral,
     _shift_coords,
     _unit_candidates,
@@ -503,6 +505,16 @@ def shift_down(x: LocalElem, v: int) -> LocalElem:
     return LocalElem(x.field, *_shift_coords(x.field, x.a, x.b, v))
 
 
+def div_exact_int(x: LocalElem, k: int) -> LocalElem:
+    """x / k; ValueError unless k divides both coordinates."""
+    return LocalElem(x.field, *_div_int(x.field, x.a, x.b, k))
+
+
+def sample_elems(F: LocalField, depth: int) -> list[LocalElem]:
+    """The digit samples of dyadic._sample_integral(F, depth) as LocalElems."""
+    return [LocalElem(F, a, b) for a, b in _sample_integral(F, depth)]
+
+
 # -- square certificates: the unit square-class search the explicit squares replaced
 
 
@@ -523,8 +535,8 @@ def certificate_square_classes(F: LocalField, key) -> tuple[list[LocalElem], dic
     """The unit basis and unit table of F's square-class space, built by
     square certificates: a candidate joins the basis unless some product with
     earlier basis units is a square, and every unit's mask is the first such
-    product.  The table is keyed by key(u)."""
-    units = _unit_candidates(F)
+    product.  The table is keyed by key(a, b) of each unit's pair."""
+    units = [LocalElem(F, a, b) for a, b in _unit_candidates(F)]
     basis_units: list[LocalElem] = []
     for cand in units:
         if len(basis_units) == F.dim - 1:
@@ -535,7 +547,7 @@ def certificate_square_classes(F: LocalField, key) -> tuple[list[LocalElem], dic
     for u in units:
         mask = _first_square_mask(u, basis_units)
         assert mask is not None, u
-        table[key(u)] = mask
+        table[key(u.a, u.b)] = mask
     return basis_units, table
 
 
@@ -564,14 +576,15 @@ def sqrt_certificate_by_elems(x: LocalElem) -> LocalElem | None:
         if lvl % 2 and lvl < two_e:
             return None
         if lvl == two_e:
-            t = lvl_elem.div_exact_int(4)
-            y = F.artin_schreier_solve(F.residue(t))
+            t = div_exact_int(lvl_elem, 4)
+            y = F.artin_schreier_solve(_residue(F, t.a, t.b))
             if y is None:
                 return None
-            factor = F.one + F.res_lift(y) * F.elem(2)
+            factor = F.one + F.elem(*y) * F.elem(2)  # the digit p + q*g lifts to p + q t
         else:
-            t_res = F.res_sqrt(F.residue(shift_down(lvl_elem, lvl)))
-            factor = F.one + F.res_lift(t_res) * F.pi ** (lvl // 2)
+            t = shift_down(lvl_elem, lvl)
+            t_res = F.res_sqrt(_residue(F, t.a, t.b))
+            factor = F.one + F.elem(*t_res) * F.pi ** (lvl // 2)
         w = w * factor
         u = u * (factor * factor).unit_inverse()
     else:
@@ -580,7 +593,7 @@ def sqrt_certificate_by_elems(x: LocalElem) -> LocalElem | None:
         raise AssertionError(f"Newton square root needs U_{2 * F.e + 1}")
     z = F.one
     for _ in range(F.precision * F.e + 8):
-        nz = (z + u * z.unit_inverse()).div_exact_int(2)
+        nz = div_exact_int(z + u * z.unit_inverse(), 2)
         if nz == z:
             break
         z = nz
@@ -738,7 +751,7 @@ def norm_class_rows_by_decompose(F: LocalField, cx: int) -> list[int]:
     a = space.rep(cx)
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
-        squares = [u * u for u in _sample_integral(F, depth)]
+        squares = [u * u for u in sample_elems(F, depth)]
         for u2 in squares:
             for v2 in squares:
                 val = u2 - a * v2

@@ -63,6 +63,40 @@ def test_fdelta_with_a_huge_unit_finishes():
     assert json.loads(proc.stdout)["principal_rep"] == "-1"
 
 
+def test_table_prints_representatives_past_the_digit_limit():
+    # the norm-4 class of Q(sqrt 1000000007) has a representative with a
+    # 21,199-bit coordinate, over 6,000 digits: Python's 4300-digit limit
+    # for integer text made the table exit 2
+    src = str(Path(relquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relquad", "table", "--field", "1000000007", "--bound", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        bits = {int(m).bit_length() for m in re.findall(r"\d+", proc.stdout)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(bits) == 21199
+
+
+def test_main_restores_the_digit_limit(capsys):
+    # main lifts the integer-to-text limit only for its own call, so an
+    # in-process caller keeps its interpreter state, after a usage error too
+    before = sys.get_int_max_str_digits()
+    assert run_cli("table", "--field", "10", "--bound", "9", capsys=capsys)[0] == 0
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):
+        main(["table", "--bound", "x"])
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_conductor_and_char(capsys):
     code, out, _ = run_cli("conductor", "--field", "0", "--delta", "-12", capsys=capsys)
     assert code == 0 and json.loads(out)["rel_disc"] == "[3]/1"

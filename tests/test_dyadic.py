@@ -27,7 +27,7 @@ from relquad.dyadic import (
     unit_level,
 )
 from relquad import dyadic
-from relquad.dyadic import LocalElem, SquareClassSpace, _sample_integral
+from relquad.dyadic import LocalElem, SquareClassSpace, _class_symbol, _sample_integral
 from relquad.field import make_field
 
 from helpers import (
@@ -46,6 +46,7 @@ from helpers import (
     orthogonal_classes,
     orthogonal_complement_by_pair_bits,
     q2_oracle_by_fractions,
+    sample_elems,
     shift_down,
     span_masks,
     sqrt_certificate_by_elems,
@@ -91,7 +92,7 @@ def test_valuations_and_arith():
         assert (F.pi**2).valuation() == 2
         v = x.valuation()
         assert v == 3
-        y = x.div_exact_pi()
+        y = shift_down(x, 1)
         assert y.valuation() == 2
         u = F.elem(5) if F.f == 1 else F.elem(1, 2)
         if u.valuation() == 0:
@@ -246,7 +247,7 @@ def test_decompose_table_matches_square_search(desc, extra):
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     space = F.space()
-    for x in _sample_integral(F, 2 * F.e + 3):
+    for x in sample_elems(F, 2 * F.e + 3):
         if not x:
             continue
         for y in (x, x * F.pi, x * F.pi * F.pi):
@@ -270,7 +271,7 @@ def test_square_class_space_matches_certificate_build(desc, extra, monkeypatch):
         m.setattr(dyadic, "sqrt_certificate", no_certificates)
         m.setattr(dyadic, "_sqrt_coords", no_certificates)
         space = SquareClassSpace(F)
-    basis_units, table = certificate_square_classes(F, space.key)
+    basis_units, table = certificate_square_classes(F, space._key)
     assert space.basis == [F.pi, *basis_units]
     assert space.table == table
 
@@ -284,7 +285,7 @@ def test_sqrt_certificate_matches_element_route(desc, extra):
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     squares = 0
-    for x in F.samples(2 * F.e + 2):
+    for x in (LocalElem(F, a, b) for a, b in F.samples(2 * F.e + 2)):
         if not x:
             continue
         cert = sqrt_certificate_by_elems(x)
@@ -314,12 +315,13 @@ def test_decompose_table_keys(desc):
     assert len(space.table) == (q - 1) * q ** (2 * F.e)
     rng = random.Random(2026)
     top = F.pi ** (2 * F.e + 1)
-    units = [u for u in _sample_integral(F, 2 * F.e + 1) if u.valuation() == 0]
-    assert {space.key(u) for u in units} == set(space.table)
+    units = [u for u in sample_elems(F, 2 * F.e + 1) if u.valuation() == 0]
+    assert {space._key(u.a, u.b) for u in units} == set(space.table)
     for u in units:
         for _ in range(8):
             t = F.elem(rng.randrange(F.W), 0 if desc == "q2" else rng.randrange(F.W))
-            assert space.key(u + top * t) == space.key(u), (desc, u, t)
+            moved = u + top * t
+            assert space._key(moved.a, moved.b) == space._key(u.a, u.b), (desc, u, t)
 
 
 def test_local_elem_preconditions_survive_optimize():
@@ -327,10 +329,10 @@ def test_local_elem_preconditions_survive_optimize():
     # non-unit, must raise under python -O as well (as asserts, -O returned
     # wrong elements)
     code = (
-        "from relquad.dyadic import RAMIFIED_CLASSES, local_field\n"
+        "from relquad.dyadic import RAMIFIED_CLASSES, _div_int, _div_pi, local_field\n"
         "descs = ['q2', 'unram'] + [f'ram:{c}' for c in RAMIFIED_CLASSES]\n"
-        "calls = [lambda F=local_field(d): F.elem(1).div_exact_pi() for d in descs]\n"
-        "calls += [lambda F=local_field(d): F.elem(3).div_exact_int(2) for d in descs]\n"
+        "calls = [lambda F=local_field(d): _div_pi(F, 1, 0) for d in descs]\n"
+        "calls += [lambda F=local_field(d): _div_int(F, 3, 0, 2) for d in descs]\n"
         "calls.append(lambda: local_field('q2').elem(2) ** -1)\n"
         "raised = 0\n"
         "for call in calls:\n"
@@ -349,14 +351,15 @@ def test_local_elem_preconditions_survive_optimize():
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_sample_integral_order(desc):
-    # one power of pi per digit level gives the same list, in the same
-    # order, as raising pi for every (element, digit) pair
+    # one power of pi per digit level gives the same pairs, in the same
+    # order, as raising pi for every (element, digit) pair on LocalElems,
+    # the digit p + q*g lifted to p + q t
     F = local_field(desc)
     depth = 2 * F.e + 2
     outs = [F.zero]
     for i in range(depth):
-        outs = [acc + F.res_lift(r) * F.pi**i for acc in outs for r in F.digits]
-    assert _sample_integral(F, depth) == outs
+        outs = [acc + F.elem(*r) * F.pi**i for acc in outs for r in F.digits]
+    assert _sample_integral(F, depth) == [(x.a, x.b) for x in outs]
 
 
 def _descriptor_args(desc):
@@ -386,7 +389,7 @@ def test_field_caches_are_immutable():
     F = local_field("unram")
     assert isinstance(F.samples(3), tuple) and F.samples(3) is F.samples(3)
     assert list(F.samples(3)) == _sample_integral(F, 3)
-    assert F.sample_squares(3) == tuple(u * u for u in _sample_integral(F, 3))
+    assert F.sample_squares(3) == tuple(((u * u).a, (u * u).b) for u in sample_elems(F, 3))
     rows = dyadic._norm_rows(F, 1)
     assert isinstance(rows, tuple)
     assert dyadic._symbol_row(F, 1) == sum(
@@ -399,7 +402,10 @@ def test_field_caches_are_immutable():
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_pairing_table_matches_element_symbols(desc, extra):
     # the report's class table and Gram matrix against one Hilbert symbol
-    # per pair of elements and a Gram matrix rebuilt per filtration level
+    # per pair of elements and a Gram matrix rebuilt per filtration level;
+    # on elements that are not class representatives, units and elements of
+    # positive valuation, the symbol is the class symbol of the two
+    # decompositions
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     table, gram, duality = element_pairing(F)
@@ -408,6 +414,19 @@ def test_pairing_table_matches_element_symbols(desc, extra):
     rep = duality_report(desc, F.precision)
     assert rep["gram"] == gram
     assert rep["duality_ok"] == duality
+    space = F.space()
+    rng = random.Random(f"symbols:{desc}:{extra}")
+    elems = [
+        F.elem(rng.randrange(F.W), 0 if desc == "q2" else rng.randrange(F.W)) * F.pi**k
+        for k in (0, 0, 1, 2, 3, 5)
+        for _ in range(4)
+    ]
+    elems = [x for x in elems if x.valuation() is not None and x not in space.all_reps()]
+    assert any(x.valuation() == 0 for x in elems) and any(x.valuation() > 1 for x in elems)
+    for x in elems:
+        for y in elems:
+            expected = _class_symbol(F, space.decompose(x), space.decompose(y))
+            assert hilbert_symbol(x, y) == expected, (desc, x, y)
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
@@ -429,12 +448,13 @@ def test_unit_part_matches_shift_down(desc, extra):
     F = local_field(desc)
     F = local_field(desc, F.precision + extra)
     space = F.space()
-    for x in _sample_integral(F, 2 * F.e + 3):
+    for x in sample_elems(F, 2 * F.e + 3):
         if not x:
             continue
         for y in (x, x * F.pi, x * F.pi * F.pi):
             v = y.valuation()
-            expect = v % 2 | space.table[space.key(shift_down(y, v))] << 1
+            u = shift_down(y, v)
+            expect = v % 2 | space.table[space._key(u.a, u.b)] << 1
             assert space._classify_pairs([(y.a, y.b)]) == [expect], (desc, y)
             assert space.decompose(y) == expect, (desc, y)
 
@@ -448,7 +468,8 @@ def test_unit_part_at_the_valuation_cap():
         for u in (F.one, space.basis[-1]):
             y = u * F.pi**top
             assert y.valuation() == top
-            expect = top % 2 | space.table[space.key(shift_down(y, top))] << 1
+            u = shift_down(y, top)
+            expect = top % 2 | space.table[space._key(u.a, u.b)] << 1
             assert space._classify_pairs([(y.a, y.b)]) == [expect], F
             assert space.decompose(y) == expect, F
 
@@ -507,7 +528,7 @@ def test_generator_rule_matches_global_arithmetic(desc):
             x = F.elem(a1)
             assert x.norm_int() == x.a * x.a and x.conj() == x
             for a2 in grid:
-                assert (x * F.elem(a2)).key() == (a1 * a2 % W, 0)
+                assert x * F.elem(a2) == F.elem(a1 * a2)
         return
     K = make_field(5 if desc == "unram" else F.c)
 
@@ -517,10 +538,10 @@ def test_generator_rule_matches_global_arithmetic(desc):
     pairs = [(a, b) for a in grid for b in grid]
     for a1, b1 in pairs:
         x, X = F.elem(a1, b1), K.elem(a1 % W, b1 % W)
-        assert x.conj().key() == coords(X.conj()), (desc, a1, b1)
+        assert x.conj() == F.elem(*coords(X.conj())), (desc, a1, b1)
         assert x.norm_int() == X.norm(), (desc, a1, b1)
         for a2, b2 in pairs[::7]:
-            assert (x * F.elem(a2, b2)).key() == coords(X * K.elem(a2, b2)), (desc, a1, b1, a2, b2)
+            assert x * F.elem(a2, b2) == F.elem(*coords(X * K.elem(a2, b2))), (desc, a1, b1, a2, b2)
 
 
 def _global_product(F, x, y):
@@ -796,6 +817,29 @@ def test_products_of_representatives_are_symmetric(desc):
             assert dyadic._mul(F, *p, *q) == dyadic._mul(F, *q, *p), (desc, p, q)
 
 
+def test_first_reports_build_only_the_field_constants():
+    # the dyadic layer runs on coordinate pairs, with LocalElem only at the
+    # public boundary: in a fresh process the first duality reports of the
+    # eight fields build the three constants of each field, zero, one and
+    # pi, and no other LocalElem
+    code = (
+        "from relquad import dyadic\n"
+        "built = 0\n"
+        "init = dyadic.LocalElem.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    global built\n"
+        "    built += 1\n"
+        "    init(self, *args, **kwargs)\n"
+        "dyadic.LocalElem.__init__ = counted\n"
+        "for desc in ['q2', 'unram'] + [f'ram:{c}' for c in dyadic.RAMIFIED_CLASSES]:\n"
+        "    dyadic.duality_report(desc)\n"
+        "print(built)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dyadic.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == [str(3 * len(DESCRIPTORS))]
+
+
 def test_local_elem_is_immutable_and_equal_by_value():
     F = local_field("ram:-5")
     x = F.elem(3, 4)
@@ -822,12 +866,13 @@ def test_field_constants_are_per_instance():
         fine = local_field(desc, F.precision + 4)
         private = LocalField(*_descriptor_args(desc))
         for name, pair in (("zero", (0, 0)), ("one", (1, 0))):
-            assert getattr(F, name) is getattr(F, name) and getattr(F, name).key() == pair
+            x = getattr(F, name)
+            assert x is getattr(F, name) and (x.a, x.b) == pair
         assert F.pi is F.pi and F.pi.valuation() == 1
         for G in (fine, private):
             for name in ("zero", "one", "pi"):
                 mine, theirs = getattr(F, name), getattr(G, name)
-                assert mine is not theirs and mine != theirs and mine.key() == theirs.key()
+                assert mine is not theirs and mine != theirs and (mine.a, mine.b) == (theirs.a, theirs.b)
                 assert theirs.field is G, (desc, name)
 
 

@@ -583,9 +583,9 @@ def test_principal_generator_ignores_the_associate(d, x, y, k, sign):
 
 @pytest.mark.parametrize("d", [2, 5, 13, 22, 79])
 def test_principal_generator_from_any_associate(monkeypatch, d):
-    # the associate walk must reach the box whichever generator the
-    # continued fraction yields, also one far outside the box on the side
-    # a way of the walk shrinks
+    # the window walk of field._window_least gives the same generator
+    # whichever generator the continued fraction yields, also g eps^-6 and
+    # g eps^6, far outside the unit window on either side
     K = make_field(d)
     ideals_below = _ideals_below(K, 31)
     want = [a.principal_generator() for a in ideals_below]

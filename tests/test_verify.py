@@ -245,7 +245,7 @@ def test_dyadic_suite_verdict_survives_optimize():
     # passed the suite with ok=True)
     code = (
         "import relquad.dyadic, relquad.verify\n"
-        "relquad.dyadic._newton_unit_sqrt = lambda u: u.field.one\n"
+        "relquad.dyadic._newton_unit_sqrt = lambda F, a, b: (1, 0)\n"
         "rep = relquad.verify.dyadic_suite()\n"
         "cert = sum('certificate fails' in f for f in rep['failures'])\n"
         "print(__debug__, rep['ok'], len(rep['failures']), cert)\n"
@@ -262,7 +262,7 @@ def test_dyadic_unit_class_checks_survive_optimize():
     # set-up check must fail every field under python -O as well
     code = (
         "import relquad.dyadic, relquad.verify\n"
-        "relquad.dyadic._unit_candidates = lambda F: [F.one]\n"
+        "relquad.dyadic._unit_candidates = lambda F: [(1, 0)]\n"
         "rep = relquad.verify.dyadic_suite()\n"
         "gone = sum('unit square classes not exhausted' in f for f in rep['failures'])\n"
         "print(__debug__, rep['ok'], len(rep['failures']), gone)\n"
