@@ -28,10 +28,14 @@ residue_table, whose lifts of a class are congruent mod (delta) and share
 v_P = 0 at every P | delta, checks it once per class rather than once per
 lift.  Each lift is valued from its own factorization, on the ideal side:
 the Hecke check never goes through the reciprocity law.  residue_table
-builds its lifts and conductor_exhaustive groups residues with
-Ideal.reduce_coords, both on integer pairs.  The route through principal_ideal, Ideal.gcd and
-Ideal.factor survives as the test oracles
-tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
+checks each class in one pass, valuing the residue and then each other
+lift with _on_coords and comparing it with the residue's value, and keys
+its table by the integer pair (x, y) of the residue, equal and hash-equal
+to K.elem(x, y).key(); conductor_exhaustive reads its rows straight off
+that table and groups residues with Ideal.reduce_coords, on integer pairs
+too.  The route through principal_ideal, Ideal.gcd and Ideal.factor
+survives as the test oracles tests/helpers.py::on_element_by_ideal and
+conductor_by_ideals.
 
 On ideals the character works on prime factorizations and builds no
 ideal.  on_ideal reads the memoised tuple ideals._factor(a) in place, with
@@ -58,7 +62,6 @@ counting.count_square_roots_local, each by P.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import BoundExceeded, kronecker
@@ -73,6 +76,7 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     _coords_factor,
+    _divisors,
     _factor,
     _hnf_triple,
     _root_coords,
@@ -246,8 +250,8 @@ class QuadCharacter:
         dividing the conductor to a pair (a, b), a = b mod conductor/Q,
         with different character values."""
         table = self.residue_table()
-        rows = [(x.numerator, y.numerator, val) for (x, y), val in table.items()]
-        factoring = [D for D in self.modulus.divisors() if _witness(D, rows) is None]
+        rows = [(x, y, val) for (x, y), val in table.items()]
+        factoring = [D for D in _divisors(self.modulus) if _witness(D, rows) is None]
         cond = min(factoring, key=lambda D: D.norm_int())
         # explicit raises, not asserts: character_suite reads AssertionError
         # as a failed case, and the verdict must survive python -O
@@ -261,9 +265,13 @@ class QuadCharacter:
             witnesses[Q] = tuple(self.field.elem(*r) for r in found)
         return cond, table, witnesses
 
-    def residue_table(self) -> dict[tuple, int]:
-        """Map residue key -> character value over coprime classes mod
-        (delta), each value checked on several integral lifts."""
+    def residue_table(self) -> dict[tuple[int, int], int]:
+        """Map residue (x, y) -> character value over coprime classes mod
+        (delta), each value checked on several integral lifts.  The key is
+        the integer pair of the residue x + y*w of the HNF box, equal and
+        hash-equal to K.elem(x, y).key(); each class is checked in one
+        pass, its lifts valued by _on_coords in turn and compared with the
+        residue's value."""
         K = self.field
         m = self.modulus
         # integral lifts r + s for s in these steps of the lattice (delta):
@@ -279,19 +287,21 @@ class QuadCharacter:
             raise BoundExceeded(
                 "character residue table", f"delta = {self.delta}", n, RESIDUE_TABLE_BOUND
             )
-        table: dict[tuple, int] = {}
+        on_coords = self._on_coords
+        table: dict[tuple[int, int], int] = {}
         for x, y in m.residue_coords():
             if not (x or y) or not self._coprime_coords(x, y):
                 continue
-            # several genuinely different integral lifts of the class,
-            # including the balanced one and a negated-direction one; all
-            # congruent to x + y*w mod (delta), so coprime to it as well
-            lifts = [(x, y), _balance(m, x, y), *((x + dx, y + dy) for dx, dy in steps)]
-            vals = {self._on_coords(*lift) for lift in lifts}
-            if len(vals) != 1:  # the Hecke property; explicit, see conductor_exhaustive
+            # the residue and several genuinely different integral lifts of
+            # its class, including the balanced one and a negated-direction
+            # one; all congruent to x + y*w mod (delta), so coprime to it as
+            # well, and each valued and compared in turn
+            val = on_coords(x, y)
+            if on_coords(*_balance(m, x, y)) != val or any(
+                on_coords(x + dx, y + dy) != val for dx, dy in steps
+            ):  # the Hecke property; explicit, see conductor_exhaustive
                 raise AssertionError(f"character not well defined mod ({self.delta}) at {K.elem(x, y)}")
-            # K.elem(x, y).key() of the integral residue
-            table[Fraction(x), Fraction(y)] = vals.pop()
+            table[x, y] = val
         return table
 
     # -- primitive and extended characters ------------------------------------

@@ -20,15 +20,17 @@ computation.  The package's own readers (divisors, moebius, the character
 values and the counting routes) iterate the memoised tuple _factor(I) in
 place; Ideal.factor copies it into a fresh list for outside callers.
 Ideal.inverse (and its check I * I^-1 = (1)), ideals_of_norm, per (field,
-n), the prime powers PrimeIdeal.power, per (P, k), and the factorization
-of an element by its coordinates, _coords_factor, per (field, x, y, m),
-are memoised in LRU caches of the same size.  So is the product of two
-ideals, by value: the key is the field and the (hnf, den) of each factor,
-in a fixed order so that I * J and J * I share an entry, and a hit
-compares integer tuples only; two ideals over one interned field go
-straight to that memo, after one identity test.  An Ideal stores its
-hash, taken once at construction.  Scaling by an integer or a Fraction is
-integer products, and the product by an element is not memoised.
+n), the prime powers PrimeIdeal.power, per (P, k), the integral divisors
+of an ideal, _divisors, per ideal (Ideal.divisors copies them into a
+fresh list), and the factorization of an element by its coordinates,
+_coords_factor, per (field, x, y, m), are memoised in LRU caches of the
+same size.  So is the product of two ideals, by value: the key is the
+field and the (hnf, den) of each factor, in a fixed order so that I * J
+and J * I share an entry, and a hit compares integer tuples only; two
+ideals over one interned field go straight to that memo, after one
+identity test.  An Ideal stores its hash, taken once at construction.
+Scaling by an integer or a Fraction is integer products, and the product
+by an element is not memoised.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
@@ -410,13 +412,9 @@ class Ideal:
         return list(_factor(self))
 
     def divisors(self) -> list["Ideal"]:
-        """All integral divisors, sorted by (norm, hnf)."""
-        if not self.is_integral():
-            raise ValueError("integral ideal required")
-        divs = [unit_ideal(self.field)]
-        for P, e in _factor(self):
-            divs = [d * P.ideal**k for d in divs for k in range(e + 1)]
-        return sorted(divs, key=lambda d: (d.norm_int(), d.hnf))
+        """All integral divisors, sorted by (norm, hnf).  Memoised by
+        ideal; every call returns a fresh list."""
+        return list(_divisors(self))
 
     def moebius(self) -> int:
         """The Moebius function of an integral ideal: 0 if the square of a
@@ -432,7 +430,7 @@ class Ideal:
     def sigma(self, s: int) -> Fraction:
         """sum of N(d)^s over integral divisors d; exact rational for s in Z."""
         total = Fraction(0)
-        for d in self.divisors():
+        for d in _divisors(self):
             total += Fraction(d.norm_int()) ** s
         return total
 
@@ -658,6 +656,16 @@ def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
     if rebuilt != I:
         raise AssertionError(f"factorization of {I} does not reassemble")
     return tuple(out)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _divisors(I: Ideal) -> tuple[Ideal, ...]:
+    if not I.is_integral():
+        raise ValueError("integral ideal required")
+    divs = [unit_ideal(I.field)]
+    for P, e in _factor(I):
+        divs = [d * P.ideal**k for d in divs for k in range(e + 1)]
+    return tuple(sorted(divs, key=lambda d: (d.norm_int(), d.hnf)))
 
 
 def unit_ideal(K: QuadField) -> Ideal:

@@ -63,7 +63,9 @@ dimension test of dyadic._complement_is_span replaced), bilinearity over
 all n^2 pairs of symbol rows (the route that the n identities
 of dyadic._rows_linear replaced), and the Q2 closed form on Fraction values
 with the valuations found by division (the route that the integer split
-dyadic._q2_split replaced).
+dyadic._q2_split replaced), and the integral divisors of an ideal found
+among the ideals of each norm dividing its norm (independent of the prime
+power products of ideals.Ideal.divisors).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from relquad.arith import BoundExceeded, frac_sqrt, is_prime, kronecker, smallest_prime_factors
+from relquad.arith import BoundExceeded, divisors, frac_sqrt, is_prime, kronecker, smallest_prime_factors
 from relquad.characters import _balance
 from relquad.cli import build_parser
 from relquad.discriminants import (
@@ -122,6 +124,7 @@ from relquad.ideals import (
     _hnf_from_vectors,
     _hnf_triple,
     coords_valuation,
+    ideals_of_norm,
     minkowski_bound,
     primes_above,
     principal_ideal,
@@ -601,6 +604,16 @@ def sqrt_certificate_by_elems(x: LocalElem) -> LocalElem | None:
     if not agree_at_precision(cert * cert, x):
         raise AssertionError("certificate fails at precision")
     return cert
+
+
+# -- divisors of an ideal by norm ---------------------------------------------------
+
+
+def divisors_by_norm(I: Ideal) -> list[Ideal]:
+    """I.divisors(): every J of norm n | N(I), from ideals_of_norm, with
+    J | I, sorted by (norm, hnf), for an integral I."""
+    found = [J for n in divisors(I.norm_int()) for J in ideals_of_norm(I.field, n) if J.divides(I)]
+    return sorted(found, key=lambda J: (J.norm_int(), J.hnf))
 
 
 # -- the character on elements through ideal objects ------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     ORACLE_FIELDS,
+    _balance,
     auxiliary_splits,
     conductor_by_ideals,
     extended_by_gcd,
@@ -350,6 +351,62 @@ def test_residue_tables_match_ideal_oracle_cold_and_warm():
     assert warm.currsize > 0
     assert [chi.residue_table() for chi in chis] == expected
     assert ideals._coords_factor.cache_info().misses == warm.misses
+
+
+def test_residue_table_keys_are_int_pairs():
+    # each key is the residue's integer pair, equal and hash-equal to the
+    # key of the element it names, and conductor_exhaustive returns the
+    # same table
+    tables = 0
+    for d in (5, 10, -15, None):
+        K = make_field(d)
+        for info in discriminant_classes(K, 30):
+            chi = QuadCharacter(info)
+            table = chi.residue_table()
+            for key in table:
+                assert [type(c) for c in key] == [int, int], (d, info.delta, key)
+                elem_key = K.elem(*key).key()
+                assert key == elem_key and hash(key) == hash(elem_key), (d, info.delta, key)
+            _, got, _ = chi.conductor_exhaustive()
+            assert got == table and all(type(c) is int for key in got for c in key)
+            tables += bool(table)
+    assert tables >= 40, tables
+
+
+def _lifts(chi, x, y):
+    # the residue x + y*w, its balanced form, and the residue plus +-e1, e2
+    # and -e1-e2 of the HNF basis (a, 0), (b, c) of (delta)
+    a, b, c = chi.modulus.hnf
+    return [(x, y), _balance(chi.modulus, x, y), (x + a, y), (x - a, y), (x + b, y + c), (x - a - b, y - c)]
+
+
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("d", [5, -15])
+def test_hecke_check_values_every_lift(d, position, monkeypatch):
+    # a character whose value is negated at one lift of one class, in each
+    # of the six positions, must break the Hecke check of residue_table and
+    # conductor_exhaustive, which name delta: no lift goes unvalued
+    K = make_field(d)
+    on_coords = QuadCharacter._on_coords
+    classes = 0
+    for info in discriminant_classes(K, 30):
+        chi = QuadCharacter(info)
+        table = chi.residue_table()
+        for x, y in table:
+            target = _lifts(chi, x, y)[position]
+
+            def faulty(self, u, v, m=1, target=target):
+                val = on_coords(self, u, v, m)
+                return -val if (u, v) == target else val
+
+            with monkeypatch.context() as mp:
+                mp.setattr(QuadCharacter, "_on_coords", faulty)
+                for check in (chi.residue_table, chi.conductor_exhaustive):
+                    with pytest.raises(AssertionError, match=re.escape(f"not well defined mod ({info.delta})")):
+                        check()
+            classes += 1
+        assert chi.residue_table() == table
+    assert classes >= 70, classes
 
 
 def _both_routes(chi, a):

@@ -20,6 +20,7 @@ from helpers import (
     _norm_row,
     balanced_associate,
     box_principal_generator,
+    divisors_by_norm,
     ideal_product_by_vectors,
     row_principal_generator,
     square_root_coords_by_box,
@@ -204,6 +205,33 @@ def test_divisor_sums(Q10, Q):
     assert two.divisors() == [unit_ideal(Q10), p2, two]
     assert principal_ideal(Q.elem(2)).sigma(1) == 3
     assert principal_ideal(Q.elem(6)).sigma(-1) == Fraction(12, 6)
+
+
+def test_divisors_match_norm_oracle_cold_and_warm():
+    # every integral ideal of norm < 60 on Q and four quadratic fields, its
+    # divisors against those of each norm dividing its norm, first with the
+    # divisors memo empty, then with it filled by the first pass
+    cases = [I for d in (None, 5, 10, -15, -1) for n in range(1, 60) for I in ideals_of_norm(make_field(d), n)]
+    expected = [divisors_by_norm(I) for I in cases]
+    ideals._divisors.cache_clear()
+    assert [I.divisors() for I in cases] == expected
+    warm = ideals._divisors.cache_info()
+    assert warm.currsize == len(cases) and warm.maxsize == FACTOR_CACHE_SIZE
+    assert [I.divisors() for I in cases] == expected
+    assert ideals._divisors.cache_info().misses == warm.misses
+    assert sum(map(len, expected)) > 2 * len(cases) > 400
+
+
+def test_divisors_return_fresh_list(Q10):
+    I = principal_ideal(Q10.elem(12))
+    first = I.divisors()
+    expected = list(first)
+    first.append(first[0])
+    first[0] = I
+    assert I.divisors() == expected
+    assert I.divisors() is not I.divisors()
+    with pytest.raises(ValueError, match="integral ideal required"):
+        I.inverse().divisors()
 
 
 def test_ideals_of_norm(Q10):

@@ -192,6 +192,45 @@ def test_character_suite_verdict_survives_optimize():
     assert out.stdout.split() == ["False", "False", "11", "11"]
 
 
+def test_character_suite_one_lift_fault_survives_optimize():
+    # the value negated at one lift of one class of each delta, the last
+    # class whose six lifts are distinct, in each of the six lift positions
+    # in turn: residue_table must value that lift and report the broken
+    # Hecke property under python -O
+    code = (
+        "import relquad.characters as C, relquad.verify as V\n"
+        "from relquad.discriminants import discriminant_classes\n"
+        "from relquad.field import make_field\n"
+        "on_coords = C.QuadCharacter._on_coords\n"
+        "chis = [C.QuadCharacter(i) for i in discriminant_classes(make_field(5), 30)]\n"
+        "def lifts(chi, x, y):\n"
+        "    a, b, c = chi.modulus.hnf\n"
+        "    bx, by = C._balance(chi.modulus, x, y)\n"
+        "    return [(x, y), (bx, by), (x + a, y), (x - a, y), (x + b, y + c), (x - a - b, y - c)]\n"
+        "last = {\n"
+        "    chi.delta: [r for r in chi.residue_table() if len(set(lifts(chi, *r))) == 6][-1:]\n"
+        "    for chi in chis\n"
+        "}\n"
+        "def faulty(self, x, y, m=1):\n"
+        "    val = on_coords(self, x, y, m)\n"
+        "    return -val if (x, y) in targets[self.delta] else val\n"
+        "C.QuadCharacter._on_coords = faulty\n"
+        "out = [__debug__, sum(map(bool, last.values()))]\n"
+        "for i in range(6):\n"
+        "    targets = {chi.delta: {lifts(chi, x, y)[i] for x, y in last[chi.delta]} for chi in chis}\n"
+        "    rep = V.character_suite(5, bound=30)\n"
+        "    out += [rep['ok'], len(rep['failures']), sum('not well defined' in f for f in rep['failures'])]\n"
+        "print(*out)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    debug, faulted, *reports = out.stdout.split()
+    assert (debug, faulted) == ("False", "6")
+    assert reports == ["False", "6", "6"] * 6
+
+
 def test_fundamental_discriminant_checks_survive_optimize():
     # with a bogus principal generator the representative -20 of Q(sqrt 5)
     # keeps conductor (2); the check must raise under python -O as well
