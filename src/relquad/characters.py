@@ -22,11 +22,12 @@ times the signs that field.coords_sign decides on integers; _on_coords
 reads at_prime's memo once per such P and calls at_prime only on a miss.
 The factorization depends only on the element, not on delta, and is
 memoised in the ideals layer per (field, x, y, m), so the small lifts that
-recur for every delta of a field are factored once.  on_element checks
-coprimality once; the kernel _on_coords trusts its caller, so
-residue_table, whose lifts of a class are congruent mod (delta) and share
-v_P = 0 at every P | delta, checks it once per class rather than once per
-lift.  Each lift is valued from its own factorization, on the ideal side:
+recur for every delta of a field are factored once.  The kernel
+_on_coords reads coprimality and the value off one lookup of that
+memo, and values an element that meets delta as 0: on_element turns the
+0 into a ValueError, and residue_table skips the residue's class, whose
+lifts are congruent mod (delta) and so meet it as well.  Each lift is
+valued from its own factorization, on the ideal side:
 the Hecke check never goes through the reciprocity law.  residue_table
 checks each class in one pass, valuing the residue and then each other
 lift with _on_coords and comparing it with the residue's value, and keys
@@ -122,12 +123,14 @@ class _DeltaMemo:
 def _fill(memo: _DeltaMemo, info: DiscriminantInfo) -> None:
     """Store info, which conductor_ideal returned, and the set-up tuple of
     its discriminant in memo: (delta), v_P(delta) and v_P(f) are those the
-    info keeps, so no second (delta) is built or factored."""
+    info keeps, so no second (delta) is built or factored.  The info's
+    read-only maps are copied into plain dicts, whose lookups the value
+    kernels make."""
     delta = info.delta
     modulus, delta_primes, f_exponents = info._factorization
     negative = tuple(i for i in delta.field.real_embeddings if delta.sign_at(i) < 0)
     memo.info = info
-    memo.setup = modulus, delta_primes, f_exponents, negative
+    memo.setup = modulus, dict(delta_primes), dict(f_exponents), negative
 
 
 class QuadCharacter:
@@ -212,18 +215,24 @@ class QuadCharacter:
         where delta is negative; ValueError at 0 and off the coprime locus."""
         if not a:
             raise ValueError("the character is not defined at 0")
-        if not self._coprime_coords(a.X, a.Y, a.m):
+        val = self._on_coords(a.X, a.Y, a.m)
+        if not val:
             raise ValueError(f"{a} is not coprime to ({self.delta})")
-        return self._on_coords(a.X, a.Y, a.m)
+        return val
 
     def _on_coords(self, x: int, y: int, m: int = 1) -> int:
         """on_element at (x + y*w)/m, for integers x, y, not both 0, and
-        m >= 1, on integers alone.  The caller has checked that the element
-        is coprime to delta, so no prime of delta is in its factorization."""
+        m >= 1, on integers alone, or 0 if a prime of delta is in the
+        element's factorization: coprimality and the value are read off
+        one lookup of that factorization, in one pass that stops at the
+        first prime of delta, so at_prime is never asked about one."""
         K = self.field
+        delta_primes = self._delta_primes
         memo = self._prime_memo
         val = 1
         for P, v in _coords_factor(K, x, y, m):
+            if P in delta_primes:
+                return 0
             if v % 2:
                 # at_prime's memo, read once; its values are +-1, never 0
                 val *= memo.get(P) or self.at_prime(P)
@@ -233,9 +242,6 @@ class QuadCharacter:
 
     def _coprime(self, a: Ideal) -> bool:
         return not any(a.valuation(P) for P in self._delta_primes)
-
-    def _coprime_coords(self, x: int, y: int, m: int = 1) -> bool:
-        return not any(P in self._delta_primes for P, _ in _coords_factor(self.field, x, y, m))
 
     # -- conductor by exhaustive residue verification -------------------------
 
@@ -290,13 +296,15 @@ class QuadCharacter:
         on_coords = self._on_coords
         table: dict[tuple[int, int], int] = {}
         for x, y in m.residue_coords():
-            if not (x or y) or not self._coprime_coords(x, y):
+            if not (x or y):
                 continue
-            # the residue and several genuinely different integral lifts of
-            # its class, including the balanced one and a negated-direction
-            # one; all congruent to x + y*w mod (delta), so coprime to it as
-            # well, and each valued and compared in turn
             val = on_coords(x, y)
+            if not val:  # x + y*w is not coprime to (delta)
+                continue
+            # several genuinely different integral lifts of the residue's
+            # class, including the balanced one and a negated-direction one;
+            # all congruent to x + y*w mod (delta), so coprime to it as
+            # well, and each valued and compared in turn
             if on_coords(*_balance(m, x, y)) != val or any(
                 on_coords(x + dx, y + dy) != val for dx, dy in steps
             ):  # the Hecke property; explicit, see conductor_exhaustive

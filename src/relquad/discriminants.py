@@ -16,11 +16,19 @@ of the factorization of (delta): k_P = v_P(f), f = prod P^k and rel_disc =
 prod P^(l - 2k) from the memo of PrimeIdeal.power, with no ideal division,
 and the witness by the search kernel ideals._root_coords on the HNF
 triples of f and f^2 scaled by 2 and 4, with no ideal 2f or 4f^2 built.
-The DiscriminantInfo keeps (delta) and the dicts P -> v_P(delta) and P ->
-v_P(f), so characters and fundamental_discriminant_data read them rather
-than build and factor (delta) again.  The route that factored (delta)
-afresh and divided by f^2 is the test oracle
+The DiscriminantInfo keeps (delta) and read-only maps P -> v_P(delta) and
+P -> v_P(f), so characters and fundamental_discriminant_data read them
+rather than build and factor (delta) again.  The route that factored
+(delta) afresh and divided by f^2 is the test oracle
 tests/helpers.py::conductor_by_division.
+
+The info is memoised process-wide per (delta, (delta)) in an LRU cache of
+ideals.FACTOR_CACHE_SIZE entries (_conductor).  conductor_ideal and a table
+row, which passes the ideal it built delta from, make the same key, so
+fdelta, conductor, the characters, the table rows and unit_discriminants
+share one DiscriminantInfo per delta.  Every field of the info is
+immutable, its maps included, so no caller can change what a later hit
+returns.
 
 The class enumeration builds each class modulo unit squares once, as a
 principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
@@ -28,16 +36,21 @@ u*g, and keeps its least member in the window of field._window_least,
 the walk that Ideal.principal_generator shares; all on integer pairs,
 with only the representatives made Elems.  Their conductors are read off
 the ideal (g) = (delta) each was built from, so a row of a table or of
-unit_discriminants never builds (delta).  Cohen, GTM 138, 5.2-5.4 and
-5.7-5.8.
+unit_discriminants never builds (delta).  A totally negative class needs
+u*g negative at every real embedding, that is u's signs opposite to g's:
+the signs of g and of each unit are taken once, and only the units whose
+signs match are multiplied by g.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from .field import Elem, QuadField, _window_least, coords_mul, coords_sign, roots_of_unity, unit_square_class_reps
 from .ideals import (
+    FACTOR_CACHE_SIZE,
     Ideal,
     PrimeIdeal,
     _cf_generator,
@@ -78,9 +91,9 @@ class DiscriminantInfo:
     is_square_in_K: bool
     witness_x: Elem  # x with x^2 = delta mod 4 f^2
     # set only on the infos conductor_ideal returns: (modulus, delta_primes,
-    # f_exponents), that is (delta), the dict P -> v_P(delta) in the order
-    # of Ideal.factor and the dict P -> v_P(f) over the same P; a copy made
-    # by hand or by dataclasses.replace holds None
+    # f_exponents), that is (delta), the read-only map P -> v_P(delta) in
+    # the order of Ideal.factor and the read-only map P -> v_P(f) over the
+    # same P; a copy made by hand or by dataclasses.replace holds None
     _factorization: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -202,7 +215,8 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     HNF box of 2f, searched on f's and f^2's HNF triples scaled by 2 and 4
     (ideals._root_coords).  The returned info keeps (delta), v_P(delta)
     and v_P(f) at each P | delta in its _factorization field, which
-    characters and fundamental_discriminant_data read."""
+    characters and fundamental_discriminant_data read.  Memoised per delta
+    (_conductor): every call for one delta returns the same info."""
     if not delta or not delta.is_integral():
         raise ValueError("nonzero integral element required")
     if _witness_coords(delta.field, delta.X, delta.Y) is None:
@@ -210,10 +224,14 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     return _conductor(delta, principal_ideal(delta))
 
 
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _conductor(delta: Elem, modulus: Ideal) -> DiscriminantInfo:
     """conductor_ideal(delta) for a discriminant delta and modulus = (delta),
     which the caller vouches for: _class_reps passes the ideal it built
-    delta from, so a row of the table factors (delta) once."""
+    delta from, so a row of the table factors (delta) once.  Memoised per
+    (delta, modulus), a key conductor_ideal and _class_reps share; delta's
+    equality includes its field, so equal coordinates in different fields
+    keep separate entries."""
     K = delta.field
     delta_primes = dict(modulus.factor())
     f_exponents = {}
@@ -239,7 +257,8 @@ def _conductor(delta: Elem, modulus: Ideal) -> DiscriminantInfo:
         is_square_in_K=delta.is_square(),
         witness_x=K.elem(*coords),
     )
-    object.__setattr__(info, "_factorization", (modulus, delta_primes, f_exponents))
+    read_only = modulus, MappingProxyType(delta_primes), MappingProxyType(f_exponents)
+    object.__setattr__(info, "_factorization", read_only)
     return info
 
 
@@ -370,10 +389,17 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
     """The sorted classes modulo unit squares of the discriminants delta
     with (delta) among the given integral ideals, totally negative ones
     only if negative: for each principal ideal (g), every u*g with u in
-    unit_square_class_reps that passes the mod-4 witness (and the sign
-    test), as its least member, with its conductor read off (g) itself,
-    the ideal (delta) of every member (_conductor)."""
+    unit_square_class_reps that passes the sign filter and the mod-4
+    witness, as its least member, with its conductor read off (g) itself,
+    the ideal (delta) of every member (_conductor, whose memo the infos of
+    conductor_ideal share).  The sign filter runs before the product: u*g
+    is totally negative iff u's sign is the opposite of g's at every real
+    embedding, so the signs of each unit are taken once per call and those
+    of g once per ideal, and the other units are never multiplied by g.
+    With negative False, or no real embedding, every unit passes."""
     units = [(u.X, u.Y) for u in unit_square_class_reps(K)]
+    embeddings = K.real_embeddings if negative else ()
+    unit_signs = [tuple(coords_sign(K, *u, e) for e in embeddings) for u in units]
     if K.is_real_quadratic:
         generator, least = _cf_generator, lambda x, y: _window_least(K, x, y, 2)
     else:
@@ -385,11 +411,12 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
         g = generator(I)
         if g is None:
             continue
-        for u in units:
+        opposite = tuple(-coords_sign(K, *g, e) for e in embeddings)
+        for u, signs in zip(units, unit_signs):
+            if signs != opposite:
+                continue
             x, y = coords_mul(K, *g, *u)
             if _witness_coords(K, x, y) is None:
-                continue
-            if negative and not all(coords_sign(K, x, y, e) < 0 for e in K.real_embeddings):
                 continue
             # (delta) = (u*g) = I: the conductor reads I's factorization
             reps.append((least(x, y), I))

@@ -41,8 +41,10 @@ factorization of ((x + y*w)/m) that way.
 Principality reads the norm form f_J of I = c*J (_norm_form, Cohen, GTM
 138, 5.2): a real field walks the continued fraction of a root of f_J, as
 fundamental_unit walks that of w (5.7); an imaginary one reduces f_J by
-Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.  A
-real field's generator is then walked by eps into the window of
+Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.  The
+continued-fraction walk is memoised per ideal (_cf_generator), non-principal
+ones included, in an LRU cache of FACTOR_CACHE_SIZE entries.  A real
+field's generator is then walked by eps into the window of
 field._window_least, the walk the discriminant classes take by eps^2.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
@@ -856,12 +858,15 @@ def _norm_form(I: Ideal) -> tuple[int, int, int]:
     return A, 2 * b1 + t, (b1 * b1 + t * b1 + K.omega_norm) // A
 
 
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _cf_generator(I: Ideal) -> tuple[int, int] | None:
     """Coordinates of a generator of the integral ideal I of a real field,
     or None.  J is principal iff f_J (_norm_form) is GL2(Z)-equivalent to
     the norm form of O; then by Serret's theorem the continued fraction of
     its root (-B + sqrt(disc))/2A ends in the period of w, which has a
-    complete quotient with |Q| = 2: a convergent with |f_J(p, q)| = 1."""
+    complete quotient with |Q| = 2: a convergent with |f_J(p, q)| = 1.
+    Memoised per ideal, None included, so Ideal.principal_generator and
+    the discriminant classes walk each ideal once."""
     K = I.field
     a, b, c = I.hnf
     A, B, C = _norm_form(I)

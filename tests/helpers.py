@@ -1012,6 +1012,13 @@ def auxiliary_splits(chi, a: Ideal):
         )
 
 
+def coprime_coords(chi, x: int, y: int) -> bool:
+    """Whether x + y*w is coprime to chi's delta, by its valuation at each
+    prime of delta (coords_valuation), not through the factorization that
+    QuadCharacter._on_coords reads."""
+    return not any(coords_valuation(P, x, y, 1) for P in chi._delta_primes)
+
+
 def _coprime_proxy(chi, alpha: Elem) -> Elem:
     """Integral b = alpha mod conductor (to full conductor precision at
     each of its primes) that is coprime to delta."""
@@ -1025,7 +1032,7 @@ def _coprime_proxy(chi, alpha: Elem) -> Elem:
     ax, ay, am = alpha.X, alpha.Y, alpha.m
     for i, j in search.residue_coords():
         x, y = _balance(search, i, j)
-        if not (x or y) or not chi._coprime_coords(x, y):
+        if not (x or y) or not coprime_coords(chi, x, y):
             continue
         # cand - alpha = (dx + dy*w)/am; equality passes every Q
         dx, dy = am * x - ax, am * y - ay

@@ -11,6 +11,7 @@ from helpers import (
     _balance,
     auxiliary_splits,
     conductor_by_ideals,
+    coprime_coords,
     extended_by_gcd,
     extended_by_ideals,
     on_element_by_ideal,
@@ -504,7 +505,7 @@ def _prime_splitting_lifts(chi):
     # (delta), but not in the other: residue_table values both lifts
     K, a = chi.field, chi.modulus.hnf[0]
     for x, y in chi.modulus.residue_coords():
-        if not (x or y) or not chi._coprime_coords(x, y):
+        if not (x or y) or not coprime_coords(chi, x, y):
             continue
         odd = [{P for P, v in ideals._coords_factor(K, u, y, 1) if v % 2} for u in (x, x + a)]
         for P, v in ideals._coords_factor(K, x, y, 1) + ideals._coords_factor(K, x + a, y, 1):

@@ -4,14 +4,17 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from helpers import main_by_full_parser
 
 import relquad
-from relquad import cli
+from relquad import cli, discriminants, ideals
 from relquad.cli import main
-from relquad.tables import validate_record
+from relquad.field import make_field, parse_elem
+from relquad.ideals import parse_ideal
+from relquad.tables import fixture_row_multiset_matches, fixture_unit_discs_match, load_fixture, validate_record
 from relquad.verify import _fundamental_discriminants
 
 
@@ -126,6 +129,33 @@ def test_table_fixture_counts(capsys):
     assert len(recs) == 55
     for rec in recs[:5]:
         assert validate_record(rec, "table_row") == []
+
+
+def test_repeated_requests_print_the_same_text(capsys):
+    # one process, the memos of the conductors and of the continued-fraction
+    # walk emptied first: the second table and unit-discs request of each
+    # field prints byte for byte what the first printed, and still matches
+    # the shipped fixtures
+    discriminants._conductor.cache_clear()
+    ideals._cf_generator.cache_clear()
+    for d, name in ((5, "table_sqrt5.json"), (10, "table_sqrt10.json")):
+        argv = ("table", "--field", str(d), "--bound", "500", "--format", "json")
+        first, second = (run_cli(*argv, capsys=capsys) for _ in range(2))
+        assert first == second and first[0] == 0
+        K = make_field(d)
+        rows = [
+            SimpleNamespace(norm=r["norm"], delta=parse_elem(K, r["delta"]), f_delta=parse_ideal(K, r["f_delta"]))
+            for r in map(json.loads, second[1].splitlines())
+        ]
+        assert fixture_row_multiset_matches(K, rows, load_fixture(name)) == []
+    for row in load_fixture("unit_discriminants.json").values():
+        argv = ("unit-discs", "--field", str(row["d"]))
+        first, second = (run_cli(*argv, capsys=capsys) for _ in range(2))
+        assert first == second and first[0] == 0
+        K = make_field(row["d"])
+        infos = [SimpleNamespace(delta=parse_elem(K, c)) for c in json.loads(second[1])["classes"]]
+        assert fixture_unit_discs_match(K, infos, row) == []
+    assert discriminants._conductor.cache_info().hits > 0 and ideals._cf_generator.cache_info().hits > 0
 
 
 def test_table_tsv_header(capsys):

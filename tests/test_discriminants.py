@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -31,6 +31,7 @@ from relquad.discriminants import (
 )
 from relquad.field import Elem, fundamental_unit, make_field, parse_elem
 from relquad.ideals import (
+    FACTOR_CACHE_SIZE,
     class_number,
     coords_valuation,
     ideal_from_generators,
@@ -281,10 +282,18 @@ def _class_reps_infos(monkeypatch, module, run):
     return seen
 
 
+def _fresh_conductor(delta):
+    # conductor_ideal(delta) computed anew, not read off the memo of
+    # _conductor, which the infos of the table rows share
+    discriminants._conductor.cache_clear()
+    return conductor_ideal(delta)
+
+
 def _check_reused_factorization(infos):
     for info in infos:
         delta = info.delta
-        fresh = conductor_ideal(delta)
+        fresh = _fresh_conductor(delta)
+        assert fresh is not info
         assert (info.f_delta, info.rel_disc, info.witness_x) == (fresh.f_delta, fresh.rel_disc, fresh.witness_x)
         assert (info.f_delta, info.rel_disc, info.witness_x) == conductor_by_division(delta), delta
         modulus, delta_primes, f_exponents = info._factorization
@@ -295,7 +304,8 @@ def _check_reused_factorization(infos):
 
 
 def _clear_ideal_memos():
-    for memo in (ideals._factor, ideals._coords_factor, ideals._prime_power, ideals._product, ideals._inverse):
+    memos = (ideals._factor, ideals._coords_factor, ideals._prime_power, ideals._product, ideals._inverse)
+    for memo in (*memos, ideals._cf_generator, discriminants._conductor):
         memo.cache_clear()
 
 
@@ -331,6 +341,101 @@ def test_unit_disc_classes_reuse_the_factorization_of_delta(monkeypatch):
         _check_reused_factorization(infos)
         total += len(infos)
     assert total > 100
+
+
+def _seeded_discriminants(K, count, seed):
+    # count discriminants x + y*w of K, |x| <= 300 and |y| <= 40 (y = 0 over Q)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        delta = K.elem(rng.randint(-300, 300), rng.randint(-40, 40) if K.degree == 2 else 0)
+        if delta and is_discriminant(delta):
+            out.append(delta)
+    return out
+
+
+def test_conductor_memo_matches_division_oracle_cold_and_warm():
+    # every row of table --bound 500 over Q(sqrt 5) and Q(sqrt 10), and
+    # seeded discriminants in Q, Q(sqrt -15) and Q(sqrt 195): the memoised
+    # infos equal the division route with the memo empty and again full,
+    # and a table row reads the very info conductor_ideal returns
+    tables_of = {K: discriminant_classes(K, 500, "totally_negative") for K in map(make_field, (5, 10))}
+    assert [len(t) for t in tables_of.values()] == [55, 77]
+    deltas = [info.delta for t in tables_of.values() for info in t]
+    for d, seed in ((None, 1), (-15, 2), (195, 3)):
+        deltas += _seeded_discriminants(make_field(d), 60, seed)
+    expected = [conductor_by_division(delta) for delta in deltas]
+    discriminants._conductor.cache_clear()
+    cold = [conductor_ideal(delta) for delta in deltas]
+    filled = discriminants._conductor.cache_info()
+    assert filled.maxsize == FACTOR_CACHE_SIZE
+    assert filled.misses == filled.currsize == len(set(deltas))
+    warm = [conductor_ideal(delta) for delta in deltas]
+    assert discriminants._conductor.cache_info().misses == filled.misses
+    for delta, c, w, want in zip(deltas, cold, warm, expected):
+        assert c is w and c.from_conductor_ideal, delta
+        assert (w.f_delta, w.rel_disc, w.witness_x) == want, delta
+    for K, rows in tables_of.items():
+        again = discriminant_classes(K, 500, "totally_negative")
+        assert again == rows
+        assert all(info is conductor_ideal(info.delta) for info in again), K
+    assert discriminants._conductor.cache_info().misses == filled.misses
+
+
+def test_conductor_memo_keeps_no_failure(Q, Q5, Q10):
+    # a non-discriminant, or a delta that is 0 or not integral, raises the
+    # same ValueError every time and leaves no entry
+    discriminants._conductor.cache_clear()
+    for delta in (Q.elem(3), Q.elem(-2), Q5.elem(2), Q10.elem(2, 1), Q10.elem(0), Elem(Q5, 1, 0, 2)):
+        texts = set()
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                conductor_ideal(delta)
+            texts.add(str(exc.value))
+        assert len(texts) == 1, delta
+    assert discriminants._conductor.cache_info().currsize == 0
+
+
+def test_conductor_memo_keeps_fields_apart(Q, Q5):
+    # 5 is a square in Q(sqrt 5), where (5) = (sqrt 5)^2 is unramified in
+    # Q(sqrt 5)(sqrt 5) = Q(sqrt 5), while over Q its conductor is (1) and
+    # its relative discriminant (5): equal coordinates in the two fields
+    # keep separate entries, in either order of use
+    want = {K: conductor_by_division(K.elem(5)) for K in (Q, Q5)}
+    assert want[Q][1] != want[Q5][1]
+    for first, second in ((Q, Q5), (Q5, Q)):
+        discriminants._conductor.cache_clear()
+        infos = {K: conductor_ideal(K.elem(5)) for K in (first, second)}
+        assert discriminants._conductor.cache_info().currsize == 2
+        for K, info in infos.items():
+            assert info.delta.field == K and info.f_delta.field == K
+            assert (info.f_delta, info.rel_disc, info.witness_x) == want[K]
+
+
+def test_conductor_memo_cannot_be_poisoned(Q10):
+    # the info a caller gets is shared with every later caller of its
+    # delta: its fields cannot be rebound and its maps cannot be written,
+    # so a later hit still equals the division route
+    delta = Q10.elem(-4)
+    want = conductor_by_division(delta)
+    discriminants._conductor.cache_clear()
+    info = conductor_ideal(delta)
+    modulus, delta_primes, f_exponents = info._factorization
+    P = next(iter(delta_primes))
+    with pytest.raises(FrozenInstanceError):
+        info.f_delta = unit_ideal(Q10)
+    for attempt in (
+        lambda: delta_primes.__setitem__(P, 0),
+        lambda: f_exponents.__setitem__(P, 0),
+        lambda: delta_primes.pop(P),
+        lambda: f_exponents.clear(),
+    ):
+        with pytest.raises((TypeError, AttributeError)):
+            attempt()
+    again = conductor_ideal(delta)
+    assert again is info and (again.f_delta, again.rel_disc, again.witness_x) == want
+    assert list(again._factorization[1].items()) == principal_ideal(delta).factor()
+    assert dict(again._factorization[2]) == {P: info.f_delta.valuation(P) for P in delta_primes}
 
 
 def test_fundamental_data_local_components(Q10):
@@ -520,6 +625,7 @@ def test_unit_window_built_once_per_field(d, monkeypatch):
     def no_products(self, other):
         raise AssertionError("element product in a warm enumeration")
 
+    discriminants._conductor.cache_clear()  # the conductors run again
     with monkeypatch.context() as m:
         m.setattr(Elem, "__mul__", no_products)
         assert discriminant_classes(K, 30) == first
@@ -577,6 +683,10 @@ def test_classes_build_no_quotient_and_no_fraction_root(monkeypatch):
         for d in (None, 5, 10, 19, -3, -15)
         for sign in ("any", "totally_negative")
     }
+    # the oracle filled the memos of the walk and the conductors: empty
+    # them, so that both run under the refusals
+    ideals._cf_generator.cache_clear()
+    discriminants._conductor.cache_clear()
     monkeypatch.setattr(Elem, "__truediv__", refuse)
     monkeypatch.setattr(helpers, "sqrt_by_fractions", refuse)
     for d in (None, 5, 10, 19, -3, -15):

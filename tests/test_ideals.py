@@ -573,12 +573,50 @@ def test_principal_generator_matches_box_oracle(d):
     # each of them divided by 3; the box scan is out of reach for d = 46
     # (eps = 24335 + 3588w), whose rows the row-by-row oracle solves
     # instead, below norm 31
+    # each ideal is checked with the continued-fraction memo empty and again
+    # once the first pass has filled it
     K = make_field(d)
     oracle = lru_cache(maxsize=None)(row_principal_generator if d == 46 else box_principal_generator)
-    for a in _ideals_below(K, 31 if d == 46 else 60):
-        for I in (a, a * Fraction(1, 3)):
-            g = oracle(Ideal(K, I.hnf, 1))
-            assert I.principal_generator() == (None if g is None else balanced_associate(g) / I.den), (d, I)
+    ideals._cf_generator.cache_clear()
+    for _ in ("cold", "warm"):
+        for a in _ideals_below(K, 31 if d == 46 else 60):
+            for I in (a, a * Fraction(1, 3)):
+                g = oracle(Ideal(K, I.hnf, 1))
+                assert I.principal_generator() == (None if g is None else balanced_associate(g) / I.den), (d, I)
+
+
+@pytest.mark.parametrize("d", [10, 94])
+def test_cf_generator_memo_matches_the_walk(d):
+    # over every integral ideal of norm <= 200, principal or not, the
+    # memoised walk returns what the unmemoised walk returns, with the memo
+    # empty and again full, and principal_generator reads it alike
+    K = make_field(d)
+    cases = _ideals_below(K, 201)
+    walked = [ideals._cf_generator.__wrapped__(I) for I in cases]
+    # h = 2 for d = 10 and h = 1 for d = 94
+    assert (None in walked) == (d == 10) and sum(g is not None for g in walked) > 20
+    ideals._cf_generator.cache_clear()
+    gens = [I.principal_generator() for I in cases]
+    assert [ideals._cf_generator(I) for I in cases] == walked
+    filled = ideals._cf_generator.cache_info()
+    assert filled.maxsize == FACTOR_CACHE_SIZE and filled.misses == filled.currsize == len(cases)
+    assert [I.principal_generator() for I in cases] == gens
+    assert [ideals._cf_generator(I) for I in cases] == walked
+    assert ideals._cf_generator.cache_info().misses == filled.misses
+    for I, g, w in zip(cases, gens, walked):
+        assert (g is None) == (w is None) and (g is None or principal_ideal(g) == I), (d, I)
+
+
+def test_cf_generator_memo_keeps_fields_apart():
+    # the HNF (2, 0, 1) is (2, w): (sqrt 2) in Q(sqrt 2), non-principal in
+    # Q(sqrt 10); equal coordinates keep separate entries in either order
+    Q2, Q10 = make_field(2), make_field(10)
+    for first, second in ((Q2, Q10), (Q10, Q2)):
+        ideals._cf_generator.cache_clear()
+        got = {K: Ideal(K, (2, 0, 1)).principal_generator() for K in (first, second)}
+        assert ideals._cf_generator.cache_info().currsize == 2
+        assert got[Q10] is None and got[Q2] in (Q2.sqrt_gen, -Q2.sqrt_gen)
+        assert principal_ideal(got[Q2]) == Ideal(Q2, (2, 0, 1))
 
 
 REAL_SQUAREFREE = [d for d in range(2, 5001) if is_squarefree(d)]
