@@ -25,7 +25,7 @@ from .counting import (
 from .discriminants import conductor_ideal, fundamental_discriminant_data
 from .dyadic import duality_report
 from .field import make_field, parse_elem
-from .hurwitz import hurwitz_row
+from .hurwitz import hurwitz_row, negative_discriminants
 from .ideals import parse_ideal
 from .tables import table_rows, unit_discriminants
 from .verify import FIELD_SUITES, run_suite
@@ -36,11 +36,65 @@ def _field_of(args):
     return make_field(d if d else None)
 
 
-def _emit(args, obj):
-    if getattr(args, "format", "json") == "json":
-        print(json.dumps(obj, indent=1, sort_keys=True))
-    else:
-        raise ValueError("tsv output is not defined for this command")
+# json.dumps(obj, sort_keys=True) for the one-line records of table and
+# hurwitz: the same C encoder, built once rather than once per row
+_compact = json.JSONEncoder(sort_keys=True).encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj) -> str:
+    """The text of json.dumps(obj, indent=1, sort_keys=True), written
+    directly: with an indent, json runs its pure-Python encoder.  It takes
+    the values the CLI prints, dicts (str or int keys, sorted as json sorts
+    them), lists, tuples, str, int, bool, None and float, and raises
+    TypeError on any other."""
+    return _indented(obj, "\n")
+
+
+def _indented(obj, newline: str) -> str:
+    # newline is "\n" and the indent of obj's own line; json's order of tests
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _compact(obj)
+    # a member of exact type str or int is written in place, without the
+    # recursive call: the zeta record is three lists of ints
+    inner = newline + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [
+            _encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int else _indented(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _key(k)
+            + ": "
+            + (_encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int else _indented(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _encode_str(k)
+    if isinstance(k, int) and not isinstance(k, bool):
+        return '"' + int.__repr__(k) + '"'
+    raise TypeError(f"keys must be str or int, not {type(k).__name__}")
 
 
 def cmd_fdelta(args) -> int:
@@ -57,14 +111,14 @@ def cmd_fdelta(args) -> int:
     fd = fundamental_discriminant_data(info)
     if fd.principal_rep is not None:
         rec["principal_rep"] = str(fd.principal_rep)
-    _emit(args, rec)
+    print(_dumps(rec))
     return 0
 
 
 def cmd_conductor(args) -> int:
     K = _field_of(args)
     info = conductor_ideal(parse_elem(K, args.delta))
-    _emit(args, {"f_delta": str(info.f_delta), "rel_disc": str(info.rel_disc)})
+    print(_dumps({"f_delta": str(info.f_delta), "rel_disc": str(info.rel_disc)}))
     return 0
 
 
@@ -73,10 +127,7 @@ def cmd_char(args) -> int:
     chi = QuadCharacter(parse_elem(K, args.delta))
     a = parse_ideal(K, args.ideal)
     leg = chi.on_ideal(a) if a.gcd(chi.modulus).is_unit_ideal() else "undefined"
-    _emit(
-        args,
-        {"leg": str(leg), "uleg": chi.primitive(a), "chi": chi.extended(a)},
-    )
+    print(_dumps({"leg": str(leg), "uleg": chi.primitive(a), "chi": chi.extended(a)}))
     return 0
 
 
@@ -89,7 +140,7 @@ def cmd_count(args) -> int:
         "brute": count_square_roots(delta, a),
         "formula": count_square_roots_formula(chi, a),
     }
-    _emit(args, rec)
+    print(_dumps(rec))
     return 0 if rec["brute"] == rec["formula"] else 1
 
 
@@ -103,7 +154,7 @@ def cmd_zeta_coeffs(args) -> int:
     conv = dirichlet_convolution(aK, sums)
     conv2 = dirichlet_convolution(square_stretch(aK, args.bound), zd)
     if args.format == "json":
-        _emit(args, {"n": list(range(1, args.bound + 1)), "coeff": zd[1:], "convolution_coeff": conv[1:]})
+        print(_dumps({"n": list(range(1, args.bound + 1)), "coeff": zd[1:], "convolution_coeff": conv[1:]}))
     else:
         print("n\tcoeff\tconvolution_coeff")
         for n in range(1, args.bound + 1):
@@ -116,13 +167,13 @@ def cmd_table(args) -> int:
     recs = [r.to_record() for r in table_rows(K, args.bound, sign=args.sign)]
     if args.format == "json":
         for rec in recs:
-            print(json.dumps(rec, sort_keys=True))
+            print(_compact(rec))
     else:
         print("norm\tdelta\tf_delta\trel_disc\textras")
         for rec in recs:
             print(
                 f"{rec['norm']}\t{rec['delta']}\t{rec['f_delta_pretty']}\t"
-                f"{rec['rel_disc']}\t{json.dumps(rec['extras'], sort_keys=True)}"
+                f"{rec['rel_disc']}\t{_compact(rec['extras'])}"
             )
     return 0
 
@@ -135,7 +186,7 @@ def cmd_unit_discs(args) -> int:
         "window_norm_bound": window,
         "classes": [str(i.delta) for i in infos],
     }
-    _emit(args, rec)
+    print(_dumps(rec))
     return 0
 
 
@@ -143,25 +194,19 @@ def cmd_hurwitz(args) -> int:
     if (args.delta is None) == (args.upto is None):
         print("exactly one of --delta / --upto is required", file=sys.stderr)
         return 2
-    deltas = [args.delta] if args.delta is not None else [
-        d for d in range(-args.upto, 0) if d % 4 in (0, 1)
-    ]
+    deltas = [args.delta] if args.delta is not None else negative_discriminants(args.upto)
     rows = [hurwitz_row(d) for d in sorted(deltas, reverse=True)]
     if args.format == "json":
         for r in rows:
-            print(
-                json.dumps(
-                    {
-                        "delta": r.delta,
-                        "H_formula": str(r.H_formula),
-                        "H_oracle": str(r.H_oracle),
-                        "h": r.h_L,
-                        "w": r.w_L,
-                        "f": r.f_delta,
-                    },
-                    sort_keys=True,
-                )
-            )
+            rec = {
+                "delta": r.delta,
+                "H_formula": str(r.H_formula),
+                "H_oracle": str(r.H_oracle),
+                "h": r.h_L,
+                "w": r.w_L,
+                "f": r.f_delta,
+            }
+            print(_compact(rec))
     else:
         print("delta\tH_formula\tH_oracle\th\tw\tf")
         for r in rows:
@@ -171,7 +216,7 @@ def cmd_hurwitz(args) -> int:
 
 def cmd_local_duality(args) -> int:
     rep = duality_report(args.field, args.precision)
-    print(json.dumps(rep, indent=1, sort_keys=True))
+    print(_dumps(rep))
     checks = [v for v in rep.values() if isinstance(v, bool)]
     return 0 if all(checks) else 1
 
@@ -202,7 +247,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"verify {args.suite} does not take --field")
         kwargs["descriptor"] = args.field
     rep = run_suite(args.suite, **kwargs)
-    print(json.dumps(_json_safe(rep), indent=1, sort_keys=True))
+    print(_dumps(_json_safe(rep)))
     return 0 if rep["ok"] else 1
 
 
@@ -236,24 +281,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fdelta", help="conductor data of a discriminant")
     _add_field_flag(p)
     p.add_argument("--delta", required=True, help='element text "x+y*w"')
-    p.set_defaults(fn=cmd_fdelta, format="json")
+    p.set_defaults(fn=cmd_fdelta)
 
     p = sub.add_parser("conductor", help="conductor ideal only")
     _add_field_flag(p)
     p.add_argument("--delta", required=True)
-    p.set_defaults(fn=cmd_conductor, format="json")
+    p.set_defaults(fn=cmd_conductor)
 
     p = sub.add_parser("char", help="character values on an ideal")
     _add_field_flag(p)
     p.add_argument("--delta", required=True)
     p.add_argument("--ideal", required=True, help='ideal text "[[a,b],[0,c]]/den" or "(g1, g2)"')
-    p.set_defaults(fn=cmd_char, format="json")
+    p.set_defaults(fn=cmd_char)
 
     p = sub.add_parser("count", help="square-root count: brute force and formula")
     _add_field_flag(p)
     p.add_argument("--delta", required=True)
     p.add_argument("--ideal", required=True)
-    p.set_defaults(fn=cmd_count, format="json")
+    p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("zeta-coeffs", help="coefficient table of zeta(delta, s)")
     _add_field_flag(p)
@@ -271,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unit-discs", help="discriminant classes with trivial relative discriminant")
     _add_field_flag(p)
-    p.set_defaults(fn=cmd_unit_discs, format="json")
+    p.set_defaults(fn=cmd_unit_discs)
 
     p = sub.add_parser("hurwitz", help="Hurwitz class numbers")
     p.add_argument("--delta", type=int)
@@ -310,20 +355,89 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The namespace parse_args(argv) gives on _parser(), in one argparse
-    pass when argv[0] names a subcommand: that subcommand's parser reads
-    argv[1:], as the full parser would hand them on, and raises the same
-    usage errors.  An argv it leaves arguments over from, and any argv that
-    does not start with a subcommand (none, -h, an unknown command), goes
-    through the full parser, which prints the same help or usage error as
-    it would have for the whole request."""
+    """The namespace parse_args(argv) gives on _parser().  When argv[0]
+    names a subcommand, that subcommand's parser reads argv[1:], as the full
+    parser would hand them on: straight off its action table if the
+    arguments are well formed (_read_options), else in one argparse pass,
+    which raises the same usage errors.  An argv it leaves arguments over
+    from, and any argv that does not start with a subcommand (none, -h, an
+    unknown command), goes through the full parser, which prints the same
+    help or usage error as it would have for the whole request."""
     ap = _parser()
     sub = ap._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     if sub is not None:
+        args = _read_options(sub, argv[0], argv[1:])
+        if args is not None:
+            return args
         args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:
             return args
     return ap.parse_args(argv)
+
+
+def _read_options(sub: argparse.ArgumentParser, command: str, tokens: list):
+    """sub.parse_known_args(tokens, Namespace(command=command)) with nothing
+    left over, read off sub's own tables (_option_string_actions, _actions,
+    _defaults) when every token is --name value or --name=value: each name
+    an exact option string of a plain store action, no dest given twice,
+    each value passing the action's type and choices, a separate value not
+    starting with "-" unless argparse reads it as a negative number, and
+    every required option present.  None for anything else (help,
+    abbreviations, positionals, "--", repeats, bad values, missing options),
+    which argparse then parses and reports."""
+    if sub.prefix_chars != "-" or sub._mutually_exclusive_groups or sub.fromfile_prefix_chars is not None:
+        return None
+    actions = sub._option_string_actions
+    given = {}
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if token[:2] != "--":
+            return None
+        action = actions.get(token)
+        if action is not None:
+            if i + 1 == len(tokens):
+                return None
+            value = tokens[i + 1]
+            if value[:1] == "-" and (
+                sub._has_negative_number_optionals or not sub._negative_number_matcher.match(value)
+            ):
+                return None
+            i += 2
+        else:
+            name, eq, value = token.partition("=")
+            action = actions.get(name) if eq else None
+            # argparse drops an explicit "--" value
+            if action is None or value == "--":
+                return None
+            i += 1
+        if type(action) is not argparse._StoreAction or action.nargs is not None or action.dest in given:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=command)
+    for action in sub._actions:
+        dest, default = action.dest, action.default
+        if not action.option_strings:
+            return None
+        # argparse refuses a missing required option and passes the text
+        # default of an absent option through the action's type
+        if dest not in given and (action.required or (isinstance(default, str) and action.type is not None)):
+            return None
+        if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS and not hasattr(args, dest):
+            setattr(args, dest, default)
+    for dest, default in sub._defaults.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
+    for dest, value in given.items():
+        setattr(args, dest, value)
+    return args
 
 
 def main(argv=None) -> int:

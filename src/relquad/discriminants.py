@@ -22,11 +22,12 @@ rather than build and factor (delta) again.  The route that factored
 (delta) afresh and divided by f^2 is the test oracle
 tests/helpers.py::conductor_by_division.
 
-The info is memoised process-wide per (delta, (delta)) in an LRU cache of
-ideals.FACTOR_CACHE_SIZE entries (_conductor).  conductor_ideal and a table
-row, which passes the ideal it built delta from, make the same key, so
-fdelta, conductor, the characters, the table rows and unit_discriminants
-share one DiscriminantInfo per delta.  Every field of the info is
+The info is memoised process-wide per delta in an LRU cache of
+ideals.FACTOR_CACHE_SIZE entries (_conductor), so a hit builds no ideal.
+A table row hands in the ideal it built delta from, outside the key, and
+conductor_ideal builds (delta) only on a miss; so fdelta, conductor, the
+characters, the table rows and unit_discriminants share one
+DiscriminantInfo per delta.  Every field of the info is
 immutable, its maps included, so no caller can change what a later hit
 returns.
 
@@ -221,18 +222,39 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
         raise ValueError("nonzero integral element required")
     if _witness_coords(delta.field, delta.X, delta.Y) is None:
         raise ValueError(f"{delta} is not a discriminant (not a square mod 4)")
-    return _conductor(delta, principal_ideal(delta))
+    return _conductor(delta, _NO_MODULUS)
+
+
+class _Unkeyed:
+    """An argument that a memo's key ignores: every _Unkeyed equals every
+    other, so _conductor's entries are keyed on delta alone."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Unkeyed)
+
+    def __hash__(self):
+        return 0
+
+
+_NO_MODULUS = _Unkeyed(None)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _conductor(delta: Elem, modulus: Ideal) -> DiscriminantInfo:
-    """conductor_ideal(delta) for a discriminant delta and modulus = (delta),
-    which the caller vouches for: _class_reps passes the ideal it built
-    delta from, so a row of the table factors (delta) once.  Memoised per
-    (delta, modulus), a key conductor_ideal and _class_reps share; delta's
-    equality includes its field, so equal coordinates in different fields
-    keep separate entries."""
+def _conductor(delta: Elem, modulus: _Unkeyed) -> DiscriminantInfo:
+    """conductor_ideal(delta) for a discriminant delta, memoised per delta
+    alone, so a hit builds no ideal.  modulus.value is (delta) when the
+    caller has it, which it vouches for, and None otherwise: _class_reps
+    passes the ideal it built delta from, so a row of the table factors
+    (delta) once, and conductor_ideal builds (delta) only on a miss.
+    delta's equality includes its field, so equal coordinates in different
+    fields keep separate entries."""
     K = delta.field
+    modulus = principal_ideal(delta) if modulus.value is None else modulus.value
     delta_primes = dict(modulus.factor())
     f_exponents = {}
     for P, l in delta_primes.items():
@@ -421,4 +443,4 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
             # (delta) = (u*g) = I: the conductor reads I's factorization
             reps.append((least(x, y), I))
     reps.sort(key=lambda rep: rep[0])
-    return [_conductor(K.elem(x, y), I) for (x, y), I in reps]
+    return [_conductor(K.elem(x, y), _Unkeyed(I)) for (x, y), I in reps]

@@ -24,12 +24,21 @@ __all__ = [
     "hurwitz_class_number_forms",
     "HurwitzResult",
     "hurwitz_row",
+    "negative_discriminants",
 ]
 
 
 def _check_disc(delta: int):
     if delta >= 0 or delta % 4 not in (0, 1):
         raise ValueError(f"need a negative discriminant (0 or 1 mod 4), got {delta}")
+
+
+def negative_discriminants(bound: int) -> list[int]:
+    """The discriminants -bound <= delta < 0 (0 or 1 mod 4), ascending;
+    ValueError naming a negative bound."""
+    if bound < 0:
+        raise ValueError(f"discriminant bound must be >= 0, got {bound}")
+    return [delta for delta in range(-bound, 0) if delta % 4 in (0, 1)]
 
 
 def reduced_forms(delta: int) -> list[tuple[int, int, int]]:

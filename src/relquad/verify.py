@@ -38,7 +38,7 @@ from .dyadic import (
     square_mod_level,
 )
 from .field import Elem, QuadField, make_field
-from .hurwitz import hurwitz_row
+from .hurwitz import hurwitz_row, negative_discriminants
 from .ideals import ideals_of_norm, primes_above
 
 __all__ = [
@@ -178,6 +178,8 @@ def counting_suite(
     ideal_bound: int = ACCEPTANCE_PARAMS["counting"]["ideal_bound"],
 ) -> dict:
     """Brute force == character divisor sum == local casework product."""
+    if ideal_bound < 0:
+        raise ValueError(f"norm bound must be >= 0, got {ideal_bound}")
     K = _field(field_d)
     failures: list[str] = []
     cases = 0
@@ -368,9 +370,7 @@ def dyadic_suite(
 def hurwitz_suite(bound: int = ACCEPTANCE_PARAMS["hurwitz"]["bound"]) -> dict:
     failures: list[str] = []
     cases = 0
-    for delta in range(-bound, 0):
-        if delta % 4 not in (0, 1):
-            continue
+    for delta in negative_discriminants(bound):
         cases += 1
         try:
             hurwitz_row(delta)  # raises on formula/oracle mismatch

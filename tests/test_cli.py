@@ -1,8 +1,10 @@
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -442,6 +444,14 @@ DISPATCH_CORPUS = [
     ["hurwitz", "--delta", "-23", "--", "-3"],
     ["fdelta", "--field", "0", "--delta", "7"],
     ["hurwitz"],
+    # the boundary of the parse straight off the action table
+    ["fdelta", "--field", "10", "--delta", "-4+2*w"],
+    ["table", "--field", "5", "--bound", "0x10"],
+    ["table", "--field", "5", "--bound="],
+    ["table", "--field", "5", "--bound", " 7"],
+    ["table", "--field", "5", "--bound", "9", "--format", "json", "--format", "tsv"],
+    ["char", "--field", "10", "--delta=-4", "--ideal=(3, 1+w)"],
+    ["local-duality", "--field", "q2", "--precision", "-1"],
 ]
 
 
@@ -478,3 +488,191 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["relquad", "fdelta", "--field", "10", "--delta", "-4"])
     code, out, _ = _outcome(main, None, capsys)
     assert code == 0 and json.loads(out)["norm"] == "16"
+
+
+def _fast_parse(argv):
+    """cli._read_options on argv's subcommand parser, None if argv names none."""
+    sub = cli._parser()._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
+    return cli._read_options(sub, argv[0], list(argv[1:])) if sub is not None else None
+
+
+# every form of each option of the subcommands that take no positional
+FAST_PATH_OPTIONS = {
+    "fdelta": [("--field", "5"), ("--delta", "-3")],
+    "char": [("--field", "10"), ("--delta", "-4"), ("--ideal", "(3, 1+w)")],
+    "zeta-coeffs": [("--field", "5"), ("--delta", "5"), ("--bound", "8"), ("--format", "json")],
+    "table": [("--field", "10"), ("--bound", "30"), ("--sign", "any"), ("--format", "json")],
+    "unit-discs": [("--field", "10")],
+    "hurwitz": [("--delta", "-23"), ("--upto", "12"), ("--format", "json")],
+    "local-duality": [("--field", "q2"), ("--precision", "-1")],
+}
+FAST_PATH_VALUES = ["", " 7", "-1", "-.5", "1.5", "0x10", "-4+2*w", "--", "-", "-x", "--field", "json", "xml", "any", "a=b", "="]
+
+
+def _fast_path_corpus():
+    # each option given as --name value and as --name=value, the values
+    # above put in each option's place, an option repeated, one left out,
+    # and a trailing "--"
+    out = []
+    for cmd, opts in FAST_PATH_OPTIONS.items():
+        flat = [t for pair in opts for t in pair]
+        out += [[cmd, *flat], [cmd, *(f"{n}={v}" for n, v in opts)], [cmd, *flat, "--"], [cmd, *flat[2:]]]
+        out.append([cmd, *flat, *opts[0]])
+        for i, (name, _) in enumerate(opts):
+            rest = [t for j, pair in enumerate(opts) if j != i for t in pair]
+            for value in FAST_PATH_VALUES:
+                out += [[cmd, name, value, *rest], [cmd, f"{name}={value}", *rest], [cmd, *rest, name, value]]
+    return out
+
+
+def test_fast_path_namespace_is_argparses(capsys):
+    # every argv the parse off the action table accepts gives the namespace
+    # of parse_args on the full parser, attribute order included; and it
+    # accepts the plain requests, leaving every malformed one to argparse
+    ap = cli.build_parser()
+    corpus = [list(argv) for argv in DISPATCH_CORPUS] + _fast_path_corpus()
+    accepted = 0
+    for argv in corpus:
+        fast = _fast_parse(argv)
+        if fast is None:
+            continue
+        accepted += 1
+        full = ap.parse_args(list(argv))
+        assert fast == full and list(vars(fast)) == list(vars(full)), argv
+    capsys.readouterr()
+    assert accepted > 250
+    for argv in DISPATCH_CORPUS[:9] + [["char", "--field", "10", "--delta=-4", "--ideal=(3, 1+w)"]]:
+        assert _fast_parse(argv) is not None, argv
+    for argv in (
+        ["fdelta", "--field", "10", "--delta", "-4+2*w"],
+        ["table", "--field", "5", "--bound", "0x10"],
+        ["table", "--field", "5", "--bound="],
+        ["table", "--field", "5", "--bound", "9", "--format", "json", "--format", "tsv"],
+        ["fdelta", "--fie", "5", "--delta", "-3"],
+        ["fdelta", "--field", "5", "--delta", "-3", "--"],
+        ["fdelta", "--field", "5", "--delta=--"],
+        ["fdelta", "--field", "5"],
+        ["fdelta", "--field", "5", "--help", "--delta", "-3"],
+        ["verify", "hurwitz", "--bound", "20"],
+    ):
+        assert _fast_parse(argv) is None, argv
+
+
+def test_well_formed_requests_skip_argparse(capsys, monkeypatch):
+    # the catalog's requests parse without an argparse pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse pass for a well-formed request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in (
+        ["fdelta", "--field", "5", "--delta=-3"],
+        ["conductor", "--field", "0", "--delta=-12"],
+        ["char", "--field", "10", "--delta=-4", "--ideal=(3, 1+w)"],
+        ["count", "--field", "10", "--delta=-4", "--ideal=(2, w)"],
+        ["zeta-coeffs", "--field", "5", "--delta=5", "--bound", "8", "--format", "json"],
+        ["table", "--field", "10", "--bound", "30", "--format", "json"],
+        ["unit-discs", "--field", "10"],
+        ["hurwitz", "--delta=-23", "--format", "json"],
+        ["local-duality", "--field", "q2"],
+    ):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == 0 and out and err == "", argv
+
+
+# the fields of the catalog benchmark workload
+CATALOG_FIELDS = (-1, -3, -15, -21, -105, 5, 2, 10, 15, 7, 195, 23, 19, 22)
+
+
+def test_writer_matches_json_dumps(capsys, monkeypatch):
+    # every object the CLI prints indented, written by cli._dumps, is the
+    # text of json.dumps(obj, indent=1, sort_keys=True), and every one-line
+    # record that of json.dumps(obj, sort_keys=True): each record kind over
+    # the catalog's fields, the eight duality reports at their default
+    # precision and at +4, and verify reports with their seconds
+    from relquad.discriminants import discriminant_classes
+    from relquad.dyadic import all_local_fields
+
+    indented, compact = [], []
+    writer, encoder = cli._dumps, cli._compact
+    monkeypatch.setattr(cli, "_dumps", lambda obj: indented.append(obj) or writer(obj))
+    monkeypatch.setattr(cli, "_compact", lambda obj: compact.append(obj) or encoder(obj))
+    requests = []
+    for d in CATALOG_FIELDS:
+        f = str(d)
+        deltas = [str(info.delta) for info in discriminant_classes(make_field(d), 30, "any")[:3]]
+        requests += [["unit-discs", "--field", f], ["table", "--field", f, "--bound", "20", "--format", "json"]]
+        requests += [["table", "--field", f, "--bound", "20"]]
+        for delta in deltas:
+            requests += [
+                ["fdelta", "--field", f, f"--delta={delta}"],
+                ["conductor", "--field", f, f"--delta={delta}"],
+                ["char", "--field", f, f"--delta={delta}", "--ideal=(3, 1+w)"],
+                ["count", "--field", f, f"--delta={delta}", "--ideal=(4, 2+w)"],
+                ["zeta-coeffs", "--field", f, f"--delta={delta}", "--bound", "12", "--format", "json"],
+            ]
+    requests += [["hurwitz", "--upto", "30", "--format", "json"]]
+    for F in all_local_fields():
+        desc = F.kind if F.kind != "ram" else f"ram:{F.c}"
+        requests += [["local-duality", "--field", desc], ["local-duality", "--field", desc, "--precision", str(F.precision + 4)]]
+    requests += [["verify", "hurwitz", "--bound", "20"], ["verify", "dyadic", "--field", "ram:-5"]]
+    for argv in requests:
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code in (0, 1) and err == "", (argv, err)
+    kinds = {frozenset(obj) for obj in indented if isinstance(obj, dict)}
+    assert len(indented) == len(requests) - len(CATALOG_FIELDS) * 2 - 1 and len(kinds) >= 9
+    assert sum("seconds" in obj for obj in indented) == 2
+    for obj in indented:
+        assert writer(obj) == json.dumps(obj, indent=1, sort_keys=True), obj
+    assert len(compact) > 100
+    for obj in compact:
+        assert encoder(obj) == json.dumps(obj, sort_keys=True), obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"b": {}, "a": [[], [1, (2, [3, {}])]]},
+        {10: "x", -1: True, 2: None, 0: False},
+        ["\u00e9 \x00\"\\\n", "\U0001f600", {"\u00fc": "\t"}],
+        [10**60, -(10**60), 0, True, False, None],
+        [1.5, -0.0, 1e100, 1e-7, 0.1 + 0.2, float("nan"), float("inf"), float("-inf")],
+    ],
+    ids=repr,
+)
+def test_writer_edge_values(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj", [Fraction(1, 2), {1, 2}, b"x", [object()], {1.5: 0}, {True: 0}, {None: 0}, {(1,): 0}], ids=repr
+)
+def test_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        cli._dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "counting", "--field", "5", "--bound", "-3"], "norm bound must be >= 0, got -3"),
+        (["verify", "hurwitz", "--bound", "-5"], "discriminant bound must be >= 0, got -5"),
+        (["hurwitz", "--upto", "-5"], "discriminant bound must be >= 0, got -5"),
+    ],
+)
+def test_negative_bounds_are_refused(argv, message, capsys):
+    # each exited 0: the counting suite with no case, the Hurwitz suite
+    # with its four spot values only and hurwitz with an empty table
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_bound_zero_stays_valid(capsys):
+    code, out, _ = run_cli("verify", "counting", "--field", "5", "--bound", "0", capsys=capsys)
+    assert code == 0 and json.loads(out)["cases"] == 0
+    code, out, _ = run_cli("verify", "hurwitz", "--bound", "0", capsys=capsys)
+    assert code == 0 and json.loads(out)["cases"] == 4
+    code, out, err = run_cli("hurwitz", "--upto", "0", capsys=capsys)
+    assert code == 0 and out == "delta\tH_formula\tH_oracle\th\tw\tf\n" and err == ""

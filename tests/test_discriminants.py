@@ -248,7 +248,8 @@ def test_hand_made_info_is_checked_by_fundamental_data(Q):
 def test_fundamental_data_builds_no_second_modulus(test_fields, monkeypatch):
     # on an info of conductor_ideal the primes of delta, v_P(delta) and
     # v_P(f) come from the kept factorization: the only principal ideal
-    # built is the one of the principal representative's conductor check
+    # built is the one of the principal representative's conductor check,
+    # on a miss of the conductor memo, and none once that memo holds it
     infos = [info for K in test_fields for info in discriminant_classes(K, 40)]
     expected = [fundamental_discriminant_data(info) for info in infos]
     built = []
@@ -259,10 +260,13 @@ def test_fundamental_data_builds_no_second_modulus(test_fields, monkeypatch):
 
     monkeypatch.setattr(discriminants, "principal_ideal", counted)
     for info, want in zip(infos, expected):
+        discriminants._conductor.cache_clear()
         built.clear()
         got = fundamental_discriminant_data(info)
         assert got == want, info.delta
         assert built == ([] if got.principal_rep is None else [got.principal_rep]), info.delta
+        built.clear()
+        assert fundamental_discriminant_data(info) == want and built == [], info.delta
 
 
 def _class_reps_infos(monkeypatch, module, run):
@@ -379,6 +383,35 @@ def test_conductor_memo_matches_division_oracle_cold_and_warm():
         again = discriminant_classes(K, 500, "totally_negative")
         assert again == rows
         assert all(info is conductor_ideal(info.delta) for info in again), K
+    assert discriminants._conductor.cache_info().misses == filled.misses
+
+
+def test_warm_conductor_builds_no_ideal(monkeypatch):
+    # the memo is keyed on delta alone: conductor_ideal builds (delta) on a
+    # miss only, so a warm call builds no ideal and returns the info a cold
+    # call or a table row left, for rows of table --bound 500 and seeded
+    # discriminants in Q and Q(sqrt -15)
+    deltas = [info.delta for d in (5, 10) for info in discriminant_classes(make_field(d), 500, "totally_negative")]
+    for d, seed in ((None, 4), (-15, 5)):
+        deltas += _seeded_discriminants(make_field(d), 40, seed)
+    discriminants._conductor.cache_clear()
+    cold = [conductor_ideal(delta) for delta in deltas]
+    filled = discriminants._conductor.cache_info()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ideal built by a warm conductor_ideal")
+
+    with monkeypatch.context() as m:
+        m.setattr(discriminants, "principal_ideal", refuse)
+        m.setattr(ideals.Ideal, "__init__", refuse)
+        warm = [conductor_ideal(delta) for delta in deltas]
+    assert all(w is c for w, c in zip(warm, cold))
+    after = discriminants._conductor.cache_info()
+    assert after.misses == filled.misses and after.hits == filled.hits + len(deltas)
+    # a table row, which hands in its own ideal, reads the same entries
+    for d in (5, 10):
+        rows = discriminant_classes(make_field(d), 500, "totally_negative")
+        assert all(info is conductor_ideal(info.delta) for info in rows)
     assert discriminants._conductor.cache_info().misses == filled.misses
 
 

@@ -131,3 +131,16 @@ def test_one_classify_kernel():
             if isinstance(fn, ast.FunctionDef) and _reads_classify_tables(fn):
                 readers.append(f"{path.stem}.{fn.name}")
     assert readers == ["dyadic._classify_pairs"], readers
+
+
+def test_one_indented_json_writer():
+    # indented output has one writer, cli._dumps: no json.dumps call in the
+    # package passes indent=, which would run json's pure-Python encoder
+    found = []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps":
+                if any(kw.arg == "indent" for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
