@@ -70,6 +70,9 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # no prime factor <= 37, so none <= sqrt(n)
+        return True
     # deterministic Miller-Rabin for 64-bit and far beyond desk scale
     d, s = n - 1, 0
     while d % 2 == 0:

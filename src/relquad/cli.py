@@ -192,8 +192,7 @@ def cmd_unit_discs(args) -> int:
 
 def cmd_hurwitz(args) -> int:
     if (args.delta is None) == (args.upto is None):
-        print("exactly one of --delta / --upto is required", file=sys.stderr)
-        return 2
+        raise ValueError("exactly one of --delta / --upto is required")
     deltas = [args.delta] if args.delta is not None else negative_discriminants(args.upto)
     rows = [hurwitz_row(d) for d in sorted(deltas, reverse=True)]
     if args.format == "json":

@@ -15,7 +15,12 @@ with the pairs asked about.  Ideal.valuation is closed-form integer
 arithmetic on the HNF (a, b, c) and the denominator: no ideal product and
 no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
-limit; its reassembly check runs once per distinct ideal, inside the cached
+limit.  An ideal that was handed its factorization at construction (every
+ideal ideals_of_norm builds, and unit_ideal) has it confirmed on integers,
+by its valuation at each listed prime and the product of their norms, with
+no ideal multiplied; any other ideal is factored over the primes of its
+norm and denominator, and the reassembly check multiplies the prime powers
+back.  Either check runs once per distinct ideal, inside the cached
 computation.  The package's own readers (divisors, moebius, the character
 values and the counting routes) iterate the memoised tuple _factor(I) in
 place; Ideal.factor copies it into a fresh list for outside callers.
@@ -47,6 +52,13 @@ ones included, in an LRU cache of FACTOR_CACHE_SIZE entries.  A real
 field's generator is then walked by eps into the window of
 field._window_least, the walk the discriminant classes take by eps^2.
 Ideal.divides tests containment on the HNF: no inverse, no product.
+
+ideals_of_norm builds the ideals of norm n on integers (Cohen, GTM 138,
+5.2 and 4.8): those of norm n/p^e, p the largest prime dividing n, times
+each ideal k*(q, r + w) of norm p^e, by CRT on the HNF entries.  Each ideal
+is handed the exponents it was built from.  The product route, one Ideal product per pair of
+factors, survives as the test oracle
+tests/helpers.py::ideals_of_norm_by_products.
 
 square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
 mod N over one element of L per coset of L/M.  It is the validated entry,
@@ -124,11 +136,18 @@ def _hnf_from_vectors(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 
 class Ideal:
-    """Nonzero fractional ideal.  Immutable after construction."""
+    """Nonzero fractional ideal.  Immutable after construction.
 
-    __slots__ = ("field", "hnf", "den", "_hash")
+    _factors, when given, is the ideal's factorization as (P, v) pairs in
+    Ideal.factor's order, known to whoever built it (ideals_of_norm);
+    _factor confirms it on integers instead of finding it again.  Equality
+    and the hash ignore it."""
 
-    def __init__(self, field: QuadField, hnf: tuple[int, ...], den: int = 1, _checked=False):
+    __slots__ = ("field", "hnf", "den", "_hash", "_factors")
+
+    def __init__(
+        self, field: QuadField, hnf: tuple[int, ...], den: int = 1, _checked=False, _factors=None
+    ):
         if den <= 0:
             raise ValueError("denominator must be positive")
         if field.degree == 1:
@@ -157,6 +176,7 @@ class Ideal:
         self.den = den
         # fields compare by d, so the hash is taken on d
         self._hash = hash((field.d, hnf, den))
+        self._factors = _factors
 
     # -- basic structure ----------------------------------------------------
 
@@ -642,6 +662,9 @@ def _inverse(I: Ideal) -> Ideal:
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
+    if I._factors is not None:
+        _confirm_factors(I, I._factors)
+        return I._factors
     nm = I.norm()
     support = set(factorint(nm.numerator)) | set(factorint(nm.denominator))
     if I.den != 1:
@@ -660,6 +683,30 @@ def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
     return tuple(out)
 
 
+def _confirm_factors(I: Ideal, pairs: tuple[tuple["PrimeIdeal", int], ...]) -> None:
+    """Check on integers that the integral ideal I is the product of the
+    prime powers P^v of pairs, listed in Ideal.factor's order: v_P(I) = v
+    for each pair and prod N(P)^v = N(I).  Then I / prod P^v is integral
+    (its valuation is 0 at each listed P and v_P(I) >= 0 elsewhere) of norm
+    1, so I = prod P^v with no ideal multiplied.  The pairs must list
+    distinct primes above primes_above's rational primes, in its order, with
+    positive exponents; an AssertionError names I otherwise."""
+    K = I.field
+    ok = I.den == 1
+    norm = 1
+    last = (0, -1)
+    for P, v in pairs:
+        if not ok:
+            break
+        above = _primes_above(K, P.p)
+        key = (P.p, above.index(P)) if P in above else None
+        ok = key is not None and key > last and v > 0 and I.valuation(P) == v
+        last = key
+        norm *= P.norm() ** v
+    if not (ok and norm == I.norm_int()):
+        raise AssertionError(f"the factorization handed to {I} does not match it: {pairs}")
+
+
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _divisors(I: Ideal) -> tuple[Ideal, ...]:
     if not I.is_integral():
@@ -672,8 +719,8 @@ def _divisors(I: Ideal) -> tuple[Ideal, ...]:
 
 def unit_ideal(K: QuadField) -> Ideal:
     if K.degree == 1:
-        return Ideal(K, (1,), 1, _checked=True)
-    return Ideal(K, (1, 0, 1), 1, _checked=True)
+        return Ideal(K, (1,), 1, _checked=True, _factors=())
+    return Ideal(K, (1, 0, 1), 1, _checked=True, _factors=())
 
 
 def ideal_from_generators(K: QuadField, gens) -> Ideal:
@@ -789,9 +836,10 @@ def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
 
 
 def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
-    """All integral ideals of norm exactly n, assembled multiplicatively.
-    Memoised per (K, n) in an LRU cache of FACTOR_CACHE_SIZE entries; every
-    call returns a fresh list."""
+    """All integral ideals of norm exactly n, sorted by HNF, each built on
+    integers and handed its factorization (see _ideals_of_norm).  Memoised
+    per (K, n) in an LRU cache of FACTOR_CACHE_SIZE entries; every call
+    returns a fresh list."""
     if n < 1:
         raise ValueError("norm must be >= 1")
     return list(_ideals_of_norm(K, n))
@@ -799,22 +847,55 @@ def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
-    # those of norm n/p^e (memoised) times those of norm p^e, p the largest prime | n
+    """Those of norm n/p^e (memoised) times the local factors of norm p^e,
+    p the largest prime dividing n, on HNF integers (Cohen, GTM 138, 5.2).
+
+    A rest ideal with HNF (a, b, c) is c*(A, B + w) with A = a/c, B = b/c,
+    and a local factor is k*(q, r + w) (_local_factors).  A and q are
+    coprime, so the product is c*k*(A*q, x + w) with x = B mod A and x = r
+    mod q, by CRT; its factorization is the rest's pairs followed by the
+    local ones, which is Ideal.factor's order.  The only ideal products are
+    those of the memoised prime powers P.power(m) in _local_factors."""
     if n == 1:
         return (unit_ideal(K),)
     p, e = max(factorint(n).items())
-    if K.degree == 1:
-        local = [Ideal(K, (p**e,), 1, _checked=True)]
-    else:
-        ps = primes_above(K, p)
-        if len(ps) == 2:
-            local = [ps[0].power(i) * ps[1].power(e - i) for i in range(e + 1)]
-        elif ps[0].residue_degree == 2:
-            local = [ps[0].power(e // 2)] if e % 2 == 0 else []
-        else:  # ramified
-            local = [ps[0].power(e)]
     rest = _ideals_of_norm(K, n // p**e)
-    return tuple(sorted((a * b for a in rest for b in local), key=lambda a: a.hnf))
+    ps = _primes_above(K, p)
+    if K.degree == 1:
+        pe, local = p**e, ((ps[0], e),)
+        return tuple(Ideal(K, (R.hnf[0] * pe,), 1, _checked=True, _factors=R._factors + local) for R in rest)
+    out = []
+    for k, q, r, local in _local_factors(ps, e):
+        for R in rest:
+            a, b, c = R.hnf
+            A, B = a // c, b // c
+            x = B if q == 1 else B + A * ((r - B) * pow(A, -1, q) % q)
+            s = c * k
+            out.append(Ideal(K, (s * A * q, s * x, s), 1, _checked=True, _factors=R._factors + local))
+    return tuple(sorted(out, key=lambda a: a.hnf))
+
+
+def _local_factors(ps: tuple[PrimeIdeal, ...], e: int) -> list[tuple[int, int, int, tuple]]:
+    """(k, q, r, pairs) for each integral ideal k*(q, r + w) of norm p^e, the
+    primes above p being ps, with its factorization pairs (Cohen, GTM 138,
+    4.8): P^i P'^j = p^min(i, j) * D^m at a split p, m = |i - j| and D the
+    dominant prime, with r read off D^m = (p^m, r + w); p^(e/2) at an inert
+    p, none if e is odd; and p^(e//2) * P^(e % 2) at a ramified p."""
+    P = ps[0]
+    p = P.p
+    if len(ps) == 2:
+        P2 = ps[1]
+        out = []
+        for i in range(e + 1):
+            j = e - i
+            m = abs(i - j)
+            r = (P if i > j else P2).power(m).hnf[1] if m else 0
+            pairs = ((P, i), (P2, j)) if i and j else ((P, i),) if i else ((P2, j),)
+            out.append((p ** min(i, j), p**m, r, pairs))
+        return out
+    if P.residue_degree == 2:
+        return [(p ** (e // 2), 1, 0, ((P, e // 2),))] if e % 2 == 0 else []
+    return [(p ** (e // 2), p ** (e % 2), P.ideal.hnf[1] if e % 2 else 0, ((P, e),))]
 
 
 def minkowski_bound(K: QuadField) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from math import isqrt
 
@@ -189,10 +190,17 @@ _TYPES = {
 }
 
 
+@lru_cache(maxsize=1)
+def _schema_defs() -> dict:
+    """The "$defs" of the shipped schema.json, parsed once per process and
+    only read: validate_record walks it and never changes it."""
+    return load_fixture("schema.json")["$defs"]
+
+
 def validate_record(record, schema_name: str) -> list[str]:
     """Validate a JSON record against the shipped schema (a small subset of
     JSON Schema: type, required, properties, items)."""
-    schema = load_fixture("schema.json")["$defs"][schema_name]
+    schema = _schema_defs()[schema_name]
     problems: list[str] = []
 
     def walk(obj, sch, path):

@@ -65,7 +65,10 @@ of dyadic._rows_linear replaced), and the Q2 closed form on Fraction values
 with the valuations found by division (the route that the integer split
 dyadic._q2_split replaced), and the integral divisors of an ideal found
 among the ideals of each norm dividing its norm (independent of the prime
-power products of ideals.Ideal.divisors).
+power products of ideals.Ideal.divisors), and the ideals of each norm
+built as products of prime powers, each carrying the exponents it was
+built from (the route that the integer HNFs and handed factorizations of
+ideals.ideals_of_norm replaced).
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from relquad.arith import BoundExceeded, divisors, frac_sqrt, is_prime, kronecker, smallest_prime_factors
+from relquad.arith import BoundExceeded, divisors, factorint, frac_sqrt, is_prime, kronecker, smallest_prime_factors
 from relquad.characters import _balance
 from relquad.cli import build_parser
 from relquad.discriminants import (
@@ -216,6 +219,48 @@ def ideal_product_by_vectors(I: Ideal, J: Ideal) -> Ideal:
         for x2, y2 in ((a2, 0), (b2, c2))
     ]
     return Ideal(K, _hnf_from_vectors(vecs), I.den * J.den)
+
+
+def ideal_power_by_vectors(I: Ideal, k: int) -> Ideal:
+    """I^k for k >= 0 by k products of ideal_product_by_vectors."""
+    out = unit_ideal(I.field)
+    for _ in range(k):
+        out = ideal_product_by_vectors(out, I)
+    return out
+
+
+# -- ideals of norm n as ideal products, the route that the integer HNFs and
+# handed factorizations of ideals.ideals_of_norm replaced
+
+
+def ideals_of_norm_by_products(K: QuadField, n: int) -> list[tuple[Ideal, tuple]]:
+    """The integral ideals of norm n >= 1, sorted by HNF, each with the
+    factorization its product was built from: those of norm n/p^e times
+    every product of prime powers of norm p^e, p the largest prime dividing
+    n, each multiplied afresh by ideal_product_by_vectors.  Over Q the one
+    ideal (n)."""
+    if n == 1:
+        return [(unit_ideal(K), ())]
+    p, e = max(factorint(n).items())
+    ps = primes_above(K, p)
+    if len(ps) == 2:
+        local = [
+            (
+                ideal_product_by_vectors(ideal_power_by_vectors(ps[0].ideal, i), ideal_power_by_vectors(ps[1].ideal, e - i)),
+                tuple((P, v) for P, v in ((ps[0], i), (ps[1], e - i)) if v),
+            )
+            for i in range(e + 1)
+        ]
+    elif ps[0].residue_degree == 2:
+        local = [(ideal_power_by_vectors(ps[0].ideal, e // 2), ((ps[0], e // 2),))] if e % 2 == 0 else []
+    else:  # ramified, or Q
+        local = [(ideal_power_by_vectors(ps[0].ideal, e), ((ps[0], e),))]
+    out = [
+        (ideal_product_by_vectors(a, b), fa + fb)
+        for a, fa in ideals_of_norm_by_products(K, n // p**e)
+        for b, fb in local
+    ]
+    return sorted(out, key=lambda pair: pair[0].hnf)
 
 
 # -- row searches: the norm form solved row by row, which the principal-ideal

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relquad.arith import factorint, smallest_prime_factors
+from relquad.arith import factorint, is_prime, smallest_prime_factors
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -46,3 +46,11 @@ def test_smallest_prime_factors_small_bounds():
     assert smallest_prime_factors(12) == [0, 0, 2, 3, 2, 5, 2, 7, 2, 3, 2, 11, 2]
     with pytest.raises(ValueError, match="got -1"):
         smallest_prime_factors(-1)
+
+
+def test_is_prime_matches_the_sieve():
+    # below 41^2 trial division by the primes <= 37 decides alone; above
+    # it Miller-Rabin does
+    spf = smallest_prime_factors(2 * 10**5)
+    assert [n for n in range(len(spf)) if is_prime(n) != (n >= 2 and spf[n] == n)] == []
+    assert not is_prime(-7) and is_prime(1669) and not is_prime(41 * 41) and is_prime(1693)

@@ -12,7 +12,7 @@ import pytest
 from helpers import main_by_full_parser
 
 import relquad
-from relquad import cli, discriminants, ideals
+from relquad import cli, discriminants, ideals, tables
 from relquad.cli import main
 from relquad.field import make_field, parse_elem
 from relquad.ideals import parse_ideal
@@ -180,6 +180,22 @@ def test_hurwitz_cli(capsys):
     assert out.strip().splitlines()[1].split("\t") == ["-23", "3", "3", "3", "2", "1"]
     code, _, err = run_cli("hurwitz", capsys=capsys)
     assert code == 2
+    assert err.startswith("error: exactly one of")
+    code, _, err = run_cli("hurwitz", "--delta", "-23", "--upto", "30", capsys=capsys)
+    assert code == 2
+    assert err.startswith("error: exactly one of")
+
+
+def test_schema_is_parsed_once(monkeypatch):
+    # validate_record reads a bounded memo of the parsed schema; the
+    # fixture loader still hands out a fresh dict on every call
+    validate_record({}, "fdelta")
+    monkeypatch.setattr(tables, "load_fixture", lambda name: pytest.fail(f"{name} parsed again"))
+    assert validate_record({}, "fdelta") == validate_record({}, "fdelta") != []
+    assert tables._schema_defs.cache_info().maxsize == 1
+    monkeypatch.undo()
+    assert load_fixture("schema.json") is not load_fixture("schema.json")
+    assert load_fixture("schema.json")["$defs"] == tables._schema_defs()
 
 
 def test_local_duality_cli(capsys):
@@ -647,7 +663,19 @@ def test_writer_edge_values(obj):
 
 
 @pytest.mark.parametrize(
-    "obj", [Fraction(1, 2), {1, 2}, b"x", [object()], {1.5: 0}, {True: 0}, {None: 0}, {(1,): 0}], ids=repr
+    "obj",
+    [
+        Fraction(1, 2),
+        {1, 2},
+        b"x",
+        # repr(object()) holds a memory address, so this case needs an id of its own
+        pytest.param([object()], id="[object()]"),
+        {1.5: 0},
+        {True: 0},
+        {None: 0},
+        {(1,): 0},
+    ],
+    ids=repr,
 )
 def test_writer_refuses_other_types(obj):
     with pytest.raises(TypeError):

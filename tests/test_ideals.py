@@ -22,6 +22,7 @@ from helpers import (
     box_principal_generator,
     divisors_by_norm,
     ideal_product_by_vectors,
+    ideals_of_norm_by_products,
     row_principal_generator,
     square_root_coords_by_box,
     valuation_by_division,
@@ -951,3 +952,99 @@ def test_scale_sign_is_dropped_and_zero_raises(Q, Q10):
         for zero in (0, Fraction(0)):
             with pytest.raises(ValueError, match="nonzero"):
                 I * zero
+
+
+# the catalog fields, the fixture fields (all in the catalog), Q(sqrt -1),
+# Q(sqrt -3), a field with a large prime discriminant, and Q
+ENUMERATION_FIELDS = (-1, -3, -15, -21, -105, 5, 2, 10, 15, 7, 195, 23, 19, 22, 10007, None)
+
+
+@pytest.mark.parametrize("d", ENUMERATION_FIELDS)
+def test_ideals_of_norm_match_product_oracle_cold_and_warm(d):
+    # every integral ideal of norm <= 500: the HNFs built on integers and
+    # the handed factorizations equal the product route's ideals and
+    # exponents, and today's factoring of a fresh copy of each ideal, with
+    # the memos emptied first and then full
+    K = make_field(d)
+    expected = {n: ideals_of_norm_by_products(K, n) for n in range(1, 501)}
+    ideals._ideals_of_norm.cache_clear()
+    ideals._factor.cache_clear()
+    for warm in (False, True):
+        for n, pairs in expected.items():
+            got = ideals_of_norm(K, n)
+            assert [I.hnf for I in got] == [I.hnf for I, _ in pairs], (d, n, warm)
+            for I, (_, fac) in zip(got, pairs):
+                assert I.den == 1 and I.factor() == list(fac), (d, I, warm)
+                if not warm:
+                    assert ideals._factor.__wrapped__(Ideal(K, I.hnf)) == fac, (d, I)
+    assert sum(len(pairs) for pairs in expected.values()) > 200
+
+
+@pytest.mark.parametrize("d", [None, -3, 10, 10007])
+def test_factoring_an_enumerated_ideal_builds_no_product(d, monkeypatch):
+    # with the primes and their powers known, enumerating and factoring
+    # multiply no ideals: the refusals stand in for Ideal.__mul__ (_product
+    # wraps the original _hnf_product), and the unhanded route meets them
+    K = make_field(d)
+    for n in range(1, 201):
+        ideals_of_norm(K, n)
+    ideals._ideals_of_norm.cache_clear()
+    ideals._factor.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("ideal product")
+
+    monkeypatch.setattr(ideals, "_hnf_product", refuse)
+    monkeypatch.setattr(ideals, "_product", refuse)
+    pool = [I for n in range(1, 201) for I in ideals_of_norm(K, n)]
+    assert sum(len(I.factor()) for I in pool) > len(pool) // 2
+    with pytest.raises(AssertionError, match="ideal product"):
+        ideals._factor.__wrapped__(Ideal(K, pool[-1].hnf))
+
+
+def test_handed_factorization_is_not_compared(Q10):
+    # equality and the hash ignore the handed pairs, so a memo keyed on
+    # an enumerated ideal is hit by the same ideal built any other way
+    for I in ideals_of_norm(Q10, 36):
+        J = Ideal(Q10, I.hnf)
+        assert I._factors is not None and J._factors is None
+        assert I == J and hash(I) == hash(J) and {I: 1}[J] == 1
+    assert unit_ideal(Q10)._factors == () and unit_ideal(Q10).factor() == []
+
+
+_WRONG_HANDED_FACTORS = (
+    "from relquad.field import make_field\n"
+    "from relquad.ideals import Ideal, _factor, primes_above\n"
+    "K = make_field(10)\n"
+    "P2, = primes_above(K, 2)\n"
+    "P3, Q3 = primes_above(K, 3)\n"
+    "P5, = primes_above(K, 5)\n"
+    "M5, = primes_above(make_field(15), 5)\n"
+    "cases = [\n"
+    "    (P3.ideal * P3.ideal, ((P3, 1),)),\n"  # wrong exponent
+    "    (P3.ideal * Q3.ideal, ((P3, 1),)),\n"  # missing prime
+    "    (P3.ideal * P3.ideal, ((P3, 1), (Q3, 1))),\n"  # right norm, wrong exponents
+    "    (P3.ideal * Q3.ideal, ((P3, 1), (P3, 1))),\n"  # a prime twice
+    "    (P2.ideal * Q3.ideal, ((Q3, 1), (P2, 1))),\n"  # out of order
+    "    (P3.ideal * Q3.ideal, ((Q3, 1), (P3, 1))),\n"  # out of primes_above's order
+    "    (P2.ideal * P5.ideal, ((P2, 1), (Q3, 0), (P5, 1))),\n"  # a zero exponent
+    "    (P5.ideal, ((M5, 1),)),\n"  # a prime of another field
+    "    (P2.ideal * P5.ideal, ((P2, 1), (P5, 1))),\n"  # right: no raise
+    "]\n"
+    "for I, pairs in cases:\n"
+    "    J = Ideal(K, I.hnf, 1, _checked=True, _factors=pairs)\n"
+    "    _factor.cache_clear()\n"
+    "    try:\n"
+    "        print(J.factor() == list(pairs))\n"
+    "    except AssertionError as exc:\n"
+    "        print('raised' if str(J) in str(exc) else 'unnamed')\n"
+)
+
+
+def test_wrong_handed_factorization_raises_even_under_O():
+    for flags in ([], ["-O"]):
+        env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", _WRONG_HANDED_FACTORS], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.split() == ["raised"] * 8 + ["True"], flags
