@@ -10,7 +10,8 @@ enumeration also calls on bare pairs; _window_least walks a pair by a
 power of the fundamental unit into a balanced window, for the class
 enumeration and Ideal.principal_generator alike.  Fraction appears only
 at the boundary: QuadField.elem and parse_elem take rationals, and x, y,
-norm, trace and as_sqrt_coords return them.
+norm, trace and as_sqrt_coords return them.  A field is interned, one
+object per d, so an element's field is compared by identity.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import index
 
 from .arith import BoundExceeded, is_squarefree
 
@@ -41,34 +43,23 @@ __all__ = [
 class QuadField:
     """Q (d is None) or Q(sqrt(d)) for squarefree d not in {0, 1}.
 
-    Immutable; instances are interned by make_field, so identity comparison
-    is safe and instances may be shared freely between threads.
-    """
+    Immutable and interned: there is one object per d for the life of the
+    process, so QuadField(d), make_field(d) and copy, deepcopy or a pickle
+    round trip of a field all give that object, and equality is identity
+    (object's own __eq__ and __hash__, which run in C).  The table _FIELDS
+    publishes each field with one atomic dict.setdefault, so threads that
+    race on a new d share one object, and it is never cleared."""
 
-    def __init__(self, d: int | None):
-        if d is None:
-            self.d = None
-            self.degree = 1
-            self.disc = 1
-            self.omega_trace = 0  # unused for Q
-            self.omega_norm = 0
-            self.signature = (1, 0)
-        else:
-            if d in (0, 1) or not is_squarefree(d):
-                raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
-            self.d = d
-            self.degree = 2
-            if d % 4 == 1:
-                self.disc = d
-                # w = (1+sqrt d)/2, w^2 - w + (1-d)/4 = 0
-                self.omega_trace = 1
-                self.omega_norm = (1 - d) // 4
-            else:
-                self.disc = 4 * d
-                self.omega_trace = 0
-                self.omega_norm = -d
-            self.signature = (2, 0) if d > 0 else (0, 1)
-        self._hash = hash(("QuadField", d))
+    def __new__(cls, d: int | None = None):
+        if d is not None:
+            d = index(d)
+        K = _FIELDS.get(d)
+        if K is None:
+            K = _FIELDS.setdefault(d, _build_field(d))
+        return K
+
+    def __reduce__(self):
+        return make_field, (self.d,)
 
     @property
     def is_rational(self) -> bool:
@@ -127,16 +118,41 @@ class QuadField:
     def __repr__(self):
         return "Q" if self.is_rational else f"Q(sqrt{{{self.d}}})"
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, QuadField) and self.d == other.d)
 
-    def __hash__(self):
-        return self._hash
+_FIELDS: dict[int | None, QuadField] = {}  # the interned fields, by d
 
 
-@lru_cache(maxsize=None)
+def _build_field(d: int | None) -> QuadField:
+    """A new field object for d, not yet published in _FIELDS."""
+    K = object.__new__(QuadField)
+    if d is None:
+        K.d = None
+        K.degree = 1
+        K.disc = 1
+        K.omega_trace = 0  # unused for Q
+        K.omega_norm = 0
+        K.signature = (1, 0)
+        return K
+    if d in (0, 1) or not is_squarefree(d):
+        raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
+    K.d = d
+    K.degree = 2
+    if d % 4 == 1:
+        K.disc = d
+        # w = (1+sqrt d)/2, w^2 - w + (1-d)/4 = 0
+        K.omega_trace = 1
+        K.omega_norm = (1 - d) // 4
+    else:
+        K.disc = 4 * d
+        K.omega_trace = 0
+        K.omega_norm = -d
+    K.signature = (2, 0) if d > 0 else (0, 1)
+    return K
+
+
 def make_field(d: int | None = None) -> QuadField:
-    """Interned field constructor; d=None (or omitted) gives Q."""
+    """The interned field: Q for d None or omitted, else Q(sqrt(d)).  The
+    same object as QuadField(d), however d is passed."""
     return QuadField(d)
 
 
@@ -168,7 +184,7 @@ class Elem:
     def __eq__(self, other):
         if not isinstance(other, Elem):
             return NotImplemented
-        return (self.field.d, self.X, self.Y, self.m) == (other.field.d, other.X, other.Y, other.m)
+        return self.field is other.field and self.X == other.X and self.Y == other.Y and self.m == other.m
 
     def __hash__(self):
         return hash((self.field.d, self.X, self.Y, self.m))
@@ -182,7 +198,7 @@ class Elem:
         arithmetic dunders return NotImplemented and Python tries the other
         operand's reflected method."""
         if isinstance(other, Elem):
-            if self.field is not other.field and self.field != other.field:
+            if self.field is not other.field:
                 raise ValueError("elements of different fields")
             return other
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, factorint, kronecker
+from .arith import factorint, kronecker
 from .discriminants import conductor_ideal
 from .field import make_field
 
@@ -67,21 +67,20 @@ def form_class_number(delta: int) -> int:
     return sum(1 for a, b, c in reduced_forms(delta) if gcd(gcd(a, b), c) == 1)
 
 
-def _weight_of(form: tuple[int, int, int], delta: int) -> Fraction:
+def _sixths(form: tuple[int, int, int], delta: int) -> int:
+    """The weight of a reduced form in sixths: 2 for a multiple of
+    x^2+xy+y^2, 3 for one of x^2+y^2, else 6."""
     a, b, c = form
     g = gcd(gcd(a, b), c)
     core = delta // (g * g)
-    if core == -3:
-        return Fraction(1, 3)
-    if core == -4:
-        return Fraction(1, 2)
-    return Fraction(1)
+    return 2 if core == -3 else 3 if core == -4 else 6
 
 
 def hurwitz_class_number_forms(delta: int) -> Fraction:
-    """Oracle: weighted count of all reduced forms of discriminant delta."""
+    """Oracle: weighted count of all reduced forms of discriminant delta,
+    summed in sixths on integers."""
     _check_disc(delta)
-    return sum((_weight_of(f, delta) for f in reduced_forms(delta)), Fraction(0))
+    return Fraction(sum(_sixths(f, delta) for f in reduced_forms(delta)), 6)
 
 
 def _fundamental_split(delta: int) -> tuple[int, int]:
@@ -97,20 +96,24 @@ def _w_of(delta0: int) -> int:
     return 6 if delta0 == -3 else 4 if delta0 == -4 else 2
 
 
+def _formula(delta0: int, f: int, h: int) -> Fraction:
+    """h/(w/2) * sum over d | f of d * prod_{p | d} (1 - chi(p)/p), chi the
+    Kronecker symbol of delta0: the summand is the multiplicative integer
+    prod_{p^e || d} p^(e-1) (p - chi(p)), so the sum is the product over
+    p^a || f of 1 + sum_{e=1..a} p^(e-1) (p - chi(p))."""
+    total = 1
+    for p, a in factorint(f).items():
+        step = p - kronecker(delta0, p)
+        total *= 1 + step * (p**a - 1) // (p - 1)
+    return Fraction(h * total, _w_of(delta0) // 2)
+
+
 def hurwitz_class_number(delta: int) -> Fraction:
     """Closed formula: h(delta0)/(w/2) * sum over d | f of
     d * prod_{p | d} (1 - chi(p)/p), where delta = delta0 f^2."""
     _check_disc(delta)
     delta0, f = _fundamental_split(delta)
-    h = form_class_number(delta0)
-    w = _w_of(delta0)
-    total = Fraction(0)
-    for d in divisors(f):
-        term = Fraction(d)
-        for p in factorint(d):
-            term *= 1 - Fraction(kronecker(delta0, p), p)
-        total += term
-    return Fraction(h, w // 2) * total
+    return _formula(delta0, f, form_class_number(delta0))
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,16 @@ class HurwitzResult:
 
 
 def hurwitz_row(delta: int) -> HurwitzResult:
+    """H(delta) by the closed formula and by the form count, which must
+    agree; delta is split and h(delta0) counted once for the row."""
+    _check_disc(delta)
     delta0, f = _fundamental_split(delta)
+    h = form_class_number(delta0)
     res = HurwitzResult(
         delta=delta,
-        H_formula=hurwitz_class_number(delta),
+        H_formula=_formula(delta0, f, h),
         H_oracle=hurwitz_class_number_forms(delta),
-        h_L=form_class_number(delta0),
+        h_L=h,
         w_L=_w_of(delta0),
         f_delta=f,
     )

@@ -10,10 +10,13 @@ sections 4.7 and 5.2): products, sums, conjugates and inverses never pass
 through field elements, and ideal_from_generators clears denominators once
 and builds its module vectors from integer coordinates.
 
-primes_above is cached process-wide per (field, p); the cache grows only
-with the pairs asked about.  Ideal.valuation is closed-form integer
-arithmetic on the HNF (a, b, c) and the denominator: no ideal product and
-no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
+The fields (field.QuadField) and the primes above p (PrimeIdeal) are
+interned, one object per value for the life of the process, so equality is
+identity and every memo keyed on them hashes and compares in C.  The primes
+are built once per (field, p) by _primes_above and published in _PRIMES;
+the table grows only with the pairs asked about.  Ideal.valuation is
+closed-form integer arithmetic on the HNF (a, b, c) and the denominator: no
+ideal product and no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
 cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
 limit.  An ideal that was handed its factorization at construction (every
 ideal ideals_of_norm builds, and unit_ideal) has it confirmed on integers,
@@ -32,8 +35,10 @@ _coords_factor, per (field, x, y, m), are memoised in LRU caches of the
 same size.  So is the product of two ideals, by value: the key is the
 field and the (hnf, den) of each factor, in a fixed order so that I * J
 and J * I share an entry, and a hit compares integer tuples only; two
-ideals over one interned field go straight to that memo, after one
-identity test.  An Ideal stores its hash, taken once at construction.
+ideals of one field go straight to that memo after an identity test of
+their fields.  An Ideal stores its hash, taken once at construction on
+the field's d and not on the field object, so that it is the same in
+every process.
 Scaling by an integer or a Fraction is integer products, and the product
 by an element is not memoised.
 
@@ -81,7 +86,6 @@ tests/helpers.py::square_root_coords_by_box.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -174,7 +178,8 @@ class Ideal:
         self.field = field
         self.hnf = hnf
         self.den = den
-        # fields compare by d, so the hash is taken on d
+        # on d, not on the field object, so that the hash, like Elem's, is
+        # the same in every process
         self._hash = hash((field.d, hnf, den))
         self._factors = _factors
 
@@ -208,7 +213,7 @@ class Ideal:
             return True
         return (
             isinstance(other, Ideal)
-            and self.field.d == other.field.d
+            and self.field is other.field
             and self.hnf == other.hnf
             and self.den == other.den
         )
@@ -297,7 +302,7 @@ class Ideal:
     def __mul__(self, other):
         if isinstance(other, Ideal):
             K = self.field
-            if K is not other.field and K != other.field:
+            if K is not other.field:
                 raise ValueError("ideals of different fields")
             # one memo entry per unordered pair of factors, the lesser
             # (hnf, den) first, with no key tuple built here
@@ -315,7 +320,7 @@ class Ideal:
         if isinstance(other, Elem):
             # a principal ideal built for this one product: not memoised
             J = principal_ideal(other)
-            if self.field != J.field:
+            if self.field is not J.field:
                 raise ValueError("ideals of different fields")
             return _hnf_product(self.field, self.hnf, self.den, J.hnf, J.den)
         return NotImplemented
@@ -353,7 +358,7 @@ class Ideal:
 
     def gcd(self, other: "Ideal") -> "Ideal":
         """gcd = sum of the two modules."""
-        if self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("ideals of different fields")
         if self.field.degree == 1:
             n1, d1 = self.hnf[0], self.den
@@ -385,7 +390,7 @@ class Ideal:
         of other lie in self.  No inverse and no ideal product; for two
         integral ideals of a quadratic field, two _in_hnf tests."""
         K = self.field
-        if K is not other.field and K != other.field:
+        if K is not other.field:
             raise ValueError("ideals of different fields")
         d1, d2 = self.den, other.den
         if d1 == d2 == 1 and K.degree == 2:
@@ -752,32 +757,36 @@ def principal_ideal(e: Elem) -> Ideal:
     return ideal_from_generators(e.field, [e])
 
 
-@dataclass(frozen=True, eq=False)
 class PrimeIdeal:
-    """A prime ideal above p.  Interned by primes_above; like Ideal it stores
-    its hash and tests identity first, with the values of the generated
-    dataclass comparison and hash."""
+    """A prime ideal above p.  Interned: _primes_above builds each prime
+    once for the life of the process, so equality is identity (object's own
+    __eq__ and __hash__, which run in C).  A PrimeIdeal(p, ideal,
+    residue_degree, ramified) written out by hand, and copy, deepcopy or a
+    pickle round trip of a prime, give the interned prime with those
+    values, or ValueError if no prime above p has them."""
 
-    p: int
-    ideal: Ideal
-    residue_degree: int
-    ramified: bool
+    __slots__ = ("p", "ideal", "residue_degree", "ramified")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._key()))
+    def __new__(cls, p: int, ideal: Ideal, residue_degree: int, ramified: bool):
+        for P in _primes_above(ideal.field, p):
+            if P.ideal == ideal and P.residue_degree == residue_degree and P.ramified == ramified:
+                return P
+        raise ValueError(
+            f"no prime above {p} in {ideal.field} is {ideal} with residue degree {residue_degree}"
+            f" and ramified {ramified}"
+        )
 
-    def _key(self) -> tuple:
-        return (self.p, self.ideal, self.residue_degree, self.ramified)
+    def __reduce__(self):
+        return PrimeIdeal, (self.p, self.ideal, self.residue_degree, self.ramified)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PrimeIdeal is immutable: cannot set {name}")
 
-    def __hash__(self):
-        return self._hash
+    def __repr__(self):
+        return (
+            f"PrimeIdeal(p={self.p!r}, ideal={self.ideal!r}, "
+            f"residue_degree={self.residue_degree!r}, ramified={self.ramified!r})"
+        )
 
     def norm(self) -> int:
         return self.p**self.residue_degree
@@ -790,28 +799,49 @@ class PrimeIdeal:
         return self.ideal.pretty()
 
 
+def _new_prime(p: int, ideal: Ideal, residue_degree: int, ramified: bool) -> PrimeIdeal:
+    # the one constructor of PrimeIdeal objects, for _primes_above alone
+    P = object.__new__(PrimeIdeal)
+    for name, value in zip(PrimeIdeal.__slots__, (p, ideal, residue_degree, ramified)):
+        object.__setattr__(P, name, value)
+    return P
+
+
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _prime_power(P: PrimeIdeal, k: int) -> Ideal:
     return P.ideal**k
 
 
 def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
-    """Prime ideals above the rational prime p, via the Kronecker symbol of
-    the field discriminant plus explicit root-finding (both must agree).
-    Cached per (K, p); every call returns a fresh list."""
+    """The prime ideals above the rational prime p, via the Kronecker
+    symbol of the field discriminant plus explicit root-finding (both must
+    agree).  Each prime is interned: one object per prime of K for the life
+    of the process, so equality is identity.  Every call returns a fresh
+    list."""
     return list(_primes_above(K, p))
+
+
+# the interned primes, by (K, p): each tuple is published once, by an atomic
+# dict.setdefault, and never cleared; _primes_above's lru_cache is only the
+# fast path to it, so a thread that loses a race, or a call after
+# cache_clear(), builds primes that are dropped and gets the published ones
+_PRIMES: dict[tuple[QuadField, int], tuple[PrimeIdeal, ...]] = {}
 
 
 @lru_cache(maxsize=None)
 def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
+    return _PRIMES.setdefault((K, p), _find_primes_above(K, p))
+
+
+def _find_primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     if not is_prime(p):
         raise ValueError(f"primes above {p} in {K}: {p} is not a prime")
     if K.degree == 1:
-        return (PrimeIdeal(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
+        return (_new_prime(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
     t, n = K.omega_trace, K.omega_norm
     sym = kronecker(K.disc, p)
     if sym == -1:
-        return (PrimeIdeal(p, Ideal(K, (p, 0, p)), 2, False),)
+        return (_new_prime(p, Ideal(K, (p, 0, p)), 2, False),)
     # roots of x^2 - t x + n mod p
     if p == 2:
         roots = sorted({r % 2 for r in range(2) if (r * r - t * r + n) % 2 == 0})
@@ -827,7 +857,7 @@ def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     out = []
     for r in roots:
         # (p, w - r) = Z p + Z (w - r): N(w - r) = r^2 - t r + n = 0 mod p
-        out.append(PrimeIdeal(p, Ideal(K, (p, -r % p, 1)), 1, sym == 0))
+        out.append(_new_prime(p, Ideal(K, (p, -r % p, 1)), 1, sym == 0))
     if len(out) != (2 if sym == 1 else 1):
         raise AssertionError(f"kronecker symbol {sym} at p = {p} in {K}, but {len(out)} prime(s) above it")
     if sym == 0 and out[0].ideal ** 2 != Ideal(K, (p, 0, p)):

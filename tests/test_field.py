@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import isqrt
@@ -16,6 +18,7 @@ from helpers import (
     unit_power_decomposition,
     units_with_coeff_bound,
 )
+from relquad import field as field_module
 from relquad.arith import BoundExceeded
 from relquad.field import (
     Elem,
@@ -45,19 +48,52 @@ def test_make_field_conventions():
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 12, -4, 18])
 def test_make_field_rejects(bad):
-    with pytest.raises(ValueError):
-        make_field.__wrapped__(bad)
+    # make_field and a direct QuadField refuse d alike, and publish nothing
+    for build in (make_field, QuadField):
+        with pytest.raises(ValueError, match="squarefree"):
+            build(bad)
+    assert bad not in field_module._FIELDS
 
 
 def test_field_hash_stored_and_equality():
-    # a fresh field and the interned one hash and compare alike; the hash
-    # is taken once, at construction
+    # one object per field, so equality is identity: QuadField defines no
+    # __eq__ or __hash__ and uses object's, which run in C
     K = QuadField(5)
-    assert K is not make_field(5)
-    assert hash(K) == hash(make_field(5)) == hash(("QuadField", 5))
+    assert K is make_field(5)
+    assert "__eq__" not in vars(QuadField) and "__hash__" not in vars(QuadField)
+    assert hash(K) == object.__hash__(K)
     assert K == make_field(5) and make_field(5) == K and K != make_field(13)
-    assert K._hash == hash(("QuadField", 5))
-    assert QuadField(None) == make_field() and hash(QuadField(None)) == hash(make_field())
+    assert QuadField(None) is make_field() and hash(QuadField(None)) == hash(make_field())
+
+
+def test_make_field_normalises_its_argument():
+    # (), (None), (5) and (d=5) are one field each, with or without
+    # make_field; the lru_cache it had kept () and (None,) apart, so Q
+    # existed twice
+    assert make_field() is make_field(None) is make_field(d=None) is QuadField(None) is QuadField()
+    assert make_field(5) is make_field(d=5) is QuadField(5) is QuadField(d=5)
+    # d is read as an integer index, so no float or text is a second key
+    for bad in (5.0, "5", Fraction(5)):
+        with pytest.raises(TypeError):
+            make_field(bad)
+
+
+def _field_states():
+    return {d: (K, dict(vars(K))) for d, K in field_module._FIELDS.items()}
+
+
+def test_copies_of_a_field_are_the_field():
+    # copy, deepcopy and a pickle round trip hand back the interned object
+    # and leave every interned field as it was
+    for d in (None, 5, -15, 10):
+        K = make_field(d)
+        before = _field_states()
+        for twin in (copy.copy(K), copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
+            assert twin is K, d
+        e = K.elem(3) if d is None else K.elem(Fraction(1, 2), -3)
+        assert copy.deepcopy(e) == e and copy.deepcopy(e).field is K
+        assert pickle.loads(pickle.dumps([K, e])) == [K, e]
+        assert _field_states() == before, d
 
 
 def test_norm_trace_examples(Q10, Q5):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
-from relquad.arith import squarefree_part
+from relquad.arith import factorint, kronecker, squarefree_part
 from relquad.field import make_field
 from relquad.hurwitz import (
     form_class_number,
@@ -78,3 +79,44 @@ def test_class_number_agrees_with_ideal_machinery():
         K = make_field(squarefree_part(delta0))
         assert K.disc == delta0
         assert form_class_number(delta0) == class_number(K), delta0
+
+
+def hurwitz_by_fractions(delta):
+    """Oracle: the closed formula summed in Fractions over every divisor
+    d of f, with delta0 the discriminant of Q(sqrt delta)."""
+    d = squarefree_part(delta)
+    delta0 = d if d % 4 == 1 else 4 * d
+    f = isqrt(delta // delta0)
+    w = 6 if delta0 == -3 else 4 if delta0 == -4 else 2
+    total = Fraction(0)
+    for k in range(1, f + 1):
+        if f % k == 0:
+            term = Fraction(k)
+            for p in factorint(k):
+                term *= 1 - Fraction(kronecker(delta0, p), p)
+            total += term
+    return Fraction(form_class_number(delta0), w // 2) * total, delta0, f, w
+
+
+def forms_by_fractions(delta):
+    """Oracle: the reduced forms weighted by Fractions 1/3, 1/2 and 1."""
+    total = Fraction(0)
+    for a, b, c in reduced_forms(delta):
+        core = delta // gcd(gcd(a, b), c) ** 2
+        total += Fraction(1, 3) if core == -3 else Fraction(1, 2) if core == -4 else 1
+    return total
+
+
+def test_integer_routes_match_fraction_oracles():
+    # the formula's integer product and the form count in sixths give the
+    # values of the Fraction sums, on every route, for |delta| <= 2000
+    for delta in range(-2000, 0):
+        if delta % 4 not in (0, 1):
+            continue
+        H, delta0, f, w = hurwitz_by_fractions(delta)
+        assert hurwitz_class_number(delta) == H == forms_by_fractions(delta), delta
+        assert hurwitz_class_number_forms(delta) == H, delta
+        row = hurwitz_row(delta)
+        assert (row.H_formula, row.H_oracle, row.h_L, row.w_L, row.f_delta) == (
+            H, H, form_class_number(delta0), w, f
+        ), delta

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -30,6 +32,7 @@ from helpers import (
 from relquad.arith import BoundExceeded, is_squarefree, primes_upto
 from relquad.counting import ideal_count_table
 from relquad import counting, ideals
+from relquad import field as field_module
 from relquad.field import Elem, QuadField, _window_least, coords_mul, fundamental_unit, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
@@ -339,18 +342,96 @@ def test_primes_above_rejects_non_primes(Q, Q5):
 
 
 def test_prime_ideal_built_by_hand_equals_the_interned_one():
-    # PrimeIdeal stores its hash: a copy built from the same values equals
-    # the interned prime, hashes alike and finds it in a dict, on every route
+    # one object per prime: a PrimeIdeal written out from the same values is
+    # the interned prime, on every route; values no prime above p has are
+    # refused; equality and the hash are object's own
+    assert "__eq__" not in vars(PrimeIdeal) and "__hash__" not in vars(PrimeIdeal)
     for d in (None, 5, 10, -15, -1):
         K = make_field(d)
         for p in (2, 3, 5, 7):
             for P in primes_above(K, p):
                 copy = PrimeIdeal(P.p, Ideal(K, P.ideal.hnf, P.ideal.den), P.residue_degree, P.ramified)
-                assert copy is not P and copy == P and P == copy
-                assert hash(copy) == hash(P) == hash((P.p, P.ideal, P.residue_degree, P.ramified))
+                assert copy is P and hash(copy) == object.__hash__(P)
                 assert {P: p}[copy] == p
-                assert copy != PrimeIdeal(P.p, P.ideal, P.residue_degree, not P.ramified)
-                assert copy != P.ideal and P.ideal != copy
+                with pytest.raises(ValueError, match=f"no prime above {p} in "):
+                    PrimeIdeal(P.p, P.ideal, P.residue_degree, not P.ramified)
+                with pytest.raises(ValueError, match=f"no prime above {p} in "):
+                    PrimeIdeal(P.p, P.ideal * 2, P.residue_degree, P.ramified)
+                assert P != P.ideal and P.ideal != P
+                with pytest.raises(AttributeError):
+                    P.ramified = not P.ramified
+                assert repr(P) == (
+                    f"PrimeIdeal(p={p}, ideal={P.ideal!r}, residue_degree={P.residue_degree}, "
+                    f"ramified={P.ramified})"
+                )
+
+
+def _prime_states():
+    return {key: [(P, P.p, P.ideal, P.residue_degree, P.ramified) for P in ps] for key, ps in ideals._PRIMES.items()}
+
+
+def test_copies_of_a_prime_are_the_prime():
+    # copy, deepcopy and a pickle round trip hand back the interned prime
+    # and leave every interned prime and field as it was
+    for d in (None, 5, 10, -15):
+        K = make_field(d)
+        for p in (2, 3, 5, 7):
+            for P in primes_above(K, p):
+                fields = {e: (F, dict(vars(F))) for e, F in field_module._FIELDS.items()}
+                primes = _prime_states()
+                for twin in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+                    assert twin is P, (d, p)
+                ((Q, v),) = pickle.loads(pickle.dumps(P.power(2).factor()))
+                assert Q is P and v == 2
+                assert {e: (F, dict(vars(F))) for e, F in field_module._FIELDS.items()} == fields
+                assert _prime_states() == primes
+
+
+def test_first_field_and_primes_under_threads(monkeypatch):
+    # eight threads ask at once for a field no one has built and for the
+    # primes above 3 in it; each builds its own objects before any is
+    # published, and all of them get the one object published first
+    d = next(d for d in range(10**6 + 3, 10**7) if is_squarefree(d) and d not in field_module._FIELDS)
+    builds = {"field": [], "primes": []}
+
+    def gated(kind, fn):
+        barrier = threading.Barrier(8)
+
+        def run(*args):
+            out = fn(*args)
+            builds[kind].append(out)
+            try:
+                barrier.wait(timeout=10)
+            except threading.BrokenBarrierError:
+                pass
+            return out
+
+        return run
+
+    monkeypatch.setattr(field_module, "_build_field", gated("field", field_module._build_field))
+    monkeypatch.setattr(ideals, "_find_primes_above", gated("primes", ideals._find_primes_above))
+    got = []
+
+    def work():
+        K = make_field(d)
+        got.append((K, tuple(primes_above(K, 3))))
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [len({id(b) for b in built}) for built in builds.values()] == [8, 8]
+    K, ps = got[0]
+    assert len(got) == 8 and K is make_field(d) and K.d == d
+    assert all(F is K and len(qs) == len(ps) and all(q is P for q, P in zip(qs, ps)) for F, qs in got)
+    assert all(P is Q for P, Q in zip(primes_above(K, 3), ps))
 
 
 def test_hnf_valuation_matches_division_oracle():
@@ -829,12 +910,13 @@ def test_equal_ideals_hash_equal_across_routes():
     ]
     for I in routes:
         assert I == routes[0] and hash(I) == hash(routes[0]), I
-    # a field built directly equals the interned one, and so do its ideals
+    # a field built directly is the interned one, and so its ideals are
+    # equal ideals of one field
     fresh, interned = QuadField(5), make_field(5)
-    assert fresh is not interned
+    assert fresh is interned
     I, J = Ideal(fresh, (11, 3, 1)), Ideal(interned, (11, 3, 1))
     assert I == J and hash(I) == hash(J)
-    assert I * J == J * J and hash(I * J) == hash(J * J)
+    assert I * J is J * J
 
 
 def test_product_memo_keeps_fields_apart():
@@ -855,11 +937,12 @@ def test_product_memo_keeps_fields_apart():
 
 
 def test_product_fast_path_keeps_semantics():
-    # two ideals over one interned field go straight to the product memo;
-    # a fresh but equal field, a different field and the scalar operands
-    # keep the general path and its results
+    # two ideals over one field go straight to the product memo after one
+    # identity test; QuadField(5) is that field, so an ideal built over it
+    # shares the memo, while a different field and the scalar operands
+    # keep their own paths and results
     K, fresh, K10 = make_field(5), QuadField(5), make_field(10)
-    assert fresh is not K
+    assert fresh is K
     ideals._product.cache_clear()
     pool = _ideals_with_denominators(K, 12)
     for I in pool:

@@ -34,16 +34,21 @@ def test_only_dyadic_builds_local_fields():
     assert not found, found
 
 
-# functions that intern one object per key: a field, its unit, the primes
-# above p, a unit window, the small-prime list, the CLI parser and a dyadic
-# field; every other memo has a size
+# memos that intern one object per key, and so grow for the life of the
+# process: the fields and the primes above p, each a module dict that
+# publishes by setdefault (a rename of either must be made here too, as the
+# objects they hand out are the only ones of their value), and the
+# functions that intern a fundamental unit, the primes above p, a unit
+# window, the small-prime list, the CLI parser and a dyadic field; every
+# other memo has a size
 UNBOUNDED_MEMOS = {
     "arith._small_primes",
     "cli._parser",
     "dyadic._intern_field",
+    "field._FIELDS",
     "field._unit_window",
     "field.fundamental_unit",
-    "field.make_field",
+    "ideals._PRIMES",
     "ideals._primes_above",
 }
 
@@ -64,12 +69,35 @@ def _unbounded_cache_call(node) -> bool:
     return name == "cache"
 
 
+def _grown_module_dicts(tree) -> set[str]:
+    """Names bound to {} at module level that the module's code grows, by
+    a setdefault call or an item assignment."""
+    empty = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) and not node.value.keys:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            empty.update(t.id for t in targets if isinstance(t, ast.Name))
+    grown = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setdefault":
+            owner = node.func.value
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            owner = node.value
+        else:
+            continue
+        if isinstance(owner, ast.Name) and owner.id in empty:
+            grown.add(owner.id)
+    return grown
+
+
 def test_every_unbounded_memo_interns():
-    # an lru_cache without a size grows for the life of the process, and
-    # a bounded one reports its size through cache_info()
+    # an lru_cache without a size, or a module dict that is only ever
+    # added to, grows for the life of the process, and a bounded memo
+    # reports its size through cache_info()
     found = set()
     for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        found.update(f"{path.stem}.{name}" for name in _grown_module_dicts(tree))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
@@ -79,8 +107,51 @@ def test_every_unbounded_memo_interns():
                 if _unbounded_cache_call(node.value.func):
                     found.update(f"{path.stem}.{t.id}" for t in node.targets)
     assert found <= UNBOUNDED_MEMOS, sorted(found - UNBOUNDED_MEMOS)
-    # the walk sees both forms: decorators and wrapped assignments
-    assert {"field.make_field", "dyadic._intern_field"} <= found
+    # the walk sees all three forms: decorators, wrapped assignments and
+    # the intern tables of the fields and the primes
+    assert {"field._FIELDS", "ideals._PRIMES", "ideals._primes_above", "dyadic._intern_field"} <= found
+
+
+def _class_defs(path: Path, name: str) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    out = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_interned_classes_compare_by_identity():
+    # one object per field and per prime, so neither class defines __eq__
+    # or __hash__: both use object's, which CPython runs in C
+    package = Path(relquad.__file__).parent
+    for module, cls in (("field", "QuadField"), ("ideals", "PrimeIdeal")):
+        names = _class_defs(package / f"{module}.py", cls)
+        assert "__new__" in names and "__reduce__" in names, (cls, names)
+        assert not {"__eq__", "__hash__"} & set(names), (cls, names)
+
+
+def test_only_the_interning_path_builds_primes():
+    # the package builds a PrimeIdeal in ideals._new_prime alone, which
+    # only ideals._find_primes_above calls: no call PrimeIdeal(...) (that
+    # looks the interned prime up) and no other object.__new__(PrimeIdeal)
+    found = set()
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                names = {a.id for a in node.args if isinstance(a, ast.Name)}
+                if callee in ("PrimeIdeal", "_new_prime") or (callee == "__new__" and "PrimeIdeal" in names):
+                    found.add((callee, f"{path.stem}.{fn.name}"))
+    assert found == {("__new__", "ideals._new_prime"), ("_new_prime", "ideals._find_primes_above")}, found
 
 
 def test_one_continued_fraction_loop():
