@@ -9,7 +9,7 @@ from .characters import QuadCharacter
 from .counting import (
     count_square_roots,
     count_square_roots_formula,
-    order_ideal_count,
+    order_ideal_counts,
     square_root_pairs,
     zeta_coefficients,
 )
@@ -28,7 +28,6 @@ from .hurwitz import hurwitz_class_number, hurwitz_class_number_forms, reduced_f
 from .ideals import (
     Ideal,
     PrimeIdeal,
-    class_number,
     ideal_from_generators,
     ideals_of_norm,
     parse_ideal,

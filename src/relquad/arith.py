@@ -1,14 +1,15 @@
 """Integer helpers shared across the package.
 
-Everything here is exact: Python ints and fractions.Fraction only.  No
-floating point is used anywhere in a decision path.
+Everything here is exact: Python ints only.  No floating point is used
+anywhere in a decision path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, isqrt
+
+__all__ = ["BoundExceeded"]
 
 _SMALL_PRIME_LIMIT = 1 << 16
 
@@ -35,19 +36,6 @@ def _small_primes() -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i in range(n) if sieve[i])
-
-
-def primes_upto(n: int) -> list[int]:
-    if n < _SMALL_PRIME_LIMIT:
-        ps = _small_primes()
-        # bisect would do, but the list is small enough
-        return [p for p in ps if p <= n]
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(n + 1) if sieve[i]]
 
 
 def smallest_prime_factors(n: int) -> list[int]:
@@ -237,21 +225,3 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def is_square_int(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
-def frac_is_square(q: Fraction) -> bool:
-    return q >= 0 and is_square_int(q.numerator) and is_square_int(q.denominator)
-
-
-def frac_sqrt(q: Fraction) -> Fraction | None:
-    if not frac_is_square(q):
-        return None
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
-
-
-def prod(xs, start=1):
-    return reduce(lambda a, b: a * b, xs, start)

@@ -78,7 +78,7 @@ __all__ = [
     "zeta_coefficients",
     "RootPair",
     "square_root_pairs",
-    "order_ideal_count",
+    "order_ideal_counts",
     "order_ideal_count_sublattice",
     "ideal_count_table",
     "primitive_character_table",
@@ -221,23 +221,19 @@ def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
     ]
 
 
-def order_ideal_count(delta: Elem, n: int) -> int:
-    """Number of pairs (b ideal, root pair class (a, x)) with
-    N(b)^2 N(a) = n; counts the ideals of the order O + O(b+sqrt delta)/2
-    of index n through the pair parametrization; n >= 1."""
-    _check_index(n)
-    K = delta.field
-    total = 0
-    for m in range(1, isqrt(n) + 1):
-        if n % (m * m):
-            continue
-        r = n // (m * m)
-        scale = len(ideals_of_norm(K, m))
-        if scale == 0:
-            continue
-        pairs = sum(count_square_roots(delta, a) for a in ideals_of_norm(K, r))
-        total += scale * pairs
-    return total
+def order_ideal_counts(delta: Elem, norm_bound: int) -> list[int]:
+    """[0, c(1), ..., c(norm_bound)]: c(n) counts the ideals of index n in
+    the order O + O(b+sqrt delta)/2 through the pair parametrization, as
+    the pairs (b ideal, root pair class (a, x)) with N(b)^2 N(a) = n; [0]
+    at bound 0."""
+    aK = ideal_count_table(delta.field, norm_bound)
+    pair_counts = [0] * (norm_bound + 1)
+    for rp in square_root_pairs(delta, norm_bound):
+        pair_counts[rp.a_ideal.norm_int()] += 1
+    return [0] + [
+        sum(aK[m] * pair_counts[n // (m * m)] for m in range(1, isqrt(n) + 1) if n % (m * m) == 0)
+        for n in range(1, norm_bound + 1)
+    ]
 
 
 def order_ideal_count_sublattice(delta: int, n: int) -> int:

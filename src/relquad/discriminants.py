@@ -71,7 +71,6 @@ __all__ = [
     "FundDiscData",
     "LocalComponent",
     "discriminant_witness",
-    "is_discriminant",
     "conductor_ideal",
     "relative_discriminant_general",
     "is_unit_discriminant",
@@ -154,10 +153,6 @@ def _witness_coords(K: QuadField, X: int, Y: int) -> tuple[int, int] | None:
             if (i * i - n * j * j - X) % 4 == 0 and (2 * i * j + t * j * j - Y) % 4 == 0:
                 return i, j
     return None
-
-
-def is_discriminant(delta: Elem) -> bool:
-    return discriminant_witness(delta) is not None
 
 
 def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:

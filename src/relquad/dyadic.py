@@ -66,17 +66,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import kronecker
 from .ideals import _hnf_from_vectors
 
 __all__ = [
     "LocalField",
     "LocalElem",
     "local_field",
+    "hilbert_symbol",
     "hilbert_symbol_q2_formula",
-    "tame_symbol",
-    "real_symbol",
-    "product_formula_holds",
     "duality_report",
 ]
 
@@ -148,15 +145,6 @@ class LocalField:
         return LocalElem(self, a % self.W, b % self.W)
 
     __call__ = elem
-
-    def from_rational(self, q) -> "LocalElem":
-        """Embed a nonzero rational, normalizing the even part to pi^(0 or 1)
-        times a unit (enough for square-class work)."""
-        q = Fraction(q)
-        if not q:
-            raise ValueError("nonzero rational required")
-        v, u = _padic_split(q, 2, self.W)
-        return self.elem(2 * u if v % 2 else u)
 
     # -- residue field ---------------------------------------------------------
 
@@ -335,17 +323,6 @@ class LocalElem:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def norm_int(self) -> int:
-        """x conj(x) = a^2 + T a b - C b^2 of the canonical representative,
-        as an exact integer; over Q2 that is a^2."""
-        F = self.field
-        a, b = self.a, self.b
-        return a * a + F.T * a * b - F.C * b * b
-
-    def conj(self) -> "LocalElem":
-        F = self.field
-        return LocalElem(F, (self.a + F.T * self.b) % F.W, -self.b % F.W)
-
     def valuation(self) -> int | None:
         """pi-adic valuation e v2(N(x)) / 2; None means indistinguishable
         from 0 here."""
@@ -405,17 +382,6 @@ _intern_field = lru_cache(maxsize=None)(LocalField)
 
 
 # -- square detection --------------------------------------------------------
-
-
-def unit_level(u: LocalElem) -> int:
-    """max i <= 2e+1 with u in U_i = 1 + pi^i O; 2e+1 reports "at least"
-    (such units are squares by the local square theorem)."""
-    F = u.field
-    cap = 2 * F.e + 1
-    if u.valuation() != 0:
-        raise ValueError("unit required")
-    v = _valuation(F, (u.a - 1) % F.W, u.b % F.W)
-    return cap if v is None else min(v, cap)
 
 
 def sqrt_certificate(x: LocalElem) -> LocalElem | None:
@@ -503,11 +469,6 @@ def square_mod_level(u: LocalElem, target: int) -> bool:
         if v is None or v >= target:
             return True
     return False
-
-
-def agree_at_precision(x: LocalElem, y: LocalElem) -> bool:
-    """Indistinguishable modulo pi^(e * precision)."""
-    return _agree(x.field, x.a, x.b, y.a, y.b)
 
 
 def is_square(x: LocalElem) -> bool:
@@ -764,58 +725,6 @@ def _q2_exponent(s: tuple[int, int, int], t: tuple[int, int, int]) -> int:
     alpha, eps_u, om_u = s
     beta, eps_v, om_v = t
     return (eps_u * eps_v + alpha * om_v + beta * om_u) % 2
-
-
-def tame_symbol(a, b, p: int) -> int:
-    """Hilbert symbol at an odd prime p."""
-    a, b = Fraction(a), Fraction(b)
-    alpha, u = _padic_split(a, p, p * p)
-    beta, v = _padic_split(b, p, p * p)
-    val = 1
-    if (alpha * beta * (p - 1) // 2) % 2:
-        val = -val
-    if beta % 2 and kronecker(u, p) == -1:
-        val = -val
-    if alpha % 2 and kronecker(v, p) == -1:
-        val = -val
-    return val
-
-
-def _padic_split(q: Fraction, p: int, m: int) -> tuple[int, int]:
-    """(v_p(q), the unit part q / p^v_p(q) modulo m) for a nonzero rational
-    q and a modulus m prime to the unit part's denominator."""
-    if not q:
-        raise ValueError("nonzero rational required")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, num * pow(den, -1, m) % m
-
-
-def real_symbol(a, b) -> int:
-    return -1 if a < 0 and b < 0 else 1
-
-
-def product_formula_holds(a, b, precision: int | None = None) -> bool:
-    """prod over v in {2, odd p | ab, infinity} of (a, b)_v equals +1."""
-    a, b = Fraction(a), Fraction(b)
-    from .arith import factorint
-
-    F = local_field("q2", precision)
-    total = hilbert_symbol(F.from_rational(a), F.from_rational(b))
-    total *= real_symbol(a, b)
-    odd_primes = set()
-    for q in (a, b):
-        for n in (q.numerator, q.denominator):
-            odd_primes |= {p for p in factorint(n) if p != 2}
-    for p in sorted(odd_primes):
-        total *= tame_symbol(a, b, p)
-    return total == 1
 
 
 # -- filtration and duality -------------------------------------------------------

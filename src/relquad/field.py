@@ -61,6 +61,9 @@ class QuadField:
     def __reduce__(self):
         return make_field, (self.d,)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadField is immutable: cannot set {name}")
+
     @property
     def is_rational(self) -> bool:
         return self.d is None
@@ -106,15 +109,6 @@ class QuadField:
             raise ValueError("Q has no omega")
         return self.elem(0, 1)
 
-    @property
-    def sqrt_gen(self) -> "Elem":
-        """The element sqrt(d): equals 2w-1 when d = 1 mod 4, else w."""
-        if self.is_rational:
-            raise ValueError("Q has no sqrt generator")
-        if self.d % 4 == 1:
-            return self.elem(-1, 2)  # sqrt(d) = 2w - 1
-        return self.elem(0, 1)
-
     def __repr__(self):
         return "Q" if self.is_rational else f"Q(sqrt{{{self.d}}})"
 
@@ -124,29 +118,22 @@ _FIELDS: dict[int | None, QuadField] = {}  # the interned fields, by d
 
 def _build_field(d: int | None) -> QuadField:
     """A new field object for d, not yet published in _FIELDS."""
-    K = object.__new__(QuadField)
     if d is None:
-        K.d = None
-        K.degree = 1
-        K.disc = 1
-        K.omega_trace = 0  # unused for Q
-        K.omega_norm = 0
-        K.signature = (1, 0)
-        return K
-    if d in (0, 1) or not is_squarefree(d):
-        raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
-    K.d = d
-    K.degree = 2
-    if d % 4 == 1:
-        K.disc = d
-        # w = (1+sqrt d)/2, w^2 - w + (1-d)/4 = 0
-        K.omega_trace = 1
-        K.omega_norm = (1 - d) // 4
+        # omega_trace is unused for Q
+        attrs = dict(d=None, degree=1, disc=1, omega_trace=0, omega_norm=0, signature=(1, 0))
     else:
-        K.disc = 4 * d
-        K.omega_trace = 0
-        K.omega_norm = -d
-    K.signature = (2, 0) if d > 0 else (0, 1)
+        if d in (0, 1) or not is_squarefree(d):
+            raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
+        if d % 4 == 1:
+            # w = (1+sqrt d)/2, w^2 - w + (1-d)/4 = 0
+            disc, trace, norm = d, 1, (1 - d) // 4
+        else:
+            disc, trace, norm = 4 * d, 0, -d
+        signature = (2, 0) if d > 0 else (0, 1)
+        attrs = dict(d=d, degree=2, disc=disc, omega_trace=trace, omega_norm=norm, signature=signature)
+    K = object.__new__(QuadField)
+    for name, value in attrs.items():
+        object.__setattr__(K, name, value)
     return K
 
 
@@ -302,12 +289,6 @@ class Elem:
             raise ValueError(f"no real embedding {embedding} for {self.field}")
         # clearing the positive denominator m does not change the sign
         return coords_sign(self.field, self.X, self.Y, embedding)
-
-    def is_totally_positive(self) -> bool:
-        return all(self.sign_at(i) > 0 for i in self.field.real_embeddings)
-
-    def is_totally_negative(self) -> bool:
-        return all(self.sign_at(i) < 0 for i in self.field.real_embeddings)
 
     def is_square(self) -> bool:
         """Whether the element is a square in K: whether m^2 * self is one."""

@@ -100,7 +100,6 @@ __all__ = [
     "principal_ideal",
     "primes_above",
     "ideals_of_norm",
-    "class_number",
     "minkowski_bound",
     "parse_ideal",
     "square_root_coords",
@@ -412,9 +411,6 @@ class Ideal:
             return self.hnf == (1,) and self.den == 1
         return self.hnf == (1, 0, 1) and self.den == 1
 
-    def is_coprime(self, other: "Ideal") -> bool:
-        return self.gcd(other).is_unit_ideal()
-
     # -- factorization --------------------------------------------------------
 
     def valuation(self, P: "PrimeIdeal") -> int:
@@ -453,13 +449,6 @@ class Ideal:
             if e > 1:
                 return 0
         return (-1) ** len(fac)
-
-    def sigma(self, s: int) -> Fraction:
-        """sum of N(d)^s over integral divisors d; exact rational for s in Z."""
-        total = Fraction(0)
-        for d in _divisors(self):
-            total += Fraction(d.norm_int()) ** s
-        return total
 
     # -- principality ----------------------------------------------------------
 
@@ -940,18 +929,6 @@ def minkowski_bound(K: QuadField) -> int:
         return s_up // (2 * 10**4) + 1
     # (2/pi) sqrt(D), pi > 3.14159265
     return (2 * s_up * 10**8) // (314159265 * 10**4) + 1
-
-
-def class_number(K: QuadField) -> int:
-    """Class number by Minkowski-complete enumeration plus principality tests."""
-    if K.degree == 1:
-        return 1
-    reps: list[Ideal] = []
-    for n in range(1, minkowski_bound(K) + 1):
-        for a in ideals_of_norm(K, n):
-            if not any((a * r.inverse()).principal_generator() is not None for r in reps):
-                reps.append(a)
-    return len(reps)
 
 
 # -- principal generator search ------------------------------------------------

@@ -20,6 +20,7 @@ from .discriminants import (
     DiscriminantInfo,
     _class_reps,
     discriminant_classes,
+    is_unit_discriminant,
     same_class_mod_squares,
     same_class_mod_unit_squares,
 )
@@ -94,7 +95,7 @@ def unit_discriminants(K: QuadField) -> tuple[list[DiscriminantInfo], int]:
     squares = (J * J for k in range(1, isqrt(window) + 1) for J in ideals_of_norm(K, k))
     found: list[DiscriminantInfo] = []
     for info in _class_reps(K, squares, negative=False):
-        if not info.rel_disc.is_unit_ideal():
+        if not is_unit_discriminant(info):
             continue
         if any(same_class_mod_squares(info.delta, other.delta) for other in found):
             continue

@@ -13,7 +13,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import wraps
-from math import isqrt
 
 from .characters import QuadCharacter
 from .counting import (
@@ -23,7 +22,7 @@ from .counting import (
     dirichlet_convolution,
     ideal_count_table,
     order_ideal_count_sublattice,
-    square_root_pairs,
+    order_ideal_counts,
     square_stretch,
     zeta_coefficients,
 )
@@ -310,20 +309,12 @@ def identity_suite(
         zd = zeta_coefficients(info.delta, norm_bound)
         lhs = dirichlet_convolution(aK, chi_sums)
         rhs = dirichlet_convolution(square_stretch(aK, norm_bound), zd)
-        # order-ideal counts through fresh pair enumeration
-        pair_counts = [0] * (norm_bound + 1)
-        for rp in square_root_pairs(info.delta, norm_bound):
-            pair_counts[rp.a_ideal.norm_int()] += 1
+        order = order_ideal_counts(info.delta, norm_bound)
         for n in range(1, norm_bound + 1):
-            order_n = sum(
-                aK[m] * pair_counts[n // (m * m)]
-                for m in range(1, isqrt(n) + 1)
-                if n % (m * m) == 0
-            )
             cases += 2
             if lhs[n] != rhs[n]:
                 failures.append(f"convolution identity fails: delta {info.delta}, n={n}")
-            if order_n != lhs[n]:
+            if order[n] != lhs[n]:
                 failures.append(f"order-ideal count fails: delta {info.delta}, n={n}")
         if K.degree == 1:
             for n in range(1, min(60, norm_bound) + 1):

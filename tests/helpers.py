@@ -69,6 +69,11 @@ power products of ideals.Ideal.divisors), and the ideals of each norm
 built as products of prime powers, each carrying the exponents it was
 built from (the route that the integer HNFs and handed factorizations of
 ideals.ideals_of_norm replaced).
+
+The last sections hold what only tests use, moved out of the package: small
+field, ideal and dyadic helpers, class_number, the order-ideal count at one
+index by brute root counts (the oracle for counting.order_ideal_counts), and
+Hilbert reciprocity over Q (the oracle for dyadic.hilbert_symbol).
 """
 
 from __future__ import annotations
@@ -78,9 +83,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from relquad.arith import BoundExceeded, divisors, factorint, frac_sqrt, is_prime, kronecker, smallest_prime_factors
+from relquad.arith import (
+    _SMALL_PRIME_LIMIT,
+    BoundExceeded,
+    _small_primes,
+    divisors,
+    factorint,
+    is_prime,
+    kronecker,
+    smallest_prime_factors,
+)
 from relquad.characters import _balance
 from relquad.cli import build_parser
+from relquad.counting import count_square_roots
 from relquad.discriminants import (
     DiscriminantInfo,
     _dyadic_ramification,
@@ -96,17 +111,18 @@ from relquad.dyadic import (
     LocalElem,
     LocalField,
     SquareClassSpace,
+    _agree,
     _div_int,
     _gf2_insert,
     _residue,
     _sample_integral,
     _shift_coords,
     _unit_candidates,
-    agree_at_precision,
+    _valuation,
     hilbert_symbol,
     is_square,
+    local_field,
     unit_filtration,
-    unit_level,
 )
 from relquad.field import (
     _ELEM_RE,
@@ -1206,7 +1222,7 @@ def discriminant_classes_by_elems(
         delta = K.elem(x, y)
         if discriminant_witness(delta) is None:
             continue
-        if sign == "totally_negative" and not delta.is_totally_negative():
+        if sign == "totally_negative" and not is_totally_negative(delta):
             continue
         cands.append(delta)
     cands.sort(key=lambda e: e.key())
@@ -1534,3 +1550,150 @@ def main_by_full_parser(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+# -- moved out of the package: names that only tests and these oracles use ---------
+
+
+def primes_upto(n: int) -> list[int]:
+    if n < _SMALL_PRIME_LIMIT:
+        ps = _small_primes()
+        # bisect would do, but the list is small enough
+        return [p for p in ps if p <= n]
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i in range(n + 1) if sieve[i]]
+
+
+def is_square_int(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def frac_is_square(q: Fraction) -> bool:
+    return q >= 0 and is_square_int(q.numerator) and is_square_int(q.denominator)
+
+
+def frac_sqrt(q: Fraction) -> Fraction | None:
+    if not frac_is_square(q):
+        return None
+    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
+
+
+def sqrt_gen(K: QuadField) -> Elem:
+    """The element sqrt(d): equals 2w-1 when d = 1 mod 4, else w."""
+    if K.is_rational:
+        raise ValueError("Q has no sqrt generator")
+    if K.d % 4 == 1:
+        return K.elem(-1, 2)  # sqrt(d) = 2w - 1
+    return K.elem(0, 1)
+
+
+def is_totally_negative(e: Elem) -> bool:
+    return all(e.sign_at(i) < 0 for i in e.field.real_embeddings)
+
+
+def unit_level(u: LocalElem) -> int:
+    """max i <= 2e+1 with u in U_i = 1 + pi^i O; 2e+1 reports "at least"
+    (such units are squares by the local square theorem)."""
+    F = u.field
+    cap = 2 * F.e + 1
+    if u.valuation() != 0:
+        raise ValueError("unit required")
+    v = _valuation(F, (u.a - 1) % F.W, u.b % F.W)
+    return cap if v is None else min(v, cap)
+
+
+def agree_at_precision(x: LocalElem, y: LocalElem) -> bool:
+    """Indistinguishable modulo pi^(e * precision)."""
+    return _agree(x.field, x.a, x.b, y.a, y.b)
+
+
+def class_number(K: QuadField) -> int:
+    """Class number by Minkowski-complete enumeration plus principality tests."""
+    if K.degree == 1:
+        return 1
+    reps: list[Ideal] = []
+    for n in range(1, minkowski_bound(K) + 1):
+        for a in ideals_of_norm(K, n):
+            if not any((a * r.inverse()).principal_generator() is not None for r in reps):
+                reps.append(a)
+    return len(reps)
+
+
+def order_ideal_count_by_root_counts(delta: Elem, n: int) -> int:
+    """counting.order_ideal_counts at one index n >= 1, by brute root
+    counts over the ideals of each norm n/m^2 in place of the root pairs."""
+    if n < 1:
+        raise ValueError(f"index n must be >= 1, got {n}")
+    K = delta.field
+    total = 0
+    for m in range(1, isqrt(n) + 1):
+        if n % (m * m):
+            continue
+        scale = len(ideals_of_norm(K, m))
+        if scale:
+            total += scale * sum(count_square_roots(delta, a) for a in ideals_of_norm(K, n // (m * m)))
+    return total
+
+
+# -- Hilbert reciprocity over Q: the oracle for dyadic.hilbert_symbol ---------------
+
+
+def _padic_split(q: Fraction, p: int, m: int) -> tuple[int, int]:
+    """(v_p(q), the unit part q / p^v_p(q) modulo m) for a nonzero rational
+    q and a modulus m prime to the unit part's denominator."""
+    if not q:
+        raise ValueError("nonzero rational required")
+    v = 0
+    num, den = q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num * pow(den, -1, m) % m
+
+
+def from_rational(F: LocalField, q) -> LocalElem:
+    """Embed a nonzero rational, normalizing the even part to pi^(0 or 1)
+    times a unit (enough for square-class work)."""
+    v, u = _padic_split(Fraction(q), 2, F.W)
+    return F.elem(2 * u if v % 2 else u)
+
+
+def tame_symbol(a, b, p: int) -> int:
+    """Hilbert symbol at an odd prime p."""
+    a, b = Fraction(a), Fraction(b)
+    alpha, u = _padic_split(a, p, p * p)
+    beta, v = _padic_split(b, p, p * p)
+    val = 1
+    if (alpha * beta * (p - 1) // 2) % 2:
+        val = -val
+    if beta % 2 and kronecker(u, p) == -1:
+        val = -val
+    if alpha % 2 and kronecker(v, p) == -1:
+        val = -val
+    return val
+
+
+def real_symbol(a, b) -> int:
+    return -1 if a < 0 and b < 0 else 1
+
+
+def product_formula_holds(a, b, precision: int | None = None) -> bool:
+    """prod over v in {2, odd p | ab, infinity} of (a, b)_v equals +1."""
+    a, b = Fraction(a), Fraction(b)
+    F = local_field("q2", precision)
+    total = hilbert_symbol(from_rational(F, a), from_rational(F, b))
+    total *= real_symbol(a, b)
+    odd_primes = set()
+    for q in (a, b):
+        for n in (q.numerator, q.denominator):
+            odd_primes |= {p for p in factorint(n) if p != 2}
+    for p in sorted(odd_primes):
+        total *= tame_symbol(a, b, p)
+    return total == 1

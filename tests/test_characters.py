@@ -15,12 +15,14 @@ from helpers import (
     extended_by_gcd,
     extended_by_ideals,
     on_element_by_ideal,
+    primes_upto,
     primitive_by_auxiliary_prime,
     primitive_via,
     residue_table_by_ideal,
+    sqrt_gen,
 )
 from relquad import characters, counting, discriminants, ideals
-from relquad.arith import kronecker, primes_upto
+from relquad.arith import kronecker
 from relquad.characters import QuadCharacter
 from relquad.counting import (
     count_square_roots,
@@ -55,7 +57,7 @@ def test_at_prime_examples(Q, Q10, test_fields):
     assert chi5.at_prime(p2) == -1  # 5 is not in {0,1,4} mod 8
     chim2 = QuadCharacter(Q10.elem(-2))
     p3 = next(
-        P for P in primes_above(Q10, 3) if P.ideal == ideal_from_generators(Q10, [Q10.elem(3), Q10.sqrt_gen + 1])
+        P for P in primes_above(Q10, 3) if P.ideal == ideal_from_generators(Q10, [Q10.elem(3), sqrt_gen(Q10) + 1])
     )
     assert chim2.at_prime(p3) == 1  # -2 = 1 = 1^2 in F_3
     for P in (p11, p2, p3):
@@ -128,7 +130,7 @@ def test_on_element_refuses_elements_not_coprime_to_delta(Q, Q10):
         (QuadCharacter(Q.elem(-4)), [Q.elem(6), Q.elem(Fraction(2, 3)), Q.elem(Fraction(3, 2))]),
         (
             QuadCharacter(Q10.elem(-4)),
-            [Q10.elem(2), Q10.sqrt_gen, Q10.sqrt_gen / 3, Q10.elem(Fraction(5, 2))],
+            [Q10.elem(2), sqrt_gen(Q10), sqrt_gen(Q10) / 3, Q10.elem(Fraction(5, 2))],
         ),
     ]
     for chi, elems in cases:

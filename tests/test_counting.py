@@ -19,10 +19,13 @@ from helpers import (
     dirichlet_convolution_by_loops,
     extended_by_gcd,
     ideal_count_table_by_factoring,
+    order_ideal_count_by_root_counts,
+    primes_upto,
     primitive_character_table_by_factoring,
+    sqrt_gen,
 )
 from relquad import characters, counting, ideals
-from relquad.arith import kronecker, primes_upto
+from relquad.arith import kronecker
 from relquad.characters import QuadCharacter
 from relquad.counting import (
     RootPair,
@@ -32,8 +35,8 @@ from relquad.counting import (
     count_square_roots_local_product,
     dirichlet_convolution,
     ideal_count_table,
-    order_ideal_count,
     order_ideal_count_sublattice,
+    order_ideal_counts,
     primitive_character_table,
     square_root_pairs,
     square_stretch,
@@ -56,7 +59,7 @@ from relquad.ideals import (
 def test_count_examples(Q, Q10):
     assert count_square_roots(Q.elem(5), principal_ideal(Q.elem(11))) == 2
     assert count_square_roots(Q.elem(1), unit_ideal(Q)) == 1
-    p2 = ideal_from_generators(Q10, [Q10.elem(2), Q10.sqrt_gen])
+    p2 = ideal_from_generators(Q10, [Q10.elem(2), sqrt_gen(Q10)])
     assert count_square_roots(Q10.elem(-4), p2) == 1
     chi = QuadCharacter(Q10.elem(-4))
     assert count_square_roots_formula(chi, p2) == 1
@@ -272,7 +275,7 @@ def test_zeta_coefficients(Q, Q10):
         rhs = dirichlet_convolution(aK, chi_sums)
         assert lhs[1:] == rhs[1:]
     n2 = zeta_coefficients(Q10.elem(-2), 2)[2]
-    p2 = ideal_from_generators(Q10, [Q10.elem(2), Q10.sqrt_gen])
+    p2 = ideal_from_generators(Q10, [Q10.elem(2), sqrt_gen(Q10)])
     assert n2 == count_square_roots(Q10.elem(-2), p2)
 
 
@@ -314,23 +317,24 @@ def test_root_pairs_match_residue_route(test_fields):
 def test_order_ideal_counts_gaussian(Q):
     # Z[i]: ideal counts 1,1,0,1,2,0,0,1 for n = 1..8
     expected = [1, 1, 0, 1, 2, 0, 0, 1]
-    got = [order_ideal_count(Q.elem(-4), n) for n in range(1, 9)]
-    assert got == expected
+    assert order_ideal_counts(Q.elem(-4), 8) == [0, *expected]
     subl = [order_ideal_count_sublattice(-4, n) for n in range(1, 9)]
     assert subl == expected
 
 
 @pytest.mark.parametrize("n", [0, -1, -3])
 def test_order_ideal_counts_refuse_indices_below_one(Q, Q10, n):
-    # order_ideal_count raised an isqrt error at n = -1; the sublattice
-    # count raised "factorint(0)" at n = 0 and returned 0 at n = -3
-    for call in (
-        lambda: order_ideal_count(Q.elem(-4), n),
-        lambda: order_ideal_count(Q10.elem(-4), n),
-        lambda: order_ideal_count_sublattice(-4, n),
-    ):
-        with pytest.raises(ValueError, match=f"index n must be >= 1, got {n}"):
-            call()
+    # the sublattice count raised "factorint(0)" at n = 0 and returned 0 at
+    # n = -3; the table refuses a negative bound, and at bound 0 holds no
+    # index
+    with pytest.raises(ValueError, match=f"index n must be >= 1, got {n}"):
+        order_ideal_count_sublattice(-4, n)
+    for K in (Q, Q10):
+        if n:
+            with pytest.raises(ValueError, match=f"norm bound must be >= 0, got {n}"):
+                order_ideal_counts(K.elem(-4), n)
+        else:
+            assert order_ideal_counts(K.elem(-4), n) == [0]
 
 
 def test_order_ideal_identities(test_fields):
@@ -344,9 +348,11 @@ def test_order_ideal_identities(test_fields):
             _, chi_sums = chi.coefficients(N)
             conv1 = dirichlet_convolution(aK, chi_sums)
             conv2 = dirichlet_convolution(square_stretch(aK, N), zd)
+            counts = order_ideal_counts(delta, N)
+            assert len(counts) == N + 1 and counts[0] == 0
             for n in range(1, N + 1):
-                oc = order_ideal_count(delta, n)
-                assert oc == conv1[n] == conv2[n]
+                oc = counts[n]
+                assert oc == order_ideal_count_by_root_counts(delta, n) == conv1[n] == conv2[n]
                 if K.degree == 1:
                     assert oc == order_ideal_count_sublattice(int(delta.x), n)
 

@@ -8,11 +8,15 @@ import helpers
 from helpers import (
     _box_window_member,
     box_discriminant_candidates,
+    class_number,
     conductor_by_division,
     discriminant_candidates,
     discriminant_classes_by_buckets,
     discriminant_classes_by_elems,
+    frac_sqrt,
+    is_totally_negative,
     local_square_solvable_by_residues,
+    sqrt_gen,
     unit_discriminants_by_classes,
 )
 from relquad import cli, discriminants, field, ideals, tables
@@ -22,7 +26,6 @@ from relquad.discriminants import (
     discriminant_classes,
     discriminant_witness,
     fundamental_discriminant_data,
-    is_discriminant,
     is_unit_discriminant,
     local_square_solvable,
     relative_discriminant_general,
@@ -32,7 +35,6 @@ from relquad.discriminants import (
 from relquad.field import Elem, fundamental_unit, make_field, parse_elem
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
-    class_number,
     coords_valuation,
     ideal_from_generators,
     primes_above,
@@ -71,10 +73,10 @@ def brute_conductor(delta):
 
 def test_conductor_examples(Q10, Q5, Q):
     info = conductor_ideal(Q10.elem(-4))
-    assert info.f_delta == ideal_from_generators(Q10, [Q10.elem(2), Q10.sqrt_gen])
+    assert info.f_delta == ideal_from_generators(Q10, [Q10.elem(2), sqrt_gen(Q10)])
     assert info.rel_disc == principal_ideal(Q10.elem(2))
     info = conductor_ideal(Q5.elem(-20))
-    assert info.f_delta == principal_ideal(Q5.sqrt_gen)
+    assert info.f_delta == principal_ideal(sqrt_gen(Q5))
     assert info.rel_disc == principal_ideal(Q5.elem(4))
     info = conductor_ideal(Q.elem(-12))
     assert info.f_delta == principal_ideal(Q.elem(2))
@@ -353,7 +355,7 @@ def _seeded_discriminants(K, count, seed):
     out = []
     while len(out) < count:
         delta = K.elem(rng.randint(-300, 300), rng.randint(-40, 40) if K.degree == 2 else 0)
-        if delta and is_discriminant(delta):
+        if delta and discriminant_witness(delta) is not None:
             out.append(delta)
     return out
 
@@ -509,10 +511,8 @@ def test_trace_norm_square_class_property(Q):
                 assert same_class_mod_squares(Q.elem(val), info.delta)
         x = info.witness_x
         # a = (-x + sqrt delta)/2 in L has tr^2 - 4N = delta
-        s = L.sqrt_gen
+        s = sqrt_gen(L)
         f2 = Q.elem(delta) / Q.elem(squarefree_of(delta))
-        from relquad.arith import frac_sqrt
-
         scale = frac_sqrt(f2.x)
         a = (-x.x + scale * s) / 2
         assert a.trace() ** 2 - 4 * a.norm() == delta
@@ -737,7 +737,7 @@ def test_table_beyond_box_cliff(d, capsys):
     eps4 = fundamental_unit(K) ** 4
     deltas = [parse_elem(K, r["delta"]) for r in rows]
     for r, delta in zip(rows, deltas):
-        assert is_discriminant(delta) and delta.is_totally_negative()
+        assert discriminant_witness(delta) is not None and is_totally_negative(delta)
         assert abs(delta.norm()) == r["norm"] <= 200
         assert _box_window_member(delta, eps4), delta
     for i, a in enumerate(deltas):

@@ -12,9 +12,11 @@ from helpers import (
     FractionElem,
     elem_text_by_fractions,
     interval_sign,
+    is_totally_negative,
     is_unit_square_by_decomposition,
     parse_elem_by_fractions,
     sqrt_by_fractions,
+    sqrt_gen,
     unit_power_decomposition,
     units_with_coeff_bound,
 )
@@ -96,14 +98,25 @@ def test_copies_of_a_field_are_the_field():
         assert _field_states() == before, d
 
 
+def test_an_interned_field_refuses_assignment():
+    # every user of a d shares its field, so an assignment would change the
+    # arithmetic of all of them: omega_norm = 3 would make w^2 print -3+1*w
+    K = make_field(5)
+    before = _field_states()
+    with pytest.raises(AttributeError, match="QuadField is immutable: cannot set omega_norm"):
+        K.omega_norm = 3
+    assert str(K.elem(0, 1) ** 2) == "1+1*w"
+    assert _field_states() == before
+
+
 def test_norm_trace_examples(Q10, Q5):
-    s = Q10.sqrt_gen
+    s = sqrt_gen(Q10)
     assert s.norm() == -10 and s.trace() == 0
     delta = Q5.elem(-2, -1)  # -(5+sqrt5)/2
     assert delta.norm() == 5
-    assert delta.is_totally_negative()
+    assert is_totally_negative(delta)
     e = Q10.elem(-2, 1)  # -2+sqrt10: mixed signs since 10 > 4
-    assert not e.is_totally_negative() and not e.is_totally_positive()
+    assert not is_totally_negative(e)
     assert e.sign_at(0) == 1 and e.sign_at(1) == -1
 
 

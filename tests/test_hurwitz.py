@@ -3,6 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from helpers import class_number
 from relquad.arith import factorint, kronecker, squarefree_part
 from relquad.field import make_field
 from relquad.hurwitz import (
@@ -12,7 +13,6 @@ from relquad.hurwitz import (
     hurwitz_row,
     reduced_forms,
 )
-from relquad.ideals import class_number
 
 
 def brute_reduced_forms(delta):

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import relquad
@@ -215,3 +216,92 @@ def test_one_indented_json_writer():
                 if any(kw.arg == "indent" for kw in node.keywords):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# names in a module's __all__ that nothing in the CLI, verify or perfbench
+# reaches, each with the reason it stays public
+UNREACHED_PUBLIC = {
+    "discriminants.discriminant_witness": "the paper's definition of a discriminant: delta is one iff this is not None",
+}
+ENTRY_MODULES = ("cli", "verify")
+
+
+def _loaded_names(node) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _traced_names(perfbench: Path) -> list[tuple[str, str]]:
+    tree = ast.parse((perfbench / "tracing.py").read_text())
+    (value,) = [
+        s.value for s in tree.body if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "TRACED"
+    ]
+    return ast.literal_eval(value)
+
+
+def _reached_names(package: Path, perfbench: Path) -> set[str]:
+    """The names loaded by code that the CLI, verify or perfbench reach,
+    followed by name through function bodies.  The seeds are every line of
+    cli, verify and perfbench (with the names tracing.TRACED looks up by
+    string) and the top-level statements of the other modules, imports
+    aside.  A reached class brings its bases, decorators, class-level
+    statements and dunder methods; any other function or method is reached
+    when its name is loaded."""
+    bodies: dict[str, list] = {}
+    todo = set()
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if path.stem in ENTRY_MODULES or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                todo |= _loaded_names(stmt)
+                continue
+            own = [stmt] if isinstance(stmt, ast.FunctionDef) else [*stmt.bases, *stmt.decorator_list]
+            for sub in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    bodies.setdefault(sub.name, []).append(sub)
+                else:
+                    own.append(sub)
+            bodies.setdefault(stmt.name, []).extend(own)
+    for path in sorted(perfbench.glob("*.py")):
+        todo |= _loaded_names(ast.parse(path.read_text()))
+    todo |= {part for _, attr in _traced_names(perfbench) for part in attr.split(".")}
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in bodies.get(name, ()):
+            todo |= _loaded_names(node) - reached
+    return reached
+
+
+def test_public_surface_is_reached():
+    # relquad/__init__.py exports names its modules list in __all__, and
+    # every __all__ name has a caller in the CLI, verify or perfbench: a
+    # name only tests call belongs in tests/helpers.py
+    package = Path(relquad.__file__).parent
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    # the benchmark's tracer looks these up by string, so each must exist
+    for module, attr in _traced_names(perfbench):
+        obj = importlib.import_module(f"relquad.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+    exports = [
+        (node.module, alias.name)
+        for node in ast.parse((package / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    listed = {
+        f"{path.stem}.{name}"
+        for path in package.glob("[!_]*.py")
+        for name in getattr(importlib.import_module(f"relquad.{path.stem}"), "__all__", ())
+    }
+    unlisted = sorted(f"{m}.{n}" for m, n in exports if f"{m}.{n}" not in listed)
+    assert not unlisted, unlisted
+    reached = _reached_names(package, perfbench)
+    unreached = {q for q in listed if q.rsplit(".", 1)[1] not in reached}
+    assert unreached == set(UNREACHED_PUBLIC), sorted(unreached ^ set(UNREACHED_PUBLIC))
