@@ -51,8 +51,9 @@ vectors.  The route that builds g as an ideal product and divides a by g^2
 survives as the test oracle tests/helpers.py::extended_by_ideals.
 
 Everything else a character needs is a pure function of delta, so every
-QuadCharacter of one delta shares it: _memos(delta), a process-wide LRU
-cache of CHARACTER_MEMO_SIZE discriminants, holds one entry per delta with
+QuadCharacter of one delta shares it: _memos, a process-wide LRU cache of
+CHARACTER_MEMO_SIZE discriminants keyed on delta's field and integer
+coordinates, holds one entry per delta with
 the DiscriminantInfo of conductor_ideal(delta) and the set-up (the modulus
 (delta), v_P(delta) and v_P(f) at the primes of delta, all three read off
 the factorization that info keeps, and the sign type), filled by the first
@@ -72,7 +73,7 @@ from .discriminants import (
     conductor_ideal,
     local_square_solvable,
 )
-from .field import Elem, coords_sign
+from .field import Elem, QuadField, coords_sign
 from .ideals import (
     Ideal,
     PrimeIdeal,
@@ -91,10 +92,11 @@ CHARACTER_MEMO_SIZE = 1 << 10  # discriminants whose character memos are kept
 
 
 @lru_cache(maxsize=CHARACTER_MEMO_SIZE)
-def _memos(delta: Elem) -> "_DeltaMemo":
-    """The memo entry shared by the characters of delta.  Keyed on delta,
-    whose equality includes its field, so equal coordinates in different
-    fields keep separate entries."""
+def _memos(K: QuadField, X: int, Y: int, m: int) -> "_DeltaMemo":
+    """The memo entry shared by the characters of delta = (X + Y*w)/m in
+    K.  Keyed on the interned field and the integer coordinates, so a hit
+    hashes in C and equal coordinates in different fields keep separate
+    entries."""
     return _DeltaMemo()
 
 
@@ -136,7 +138,7 @@ def _fill(memo: _DeltaMemo, info: DiscriminantInfo) -> None:
 class QuadCharacter:
     """All character data attached to one discriminant.
 
-    Instances of one delta share the set-up and memos of _memos(delta).
+    Instances of one delta share the set-up and memos of its _memos entry.
     Every entry is a pure function of delta and is written whole, so a
     concurrent writer can only store the value already there; sharing
     across threads needs no lock.  The entry keeps the DiscriminantInfo
@@ -151,7 +153,7 @@ class QuadCharacter:
         given = None
         if isinstance(delta, DiscriminantInfo):
             given, delta = delta, delta.delta
-        memo = _memos(delta)
+        memo = _memos(delta.field, delta.X, delta.Y, delta.m)
         if memo.setup is None:
             # an info that conductor_ideal returned stands in for that call;
             # a delta that is not a discriminant raises here, memo left empty

@@ -14,9 +14,9 @@ character's exponent kernel, QuadCharacter._value; it stays a sum over all
 divisors, independent of the local casework.  The local count at P^k reads
 v_P(delta) from the character's prime dict.  At a prime of delta with
 v_P(delta) even it rests on at most three local_square_solvable verdicts,
-decided once per (delta, P) and kept in the local memo of
-characters._memos(delta): a prime recurs across the ideals of one delta
-and across its characters.  The route over divisors built as ideal
+decided once per (delta, P) and kept in the local memo of delta's entry
+in characters._memos: a prime recurs across the ideals of one delta and
+across its characters.  The route over divisors built as ideal
 products survives as the test oracle
 tests/helpers.py::count_square_roots_formula_by_ideals.
 
@@ -25,7 +25,9 @@ integer search kernel ideals._root_coords on a's HNF triple scaled by 2
 and 4, the same kernel that finds the conductor witness and the dyadic
 character symbol, with no ideal 2a or 4a built; like Ideal.residues it
 refuses N(2a) > RESIDUE_ENUMERATION_BOUND.  Its roots are memoised per
-(delta, a) by _roots, an LRU cache of FACTOR_CACHE_SIZE entries, so the
+(field, X, Y, a), delta = X + Y*w, by _roots, an LRU cache of
+FACTOR_CACHE_SIZE entries, whose hits hash ints, the interned field and
+the interned ideal a, all in C, so the
 counting, zeta and pair routes of one (delta, a) run one search between
 them; the integrality checks of delta and a stay in front of it, and the
 formula and local routes never read it.  The local casework asks whether delta itself is a square
@@ -91,15 +93,16 @@ def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
     _check_integral(a)
     _check_integral_delta(delta)
-    return len(_roots(delta, a))
+    return len(_roots(delta.field, delta.X, delta.Y, a))
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _roots(delta: Elem, a: Ideal) -> tuple[tuple[int, int], ...]:
+def _roots(K: QuadField, X: int, Y: int, a: Ideal) -> tuple[tuple[int, int], ...]:
     """The coordinates of the roots b mod 2a of b^2 = delta mod 4a, in the
-    order of square_root_coords, for an integral delta and a: the search
-    kernel on a's HNF triple scaled by 2 and 4, with no Ideal built."""
-    return tuple(_root_coords(delta.field, delta.X, delta.Y, _hnf_triple(a, 2), _hnf_triple(a, 4)))
+    order of square_root_coords, for an integral delta = X + Y*w of K and
+    an integral a: the search kernel on a's HNF triple scaled by 2 and 4,
+    with no Ideal built."""
+    return tuple(_root_coords(K, X, Y, _hnf_triple(a, 2), _hnf_triple(a, 4)))
 
 
 def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
@@ -212,12 +215,12 @@ def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
     root in the order of square_root_coords; a fresh list on every call."""
     _check_bound(norm_bound)
     _check_integral_delta(delta)
-    K = delta.field
+    K, X, Y = delta.field, delta.X, delta.Y
     return [
         RootPair(a_ideal=a, b=K.elem(i, j))
         for n in range(1, norm_bound + 1)
         for a in ideals_of_norm(K, n)
-        for i, j in _roots(delta, a)
+        for i, j in _roots(K, X, Y, a)
     ]
 
 

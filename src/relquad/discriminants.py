@@ -22,12 +22,13 @@ rather than build and factor (delta) again.  The route that factored
 (delta) afresh and divided by f^2 is the test oracle
 tests/helpers.py::conductor_by_division.
 
-The info is memoised process-wide per delta in an LRU cache of
-ideals.FACTOR_CACHE_SIZE entries (_conductor), so a hit builds no ideal.
-A table row hands in the ideal it built delta from, outside the key, and
-conductor_ideal builds (delta) only on a miss; so fdelta, conductor, the
-characters, the table rows and unit_discriminants share one
-DiscriminantInfo per delta.  Every field of the info is
+The info is memoised process-wide per (field, X, Y), delta = X + Y*w, in
+an LRU cache of ideals.FACTOR_CACHE_SIZE entries (_conductor), so a hit
+builds no ideal and hashes in C.  A miss builds (delta), which is
+interned: for a table row it is the ideal that ideals_of_norm built and
+handed its factorization, so no row factors (delta) afresh.  So fdelta,
+conductor, the characters, the table rows and unit_discriminants share
+one DiscriminantInfo per delta.  Every field of the info is
 immutable, its maps included, so no caller can change what a later hit
 returns.
 
@@ -35,9 +36,10 @@ The class enumeration builds each class modulo unit squares once, as a
 principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
 u*g, and keeps its least member in the window of field._window_least,
 the walk that Ideal.principal_generator shares; all on integer pairs,
-with only the representatives made Elems.  Their conductors are read off
-the ideal (g) = (delta) each was built from, so a row of a table or of
-unit_discriminants never builds (delta).  A totally negative class needs
+with only the representatives made Elems.  Their conductors read the
+factorization of (delta) = (g) that ideals_of_norm handed the interned
+ideal (g), so a row of a table or of unit_discriminants never factors
+(delta) afresh.  A totally negative class needs
 u*g negative at every real embedding, that is u's signs opposite to g's:
 the signs of g and of each unit are taken once, and only the units whose
 signs match are multiplied by g.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
@@ -217,39 +219,18 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
         raise ValueError("nonzero integral element required")
     if _witness_coords(delta.field, delta.X, delta.Y) is None:
         raise ValueError(f"{delta} is not a discriminant (not a square mod 4)")
-    return _conductor(delta, _NO_MODULUS)
-
-
-class _Unkeyed:
-    """An argument that a memo's key ignores: every _Unkeyed equals every
-    other, so _conductor's entries are keyed on delta alone."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, _Unkeyed)
-
-    def __hash__(self):
-        return 0
-
-
-_NO_MODULUS = _Unkeyed(None)
+    return _conductor(delta.field, delta.X, delta.Y)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _conductor(delta: Elem, modulus: _Unkeyed) -> DiscriminantInfo:
-    """conductor_ideal(delta) for a discriminant delta, memoised per delta
-    alone, so a hit builds no ideal.  modulus.value is (delta) when the
-    caller has it, which it vouches for, and None otherwise: _class_reps
-    passes the ideal it built delta from, so a row of the table factors
-    (delta) once, and conductor_ideal builds (delta) only on a miss.
-    delta's equality includes its field, so equal coordinates in different
-    fields keep separate entries."""
-    K = delta.field
-    modulus = principal_ideal(delta) if modulus.value is None else modulus.value
+def _conductor(K: QuadField, X: int, Y: int) -> DiscriminantInfo:
+    """conductor_ideal(delta) for a discriminant delta = X + Y*w of K,
+    memoised per (K, X, Y), so a hit builds no ideal and hashes in C, and
+    equal coordinates in different fields keep separate entries.  (delta)
+    is the interned ideal: for a row of the table, the one ideals_of_norm
+    built and handed its factorization."""
+    delta = Elem(K, X, Y)
+    modulus = principal_ideal(delta)
     delta_primes = dict(modulus.factor())
     f_exponents = {}
     for P, l in delta_primes.items():
@@ -407,9 +388,9 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
     with (delta) among the given integral ideals, totally negative ones
     only if negative: for each principal ideal (g), every u*g with u in
     unit_square_class_reps that passes the sign filter and the mod-4
-    witness, as its least member, with its conductor read off (g) itself,
-    the ideal (delta) of every member (_conductor, whose memo the infos of
-    conductor_ideal share).  The sign filter runs before the product: u*g
+    witness, as its least member, with its conductor from _conductor, the
+    memo of conductor_ideal, which factors (delta) = (g), the interned
+    ideal among the given ones.  The sign filter runs before the product: u*g
     is totally negative iff u's sign is the opposite of g's at every real
     embedding, so the signs of each unit are taken once per call and those
     of g once per ideal, and the other units are never multiplied by g.
@@ -435,7 +416,7 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
             x, y = coords_mul(K, *g, *u)
             if _witness_coords(K, x, y) is None:
                 continue
-            # (delta) = (u*g) = I: the conductor reads I's factorization
-            reps.append((least(x, y), I))
-    reps.sort(key=lambda rep: rep[0])
-    return [_conductor(K.elem(x, y), _Unkeyed(I)) for (x, y), I in reps]
+            # (delta) = (u*g) = I, the ideal _conductor factors
+            reps.append(least(x, y))
+    reps.sort()
+    return [_conductor(K, x, y) for x, y in reps]

@@ -41,7 +41,7 @@ one value at a time, and the level classes and the duality report whole
 batches.  LocalElem, a frozen dataclass over one pair, is the public
 boundary only: the field's elem, zero, one and pi, the arguments of
 is_square, sqrt_certificate, decompose and hilbert_symbol, the certificate
-sqrt_certificate returns, the space's rep, all_reps and basis, and the
+sqrt_certificate returns, the space's rep and basis, and the
 completions of verify.completion_at.  A field builds three LocalElems, its
 constants; its first duality report builds no more.
 
@@ -485,8 +485,8 @@ class SquareClassSpace:
     it is linear (checked by the duality report, not assumed here).
     _classify_pairs() is decompose on a batch of coordinate pairs.  The
     constructor runs on pairs and keeps pairs only; LocalElem appears only
-    at the public boundary: decompose's argument, and rep, all_reps and
-    basis, which wrap pairs of rep_pairs (basis[i] is rep(1 << i)).
+    at the public boundary: decompose's argument, and rep and basis, which
+    wrap pairs of rep_pairs (basis[i] is rep(1 << i)).
 
     By the local square theorem (O'Meara 63:1) the square class of a unit u
     depends only on u modulo pi^(2e+1), so table[key(u)] is u's bitmask over
@@ -596,9 +596,6 @@ class SquareClassSpace:
     def rep(self, mask: int) -> LocalElem:
         """The product of the basis elements over the bits of mask."""
         return LocalElem(self.field, *self.rep_pairs[mask])
-
-    def all_reps(self) -> list[LocalElem]:
-        return [self.rep(m) for m in range(1 << self.dim)]
 
     @property
     def basis(self) -> list[LocalElem]:

@@ -48,7 +48,11 @@ class QuadField:
     round trip of a field all give that object, and equality is identity
     (object's own __eq__ and __hash__, which run in C).  The table _FIELDS
     publishes each field with one atomic dict.setdefault, so threads that
-    race on a new d share one object, and it is never cleared."""
+    race on a new d share one object, and it is never cleared.
+
+    Its element API is elem (also reached by calling the field) and the
+    constants zero, one and omega; zero completes the three for callers,
+    though the package itself builds its zeros with elem."""
 
     def __new__(cls, d: int | None = None):
         if d is not None:
@@ -63,6 +67,9 @@ class QuadField:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QuadField is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadField is immutable: cannot delete {name}")
 
     @property
     def is_rational(self) -> bool:
@@ -145,7 +152,11 @@ def make_field(d: int | None = None) -> QuadField:
 
 class Elem:
     """(X + Y*w)/m with integers X, Y and m >= 1, gcd(X, Y, m) = 1.
-    Immutable after construction."""
+    Immutable after construction.
+
+    sqrt, the exact square root (None for a non-square), is part of the
+    element API with is_square; the package's own square tests call
+    is_square or the integer kernels coords_is_square and coords_sqrt."""
 
     __slots__ = ("field", "X", "Y", "m")
 

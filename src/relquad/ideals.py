@@ -3,44 +3,46 @@
 A nonzero ideal is stored as an integer module in Hermite normal form over
 the basis {1, w} (just a positive rational for Q), divided by a positive
 integer denominator.  The representation is normalized at construction and
-is unique per ideal, so equality is structural.
+is unique per ideal (Cohen, GTM 138, 5.2), and Ideal interns on it.
 
 The arithmetic works on the integer HNF triples throughout (Cohen, GTM 138,
 sections 4.7 and 5.2): products, sums, conjugates and inverses never pass
 through field elements, and ideal_from_generators clears denominators once
 and builds its module vectors from integer coordinates.
 
-The fields (field.QuadField) and the primes above p (PrimeIdeal) are
-interned, one object per value for the life of the process, so equality is
-identity and every memo keyed on them hashes and compares in C.  The primes
-are built once per (field, p) by _primes_above and published in _PRIMES;
-the table grows only with the pairs asked about.  Ideal.valuation is
-closed-form integer arithmetic on the HNF (a, b, c) and the denominator: no
-ideal product and no inverse.  Ideal.factor is memoised process-wide by ideal value in an LRU
-cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it without
-limit.  An ideal that was handed its factorization at construction (every
-ideal ideals_of_norm builds, and unit_ideal) has it confirmed on integers,
-by its valuation at each listed prime and the product of their norms, with
-no ideal multiplied; any other ideal is factored over the primes of its
-norm and denominator, and the reassembly check multiplies the prime powers
-back.  Either check runs once per distinct ideal, inside the cached
-computation.  The package's own readers (divisors, moebius, the character
-values and the counting routes) iterate the memoised tuple _factor(I) in
-place; Ideal.factor copies it into a fresh list for outside callers.
-Ideal.inverse (and its check I * I^-1 = (1)), ideals_of_norm, per (field,
-n), the prime powers PrimeIdeal.power, per (P, k), the integral divisors
-of an ideal, _divisors, per ideal (Ideal.divisors copies them into a
-fresh list), and the factorization of an element by its coordinates,
-_coords_factor, per (field, x, y, m), are memoised in LRU caches of the
-same size.  So is the product of two ideals, by value: the key is the
-field and the (hnf, den) of each factor, in a fixed order so that I * J
-and J * I share an entry, and a hit compares integer tuples only; two
-ideals of one field go straight to that memo after an identity test of
-their fields.  An Ideal stores its hash, taken once at construction on
-the field's d and not on the field object, so that it is the same in
-every process.
-Scaling by an integer or a Fraction is integer products, and the product
-by an element is not memoised.
+The fields (field.QuadField), the primes above p (PrimeIdeal) and the
+ideals are interned, so equality is identity and every memo keyed on them
+hashes and compares in C.  Fields and primes live for the life of the
+process; the primes are built once per (field, p) by _primes_above and
+published in _PRIMES, which grows only with the pairs asked about.  An
+ideal lives while anything holds it: Ideal(...) returns the one live
+object of its (field, hnf, den) from _IDEALS, a table of weak references
+that holds the live ideals only (hash-consing; Filliatre and Conchon,
+Type-safe modular hash-consing, 2006).  Ideal.valuation is closed-form
+integer arithmetic on the HNF (a, b, c) and the denominator: no ideal
+product and no inverse.  Ideal.factor is memoised process-wide per ideal
+in an LRU cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it
+without limit.  An ideal that was handed its factorization at construction
+(every ideal ideals_of_norm builds, and unit_ideal) has it confirmed on
+integers, by its valuation at each listed prime and the product of their
+norms, with no ideal multiplied; any other ideal is factored over the
+primes of its norm and denominator, and the reassembly check multiplies the
+prime powers back.  Either check runs once per distinct ideal, inside the
+cached computation.  The package's own readers (divisors, moebius, the
+character values and the counting routes) iterate the memoised tuple
+_factor(I) in place; Ideal.factor copies it into a fresh list for outside
+callers.  Ideal.inverse (and its check I * I^-1 = (1)), ideals_of_norm, per
+(field, n), the prime powers PrimeIdeal.power, per (P, k), the integral
+divisors of an ideal, _divisors, per ideal (Ideal.divisors copies them into
+a fresh list), the factorization of an element by its coordinates,
+_coords_factor, per (field, x, y, m), and the product of two ideals of one
+field, _product, per (I, J), are memoised in LRU caches of the same size.
+The memos hold the ideals they key on and return, so those stay interned
+while their entries last.  No output depends on an identity hash, which
+differs between processes: the package keys dicts on interned objects,
+which keep insertion order, and iterates no set of them.  Scaling by an
+integer or a Fraction is integer products, and the product by an element
+is not memoised.
 
 coords_valuation(P, x, y, den) reads v_P((x + y*w)/den) off integer
 coordinates with the primitive-part rule of Ideal.valuation
@@ -86,6 +88,8 @@ tests/helpers.py::square_root_coords_by_box.
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -139,18 +143,24 @@ def _hnf_from_vectors(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 
 class Ideal:
-    """Nonzero fractional ideal.  Immutable after construction.
+    """Nonzero fractional ideal.  Immutable and interned: Ideal(field, hnf,
+    den) normalizes the HNF, which is unique per ideal (Cohen, GTM 138,
+    5.2), and returns the one live object of that value from _IDEALS, so
+    equality is identity and every memo keyed on an ideal hashes and
+    compares in C (object's own __eq__ and __hash__).  Copy, deepcopy and a
+    pickle round trip give the interned ideal.
 
     _factors, when given, is the ideal's factorization as (P, v) pairs in
     Ideal.factor's order, known to whoever built it (ideals_of_norm);
-    _factor confirms it on integers instead of finding it again.  Equality
-    and the hash ignore it."""
+    _factor confirms it on integers instead of finding it again.  Pairs
+    handed to a live ideal that differ from those it carries are confirmed
+    at once (_confirm_factors) and then kept, so a wrong hand-off raises
+    however the ideal was built first, and the pairs it already carries
+    cost one comparison."""
 
-    __slots__ = ("field", "hnf", "den", "_hash", "_factors")
+    __slots__ = ("field", "hnf", "den", "_factors", "__weakref__")
 
-    def __init__(
-        self, field: QuadField, hnf: tuple[int, ...], den: int = 1, _checked=False, _factors=None
-    ):
+    def __new__(cls, field: QuadField, hnf: tuple[int, ...], den: int = 1, _checked=False, _factors=None):
         if den <= 0:
             raise ValueError("denominator must be positive")
         if field.degree == 1:
@@ -164,23 +174,34 @@ class Ideal:
             a, b, c = hnf
             if a <= 0 or c <= 0 or not 0 <= b < a:
                 raise ValueError(f"not a normalized HNF triple: {hnf}")
-            g = gcd(gcd(a, gcd(b, c)), den)
-            hnf = (a // g, b // g, c // g)
-            den //= g
-            if not _checked:
+            g = gcd(a, b, c, den)
+            if g != 1:
+                hnf, den = (a // g, b // g, c // g), den // g
+        key = field, hnf, den
+        ref = _IDEALS.get(key)
+        I = None if ref is None else ref()
+        if I is None:
+            if not (_checked or field.degree == 1):
                 a, b, c = hnf
                 t, n = field.omega_trace, field.omega_norm
                 # stability under multiplication by w:
                 # w*a = (0, a), w*(b+cw) = (-n c, b + t c)
                 if not (_in_hnf(a, b, c, 0, a) and _in_hnf(a, b, c, -n * c, b + t * c)):
                     raise ValueError("module is not stable under the ring of integers")
-        self.field = field
-        self.hnf = hnf
-        self.den = den
-        # on d, not on the field object, so that the hash, like Elem's, is
-        # the same in every process
-        self._hash = hash((field.d, hnf, den))
-        self._factors = _factors
+            I = _publish(key, _new_ideal(field, hnf, den, _factors))
+        if _factors is not None and _factors != I._factors:
+            _confirm_factors(I, _factors)
+            object.__setattr__(I, "_factors", _factors)
+        return I
+
+    def __reduce__(self):
+        return Ideal, (self.field, self.hnf, self.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Ideal is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Ideal is immutable: cannot delete {name}")
 
     # -- basic structure ----------------------------------------------------
 
@@ -206,19 +227,6 @@ class Ideal:
             return [Elem(K, self.hnf[0], 0, den)]
         a, b, c = self.hnf
         return [Elem(K, a, 0, den), Elem(K, b, c, den)]
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Ideal)
-            and self.field is other.field
-            and self.hnf == other.hnf
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Ideal({self})"
@@ -300,15 +308,9 @@ class Ideal:
 
     def __mul__(self, other):
         if isinstance(other, Ideal):
-            K = self.field
-            if K is not other.field:
+            if self.field is not other.field:
                 raise ValueError("ideals of different fields")
-            # one memo entry per unordered pair of factors, the lesser
-            # (hnf, den) first, with no key tuple built here
-            h1, h2 = self.hnf, other.hnf
-            if h2 < h1 or (h2 == h1 and other.den < self.den):
-                return _product(K, h2, other.den, h1, self.den)
-            return _product(K, h1, self.den, h2, other.den)
+            return _product(self, other)
         if isinstance(other, (int, Fraction)):
             # integer products on the HNF; a Fraction adds its denominator,
             # and the sign is dropped: (-s) * I = s * I
@@ -635,10 +637,10 @@ def _hnf_product(
     return Ideal(K, _hnf_from_vectors(vecs), den1 * den2, _checked=True)
 
 
-# Ideal * Ideal, memoised by value: keyed on the field and the plain
-# (hnf, den) of each factor, never on Ideal objects, so a hit compares
-# tuples of ints and runs no Ideal.__eq__
-_product = lru_cache(maxsize=FACTOR_CACHE_SIZE)(_hnf_product)
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _product(I: Ideal, J: Ideal) -> Ideal:
+    """I * J for two ideals of one field, memoised per (I, J)."""
+    return _hnf_product(I.field, I.hnf, I.den, J.hnf, J.den)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
@@ -656,9 +658,17 @@ def _inverse(I: Ideal) -> Ideal:
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
-    if I._factors is not None:
-        _confirm_factors(I, I._factors)
-        return I._factors
+    pairs = I._factors
+    if pairs is None:
+        return _factor_by_norm(I)
+    _confirm_factors(I, pairs)
+    return pairs
+
+
+def _factor_by_norm(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
+    """The factorization of an ideal that was handed none: its valuations
+    at the primes of its norm and denominator, checked by multiplying the
+    prime powers back."""
     nm = I.norm()
     support = set(factorint(nm.numerator)) | set(factorint(nm.denominator))
     if I.den != 1:
@@ -672,7 +682,7 @@ def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
     rebuilt = unit_ideal(I.field)
     for P, v in out:
         rebuilt = rebuilt * P.ideal**v
-    if rebuilt != I:
+    if rebuilt is not I:
         raise AssertionError(f"factorization of {I} does not reassemble")
     return tuple(out)
 
@@ -709,6 +719,53 @@ def _divisors(I: Ideal) -> tuple[Ideal, ...]:
     for P, e in _factor(I):
         divs = [d * P.ideal**k for d in divs for k in range(e + 1)]
     return tuple(sorted(divs, key=lambda d: (d.norm_int(), d.hnf)))
+
+
+def _new_ideal(K: QuadField, hnf: tuple[int, ...], den: int, pairs) -> Ideal:
+    # the one constructor of Ideal objects, for Ideal.__new__ alone
+    I = object.__new__(Ideal)
+    object.__setattr__(I, "field", K)
+    object.__setattr__(I, "hnf", hnf)
+    object.__setattr__(I, "den", den)
+    object.__setattr__(I, "_factors", pairs)
+    return I
+
+
+# the interned ideals, by (field, hnf, den): a weak reference to the one
+# live ideal of each value, so the table holds no ideal alive.  An ideal is
+# published by an atomic dict.setdefault; a dead entry is taken out by
+# _remove_dead_weakref, which deletes an entry only while its reference is
+# dead, either by the callback of its dying ideal or by the next
+# publication of its value.  So no dead entry is returned or kept, and the
+# table holds the live ideals only.
+_IDEALS: dict[tuple, "_Ref"] = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned ideal that knows its key, built in C
+    (weakref.KeyedRef's constructor runs in Python)."""
+
+    __slots__ = ("key",)
+
+
+def _drop(dead: _Ref, table=_IDEALS, remove=_remove_dead_weakref) -> None:
+    # the callback of a dying ideal's reference, bound to the table and the
+    # remover so that it still runs while the module is torn down
+    remove(table, dead.key)
+
+
+def _publish(key: tuple, I: Ideal) -> Ideal:
+    """The live ideal of key: I unless another is published first."""
+    ref = _Ref(I, _drop)
+    ref.key = key
+    while True:
+        old = _IDEALS.setdefault(key, ref)
+        if old is ref:
+            return I
+        live = old()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_IDEALS, key)
 
 
 def unit_ideal(K: QuadField) -> Ideal:
@@ -770,6 +827,9 @@ class PrimeIdeal:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PrimeIdeal is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PrimeIdeal is immutable: cannot delete {name}")
 
     def __repr__(self):
         return (

@@ -71,8 +71,9 @@ built from (the route that the integer HNFs and handed factorizations of
 ideals.ideals_of_norm replaced).
 
 The last sections hold what only tests use, moved out of the package: small
-field, ideal and dyadic helpers, class_number, the order-ideal count at one
-index by brute root counts (the oracle for counting.order_ideal_counts), and
+field, ideal and dyadic helpers (all_reps of a square-class space among
+them), class_number, the order-ideal count at one index by brute root
+counts (the oracle for counting.order_ideal_counts), and
 Hilbert reciprocity over Q (the oracle for dyadic.hilbert_symbol).
 """
 
@@ -881,7 +882,7 @@ def element_pairing(F: LocalField) -> tuple[list[list[int]], list[list[int]], bo
     dyadic.duality_report with one hilbert_symbol call per pair of class
     representatives and per pair of basis elements, and the orthogonal
     complements by pair bits."""
-    reps = F.space().all_reps()
+    reps = all_reps(F.space())
     table = [[hilbert_symbol(x, y) for y in reps] for x in reps]
     gram = gram_by_symbols(F)
     return table, gram, duality_by_pair_bits(F, gram, unit_filtration(F))
@@ -968,7 +969,7 @@ def hilbert_symbol_q2_by_division(a, b) -> int:
 def q2_oracle_by_fractions(F: LocalField, table: list[list[int]]) -> bool:
     """q2_closed_form_oracle on the +-1 table, with one closed form per pair
     of representatives on their Fraction values."""
-    reps = [Fraction(r.a - F.W if r.a > F.W // 2 else r.a) for r in F.space().all_reps()]
+    reps = [Fraction(r.a - F.W if r.a > F.W // 2 else r.a) for r in all_reps(F.space())]
     return all(
         hilbert_symbol_q2_by_division(x, y) == table[i][j]
         for i, x in enumerate(reps)
@@ -1004,7 +1005,7 @@ def bilinear_by_entries(table: list[list[int]]) -> bool:
 def decompose_linear_by_elems(space: SquareClassSpace) -> bool:
     """decompose(reps[i] * reps[j]) == i ^ j with one LocalElem product and
     one public decompose per pair of representatives."""
-    reps = space.all_reps()
+    reps = all_reps(space)
     n = len(reps)
     return all(space.decompose(reps[i] * reps[j]) == i ^ j for i in range(n) for j in range(n))
 
@@ -1593,6 +1594,12 @@ def sqrt_gen(K: QuadField) -> Elem:
 
 def is_totally_negative(e: Elem) -> bool:
     return all(e.sign_at(i) < 0 for i in e.field.real_embeddings)
+
+
+def all_reps(space: SquareClassSpace) -> list[LocalElem]:
+    """A representative of every class of the space, by mask, each the
+    product of the basis elements over the mask's bits (SquareClassSpace.rep)."""
+    return [space.rep(m) for m in range(1 << space.dim)]
 
 
 def unit_level(u: LocalElem) -> int:

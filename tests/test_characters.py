@@ -141,6 +141,11 @@ def test_on_element_refuses_elements_not_coprime_to_delta(Q, Q10):
             chi.on_element(chi.field.elem(0))
 
 
+def _memo_of(delta):
+    # the entry of characters._memos that the characters of delta share
+    return characters._memos(delta.field, delta.X, delta.Y, delta.m)
+
+
 def test_characters_of_one_delta_share_prime_values(monkeypatch, Q5):
     # a second QuadCharacter of the same delta reads the first one's memo:
     # every at_prime value is computed by one kronecker call in all
@@ -189,7 +194,7 @@ def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5)
     assert info.delta == Q5.elem(-4)
     pool = [a for n in range(1, 65) for a in ideals_of_norm(Q5, n)]
     first = QuadCharacter(info)
-    setup = characters._memos(info.delta).setup
+    setup = _memo_of(info.delta).setup
     counts = [count_square_roots_local_product(first, a) for a in pool]
     verdicts = dict(first._local_memo)
     assert [str(P) for P in verdicts] == ["(2)"]
@@ -204,7 +209,7 @@ def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5)
     assert len(calls) == made
     characters._memos.cache_clear()
     again = QuadCharacter(info.delta)
-    assert characters._memos(info.delta).setup == setup
+    assert _memo_of(info.delta).setup == setup
     assert [count_square_roots_local_product(again, a) for a in pool] == counts
     assert again._local_memo == verdicts
     assert len(calls) == 2 * made
@@ -242,13 +247,13 @@ def test_hand_made_info_cannot_poison_the_shared_setup(Q):
     assert not bad.from_conductor_ideal and true.from_conductor_ideal
     with pytest.raises(ValueError, match="-16"):
         QuadCharacter(bad)
-    memo = characters._memos(delta)
+    memo = _memo_of(delta)
     assert memo.info == true and memo.info.f_delta == principal_ideal(Q.elem(2))
     assert QuadCharacter(delta).extended(principal_ideal(Q.elem(4))) == 2
     with pytest.raises(ValueError, match="-16"):
         QuadCharacter(bad)
     assert QuadCharacter(replace(true)).info == true
-    assert characters._memos(delta).info.f_delta == principal_ideal(Q.elem(2))
+    assert _memo_of(delta).info.f_delta == principal_ideal(Q.elem(2))
 
 
 def test_characters_from_elements_read_the_memo_info(monkeypatch, Q5):
@@ -284,7 +289,7 @@ def test_non_discriminant_leaves_no_memo_entry_filled(Q, Q5):
             with pytest.raises(ValueError) as got:
                 QuadCharacter(delta)
             assert str(got.value) == str(first.value)
-            memo = characters._memos(delta)
+            memo = _memo_of(delta)
             assert memo.info is None and memo.setup is None
             assert not memo.prime and not memo.unit_part and not memo.local
 
@@ -531,7 +536,7 @@ def test_hecke_check_fires_on_the_prime_memo(d):
         if P is None:
             assert chi.modulus.is_unit_ideal() and table == {}, info.delta  # delta = 1
             continue
-        memo = characters._memos(info.delta).prime
+        memo = _memo_of(info.delta).prime
         saved = memo[P]
         memo[P] = -saved
         try:

@@ -91,6 +91,22 @@ def test_table_prints_representatives_past_the_digit_limit():
     assert max(bits) == 21199
 
 
+def test_output_is_the_same_in_every_process():
+    # the memos key on interned fields, primes and ideals, which hash by
+    # identity, and so differently in every process: two fresh processes,
+    # with different string hash seeds too, must print the same bytes
+    src = str(Path(relquad.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["table", "--field", "10", "--bound", "500", "--format", "json"], ["unit-discs", "--field", "10"]):
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "relquad", *argv], capture_output=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].count(b"\n") > 3, argv
+
+
 def test_main_restores_the_digit_limit(capsys):
     # main lifts the integer-to-text limit only for its own call, so an
     # in-process caller keeps its interpreter state, after a usage error too

@@ -79,7 +79,7 @@ def test_roots_match_ideal_argument_search(d):
     for n in range(1, 31):
         for a in ideals_of_norm(K, n):
             for delta in deltas:
-                roots = counting._roots(delta, a)
+                roots = counting._roots(K, delta.X, delta.Y, a)
                 assert roots == tuple(square_root_coords(delta, a * 2, a * 4)), (K, a, delta)
                 found += len(roots)
     assert found > 200

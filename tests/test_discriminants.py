@@ -319,15 +319,17 @@ def _clear_ideal_memos():
 def test_table_classes_reuse_the_factorization_of_delta(d, monkeypatch):
     # the rows of table --bound 500: each info's conductor, read off the
     # ideal _class_reps built delta from, equals a from-scratch
-    # conductor_ideal and the division route; no row builds (delta) again
+    # conductor_ideal and the division route; no row factors (delta) again:
+    # principal_ideal(delta) is the interned ideal that ideals_of_norm
+    # built and handed its factorization, so the unhanded route never runs
     K = make_field(d)
     _clear_ideal_memos()
 
-    def refuse(e):
-        raise AssertionError(f"principal ideal of {e} built for a table row")
+    def refuse(I):
+        raise AssertionError(f"{I} factored again for a table row")
 
     with monkeypatch.context() as m:
-        m.setattr(discriminants, "principal_ideal", refuse)
+        m.setattr(ideals, "_factor_by_norm", refuse)
         infos = _class_reps_infos(monkeypatch, discriminants, lambda: tables.table_rows(K, 500))
     assert len(infos) == len(tables.table_rows(K, 500)) > 50
     _check_reused_factorization(infos)

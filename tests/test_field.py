@@ -36,6 +36,7 @@ from relquad.field import (
     roots_of_unity,
     unit_square_class_reps,
 )
+from relquad.ideals import primes_above
 
 
 def test_make_field_conventions():
@@ -106,6 +107,22 @@ def test_an_interned_field_refuses_assignment():
     with pytest.raises(AttributeError, match="QuadField is immutable: cannot set omega_norm"):
         K.omega_norm = 3
     assert str(K.elem(0, 1) ** 2) == "1+1*w"
+    assert _field_states() == before
+
+
+def test_interned_fields_and_primes_refuse_deletion():
+    # a deletion would break every user of the shared object: without
+    # omega_norm, w^2 in Q(sqrt 7) raised AttributeError, and without p,
+    # the prime's norm() did
+    K = make_field(7)
+    P = primes_above(make_field(5), 11)[0]
+    before = _field_states()
+    with pytest.raises(AttributeError, match="QuadField is immutable: cannot delete omega_norm"):
+        del make_field(7).omega_norm
+    with pytest.raises(AttributeError, match="PrimeIdeal is immutable: cannot delete p"):
+        del primes_above(make_field(5), 11)[0].p
+    assert str(K.elem(0, 1) ** 2) == "7" and K.omega_norm == -7
+    assert P.p == 11 and P.norm() == 11 and P is primes_above(make_field(5), 11)[0]
     assert _field_states() == before
 
 

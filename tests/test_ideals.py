@@ -1,4 +1,5 @@
 import copy
+import gc
 import os
 import pickle
 import random
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -434,6 +436,115 @@ def test_first_field_and_primes_under_threads(monkeypatch):
     assert all(P is Q for P, Q in zip(primes_above(K, 3), ps))
 
 
+def test_copies_of_an_ideal_are_the_ideal():
+    # copy, deepcopy and a pickle round trip hand back the interned ideal,
+    # over Q and two quadratic fields, integral and fractional
+    for d in (None, 10, -15):
+        K = make_field(d)
+        pool = [unit_ideal(K), *ideals_of_norm(K, 12), primes_above(K, 3)[0].ideal.inverse()]
+        for I in pool:
+            for twin in (copy.copy(I), copy.deepcopy(I), pickle.loads(pickle.dumps(I))):
+                assert twin is I, (d, I)
+        assert all(J is I for I, J in zip(pool, pickle.loads(pickle.dumps(pool))))
+
+
+def test_an_ideal_refuses_assignment_and_deletion(Q10):
+    # every holder of an ideal shares it, so neither may change it
+    I = p2_of(Q10)
+    for name in ("field", "hnf", "den", "_factors"):
+        with pytest.raises(AttributeError, match=f"Ideal is immutable: cannot set {name}"):
+            setattr(I, name, None)
+        with pytest.raises(AttributeError, match=f"Ideal is immutable: cannot delete {name}"):
+            delattr(I, name)
+    assert I.hnf == (2, 0, 1) and I.den == 1 and I * I is principal_ideal(Q10.elem(2))
+
+
+def _in_threads(work, count=8):
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_new_ideals_under_threads(monkeypatch):
+    # eight threads build the same new ideals.  First one ideal, with the
+    # builder gated so that each thread builds its own object before any
+    # is published: all of them get the object published first.  Then
+    # 2,000 new ideals, each spelled two ways, in eight shuffled orders:
+    # every thread gets one object per ideal, the one in the table
+    K = make_field(-15)
+    n = 7 * 10**6
+    built, got = [], []
+    barrier = threading.Barrier(8)
+    new_ideal = ideals._new_ideal
+
+    def gated(*args):
+        I = new_ideal(*args)
+        built.append(I)
+        try:
+            barrier.wait(timeout=10)
+        except threading.BrokenBarrierError:
+            pass
+        return I
+
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "_new_ideal", gated)
+        _in_threads(lambda i: got.append(Ideal(K, (n, 0, n))))
+    assert len({id(I) for I in built}) == 8 and len(got) == 8
+    assert all(I is got[0] for I in got) and ideals._IDEALS[K, (n, 0, n), 1]() is got[0]
+    sizes = range(n + 1, n + 2001)
+    results = [None] * 8
+
+    def work(i):
+        order = list(sizes)
+        random.Random(i).shuffle(order)
+        mine = {}
+        for k in order:
+            mine[k] = Ideal(K, (k, 0, k)) if (k + i) % 2 else Ideal(K, (3 * k, 0, 3 * k), 3)
+        results[i] = [mine[k] for k in sizes]
+
+    _in_threads(work)
+    for j, k in enumerate(sizes):
+        I = results[0][j]
+        assert I.hnf == (k, 0, k) and I.den == 1 and ideals._IDEALS[K, (k, 0, k), 1]() is I
+        assert all(mine[j] is I for mine in results), k
+
+
+def test_intern_table_holds_the_live_ideals_only():
+    # building and dropping 100,000 distinct ideals leaves no entry behind:
+    # after gc.collect() the table is at most the 100 ideals kept larger
+    # than before, and every entry refers to a live ideal
+    K = make_field(10)
+    gc.collect()
+    before = len(ideals._IDEALS)
+    kept = []
+    for n in range(10**7, 10**7 + 100_000):
+        I = Ideal(K, (n, 0, n))
+        if n % 1000 == 0:
+            kept.append(I)
+    del I
+    gc.collect()
+    assert len(kept) == 100 and len(ideals._IDEALS) <= before + len(kept)
+    assert all(ref() is not None for ref in ideals._IDEALS.values())
+    # a dead entry left in the table is replaced, never returned
+    n = 3 * 10**7
+    key = K, (n, 0, n), 1
+    I = Ideal(K, (n, 0, n))
+    dead = weakref.ref(I)
+    del I
+    assert key not in ideals._IDEALS and dead() is None
+    ideals._IDEALS[key] = dead
+    I = Ideal(K, (n, 0, n))
+    assert I.hnf == (n, 0, n) and ideals._IDEALS[key]() is I
+
+
 def test_hnf_valuation_matches_division_oracle():
     # every I * J^-1 with N(I) <= 60 and N(J) <= 30, at every prime above
     # 2, 3, 5 and 7: split, inert and ramified primes, integral and not
@@ -617,12 +728,12 @@ def test_triple_kernel_names_the_ideal_like_the_entry(monkeypatch):
         for n in range(1, 13):
             for a in ideals_of_norm(K, n):
                 if (a * 2).norm_int() <= 20:
-                    assert counting._roots(delta, a) == tuple(square_root_coords(delta, a * 2, a * 4))
+                    assert counting._roots(K, delta.X, delta.Y, a) == tuple(square_root_coords(delta, a * 2, a * 4))
                     continue
                 with pytest.raises(BoundExceeded) as want:
                     next(square_root_coords(delta, a * 2, a * 4))
                 with pytest.raises(BoundExceeded) as got:
-                    counting._roots(delta, a)
+                    counting._roots(K, delta.X, delta.Y, a)
                 assert str(got.value) == str(want.value), (K, a)
                 assert f"the ideal {(a * 2).pretty()}:" in str(got.value)
                 refused.add((a * 2).pretty().count(","))
@@ -1046,8 +1157,8 @@ ENUMERATION_FIELDS = (-1, -3, -15, -21, -105, 5, 2, 10, 15, 7, 195, 23, 19, 22, 
 def test_ideals_of_norm_match_product_oracle_cold_and_warm(d):
     # every integral ideal of norm <= 500: the HNFs built on integers and
     # the handed factorizations equal the product route's ideals and
-    # exponents, and today's factoring of a fresh copy of each ideal, with
-    # the memos emptied first and then full
+    # exponents, and the factoring of an ideal handed no pairs, with the
+    # memos emptied first and then full
     K = make_field(d)
     expected = {n: ideals_of_norm_by_products(K, n) for n in range(1, 501)}
     ideals._ideals_of_norm.cache_clear()
@@ -1059,7 +1170,7 @@ def test_ideals_of_norm_match_product_oracle_cold_and_warm(d):
             for I, (_, fac) in zip(got, pairs):
                 assert I.den == 1 and I.factor() == list(fac), (d, I, warm)
                 if not warm:
-                    assert ideals._factor.__wrapped__(Ideal(K, I.hnf)) == fac, (d, I)
+                    assert ideals._factor_by_norm(I) == fac, (d, I)
     assert sum(len(pairs) for pairs in expected.values()) > 200
 
 
@@ -1067,7 +1178,7 @@ def test_ideals_of_norm_match_product_oracle_cold_and_warm(d):
 def test_factoring_an_enumerated_ideal_builds_no_product(d, monkeypatch):
     # with the primes and their powers known, enumerating and factoring
     # multiply no ideals: the refusals stand in for Ideal.__mul__ (_product
-    # wraps the original _hnf_product), and the unhanded route meets them
+    # calls the original _hnf_product), and the unhanded route meets them
     K = make_field(d)
     for n in range(1, 201):
         ideals_of_norm(K, n)
@@ -1081,27 +1192,52 @@ def test_factoring_an_enumerated_ideal_builds_no_product(d, monkeypatch):
     monkeypatch.setattr(ideals, "_product", refuse)
     pool = [I for n in range(1, 201) for I in ideals_of_norm(K, n)]
     assert sum(len(I.factor()) for I in pool) > len(pool) // 2
+    # an enumerated ideal over 3 is an ideal the enumeration never built,
+    # so it is handed no pairs and its factorization is multiplied back
+    fractional = pool[-1] * Fraction(1, 3)
+    assert fractional.den == 3 and fractional._factors is None
     with pytest.raises(AssertionError, match="ideal product"):
-        ideals._factor.__wrapped__(Ideal(K, pool[-1].hnf))
+        fractional.factor()
 
 
-def test_handed_factorization_is_not_compared(Q10):
-    # equality and the hash ignore the handed pairs, so a memo keyed on
-    # an enumerated ideal is hit by the same ideal built any other way
+def test_handed_factorization_is_not_compared(Q10, monkeypatch):
+    # an ideal is one object however it was built, so a memo keyed on it
+    # is hit whichever route built it first
     for I in ideals_of_norm(Q10, 36):
-        J = Ideal(Q10, I.hnf)
-        assert I._factors is not None and J._factors is None
-        assert I == J and hash(I) == hash(J) and {I: 1}[J] == 1
+        assert I._factors is not None
+        assert Ideal(Q10, I.hnf) is I and ideal_from_generators(Q10, I.basis_elems()) is I
+    # an ideal built by products and factored by its norm is the one that
+    # ideals_of_norm returns: the pairs it hands are confirmed and kept, and
+    # its factorization is a hit of the memo the unhanded route filled
+    n = 3 * 13 * 31 * 37
+    I = unit_ideal(Q10)
+    for p in (3, 13, 31, 37):
+        I = I * primes_above(Q10, p)[0].ideal
+    assert I._factors is None
+    fac = I.factor()
+    hits = ideals._factor.cache_info().hits
+    assert sum(J is I for J in ideals_of_norm(Q10, n)) == 1
+    assert I._factors == tuple(fac)
+    assert I.factor() == fac and ideals._factor.cache_info().hits == hits + 1
+    # handing an ideal the pairs it carries costs one comparison: no
+    # confirmation runs
+    with monkeypatch.context() as m:
+        m.setattr(ideals, "_confirm_factors", lambda *args: pytest.fail("pairs confirmed again"))
+        assert Ideal(Q10, I.hnf, 1, _checked=True, _factors=tuple(fac)) is I
+        ideals._ideals_of_norm.cache_clear()
+        assert sum(J is I for J in ideals_of_norm(Q10, n)) == 1
     assert unit_ideal(Q10)._factors == () and unit_ideal(Q10).factor() == []
 
 
 _WRONG_HANDED_FACTORS = (
+    "import sys\n"
     "from relquad.field import make_field\n"
-    "from relquad.ideals import Ideal, _factor, primes_above\n"
+    "from relquad.ideals import _IDEALS, Ideal, ideals_of_norm, primes_above\n"
     "K = make_field(10)\n"
     "P2, = primes_above(K, 2)\n"
     "P3, Q3 = primes_above(K, 3)\n"
     "P5, = primes_above(K, 5)\n"
+    "P7, = primes_above(K, 7)\n"
     "M5, = primes_above(make_field(15), 5)\n"
     "cases = [\n"
     "    (P3.ideal * P3.ideal, ((P3, 1),)),\n"  # wrong exponent
@@ -1114,13 +1250,25 @@ _WRONG_HANDED_FACTORS = (
     "    (P5.ideal, ((M5, 1),)),\n"  # a prime of another field
     "    (P2.ideal * P5.ideal, ((P2, 1), (P5, 1))),\n"  # right: no raise
     "]\n"
-    "for I, pairs in cases:\n"
-    "    J = Ideal(K, I.hnf, 1, _checked=True, _factors=pairs)\n"
-    "    _factor.cache_clear()\n"
+    "def attempt(hnf, pairs):\n"
     "    try:\n"
-    "        print(J.factor() == list(pairs))\n"
+    "        J = Ideal(K, hnf, 1, _checked=True, _factors=pairs)\n"
+    "        return J.factor() == list(pairs)\n"
     "    except AssertionError as exc:\n"
-    "        print('raised' if str(J) in str(exc) else 'unnamed')\n"
+    "        return 'raised' if str(Ideal(K, hnf)) in str(exc) else 'unnamed'\n"
+    "for I, pairs in cases:\n"
+    "    # 7*I is new, and P7 is inert: its pairs are confirmed when it is factored\n"
+    "    hnf = tuple(7 * x for x in I.hnf)\n"
+    "    if (K, hnf, 1) in _IDEALS:\n"
+    "        sys.exit(f'{hnf} is live')\n"
+    "    print(attempt(hnf, pairs + ((P7, 1),)))\n"
+    "    # I is live, carrying no pairs or its own: they are confirmed at once\n"
+    "    print(attempt(I.hnf, pairs))\n"
+    "    # I carries its own pairs once ideals_of_norm has handed them, and\n"
+    "    # its factorization is memoised\n"
+    "    ideals_of_norm(K, I.norm_int())\n"
+    "    I.factor()\n"
+    "    print(attempt(I.hnf, pairs))\n"
 )
 
 
@@ -1130,4 +1278,4 @@ def test_wrong_handed_factorization_raises_even_under_O():
         out = subprocess.run(
             [sys.executable, *flags, "-c", _WRONG_HANDED_FACTORS], capture_output=True, text=True, env=env, check=True
         )
-        assert out.stdout.split() == ["raised"] * 8 + ["True"], flags
+        assert out.stdout.split() == ["raised"] * 24 + ["True"] * 3, flags

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import weakref
 from pathlib import Path
 
 import relquad
@@ -52,6 +53,12 @@ UNBOUNDED_MEMOS = {
     "ideals._PRIMES",
     "ideals._primes_above",
 }
+
+# intern tables of weak references: the ideals, by (field, hnf, den).  A
+# dying ideal's callback takes its entry out, so the table holds the live
+# ideals only, and it is bounded by whatever keeps them alive, the bounded
+# memos above all
+WEAK_INTERN_TABLES = {"ideals._IDEALS"}
 
 
 def _unbounded_cache_call(node) -> bool:
@@ -107,10 +114,18 @@ def test_every_unbounded_memo_interns():
             elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if _unbounded_cache_call(node.value.func):
                     found.update(f"{path.stem}.{t.id}" for t in node.targets)
-    assert found <= UNBOUNDED_MEMOS, sorted(found - UNBOUNDED_MEMOS)
+    assert found <= UNBOUNDED_MEMOS | WEAK_INTERN_TABLES, sorted(found - UNBOUNDED_MEMOS - WEAK_INTERN_TABLES)
     # the walk sees all three forms: decorators, wrapped assignments and
-    # the intern tables of the fields and the primes
+    # the intern tables of the fields, the primes and the ideals
     assert {"field._FIELDS", "ideals._PRIMES", "ideals._primes_above", "dyadic._intern_field"} <= found
+    assert WEAK_INTERN_TABLES <= found
+    # and every entry of a weak table is a weak reference; the memo of
+    # ideals_of_norm keeps the ideals of norm 20 live, so it has entries
+    relquad.ideals.ideals_of_norm(relquad.field.make_field(5), 20)
+    for name in WEAK_INTERN_TABLES:
+        module, table = name.split(".")
+        refs = getattr(importlib.import_module(f"relquad.{module}"), table).values()
+        assert refs and all(isinstance(ref, weakref.ref) for ref in refs), name
 
 
 def _class_defs(path: Path, name: str) -> list[str]:
@@ -126,10 +141,10 @@ def _class_defs(path: Path, name: str) -> list[str]:
 
 
 def test_interned_classes_compare_by_identity():
-    # one object per field and per prime, so neither class defines __eq__
-    # or __hash__: both use object's, which CPython runs in C
+    # one object per field, per prime and per ideal, so no class of them
+    # defines __eq__ or __hash__: they use object's, which CPython runs in C
     package = Path(relquad.__file__).parent
-    for module, cls in (("field", "QuadField"), ("ideals", "PrimeIdeal")):
+    for module, cls in (("field", "QuadField"), ("ideals", "PrimeIdeal"), ("ideals", "Ideal")):
         names = _class_defs(package / f"{module}.py", cls)
         assert "__new__" in names and "__reduce__" in names, (cls, names)
         assert not {"__eq__", "__hash__"} & set(names), (cls, names)
