@@ -124,15 +124,11 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
+def divisors(n: int) -> list[int]:
     divs = [1]
-    for p, e in fac.items():
+    for p, e in factorint(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def divisors(n: int) -> list[int]:
-    return divisors_from_factorization(factorint(n))
 
 
 def is_squarefree(n: int) -> bool:

@@ -50,21 +50,17 @@ counting.count_square_roots_formula runs the same kernel on exponent
 vectors.  The route that builds g as an ideal product and divides a by g^2
 survives as the test oracle tests/helpers.py::extended_by_ideals.
 
-Everything else a character needs is a pure function of delta, so every
-QuadCharacter of one delta shares it: _memos, a process-wide LRU cache of
-CHARACTER_MEMO_SIZE discriminants keyed on delta's field and integer
-coordinates, holds one entry per delta with
-the DiscriminantInfo of conductor_ideal(delta) and the set-up (the modulus
-(delta), v_P(delta) and v_P(f) at the primes of delta, all three read off
-the factorization that info keeps, and the sign type), filled by the first
-character of delta, whichever way it is built, and
-the memos of at_prime, of _unit_part_value and of the local verdicts of
-counting.count_square_roots_local, each by P.
+Everything else a character needs is a pure function of delta, and it
+lives on the DiscriminantInfo of delta, the one object per discriminant
+that conductor_ideal returns: the modulus (delta), v_P(delta) and v_P(f)
+at the primes of delta, the sign type, and the memos of at_prime, of
+_unit_part_value and of the local verdicts of
+counting.count_square_roots_local, each by P.  So every QuadCharacter of
+one delta shares them, built from delta or from its info, for as long as
+conductor_ideal's memo or a caller keeps the info.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .arith import BoundExceeded, kronecker
 from .discriminants import (
@@ -73,7 +69,7 @@ from .discriminants import (
     conductor_ideal,
     local_square_solvable,
 )
-from .field import Elem, QuadField, coords_sign
+from .field import Elem, coords_sign
 from .ideals import (
     Ideal,
     PrimeIdeal,
@@ -88,89 +84,26 @@ from .ideals import (
 __all__ = ["QuadCharacter"]
 
 RESIDUE_TABLE_BOUND = 4096  # largest N(delta) whose residue table is built
-CHARACTER_MEMO_SIZE = 1 << 10  # discriminants whose character memos are kept
-
-
-@lru_cache(maxsize=CHARACTER_MEMO_SIZE)
-def _memos(K: QuadField, X: int, Y: int, m: int) -> "_DeltaMemo":
-    """The memo entry shared by the characters of delta = (X + Y*w)/m in
-    K.  Keyed on the interned field and the integer coordinates, so a hit
-    hashes in C and equal coordinates in different fields keep separate
-    entries."""
-    return _DeltaMemo()
-
-
-class _DeltaMemo:
-    """What every QuadCharacter of one delta shares.
-
-    info and setup are None until the first character of delta stores the
-    DiscriminantInfo that conductor_ideal(delta) returns and the tuple
-    (modulus, delta_primes, f_exponents, negative_embeddings): (delta), its
-    primes with v_P(delta), v_P(f) at those primes, and the real embeddings
-    where delta is negative.  Both are computed before either is stored,
-    info first and setup last, so readers test setup; an element that is
-    not a discriminant leaves both None.  prime and unit_part hold at_prime
-    and _unit_part_value by P; local holds the verdicts of the local
-    casework of counting.count_square_roots_local by P."""
-
-    __slots__ = ("info", "setup", "prime", "unit_part", "local")
-
-    def __init__(self):
-        self.info = self.setup = None
-        self.prime = {}
-        self.unit_part = {}
-        self.local = {}
-
-
-def _fill(memo: _DeltaMemo, info: DiscriminantInfo) -> None:
-    """Store info, which conductor_ideal returned, and the set-up tuple of
-    its discriminant in memo: (delta), v_P(delta) and v_P(f) are those the
-    info keeps, so no second (delta) is built or factored.  The info's
-    read-only maps are copied into plain dicts, whose lookups the value
-    kernels make."""
-    delta = info.delta
-    modulus, delta_primes, f_exponents = info._factorization
-    negative = tuple(i for i in delta.field.real_embeddings if delta.sign_at(i) < 0)
-    memo.info = info
-    memo.setup = modulus, dict(delta_primes), dict(f_exponents), negative
 
 
 class QuadCharacter:
     """All character data attached to one discriminant.
 
-    Instances of one delta share the set-up and memos of its _memos entry.
-    Every entry is a pure function of delta and is written whole, so a
-    concurrent writer can only store the value already there; sharing
-    across threads needs no lock.  The entry keeps the DiscriminantInfo
-    that conductor_ideal(delta) returns, and a character built from an
-    element reads it rather than running conductor_ideal again.  A
-    DiscriminantInfo passed in must equal that entry, or ValueError; one
-    that conductor_ideal returned may fill an empty entry itself, while any
-    other is checked against a fresh conductor_ideal(delta) first.
+    The set-up and the memos live on the DiscriminantInfo of delta, the
+    one object per discriminant that conductor_ideal returns, so every
+    character of delta shares them, whether it is built from delta or from
+    the info; the character keeps references to them for its kernels.  A
+    delta that is not a discriminant raises conductor_ideal's ValueError.
     """
 
     def __init__(self, delta: Elem | DiscriminantInfo):
-        given = None
-        if isinstance(delta, DiscriminantInfo):
-            given, delta = delta, delta.delta
-        memo = _memos(delta.field, delta.X, delta.Y, delta.m)
-        if memo.setup is None:
-            # an info that conductor_ideal returned stands in for that call;
-            # a delta that is not a discriminant raises here, memo left empty
-            trusted = given is not None and given.from_conductor_ideal
-            _fill(memo, given if trusted else conductor_ideal(delta))
+        info = delta if isinstance(delta, DiscriminantInfo) else conductor_ideal(delta)
+        self.info, self.delta, self.field, self.conductor = info, info.delta, info.delta.field, info.rel_disc
+        self.modulus, self.negative_embeddings = info.modulus, info.negative_embeddings
         # the primes P of delta map to v_P(delta), so coprimality to delta
-        # is v_P = 0 at each; _f_exponents maps them to v_P(f); the negative
-        # embeddings are the sign type
-        self.modulus, self._delta_primes, self._f_exponents, self.negative_embeddings = memo.setup
-        info = memo.info
-        if given is not None and given is not info and given != info:
-            raise ValueError(f"the DiscriminantInfo given for {delta} is not conductor_ideal({delta})")
-        self.info = info
-        self.delta = delta
-        self.field = delta.field
-        self.conductor = info.rel_disc
-        self._prime_memo, self._unit_part_memo, self._local_memo = memo.prime, memo.unit_part, memo.local
+        # is v_P = 0 at each; _f_exponents maps them to v_P(f)
+        self._delta_primes, self._f_exponents = info.delta_primes, info.f_exponents
+        self._prime_memo, self._unit_part_memo, self._local_memo = info._prime, info._unit_part, info._local
 
     # -- the symbol on primes and coprime ideals -----------------------------
 
@@ -341,13 +274,14 @@ class QuadCharacter:
         a/g^2, valued by the splitting law: _unit_part_value at a prime of
         delta, 0 on the conductor, and at_prime elsewhere, each at odd
         exponents only."""
+        delta_primes = self._delta_primes
         val = 1
         for P, v in pairs:
-            l = self._delta_primes.get(P)
-            if l is None:
+            if P not in delta_primes:
                 if v % 2:
                     val *= self.at_prime(P)
                 continue
+            l = delta_primes[P]
             if weighted:
                 e = min(v, l)
                 if e % 2 or e // 2 > self._f_exponents[P]:

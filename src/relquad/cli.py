@@ -354,24 +354,48 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The namespace parse_args(argv) gives on _parser().  When argv[0]
-    names a subcommand, that subcommand's parser reads argv[1:], as the full
-    parser would hand them on: straight off its action table if the
-    arguments are well formed (_read_options), else in one argparse pass,
-    which raises the same usage errors.  An argv it leaves arguments over
-    from, and any argv that does not start with a subcommand (none, -h, an
-    unknown command), goes through the full parser, which prints the same
-    help or usage error as it would have for the whole request."""
+    """The namespace parse_args(argv) gives on _parser(), but for a
+    _lone_dash value after its option, which argparse would refuse.  When
+    argv[0] names a subcommand, that subcommand's parser reads argv[1:], as
+    the full parser would hand them on: straight off its action table if
+    the arguments are well formed (_read_options), else in one argparse
+    pass, with those values joined to their options (_join_values).  An
+    argv it leaves arguments over from, and any argv that does not start
+    with a subcommand (none, -h, an unknown command), goes through the full
+    parser, which prints the same help or usage error as it would have for
+    the whole request."""
     ap = _parser()
     sub = ap._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
     if sub is not None:
         args = _read_options(sub, argv[0], argv[1:])
         if args is not None:
             return args
+        argv = [argv[0], *_join_values(sub, argv[1:])]
         args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:
             return args
     return ap.parse_args(argv)
+
+
+def _lone_dash(value: str, actions: dict) -> bool:
+    """Whether value is led by one "-" and names no option of actions, like
+    the delta -3+1*w: argparse takes it for an unknown option."""
+    return value[:1] == "-" and value[:2] != "--" and value[:2] not in actions
+
+
+def _join_values(sub: argparse.ArgumentParser, tokens: list) -> list:
+    """tokens with each pair --name value written --name=value up to the
+    first "--", where --name stores one value and value is a _lone_dash."""
+    actions = sub._option_string_actions
+    out, i = [], 0
+    while i < len(tokens) and tokens[i] != "--":
+        token, value = tokens[i], tokens[i + 1] if i + 1 < len(tokens) else ""
+        action = actions.get(token)
+        i += 1
+        if type(action) is argparse._StoreAction and action.nargs is None and _lone_dash(value, actions):
+            token, i = f"{token}={value}", i + 1
+        out.append(token)
+    return out + tokens[i:]
 
 
 def _read_options(sub: argparse.ArgumentParser, command: str, tokens: list):
@@ -379,9 +403,9 @@ def _read_options(sub: argparse.ArgumentParser, command: str, tokens: list):
     left over, read off sub's own tables (_option_string_actions, _actions,
     _defaults) when every token is --name value or --name=value: each name
     an exact option string of a plain store action, no dest given twice,
-    each value passing the action's type and choices, a separate value not
-    starting with "-" unless argparse reads it as a negative number, and
-    every required option present.  None for anything else (help,
+    each value passing the action's type and choices, a separate value
+    starting with "-" only as a _lone_dash, and every required option
+    present.  None for anything else (help,
     abbreviations, positionals, "--", repeats, bad values, missing options),
     which argparse then parses and reports."""
     if sub.prefix_chars != "-" or sub._mutually_exclusive_groups or sub.fromfile_prefix_chars is not None:
@@ -398,9 +422,7 @@ def _read_options(sub: argparse.ArgumentParser, command: str, tokens: list):
             if i + 1 == len(tokens):
                 return None
             value = tokens[i + 1]
-            if value[:1] == "-" and (
-                sub._has_negative_number_optionals or not sub._negative_number_matcher.match(value)
-            ):
+            if value[:1] == "-" and not _lone_dash(value, actions):
                 return None
             i += 2
         else:

@@ -14,8 +14,8 @@ character's exponent kernel, QuadCharacter._value; it stays a sum over all
 divisors, independent of the local casework.  The local count at P^k reads
 v_P(delta) from the character's prime dict.  At a prime of delta with
 v_P(delta) even it rests on at most three local_square_solvable verdicts,
-decided once per (delta, P) and kept in the local memo of delta's entry
-in characters._memos: a prime recurs across the ideals of one delta and
+decided once per (delta, P) and kept in the local memo of delta's
+DiscriminantInfo: a prime recurs across the ideals of one delta and
 across its characters.  The route over divisors built as ideal
 products survives as the test oracle
 tests/helpers.py::count_square_roots_formula_by_ideals.
@@ -123,9 +123,9 @@ def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
         raise ValueError(f"exponent k must be >= 0, got {k} at {P}")
     if k == 0:
         return 1
-    l = chi._delta_primes.get(P, 0)
-    if l == 0:
+    if P not in chi._delta_primes:
         return 1 + chi.at_prime(P)
+    l = chi._delta_primes[P]
     e2 = _dyadic_ramification(P)
     Np = P.norm()
     if 2 * e2 + k <= l:
@@ -148,7 +148,7 @@ def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
 
 def _local_verdicts(chi: QuadCharacter, P: PrimeIdeal, l: int, e2: int) -> tuple[bool, int]:
     """(unit_square, t) at a prime P of delta with l = v_P(delta) even and
-    e2 = v_P(2), memoised in the character's entry for delta: whether the
+    e2 = v_P(2), memoised on the DiscriminantInfo of delta: whether the
     unit part is a square mod 4 at P, and then t = +-1 as it is one mod 4P,
     else the odd level below 2 e2 up to which it is a square.  The unit
     part is a square mod P^m iff delta is mod P^(l + m)."""

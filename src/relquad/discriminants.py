@@ -16,21 +16,19 @@ of the factorization of (delta): k_P = v_P(f), f = prod P^k and rel_disc =
 prod P^(l - 2k) from the memo of PrimeIdeal.power, with no ideal division,
 and the witness by the search kernel ideals._root_coords on the HNF
 triples of f and f^2 scaled by 2 and 4, with no ideal 2f or 4f^2 built.
-The DiscriminantInfo keeps (delta) and read-only maps P -> v_P(delta) and
-P -> v_P(f), so characters and fundamental_discriminant_data read them
-rather than build and factor (delta) again.  The route that factored
-(delta) afresh and divided by f^2 is the test oracle
-tests/helpers.py::conductor_by_division.
+The route that factored (delta) afresh and divided by f^2 is the test
+oracle tests/helpers.py::conductor_by_division.
 
-The info is memoised process-wide per (field, X, Y), delta = X + Y*w, in
-an LRU cache of ideals.FACTOR_CACHE_SIZE entries (_conductor), so a hit
-builds no ideal and hashes in C.  A miss builds (delta), which is
+A DiscriminantInfo is the one object per discriminant: the characters,
+fundamental_discriminant_data and verify read (delta) and its
+factorization off it, and the characters keep their memos on it.  It is
+built in _conductor alone, memoised process-wide per (field, X, Y),
+delta = X + Y*w, in an LRU cache of ideals.FACTOR_CACHE_SIZE entries, so
+a hit builds no ideal and hashes in C.  A miss builds (delta), which is
 interned: for a table row it is the ideal that ideals_of_norm built and
 handed its factorization, so no row factors (delta) afresh.  So fdelta,
 conductor, the characters, the table rows and unit_discriminants share
-one DiscriminantInfo per delta.  Every field of the info is
-immutable, its maps included, so no caller can change what a later hit
-returns.
+one info per delta, which no caller can change but by filling its memos.
 
 The class enumeration builds each class modulo unit squares once, as a
 principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
@@ -47,7 +45,7 @@ signs match are multiplied by g.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -85,25 +83,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DiscriminantInfo:
-    delta: Elem
-    f_delta: Ideal
-    rel_disc: Ideal
-    is_square_in_K: bool
-    witness_x: Elem  # x with x^2 = delta mod 4 f^2
-    # set only on the infos conductor_ideal returns: (modulus, delta_primes,
-    # f_exponents), that is (delta), the read-only map P -> v_P(delta) in
-    # the order of Ideal.factor and the read-only map P -> v_P(f) over the
-    # same P; a copy made by hand or by dataclasses.replace holds None
-    _factorization: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    """Every fact relquad keeps about one discriminant delta: f_delta,
+    rel_disc = (delta)/f^2, is_square_in_K, witness_x with x^2 = delta mod
+    4 f^2; modulus = (delta), the read-only maps delta_primes, P ->
+    v_P(delta) in the order of Ideal.factor, and f_exponents, P -> v_P(f),
+    and negative_embeddings, where delta is negative; and the memos, by P,
+    that every QuadCharacter of delta shares: _prime (at_prime), _unit_part
+    (_unit_part_value) and _local (counting's local verdicts), whose
+    entries are pure functions of delta, so threads share them unlocked.
 
-    @property
-    def from_conductor_ideal(self) -> bool:
-        """True only on the infos conductor_ideal returns, which
-        QuadCharacter and fundamental_discriminant_data trust without
-        running conductor_ideal again."""
-        return self._factorization is not None
+    Only _conductor, the memo of conductor_ideal, builds an info.  It is
+    immutable, equal and hashed by delta; DiscriminantInfo(delta) written
+    out by hand, and copy, deepcopy or a pickle round trip of an info, give
+    conductor_ideal(delta)."""
+
+    __slots__ = (
+        "delta", "f_delta", "rel_disc", "is_square_in_K", "witness_x", "modulus",
+        "delta_primes", "f_exponents", "negative_embeddings", "_prime", "_unit_part", "_local",
+    )
+
+    def __new__(cls, delta: Elem):
+        return conductor_ideal(delta)
+
+    def __reduce__(self):
+        return DiscriminantInfo, (self.delta,)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiscriminantInfo is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DiscriminantInfo is immutable: cannot delete {name}")
+
+    def __eq__(self, other):
+        return self.delta == other.delta if isinstance(other, DiscriminantInfo) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.delta)
+
+    def __repr__(self):
+        return f"DiscriminantInfo({self.delta!r})"
 
 
 @dataclass(frozen=True)
@@ -211,9 +230,9 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     prod P^(l - 2k), from the memo of PrimeIdeal.power, with no ideal
     division.  The witness is the first root of x^2 = delta mod 4f^2 in the
     HNF box of 2f, searched on f's and f^2's HNF triples scaled by 2 and 4
-    (ideals._root_coords).  The returned info keeps (delta), v_P(delta)
-    and v_P(f) at each P | delta in its _factorization field, which
-    characters and fundamental_discriminant_data read.  Memoised per delta
+    (ideals._root_coords).  The returned info also keeps (delta) and
+    v_P(delta), v_P(f) at each P | delta, which the characters,
+    fundamental_discriminant_data and verify read.  Memoised per delta
     (_conductor): every call for one delta returns the same info."""
     if not delta or not delta.is_integral():
         raise ValueError("nonzero integral element required")
@@ -248,15 +267,15 @@ def _conductor(K: QuadField, X: int, Y: int) -> DiscriminantInfo:
     coords = next(_root_coords(K, delta.X, delta.Y, _hnf_triple(f, 2), _hnf_triple(f2, 4)), None)
     if coords is None:
         raise AssertionError("per-prime solvability holds but no global witness found")
-    info = DiscriminantInfo(
-        delta=delta,
-        f_delta=f,
-        rel_disc=rel,
-        is_square_in_K=delta.is_square(),
-        witness_x=K.elem(*coords),
+    negative = tuple(i for i in K.real_embeddings if coords_sign(K, X, Y, i) < 0)
+    # the one constructor of DiscriminantInfo objects
+    info = object.__new__(DiscriminantInfo)
+    facts = (
+        delta, f, rel, delta.is_square(), K.elem(*coords), modulus,
+        MappingProxyType(delta_primes), MappingProxyType(f_exponents), negative, {}, {}, {},
     )
-    read_only = modulus, MappingProxyType(delta_primes), MappingProxyType(f_exponents)
-    object.__setattr__(info, "_factorization", read_only)
+    for name, value in zip(DiscriminantInfo.__slots__, facts):
+        object.__setattr__(info, name, value)
     return info
 
 
@@ -302,26 +321,14 @@ def is_unit_discriminant(delta: Elem) -> bool:
 def fundamental_discriminant_data(delta: "Elem | DiscriminantInfo") -> FundDiscData:
     """Local components, real signs and, when f is principal, a
     representative of conductor (1).  Accepts the DiscriminantInfo of
-    conductor_ideal in place of delta, as is_unit_discriminant does; an
-    info that conductor_ideal did not return (one made by hand or by
-    dataclasses.replace) must equal conductor_ideal(delta), or ValueError.
-    The primes of delta and v_P(delta), v_P(f) at each are read off the
-    factorization the info keeps."""
-    if isinstance(delta, DiscriminantInfo):
-        info = delta
-        if not info.from_conductor_ideal:
-            info = conductor_ideal(info.delta)
-            if info != delta:
-                d = info.delta
-                raise ValueError(f"the DiscriminantInfo given for {d} is not conductor_ideal({d})")
-    else:
-        info = conductor_ideal(delta)
+    delta in place of delta, as is_unit_discriminant does, and reads the
+    primes of delta and v_P(delta), v_P(f) at each off it."""
+    info = delta if isinstance(delta, DiscriminantInfo) else conductor_ideal(delta)
     delta = info.delta
     K = delta.field
-    _, delta_primes, f_exponents = info._factorization
     comps = []
-    for P, l in delta_primes.items():
-        k = f_exponents[P]
+    for P, l in info.delta_primes.items():
+        k = info.f_exponents[P]
         pi = uniformizer_of(P)
         comp = delta / pi ** (2 * k)
         residual = l - 2 * k

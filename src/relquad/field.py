@@ -10,7 +10,7 @@ enumeration also calls on bare pairs; _window_least walks a pair by a
 power of the fundamental unit into a balanced window, for the class
 enumeration and Ideal.principal_generator alike.  Fraction appears only
 at the boundary: QuadField.elem and parse_elem take rationals, and x, y,
-norm, trace and as_sqrt_coords return them.  A field is interned, one
+norm and as_sqrt_coords return them.  A field is interned, one
 object per d, so an element's field is compared by identity.
 """
 
@@ -273,9 +273,6 @@ class Elem:
 
     def conj(self) -> "Elem":
         return Elem(self.field, self.X + self.field.omega_trace * self.Y, -self.Y, self.m)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.X + self.field.omega_trace * self.Y, self.m)
 
     def norm(self) -> Fraction:
         K, X, Y = self.field, self.X, self.Y

@@ -376,10 +376,6 @@ class Ideal:
         ]
         return Ideal(self.field, _hnf_from_vectors(vecs), d1 * d2, _checked=True)
 
-    def lcm(self, other: "Ideal") -> "Ideal":
-        """lcm = intersection; computed as product / gcd."""
-        return (self * other).divide_exact(self.gcd(other))
-
     def divide_exact(self, other: "Ideal") -> "Ideal":
         q = self * other.inverse()
         if not q.is_integral():

@@ -253,9 +253,8 @@ def conductor_suite(
             failures.append(f"delta {info.delta}: conductor scaling failed")
         # dyadic two-path agreement, with v_P(delta) read off the
         # factorization of (delta) that the info keeps
-        _, delta_primes, _ = info._factorization
         for P, (F, omega_img) in completions.items():
-            l = delta_primes.get(P, 0)
+            l = info.delta_primes.get(P, 0)
             if l == 0:
                 continue
             cases += 1

@@ -79,6 +79,8 @@ Hilbert reciprocity over Q (the oracle for dyadic.hilbert_symbol).
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1541,8 +1543,9 @@ def parse_elem_by_fractions(K: QuadField, text: str) -> Elem:
 
 def main_by_full_parser(argv=None) -> int:
     """relquad.cli.main as it parsed every request before the dispatch to
-    the subcommand's parser: one parse_args on a freshly built full parser."""
-    args = build_parser().parse_args(argv)
+    the subcommand's parser: one parse_args on a freshly built full parser,
+    of argv in equals_form."""
+    args = build_parser().parse_args(None if argv is None else equals_form(argv))
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
@@ -1551,6 +1554,29 @@ def main_by_full_parser(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def equals_form(argv: list) -> list:
+    """argv with every value that a subcommand's option takes as the next
+    token, when that value starts with one "-" and is no option of the
+    subcommand, moved into the option as --name=value, up to a "--": the
+    form in which argparse itself reads such a value (-3+1*w, -4)."""
+    ap = build_parser()
+    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if not argv or argv[0] not in subs:
+        return list(argv)
+    options = subs[argv[0]]._option_string_actions
+    out, rest = [argv[0]], list(argv[1:])
+    while rest:
+        token = rest.pop(0)
+        if token == "--":
+            return out + [token] + rest
+        action = options.get(token)
+        takes_one = isinstance(action, argparse._StoreAction) and action.nargs is None
+        if takes_one and rest and re.match(r"-(?!-)", rest[0]) and rest[0][:2] not in options:
+            token = f"{token}={rest.pop(0)}"
+        out.append(token)
+    return out
 
 
 # -- moved out of the package: names that only tests and these oracles use ---------
@@ -1590,6 +1616,16 @@ def sqrt_gen(K: QuadField) -> Elem:
     if K.d % 4 == 1:
         return K.elem(-1, 2)  # sqrt(d) = 2w - 1
     return K.elem(0, 1)
+
+
+def elem_trace(a: Elem) -> Fraction:
+    """The trace a + conj(a) = (2X + t*Y)/m, t the trace of w."""
+    return Fraction(2 * a.X + a.field.omega_trace * a.Y, a.m)
+
+
+def ideal_lcm(a: Ideal, b: Ideal) -> Ideal:
+    """lcm = intersection; computed as product / gcd."""
+    return (a * b).divide_exact(a.gcd(b))
 
 
 def is_totally_negative(e: Elem) -> bool:

@@ -29,7 +29,7 @@ from relquad.counting import (
     count_square_roots_local,
     count_square_roots_local_product,
 )
-from relquad.discriminants import conductor_ideal, discriminant_classes
+from relquad.discriminants import DiscriminantInfo, conductor_ideal, discriminant_classes
 from relquad.field import make_field
 from relquad.ideals import (
     Ideal,
@@ -141,15 +141,11 @@ def test_on_element_refuses_elements_not_coprime_to_delta(Q, Q10):
             chi.on_element(chi.field.elem(0))
 
 
-def _memo_of(delta):
-    # the entry of characters._memos that the characters of delta share
-    return characters._memos(delta.field, delta.X, delta.Y, delta.m)
-
-
 def test_characters_of_one_delta_share_prime_values(monkeypatch, Q5):
-    # a second QuadCharacter of the same delta reads the first one's memo:
-    # every at_prime value is computed by one kronecker call in all
-    characters._memos.cache_clear()
+    # a second QuadCharacter of the same delta reads the first one's memo,
+    # which lives on the info of delta: every at_prime value is computed by
+    # one kronecker call in all
+    discriminants._conductor.cache_clear()
     calls = []
 
     def counted(n, p):
@@ -167,22 +163,27 @@ def test_characters_of_one_delta_share_prime_values(monkeypatch, Q5):
     ]
     values = [first.at_prime(P) for P in odd]
     assert len(calls) == len(odd)
+    assert info._prime == dict(zip(odd, values))
     for chi in (QuadCharacter(info), QuadCharacter(info.delta)):
+        assert chi._prime_memo is info._prime
         assert [chi.at_prime(P) for P in odd] == values
         assert chi.on_ideal(odd[0].ideal * odd[1].ideal) == values[0] * values[1]
     assert len(calls) == len(odd)
-    # a dropped memo is refilled with the same values
-    characters._memos.cache_clear()
-    assert [QuadCharacter(info).at_prime(P) for P in odd] == values
+    # an info dropped from the memo of conductor_ideal is rebuilt with
+    # empty memos, refilled with the same values
+    discriminants._conductor.cache_clear()
+    again = QuadCharacter(info.delta)
+    assert again.info is not info and again.info == info and not again.info._prime
+    assert [again.at_prime(P) for P in odd] == values
     assert len(calls) == 2 * len(odd)
 
 
 def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5):
     # delta = -4 in Q(sqrt 5): (2) is inert with v = 2, so the local casework
     # at (2) takes local_square_solvable verdicts.  The set-up and the
-    # verdicts live in one entry of _memos(delta) for characters built from
-    # the info and from delta, and a dropped entry is refilled with the same
-    characters._memos.cache_clear()
+    # verdicts live on the one info of delta for characters built from the
+    # info and from delta, and a dropped info is rebuilt with the same
+    discriminants._conductor.cache_clear()
     calls = []
 
     def counted(delta, P, t):
@@ -194,24 +195,27 @@ def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5)
     assert info.delta == Q5.elem(-4)
     pool = [a for n in range(1, 65) for a in ideals_of_norm(Q5, n)]
     first = QuadCharacter(info)
-    setup = _memo_of(info.delta).setup
+    built = discriminants._conductor.cache_info().misses
+    setup = info.modulus, info.delta_primes, info.f_exponents, info.negative_embeddings
     counts = [count_square_roots_local_product(first, a) for a in pool]
-    verdicts = dict(first._local_memo)
+    verdicts = dict(info._local)
     assert [str(P) for P in verdicts] == ["(2)"]
     assert 1 <= len(calls) <= 3
     made = len(calls)
     for chi in (QuadCharacter(info), QuadCharacter(info.delta)):
-        assert chi._local_memo is first._local_memo
+        assert chi.info is info and chi._local_memo is first._local_memo is info._local
         assert (chi.modulus, chi._delta_primes, chi._f_exponents, chi.negative_embeddings) == setup
-        assert chi._delta_primes is first._delta_primes
+        assert chi._delta_primes is first._delta_primes is info.delta_primes
         assert [count_square_roots_local_product(chi, a) for a in pool] == counts
-    assert characters._memos.cache_info().currsize == 1
+    assert discriminants._conductor.cache_info().misses == built
     assert len(calls) == made
-    characters._memos.cache_clear()
+    discriminants._conductor.cache_clear()
     again = QuadCharacter(info.delta)
-    assert _memo_of(info.delta).setup == setup
+    rebuilt = again.info
+    assert rebuilt is not info
+    assert (rebuilt.modulus, rebuilt.delta_primes, rebuilt.f_exponents, rebuilt.negative_embeddings) == setup
     assert [count_square_roots_local_product(again, a) for a in pool] == counts
-    assert again._local_memo == verdicts
+    assert rebuilt._local == verdicts
     assert len(calls) == 2 * made
 
 
@@ -221,7 +225,7 @@ def test_dyadic_at_prime_matches_ideal_argument_search(d):
     # the same verdict as square_root_coords on the ideals 2P and 4P, and as
     # the full residue search of 4P, at every dyadic P off delta
     K = make_field(d)
-    characters._memos.cache_clear()
+    discriminants._conductor.cache_clear()
     checked = 0
     for info in discriminant_classes(K, 80):
         chi = QuadCharacter(info)
@@ -236,30 +240,29 @@ def test_dyadic_at_prime_matches_ideal_argument_search(d):
 
 
 def test_hand_made_info_cannot_poison_the_shared_setup(Q):
-    # over Q, f(-16) = (2); an info claiming f = (1) is refused, naming
-    # delta, and leaves the memo with the true info: a fresh character of
-    # -16 still weights gcd (4) by N(f) = 2, and a hand-made info equal to
-    # the true one is accepted
-    characters._memos.cache_clear()
+    # over Q, f(-16) = (2); no info claiming f = (1) can be made: an info
+    # written out by hand is conductor_ideal's, a dataclass copy is
+    # refused and a field cannot be rebound, so a fresh character of -16
+    # still weights gcd (4) by N(f) = 2
+    discriminants._conductor.cache_clear()
     delta = Q.elem(-16)
     true = conductor_ideal(delta)
-    bad = replace(true, f_delta=unit_ideal(Q), rel_disc=principal_ideal(Q.elem(16)))
-    assert not bad.from_conductor_ideal and true.from_conductor_ideal
-    with pytest.raises(ValueError, match="-16"):
-        QuadCharacter(bad)
-    memo = _memo_of(delta)
-    assert memo.info == true and memo.info.f_delta == principal_ideal(Q.elem(2))
+    assert DiscriminantInfo(delta) is true
+    with pytest.raises(TypeError):
+        replace(true, f_delta=unit_ideal(Q), rel_disc=principal_ideal(Q.elem(16)))
+    with pytest.raises(AttributeError, match="immutable"):
+        true.f_delta = unit_ideal(Q)
+    assert QuadCharacter(DiscriminantInfo(delta)).info is true
+    assert true.f_delta == principal_ideal(Q.elem(2))
     assert QuadCharacter(delta).extended(principal_ideal(Q.elem(4))) == 2
-    with pytest.raises(ValueError, match="-16"):
-        QuadCharacter(bad)
-    assert QuadCharacter(replace(true)).info == true
-    assert _memo_of(delta).info.f_delta == principal_ideal(Q.elem(2))
+    assert QuadCharacter(true).extended(principal_ideal(Q.elem(4))) == 2
 
 
 def test_characters_from_elements_read_the_memo_info(monkeypatch, Q5):
-    # the first character of delta runs conductor_ideal once; later ones,
-    # from the element or from the info, read the memo's info
-    characters._memos.cache_clear()
+    # the first character of delta builds its info once, in the memo of
+    # conductor_ideal; later ones from the element read that info through
+    # conductor_ideal, and one from the info calls nothing
+    discriminants._conductor.cache_clear()
     calls = []
 
     def counted(delta):
@@ -269,19 +272,21 @@ def test_characters_from_elements_read_the_memo_info(monkeypatch, Q5):
     monkeypatch.setattr(characters, "conductor_ideal", counted)
     delta = Q5.elem(-12)
     first = QuadCharacter(delta)
-    assert calls == [delta] and first.info == conductor_ideal(delta)
+    assert calls == [delta] and first.info is conductor_ideal(delta)
     for _ in range(3):
         again = QuadCharacter(delta)
         assert again.info is first.info and again.conductor == first.conductor
     assert QuadCharacter(first.info).info is first.info
-    assert calls == [delta]
+    assert calls == [delta] * 4
+    assert discriminants._conductor.cache_info().misses == 1
 
 
 def test_non_discriminant_leaves_no_memo_entry_filled(Q, Q5):
     # an element that is not a square mod 4 raises conductor_ideal's
-    # ValueError every time, and its memo entry stays empty
+    # ValueError from QuadCharacter every time, and the memo of
+    # conductor_ideal keeps no entry for it
     for K, x in ((Q, 3), (Q5, 2)):
-        characters._memos.cache_clear()
+        discriminants._conductor.cache_clear()
         delta = K.elem(x)
         with pytest.raises(ValueError) as first:
             conductor_ideal(delta)
@@ -289,9 +294,8 @@ def test_non_discriminant_leaves_no_memo_entry_filled(Q, Q5):
             with pytest.raises(ValueError) as got:
                 QuadCharacter(delta)
             assert str(got.value) == str(first.value)
-            memo = _memo_of(delta)
-            assert memo.info is None and memo.setup is None
-            assert not memo.prime and not memo.unit_part and not memo.local
+            memo = discriminants._conductor.cache_info()
+            assert memo.currsize == memo.misses == 0
 
 
 def test_character_memos_keep_fields_apart(Q, Q5):
@@ -301,7 +305,7 @@ def test_character_memos_keep_fields_apart(Q, Q5):
     # may they share the factorization of 3, memoised by coordinates
     assert Q.elem(5).X == Q5.elem(5).X and Q.elem(5) != Q5.elem(5)
     for first, second in ((Q, Q5), (Q5, Q)):
-        characters._memos.cache_clear()
+        discriminants._conductor.cache_clear()
         ideals._coords_factor.cache_clear()
         chis = {K: QuadCharacter(K.elem(5)) for K in (first, second)}
         assert chis[Q]._prime_memo is not chis[Q5]._prime_memo
@@ -320,9 +324,9 @@ def test_character_memos_keep_fields_apart(Q, Q5):
     }
     assert expected == {Q: [1, 2, 0, 0], Q5: [1, 4, 8, 8]}
     for first, second in ((Q, Q5), (Q5, Q)):
-        characters._memos.cache_clear()
+        discriminants._conductor.cache_clear()
         chis = {K: QuadCharacter(K.elem(20)) for K in (first, second)}
-        assert characters._memos.cache_info().currsize == 2
+        assert discriminants._conductor.cache_info().currsize == 2
         assert chis[Q]._local_memo is not chis[Q5]._local_memo
         assert chis[Q].modulus.field == Q and chis[Q5].modulus.field == Q5
         assert {K: chis[K]._f_exponents for K in chis} == {
@@ -536,7 +540,7 @@ def test_hecke_check_fires_on_the_prime_memo(d):
         if P is None:
             assert chi.modulus.is_unit_ideal() and table == {}, info.delta  # delta = 1
             continue
-        memo = _memo_of(info.delta).prime
+        memo = info._prime
         saved = memo[P]
         memo[P] = -saved
         try:

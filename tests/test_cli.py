@@ -9,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from helpers import main_by_full_parser
+from helpers import equals_form, main_by_full_parser
 
 import relquad
 from relquad import cli, discriminants, ideals, tables
@@ -484,6 +484,18 @@ DISPATCH_CORPUS = [
     ["table", "--field", "5", "--bound", "9", "--format", "json", "--format", "tsv"],
     ["char", "--field", "10", "--delta=-4", "--ideal=(3, 1+w)"],
     ["local-duality", "--field", "q2", "--precision", "-1"],
+    # a value led by "-" as the token after its option
+    ["char", "--field", "5", "--delta", "-3+1*w", "--ideal", "(11)"],
+    ["fdelta", "--delta", "-3+1*w"],
+    ["fdelta", "--field", "5", "--delta", "-3+1*w", "extra"],
+    ["fdelta", "--field", "5", "--delta", "-h"],
+    ["fdelta", "--field", "5", "--delta", "--field"],
+    ["fdelta", "--field", "5", "--delta", "--", "-3+1*w"],
+    ["fdelta", "--", "--field", "5", "--delta", "-3+1*w"],
+    ["hurwitz", "--delta", "-23", "--", "--upto", "-5"],
+    ["fdelta", "--field", "5", "--delta", "-"],
+    ["fdelta", "--field", "5", "--delta", "-w", "--delta", "-3"],
+    ["verify", "hurwitz", "--bound", "-20"],
 ]
 
 
@@ -501,15 +513,54 @@ def _outcome(fn, argv, capsys):
 def test_dispatch_matches_full_parser(argv, capsys):
     # main() parses a request that names its subcommand with that
     # subcommand's parser alone; exit code, stdout and stderr must be those
-    # of one parse_args on the full parser
+    # of one parse_args on the full parser, of argv with each value led by
+    # "-" joined to its option
     assert _outcome(main, list(argv), capsys) == _outcome(main_by_full_parser, list(argv), capsys)
     # and a request that parses gives the full parser's namespace, command
     # included
     try:
-        full = cli.build_parser().parse_args(list(argv))
+        full = cli.build_parser().parse_args(equals_form(argv))
     except SystemExit:
         return
     assert cli._parse(list(argv)) == full
+
+
+def test_equals_form_joins_only_values_led_by_one_dash():
+    # the oracle's rewrite: argparse reads a value led by "-" only inside
+    # its option, and every other token as it stands
+    assert equals_form(["fdelta", "--field", "5", "--delta", "-3+1*w"]) == ["fdelta", "--field", "5", "--delta=-3+1*w"]
+    assert equals_form(["hurwitz", "--delta", "-23", "--", "-3"]) == ["hurwitz", "--delta=-23", "--", "-3"]
+    for argv in (
+        ["fdelta", "--field", "5", "--delta", "-h"],
+        ["fdelta", "--field", "5", "--delta", "--field"],
+        ["fdelta", "--", "--delta", "-3"],
+        ["fdelta", "--del", "-3"],
+        ["--field", "5", "fdelta", "--delta", "-3"],
+        [],
+    ):
+        assert equals_form(argv) == argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fdelta", "--field", "5"],
+        ["conductor", "--field", "5"],
+        ["char", "--field", "5", "--ideal", "(11)"],
+        ["count", "--field", "5", "--ideal", "(11)"],
+        ["zeta-coeffs", "--field", "5", "--bound", "12"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_delta_led_by_minus_as_a_separate_token(argv, capsys):
+    # --delta -3+1*w, written as two tokens, prints what --delta=-3+1*w
+    # prints, byte for byte; argparse alone refuses it
+    two = _outcome(main, [*argv, "--delta", "-3+1*w"], capsys)
+    joined = _outcome(main, [*argv, "--delta=-3+1*w"], capsys)
+    assert two == joined and two[0] == 0 and two[1] and two[2] == ""
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([*argv, "--delta", "-3+1*w"])
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):
@@ -559,8 +610,9 @@ def _fast_path_corpus():
 
 def test_fast_path_namespace_is_argparses(capsys):
     # every argv the parse off the action table accepts gives the namespace
-    # of parse_args on the full parser, attribute order included; and it
-    # accepts the plain requests, leaving every malformed one to argparse
+    # of parse_args on the full parser (of argv with each value led by "-"
+    # joined to its option), attribute order included; and it accepts the
+    # plain requests, leaving every malformed one to argparse
     ap = cli.build_parser()
     corpus = [list(argv) for argv in DISPATCH_CORPUS] + _fast_path_corpus()
     accepted = 0
@@ -569,14 +621,16 @@ def test_fast_path_namespace_is_argparses(capsys):
         if fast is None:
             continue
         accepted += 1
-        full = ap.parse_args(list(argv))
+        full = ap.parse_args(equals_form(argv))
         assert fast == full and list(vars(fast)) == list(vars(full)), argv
     capsys.readouterr()
     assert accepted > 250
-    for argv in DISPATCH_CORPUS[:9] + [["char", "--field", "10", "--delta=-4", "--ideal=(3, 1+w)"]]:
+    for argv in DISPATCH_CORPUS[:9] + [
+        ["char", "--field", "10", "--delta=-4", "--ideal=(3, 1+w)"],
+        ["fdelta", "--field", "10", "--delta", "-4+2*w"],
+    ]:
         assert _fast_parse(argv) is not None, argv
     for argv in (
-        ["fdelta", "--field", "10", "--delta", "-4+2*w"],
         ["table", "--field", "5", "--bound", "0x10"],
         ["table", "--field", "5", "--bound="],
         ["table", "--field", "5", "--bound", "9", "--format", "json", "--format", "tsv"],

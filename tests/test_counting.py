@@ -24,7 +24,7 @@ from helpers import (
     primitive_character_table_by_factoring,
     sqrt_gen,
 )
-from relquad import characters, counting, ideals
+from relquad import characters, counting, discriminants, ideals
 from relquad.arith import kronecker
 from relquad.characters import QuadCharacter
 from relquad.counting import (
@@ -42,7 +42,7 @@ from relquad.counting import (
     square_stretch,
     zeta_coefficients,
 )
-from relquad.discriminants import discriminant_classes
+from relquad.discriminants import conductor_ideal, discriminant_classes
 from relquad.field import make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
@@ -171,14 +171,18 @@ def test_formula_and_local_routes_build_no_ideal_product(monkeypatch):
                 cases.append((info, a, count_square_roots(info.delta, a)))
                 count_square_roots_formula(chi, a)
                 count_square_roots_local_product(chi, a)
-    characters._memos.cache_clear()
+    # the character memos live on the infos: infos built afresh, before the
+    # patch, hold none
+    discriminants._conductor.cache_clear()
+    fresh = {info: conductor_ideal(info.delta) for info, _, _ in cases}
+    assert all(new is not old and not (new._prime or new._unit_part or new._local) for old, new in fresh.items())
 
     def refuse(*args):
         raise AssertionError("ideal product")
 
     monkeypatch.setattr(ideals, "_product", refuse)
     for info, a, brute in cases:
-        chi = QuadCharacter(info)
+        chi = QuadCharacter(fresh[info])
         assert count_square_roots_formula(chi, a) == brute, (info.delta, a)
         assert count_square_roots_local_product(chi, a) == brute, (info.delta, a)
     info, a, _ = next(case for case in cases if len(case[1].factor()) > 1)
@@ -481,7 +485,7 @@ def test_decomposition_sides_use_separate_symbol_routes(d, monkeypatch):
     # the character side reaches at_prime's kronecker once per odd prime off
     # delta, on a cold memo
     delta = K.disc
-    characters._memos.cache_clear()
+    discriminants._conductor.cache_clear()
     chi = QuadCharacter(make_field().elem(delta))
     calls = []
 

@@ -1,6 +1,8 @@
+import copy
 import json
+import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +15,7 @@ from helpers import (
     discriminant_candidates,
     discriminant_classes_by_buckets,
     discriminant_classes_by_elems,
+    elem_trace,
     frac_sqrt,
     is_totally_negative,
     local_square_solvable_by_residues,
@@ -22,6 +25,7 @@ from helpers import (
 from relquad import cli, discriminants, field, ideals, tables
 from relquad.cli import main
 from relquad.discriminants import (
+    DiscriminantInfo,
     conductor_ideal,
     discriminant_classes,
     discriminant_witness,
@@ -233,17 +237,16 @@ def test_fundamental_data_accepts_info(test_fields, monkeypatch):
 
 
 def test_hand_made_info_is_checked_by_fundamental_data(Q):
-    # over Q, f(-16) = (2); an info claiming f = (1) is refused with a
-    # ValueError naming delta, not a broken invariant, and a hand-made info
-    # equal to the true one reads as the true one
+    # over Q, f(-16) = (2); no info claiming f = (1) can be handed in: an
+    # info written out by hand, or copied, is conductor_ideal's, and a
+    # dataclass copy is refused, so fundamental data reads the true info
     true = conductor_ideal(Q.elem(-16))
-    bad = replace(true, f_delta=unit_ideal(Q), rel_disc=principal_ideal(Q.elem(16)))
-    assert not bad.from_conductor_ideal and true.from_conductor_ideal
-    with pytest.raises(ValueError, match="-16"):
-        fundamental_discriminant_data(bad)
+    with pytest.raises(TypeError):
+        replace(true, f_delta=unit_ideal(Q), rel_disc=principal_ideal(Q.elem(16)))
     expected = fundamental_discriminant_data(true)
     assert expected.principal_rep == Q.elem(-4)
-    assert fundamental_discriminant_data(replace(true)) == expected
+    assert DiscriminantInfo(Q.elem(-16)) is true and copy.copy(true) is true
+    assert fundamental_discriminant_data(DiscriminantInfo(Q.elem(-16))) == expected
     assert fundamental_discriminant_data(Q.elem(-16)) == expected
 
 
@@ -302,11 +305,10 @@ def _check_reused_factorization(infos):
         assert fresh is not info
         assert (info.f_delta, info.rel_disc, info.witness_x) == (fresh.f_delta, fresh.rel_disc, fresh.witness_x)
         assert (info.f_delta, info.rel_disc, info.witness_x) == conductor_by_division(delta), delta
-        modulus, delta_primes, f_exponents = info._factorization
         dl = principal_ideal(delta)
-        assert modulus == dl and list(delta_primes.items()) == dl.factor(), delta
-        assert f_exponents == {P: info.f_delta.valuation(P) for P in delta_primes}, delta
-        assert info.from_conductor_ideal
+        assert info.modulus == dl and list(info.delta_primes.items()) == dl.factor(), delta
+        assert info.f_exponents == {P: info.f_delta.valuation(P) for P in info.delta_primes}, delta
+        assert isinstance(info, DiscriminantInfo) and info == fresh
 
 
 def _clear_ideal_memos():
@@ -381,7 +383,7 @@ def test_conductor_memo_matches_division_oracle_cold_and_warm():
     warm = [conductor_ideal(delta) for delta in deltas]
     assert discriminants._conductor.cache_info().misses == filled.misses
     for delta, c, w, want in zip(deltas, cold, warm, expected):
-        assert c is w and c.from_conductor_ideal, delta
+        assert c is w and isinstance(c, DiscriminantInfo), delta
         assert (w.f_delta, w.rel_disc, w.witness_x) == want, delta
     for K, rows in tables_of.items():
         again = discriminant_classes(K, 500, "totally_negative")
@@ -457,9 +459,9 @@ def test_conductor_memo_cannot_be_poisoned(Q10):
     want = conductor_by_division(delta)
     discriminants._conductor.cache_clear()
     info = conductor_ideal(delta)
-    modulus, delta_primes, f_exponents = info._factorization
+    delta_primes, f_exponents = info.delta_primes, info.f_exponents
     P = next(iter(delta_primes))
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         info.f_delta = unit_ideal(Q10)
     for attempt in (
         lambda: delta_primes.__setitem__(P, 0),
@@ -471,8 +473,38 @@ def test_conductor_memo_cannot_be_poisoned(Q10):
             attempt()
     again = conductor_ideal(delta)
     assert again is info and (again.f_delta, again.rel_disc, again.witness_x) == want
-    assert list(again._factorization[1].items()) == principal_ideal(delta).factor()
-    assert dict(again._factorization[2]) == {P: info.f_delta.valuation(P) for P in delta_primes}
+    assert list(again.delta_primes.items()) == principal_ideal(delta).factor()
+    assert dict(again.f_exponents) == {P: info.f_delta.valuation(P) for P in delta_primes}
+
+
+def test_copies_of_an_info_are_the_info(Q, Q5, Q10):
+    # copy, deepcopy, a pickle round trip and DiscriminantInfo(delta) give
+    # the info of conductor_ideal: equal, with the hash of delta, and the
+    # very object while the memo of conductor_ideal holds it
+    for delta in (Q.elem(-16), Q5.elem(-3, 1), Q10.elem(-4)):
+        info = conductor_ideal(delta)
+        for twin in (copy.copy(info), copy.deepcopy(info), pickle.loads(pickle.dumps(info)), DiscriminantInfo(delta)):
+            assert twin is info and twin == info and hash(twin) == hash(delta)
+        discriminants._conductor.cache_clear()
+        for twin in (copy.deepcopy(info), pickle.loads(pickle.dumps(info)), DiscriminantInfo(delta)):
+            assert twin is conductor_ideal(delta)
+            assert twin is not info and twin == info and hash(twin) == hash(info)
+            assert (twin.f_delta, twin.rel_disc, twin.witness_x) == (info.f_delta, info.rel_disc, info.witness_x)
+        assert info != conductor_ideal(delta * 4) and info != delta
+    with pytest.raises(ValueError, match="not a discriminant"):
+        DiscriminantInfo(Q.elem(3))
+
+
+def test_an_info_refuses_assignment_and_deletion(Q10):
+    info = conductor_ideal(Q10.elem(-4))
+    before = [getattr(info, name) for name in DiscriminantInfo.__slots__]
+    for name in (*DiscriminantInfo.__slots__, "other"):
+        with pytest.raises(AttributeError, match="immutable: cannot set"):
+            setattr(info, name, None)
+        with pytest.raises(AttributeError, match="immutable: cannot delete"):
+            delattr(info, name)
+    assert [getattr(info, name) for name in DiscriminantInfo.__slots__] == before
+    assert not hasattr(info, "__dict__")
 
 
 def test_fundamental_data_local_components(Q10):
@@ -507,7 +539,7 @@ def test_trace_norm_square_class_property(Q):
         for u in range(-30, 31):
             for v in range(-30, 31):
                 a = L.elem(u, v)
-                val = a.trace() ** 2 - 4 * a.norm()
+                val = elem_trace(a) ** 2 - 4 * a.norm()
                 if val == 0:
                     continue
                 assert same_class_mod_squares(Q.elem(val), info.delta)
@@ -517,7 +549,7 @@ def test_trace_norm_square_class_property(Q):
         f2 = Q.elem(delta) / Q.elem(squarefree_of(delta))
         scale = frac_sqrt(f2.x)
         a = (-x.x + scale * s) / 2
-        assert a.trace() ** 2 - 4 * a.norm() == delta
+        assert elem_trace(a) ** 2 - 4 * a.norm() == delta
 
 
 def squarefree_of(n):

@@ -26,6 +26,7 @@ from helpers import (
     box_principal_generator,
     class_number,
     divisors_by_norm,
+    ideal_lcm,
     ideal_product_by_vectors,
     ideals_of_norm_by_products,
     primes_upto,
@@ -93,7 +94,7 @@ def test_arithmetic_examples(Q10, Q):
     assert a * a.inverse() == unit_ideal(Q10)
     four, six = principal_ideal(Q.elem(4)), principal_ideal(Q.elem(6))
     assert four.gcd(six) == principal_ideal(Q.elem(2))
-    assert four.gcd(six) * four.lcm(six) == four * six
+    assert four.gcd(six) * ideal_lcm(four, six) == four * six
 
 
 def test_norm_multiplicative_random(test_fields):

@@ -170,6 +170,26 @@ def test_only_the_interning_path_builds_primes():
     assert found == {("__new__", "ideals._new_prime"), ("_new_prime", "ideals._find_primes_above")}, found
 
 
+def test_only_conductor_builds_infos():
+    # the package builds a DiscriminantInfo in discriminants._conductor
+    # alone, the memo of conductor_ideal: no call DiscriminantInfo(...)
+    # (that is conductor_ideal) and no other object.__new__(DiscriminantInfo)
+    found = set()
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                names = {a.id for a in node.args if isinstance(a, ast.Name)}
+                if callee == "DiscriminantInfo" or (callee == "__new__" and "DiscriminantInfo" in names):
+                    found.add((callee, f"{path.stem}.{fn.name}"))
+    assert found == {("__new__", "discriminants._conductor")}, found
+
+
 def test_one_continued_fraction_loop():
     # fundamental_unit and the real principality test read their
     # convergents from field._cf_convergents, the one caller of _cf_step
