@@ -28,7 +28,7 @@ from .field import make_field, parse_elem
 from .hurwitz import hurwitz_row, negative_discriminants
 from .ideals import parse_ideal
 from .tables import table_rows, unit_discriminants
-from .verify import FIELD_SUITES, run_suite
+from .verify import FIELD_SUITES, SUITES, run_suite
 
 
 def _field_of(args):
@@ -240,7 +240,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"verify {args.suite} does not take --precision")
         kwargs["precision"] = args.precision
     if args.suite in FIELD_SUITES:
-        kwargs["field_d"] = int(args.field) if args.field else None
+        try:
+            kwargs["field_d"] = int(args.field) if args.field else None
+        except ValueError:
+            raise ValueError(f"verify {args.suite} does not take --field {args.field}") from None
     elif args.field is not None:
         if args.suite != "dyadic":
             raise ValueError(f"verify {args.suite} does not take --field")
@@ -260,14 +263,67 @@ def _json_safe(obj):
     return obj
 
 
-def _add_field_flag(p, required=True):
-    p.add_argument(
-        "--field",
-        type=int,
-        required=required,
-        default=0,
-        help="0 for Q, else a squarefree d for Q(sqrt d)",
-    )
+# Each subcommand, in the order relquad -h lists them, with its function,
+# its help and its arguments: a name and the keywords argparse's
+# add_argument takes for it, in the order argparse lists them.  build_parser
+# hands them to argparse, and _read_options and _join_values read them here,
+# so nothing reads argparse's own tables.
+_FIELD = (
+    "--field",
+    {"type": int, "required": True, "default": 0, "help": "0 for Q, else a squarefree d for Q(sqrt d)"},
+)
+_DELTA = ("--delta", {"required": True})
+_FORMAT = ("--format", {"choices": ("tsv", "json"), "default": "tsv"})
+_COMMANDS = {
+    "fdelta": (
+        cmd_fdelta,
+        "conductor data of a discriminant",
+        [_FIELD, ("--delta", {"required": True, "help": 'element text "x+y*w"'})],
+    ),
+    "conductor": (cmd_conductor, "conductor ideal only", [_FIELD, _DELTA]),
+    "char": (
+        cmd_char,
+        "character values on an ideal",
+        [_FIELD, _DELTA, ("--ideal", {"required": True, "help": 'ideal text "[[a,b],[0,c]]/den" or "(g1, g2)"'})],
+    ),
+    "count": (
+        cmd_count,
+        "square-root count: brute force and formula",
+        [_FIELD, _DELTA, ("--ideal", {"required": True})],
+    ),
+    "zeta-coeffs": (
+        cmd_zeta_coeffs,
+        "coefficient table of zeta(delta, s)",
+        [_FIELD, _DELTA, ("--bound", {"type": int, "default": 50}), _FORMAT],
+    ),
+    "table": (
+        cmd_table,
+        "discriminant-class table",
+        [
+            _FIELD,
+            ("--bound", {"type": int, "required": True}),
+            ("--sign", {"choices": ("totally_negative", "any"), "default": "totally_negative"}),
+            _FORMAT,
+        ],
+    ),
+    "unit-discs": (cmd_unit_discs, "discriminant classes with trivial relative discriminant", [_FIELD]),
+    "hurwitz": (cmd_hurwitz, "Hurwitz class numbers", [("--delta", {"type": int}), ("--upto", {"type": int}), _FORMAT]),
+    "local-duality": (
+        cmd_local_duality,
+        "dyadic local field report",
+        [("--field", {"required": True, "help": "q2, unram, or ram:c"}), ("--precision", {"type": int})],
+    ),
+    "verify": (
+        cmd_verify,
+        "run a verification sweep",
+        [
+            ("suite", {"choices": (*SUITES, "all")}),
+            ("--field", {"help": "0 or d for number-field suites; q2, unram, or ram:c for dyadic"}),
+            ("--bound", {"type": int}),
+            ("--precision", {"type": int}),
+        ],
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,188 +332,135 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for relative quadratic extensions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fdelta", help="conductor data of a discriminant")
-    _add_field_flag(p)
-    p.add_argument("--delta", required=True, help='element text "x+y*w"')
-    p.set_defaults(fn=cmd_fdelta)
-
-    p = sub.add_parser("conductor", help="conductor ideal only")
-    _add_field_flag(p)
-    p.add_argument("--delta", required=True)
-    p.set_defaults(fn=cmd_conductor)
-
-    p = sub.add_parser("char", help="character values on an ideal")
-    _add_field_flag(p)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--ideal", required=True, help='ideal text "[[a,b],[0,c]]/den" or "(g1, g2)"')
-    p.set_defaults(fn=cmd_char)
-
-    p = sub.add_parser("count", help="square-root count: brute force and formula")
-    _add_field_flag(p)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("zeta-coeffs", help="coefficient table of zeta(delta, s)")
-    _add_field_flag(p)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--bound", type=int, default=50)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.set_defaults(fn=cmd_zeta_coeffs)
-
-    p = sub.add_parser("table", help="discriminant-class table")
-    _add_field_flag(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--sign", choices=("totally_negative", "any"), default="totally_negative")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("unit-discs", help="discriminant classes with trivial relative discriminant")
-    _add_field_flag(p)
-    p.set_defaults(fn=cmd_unit_discs)
-
-    p = sub.add_parser("hurwitz", help="Hurwitz class numbers")
-    p.add_argument("--delta", type=int)
-    p.add_argument("--upto", type=int)
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.set_defaults(fn=cmd_hurwitz)
-
-    p = sub.add_parser("local-duality", help="dyadic local field report")
-    p.add_argument("--field", required=True, help="q2, unram, or ram:c")
-    p.add_argument("--precision", type=int)
-    p.set_defaults(fn=cmd_local_duality)
-
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "suite",
-        choices=("counting", "character", "conductor", "identity", "dyadic", "hurwitz", "decomposition", "all"),
-    )
-    p.add_argument(
-        "--field",
-        default=None,
-        help="0 or d for number-field suites; q2, unram, or ram:c for dyadic",
-    )
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--precision", type=int, default=None)
-    p.set_defaults(fn=cmd_verify)
-
+    for command, (fn, help, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        for name, kwargs in arguments:
+            p.add_argument(name, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser main() reuses: built on the first call, since parse_args
-    keeps no state between calls.  Its subcommand parsers, which _parse
-    calls directly, live inside it, so cache_clear() drops them too."""
+    keeps no state between calls."""
     return build_parser()
 
 
+def _reader(command: str, fn, arguments) -> tuple:
+    """What _read_options needs of a subcommand: its options, each --name
+    with its dest, type and choices; the namespace argparse starts from, in
+    argparse's order: the command, every dest with its default, then fn;
+    and the dests that must be given, a positional's among them."""
+    options, defaults, required = {}, {"command": command}, []
+    for name, kwargs in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name[:2] == "--":
+            options[name] = (dest, kwargs.get("type"), kwargs.get("choices"))
+        if name[:2] != "--" or kwargs.get("required"):
+            required.append(dest)
+        defaults[dest] = kwargs.get("default")
+    defaults["fn"] = fn
+    return options, defaults, tuple(required)
+
+
+_READERS = {command: _reader(command, fn, arguments) for command, (fn, _, arguments) in _COMMANDS.items()}
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """The namespace parse_args(argv) gives on _parser(), but for a
-    _lone_dash value after its option, which argparse would refuse.  When
-    argv[0] names a subcommand, that subcommand's parser reads argv[1:], as
-    the full parser would hand them on: straight off its action table if
-    the arguments are well formed (_read_options), else in one argparse
-    pass, with those values joined to their options (_join_values).  An
-    argv it leaves arguments over from, and any argv that does not start
-    with a subcommand (none, -h, an unknown command), goes through the full
-    parser, which prints the same help or usage error as it would have for
-    the whole request."""
-    ap = _parser()
-    sub = ap._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
-    if sub is not None:
-        args = _read_options(sub, argv[0], argv[1:])
+    """The namespace parse_args(argv) gives on _parser(), but for a value
+    led by one "-" after its option, which argparse would refuse.  A
+    request that names its subcommand and is well formed is read straight
+    off the table above (_read_options); any other goes through _parser()
+    in one argparse pass, with each such value first joined to its option
+    (_join_values), so every usage error and help text is argparse's."""
+    if argv and argv[0] in _READERS:
+        args = _read_options(argv[0], argv[1:])
         if args is not None:
             return args
-        argv = [argv[0], *_join_values(sub, argv[1:])]
-        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return ap.parse_args(argv)
+        argv = [argv[0], *_join_values(argv[0], argv[1:])]
+    return _parser().parse_args(argv)
 
 
-def _lone_dash(value: str, actions: dict) -> bool:
-    """Whether value is led by one "-" and names no option of actions, like
-    the delta -3+1*w: argparse takes it for an unknown option."""
-    return value[:1] == "-" and value[:2] != "--" and value[:2] not in actions
+def _lone_dash(value: str) -> bool:
+    """Whether value is led by one "-" and is no option, like the delta
+    -3+1*w, which argparse takes for an unknown option: -h is the one
+    option string of a subcommand led by a single "-"."""
+    return value[:1] == "-" and value[:2] not in ("--", "-h")
 
 
-def _join_values(sub: argparse.ArgumentParser, tokens: list) -> list:
+def _takes_value(token: str, options: dict) -> bool:
+    """Whether token is one of options, or abbreviates it and no other
+    option string (--help included), as argparse's allow_abbrev reads it."""
+    if token in options:
+        return True
+    if token[:2] != "--" or "=" in token:
+        return False
+    matches = [name for name in (*options, "--help") if name.startswith(token)]
+    return len(matches) == 1 and matches[0] in options
+
+
+def _join_values(command: str, tokens: list) -> list:
     """tokens with each pair --name value written --name=value up to the
-    first "--", where --name stores one value and value is a _lone_dash."""
-    actions = sub._option_string_actions
+    first "--", where --name is an option of command, whole or abbreviated
+    (_takes_value), and value is a _lone_dash."""
+    options = _READERS[command][0]
     out, i = [], 0
     while i < len(tokens) and tokens[i] != "--":
-        token, value = tokens[i], tokens[i + 1] if i + 1 < len(tokens) else ""
-        action = actions.get(token)
+        token = tokens[i]
         i += 1
-        if type(action) is argparse._StoreAction and action.nargs is None and _lone_dash(value, actions):
-            token, i = f"{token}={value}", i + 1
+        if i < len(tokens) and _lone_dash(tokens[i]) and _takes_value(token, options):
+            token, i = f"{token}={tokens[i]}", i + 1
         out.append(token)
     return out + tokens[i:]
 
 
-def _read_options(sub: argparse.ArgumentParser, command: str, tokens: list):
-    """sub.parse_known_args(tokens, Namespace(command=command)) with nothing
-    left over, read off sub's own tables (_option_string_actions, _actions,
-    _defaults) when every token is --name value or --name=value: each name
-    an exact option string of a plain store action, no dest given twice,
-    each value passing the action's type and choices, a separate value
-    starting with "-" only as a _lone_dash, and every required option
-    present.  None for anything else (help,
-    abbreviations, positionals, "--", repeats, bad values, missing options),
-    which argparse then parses and reports."""
-    if sub.prefix_chars != "-" or sub._mutually_exclusive_groups or sub.fromfile_prefix_chars is not None:
-        return None
-    actions = sub._option_string_actions
+def _read_options(command: str, tokens: list):
+    """_parser().parse_args([command, *tokens]) when every token is --name
+    value or --name=value: each name an exact option of command, no option
+    given twice, each value passing the option's type and choices, a
+    separate value led by "-" only as a _lone_dash, and every required
+    argument present.  None for anything else (help, abbreviations,
+    positionals, "--", repeats, bad values, missing arguments), which
+    argparse then parses and reports."""
+    options, defaults, required = _READERS[command]
     given = {}
-    i = 0
-    while i < len(tokens):
+    i, n = 0, len(tokens)
+    while i < n:
         token = tokens[i]
         if token[:2] != "--":
             return None
-        action = actions.get(token)
-        if action is not None:
-            if i + 1 == len(tokens):
+        option = options.get(token)
+        if option is not None:
+            if i + 1 == n:
                 return None
             value = tokens[i + 1]
-            if value[:1] == "-" and not _lone_dash(value, actions):
+            if value[:1] == "-" and not _lone_dash(value):
                 return None
             i += 2
         else:
             name, eq, value = token.partition("=")
-            action = actions.get(name) if eq else None
+            option = options.get(name) if eq else None
             # argparse drops an explicit "--" value
-            if action is None or value == "--":
+            if option is None or value == "--":
                 return None
             i += 1
-        if type(action) is not argparse._StoreAction or action.nargs is not None or action.dest in given:
+        dest, type_, choices = option
+        if dest in given:
             return None
-        if action.type is not None:
+        if type_ is not None:
             try:
-                value = action.type(value)
+                value = type_(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        given[action.dest] = value
-    args = argparse.Namespace(command=command)
-    for action in sub._actions:
-        dest, default = action.dest, action.default
-        if not action.option_strings:
+        given[dest] = value
+    for dest in required:
+        if dest not in given:
             return None
-        # argparse refuses a missing required option and passes the text
-        # default of an absent option through the action's type
-        if dest not in given and (action.required or (isinstance(default, str) and action.type is not None)):
-            return None
-        if dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS and not hasattr(args, dest):
-            setattr(args, dest, default)
-    for dest, default in sub._defaults.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
-    for dest, value in given.items():
-        setattr(args, dest, value)
+    args = argparse.Namespace()
+    vars(args).update(defaults, **given)
     return args
 
 

@@ -41,9 +41,9 @@ one value at a time, and the level classes and the duality report whole
 batches.  LocalElem, a frozen dataclass over one pair, is the public
 boundary only: the field's elem, zero, one and pi, the arguments of
 is_square, sqrt_certificate, decompose and hilbert_symbol, the certificate
-sqrt_certificate returns, the space's rep and basis, and the
-completions of verify.completion_at.  A field builds three LocalElems, its
-constants; its first duality report builds no more.
+sqrt_certificate returns, and the completions of verify.completion_at.  A
+field builds three LocalElems, its constants; its first duality report
+builds no more.
 
 The duality report checks the appendix by GF(2) linear algebra on bitmask
 rows, one per class (bit j of row i set iff the symbol is -1).  Linearity
@@ -485,8 +485,7 @@ class SquareClassSpace:
     it is linear (checked by the duality report, not assumed here).
     _classify_pairs() is decompose on a batch of coordinate pairs.  The
     constructor runs on pairs and keeps pairs only; LocalElem appears only
-    at the public boundary: decompose's argument, and rep and basis, which
-    wrap pairs of rep_pairs (basis[i] is rep(1 << i)).
+    at the public boundary, as decompose's argument.
 
     By the local square theorem (O'Meara 63:1) the square class of a unit u
     depends only on u modulo pi^(2e+1), so table[key(u)] is u's bitmask over
@@ -592,15 +591,6 @@ class SquareClassSpace:
             ub = (a * fb + b * fa + T * bb) % W >> s
             out.append(v % 2 | table[ub % lc * la + (ua - ub // lc * lb) % la] << 1)
         return out
-
-    def rep(self, mask: int) -> LocalElem:
-        """The product of the basis elements over the bits of mask."""
-        return LocalElem(self.field, *self.rep_pairs[mask])
-
-    @property
-    def basis(self) -> list[LocalElem]:
-        """pi, then the unit basis: the representatives of the single bits."""
-        return [self.rep(1 << i) for i in range(self.dim)]
 
 
 def _unit_candidates(F: LocalField) -> list[tuple[int, int]]:

@@ -825,7 +825,7 @@ def norm_class_rows_by_decompose(F: LocalField, cx: int) -> list[int]:
     """dyadic._norm_rows(F, cx) with every sampled value skipped
     by its own valuation test and classified by the public decompose."""
     space = F.space()
-    a = space.rep(cx)
+    a = space_rep(space, cx)
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
         squares = [u * u for u in sample_elems(F, depth)]
@@ -892,7 +892,7 @@ def element_pairing(F: LocalField) -> tuple[list[list[int]], list[list[int]], bo
 
 def gram_by_symbols(F: LocalField) -> list[list[int]]:
     """Gram bits (1 - hilbert_symbol(basis_i, basis_j)) / 2, one symbol per pair."""
-    basis = F.space().basis
+    basis = space_basis(F.space())
     return [[(1 - hilbert_symbol(x, y)) // 2 for y in basis] for x in basis]
 
 
@@ -1560,7 +1560,9 @@ def equals_form(argv: list) -> list:
     """argv with every value that a subcommand's option takes as the next
     token, when that value starts with one "-" and is no option of the
     subcommand, moved into the option as --name=value, up to a "--": the
-    form in which argparse itself reads such a value (-3+1*w, -4)."""
+    form in which argparse itself reads such a value (-3+1*w, -4).  An
+    option may be abbreviated to a prefix of its option string and of no
+    other, as argparse's allow_abbrev reads it."""
     ap = build_parser()
     subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
     if not argv or argv[0] not in subs:
@@ -1572,6 +1574,9 @@ def equals_form(argv: list) -> list:
         if token == "--":
             return out + [token] + rest
         action = options.get(token)
+        if action is None and token.startswith("--") and "=" not in token:
+            matches = [options[s] for s in options if s.startswith(token)]
+            action = matches[0] if len(matches) == 1 else None
         takes_one = isinstance(action, argparse._StoreAction) and action.nargs is None
         if takes_one and rest and re.match(r"-(?!-)", rest[0]) and rest[0][:2] not in options:
             token = f"{token}={rest.pop(0)}"
@@ -1632,10 +1637,21 @@ def is_totally_negative(e: Elem) -> bool:
     return all(e.sign_at(i) < 0 for i in e.field.real_embeddings)
 
 
+def space_rep(space: SquareClassSpace, mask: int) -> LocalElem:
+    """The product of the basis elements of the space over the bits of mask."""
+    return LocalElem(space.field, *space.rep_pairs[mask])
+
+
+def space_basis(space: SquareClassSpace) -> list[LocalElem]:
+    """pi, then the unit basis of the space: the representatives of the
+    single bits."""
+    return [space_rep(space, 1 << i) for i in range(space.dim)]
+
+
 def all_reps(space: SquareClassSpace) -> list[LocalElem]:
     """A representative of every class of the space, by mask, each the
-    product of the basis elements over the mask's bits (SquareClassSpace.rep)."""
-    return [space.rep(m) for m in range(1 << space.dim)]
+    product of the basis elements over the mask's bits (space_rep)."""
+    return [space_rep(space, m) for m in range(1 << space.dim)]
 
 
 def unit_level(u: LocalElem) -> int:

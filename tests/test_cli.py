@@ -283,6 +283,7 @@ def test_verify_all_reports_seconds_and_progress(capsys, monkeypatch):
         (["hurwitz", "--field", "5"], "--field"),
         (["decomposition", "--field", "5", "--bound", "3"], "--field"),
         (["all", "--field", "5"], "--field"),
+        (["counting", "--field", "x"], "--field x"),
     ],
 )
 def test_verify_refuses_flags_its_suite_does_not_take(capsys, argv, flag):
@@ -463,6 +464,7 @@ DISPATCH_CORPUS = [
     ["verify", "hurwitz", "counting"],
     ["fdelta", "--field", "5", "--field", "10", "--delta", "-4"],
     ["fdelta", "--fie", "5", "--del", "-3"],
+    ["fdelta", "--fie", "5", "--del", "-3+1*w"],
     ["zeta-coeffs", "--f", "5", "--delta", "5"],
     ["fdelta", "--field", "5", "--delta", "-3"],
     ["fdelta", "--field", "5", "--delta=-3"],
@@ -530,11 +532,16 @@ def test_equals_form_joins_only_values_led_by_one_dash():
     # its option, and every other token as it stands
     assert equals_form(["fdelta", "--field", "5", "--delta", "-3+1*w"]) == ["fdelta", "--field", "5", "--delta=-3+1*w"]
     assert equals_form(["hurwitz", "--delta", "-23", "--", "-3"]) == ["hurwitz", "--delta=-23", "--", "-3"]
+    # an option abbreviated as argparse's allow_abbrev reads it, when the
+    # prefix is of one option string only
+    assert equals_form(["fdelta", "--fie", "5", "--del", "-3+1*w"]) == ["fdelta", "--fie", "5", "--del=-3+1*w"]
     for argv in (
         ["fdelta", "--field", "5", "--delta", "-h"],
         ["fdelta", "--field", "5", "--delta", "--field"],
         ["fdelta", "--", "--delta", "-3"],
-        ["fdelta", "--del", "-3"],
+        ["zeta-coeffs", "--f", "-3"],
+        ["fdelta", "--he", "-3"],
+        ["fdelta", "--del=-3", "-3"],
         ["--field", "5", "fdelta", "--delta", "-3"],
         [],
     ):
@@ -542,24 +549,25 @@ def test_equals_form_joins_only_values_led_by_one_dash():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ["fdelta", "--field", "5"],
-        ["conductor", "--field", "5"],
-        ["char", "--field", "5", "--ideal", "(11)"],
-        ["count", "--field", "5", "--ideal", "(11)"],
-        ["zeta-coeffs", "--field", "5", "--bound", "12"],
+        pytest.param(["fdelta", "--field", "5"], "--delta", id="fdelta"),
+        pytest.param(["conductor", "--field", "5"], "--delta", id="conductor"),
+        pytest.param(["char", "--field", "5", "--ideal", "(11)"], "--delta", id="char"),
+        pytest.param(["count", "--field", "5", "--ideal", "(11)"], "--delta", id="count"),
+        pytest.param(["zeta-coeffs", "--field", "5", "--bound", "12"], "--delta", id="zeta-coeffs"),
+        pytest.param(["fdelta", "--fie", "5"], "--del", id="fdelta --fie 5 --del"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_delta_led_by_minus_as_a_separate_token(argv, capsys):
+def test_delta_led_by_minus_as_a_separate_token(argv, option, capsys):
     # --delta -3+1*w, written as two tokens, prints what --delta=-3+1*w
-    # prints, byte for byte; argparse alone refuses it
-    two = _outcome(main, [*argv, "--delta", "-3+1*w"], capsys)
-    joined = _outcome(main, [*argv, "--delta=-3+1*w"], capsys)
+    # prints, byte for byte, and so does an abbreviated option; argparse
+    # alone refuses it
+    two = _outcome(main, [*argv, option, "-3+1*w"], capsys)
+    joined = _outcome(main, [*argv, f"{option}=-3+1*w"], capsys)
     assert two == joined and two[0] == 0 and two[1] and two[2] == ""
     with pytest.raises(SystemExit):
-        cli.build_parser().parse_args([*argv, "--delta", "-3+1*w"])
+        cli.build_parser().parse_args([*argv, option, "-3+1*w"])
     assert "expected one argument" in capsys.readouterr().err
 
 
@@ -574,9 +582,8 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
 
 
 def _fast_parse(argv):
-    """cli._read_options on argv's subcommand parser, None if argv names none."""
-    sub = cli._parser()._subparsers._group_actions[0].choices.get(argv[0]) if argv else None
-    return cli._read_options(sub, argv[0], list(argv[1:])) if sub is not None else None
+    """cli._read_options on argv's subcommand, None if argv names none."""
+    return cli._read_options(argv[0], list(argv[1:])) if argv and argv[0] in cli._COMMANDS else None
 
 
 # every form of each option of the subcommands that take no positional

@@ -190,6 +190,20 @@ def test_only_conductor_builds_infos():
     assert found == {("__new__", "discriminants._conductor")}, found
 
 
+def test_cli_reads_no_private_attribute():
+    # cli declares each subcommand's arguments in its own table, which
+    # builds the parser and reads the well-formed requests: it reads no
+    # attribute led by one "_" (argparse's _actions, _option_string_actions,
+    # _StoreAction and the like) of any object
+    path = Path(relquad.__file__).parent / "cli.py"
+    found = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr[:1] == "_" and node.attr[:2] != "__"
+    ]
+    assert not found, found
+
+
 def test_one_continued_fraction_loop():
     # fundamental_unit and the real principality test read their
     # convergents from field._cf_convergents, the one caller of _cf_step
@@ -340,3 +354,40 @@ def test_public_surface_is_reached():
     reached = _reached_names(package, perfbench)
     unreached = {q for q in listed if q.rsplit(".", 1)[1] not in reached}
     assert unreached == set(UNREACHED_PUBLIC), sorted(unreached ^ set(UNREACHED_PUBLIC))
+
+
+# methods that nothing in the package or perfbench reaches by name, kept as
+# the documented API of their class
+DOCUMENTED_METHODS = {"ideals.Ideal.contains", "ideals.Ideal.residues", "field.Elem.sqrt"}
+
+
+def _methods(package: Path) -> set[str]:
+    """module.Class.method of every method of a relquad class, dunders aside."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                out.update(
+                    f"{path.stem}.{cls.name}.{node.name}"
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[:2] != "__"
+                )
+    return out
+
+
+def test_every_method_is_referenced():
+    # a method of a relquad class is read as .name somewhere in the package
+    # or in perfbench (whose tracer looks its TRACED names up by string), or
+    # it is documented API: a method that only tests call belongs in
+    # tests/helpers.py.  A name-based scan: any attribute of that name
+    # counts, whatever its receiver
+    package = Path(relquad.__file__).parent
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    referenced = {part for _, attr in _traced_names(perfbench) for part in attr.split(".")}
+    for path in [*package.glob("*.py"), *perfbench.glob("*.py")]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        referenced.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    methods = _methods(package)
+    assert DOCUMENTED_METHODS <= methods, sorted(DOCUMENTED_METHODS - methods)
+    unreferenced = {m for m in methods if m.rsplit(".", 1)[1] not in referenced}
+    assert unreferenced <= DOCUMENTED_METHODS, sorted(unreferenced - DOCUMENTED_METHODS)
