@@ -7,6 +7,7 @@ anywhere in a decision path.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 __all__ = ["BoundExceeded"]
@@ -35,7 +36,7 @@ def _small_primes() -> tuple[int, ...]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(n) if sieve[i])
+    return tuple(compress(range(n), sieve))
 
 
 def smallest_prime_factors(n: int) -> list[int]:

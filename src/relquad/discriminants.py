@@ -8,16 +8,23 @@ is (delta)/f^2.
 
 Valuations and local square solvability work on integer coordinates:
 local_square_solvable takes v_P from ideals.coords_valuation and searches
-roots in P^(v/2) with ideals.square_root_coords, so the dyadic conductor
-exponents build no field element and no principal ideal per residue.
+roots in P^(v/2) with the search kernel ideals._root_coords on the HNF
+triples of the prime powers, so the dyadic conductor exponents build no
+field element and no principal ideal per residue.
 
 Every fact of delta is computed once, from the pairs (P, l = v_P(delta))
-of the factorization of (delta): k_P = v_P(f), f = prod P^k and rel_disc =
-prod P^(l - 2k) from the memo of PrimeIdeal.power, with no ideal division,
-and the witness by the search kernel ideals._root_coords on the HNF
-triples of f and f^2 scaled by 2 and 4, with no ideal 2f or 4f^2 built.
-The route that factored (delta) afresh and divided by f^2 is the test
-oracle tests/helpers.py::conductor_by_division.
+of the factorization of (delta): k_P = v_P(f), and f = prod P^k, f^2 and
+rel_disc = prod P^(l - 2k) built on integers from the prime powers by
+ideals._ideal_of_pairs and handed their pairs, with no ideal multiplied or
+divided; the witness by the search kernel ideals._root_coords on the HNF
+triples of f and f^2 scaled by 2 and 4, with no ideal 2f or 4f^2 built,
+and for f = (1), where the root of x^2 = delta mod 4 is unique mod 2, the
+mod-4 test _witness_coords; and is_square_in_K is False at once when some
+l is odd.  So a miss on a delta whose ideal was never built pays for
+integer work only: principal_ideal's gcd, the factorization found and
+confirmed on integers, and the prime powers.  The route that factored
+(delta) afresh and divided by f^2 is the test oracle
+tests/helpers.py::conductor_by_division.
 
 A DiscriminantInfo is the one object per discriminant: the characters,
 fundamental_discriminant_data and verify read (delta) and its
@@ -55,8 +62,10 @@ from .ideals import (
     Ideal,
     PrimeIdeal,
     _cf_generator,
+    _factor,
     _gauss_generator,
     _hnf_triple,
+    _ideal_of_pairs,
     _root_coords,
     coords_valuation,
     ideals_of_norm,
@@ -125,6 +134,10 @@ class DiscriminantInfo:
         return f"DiscriminantInfo({self.delta!r})"
 
 
+# the slot writers of DiscriminantInfo, which refuses assignment
+_INFO_SETTERS = tuple(DiscriminantInfo.__dict__[name].__set__ for name in DiscriminantInfo.__slots__)
+
+
 @dataclass(frozen=True)
 class GeneralDiscFactorization:
     s: Ideal  # largest integral ideal with s^2 | (delta)
@@ -186,7 +199,7 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     integral m^2 delta = m*X + m*Y*w and t by t + 2 v_P(m) (x solves the
     one iff m*x solves the other).  At an odd P a root mod P^(v+1) lifts by
     Hensel's lemma to every power of P, so t becomes v + 1.  The search
-    (ideals.square_root_coords) runs over P^(v/2) modulo P^s with
+    (the kernel ideals._root_coords) runs over P^(v/2) modulo P^s with
     s = max(ceil(t/2), t - v_P(2) - v/2), which suffices: x = x0 mod P^s
     with v(x0) = v/2 gives v(x^2 - x0^2) >= s + min(v_P(2) + v/2, s) >= t.
     That is N(P)^(s - v/2) candidates, N(P) of them at an odd P.  The
@@ -194,22 +207,29 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     """
     if target <= 0 or not delta:
         return True
-    m = delta.m
-    v = coords_valuation(P, delta.X, delta.Y, m)
+    X, Y, m = delta.X, delta.Y, delta.m
+    v = coords_valuation(P, X, Y, m)
+    if m > 1 and 0 <= v < target and v % 2 == 0:
+        vm = coords_valuation(P, m, 0)
+        X, Y, v, target = m * X, m * Y, v + 2 * vm, target + 2 * vm
+    return _solvable_at(delta.field, X, Y, P, v, target)
+
+
+def _solvable_at(K: QuadField, X: int, Y: int, P: PrimeIdeal, v: int, target: int) -> bool:
+    """local_square_solvable for delta = X + Y*w with v = v_P(delta) and
+    target >= 1, delta integral unless v >= target, v < 0 or v is odd, which
+    decide at once.  The search runs on the kernel ideals._root_coords over
+    the triples of the prime powers, P^s within P^(v/2) as s > v/2."""
     if v >= target:
         return True
     if v < 0 or v % 2:
         return False
-    if m > 1:
-        vm = coords_valuation(P, m, 0)
-        delta = Elem(delta.field, m * delta.X, m * delta.Y)
-        v, target = v + 2 * vm, target + 2 * vm
     e2 = _dyadic_ramification(P)
     if e2 == 0:
         target = v + 1
     s = max((target + 1) // 2, target - e2 - v // 2)
-    roots = square_root_coords(delta, P.power(s), P.power(target), P.power(v // 2))
-    return next(roots, None) is not None
+    triples = (_hnf_triple(P.power(k)) for k in (s, target, v // 2))
+    return next(_root_coords(K, X, Y, *triples), None) is not None
 
 
 def _dyadic_ramification(P: PrimeIdeal) -> int:
@@ -227,10 +247,11 @@ def conductor_ideal(delta: Elem) -> DiscriminantInfo:
     solvable modulo P^(2k + 2 v_P(2)), decided by finite residue search.
     (delta) is built and factored once, and every fact of delta is read
     off its pairs (P, l) by _conductor: f = prod P^k and rel_disc =
-    prod P^(l - 2k), from the memo of PrimeIdeal.power, with no ideal
-    division.  The witness is the first root of x^2 = delta mod 4f^2 in the
-    HNF box of 2f, searched on f's and f^2's HNF triples scaled by 2 and 4
-    (ideals._root_coords).  The returned info also keeps (delta) and
+    prod P^(l - 2k), built on integers by ideals._ideal_of_pairs, with no
+    ideal product or division.  The witness is the first root of x^2 =
+    delta mod 4f^2 in the HNF box of 2f, searched on f's and f^2's HNF
+    triples scaled by 2 and 4 (ideals._root_coords), or for f = (1) the one
+    root mod 2 (_witness_coords).  The returned info also keeps (delta) and
     v_P(delta), v_P(f) at each P | delta, which the characters,
     fundamental_discriminant_data and verify read.  Memoised per delta
     (_conductor): every call for one delta returns the same info."""
@@ -250,43 +271,41 @@ def _conductor(K: QuadField, X: int, Y: int) -> DiscriminantInfo:
     built and handed its factorization."""
     delta = Elem(K, X, Y)
     modulus = principal_ideal(delta)
-    delta_primes = dict(modulus.factor())
+    delta_primes = dict(_factor(modulus))
     f_exponents = {}
+    odd = False
     for P, l in delta_primes.items():
+        odd = odd or l % 2
         e2 = _dyadic_ramification(P)
         k = l // 2
-        while e2 and k > 0 and not local_square_solvable(delta, P, 2 * k + 2 * e2):
+        while e2 and k > 0 and not _solvable_at(K, X, Y, P, l, 2 * k + 2 * e2):
             k -= 1
         f_exponents[P] = k
-    f = _prime_product(K, f_exponents.items())
-    if f.is_unit_ideal():
-        f2, rel = f, modulus
+    f_pairs = tuple((P, k) for P, k in f_exponents.items() if k)
+    if f_pairs:
+        f = _ideal_of_pairs(K, f_pairs)
+        f2 = _ideal_of_pairs(K, tuple((P, 2 * k) for P, k in f_pairs))
+        rel_pairs = ((P, l - 2 * f_exponents[P]) for P, l in delta_primes.items())
+        rel = _ideal_of_pairs(K, tuple((P, e) for P, e in rel_pairs if e))
+        coords = next(_root_coords(K, X, Y, _hnf_triple(f, 2), _hnf_triple(f2, 4)), None)
     else:
-        f2 = f * f
-        rel = _prime_product(K, ((P, l - 2 * f_exponents[P]) for P, l in delta_primes.items()))
-    coords = next(_root_coords(K, delta.X, delta.Y, _hnf_triple(f, 2), _hnf_triple(f2, 4)), None)
+        # x^2 = delta mod 4 has at most one root mod 2: two roots x, x + h
+        # give h(h + 2x) in (4), so v_P(h) >= v_P(2) at each P | 2
+        f, rel = unit_ideal(K), modulus
+        coords = _witness_coords(K, X, Y)
     if coords is None:
         raise AssertionError("per-prime solvability holds but no global witness found")
     negative = tuple(i for i in K.real_embeddings if coords_sign(K, X, Y, i) < 0)
-    # the one constructor of DiscriminantInfo objects
+    # the one constructor of DiscriminantInfo objects; a square has even
+    # valuations everywhere
     info = object.__new__(DiscriminantInfo)
     facts = (
-        delta, f, rel, delta.is_square(), K.elem(*coords), modulus,
+        delta, f, rel, not odd and delta.is_square(), Elem(K, *coords), modulus,
         MappingProxyType(delta_primes), MappingProxyType(f_exponents), negative, {}, {}, {},
     )
-    for name, value in zip(DiscriminantInfo.__slots__, facts):
-        object.__setattr__(info, name, value)
+    for setter, value in zip(_INFO_SETTERS, facts):
+        setter(info, value)
     return info
-
-
-def _prime_product(K: QuadField, pairs) -> Ideal:
-    # prod P^e over the pairs (P, e), e >= 0, from the memo of
-    # PrimeIdeal.power; (1), with no product, if every e is 0
-    out = None
-    for P, e in pairs:
-        if e:
-            out = P.power(e) if out is None else out * P.power(e)
-    return unit_ideal(K) if out is None else out
 
 
 def relative_discriminant_general(delta: Elem) -> GeneralDiscFactorization:

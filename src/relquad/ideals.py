@@ -22,21 +22,30 @@ Type-safe modular hash-consing, 2006).  Ideal.valuation is closed-form
 integer arithmetic on the HNF (a, b, c) and the denominator: no ideal
 product and no inverse.  Ideal.factor is memoised process-wide per ideal
 in an LRU cache of FACTOR_CACHE_SIZE entries, so a long run cannot grow it
-without limit.  An ideal that was handed its factorization at construction
-(every ideal ideals_of_norm builds, and unit_ideal) has it confirmed on
-integers, by its valuation at each listed prime and the product of their
-norms, with no ideal multiplied; any other ideal is factored over the
-primes of its norm and denominator, and the reassembly check multiplies the
-prime powers back.  Either check runs once per distinct ideal, inside the
-cached computation.  The package's own readers (divisors, moebius, the
-character values and the counting routes) iterate the memoised tuple
-_factor(I) in place; Ideal.factor copies it into a fresh list for outside
-callers.  Ideal.inverse (and its check I * I^-1 = (1)), ideals_of_norm, per
-(field, n), the prime powers PrimeIdeal.power, per (P, k), the integral
-divisors of an ideal, _divisors, per ideal (Ideal.divisors copies them into
-a fresh list), the factorization of an element by its coordinates,
-_coords_factor, per (field, x, y, m), and the product of two ideals of one
-field, _product, per (I, J), are memoised in LRU caches of the same size.
+without limit.  No factorization multiplies an ideal.  An ideal that was
+handed its factorization at construction (every ideal ideals_of_norm
+builds, unit_ideal, each prime's own ideal with (P, 1), each prime power
+PrimeIdeal.power with (P, k), and the products _ideal_of_pairs builds) has
+it confirmed on integers (_confirm_factors), by its valuation at each
+listed prime and the product of their norms.  Any other integral ideal is
+valued at the primes of its norm (_found_factors), and the pairs found are
+confirmed independently of those valuations: P^v | I on the memoised
+P.power(v), by HNF membership, and prod N(P)^v = N(I), which prove I =
+prod P^v as the P^v are pairwise coprime.  A fractional I = J/den is the
+quotient of the factorizations of its numerator module J and of (den).
+Each check runs once per distinct ideal, inside the cached computation;
+the route that multiplied the prime powers back is the test oracle
+tests/helpers.py::factor_by_products.  The package's own readers
+(divisors, moebius, the character values and the counting routes) iterate
+the memoised tuple _factor(I) in place; Ideal.factor copies it into a fresh
+list for outside callers.  Ideal.inverse (and its check I * I^-1 = (1)),
+ideals_of_norm, per (field, n), the local factors of norm p^e,
+_local_factors, per (primes above p, e), the prime powers PrimeIdeal.power,
+per (P, k), the integral divisors of an ideal, _divisors, per ideal
+(Ideal.divisors copies them into a fresh list), the factorization of an
+element by its coordinates, _coords_factor, per (field, x, y, m), and the
+product of two ideals of one field, _product, per (I, J), are memoised in
+LRU caches of the same size.
 The memos hold the ideals they key on and return, so those stay interned
 while their entries last.  No output depends on an identity hash, which
 differs between processes: the package keys dicts on interned objects,
@@ -60,11 +69,24 @@ field's generator is then walked by eps into the window of
 field._window_least, the walk the discriminant classes take by eps^2.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
+principal_ideal reads the HNF of (e) from one gcd and one inverse modulo
+the norm of e (Cohen, GTM 138, 2.4.3 and 5.2), so a generator the size of
+a unit costs its norm, not its size; ideal_from_generators stays the
+general route, and the HNF of the full vectors {e, e*w} survives as the
+test oracle tests/helpers.py::principal_ideal_by_vectors.
+
+The primes above p are found by the Kronecker symbol and root finding, and
+checked on integers: the count of roots against the symbol, each root
+against the norm form, and P^2 = (p) at a ramified P by its generators; no
+ideal is multiplied.  PrimeIdeal.power builds P^k on integers: a Newton
+lift of the root at a split P, closed forms elsewhere.
+
 ideals_of_norm builds the ideals of norm n on integers (Cohen, GTM 138,
 5.2 and 4.8): those of norm n/p^e, p the largest prime dividing n, times
 each ideal k*(q, r + w) of norm p^e, by CRT on the HNF entries.  Each ideal
-is handed the exponents it was built from.  The product route, one Ideal product per pair of
-factors, survives as the test oracle
+is handed the exponents it was built from.  _ideal_of_pairs builds any
+product of powers of distinct primes the same way.  The product route, one
+Ideal product per pair of factors, survives as the test oracle
 tests/helpers.py::ideals_of_norm_by_products.
 
 square_root_coords(delta, M, N, L) is the one integer search for x^2 = delta
@@ -73,12 +95,13 @@ taking ideals; its kernel _root_coords takes delta's coordinates and the
 HNF triples of M, N and L.  The root count N(delta, a) searches (2a, 4a),
 the conductor witness (2f, 4f^2) and the dyadic character symbol (2P, 4P)
 on the kernel, each scaling a triple it holds by an integer
-(_hnf_triple(a, 2)), so no Ideal is built for the search; the general
-relative discriminant (st, (st)^2) and local square solvability
-(P^s, P^t, P^(v/2)) go through the entry.  All but the last use L = (1),
-the HNF box of M.  Like Ideal.residues the kernel refuses N(M)/N(L) >
-RESIDUE_ENUMERATION_BOUND with an arith.BoundExceeded naming the bound and
-M, whose text it formats only then.
+(_hnf_triple(a, 2)), so no Ideal is built for the search, and so does local
+square solvability (P^s, P^t, P^(v/2)) on the triples of the prime powers;
+the general relative discriminant (st, (st)^2) goes through the entry.  All
+but local solvability use L = (1), the HNF box of M.  Like Ideal.residues
+the kernel refuses N(M)/N(L) > RESIDUE_ENUMERATION_BOUND with an
+arith.BoundExceeded naming the bound and M, whose text it formats only
+then.
 In each row of candidates the w-coordinate of x^2 - delta is linear in x,
 so the search tests only the one residue class of x where N's w-condition
 holds; the search over the whole box survives as the test oracle
@@ -92,6 +115,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import gcd, isqrt, lcm
 
 from .arith import BoundExceeded, factorint, is_prime, kronecker, sqrt_mod_p, xgcd
@@ -151,7 +175,8 @@ class Ideal:
     pickle round trip give the interned ideal.
 
     _factors, when given, is the ideal's factorization as (P, v) pairs in
-    Ideal.factor's order, known to whoever built it (ideals_of_norm);
+    Ideal.factor's order, known to whoever built it (ideals_of_norm, the
+    primes and their powers, _ideal_of_pairs);
     _factor confirms it on integers instead of finding it again.  Pairs
     handed to a live ideal that differ from those it carries are confirmed
     at once (_confirm_factors) and then kept, so a wrong hand-off raises
@@ -662,35 +687,48 @@ def _factor(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
 
 
 def _factor_by_norm(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
-    """The factorization of an ideal that was handed none: its valuations
-    at the primes of its norm and denominator, checked by multiplying the
-    prime powers back."""
-    nm = I.norm()
-    support = set(factorint(nm.numerator)) | set(factorint(nm.denominator))
-    if I.den != 1:
-        support |= set(factorint(I.den))
+    """The factorization of an ideal that was handed none, with no ideal
+    multiplied.  An integral I is valued at the primes of its norm
+    (_found_factors), and the pairs are confirmed on the prime powers by
+    _confirm_factors.  A fractional I = J/den is the quotient of the
+    memoised factorizations of its numerator module J and of (den), both
+    integral.  The route that multiplied the prime powers back survives as
+    the test oracle tests/helpers.py::factor_by_products."""
+    K = I.field
+    if I.den == 1:
+        pairs = _found_factors(I)
+        _confirm_factors(I, pairs, found=True)
+        return pairs
+    exps = dict(_factor(Ideal(K, I.hnf, 1, _checked=True)))
+    for P, v in _factor(principal_ideal(K.elem(I.den))):
+        exps[P] = exps.get(P, 0) - v
+    order = lambda pv: (pv[0].p, _primes_above(K, pv[0].p).index(pv[0]))
+    return tuple(sorted(((P, v) for P, v in exps.items() if v), key=order))
+
+
+def _found_factors(I: Ideal) -> tuple[tuple["PrimeIdeal", int], ...]:
+    # the pairs (P, v_P(I)), v != 0, of an integral I at the primes of its
+    # norm, in the order of Ideal.factor
     out = []
-    for p in sorted(support):
-        for P in primes_above(I.field, p):
+    for p in sorted(factorint(I.norm_int())):
+        for P in _primes_above(I.field, p):
             v = I.valuation(P)
             if v:
                 out.append((P, v))
-    rebuilt = unit_ideal(I.field)
-    for P, v in out:
-        rebuilt = rebuilt * P.ideal**v
-    if rebuilt is not I:
-        raise AssertionError(f"factorization of {I} does not reassemble")
     return tuple(out)
 
 
-def _confirm_factors(I: Ideal, pairs: tuple[tuple["PrimeIdeal", int], ...]) -> None:
+def _confirm_factors(I: Ideal, pairs: tuple[tuple["PrimeIdeal", int], ...], found: bool = False) -> None:
     """Check on integers that the integral ideal I is the product of the
-    prime powers P^v of pairs, listed in Ideal.factor's order: v_P(I) = v
-    for each pair and prod N(P)^v = N(I).  Then I / prod P^v is integral
-    (its valuation is 0 at each listed P and v_P(I) >= 0 elsewhere) of norm
-    1, so I = prod P^v with no ideal multiplied.  The pairs must list
-    distinct primes above primes_above's rational primes, in its order, with
-    positive exponents; an AssertionError names I otherwise."""
+    prime powers P^v of pairs, listed in Ideal.factor's order: each P^v
+    divides I and prod N(P)^v = N(I).  Then I / prod P^v is integral (the
+    P^v are pairwise coprime) of norm 1, so I = prod P^v with no ideal
+    multiplied.  Handed pairs are tested by v_P(I) = v, which implies P^v |
+    I; pairs that those valuations found are tested independently of
+    them, by P^v | I on the memoised PrimeIdeal.power (HNF membership,
+    Ideal.divides).  The pairs must list distinct primes above
+    primes_above's rational primes, in its order, with positive exponents;
+    an AssertionError names I otherwise."""
     K = I.field
     ok = I.den == 1
     norm = 1
@@ -700,11 +738,13 @@ def _confirm_factors(I: Ideal, pairs: tuple[tuple["PrimeIdeal", int], ...]) -> N
             break
         above = _primes_above(K, P.p)
         key = (P.p, above.index(P)) if P in above else None
-        ok = key is not None and key > last and v > 0 and I.valuation(P) == v
+        ok = key is not None and key > last and v > 0
+        ok = ok and (P.power(v).divides(I) if found else I.valuation(P) == v)
         last = key
         norm *= P.norm() ** v
     if not (ok and norm == I.norm_int()):
-        raise AssertionError(f"the factorization handed to {I} does not match it: {pairs}")
+        how = "found for" if found else "handed to"
+        raise AssertionError(f"the factorization {how} {I} does not match it: {pairs}")
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
@@ -717,13 +757,20 @@ def _divisors(I: Ideal) -> tuple[Ideal, ...]:
     return tuple(sorted(divs, key=lambda d: (d.norm_int(), d.hnf)))
 
 
+# the slot writers of Ideal, which refuses assignment: each writes a slot
+# through its descriptor, in C
+_set_field, _set_hnf, _set_den, _set_factors = (
+    Ideal.__dict__[name].__set__ for name in ("field", "hnf", "den", "_factors")
+)
+
+
 def _new_ideal(K: QuadField, hnf: tuple[int, ...], den: int, pairs) -> Ideal:
     # the one constructor of Ideal objects, for Ideal.__new__ alone
     I = object.__new__(Ideal)
-    object.__setattr__(I, "field", K)
-    object.__setattr__(I, "hnf", hnf)
-    object.__setattr__(I, "den", den)
-    object.__setattr__(I, "_factors", pairs)
+    _set_field(I, K)
+    _set_hnf(I, hnf)
+    _set_den(I, den)
+    _set_factors(I, pairs)
     return I
 
 
@@ -796,7 +843,26 @@ def ideal_from_generators(K: QuadField, gens) -> Ideal:
 
 
 def principal_ideal(e: Elem) -> Ideal:
-    return ideal_from_generators(e.field, [e])
+    """(e) for a nonzero e = (X + Y*w)/m, from one gcd and one inverse mod
+    the norm (Cohen, GTM 138, 2.4.3 and 5.2).  N = |N(X + Y*w)| lies in
+    (X + Y*w), so X and Y are first reduced mod N: a generator the size of
+    a unit costs its norm, not its size.  With c = gcd(X, Y, N) and X + Y*w
+    = c*(X0 + Y0*w), (X + Y*w) = c*(A, B + w) with A = N/c^2 and B = X0/Y0
+    mod A (Y0 is a unit mod A, as gcd(X0, Y0) = 1); over m, as
+    ideal_from_generators scales.  ideal_from_generators stays the general
+    route; the HNF of the full vectors {e, e*w} survives as the test oracle
+    tests/helpers.py::principal_ideal_by_vectors."""
+    K, X, Y, m = e.field, e.X, e.Y, e.m
+    if not (X or Y):
+        raise ValueError("no nonzero generators")
+    if K.degree == 1:
+        return Ideal(K, (abs(X),), m)
+    N = abs(X * X + K.omega_trace * X * Y + K.omega_norm * Y * Y)
+    X, Y = X % N, Y % N
+    c = gcd(X, Y, N)
+    A = N // (c * c)
+    B = X // c * pow(Y // c, -1, A) % A if A > 1 else 0
+    return Ideal(K, (c * A, c * B, c), m, _checked=True)
 
 
 class PrimeIdeal:
@@ -844,17 +910,56 @@ class PrimeIdeal:
         return self.ideal.pretty()
 
 
+# the slot writers of PrimeIdeal, which refuses assignment
+_set_p, _set_ideal, _set_residue_degree, _set_ramified = (
+    PrimeIdeal.__dict__[name].__set__ for name in PrimeIdeal.__slots__
+)
+
+
 def _new_prime(p: int, ideal: Ideal, residue_degree: int, ramified: bool) -> PrimeIdeal:
-    # the one constructor of PrimeIdeal objects, for _primes_above alone
+    # the one constructor of PrimeIdeal objects, for _find_primes_above alone
     P = object.__new__(PrimeIdeal)
-    for name, value in zip(PrimeIdeal.__slots__, (p, ideal, residue_degree, ramified)):
-        object.__setattr__(P, name, value)
+    _set_p(P, p)
+    _set_ideal(P, ideal)
+    _set_residue_degree(P, residue_degree)
+    _set_ramified(P, ramified)
     return P
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _prime_power(P: PrimeIdeal, k: int) -> Ideal:
-    return P.ideal**k
+    """P^k on integers for k >= 2, handed its pair (P, k) (Cohen, GTM 138,
+    4.8): (p^k) over Q, (p^k) at an inert P = (p), p^j * P^i with k = 2j + i
+    at a ramified P, as P^2 = (p), and at a split P = (p, b + w) the
+    primitive (p^k, B + w) with B the root of x^2 + t*x + n mod p^k lifted
+    from b (_lift_root).  P^0 = (1), P^1 = P, and a negative power is the
+    inverse's."""
+    if k < 2:
+        return P.ideal**k
+    K, p = P.ideal.field, P.p
+    if K.degree == 1:
+        hnf = (p**k,)
+    elif P.residue_degree == 2:
+        hnf = (p**k, 0, p**k)
+    elif P.ramified:
+        j, i = divmod(k, 2)
+        s = p**j
+        hnf = (s * p**i, s * P.ideal.hnf[1] * i, s)
+    else:
+        hnf = (p**k, _lift_root(K, P.ideal.hnf[1], p, p**k), 1)
+    return Ideal(K, hnf, 1, _checked=True, _factors=((P, k),))
+
+
+def _lift_root(K: QuadField, b: int, p: int, q: int) -> int:
+    """The root B mod q = p^k of x^2 + t*x + n (the norm N(x + w)) with B = b
+    mod p, by Newton's iteration from the root b mod p; at a split p the
+    derivative 2x + t is a unit mod p, so each step doubles the precision."""
+    t, n = K.omega_trace, K.omega_norm
+    B, m = b, p
+    while m < q:
+        m = min(m * m, q)
+        B = (B - (B * B + t * B + n) * pow(2 * B + t, -1, m)) % m
+    return B
 
 
 def primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
@@ -875,7 +980,14 @@ _PRIMES: dict[tuple[QuadField, int], tuple[PrimeIdeal, ...]] = {}
 
 @lru_cache(maxsize=None)
 def _primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
-    return _PRIMES.setdefault((K, p), _find_primes_above(K, p))
+    ps = _PRIMES.setdefault((K, p), _find_primes_above(K, p))
+    for P in ps:
+        # each prime's ideal carries its pair (P, 1) from here on, handed
+        # once the primes are published: a hand-off to a live ideal is
+        # confirmed at once, which would ask for these primes
+        if P.ideal._factors is None:
+            _set_factors(P.ideal, ((P, 1),))
+    return ps
 
 
 def _find_primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
@@ -886,7 +998,7 @@ def _find_primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     t, n = K.omega_trace, K.omega_norm
     sym = kronecker(K.disc, p)
     if sym == -1:
-        return (_new_prime(p, Ideal(K, (p, 0, p)), 2, False),)
+        return (_new_prime(p, Ideal(K, (p, 0, p), 1, _checked=True), 2, False),)
     # roots of x^2 - t x + n mod p
     if p == 2:
         roots = sorted({r % 2 for r in range(2) if (r * r - t * r + n) % 2 == 0})
@@ -899,15 +1011,20 @@ def _find_primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
         raise AssertionError(
             f"kronecker symbol {sym} and root finding disagree at p = {p} in {K}: no root"
         )
-    out = []
+    if len(roots) != (2 if sym == 1 else 1):
+        raise AssertionError(f"kronecker symbol {sym} at p = {p} in {K}, but {len(roots)} prime(s) above it")
     for r in roots:
-        # (p, w - r) = Z p + Z (w - r): N(w - r) = r^2 - t r + n = 0 mod p
-        out.append(_new_prime(p, Ideal(K, (p, -r % p, 1)), 1, sym == 0))
-    if len(out) != (2 if sym == 1 else 1):
-        raise AssertionError(f"kronecker symbol {sym} at p = {p} in {K}, but {len(out)} prime(s) above it")
-    if sym == 0 and out[0].ideal ** 2 != Ideal(K, (p, 0, p)):
-        raise AssertionError(f"ramified p = {p} in {K}: {out[0]} squared is not ({p})")
-    return tuple(out)
+        # (p, w - r) = Z p + Z (w - r) is an ideal iff N(w - r) = r^2 - t r + n = 0 mod p
+        if (r * r - t * r + n) % p:
+            raise AssertionError(f"{r} is not a root of x^2 - {t}x + {n} mod {p} in {K}")
+    if sym == 0:
+        # P = (p, w - r): P^2 = (p^2, p(w - r), (w - r)^2) lies in (p) iff p
+        # divides both coordinates of (w - r)^2 = (r^2 - n) + (t - 2r) w, and
+        # then it is (p), of the same norm p^2
+        r = roots[0]
+        if (r * r - n) % p or (t - 2 * r) % p:
+            raise AssertionError(f"ramified p = {p} in {K}: ({p}, w - {r}) squared is not ({p})")
+    return tuple(_new_prime(p, Ideal(K, (p, -r % p, 1), 1, _checked=True), 1, sym == 0) for r in roots)
 
 
 def ideals_of_norm(K: QuadField, n: int) -> list[Ideal]:
@@ -928,9 +1045,10 @@ def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
     A rest ideal with HNF (a, b, c) is c*(A, B + w) with A = a/c, B = b/c,
     and a local factor is k*(q, r + w) (_local_factors).  A and q are
     coprime, so the product is c*k*(A*q, x + w) with x = B mod A and x = r
-    mod q, by CRT; its factorization is the rest's pairs followed by the
-    local ones, which is Ideal.factor's order.  The only ideal products are
-    those of the memoised prime powers P.power(m) in _local_factors."""
+    mod q, by CRT (_crt_join); its factorization is the rest's pairs
+    followed by the local ones, which is Ideal.factor's order.  No ideal is
+    multiplied: the local factors read the prime powers PrimeIdeal.power,
+    which are built on integers."""
     if n == 1:
         return (unit_ideal(K),)
     p, e = max(factorint(n).items())
@@ -943,34 +1061,72 @@ def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
     for k, q, r, local in _local_factors(ps, e):
         for R in rest:
             a, b, c = R.hnf
-            A, B = a // c, b // c
-            x = B if q == 1 else B + A * ((r - B) * pow(A, -1, q) % q)
+            A = a // c
             s = c * k
-            out.append(Ideal(K, (s * A * q, s * x, s), 1, _checked=True, _factors=R._factors + local))
+            hnf = s * A * q, s * _crt_join(A, b // c, q, r), s
+            out.append(Ideal(K, hnf, 1, _checked=True, _factors=R._factors + local))
     return tuple(sorted(out, key=lambda a: a.hnf))
 
 
-def _local_factors(ps: tuple[PrimeIdeal, ...], e: int) -> list[tuple[int, int, int, tuple]]:
+def _crt_join(A: int, B: int, q: int, r: int) -> int:
+    # x = B mod A and x = r mod q, for coprime A and q, in [0, A*q) when B
+    # lies in [0, A): the B-entry of the primitive (A, B + w)(q, r + w)
+    return B if q == 1 else B + A * ((r - B) * pow(A, -1, q) % q)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _local_factors(ps: tuple[PrimeIdeal, ...], e: int) -> tuple[tuple[int, int, int, tuple], ...]:
     """(k, q, r, pairs) for each integral ideal k*(q, r + w) of norm p^e, the
     primes above p being ps, with its factorization pairs (Cohen, GTM 138,
-    4.8): P^i P'^j = p^min(i, j) * D^m at a split p, m = |i - j| and D the
-    dominant prime, with r read off D^m = (p^m, r + w); p^(e/2) at an inert
-    p, none if e is odd; and p^(e//2) * P^(e % 2) at a ramified p."""
+    4.8): P^i P'^j with i + j = e at a split p, p^(e/2) at an inert p, none
+    if e is odd, and P^e at a ramified p; k, q and r by _local_part.
+    Memoised per (ps, e), which recurs for every n whose largest prime
+    power is p^e."""
     P = ps[0]
-    p = P.p
     if len(ps) == 2:
         P2 = ps[1]
-        out = []
-        for i in range(e + 1):
-            j = e - i
-            m = abs(i - j)
-            r = (P if i > j else P2).power(m).hnf[1] if m else 0
-            pairs = ((P, i), (P2, j)) if i and j else ((P, i),) if i else ((P2, j),)
-            out.append((p ** min(i, j), p**m, r, pairs))
-        return out
-    if P.residue_degree == 2:
-        return [(p ** (e // 2), 1, 0, ((P, e // 2),))] if e % 2 == 0 else []
-    return [(p ** (e // 2), p ** (e % 2), P.ideal.hnf[1] if e % 2 else 0, ((P, e),))]
+        choices = [((P, i), (P2, e - i)) if 0 < i < e else ((P, i),) if i else ((P2, e),) for i in range(e + 1)]
+    elif P.residue_degree == 2:
+        choices = [((P, e // 2),)] if e % 2 == 0 else []
+    else:
+        choices = [((P, e),)]
+    return tuple((*_local_part(pairs), pairs) for pairs in choices)
+
+
+def _local_part(pairs: tuple) -> tuple[int, int, int]:
+    """(k, q, r) with k*(q, r + w) the product of the one or two pairs (P,
+    i) at one rational prime p of a quadratic field, read off the prime
+    powers PrimeIdeal.power: P^i P'^j = p^min(i, j) * D^m at a split p, m =
+    |i - j| and D the dominant prime, whose power is the primitive (p^m, r
+    + w)."""
+    (P, i), *other = pairs
+    k = 1
+    if other:
+        ((P2, j),) = other
+        k = P.p ** min(i, j)
+        P, i = (P, i - j) if i > j else (P2, j - i)
+    a, b, c = P.power(i).hnf
+    return k * c, a // c, b // c
+
+
+def _ideal_of_pairs(K: QuadField, pairs: tuple) -> Ideal:
+    """The integral ideal prod P^v over pairs in Ideal.factor's order, v >
+    0, on integers, handed those pairs: the local parts at each rational p
+    (_local_part) joined by CRT, as _ideals_of_norm joins them; one pair
+    is the memoised PrimeIdeal.power."""
+    if len(pairs) == 1:
+        ((P, v),) = pairs
+        return P.power(v)
+    if K.degree == 1:
+        n = 1
+        for P, v in pairs:
+            n *= P.p**v
+        return Ideal(K, (n,), 1, _checked=True, _factors=pairs)
+    s, A, B = 1, 1, 0
+    for _, local in groupby(pairs, key=lambda pv: pv[0].p):
+        k, q, r = _local_part(tuple(local))
+        s, A, B = s * k, A * q, _crt_join(A, B, q, r)
+    return Ideal(K, (s * A, s * B, s), 1, _checked=True, _factors=pairs)
 
 
 def minkowski_bound(K: QuadField) -> int:

@@ -68,7 +68,11 @@ among the ideals of each norm dividing its norm (independent of the prime
 power products of ideals.Ideal.divisors), and the ideals of each norm
 built as products of prime powers, each carrying the exponents it was
 built from (the route that the integer HNFs and handed factorizations of
-ideals.ideals_of_norm replaced).
+ideals.ideals_of_norm replaced), and the factorization of an ideal checked
+by multiplying its prime powers back (the route that the confirmation on
+integers of ideals._factor_by_norm replaced), and the principal ideal as
+the HNF of the full vectors of e and e*w (the route that the gcd modulo
+the norm of ideals.principal_ideal replaced).
 
 The last sections hold what only tests use, moved out of the package: small
 field, ideal and dyadic helpers (all_reps of a square-class space among
@@ -246,6 +250,37 @@ def ideal_power_by_vectors(I: Ideal, k: int) -> Ideal:
     for _ in range(k):
         out = ideal_product_by_vectors(out, I)
     return out
+
+
+def factor_by_products(I: Ideal) -> list[tuple]:
+    """The factorization of I in the order of Ideal.factor: v_P(I) by
+    valuation_by_division at the primes of its norm and denominator,
+    checked by multiplying the prime powers back with
+    ideal_product_by_vectors (the route that the confirmation of
+    ideals._factor_by_norm on integers replaced)."""
+    K = I.field
+    support = set(factorint(I.norm().numerator)) | set(factorint(I.norm().denominator)) | set(factorint(I.den))
+    out = [(P, v) for p in sorted(support) for P in primes_above(K, p) if (v := valuation_by_division(I, P))]
+    rebuilt = unit_ideal(K)
+    for P, v in out:
+        power = ideal_power_by_vectors(P.ideal if v > 0 else P.ideal.inverse(), abs(v))
+        rebuilt = ideal_product_by_vectors(rebuilt, power)
+    if rebuilt is not I:
+        raise AssertionError(f"factorization of {I} does not reassemble")
+    return out
+
+
+def principal_ideal_by_vectors(e: Elem) -> Ideal:
+    """(e) as the HNF of the full vectors of e and e*w, taken on their
+    whole coordinates (the route that the gcd mod the norm of
+    ideals.principal_ideal replaced): m*e = X + Y*w and (X + Y*w)*w = -n*Y
+    + (X + t*Y)*w, over m."""
+    K = e.field
+    if K.degree == 1:
+        return Ideal(K, (abs(e.X),), e.m)
+    t, n = K.omega_trace, K.omega_norm
+    X, Y = e.X, e.Y
+    return Ideal(K, _hnf_from_vectors([(X, Y), (-n * Y, X + t * Y)]), e.m)
 
 
 # -- ideals of norm n as ideal products, the route that the integer HNFs and

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relquad.arith import factorint, is_prime, smallest_prime_factors
+from relquad.arith import _small_primes, factorint, is_prime, smallest_prime_factors
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -54,3 +54,11 @@ def test_is_prime_matches_the_sieve():
     spf = smallest_prime_factors(2 * 10**5)
     assert [n for n in range(len(spf)) if is_prime(n) != (n >= 2 and spf[n] == n)] == []
     assert not is_prime(-7) and is_prime(1669) and not is_prime(41 * 41) and is_prime(1693)
+
+
+def test_small_prime_table_matches_the_sieve():
+    # factorint's trial divisors: every prime below 2^16, in order, read off
+    # the least-prime-factor sieve
+    spf = smallest_prime_factors(1 << 16)
+    assert _small_primes() == tuple(n for n in range(2, 1 << 16) if spf[n] == n)
+    assert len(_small_primes()) == 6542 and _small_primes()[-1] == 65521

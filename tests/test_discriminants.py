@@ -781,3 +781,34 @@ def test_table_beyond_box_cliff(d, capsys):
 
 def test_class_number_beyond_box_cliff():
     assert class_number(make_field(31)) == 1
+
+
+@pytest.mark.parametrize("d", [1009, 10, -15, None])
+def test_first_touch_of_a_discriminant_multiplies_no_ideal(d, monkeypatch):
+    # conductor_ideal of a delta whose ideal was never built, in a field
+    # whose primes may be new too: with f = (1) the miss builds (delta) by a
+    # gcd, factors and confirms it on integers and reads rel_disc = (delta),
+    # so no ideal product runs; with f != (1) f, f^2 and rel_disc are built
+    # on integers from the prime powers, which multiply none either.  The
+    # answers match the division oracle once the count is taken
+    K = make_field(d)
+    t, n = K.omega_trace, K.omega_norm
+    products = []
+    real = ideals._hnf_product
+    monkeypatch.setattr(ideals, "_hnf_product", lambda *args: products.append(args) or real(*args))
+    rng = random.Random(d or 1)
+    infos = []
+    while len(infos) < 150:
+        x, y = rng.randint(-10**5, 10**5), rng.randint(-10**3, 10**3) if K.degree == 2 else 0
+        if not (x or y) or discriminants._witness_coords(K, x, y) is None:
+            continue
+        hnf = (abs(x),) if K.degree == 1 else ideals._hnf_from_vectors([(x, y), (-n * y, x + t * y)])
+        if (K, hnf, 1) in ideals._IDEALS:
+            continue
+        infos.append(conductor_ideal(Elem(K, x, y)))
+    assert products == []
+    monkeypatch.undo()
+    assert sum(info.f_delta.is_unit_ideal() for info in infos) >= 50
+    assert any(not info.f_delta.is_unit_ideal() for info in infos)
+    for info in infos[:40]:
+        assert (info.f_delta, info.rel_disc, info.witness_x) == conductor_by_division(info.delta), info.delta

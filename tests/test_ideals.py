@@ -11,7 +11,7 @@ import time
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -26,10 +26,13 @@ from helpers import (
     box_principal_generator,
     class_number,
     divisors_by_norm,
+    factor_by_products,
     ideal_lcm,
+    ideal_power_by_vectors,
     ideal_product_by_vectors,
     ideals_of_norm_by_products,
     primes_upto,
+    principal_ideal_by_vectors,
     row_principal_generator,
     sqrt_gen,
     square_root_coords_by_box,
@@ -1194,11 +1197,13 @@ def test_factoring_an_enumerated_ideal_builds_no_product(d, monkeypatch):
     pool = [I for n in range(1, 201) for I in ideals_of_norm(K, n)]
     assert sum(len(I.factor()) for I in pool) > len(pool) // 2
     # an enumerated ideal over 3 is an ideal the enumeration never built,
-    # so it is handed no pairs and its factorization is multiplied back
+    # so it is handed no pairs: it is factored as its numerator over (3),
+    # and no ideal is multiplied either
     fractional = pool[-1] * Fraction(1, 3)
     assert fractional.den == 3 and fractional._factors is None
-    with pytest.raises(AssertionError, match="ideal product"):
-        fractional.factor()
+    fac = fractional.factor()
+    monkeypatch.undo()
+    assert fac == factor_by_products(fractional) and any(v < 0 for _, v in fac)
 
 
 def test_handed_factorization_is_not_compared(Q10, monkeypatch):
@@ -1280,3 +1285,178 @@ def test_wrong_handed_factorization_raises_even_under_O():
             [sys.executable, *flags, "-c", _WRONG_HANDED_FACTORS], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.split() == ["raised"] * 24 + ["True"] * 3, flags
+
+
+# the catalog fields of the benchmark and Q
+CATALOG_FIELDS = (-1, -3, -15, -21, -105, 5, 2, 10, 15, 7, 195, 23, 19, 22, None)
+
+
+@pytest.mark.parametrize("d", CATALOG_FIELDS)
+def test_principal_ideal_matches_vector_oracle(d):
+    # the gcd mod the norm against the HNF of the full vectors {e, e*w}, on
+    # integral and non-integral elements, zero refused
+    K = make_field(d)
+    rng = random.Random(d or 0)
+    for _ in range(300):
+        x, y = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6) if K.degree == 2 else 0
+        m = rng.choice((1, 1, 2, 3, 12, rng.randint(1, 10**4)))
+        if x or y:
+            e = Elem(K, x, y, m)
+            assert principal_ideal(e) is principal_ideal_by_vectors(e), (d, e)
+    for x, y in ((1, 0), (-7, 0), (0, 1), (0, -5), (6, 4))[: 5 if K.degree == 2 else 2]:
+        e = Elem(K, x, y)
+        assert principal_ideal(e) is principal_ideal_by_vectors(e), (d, e)
+    with pytest.raises(ValueError):
+        principal_ideal(K.zero)
+
+
+def _sqrt_convergents(d: int, bits: int):
+    # the convergents p/q of sqrt(d), d = 3 mod 4 so that w = sqrt(d), from
+    # the first with p past the given bit length: N(p + q*w) = p^2 - d*q^2
+    # stays below 2*sqrt(d) in size, so p + q*w is unit-sized
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, p1, q0, q1 = 1, a0, 0, 1
+    while True:
+        m = a * den - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+        if p1.bit_length() > bits:
+            yield p1, q1
+
+
+@pytest.mark.parametrize("d, bits, count", [(1000003, 831, 6), (10**9 + 7, 21198, 2)])
+def test_principal_ideal_of_unit_sized_elements(d, bits, count):
+    # elements the size of the fundamental unit (831 and 21,198 bits): the
+    # same ideal as the full-vector HNF, integral and over 3, and at
+    # d = 10^9 + 7 in well under 10 ms each (the full vectors take tens of
+    # milliseconds)
+    K = make_field(d)
+    convergents = _sqrt_convergents(d, bits)
+    for _ in range(count):
+        p, q = next(convergents)
+        assert 0 < abs(p * p - d * q * q) < 2 * isqrt(d) + 2
+        for e in (Elem(K, p, q), Elem(K, p, q, 3), Elem(K, 2 * p, 6 * q)):
+            start = time.process_time()
+            got = principal_ideal(e)
+            spent = time.process_time() - start
+            assert got is principal_ideal_by_vectors(e), (d, e.m)
+            assert spent < 0.01, (d, spent)
+            assert got.norm() == abs(e.norm())
+
+
+@pytest.mark.parametrize("d", [None, 5, 10, -15, -7, 17, 13, 10007])
+def test_prime_powers_on_integers_match_products(d):
+    # PrimeIdeal.power built on integers (a Newton lift at a split P, two
+    # at p = 2 in Q(sqrt -7) and Q(sqrt 17)) is the product power, handed
+    # its pair; P's own ideal carries (P, 1); and a product of powers of
+    # distinct primes built by CRT is the product, handed its pairs
+    K = make_field(d)
+    primes = [P for p in (2, 3, 5, 7, 11, 13) for P in primes_above(K, p)]
+    for P in primes:
+        assert P.ideal._factors == ((P, 1),), (d, P)
+        for k in range(9):
+            assert P.power(k) is ideal_power_by_vectors(P.ideal, k), (d, P, k)
+            if k:
+                assert P.power(k)._factors == ((P, k),) and P.power(k).factor() == [(P, k)]
+    rng = random.Random(7)
+    for _ in range(200):
+        chosen = sorted(rng.sample(range(len(primes)), rng.randint(1, 4)))
+        pairs = tuple((primes[i], rng.randint(1, 4)) for i in chosen)
+        expected = unit_ideal(K)
+        for P, v in pairs:
+            expected = ideal_product_by_vectors(expected, ideal_power_by_vectors(P.ideal, v))
+        got = ideals._ideal_of_pairs(K, pairs)
+        assert got is expected and got.factor() == list(pairs), (d, pairs)
+
+
+_CONFIRMATION_FAULTS = (
+    "import gc, sys\n"
+    "from relquad import ideals\n"
+    "from relquad.field import make_field\n"
+    "from relquad.ideals import ideals_of_norm, primes_above, principal_ideal\n"
+    "def swap(pairs):\n"
+    "    # the conjugate of the first prime above a split p\n"
+    "    out = list(pairs)\n"
+    "    for i, (P, v) in enumerate(out):\n"
+    "        above = primes_above(P.ideal.field, P.p)\n"
+    "        if len(above) == 2:\n"
+    "            out[i] = (above[P is above[0]], v)\n"
+    "            return tuple(out)\n"
+    "    sys.exit(f'no split prime in {pairs}')\n"
+    "FAULTS = [\n"
+    "    swap,\n"
+    "    lambda pairs: ((pairs[0][0], pairs[0][1] + 1),) + pairs[1:],\n"
+    "    lambda pairs: ((pairs[0][0], pairs[0][1] - 1),) + pairs[1:],\n"
+    "    lambda pairs: pairs[1:],\n"
+    "]\n"
+    "def outcome(run, texts):\n"
+    "    try:\n"
+    "        run()\n"
+    "    except AssertionError as exc:\n"
+    "        return 'raised' if any(t in str(exc) for t in texts) else 'unnamed'\n"
+    "    return 'passed'\n"
+    "K10, K15 = make_field(10), make_field(-15)\n"
+    "# found pairs: (8 + w) = P2 P3^3 and (6 + w) = P2 P13 in Q(sqrt 10), and\n"
+    "# (1 + w) = P2 P3 and (5 + w) = P2 P17 in Q(sqrt -15), each factored afresh\n"
+    "found = ideals._found_factors\n"
+    "cases = [(K10, 8, 1), (K10, 6, 1), (K15, 1, 1), (K15, 5, 1)]\n"
+    "for fault in FAULTS:\n"
+    "    for K, x, y in cases:\n"
+    "        I = principal_ideal(K.elem(x, y))\n"
+    "        ideals._factor.cache_clear()\n"
+    "        if I._factors is not None:\n"
+    "            sys.exit(f'{I} carries pairs')\n"
+    "        ideals._found_factors = lambda J: fault(found(J))\n"
+    "        print(outcome(I.factor, [str(I)]))\n"
+    "        ideals._found_factors = found\n"
+    "for K, x, y in cases:\n"
+    "    I = principal_ideal(K.elem(x, y))\n"
+    "    print(outcome(I.factor, []), len(I.factor()))\n"
+    "# handed pairs: the local pairs at 13 that ideals_of_norm hands the ideals\n"
+    "# P2 P13 and P2 P13' of norm 26 in Q(sqrt 10), once they are live\n"
+    "# (confirmed at the hand-off) and once new (confirmed when factored); the\n"
+    "# ideal of norm 2 stays memoised, with its own pairs\n"
+    "local = ideals._local_factors\n"
+    "for fault in FAULTS:\n"
+    "    for live in (True, False):\n"
+    "        ideals._ideals_of_norm.cache_clear()\n"
+    "        held = ideals_of_norm(K10, 26)\n"
+    "        texts = [str(I) for I in held]\n"
+    "        if not live:\n"
+    "            del held\n"
+    "            ideals._factor.cache_clear()\n"
+    "            gc.collect()\n"
+    "        ideals._ideals_of_norm.cache_clear()\n"
+    "        ideals_of_norm(K10, 2)\n"
+    "        ideals._local_factors = lambda ps, e: [(k, q, r, fault(pairs)) for k, q, r, pairs in local(ps, e)]\n"
+    "        print(outcome(lambda: [I.factor() for I in ideals_of_norm(K10, 26)], texts))\n"
+    "        ideals._local_factors = local\n"
+    "ideals._ideals_of_norm.cache_clear()\n"
+    "print(outcome(lambda: [I.factor() for I in ideals_of_norm(K10, 26)], []))\n"
+    "# a prime power lifted to the conjugate's root but handed (P, 3)\n"
+    "lift = ideals._lift_root\n"
+    "ideals._lift_root = lambda K, b, p, q: (-K.omega_trace - lift(K, b, p, q)) % q\n"
+    "P = primes_above(K10, 13)[0]\n"
+    "texts = []\n"
+    "def conjugate_power():\n"
+    "    J = P.power(3)\n"
+    "    texts.append(str(J))\n"
+    "    J.factor()\n"
+    "print(outcome(conjugate_power, texts))\n"
+)
+
+
+def test_confirmation_catches_wrong_pairs_even_under_O():
+    # found pairs and handed pairs patched to name the conjugate at a split
+    # p, shift an exponent by one either way, or drop a prime: each raises
+    # an AssertionError that names the ideal, also under python -O; the
+    # unpatched routes factor the same ideals
+    for flags in ([], ["-O"]):
+        env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", _CONFIRMATION_FAULTS], capture_output=True, text=True, env=env, check=True
+        )
+        lines = out.stdout.splitlines()
+        assert lines == ["raised"] * 16 + ["passed 2"] * 4 + ["raised"] * 8 + ["passed", "raised"], (flags, lines)
