@@ -13,6 +13,10 @@ from math import gcd, isqrt
 __all__ = ["BoundExceeded"]
 
 _SMALL_PRIME_LIMIT = 1 << 16
+# psi_13, the least strong pseudoprime to the 13 prime bases 2, ..., 41
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, Math.
+# Comp. 86, 2017): is_prime's verdict is proven below it
+PSI_13 = 3317044064679887385961981
 
 
 class BoundExceeded(ValueError):
@@ -54,20 +58,21 @@ def smallest_prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the 13 prime bases 2, ..., 41: proven for n < PSI_13,
+    where no composite passes them all; above PSI_13 a True is unproven."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
-        # no prime factor <= 37, so none <= sqrt(n)
+    if n < 43 * 43:
+        # no prime factor <= 41, so none <= sqrt(n)
         return True
-    # deterministic Miller-Rabin for 64-bit and far beyond desk scale
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -81,7 +86,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n odd composite, not a prime power of small primes
+    # Floyd's cycle detection, one gcd per step; n odd composite, not a
+    # prime power of small primes
     if n % 2 == 0:
         return 2
     for c in range(1, 100):

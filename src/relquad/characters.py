@@ -118,11 +118,10 @@ class QuadCharacter:
         if P.p != 2:
             # Legendre symbol of an integer n = delta in O/P: at an inert P,
             # delta^((p^2-1)/2) = N(delta)^((p-1)/2) in O/P; at a degree-1 P
-            # with HNF (p, b, 1), w = -b mod P (Cohen, GTM 138, 1.4 and 4.8)
+            # with HNF (p, b, 1), w = -b mod P, b = 0 over Q (Cohen, GTM 138,
+            # 1.4 and 4.8)
             if P.residue_degree == 2:
                 n = int(self.delta.norm())
-            elif self.field.degree == 1:
-                n = self.delta.X
             else:
                 n = self.delta.X - self.delta.Y * P.ideal.hnf[1]
             val = kronecker(n, P.p)
@@ -345,12 +344,6 @@ def _witness(D: Ideal, rows: list[tuple[int, int, int]]):
 
 def _balance(m: Ideal, x: int, y: int) -> tuple[int, int]:
     """Shift the residue x + y*w toward zero to keep norms small."""
-    if m.field.degree == 1:
-        n = m.norm_int()
-        x %= n
-        if 2 * x > n:
-            x -= n
-        return x, 0
     a, b, c = m.hnf
     q, j = divmod(y, c)
     x -= q * b

@@ -178,11 +178,11 @@ def discriminant_witness(delta: Elem) -> Elem | None:
 
 
 def _witness_coords(K: QuadField, X: int, Y: int) -> tuple[int, int] | None:
-    # (i, j) in {0, 1}^2 with (i + j w)^2 = X + Y w mod 4, j = 0 over Q
+    # (i, j) in {0, 1}^2 with (i + j w)^2 = X + Y w mod 4; over Q, where t
+    # = n = Y = 0, (i, 1) passes only where (i, 0) already has
     t, n = K.omega_trace, K.omega_norm
-    js = (0, 1) if K.degree == 2 else (0,)
     for i in (0, 1):
-        for j in js:
+        for j in (0, 1):
             # (i + j w)^2 = (i^2 - n j^2) + (2 i j + t j^2) w
             if (i * i - n * j * j - X) % 4 == 0 and (2 * i * j + t * j * j - Y) % 4 == 0:
                 return i, j
@@ -228,7 +228,7 @@ def _solvable_at(K: QuadField, X: int, Y: int, P: PrimeIdeal, v: int, target: in
     if e2 == 0:
         target = v + 1
     s = max((target + 1) // 2, target - e2 - v // 2)
-    triples = (_hnf_triple(P.power(k)) for k in (s, target, v // 2))
+    triples = (P.power(k).hnf for k in (s, target, v // 2))
     return next(_root_coords(K, X, Y, *triples), None) is not None
 
 

@@ -344,9 +344,8 @@ def coords_sign(K: QuadField, x: int, y: int, embedding: int) -> int:
 
     With s = t + 1, s*(x + y*w) = A + B*sqrt(d) for A = s*x + t*y and
     B = y (B = -y at embedding 1), and s > 0.  Where A and B differ in sign
-    the sign is A's iff A^2 > d*B^2; d is not a square, so never equal."""
-    if K.degree == 1:
-        return (x > 0) - (x < 0)
+    the sign is A's iff A^2 > d*B^2; d is not a square, so never equal.
+    Over Q, where t = 0 and y = 0, that is the sign of x."""
     t = K.omega_trace
     A = (t + 1) * x + t * y
     B = -y if embedding else y

@@ -1,9 +1,16 @@
 """Fractional ideals of the ring of integers of Q or a quadratic field.
 
 A nonzero ideal is stored as an integer module in Hermite normal form over
-the basis {1, w} (just a positive rational for Q), divided by a positive
-integer denominator.  The representation is normalized at construction and
-is unique per ideal (Cohen, GTM 138, 5.2), and Ideal interns on it.
+the basis {1, w}, the triple (a, b, c) for Z*a + Z*(b + c*w), divided by a
+positive integer denominator.  Every base field has that one format: Q's
+ideal (n/den)*Z is (n, 0, 1) over den, and with w's trace and norm 0 the
+quadratic formulas (membership, residues, valuations, divisibility,
+conjugation) hold over Q as they stand.  Q keeps a branch only where its
+mathematics differs: the (0, 1) column stands for no element, so it never
+scales (_hnf_triple, the one scaling rule), and products, sums, inverses,
+norms and principal ideals work on n alone.  The representation is
+normalized at construction and is unique per ideal (Cohen, GTM 138, 5.2),
+and Ideal interns on it.
 
 The arithmetic works on the integer HNF triples throughout (Cohen, GTM 138,
 sections 4.7 and 5.2): products, sums, conjugates and inverses never pass
@@ -168,11 +175,13 @@ def _hnf_from_vectors(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 class Ideal:
     """Nonzero fractional ideal.  Immutable and interned: Ideal(field, hnf,
-    den) normalizes the HNF, which is unique per ideal (Cohen, GTM 138,
-    5.2), and returns the one live object of that value from _IDEALS, so
-    equality is identity and every memo keyed on an ideal hashes and
-    compares in C (object's own __eq__ and __hash__).  Copy, deepcopy and a
-    pickle round trip give the interned ideal.
+    den) normalizes the HNF triple (a, b, c), which is unique per ideal
+    (Cohen, GTM 138, 5.2); over Q it is (n, 0, 1), (n,) is accepted as
+    input, and n/den is reduced by gcd(n, den).  It returns the one live
+    object of that value from _IDEALS, so equality is identity and every
+    memo keyed on an ideal hashes and compares in C (object's own __eq__
+    and __hash__).  Copy, deepcopy and a pickle round trip give the
+    interned ideal.
 
     _factors, when given, is the ideal's factorization as (P, v) pairs in
     Ideal.factor's order, known to whoever built it (ideals_of_norm, the
@@ -189,11 +198,13 @@ class Ideal:
         if den <= 0:
             raise ValueError("denominator must be positive")
         if field.degree == 1:
-            (n,) = hnf
+            n, *rest = hnf
             if n <= 0:
                 raise ValueError("numerator must be positive")
+            if rest and rest != [0, 1]:
+                raise ValueError(f"not an HNF of Q: {hnf}")
             g = gcd(n, den)
-            hnf = (n // g,)
+            hnf = (n // g, 0, 1)
             den //= g
         else:
             a, b, c = hnf
@@ -206,7 +217,7 @@ class Ideal:
         ref = _IDEALS.get(key)
         I = None if ref is None else ref()
         if I is None:
-            if not (_checked or field.degree == 1):
+            if not _checked:
                 a, b, c = hnf
                 t, n = field.omega_trace, field.omega_norm
                 # stability under multiplication by w:
@@ -242,8 +253,6 @@ class Ideal:
     def norm_int(self) -> int:
         if not self.is_integral():
             raise ValueError("integral ideal required")
-        if self.field.degree == 1:
-            return self.hnf[0]
         return self.hnf[0] * self.hnf[2]
 
     def basis_elems(self) -> list[Elem]:
@@ -283,8 +292,6 @@ class Ideal:
 
     def _contains_coords(self, x: int, y: int) -> bool:
         # whether (x + y*w)/self.den lies in this ideal, for integers x, y
-        if self.field.degree == 1:
-            return x % self.hnf[0] == 0
         a, b, c = self.hnf
         return _in_hnf(a, b, c, x, y)
 
@@ -302,8 +309,6 @@ class Ideal:
     def reduce_coords(self, x: int, y: int) -> tuple[int, int]:
         """reduce() on the integer coordinates of x + y*w, for an integral
         ideal: the HNF-box residue ((x - q*b) mod a, j) with y = q*c + j."""
-        if self.field.degree == 1:
-            return x % self.hnf[0], 0
         a, b, c = self.hnf
         q, j = divmod(y, c)
         return (x - q * b) % a, j
@@ -319,8 +324,6 @@ class Ideal:
             raise BoundExceeded(
                 "residue enumeration", f"the ideal {self.pretty()}", n, RESIDUE_ENUMERATION_BOUND
             )
-        if self.field.degree == 1:
-            return [(i, 0) for i in range(n)]
         a, _, c = self.hnf
         return [(i, j) for j in range(c) for i in range(a)]
 
@@ -341,7 +344,7 @@ class Ideal:
             # and the sign is dropped: (-s) * I = s * I
             if not other:
                 raise ValueError("scale must be nonzero")
-            hnf = tuple(x * abs(other.numerator) for x in self.hnf)
+            hnf = _hnf_triple(self, abs(other.numerator))
             return Ideal(self.field, hnf, self.den * other.denominator, _checked=True)
         if isinstance(other, Elem):
             # a principal ideal built for this one product: not memoised
@@ -354,8 +357,6 @@ class Ideal:
     __rmul__ = __mul__
 
     def conj(self) -> "Ideal":
-        if self.field.degree == 1:
-            return self
         # conjugation maps the Z-basis {a, b + c w} to {a, (b + t c) - c w}
         a, b, c = self.hnf
         t = self.field.omega_trace
@@ -389,7 +390,7 @@ class Ideal:
         if self.field.degree == 1:
             n1, d1 = self.hnf[0], self.den
             n2, d2 = other.hnf[0], other.den
-            return Ideal(self.field, (gcd(n1 * d2, n2 * d1),), d1 * d2, _checked=True)
+            return Ideal(self.field, (gcd(n1 * d2, n2 * d1), 0, 1), d1 * d2, _checked=True)
         d1, d2 = self.den, other.den
         a1, b1, c1 = self.hnf
         a2, b2, c2 = other.hnf
@@ -410,28 +411,23 @@ class Ideal:
     def divides(self, other: "Ideal") -> bool:
         """self | other, decided as other within self: the basis elements
         of other lie in self.  No inverse and no ideal product; for two
-        integral ideals of a quadratic field, two _in_hnf tests."""
+        integral ideals, two _in_hnf tests."""
         K = self.field
         if K is not other.field:
             raise ValueError("ideals of different fields")
         d1, d2 = self.den, other.den
-        if d1 == d2 == 1 and K.degree == 2:
+        x, y, z = other.hnf
+        if d1 == d2 == 1:
             a, b, c = self.hnf
-            x, y, z = other.hnf
             return _in_hnf(a, b, c, x, 0) and _in_hnf(a, b, c, y, z)
-        vecs = [(other.hnf[0], 0)]
-        if self.field.degree == 2:
-            vecs.append(other.hnf[1:])
-        for x, y in vecs:
-            # (x + y*w)/d2 times d1 must be integral and in the module of self
-            x, y = x * d1, y * d1
-            if x % d2 or y % d2 or not self._contains_coords(x // d2, y // d2):
+        for u, v in ((x, 0), (y, z)):
+            # (u + v*w)/d2 times d1 must be integral and in the module of self
+            u, v = u * d1, v * d1
+            if u % d2 or v % d2 or not self._contains_coords(u // d2, v // d2):
                 return False
         return True
 
     def is_unit_ideal(self) -> bool:
-        if self.field.degree == 1:
-            return self.hnf == (1,) and self.den == 1
         return self.hnf == (1, 0, 1) and self.den == 1
 
     # -- factorization --------------------------------------------------------
@@ -446,8 +442,6 @@ class Ideal:
         v_P(I0) is _primitive_valuation's, read off N0 and the element
         b/c + w of I0."""
         p = P.p
-        if self.field.degree == 1:
-            return _vp(self.hnf[0], p) - _vp(self.den, p)
         a, b, c = self.hnf
         e = 2 if P.ramified else 1
         return e * (_vp(c, p) - _vp(self.den, p)) + _primitive_valuation(P, a // c, b // c, 1)
@@ -507,8 +501,8 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
     if L is not None:
         if not (L.is_integral() and L.divides(M)):
             raise ValueError(f"integral ideal required, containing {M}: got {L}")
-        triple_L = _hnf_triple(L)
-    yield from _root_coords(delta.field, delta.X, delta.Y, _hnf_triple(M), _hnf_triple(N), triple_L)
+        triple_L = L.hnf
+    yield from _root_coords(delta.field, delta.X, delta.Y, M.hnf, N.hnf, triple_L)
 
 
 def _root_coords(
@@ -520,7 +514,7 @@ def _root_coords(
     L: tuple[int, int, int] = (1, 0, 1),
 ):
     """The search of square_root_coords on integers alone: delta = X + Y*w
-    integral, and M, N, L the HNF triples (_hnf_triple) of integral ideals
+    integral, and M, N, L the HNF triples (hnf) of integral ideals
     with L containing M, which the caller vouches for.  A caller that holds
     an ideal a scales its triple by an integer (_hnf_triple(a, 2)), so the
     root count's (2a, 4a), the conductor witness's (2f, 4f^2) and the dyadic
@@ -533,7 +527,7 @@ def _root_coords(
     aL, bL, cL = L
     size = a * c // (aL * cL)
     if size > RESIDUE_ENUMERATION_BOUND:
-        ideal = Ideal(K, M[:1] if K.degree == 1 else M, 1, _checked=True).pretty()
+        ideal = Ideal(K, M, 1, _checked=True).pretty()
         raise BoundExceeded("residue enumeration", f"the ideal {ideal}", size, RESIDUE_ENUMERATION_BOUND)
     t, n = K.omega_trace, K.omega_norm  # 0 and 0 over Q, where y stays 0
     A, B, C = N
@@ -561,12 +555,13 @@ def _root_coords(
 
 def _hnf_triple(I: Ideal, scale: int = 1) -> tuple[int, int, int]:
     """The HNF (a, b, c) of the numerator module of scale*I, scale >= 1,
-    by integer products; (n, 0, 1) for n*Z over Q.  For an integral I
-    that is the HNF of the ideal I * scale, which is not built."""
-    if len(I.hnf) == 1:
-        return I.hnf[0] * scale, 0, 1
+    by integer products: the package's one scaling rule.  Over Q the
+    (0, 1) column stands for no element of the ideal, so only n scales:
+    (n*scale, 0, 1).  For an integral I that is the HNF of the ideal
+    I * scale, which is not built."""
     a, b, c = I.hnf
-    return a * scale, b * scale, c * scale
+    k = 1 if I.field.degree == 1 else scale
+    return a * scale, b * scale, c * k
 
 
 def _in_hnf(a: int, b: int, c: int, x: int, y: int) -> bool:
@@ -612,8 +607,6 @@ def coords_valuation(P: "PrimeIdeal", x: int, y: int, den: int = 1) -> int:
         raise ValueError("valuation of 0")
     p = P.p
     K = P.ideal.field
-    if K.degree == 1:
-        return _vp(x, p) - _vp(den, p)
     g = gcd(x, y)
     x0, y0 = x // g, y // g
     n0 = x0 * x0 + K.omega_trace * x0 * y0 + K.omega_norm * y0 * y0
@@ -647,7 +640,7 @@ def _hnf_product(
     """The product of the ideals hnf1/den1 and hnf2/den2 of K: the HNF of
     the four products of their Z-bases (Cohen, GTM 138, 5.2)."""
     if K.degree == 1:
-        return Ideal(K, (hnf1[0] * hnf2[0],), den1 * den2, _checked=True)
+        return Ideal(K, (hnf1[0] * hnf2[0], 0, 1), den1 * den2, _checked=True)
     t, n = K.omega_trace, K.omega_norm
     a1, b1, c1 = hnf1
     a2, b2, c2 = hnf2
@@ -667,11 +660,11 @@ def _product(I: Ideal, J: Ideal) -> Ideal:
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _inverse(I: Ideal) -> Ideal:
     if I.field.degree == 1:
-        inv = Ideal(I.field, (I.den,), I.hnf[0], _checked=True)
+        inv = Ideal(I.field, (I.den, 0, 1), I.hnf[0], _checked=True)
     else:
         a, _, c = I.hnf
         J = I.conj()
-        inv = Ideal(I.field, tuple(x * I.den**2 for x in J.hnf), J.den * a * c, _checked=True)
+        inv = Ideal(I.field, _hnf_triple(J, I.den**2), J.den * a * c, _checked=True)
     if not (I * inv).is_unit_ideal():
         raise AssertionError(f"{I} times its inverse {inv} is not (1)")
     return inv
@@ -812,8 +805,6 @@ def _publish(key: tuple, I: Ideal) -> Ideal:
 
 
 def unit_ideal(K: QuadField) -> Ideal:
-    if K.degree == 1:
-        return Ideal(K, (1,), 1, _checked=True, _factors=())
     return Ideal(K, (1, 0, 1), 1, _checked=True, _factors=())
 
 
@@ -831,7 +822,7 @@ def ideal_from_generators(K: QuadField, gens) -> Ideal:
         raise ValueError("no nonzero generators")
     den = lcm(*(g.m for g in elems))
     if K.degree == 1:
-        return Ideal(K, (abs(gcd(*(g.X * (den // g.m) for g in elems))),), den)
+        return Ideal(K, (abs(gcd(*(g.X * (den // g.m) for g in elems))), 0, 1), den)
     # den*g = X + Y w with integers X, Y, and (X + Y w) w = -n Y + (X + t Y) w
     t, n = K.omega_trace, K.omega_norm
     vecs = []
@@ -856,7 +847,7 @@ def principal_ideal(e: Elem) -> Ideal:
     if not (X or Y):
         raise ValueError("no nonzero generators")
     if K.degree == 1:
-        return Ideal(K, (abs(X),), m)
+        return Ideal(K, (abs(X), 0, 1), m)
     N = abs(X * X + K.omega_trace * X * Y + K.omega_norm * Y * Y)
     X, Y = X % N, Y % N
     c = gcd(X, Y, N)
@@ -938,7 +929,7 @@ def _prime_power(P: PrimeIdeal, k: int) -> Ideal:
         return P.ideal**k
     K, p = P.ideal.field, P.p
     if K.degree == 1:
-        hnf = (p**k,)
+        hnf = (p**k, 0, 1)
     elif P.residue_degree == 2:
         hnf = (p**k, 0, p**k)
     elif P.ramified:
@@ -994,7 +985,7 @@ def _find_primes_above(K: QuadField, p: int) -> tuple[PrimeIdeal, ...]:
     if not is_prime(p):
         raise ValueError(f"primes above {p} in {K}: {p} is not a prime")
     if K.degree == 1:
-        return (_new_prime(p, Ideal(K, (p,), 1, _checked=True), 1, False),)
+        return (_new_prime(p, Ideal(K, (p, 0, 1), 1, _checked=True), 1, False),)
     t, n = K.omega_trace, K.omega_norm
     sym = kronecker(K.disc, p)
     if sym == -1:
@@ -1054,9 +1045,6 @@ def _ideals_of_norm(K: QuadField, n: int) -> tuple[Ideal, ...]:
     p, e = max(factorint(n).items())
     rest = _ideals_of_norm(K, n // p**e)
     ps = _primes_above(K, p)
-    if K.degree == 1:
-        pe, local = p**e, ((ps[0], e),)
-        return tuple(Ideal(K, (R.hnf[0] * pe,), 1, _checked=True, _factors=R._factors + local) for R in rest)
     out = []
     for k, q, r, local in _local_factors(ps, e):
         for R in rest:
@@ -1117,11 +1105,6 @@ def _ideal_of_pairs(K: QuadField, pairs: tuple) -> Ideal:
     if len(pairs) == 1:
         ((P, v),) = pairs
         return P.power(v)
-    if K.degree == 1:
-        n = 1
-        for P, v in pairs:
-            n *= P.p**v
-        return Ideal(K, (n,), 1, _checked=True, _factors=pairs)
     s, A, B = 1, 1, 0
     for _, local in groupby(pairs, key=lambda pv: pv[0].p):
         k, q, r = _local_part(tuple(local))
@@ -1239,7 +1222,7 @@ def parse_ideal(K: QuadField, text: str) -> Ideal:
     if m:
         if K.degree != 1:
             raise ValueError("1x1 HNF given for a quadratic field ideal")
-        return Ideal(K, (int(m[1]),), int(m[2] or 1))
+        return Ideal(K, (int(m[1]), 0, 1), int(m[2] or 1))
     inner = text.strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from relquad.arith import _small_primes, factorint, is_prime, smallest_prime_factors
+from relquad.arith import PSI_13, _small_primes, factorint, is_prime, smallest_prime_factors
+
+# psi_12, the least strong pseudoprime to the twelve prime bases 2, ..., 37
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
 
 
 def trial_division(n: int) -> dict[int, int]:
@@ -54,6 +58,15 @@ def test_is_prime_matches_the_sieve():
     spf = smallest_prime_factors(2 * 10**5)
     assert [n for n in range(len(spf)) if is_prime(n) != (n >= 2 and spf[n] == n)] == []
     assert not is_prime(-7) and is_prime(1669) and not is_prime(41 * 41) and is_prime(1693)
+
+
+def test_is_prime_refuses_psi_12():
+    # psi_12 passes Miller-Rabin to the bases 2, ..., 37, which called it
+    # prime; base 41 refuses it, and the verdict is proven below PSI_13
+    assert PSI_12 < PSI_13
+    assert not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert factorint(PSI_12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_small_prime_table_matches_the_sieve():

@@ -66,6 +66,17 @@ def test_count_examples(Q, Q10):
     assert chi.extended(p2) + chi.extended(unit_ideal(Q10)) == 1
 
 
+def test_root_counts_at_a_strong_pseudoprime_over_Q(Q):
+    # (psi_12) = (399165290221)(798330580441), psi_12 the least strong
+    # pseudoprime to the bases 2, ..., 37; -3 is a square mod both primes,
+    # each 1 mod 3, so x^2 = -3 has 2 * 2 roots.  Taken for a prime, psi_12
+    # gave 2
+    a = principal_ideal(Q.elem(318665857834031151167461))
+    chi = QuadCharacter(Q.elem(-3))
+    assert count_square_roots_formula(chi, a) == 4
+    assert count_square_roots_local_product(chi, a) == 4
+
+
 @pytest.mark.parametrize("d", [None, -1, -3, -15, 2, 5, 10])
 def test_roots_match_ideal_argument_search(d):
     # _roots searches a's HNF triple scaled by 2 and 4 and builds no ideal:

@@ -11,7 +11,7 @@ import time
 import weakref
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -1460,3 +1460,57 @@ def test_confirmation_catches_wrong_pairs_even_under_O():
         )
         lines = out.stdout.splitlines()
         assert lines == ["raised"] * 16 + ["passed 2"] * 4 + ["raised"] * 8 + ["passed", "raised"], (flags, lines)
+
+
+# the positive rationals n/den with n, den <= 30, each once
+RATIONALS = sorted({Fraction(n, den) for n in range(1, 31) for den in range(1, 31)})
+
+
+def _rational(I: Ideal) -> Fraction:
+    # the r > 0 of I = r*Z over Q, read off the HNF (n, 0, 1) over den,
+    # which must be in lowest terms
+    n, b, c = I.hnf
+    assert (b, c) == (0, 1) and gcd(n, I.den) == 1, I
+    return Fraction(n, I.den)
+
+
+def _v(r: Fraction, p: int) -> int:
+    # the p-adic valuation of a nonzero rational, by repeated division
+    v = 0
+    while r.numerator % p == 0:
+        r, v = r / p, v + 1
+    while r.denominator % p == 0:
+        r, v = r * p, v - 1
+    return v
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_rational_ideals_match_closed_forms(Q, n):
+    # over Q the ideal r*Z, r = n/den, is an HNF triple with w's trace and
+    # norm 0: every operation the generic formulas run on it matches
+    # its closed form on the Fraction r; the binary ones against every
+    # eleventh r' = m/e with m, e <= 30, from an offset that den turns
+    # through, so each n meets every r'
+    primes = [P for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for P in primes_above(Q, p)]
+    for den in range(1, 31):
+        r = Fraction(n, den)
+        I = Ideal(Q, (n, 0, 1), den)
+        assert _rational(I) == r and I.norm() == r
+        assert I.is_unit_ideal() == (r == 1)
+        assert I.conj() is I
+        assert _rational(I.inverse()) == 1 / r
+        assert _rational(I * 6) == 6 * r and _rational(I * Fraction(-4, 9)) == r * Fraction(4, 9)
+        assert [I.valuation(P) for P in primes] == [_v(r, P.p) for P in primes]
+        if r.denominator == 1:
+            k = r.numerator
+            assert I.norm_int() == k
+            assert I.residue_coords() == [(i, 0) for i in range(k)]
+            assert [I.reduce_coords(x, 0) for x in range(-45, 45)] == [(x % k, 0) for x in range(-45, 45)]
+        else:
+            with pytest.raises(ValueError):
+                I.norm_int()
+        for s in RATIONALS[den % 11 :: 11]:
+            J = Ideal(Q, (s.numerator, 0, 1), s.denominator)
+            assert _rational(I * J) == r * s
+            assert _rational(I.gcd(J)) == Fraction(gcd(r.numerator, s.numerator), lcm(r.denominator, s.denominator))
+            assert I.divides(J) == ((s / r).denominator == 1)

@@ -3,9 +3,12 @@
 import ast
 import importlib
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import relquad
+from relquad.field import make_field
+from relquad.ideals import ideal_from_generators, ideals_of_norm, parse_ideal, primes_above, principal_ideal, unit_ideal
 
 
 def test_package_has_no_assert_statements():
@@ -216,6 +219,43 @@ def test_one_continued_fraction_loop():
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cf_step":
                         callers.append(f"{path.stem}.{fn.name}")
     assert callers == ["field._cf_convergents"], callers
+
+
+def test_one_hnf_format():
+    # every ideal's hnf is the triple (a, b, c), over Q too, where it is
+    # (n, 0, 1): no code reads an hnf's length or unpacks a 1-tuple from
+    # one, and every route that builds an ideal over Q gives the triple
+    found = []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len":
+                if any(isinstance(arg, ast.Attribute) and arg.attr == "hnf" for arg in node.args):
+                    found.append(f"{path.name}:{node.lineno}")
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Assign) and "hnf" in (getattr(value, "attr", None), getattr(value, "id", None)):
+                if any(isinstance(t, (ast.Tuple, ast.List)) and len(t.elts) == 1 for t in node.targets):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+    Q = make_field()
+    I, J = parse_ideal(Q, "[12]/5"), parse_ideal(Q, "(6, 9)")
+    P, = primes_above(Q, 3)
+    built = {
+        "parse_ideal": [I, J, parse_ideal(Q, "[7]"), parse_ideal(Q, "3/4")],
+        "principal_ideal": [principal_ideal(Q.elem(-18)), principal_ideal(Q.elem(Fraction(10, 4)))],
+        "ideal_from_generators": [ideal_from_generators(Q, [Q.elem(4), Q.elem(Fraction(6, 7))])],
+        "primes_above": [P.ideal],
+        "PrimeIdeal.power": [P.power(k) for k in (-2, 0, 2, 5)],
+        "ideals_of_norm": [*ideals_of_norm(Q, 1), *ideals_of_norm(Q, 360)],
+        "ideal product": [I * J, I * I.inverse(), P.ideal * J],
+        "integer product": [I * 4, 6 * J, I * Fraction(-3, 8)],
+        "gcd": [I.gcd(J), J.gcd(P.ideal)],
+        "inverse": [I.inverse(), J.inverse()],
+        "unit_ideal": [unit_ideal(Q)],
+    }
+    bad = {route: [str(K) for K in ideals if K.hnf[1:] != (0, 1)] for route, ideals in built.items()}
+    assert bad == {route: [] for route in built}, bad
 
 
 def _reads_classify_tables(fn) -> bool:
