@@ -13,8 +13,8 @@ at a P dividing f is one local_square_solvable call on the unit part (local
 square theorem).  The route through an auxiliary prime in the ideal class
 is the test oracle tests/helpers.py::primitive_by_auxiliary_prime.
 
-On elements the character works on integer coordinates and builds no
-ideal.  An element is read as (x + y*w)/m with integers x, y and m >= 1;
+On elements the character works on integer coordinates and builds no ideal.
+An element is read as (x + y*w)/m with integers x, y and m >= 1;
 ideals._coords_factor gives its factorization from the coordinates (Cohen,
 GTM 138, 4.8), so coprimality to delta is that no prime of delta appears in
 it, and the value is the product of at_prime(P) over its odd exponents,
@@ -22,33 +22,33 @@ times the signs that field.coords_sign decides on integers; _on_coords
 reads at_prime's memo once per such P and calls at_prime only on a miss.
 The factorization depends only on the element, not on delta, and is
 memoised in the ideals layer per (field, x, y, m), so the small lifts that
-recur for every delta of a field are factored once.  The kernel
-_on_coords reads coprimality and the value off one lookup of that
-memo, and values an element that meets delta as 0: on_element turns the
-0 into a ValueError, and residue_table skips the residue's class, whose
-lifts are congruent mod (delta) and so meet it as well.  Each lift is
-valued from its own factorization, on the ideal side:
-the Hecke check never goes through the reciprocity law.  residue_table
-checks each class in one pass, valuing the residue and then each other
-lift with _on_coords and comparing it with the residue's value, and keys
-its table by the integer pair (x, y) of the residue, equal and hash-equal
-to K.elem(x, y).key(); conductor_exhaustive reads its rows straight off
-that table and groups residues with Ideal.reduce_coords, on integer pairs
-too.  The route through principal_ideal, Ideal.gcd and Ideal.factor
-survives as the test oracles tests/helpers.py::on_element_by_ideal and
-conductor_by_ideals.
+recur for every delta of a field are factored once.  The kernel _on_coords
+reads coprimality and the value off one lookup of that memo, and values an
+element that meets delta as 0: on_element turns the 0 into a ValueError,
+and residue_table skips the residue's class, whose lifts are congruent mod
+(delta) and so meet it as well.  Each lift is valued from its own
+factorization, on the ideal side: the Hecke check never goes through the
+reciprocity law.  residue_table checks each class in one plain loop,
+valuing the residue and then each other lift with _on_coords until one
+differs from the residue's value, and keys its table by the integer pair
+(x, y) of the residue, equal and hash-equal to K.elem(x, y).key();
+conductor_exhaustive reads its rows straight off that table and _witness
+reduces them on the HNF triple of each divisor, as Ideal.reduce_coords
+does, on integer pairs too.  The route through principal_ideal, Ideal.gcd
+and Ideal.factor survives as the test oracles
+tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 
 On ideals the character works on prime factorizations and builds no
-ideal.  on_ideal reads the memoised tuple ideals._factor(a) in place, with
-no copy, and extended and primitive are one kernel, _value, over its pairs
-(P, v): at a prime of delta, e = min(v, v_P(delta)) is the exponent of
-gcd(a, delta), the value is 0 unless e is even and e/2 <= v_P(f), and
-N(P)^(e/2) is the norm weight; the exponent left over is valued by the
-splitting law, _unit_part_value at a prime of delta (0 on the
-conductor) and at_prime elsewhere.  primitive is the kernel with no weight.
-counting.count_square_roots_formula runs the same kernel on exponent
-vectors.  The route that builds g as an ideal product and divides a by g^2
-survives as the test oracle tests/helpers.py::extended_by_ideals.
+ideal.  on_ideal reads the memoised tuple ideals._factor(a) in place.
+extended and primitive check integrality in place; they and coefficients'
+loop over _ideals_of_norm's tuples run one kernel, _value, on the pairs
+(P, v): at a prime of delta, e = min(v, v_P(delta)) is v_P(gcd(a, delta)),
+the value is 0 unless e is even and e/2 <= v_P(f), and N(P)^(e/2) is the
+norm weight; the exponent left over is valued by the splitting law,
+_unit_part_value at a prime of delta (0 on the conductor) and at_prime,
+its memo read first, elsewhere.  primitive is the kernel with no weight;
+counting.count_square_roots_formula runs it on exponent vectors.  The
+oracle tests/helpers.py::extended_by_ideals builds g and divides by g^2.
 
 Everything else a character needs is a pure function of delta, and it
 lives on the DiscriminantInfo of delta, the one object per discriminant
@@ -77,8 +77,8 @@ from .ideals import (
     _divisors,
     _factor,
     _hnf_triple,
+    _ideals_of_norm,
     _root_coords,
-    ideals_of_norm,
 )
 
 __all__ = ["QuadCharacter"]
@@ -170,8 +170,9 @@ class QuadCharacter:
             if v % 2:
                 # at_prime's memo, read once; its values are +-1, never 0
                 val *= memo.get(P) or self.at_prime(P)
-        for i in self.negative_embeddings:
-            val *= coords_sign(K, x, y, i)
+        if self.negative_embeddings:
+            for i in self.negative_embeddings:
+                val *= coords_sign(K, x, y, i)
         return val
 
     def _coprime(self, a: Ideal) -> bool:
@@ -217,12 +218,9 @@ class QuadCharacter:
         # integral lifts r + s for s in these steps of the lattice (delta):
         # +-e1 and, in a quadratic field, e2 and -e1-e2 for the HNF basis
         # e1 = a, e2 = b + c*w
-        if K.degree == 1:
-            steps = [(m.hnf[0], 0), (-m.hnf[0], 0)]
-        else:
-            a, b, c = m.hnf
-            steps = [(a, 0), (-a, 0), (b, c), (-a - b, -c)]
-        n = m.norm_int()
+        a, b, c = m.hnf
+        steps = [(a, 0), (-a, 0)] if K.degree == 1 else [(a, 0), (-a, 0), (b, c), (-a - b, -c)]
+        n = a * c
         if n > RESIDUE_TABLE_BOUND:
             raise BoundExceeded(
                 "character residue table", f"delta = {self.delta}", n, RESIDUE_TABLE_BOUND
@@ -238,10 +236,11 @@ class QuadCharacter:
             # several genuinely different integral lifts of the residue's
             # class, including the balanced one and a negated-direction one;
             # all congruent to x + y*w mod (delta), so coprime to it as
-            # well, and each valued and compared in turn
-            if on_coords(*_balance(m, x, y)) != val or any(
-                on_coords(x + dx, y + dy) != val for dx, dy in steps
-            ):  # the Hecke property; explicit, see conductor_exhaustive
+            # well, and each valued and compared in turn until one differs
+            same = on_coords(*_balance(m, x, y)) == val
+            for dx, dy in steps:
+                same = same and on_coords(x + dx, y + dy) == val
+            if not same:  # the Hecke property; explicit, see conductor_exhaustive
                 raise AssertionError(f"character not well defined mod ({self.delta}) at {K.elem(x, y)}")
             table[x, y] = val
         return table
@@ -253,14 +252,14 @@ class QuadCharacter:
         integral ideal, by the splitting law: 0 if a meets the conductor,
         else the product over P^e || a, e odd, of +1 or -1 as P splits or
         stays inert in K(sqrt delta); at P off delta that is at_prime(P)."""
-        if not a.is_integral():
+        if a.den != 1:
             raise ValueError("integral ideal required")
         return self._value(_factor(a), False)
 
     def extended(self, a: Ideal) -> int:
         """Norm-weighted extension: N(g) * primitive(a/g^2) when
         gcd(a, delta) = g^2 with g dividing f, else 0."""
-        if not a.is_integral():
+        if a.den != 1:
             raise ValueError("integral ideal required")
         return self._value(_factor(a), True)
 
@@ -274,11 +273,12 @@ class QuadCharacter:
         delta, 0 on the conductor, and at_prime elsewhere, each at odd
         exponents only."""
         delta_primes = self._delta_primes
+        memo = self._prime_memo
         val = 1
         for P, v in pairs:
             if P not in delta_primes:
                 if v % 2:
-                    val *= self.at_prime(P)
+                    val *= memo.get(P) or self.at_prime(P)  # as in _on_coords
                 continue
             l = delta_primes[P]
             if weighted:
@@ -324,9 +324,8 @@ class QuadCharacter:
         per_ideal: dict[Ideal, int] = {}
         sums = [0] * (norm_bound + 1)
         for n in range(1, norm_bound + 1):
-            for a in ideals_of_norm(self.field, n):
-                v = self.extended(a)
-                per_ideal[a] = v
+            for a in _ideals_of_norm(self.field, n):  # integral, so no check
+                per_ideal[a] = v = self._value(_factor(a), True)
                 sums[n] += v
         return per_ideal, sums
 
@@ -334,9 +333,11 @@ class QuadCharacter:
 def _witness(D: Ideal, rows: list[tuple[int, int, int]]):
     """The first two residues (x, y), in row order, that agree modulo D but
     carry different values, or None when the values factor through D."""
+    a, b, c = D.hnf
     first: dict[tuple[int, int], tuple[int, int, int]] = {}
     for x, y, val in rows:
-        r = first.setdefault(D.reduce_coords(x, y), (x, y, val))
+        q, j = divmod(y, c)  # D.reduce_coords(x, y), on D's triple
+        r = first.setdefault(((x - q * b) % a, j), (x, y, val))
         if r[2] != val:
             return r[:2], (x, y)
     return None

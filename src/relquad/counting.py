@@ -5,7 +5,7 @@ computed three independent ways: brute-force residue enumeration, the
 divisor sum of the extended character over divisors b | a with a/b
 squarefree, and a fast multiplicative evaluator assembled from local
 casework at each prime power.  All three must agree everywhere, and all
-three refuse a fractional ideal.
+three refuse a fractional ideal, checked once, in place, at the entry.
 
 The divisor sum and the local casework work on the prime factorization of
 a and build no ideal.  With a = prod P^e, the divisor sum runs over the
@@ -27,12 +27,14 @@ character symbol, with no ideal 2a or 4a built; like Ideal.residues it
 refuses N(2a) > RESIDUE_ENUMERATION_BOUND.  Its roots are memoised per
 (field, X, Y, a), delta = X + Y*w, by _roots, an LRU cache of
 FACTOR_CACHE_SIZE entries, whose hits hash ints, the interned field and
-the interned ideal a, all in C, so the
-counting, zeta and pair routes of one (delta, a) run one search between
-them; the integrality checks of delta and a stay in front of it, and the
-formula and local routes never read it.  The local casework asks whether delta itself is a square
-mod P^(l + m), l = v_P(delta) even, which is whether its unit part
-delta/pi^l is one mod P^m: no pi^l and no element division.
+the interned ideal a, all in C, so the counting, zeta and pair routes of
+one (delta, a) run one search between them.  Each entry checks delta
+once; zeta_coefficients and square_root_pairs then read _roots over the
+memoised tuples of _ideals_of_norm, whose ideals are integral.  The
+formula and local routes never read it.  The local casework asks whether
+delta itself is a square mod P^(l + m), l = v_P(delta) even, which is
+whether its unit part delta/pi^l is one mod P^m: no pi^l and no element
+division.
 
 The Dirichlet tables of the decomposition law (ideal_count_table,
 primitive_character_table, dirichlet_convolution) cost O(1) per index once
@@ -65,9 +67,9 @@ from .ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
     PrimeIdeal,
-    ideals_of_norm,
     _factor,
     _hnf_triple,
+    _ideals_of_norm,
     _primes_above,
     _root_coords,
 )
@@ -91,8 +93,10 @@ __all__ = [
 
 def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
-    _check_integral(a)
-    _check_integral_delta(delta)
+    if a.den != 1:
+        raise ValueError(f"integral ideal required, got {a}")
+    if delta.m != 1:  # the search kernel under _roots reads delta's integer coordinates
+        raise ValueError(f"integral delta required, got {delta}")
     return len(_roots(delta.field, delta.X, delta.Y, a))
 
 
@@ -109,7 +113,8 @@ def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
     """Divisor sum of the extended character over b | a with a/b squarefree:
     with a = prod P^e, each b is an exponent choice k_P in {e, e - 1},
     valued by the character's kernel on its pairs (P, k_P), k_P >= 1."""
-    _check_integral(a)
+    if a.den != 1:
+        raise ValueError(f"integral ideal required, got {a}")
     fac = _factor(a)
     total = 0
     for ks in product(*((e, e - 1) for _, e in fac)):
@@ -124,7 +129,8 @@ def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
     if k == 0:
         return 1
     if P not in chi._delta_primes:
-        return 1 + chi.at_prime(P)
+        # at_prime's memo, read first; its values are +-1, never 0
+        return 1 + (chi._prime_memo.get(P) or chi.at_prime(P))
     l = chi._delta_primes[P]
     e2 = _dyadic_ramification(P)
     Np = P.norm()
@@ -173,7 +179,8 @@ def _local_verdicts(chi: QuadCharacter, P: PrimeIdeal, l: int, e2: int) -> tuple
 
 def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
     """N(a) as the product of the local counts N(P^e) over P^e || a."""
-    _check_integral(a)
+    if a.den != 1:
+        raise ValueError(f"integral ideal required, got {a}")
     total = 1
     for P, e in _factor(a):
         total *= count_square_roots_local(chi, P, e)
@@ -188,17 +195,17 @@ def zeta_coefficients(delta: Elem, norm_bound: int, method: str = "brute") -> li
     if method not in ("brute", "local", "formula"):
         raise ValueError(f"unknown method {method!r}")
     _check_bound(norm_bound)
+    K = delta.field
     if method == "brute":
-        count = partial(count_square_roots, delta)
+        if delta.m != 1:  # checked once, at every bound
+            raise ValueError(f"integral delta required, got {delta}")
+        roots = partial(_roots, K, delta.X, delta.Y)
+        count = lambda ideals: sum(map(len, map(roots, ideals)))
     else:
         route = count_square_roots_local_product if method == "local" else count_square_roots_formula
-        count = partial(route, QuadCharacter(delta))
-    K = delta.field
-    out = [0] * (norm_bound + 1)
-    for n in range(1, norm_bound + 1):
-        for a in ideals_of_norm(K, n):
-            out[n] += count(a)
-    return out
+        value = partial(route, QuadCharacter(delta))
+        count = lambda ideals: sum(map(value, ideals))
+    return [0] + [count(_ideals_of_norm(K, n)) for n in range(1, norm_bound + 1)]
 
 
 @dataclass(frozen=True)
@@ -214,12 +221,13 @@ def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:
     """Every root pair (a, b) with N(a) <= bound, by norm, then ideal, then
     root in the order of square_root_coords; a fresh list on every call."""
     _check_bound(norm_bound)
-    _check_integral_delta(delta)
+    if delta.m != 1:
+        raise ValueError(f"integral delta required, got {delta}")
     K, X, Y = delta.field, delta.X, delta.Y
     return [
         RootPair(a_ideal=a, b=K.elem(i, j))
         for n in range(1, norm_bound + 1)
-        for a in ideals_of_norm(K, n)
+        for a in _ideals_of_norm(K, n)
         for i, j in _roots(K, X, Y, a)
     ]
 
@@ -267,17 +275,6 @@ def order_ideal_count_sublattice(delta: int, n: int) -> int:
                 continue
             count += 1
     return count
-
-
-def _check_integral(a: Ideal) -> None:
-    if not a.is_integral():
-        raise ValueError(f"integral ideal required, got {a}")
-
-
-def _check_integral_delta(delta: Elem) -> None:
-    # the search kernel under _roots reads delta's integer coordinates
-    if not delta.is_integral():
-        raise ValueError(f"integral delta required, got {delta}")
 
 
 def _check_index(n: int) -> None:

@@ -64,8 +64,10 @@ all n^2 pairs of symbol rows (the route that the n identities
 of dyadic._rows_linear replaced), and the Q2 closed form on Fraction values
 with the valuations found by division (the route that the integer split
 dyadic._q2_split replaced), and the integral divisors of an ideal found
-among the ideals of each norm dividing its norm (independent of the prime
-power products of ideals.Ideal.divisors), and the ideals of each norm
+among the ideals of each norm dividing its norm (independent of the
+exponent choices of ideals.Ideal.divisors), and built as products of
+prime powers (the route that those exponent choices, built on integers,
+replaced), and the ideals of each norm
 built as products of prime powers, each carrying the exponents it was
 built from (the route that the integer HNFs and handed factorizations of
 ideals.ideals_of_norm replaced), and the factorization of an ideal checked
@@ -713,6 +715,18 @@ def divisors_by_norm(I: Ideal) -> list[Ideal]:
     J | I, sorted by (norm, hnf), for an integral I."""
     found = [J for n in divisors(I.norm_int()) for J in ideals_of_norm(I.field, n) if J.divides(I)]
     return sorted(found, key=lambda J: (J.norm_int(), J.hnf))
+
+
+def divisors_by_products(I: Ideal) -> list[Ideal]:
+    """I.divisors() as the products d * P^k over the prime powers of I's
+    factorization, one ideal product per step, sorted by (norm, hnf), for
+    an integral I."""
+    if I.den != 1:
+        raise ValueError("integral ideal required")
+    divs = [unit_ideal(I.field)]
+    for P, e in I.factor():
+        divs = [d * P.ideal**k for d in divs for k in range(e + 1)]
+    return sorted(divs, key=lambda d: (d.norm_int(), d.hnf))
 
 
 # -- the character on elements through ideal objects ------------------------------

@@ -53,7 +53,7 @@ def test_smallest_prime_factors_small_bounds():
 
 
 def test_is_prime_matches_the_sieve():
-    # below 41^2 trial division by the primes <= 37 decides alone; above
+    # below 43^2 trial division by the primes <= 41 decides alone; above
     # it Miller-Rabin does
     spf = smallest_prime_factors(2 * 10**5)
     assert [n for n in range(len(spf)) if is_prime(n) != (n >= 2 and spf[n] == n)] == []

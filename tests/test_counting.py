@@ -231,6 +231,108 @@ def test_zeta_coefficients_check_the_method_first(Q):
     assert zeta_coefficients(Q.elem(5), 0, method="formula") == [0]
 
 
+@pytest.mark.parametrize("d", [None, 10])
+def test_refusals_keep_their_texts(d):
+    # each entry checks its preconditions in place, where it stands, and
+    # refuses a fractional ideal or a non-integral delta with its own text
+    K = make_field(d)
+    chi = QuadCharacter(discriminant_classes(K, 30)[0])
+    a = ideals_of_norm(K, 2)[0]
+    frac = a * Fraction(1, 3)
+    half = K.elem(Fraction(1, 2))
+    cases = [
+        (lambda: count_square_roots(chi.delta, frac), f"integral ideal required, got {frac}"),
+        (lambda: count_square_roots(half, a), f"integral delta required, got {half}"),
+        (lambda: count_square_roots_formula(chi, frac), f"integral ideal required, got {frac}"),
+        (lambda: count_square_roots_local_product(chi, frac), f"integral ideal required, got {frac}"),
+        (lambda: zeta_coefficients(half, 3), f"integral delta required, got {half}"),
+        (lambda: zeta_coefficients(half, 3, method="local"), "nonzero integral element required"),
+        (lambda: zeta_coefficients(half, 3, method="formula"), "nonzero integral element required"),
+        (lambda: square_root_pairs(half, 0), f"integral delta required, got {half}"),
+        (lambda: order_ideal_counts(half, 0), f"integral delta required, got {half}"),
+        (lambda: chi.primitive(frac), "integral ideal required"),
+        (lambda: chi.extended(frac), "integral ideal required"),
+        (lambda: frac.norm_int(), "integral ideal required"),
+    ]
+    for call, text in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
+
+
+@pytest.mark.parametrize("d", [None, 10])
+def test_zeta_brute_refuses_a_non_integral_delta_at_every_bound(d):
+    # the brute route returned [0] at bound 0 and raised only once it had
+    # an ideal to count; it now checks delta once, before the loop
+    half = make_field(d).elem(Fraction(1, 2))
+    for bound in (0, 1, 3):
+        with pytest.raises(ValueError, match=re.escape(f"integral delta required, got {half}")):
+            zeta_coefficients(half, bound)
+
+
+def _python_calls(run) -> list:
+    # the code objects of the Python-level calls that run makes
+    seen = []
+    sys.setprofile(lambda frame, event, arg: seen.append(frame.f_code) if event == "call" else None)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_a_warm_class_calls_no_wrapper():
+    # one warm class of Q(sqrt 10): each public entry validates once, in
+    # place, and its kernels read the memos, so no Python-level call goes
+    # through the integrality wrappers, the HNF membership helper, the
+    # residue reducer or the list-copying ideals_of_norm
+    K = make_field(10)
+    info = next(i for i in discriminant_classes(K, 30) if not i.f_delta.is_unit_ideal())
+    pool = [a for n in range(1, 9) for a in ideals_of_norm(K, n)]
+
+    def entries():
+        chi = QuadCharacter(info)
+        for a in pool:
+            count_square_roots(info.delta, a)
+            count_square_roots_formula(chi, a)
+            count_square_roots_local_product(chi, a)
+            chi.primitive(a)
+            chi.extended(a)
+            for b in pool:
+                a.divides(b)
+        chi.residue_table()
+
+    def loops():
+        chi = QuadCharacter(info)
+        chi.conductor_exhaustive()
+        chi.coefficients(8)
+        square_root_pairs(info.delta, 8)
+        for method in ("brute", "local", "formula"):
+            zeta_coefficients(info.delta, 8, method)
+        for a in pool:
+            if a.divides(info.f_delta):
+                info.f_delta.divide_exact(a)
+
+    wrappers = {
+        ideals.Ideal.is_integral.__code__,
+        ideals._in_hnf.__code__,
+        ideals.Ideal.reduce_coords.__code__,
+        ideals.ideals_of_norm.__code__,
+    }
+    entries()
+    loops()  # warm
+    seen = _python_calls(entries)
+    assert ideals.Ideal.divides.__code__ in seen and characters.QuadCharacter._on_coords.__code__ in seen
+    checks = {c for c in seen if c.co_filename == counting.__file__ and c.co_name.startswith("_check_")}
+    assert [c.co_name for c in seen if c in wrappers | checks] == []
+    # the package's own loops go past the public wrappers they used to call:
+    # zeta's brute route reads _roots, divide_exact _inverse and _product
+    seen = _python_calls(loops)
+    bypassed = {counting.count_square_roots.__code__, ideals.Ideal.inverse.__code__, ideals.Ideal.__mul__.__code__}
+    assert characters._witness.__code__ in seen and counting._roots.__wrapped__.__code__ not in seen
+    assert [c.co_name for c in seen if c in wrappers | bypassed] == []
+
+
 def test_multiplicativity_and_stability(Q, Q10):
     import random
 

@@ -802,7 +802,7 @@ def test_first_touch_of_a_discriminant_multiplies_no_ideal(d, monkeypatch):
         x, y = rng.randint(-10**5, 10**5), rng.randint(-10**3, 10**3) if K.degree == 2 else 0
         if not (x or y) or discriminants._witness_coords(K, x, y) is None:
             continue
-        hnf = (abs(x),) if K.degree == 1 else ideals._hnf_from_vectors([(x, y), (-n * y, x + t * y)])
+        hnf = (abs(x), 0, 1) if K.degree == 1 else ideals._hnf_from_vectors([(x, y), (-n * y, x + t * y)])
         if (K, hnf, 1) in ideals._IDEALS:
             continue
         infos.append(conductor_ideal(Elem(K, x, y)))

@@ -26,6 +26,7 @@ from helpers import (
     box_principal_generator,
     class_number,
     divisors_by_norm,
+    divisors_by_products,
     factor_by_products,
     ideal_lcm,
     ideal_power_by_vectors,
@@ -230,6 +231,29 @@ def test_divisors_match_norm_oracle_cold_and_warm():
     assert [I.divisors() for I in cases] == expected
     assert ideals._divisors.cache_info().misses == warm.misses
     assert sum(map(len, expected)) > 2 * len(cases) > 400
+
+
+@pytest.mark.parametrize("d", [None, 5, 10, -15, 10007])
+def test_divisors_multiply_no_ideal(d, monkeypatch):
+    # each divisor is built from its exponent choice on integers and handed
+    # its pairs, so with the factorizations known a cold divisors memo makes
+    # no ideal product; the divisors equal the oracle's prime-power products
+    K = make_field(d)
+    cases = [I for n in range(1, 120) for I in ideals_of_norm(K, n)]
+    cases += [principal_ideal(K.elem(n)) for n in (12, 72, 360)]
+    for I in cases:
+        I.factor()
+    ideals._divisors.cache_clear()
+    ideals._product.cache_clear()
+    products = []
+    real = ideals._hnf_product
+    monkeypatch.setattr(ideals, "_hnf_product", lambda *args: products.append(args) or real(*args))
+    got = [I.divisors() for I in cases]
+    assert products == []
+    monkeypatch.undo()
+    assert got == [divisors_by_products(I) for I in cases]
+    assert all(D._factors is not None for divs in got for D in divs)
+    assert sum(map(len, got)) > 3 * len(cases)
 
 
 def test_divisors_return_fresh_list(Q10):
