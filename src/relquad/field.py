@@ -447,16 +447,19 @@ def _cf_step(P: int, Q: int, D: int, s: int) -> tuple[int, int, int]:
     return a, P1, Q1
 
 
-def _cf_convergents(P: int, Q: int, D: int, operation: str, subject):
-    """The convergents (p, q) of (P + sqrt D)/Q, for nonsquare D > 0 and
-    Q | D - P^2, through the preperiod and one period, at most
-    CF_STEP_BOUND steps (_cf_step and the bound are read at call time;
-    subject() names the input in an error).  A complete quotient
-    (P_k + sqrt D)/Q_k is reduced iff P_k <= s and s - P_k < Q_k <= s + P_k,
-    s = isqrt(D); from the first reduced one the expansion is periodic, so
-    the walk ends when it recurs.  For a root of a form f of discriminant D
-    with Q = +-2 f(1, 0), |f(p_k, q_k)| = |Q_(k+1)|/2 (Cohen, GTM 138, 5.7)."""
+def _cf_convergents(A: int, B: int, C: int, D: int, operation: str, subject):
+    """The convergents (p, q) with |f(p, q)| = 1 of the root (-B + sqrt D)/2A
+    of the form f = (A, B, C) of nonsquare discriminant D > 0, through the
+    preperiod and one period, at most CF_STEP_BOUND steps (_cf_step and the
+    bound are read at call time; subject() names the input in an error).
+    The walk runs on the complete quotients (P_k + sqrt D)/Q_k from (-B, 2A),
+    and |f(p_k, q_k)| = |Q_(k+1)|/2 (Cohen, GTM 138, 5.7), so it judges a
+    convergent on the small Q_(k+1) and evaluates f only on a hit, as the
+    exact confirmation.  A complete quotient is reduced iff P_k <= s and
+    s - P_k < Q_k <= s + P_k, s = isqrt(D); from the first reduced one the
+    expansion is periodic, so the walk ends when it recurs."""
     s = isqrt(D)
+    P, Q = -B, 2 * A
     p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_cur = 1, 0
     first = None  # the first reduced (P_k, Q_k)
@@ -466,7 +469,10 @@ def _cf_convergents(P: int, Q: int, D: int, operation: str, subject):
             raise AssertionError(f"{operation} for {subject()} reached Q = 0")
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        yield p_cur, q_cur
+        if abs(Q) == 2:
+            if abs((A * p_cur + B * q_cur) * p_cur + C * q_cur * q_cur) != 1:
+                raise AssertionError(f"{operation} for {subject()}: |f(p, q)| != 1 where |Q| = 2")
+            yield p_cur, q_cur
         if first == (P, Q):
             return
         if first is None and P <= s and s - P < Q <= s + P:
@@ -478,22 +484,19 @@ def _cf_convergents(P: int, Q: int, D: int, operation: str, subject):
 @lru_cache(maxsize=None)
 def fundamental_unit(K: QuadField) -> Elem:
     """Smallest unit > 1 of a real quadratic field, by the continued
-    fraction of w.  Convergents p/q of w give elements p - q*w of norm
-    p^2 - t p q + n q^2; the first with norm +-1, within one period,
-    yields the unit."""
+    fraction of w, the root of the principal form (1, -t, n) of
+    discriminant K.disc: a convergent p/q with |f(p, q)| = |N(p - q*w)| = 1,
+    within one period, yields the unit."""
     if not K.is_real_quadratic:
         raise ValueError("fundamental unit requires a real quadratic field")
-    d = K.d
-    t, n = K.omega_trace, K.omega_norm
-    P, Q = (1, 2) if d % 4 == 1 else (0, 1)
-    for p, q in _cf_convergents(P, Q, d, "continued fraction of omega", lambda: f"d={d}"):
-        if abs(p * p - t * p * q + n * q * q) == 1:
-            eta = K.elem(p, -q)
-            for cand in (eta, -eta, eta.conj(), -eta.conj()):
-                if cand.sign_at(0) > 0 and (cand - 1).sign_at(0) > 0:
-                    return cand
-            raise AssertionError("no associate > 1")
-    raise AssertionError(f"no unit in a period of omega for d={d}")
+    form = (1, -K.omega_trace, K.omega_norm)
+    for p, q in _cf_convergents(*form, K.disc, "continued fraction of omega", lambda: f"d={K.d}"):
+        eta = K.elem(p, -q)
+        for cand in (eta, -eta, eta.conj(), -eta.conj()):
+            if cand.sign_at(0) > 0 and (cand - 1).sign_at(0) > 0:
+                return cand
+        raise AssertionError("no associate > 1")
+    raise AssertionError(f"no unit in a period of omega for d={K.d}")
 
 
 def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:

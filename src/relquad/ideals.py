@@ -69,7 +69,9 @@ factorization of ((x + y*w)/m) that way.
 
 Principality reads the norm form f_J of I = c*J (_norm_form, Cohen, GTM
 138, 5.2): a real field walks the continued fraction of a root of f_J, as
-fundamental_unit walks that of w (5.7); an imaginary one reduces f_J by
+fundamental_unit walks that of w, the root of the principal form (5.7),
+and field._cf_convergents decides each convergent on its complete quotient,
+evaluating f_J only to confirm a hit; an imaginary one reduces f_J by
 Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.  The
 continued-fraction walk is memoised per ideal (_cf_generator), non-principal
 ones included, in an LRU cache of FACTOR_CACHE_SIZE entries.  A real
@@ -1157,15 +1159,14 @@ def _cf_generator(I: Ideal) -> tuple[int, int] | None:
     or None.  J is principal iff f_J (_norm_form) is GL2(Z)-equivalent to
     the norm form of O; then by Serret's theorem the continued fraction of
     its root (-B + sqrt(disc))/2A ends in the period of w, which has a
-    complete quotient with |Q| = 2: a convergent with |f_J(p, q)| = 1.
-    Memoised per ideal, None included, so Ideal.principal_generator and
-    the discriminant classes walk each ideal once."""
+    complete quotient with |Q| = 2: the first convergent that
+    field._cf_convergents yields, with |f_J(p, q)| = 1.  Memoised per ideal,
+    None included, so Ideal.principal_generator and the discriminant classes
+    walk each ideal once."""
     K = I.field
     a, b, c = I.hnf
-    A, B, C = _norm_form(I)
-    for p, q in _cf_convergents(-B, 2 * A, K.disc, "continued fraction of a norm-form root", lambda: f"{I} in {K}"):
-        if abs(A * p * p + B * p * q + C * q * q) == 1:
-            return p * a + q * b, q * c
+    for p, q in _cf_convergents(*_norm_form(I), K.disc, "continued fraction of a norm-form root", lambda: f"{I} in {K}"):
+        return p * a + q * b, q * c
     return None
 
 

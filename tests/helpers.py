@@ -74,7 +74,10 @@ ideals.ideals_of_norm replaced), and the factorization of an ideal checked
 by multiplying its prime powers back (the route that the confirmation on
 integers of ideals._factor_by_norm replaced), and the principal ideal as
 the HNF of the full vectors of e and e*w (the route that the gcd modulo
-the norm of ideals.principal_ideal replaced).
+the norm of ideals.principal_ideal replaced), and the fundamental unit and
+the continued-fraction generator found by evaluating the norm form on
+every convergent in a loop of their own (the per-step norm forms that the
+test on the complete quotient in field._cf_convergents replaced).
 
 The last sections hold what only tests use, moved out of the package: small
 field, ideal and dyadic helpers (all_reps of a square-class space among
@@ -601,6 +604,53 @@ def row_principal_generator(I: Ideal) -> Elem | None:
                 g = Elem(K, x, y)
                 if principal_ideal(g) == I:
                     return g
+    return None
+
+
+def cf_hits_by_norms(A: int, B: int, C: int, D: int):
+    """The convergents (p, q) with |f(p, q)| = 1 of the root (-B + sqrt D)/2A
+    of f = (A, B, C), nonsquare D = B^2 - 4AC > 0, through the preperiod and
+    one period, by evaluating f on every convergent (the per-step norm forms
+    that field._cf_convergents' test on the complete quotient replaced).
+    Its own loop: each partial quotient floors (P + sqrt D)/|Q| and negates
+    for Q < 0, and the walk ends at the first complete quotient after the
+    first step that it has seen before."""
+    s = isqrt(D)
+    P, Q = -B, 2 * A
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    seen = set()
+    while True:
+        a = (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if abs(A * p1 * p1 + B * p1 * q1 + C * q1 * q1) == 1:
+            yield p1, q1
+        if (P, Q) in seen:
+            return
+        seen.add((P, Q))
+
+
+def fundamental_unit_by_norms(K: QuadField) -> Elem:
+    """The fundamental unit from cf_hits_by_norms' first hit on the norm
+    form (1, -t, n) of w: p/q tends to w, so |p - q*w| < 1 and its conjugate
+    (p - q*t) + q*w, q >= 1, is the unit > 1."""
+    t = K.omega_trace
+    p, q = next(cf_hits_by_norms(1, -t, K.omega_norm, K.disc))
+    return K.elem(p - q * t, q)
+
+
+def cf_generator_by_norms(I: Ideal) -> tuple[int, int] | None:
+    """Coordinates of a generator of the integral ideal I = c*J of a real
+    field, or None, from cf_hits_by_norms' first hit on the norm form of
+    J = (A, b' + w): (A, 2b' + t, N(b' + w)/A), with N from Elem.norm."""
+    K = I.field
+    a, b, c = I.hnf
+    A, b1 = a // c, b // c
+    C = K.elem(b1, 1).norm() / A
+    for p, q in cf_hits_by_norms(A, 2 * b1 + K.omega_trace, int(C), K.disc):
+        return p * a + q * b, q * c
     return None
 
 

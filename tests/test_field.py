@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import re
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -210,6 +212,33 @@ def test_fundamental_unit_step_cap(monkeypatch):
     monkeypatch.undo()
     eps = fundamental_unit.__wrapped__(make_field(94))
     assert abs(eps.norm()) == 1 and eps.sign_at(0) > 0
+
+
+def test_fundamental_unit_of_44278_bits():
+    # the unit of Q(sqrt 999999937), 44,278 and 44,264 bits, from one walk
+    # that evaluates the norm form only on its hit
+    K = make_field(999999937)
+    start = time.process_time()
+    eps = fundamental_unit.__wrapped__(K)
+    spent = time.process_time() - start
+    assert (eps - 1).sign_at(0) > 0 and abs(eps.norm()) == 1
+    assert (eps.X.bit_length(), eps.Y.bit_length(), eps.m) == (44278, 44264, 1)
+    assert spent < 1, spent
+
+
+def test_a_forged_convergent_hit_raises(monkeypatch):
+    # complete quotients that all read |Q| = 2 claim a hit at every step:
+    # the exact confirmation f(p, q) = +-1 refuses the first one, naming the
+    # field or the ideal (a walk without it would run to the step cap)
+    from relquad import ideals
+
+    monkeypatch.setattr(field_module, "_cf_step", lambda P, Q, D, s: (1, 0, 2))
+    monkeypatch.setattr(field_module, "CF_STEP_BOUND", 50)
+    with pytest.raises(AssertionError, match="d=94"):
+        fundamental_unit.__wrapped__(make_field(94))
+    I = primes_above(make_field(10), 2)[0].ideal
+    with pytest.raises(AssertionError, match=re.escape(str(I))):
+        ideals._cf_generator.__wrapped__(I)
 
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13, 40, 184, 40028])

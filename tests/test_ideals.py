@@ -24,10 +24,12 @@ from helpers import (
     _norm_row,
     balanced_associate,
     box_principal_generator,
+    cf_generator_by_norms,
     class_number,
     divisors_by_norm,
     divisors_by_products,
     factor_by_products,
+    fundamental_unit_by_norms,
     ideal_lcm,
     ideal_power_by_vectors,
     ideal_product_by_vectors,
@@ -840,6 +842,17 @@ def test_cf_generator_memo_keeps_fields_apart():
         assert principal_ideal(got[Q2]) == Ideal(Q2, (2, 0, 1))
 
 
+def test_cf_walk_matches_the_norm_oracle():
+    # the walk that judges a convergent on its complete quotient finds the
+    # unit, and for every integral ideal of norm <= 40 the generator or
+    # None, that a norm form evaluated on every convergent finds
+    for d in [d for d in range(2, 501) if is_squarefree(d)] + [10007, 1000003]:
+        K = make_field(d)
+        assert fundamental_unit.__wrapped__(K) == fundamental_unit_by_norms(K), d
+        for I in _ideals_below(K, 41):
+            assert ideals._cf_generator.__wrapped__(I) == cf_generator_by_norms(I), (d, I)
+
+
 REAL_SQUAREFREE = [d for d in range(2, 5001) if is_squarefree(d)]
 
 
@@ -1353,20 +1366,22 @@ def _sqrt_convergents(d: int, bits: int):
 @pytest.mark.parametrize("d, bits, count", [(1000003, 831, 6), (10**9 + 7, 21198, 2)])
 def test_principal_ideal_of_unit_sized_elements(d, bits, count):
     # elements the size of the fundamental unit (831 and 21,198 bits): the
-    # same ideal as the full-vector HNF, integral and over 3, and at
-    # d = 10^9 + 7 in well under 10 ms each (the full vectors take tens of
-    # milliseconds)
+    # same ideal as the full-vector HNF, integral, over 3 and with content
+    # 6, and at d = 10^9 + 7 in well under 10 ms each (the full vectors take
+    # tens of milliseconds); 2p + 6q*w, whose norm has about twice the bits
+    # of a unit-sized one, is checked untimed
     K = make_field(d)
     convergents = _sqrt_convergents(d, bits)
     for _ in range(count):
         p, q = next(convergents)
         assert 0 < abs(p * p - d * q * q) < 2 * isqrt(d) + 2
-        for e in (Elem(K, p, q), Elem(K, p, q, 3), Elem(K, 2 * p, 6 * q)):
+        unit_sized = (Elem(K, p, q), Elem(K, p, q, 3), Elem(K, 6 * p, 6 * q))
+        for e in (*unit_sized, Elem(K, 2 * p, 6 * q)):
             start = time.process_time()
             got = principal_ideal(e)
             spent = time.process_time() - start
             assert got is principal_ideal_by_vectors(e), (d, e.m)
-            assert spent < 0.01, (d, spent)
+            assert spent < 0.01 or e not in unit_sized, (d, spent)
             assert got.norm() == abs(e.norm())
 
 

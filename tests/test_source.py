@@ -221,6 +221,34 @@ def test_one_continued_fraction_loop():
     assert callers == ["field._cf_convergents"], callers
 
 
+def test_convergents_are_judged_in_the_walk():
+    # field._cf_convergents judges each convergent on its complete quotient
+    # and confirms a hit once, so no loop over its convergents evaluates a
+    # form: no product there has the loop's targets on both sides (p * p,
+    # p * q, A * p * p), while p * a + q * b stays allowed; and
+    # fundamental_unit walks the principal form, with no d mod 4 start
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    loops, found = [], []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in ast.walk(tree):
+            if isinstance(top, ast.For) and getattr(getattr(top.iter, "func", None), "id", None) == "_cf_convergents":
+                loops.append(f"{path.name}:{top.lineno}")
+                targets = names(top.target)
+                for node in (n for stmt in top.body + top.orelse for n in ast.walk(stmt)):
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                        if names(node.left) & targets and names(node.right) & targets:
+                            found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(top, ast.FunctionDef) and top.name == "fundamental_unit":
+                for node in ast.walk(top):
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert len(loops) == 2, loops
+    assert not found, found
+
+
 def test_one_hnf_format():
     # every ideal's hnf is the triple (a, b, c), over Q too, where it is
     # (n, 0, 1): no code reads an hnf's length or unpacks a 1-tuple from

@@ -313,6 +313,29 @@ def test_dyadic_unit_class_checks_survive_optimize():
     assert out.stdout.split() == ["False", "False", "8", "8"]
 
 
+def test_forged_convergent_hit_survives_optimize():
+    # the walk's confirmation of a hit is an explicit raise: under python -O
+    # a forged |Q| = 2 at every step still raises, naming the field or the
+    # ideal, for the unit and for a principality walk alike
+    code = (
+        "import relquad.field as F, relquad.ideals as I\n"
+        "F._cf_step = lambda P, Q, D, s: (1, 0, 2)\n"
+        "F.CF_STEP_BOUND = 50\n"
+        "J = I.primes_above(F.make_field(10), 2)[0].ideal\n"
+        "for walk, arg, name in ((F.fundamental_unit, F.make_field(94), 'd=94'), (I._cf_generator, J, str(J))):\n"
+        "    try:\n"
+        "        walk.__wrapped__(arg)\n"
+        "    except AssertionError as exc:\n"
+        "        print(name in str(exc))\n"
+        "print(__debug__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(relquad.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["True", "True", "False"]
+
+
 @pytest.mark.parametrize(("d", "desc"), [(None, "q2"), (5, "unram"), (10, "ram:10"), (-7, "q2")])
 def test_completion_uses_interned_fields(d, desc):
     # completions share the interned field, and so its digit samples and
