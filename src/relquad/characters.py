@@ -7,19 +7,25 @@ conductor is the relative discriminant (delta)/f^2; the primitive version
 lives mod that conductor, and the extended coefficient function weights
 square gcds with delta by their norm.
 
-The primitive character follows the splitting law: at a prime P off the
-conductor it is +1 or -1 as P splits or stays inert in K(sqrt delta), which
-at a P dividing f is one local_square_solvable call on the unit part (local
-square theorem).  The route through an auxiliary prime in the ideal class
-is the test oracle tests/helpers.py::primitive_by_auxiliary_prime.
+The primitive character follows the splitting law, one rule with one
+memo and one method, _prime_value: at a prime P off the conductor it is +1
+or -1 as P splits or stays inert in K(sqrt delta), that is, as the unit
+part of delta at P is a square mod 4P (local square theorem), and 0 on the
+conductor.  At an odd P off delta that is the Kronecker symbol; everywhere
+else it is one verdict of the local kernel discriminants._solvable_at with
+v_P(delta) already known.  at_prime is its public face off delta.  The
+route through an auxiliary prime in the ideal class is the test oracle
+tests/helpers.py::primitive_by_auxiliary_prime, and the global residue
+search of 4P the oracle brute_symbol of tests/test_characters.py.
 
 On elements the character works on integer coordinates and builds no ideal.
 An element is read as (x + y*w)/m with integers x, y and m >= 1;
 ideals._coords_factor gives its factorization from the coordinates (Cohen,
 GTM 138, 4.8), so coprimality to delta is that no prime of delta appears in
-it, and the value is the product of at_prime(P) over its odd exponents,
-times the signs that field.coords_sign decides on integers; _on_coords
-reads at_prime's memo once per such P and calls at_prime only on a miss.
+it, and the value is the product of _prime_value(P) over its odd
+exponents, times the signs that field.coords_sign decides on integers;
+_on_coords reads the prime-value memo once per such P and calls
+_prime_value only on a miss.
 The factorization depends only on the element, not on delta, and is
 memoised in the ideals layer per (field, x, y, m), so the small lifts that
 recur for every delta of a field are factored once.  The kernel _on_coords
@@ -34,41 +40,35 @@ differs from the residue's value, and keys its table by the integer pair
 (x, y) of the residue, equal and hash-equal to K.elem(x, y).key();
 conductor_exhaustive reads its rows straight off that table and _witness
 reduces them on the HNF triple of each divisor, as Ideal.reduce_coords
-does, on integer pairs too.  The route through principal_ideal, Ideal.gcd
-and Ideal.factor survives as the test oracles
+does, on integer pairs too.  The route through principal_ideal, the gcd
+of ideals and Ideal.factor survives as the test oracles
 tests/helpers.py::on_element_by_ideal and conductor_by_ideals.
 
 On ideals the character works on prime factorizations and builds no
-ideal.  on_ideal reads the memoised tuple ideals._factor(a) in place.
-extended and primitive check integrality in place; they and coefficients'
-loop over _ideals_of_norm's tuples run one kernel, _value, on the pairs
-(P, v): at a prime of delta, e = min(v, v_P(delta)) is v_P(gcd(a, delta)),
-the value is 0 unless e is even and e/2 <= v_P(f), and N(P)^(e/2) is the
-norm weight; the exponent left over is valued by the splitting law,
-_unit_part_value at a prime of delta (0 on the conductor) and at_prime,
-its memo read first, elsewhere.  primitive is the kernel with no weight;
-counting.count_square_roots_formula runs it on exponent vectors.  The
-oracle tests/helpers.py::extended_by_ideals builds g and divides by g^2.
+ideal.  on_ideal checks coprimality, extended and primitive integrality,
+in place; they and coefficients' loop over _ideals_of_norm's tuples run one
+kernel, _value, on the pairs (P, v) of the memoised tuple ideals._factor(a):
+at a prime of delta, e = min(v, v_P(delta)) is v_P(gcd(a, delta)), the
+value is 0 unless e is even and e/2 <= v_P(f), and N(P)^(e/2) is the norm
+weight; the exponent left over is valued by _prime_value, its memo read
+first off delta, and 0 on the conductor.  on_ideal and primitive are the
+kernel with no weight; counting.count_square_roots_formula runs it on
+exponent vectors.  The oracle tests/helpers.py::extended_by_ideals builds
+g and divides by g^2.
 
 Everything else a character needs is a pure function of delta, and it
 lives on the DiscriminantInfo of delta, the one object per discriminant
 that conductor_ideal returns: the modulus (delta), v_P(delta) and v_P(f)
-at the primes of delta, the sign type, and the memos of at_prime, of
-_unit_part_value and of the local verdicts of
-counting.count_square_roots_local, each by P.  So every QuadCharacter of
-one delta shares them, built from delta or from its info, for as long as
-conductor_ideal's memo or a caller keeps the info.
+at the primes of delta, the sign type, and the memos of _prime_value and
+of the local verdicts of counting.count_square_roots_local, each by P.  So
+every QuadCharacter of one delta shares them, built from delta or from its
+info, for as long as conductor_ideal's memo or a caller keeps the info.
 """
 
 from __future__ import annotations
 
 from .arith import BoundExceeded, kronecker
-from .discriminants import (
-    DiscriminantInfo,
-    _dyadic_ramification,
-    conductor_ideal,
-    local_square_solvable,
-)
+from .discriminants import DiscriminantInfo, _dyadic_ramification, _solvable_at, conductor_ideal
 from .field import Elem, coords_sign
 from .ideals import (
     Ideal,
@@ -76,9 +76,7 @@ from .ideals import (
     _coords_factor,
     _divisors,
     _factor,
-    _hnf_triple,
     _ideals_of_norm,
-    _root_coords,
 )
 
 __all__ = ["QuadCharacter"]
@@ -103,52 +101,34 @@ class QuadCharacter:
         # the primes P of delta map to v_P(delta), so coprimality to delta
         # is v_P = 0 at each; _f_exponents maps them to v_P(f)
         self._delta_primes, self._f_exponents = info.delta_primes, info.f_exponents
-        self._prime_memo, self._unit_part_memo, self._local_memo = info._prime, info._unit_part, info._local
+        self._prime_memo, self._local_memo = info._prime, info._local
 
     # -- the symbol on primes and coprime ideals -----------------------------
 
     def at_prime(self, P: PrimeIdeal) -> int:
-        """+1 if delta is a square mod 4P, else -1; P must not divide delta."""
-        memo = self._prime_memo
-        val = memo.get(P)
-        if val is not None:
-            return val
+        """+1 if delta is a square mod 4P, else -1, for a prime P of delta's
+        field that does not divide delta."""
         if P in self._delta_primes:
             raise ValueError(f"{P} divides ({self.delta})")
-        if P.p != 2:
-            # Legendre symbol of an integer n = delta in O/P: at an inert P,
-            # delta^((p^2-1)/2) = N(delta)^((p-1)/2) in O/P; at a degree-1 P
-            # with HNF (p, b, 1), w = -b mod P, b = 0 over Q (Cohen, GTM 138,
-            # 1.4 and 4.8)
-            if P.residue_degree == 2:
-                n = int(self.delta.norm())
-            else:
-                n = self.delta.X - self.delta.Y * P.ideal.hnf[1]
-            val = kronecker(n, P.p)
-        else:
-            # exhaustive: x^2 = delta mod 4P with x over residues of 2P, on
-            # P's HNF triple scaled by 2 and 4
-            two_p, four_p = _hnf_triple(P.ideal, 2), _hnf_triple(P.ideal, 4)
-            root = next(_root_coords(self.field, self.delta.X, self.delta.Y, two_p, four_p), None)
-            val = 1 if root is not None else -1
-        memo[P] = val
-        return val
+        if P.ideal.field is not self.field:
+            raise ValueError("prime and character of different fields")
+        return self._prime_value(P)
 
     def on_ideal(self, a: Ideal) -> int:
         """Multiplicative extension to fractional ideals coprime to delta."""
+        if a.field is not self.field:
+            raise ValueError("ideal and character of different fields")
         if not self._coprime(a):
             raise ValueError(f"{a} is not coprime to ({self.delta})")
-        val = 1
-        for P, e in _factor(a):
-            if e % 2:
-                val *= self.at_prime(P)
-        return val
+        return self._value(_factor(a), False)
 
     def on_element(self, a: Elem) -> int:
         """Character value on (a) times the signs of a at the embeddings
         where delta is negative; ValueError at 0 and off the coprime locus."""
         if not a:
             raise ValueError("the character is not defined at 0")
+        if a.field is not self.field:
+            raise ValueError("element and character of different fields")
         val = self._on_coords(a.X, a.Y, a.m)
         if not val:
             raise ValueError(f"{a} is not coprime to ({self.delta})")
@@ -159,7 +139,7 @@ class QuadCharacter:
         m >= 1, on integers alone, or 0 if a prime of delta is in the
         element's factorization: coprimality and the value are read off
         one lookup of that factorization, in one pass that stops at the
-        first prime of delta, so at_prime is never asked about one."""
+        first prime of delta."""
         K = self.field
         delta_primes = self._delta_primes
         memo = self._prime_memo
@@ -168,8 +148,8 @@ class QuadCharacter:
             if P in delta_primes:
                 return 0
             if v % 2:
-                # at_prime's memo, read once; its values are +-1, never 0
-                val *= memo.get(P) or self.at_prime(P)
+                # the memo, read once; off delta its values are +-1, never 0
+                val *= memo.get(P) or self._prime_value(P)
         if self.negative_embeddings:
             for i in self.negative_embeddings:
                 val *= coords_sign(K, x, y, i)
@@ -251,7 +231,9 @@ class QuadCharacter:
         """The primitive character mod the conductor (delta)/f^2 on an
         integral ideal, by the splitting law: 0 if a meets the conductor,
         else the product over P^e || a, e odd, of +1 or -1 as P splits or
-        stays inert in K(sqrt delta); at P off delta that is at_prime(P)."""
+        stays inert in K(sqrt delta), _prime_value(P)."""
+        if a.field is not self.field:
+            raise ValueError("ideal and character of different fields")
         if a.den != 1:
             raise ValueError("integral ideal required")
         return self._value(_factor(a), False)
@@ -259,30 +241,30 @@ class QuadCharacter:
     def extended(self, a: Ideal) -> int:
         """Norm-weighted extension: N(g) * primitive(a/g^2) when
         gcd(a, delta) = g^2 with g dividing f, else 0."""
+        if a.field is not self.field:
+            raise ValueError("ideal and character of different fields")
         if a.den != 1:
             raise ValueError("integral ideal required")
         return self._value(_factor(a), True)
 
     def _value(self, pairs, weighted: bool) -> int:
-        """The kernel of extended (weighted) and primitive on the pairs
-        (P, v), v >= 1, of an integral ideal a = prod P^v.  At a prime of
-        delta, weighted, e = min(v, v_P(delta)) is v_P of gcd(a, delta):
-        the value is 0 unless e is even and e/2 <= v_P(f), and N(P)^(e/2)
-        is the factor of N(g).  What is left of v is the exponent of P in
-        a/g^2, valued by the splitting law: _unit_part_value at a prime of
-        delta, 0 on the conductor, and at_prime elsewhere, each at odd
-        exponents only."""
+        """The kernel of on_ideal, extended (weighted) and primitive on the
+        pairs (P, v), v != 0, of an ideal a = prod P^v, integral unless no P
+        divides delta.  At a prime of delta, weighted, e = min(v, v_P(delta))
+        is v_P of gcd(a, delta): the value is 0 unless e is even and e/2 <=
+        v_P(f), and N(P)^(e/2) is the factor of N(g).  What is left of v is
+        the exponent of P in a/g^2, valued by _prime_value at odd exponents,
+        and 0 at a prime of the conductor."""
         delta_primes = self._delta_primes
         memo = self._prime_memo
         val = 1
         for P, v in pairs:
             if P not in delta_primes:
                 if v % 2:
-                    val *= memo.get(P) or self.at_prime(P)  # as in _on_coords
+                    val *= memo.get(P) or self._prime_value(P)  # as in _on_coords
                 continue
-            l = delta_primes[P]
             if weighted:
-                e = min(v, l)
+                e = min(v, delta_primes[P])
                 if e % 2 or e // 2 > self._f_exponents[P]:
                     return 0
                 if e:
@@ -290,28 +272,43 @@ class QuadCharacter:
                     v -= e
                     if not v:
                         continue
-            chi_P = self._unit_part_value(P)
+            chi_P = self._prime_value(P)
             if not chi_P:
                 return 0
             if v % 2:
                 val *= chi_P
         return val
 
-    def _unit_part_value(self, P: PrimeIdeal) -> int:
-        """primitive's value at a prime P of delta, memoised: 0 on the
-        conductor, where v_P(delta) > 2 v_P(f); off it v_P(delta) is even,
-        the unit part is a square mod 4 at P, and P splits iff it is one
-        mod 4P (local square theorem, O'Meara 63:1; Hensel at an odd P):
-        iff delta is a square mod P^(v_P(delta) + 2 v_P(2) + 1)."""
-        memo = self._unit_part_memo
-        if P in memo:
-            return memo[P]
-        l = self._delta_primes[P]
-        if l > 2 * self._f_exponents[P]:
+    def _prime_value(self, P: PrimeIdeal) -> int:
+        """The primitive character at a prime P of K by the splitting law,
+        memoised.  With l = v_P(delta) and k = v_P(f), both 0 off delta, it
+        is 0 on the conductor, where l > 2k.  Off it l is even, the unit part
+        of delta at P is a square mod 4, and P splits, +1, or stays inert,
+        -1, in K(sqrt delta) as the unit part is a square mod 4P (local
+        square theorem, O'Meara 63:1; Hensel at an odd P): as delta is a
+        square mod P^(l + 2 v_P(2) + 1), one _solvable_at verdict.  At an
+        odd P off delta that is the Legendre symbol of delta in O/P."""
+        memo = self._prime_memo
+        val = memo.get(P)
+        if val is not None:
+            return val
+        delta = self.delta
+        l = self._delta_primes.get(P, 0)
+        if l > 2 * self._f_exponents.get(P, 0):
             val = 0
-        else:
+        elif l or P.p == 2:
             target = l + 2 * _dyadic_ramification(P) + 1
-            val = 1 if local_square_solvable(self.delta, P, target) else -1
+            val = 1 if _solvable_at(self.field, delta.X, delta.Y, P, l, target) else -1
+        else:
+            # Legendre symbol of an integer n = delta in O/P: at an inert P,
+            # delta^((p^2-1)/2) = N(delta)^((p-1)/2) in O/P; at a degree-1 P
+            # with HNF (p, b, 1), w = -b mod P, b = 0 over Q (Cohen, GTM 138,
+            # 1.4 and 4.8)
+            if P.residue_degree == 2:
+                n = int(delta.norm())
+            else:
+                n = delta.X - delta.Y * P.ideal.hnf[1]
+            val = kronecker(n, P.p)
         memo[P] = val
         return val
 

@@ -126,7 +126,10 @@ def cmd_char(args) -> int:
     K = _field_of(args)
     chi = QuadCharacter(parse_elem(K, args.delta))
     a = parse_ideal(K, args.ideal)
-    leg = chi.on_ideal(a) if a.gcd(chi.modulus).is_unit_ideal() else "undefined"
+    try:
+        leg = chi.on_ideal(a)
+    except ValueError:  # a is not coprime to delta
+        leg = "undefined"
     print(_dumps({"leg": str(leg), "uleg": chi.primitive(a), "chi": chi.extended(a)}))
     return 0
 

@@ -5,7 +5,8 @@ computed three independent ways: brute-force residue enumeration, the
 divisor sum of the extended character over divisors b | a with a/b
 squarefree, and a fast multiplicative evaluator assembled from local
 casework at each prime power.  All three must agree everywhere, and all
-three refuse a fractional ideal, checked once, in place, at the entry.
+three refuse a fractional ideal, or an ideal of another field, checked
+once, in place, at the entry.
 
 The divisor sum and the local casework work on the prime factorization of
 a and build no ideal.  With a = prod P^e, the divisor sum runs over the
@@ -22,8 +23,9 @@ tests/helpers.py::count_square_roots_formula_by_ideals.
 
 The brute-force route (count_square_roots, square_root_pairs) is the
 integer search kernel ideals._root_coords on a's HNF triple scaled by 2
-and 4, the same kernel that finds the conductor witness and the dyadic
-character symbol, with no ideal 2a or 4a built; like Ideal.residues it
+and 4, the same kernel that finds the conductor witness and, under
+discriminants._solvable_at, the character's local verdicts, with no ideal
+2a or 4a built; like Ideal.residues it
 refuses N(2a) > RESIDUE_ENUMERATION_BOUND.  Its roots are memoised per
 (field, X, Y, a), delta = X + Y*w, by _roots, an LRU cache of
 FACTOR_CACHE_SIZE entries, whose hits hash ints, the interned field and
@@ -44,11 +46,12 @@ dividing k.  The ideal count is multiplicative, filled as a(q) a(k/q), with
 a local rule at each prime power whose splitting symbol comes from Euler's
 criterion on the field discriminant; the primitive character is completely
 multiplicative, filled as chi(p) chi(k/p), with prime values from the
-character's own routes, which keep kronecker: the two sides of the law
-share no symbol routine.  The convolution splits the pairs (d, k), d k <= n,
-at s = isqrt(n), hyperbola fashion, into the rows d <= s and the columns
-k <= s with d > s, and adds each row or column onto a strided slice of the
-output in one C-level map: at most 2 s slice updates.
+character's one splitting law, QuadCharacter._prime_value, which keeps
+kronecker: the two sides of the law share no symbol routine.  The
+convolution splits the pairs (d, k), d k <= n, at s = isqrt(n), hyperbola
+fashion, into the rows d <= s and the columns k <= s with d > s, and adds
+each row or column onto a strided slice of the output in one C-level map:
+at most 2 s slice updates.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ __all__ = [
 
 def count_square_roots(delta: Elem, a: Ideal) -> int:
     """Brute force straight from the definition, on integer coordinates."""
+    if a.field is not delta.field:
+        raise ValueError("ideal and element of different fields")
     if a.den != 1:
         raise ValueError(f"integral ideal required, got {a}")
     if delta.m != 1:  # the search kernel under _roots reads delta's integer coordinates
@@ -113,6 +118,8 @@ def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
     """Divisor sum of the extended character over b | a with a/b squarefree:
     with a = prod P^e, each b is an exponent choice k_P in {e, e - 1},
     valued by the character's kernel on its pairs (P, k_P), k_P >= 1."""
+    if a.field is not chi.field:
+        raise ValueError("ideal and character of different fields")
     if a.den != 1:
         raise ValueError(f"integral ideal required, got {a}")
     fac = _factor(a)
@@ -124,13 +131,15 @@ def count_square_roots_formula(chi: QuadCharacter, a: Ideal) -> int:
 
 def count_square_roots_local(chi: QuadCharacter, P: PrimeIdeal, k: int) -> int:
     """N(P^k) from the local casework at one prime power, k >= 0."""
+    if P.ideal.field is not chi.field:
+        raise ValueError("prime and character of different fields")
     if k < 0:
         raise ValueError(f"exponent k must be >= 0, got {k} at {P}")
     if k == 0:
         return 1
     if P not in chi._delta_primes:
-        # at_prime's memo, read first; its values are +-1, never 0
-        return 1 + (chi._prime_memo.get(P) or chi.at_prime(P))
+        # the prime-value memo, read first; off delta its values are +-1
+        return 1 + (chi._prime_memo.get(P) or chi._prime_value(P))
     l = chi._delta_primes[P]
     e2 = _dyadic_ramification(P)
     Np = P.norm()
@@ -179,6 +188,8 @@ def _local_verdicts(chi: QuadCharacter, P: PrimeIdeal, l: int, e2: int) -> tuple
 
 def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
     """N(a) as the product of the local counts N(P^e) over P^e || a."""
+    if a.field is not chi.field:
+        raise ValueError("ideal and character of different fields")
     if a.den != 1:
         raise ValueError(f"integral ideal required, got {a}")
     total = 1
@@ -189,23 +200,14 @@ def count_square_roots_local_product(chi: QuadCharacter, a: Ideal) -> int:
     return total
 
 
-def zeta_coefficients(delta: Elem, norm_bound: int, method: str = "brute") -> list[int]:
-    """[0, N(delta, a) summed over norm 1, ..., norm bound], by the brute,
-    local or formula route."""
-    if method not in ("brute", "local", "formula"):
-        raise ValueError(f"unknown method {method!r}")
+def zeta_coefficients(delta: Elem, norm_bound: int) -> list[int]:
+    """[0, N(delta, a) summed over norm 1, ..., norm bound], by brute force."""
     _check_bound(norm_bound)
+    if delta.m != 1:  # checked once, at every bound
+        raise ValueError(f"integral delta required, got {delta}")
     K = delta.field
-    if method == "brute":
-        if delta.m != 1:  # checked once, at every bound
-            raise ValueError(f"integral delta required, got {delta}")
-        roots = partial(_roots, K, delta.X, delta.Y)
-        count = lambda ideals: sum(map(len, map(roots, ideals)))
-    else:
-        route = count_square_roots_local_product if method == "local" else count_square_roots_formula
-        value = partial(route, QuadCharacter(delta))
-        count = lambda ideals: sum(map(value, ideals))
-    return [0] + [count(_ideals_of_norm(K, n)) for n in range(1, norm_bound + 1)]
+    roots = partial(_roots, K, delta.X, delta.Y)
+    return [0] + [sum(map(len, map(roots, _ideals_of_norm(K, n)))) for n in range(1, norm_bound + 1)]
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,7 @@ def ideal_count_table(K: QuadField, norm_bound: int) -> list[int]:
     its higher powers.  At an odd p it is Euler's criterion,
     disc^((p-1)/2) mod p read as 0, 1 or p - 1 -> -1; at p = 2 it is disc
     mod 8: 0 mod 4 -> 0, 1 -> 1, 5 -> -1 (Cohen, GTM 138, 1.4).  No
-    kronecker call: that routine is the other side's, at_prime's.
+    kronecker call: that routine is the other side's, the character's.
     Over Q every entry from 1 on is 1."""
     _check_bound(norm_bound)
     out = [0] * (norm_bound + 1)
@@ -349,8 +351,8 @@ def primitive_character_table(chi: QuadCharacter, norm_bound: int) -> list[int]:
     """chi'(n) for n <= bound over Q; [0] at bound 0.
 
     Completely multiplicative: chi'(n) = chi'(p) chi'(n/p) for p = spf(n) < n.
-    A prime value comes from the character itself, chi.primitive((p)) at a
-    prime of delta (zero on the conductor) and chi.at_prime otherwise."""
+    A prime value comes from the character itself: chi._prime_value at the
+    prime (p), zero on the conductor."""
     K = chi.field
     if K.degree != 1:
         raise ValueError("rational base field required")
@@ -359,18 +361,10 @@ def primitive_character_table(chi: QuadCharacter, norm_bound: int) -> list[int]:
     if norm_bound < 1:
         return out
     spf, _ = _prime_power_sieve(norm_bound)
-    delta_primes = chi._delta_primes
     out[1] = 1
     for n in range(2, norm_bound + 1):
         p = spf[n]
-        if p != n:
-            out[n] = out[p] * out[n // p]
-            continue
-        P = _primes_above(K, p)[0]
-        if P in delta_primes:
-            out[n] = chi.primitive(P.ideal)  # 0 unless prime to conductor
-        else:
-            out[n] = chi.at_prime(P)
+        out[n] = out[p] * out[n // p] if p != n else chi._prime_value(_primes_above(K, p)[0])
     return out
 
 

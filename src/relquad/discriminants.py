@@ -19,10 +19,9 @@ ideals._ideal_of_pairs and handed their pairs, with no ideal multiplied or
 divided; the witness by the search kernel ideals._root_coords on the HNF
 triples of f and f^2 scaled by 2 and 4, with no ideal 2f or 4f^2 built,
 and for f = (1), where the root of x^2 = delta mod 4 is unique mod 2, the
-mod-4 test _witness_coords; and is_square_in_K is False at once when some
-l is odd.  So a miss on a delta whose ideal was never built pays for
-integer work only: principal_ideal's gcd, the factorization found and
-confirmed on integers, and the prime powers.  The route that factored
+mod-4 test _witness_coords.  So a miss on a delta whose ideal was never
+built pays for integer work only: principal_ideal's gcd, the factorization
+found and confirmed on integers, and the prime powers.  The route that factored
 (delta) afresh and divided by f^2 is the test oracle
 tests/helpers.py::conductor_by_division.
 
@@ -94,13 +93,14 @@ __all__ = [
 
 class DiscriminantInfo:
     """Every fact relquad keeps about one discriminant delta: f_delta,
-    rel_disc = (delta)/f^2, is_square_in_K, witness_x with x^2 = delta mod
-    4 f^2; modulus = (delta), the read-only maps delta_primes, P ->
-    v_P(delta) in the order of Ideal.factor, and f_exponents, P -> v_P(f),
-    and negative_embeddings, where delta is negative; and the memos, by P,
-    that every QuadCharacter of delta shares: _prime (at_prime), _unit_part
-    (_unit_part_value) and _local (counting's local verdicts), whose
-    entries are pure functions of delta, so threads share them unlocked.
+    rel_disc = (delta)/f^2, witness_x with x^2 = delta mod 4 f^2; modulus =
+    (delta), the read-only maps delta_primes, P -> v_P(delta) in the order
+    of Ideal.factor, and f_exponents, P -> v_P(f), and negative_embeddings,
+    where delta is negative; and the two memos, by P, that every
+    QuadCharacter of delta shares: _prime (QuadCharacter._prime_value, the
+    primitive character at every prime, those of delta included) and
+    _local (counting's local verdicts), whose entries are pure functions of
+    delta, so threads share them unlocked.
 
     Only _conductor, the memo of conductor_ideal, builds an info.  It is
     immutable, equal and hashed by delta; DiscriminantInfo(delta) written
@@ -108,8 +108,8 @@ class DiscriminantInfo:
     conductor_ideal(delta)."""
 
     __slots__ = (
-        "delta", "f_delta", "rel_disc", "is_square_in_K", "witness_x", "modulus",
-        "delta_primes", "f_exponents", "negative_embeddings", "_prime", "_unit_part", "_local",
+        "delta", "f_delta", "rel_disc", "witness_x", "modulus",
+        "delta_primes", "f_exponents", "negative_embeddings", "_prime", "_local",
     )
 
     def __new__(cls, delta: Elem):
@@ -205,6 +205,8 @@ def local_square_solvable(delta: Elem, P: PrimeIdeal, target: int) -> bool:
     That is N(P)^(s - v/2) candidates, N(P) of them at an odd P.  The
     powers of P come from the memo of PrimeIdeal.power.
     """
+    if delta.field is not P.ideal.field:
+        raise ValueError("element and prime of different fields")
     if target <= 0 or not delta:
         return True
     X, Y, m = delta.X, delta.Y, delta.m
@@ -273,9 +275,7 @@ def _conductor(K: QuadField, X: int, Y: int) -> DiscriminantInfo:
     modulus = principal_ideal(delta)
     delta_primes = dict(_factor(modulus))
     f_exponents = {}
-    odd = False
     for P, l in delta_primes.items():
-        odd = odd or l % 2
         e2 = _dyadic_ramification(P)
         k = l // 2
         while e2 and k > 0 and not _solvable_at(K, X, Y, P, l, 2 * k + 2 * e2):
@@ -296,12 +296,11 @@ def _conductor(K: QuadField, X: int, Y: int) -> DiscriminantInfo:
     if coords is None:
         raise AssertionError("per-prime solvability holds but no global witness found")
     negative = tuple(i for i in K.real_embeddings if coords_sign(K, X, Y, i) < 0)
-    # the one constructor of DiscriminantInfo objects; a square has even
-    # valuations everywhere
+    # the one constructor of DiscriminantInfo objects
     info = object.__new__(DiscriminantInfo)
     facts = (
-        delta, f, rel, not odd and delta.is_square(), Elem(K, *coords), modulus,
-        MappingProxyType(delta_primes), MappingProxyType(f_exponents), negative, {}, {}, {},
+        delta, f, rel, Elem(K, *coords), modulus,
+        MappingProxyType(delta_primes), MappingProxyType(f_exponents), negative, {}, {},
     )
     for setter, value in zip(_INFO_SETTERS, facts):
         setter(info, value)

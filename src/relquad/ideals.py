@@ -7,13 +7,13 @@ ideal (n/den)*Z is (n, 0, 1) over den, and with w's trace and norm 0 the
 quadratic formulas (membership, residues, valuations, divisibility,
 conjugation) hold over Q as they stand.  Q keeps a branch only where its
 mathematics differs: the (0, 1) column stands for no element, so it never
-scales (_hnf_triple, the one scaling rule), and products, sums, inverses,
-norms and principal ideals work on n alone.  The representation is
+scales (_hnf_triple, the one scaling rule), and products, inverses, norms
+and principal ideals work on n alone.  The representation is
 normalized at construction and is unique per ideal (Cohen, GTM 138, 5.2),
 and Ideal interns on it.
 
 The arithmetic works on the integer HNF triples throughout (Cohen, GTM 138,
-sections 4.7 and 5.2): products, sums, conjugates and inverses never pass
+sections 4.7 and 5.2): products, conjugates and inverses never pass
 through field elements, and ideal_from_generators clears denominators once
 and builds its module vectors from integer coordinates.
 
@@ -288,6 +288,8 @@ class Ideal:
     # -- membership and residues --------------------------------------------
 
     def contains(self, e: Elem) -> bool:
+        if e.field is not self.field:
+            raise ValueError("ideal and element of different fields")
         # den * (X + Y*w)/m must have integer coordinates in the module
         x, rx = divmod(e.X * self.den, e.m)
         y, ry = divmod(e.Y * self.den, e.m)
@@ -303,6 +305,8 @@ class Ideal:
     def reduce(self, e: Elem) -> Elem:
         """Canonical residue of an integral element modulo an integral ideal:
         coordinates land in the HNF box [0,a) x [0,c)."""
+        if e.field is not self.field:
+            raise ValueError("ideal and element of different fields")
         if self.den != 1:
             raise ValueError("integral ideal required")
         if e.m != 1:
@@ -386,25 +390,6 @@ class Ideal:
                 base = base * base
         return unit_ideal(self.field) if out is None else out
 
-    def gcd(self, other: "Ideal") -> "Ideal":
-        """gcd = sum of the two modules."""
-        if self.field is not other.field:
-            raise ValueError("ideals of different fields")
-        if self.field.degree == 1:
-            n1, d1 = self.hnf[0], self.den
-            n2, d2 = other.hnf[0], other.den
-            return Ideal(self.field, (gcd(n1 * d2, n2 * d1), 0, 1), d1 * d2, _checked=True)
-        d1, d2 = self.den, other.den
-        a1, b1, c1 = self.hnf
-        a2, b2, c2 = other.hnf
-        vecs = [
-            (a1 * d2, 0),
-            (b1 * d2, c1 * d2),
-            (a2 * d1, 0),
-            (b2 * d1, c2 * d1),
-        ]
-        return Ideal(self.field, _hnf_from_vectors(vecs), d1 * d2, _checked=True)
-
     def divide_exact(self, other: "Ideal") -> "Ideal":
         if self.field is not other.field:
             raise ValueError("ideals of different fields")
@@ -446,6 +431,8 @@ class Ideal:
         ramified P, and at most one of the two primes above a split p, so
         v_P(I0) is _primitive_valuation's, read off N0 and the element
         b/c + w of I0."""
+        if P.ideal.field is not self.field:
+            raise ValueError("ideal and prime of different fields")
         p = P.p
         a, b, c = self.hnf
         e = 2 if P.ramified else 1
@@ -494,10 +481,12 @@ def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
     of L per coset of L/M for an integral L containing M, default (1):
     x = i*a' + j*b', y = j*c' over L's HNF (a', b', c'), j outer and i
     inner.  For L = (1) that is M's HNF box in the order of M.residues(),
-    each x its own residue mod M.  The validated entry: it checks the
-    integrality of delta, M, N and L and that L contains M, then runs the
-    search kernel _root_coords on the HNF triples, which caps N(M)/N(L)
-    like Ideal.residues."""
+    each x its own residue mod M.  The validated entry: it checks that
+    delta, M, N and L share one field, their integrality and that L
+    contains M, then runs the search kernel _root_coords on the HNF
+    triples, which caps N(M)/N(L) like Ideal.residues."""
+    if not (delta.field is M.field is N.field):
+        raise ValueError("element and ideals of different fields")
     if not (M.is_integral() and N.is_integral()):
         raise ValueError("integral ideal required")
     if not delta.is_integral():

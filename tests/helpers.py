@@ -83,7 +83,9 @@ The last sections hold what only tests use, moved out of the package: small
 field, ideal and dyadic helpers (all_reps of a square-class space among
 them), class_number, the order-ideal count at one index by brute root
 counts (the oracle for counting.order_ideal_counts), and
-Hilbert reciprocity over Q (the oracle for dyadic.hilbert_symbol).
+Hilbert reciprocity over Q (the oracle for dyadic.hilbert_symbol), the gcd
+of two ideals as the sum of their modules, and the zeta coefficients by the
+character routes of counting.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from relquad.arith import (
     _SMALL_PRIME_LIMIT,
@@ -105,7 +107,7 @@ from relquad.arith import (
     kronecker,
     smallest_prime_factors,
 )
-from relquad.characters import _balance
+from relquad.characters import QuadCharacter, _balance
 from relquad.cli import build_parser
 from relquad.counting import count_square_roots
 from relquad.discriminants import (
@@ -791,7 +793,7 @@ def on_element_by_ideal(chi, a: Elem) -> int:
     I = principal_ideal(a)
     one = unit_ideal(a.field)
     for J in (I, I.inverse()):
-        if J.gcd(chi.modulus) != J.gcd(one):
+        if ideal_gcd(J, chi.modulus) != ideal_gcd(J, one):
             raise ValueError(f"{I} is not coprime to ({chi.delta})")
     val = 1
     for P, e in I.factor():
@@ -813,7 +815,7 @@ def residue_table_by_ideal(chi) -> dict[tuple, int]:
     steps = [e1, -e1] + ([rest[0], -e1 - rest[0]] if rest else [])
     table = {}
     for r in m.residues():
-        if not r or not principal_ideal(r).gcd(m).is_unit_ideal():
+        if not r or not ideal_gcd(principal_ideal(r), m).is_unit_ideal():
             continue
         lifts = [r, K.elem(*_balance(m, r.X, r.Y))] + [r + s for s in steps]
         vals = {on_element_by_ideal(chi, x) for x in lifts}
@@ -841,7 +843,7 @@ def extended_by_gcd(chi, a: Ideal) -> int:
     """chi.extended(a) with g0 = gcd(a, (delta)) built as an ideal: the
     primitive value when g0 = (1), else 0 unless g0 = g^2 with g | f, when
     it is N(g) * primitive(a/g^2)."""
-    g0 = a.gcd(chi.modulus)
+    g0 = ideal_gcd(a, chi.modulus)
     if g0.is_unit_ideal():
         return chi.primitive(a)
     g = unit_ideal(chi.field)
@@ -894,7 +896,7 @@ def conductor_by_ideals(chi):
     e1, *rest = m.basis_elems()
     table = {}
     for r in m.residues():
-        if not r or not principal_ideal(r).gcd(m).is_unit_ideal():
+        if not r or not ideal_gcd(principal_ideal(r), m).is_unit_ideal():
             continue
         lifts = [r, r + e1, r - e1] + ([r + rest[0], r - e1 - rest[0]] if rest else [])
         vals = {on_element_by_ideal(chi, x) for x in lifts}
@@ -1141,7 +1143,7 @@ def primitive_by_auxiliary_prime(chi, a: Ideal) -> int:
     auxiliary prime in the ideal class of a and a coprime residue proxy."""
     if not a.is_integral():
         raise ValueError("integral ideal required")
-    if not a.gcd(chi.conductor).is_unit_ideal():
+    if not ideal_gcd(a, chi.conductor).is_unit_ideal():
         return 0
     if chi._coprime(a):
         return chi.on_ideal(a)
@@ -1316,7 +1318,7 @@ def discriminant_classes_by_elems(
     discriminant_candidates: the witness and sign tests on Elems, buckets
     keyed by the HNF of principal_ideal(delta), and a class kept unless
     delta/r is a square (sqrt_by_fractions) for an r before it in its
-    bucket.  is_square_in_K is checked the same way."""
+    bucket."""
     if sign not in ("any", "totally_negative"):
         raise ValueError("sign must be 'any' or 'totally_negative'")
     cands = []
@@ -1338,11 +1340,7 @@ def discriminant_classes_by_elems(
             if not any(sqrt_by_fractions(delta / r) is not None for r in bucket):
                 bucket.append(delta)
                 reps.append(delta)
-    infos = [conductor_ideal(r) for r in reps]
-    for info in infos:
-        if info.is_square_in_K != (sqrt_by_fractions(info.delta) is not None):
-            raise AssertionError(f"is_square_in_K is wrong for {info.delta}")
-    return infos
+    return [conductor_ideal(r) for r in reps]
 
 
 # -- elements over Fraction coordinates ------------------------------------------
@@ -1727,9 +1725,23 @@ def elem_trace(a: Elem) -> Fraction:
     return Fraction(2 * a.X + a.field.omega_trace * a.Y, a.m)
 
 
+def ideal_gcd(a: Ideal, b: Ideal) -> Ideal:
+    """gcd = sum of the two modules; over Q, (n1/d1) + (n2/d2) on the
+    numerators alone, since the (0, 1) column stands for no element."""
+    if a.field is not b.field:
+        raise ValueError("ideals of different fields")
+    d1, d2 = a.den, b.den
+    if a.field.degree == 1:
+        return Ideal(a.field, (gcd(a.hnf[0] * d2, b.hnf[0] * d1), 0, 1), d1 * d2, _checked=True)
+    a1, b1, c1 = a.hnf
+    a2, b2, c2 = b.hnf
+    vecs = [(a1 * d2, 0), (b1 * d2, c1 * d2), (a2 * d1, 0), (b2 * d1, c2 * d1)]
+    return Ideal(a.field, _hnf_from_vectors(vecs), d1 * d2, _checked=True)
+
+
 def ideal_lcm(a: Ideal, b: Ideal) -> Ideal:
     """lcm = intersection; computed as product / gcd."""
-    return (a * b).divide_exact(a.gcd(b))
+    return (a * b).divide_exact(ideal_gcd(a, b))
 
 
 def is_totally_negative(e: Elem) -> bool:
@@ -1795,6 +1807,15 @@ def order_ideal_count_by_root_counts(delta: Elem, n: int) -> int:
         if scale:
             total += scale * sum(count_square_roots(delta, a) for a in ideals_of_norm(K, n // (m * m)))
     return total
+
+
+def zeta_by_route(delta: Elem, norm_bound: int, route) -> list[int]:
+    """counting.zeta_coefficients by a character route, route(chi, a) being
+    count_square_roots_local_product or count_square_roots_formula, summed
+    over ideals_of_norm in place of the brute root counts."""
+    chi = QuadCharacter(delta)
+    K = delta.field
+    return [0] + [sum(route(chi, a) for a in ideals_of_norm(K, n)) for n in range(1, norm_bound + 1)]
 
 
 # -- Hilbert reciprocity over Q: the oracle for dyadic.hilbert_symbol ---------------

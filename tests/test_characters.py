@@ -14,6 +14,7 @@ from helpers import (
     coprime_coords,
     extended_by_gcd,
     extended_by_ideals,
+    ideal_gcd,
     on_element_by_ideal,
     primes_upto,
     primitive_by_auxiliary_prime,
@@ -26,10 +27,11 @@ from relquad.arith import kronecker
 from relquad.characters import QuadCharacter
 from relquad.counting import (
     count_square_roots,
+    count_square_roots_formula,
     count_square_roots_local,
     count_square_roots_local_product,
 )
-from relquad.discriminants import DiscriminantInfo, conductor_ideal, discriminant_classes
+from relquad.discriminants import DiscriminantInfo, conductor_ideal, discriminant_classes, local_square_solvable
 from relquad.field import make_field
 from relquad.ideals import (
     Ideal,
@@ -81,6 +83,80 @@ def test_at_prime_rejects_dividing(Q):
     chi = QuadCharacter(Q.elem(12))
     with pytest.raises(ValueError):
         chi.at_prime(primes_above(Q, 3)[0])
+
+
+def test_at_prime_rejects_dividing_once_the_memo_holds_it(Q):
+    # the one prime-value memo holds the primes of delta too: at_prime
+    # refuses them before it reads the memo, whether the memoised value is
+    # 0 (on the conductor) or +-1 (a prime of f off the conductor)
+    P2, P3 = primes_above(Q, 2)[0], primes_above(Q, 3)[0]
+    chi12 = QuadCharacter(Q.elem(12))
+    assert chi12._prime_value(P3) == 0 and chi12._prime_memo[P3] == 0
+    test_at_prime_rejects_dividing(Q)
+    chi20 = QuadCharacter(Q.elem(20))  # 20 = 2^2 * 5, f = (2): 2 is inert in Q(sqrt 5)
+    assert chi20._prime_value(P2) == -1 and chi20._prime_memo[P2] == -1
+    with pytest.raises(ValueError, match="divides"):
+        chi20.at_prime(P2)
+
+
+def _fundamental_discriminant(delta: int) -> int:
+    # delta = m t^2 with m squarefree; m if m = 1 mod 4, else 4m
+    m, q = delta, 2
+    while q * q <= abs(m):
+        while m % (q * q) == 0:
+            m //= q * q
+        q += 1
+    return m if m % 4 == 1 else 4 * m
+
+
+def test_prime_value_over_q_is_the_kronecker_symbol_of_delta0(Q):
+    # over Q the primitive character of delta = f^2 delta0 is the Kronecker
+    # symbol of the fundamental discriminant delta0 at every prime p: 0 at
+    # p | delta0, on the conductor, and the splitting of p in Q(sqrt delta0)
+    # elsewhere, at the primes of f too
+    deltas = [D for D in range(-200, 201) if D and D % 4 in (0, 1)]
+    primes = [(p, primes_above(Q, p)[0]) for p in primes_upto(500)]
+    for D in deltas:
+        D0 = _fundamental_discriminant(D)
+        chi = QuadCharacter(Q.elem(D))
+        assert [chi._prime_value(P) for _, P in primes] == [kronecker(D0, p) for p, _ in primes], (D, D0)
+
+
+def _cross_field_calls():
+    # entries given an object of Q(sqrt 10) next to a character, element or
+    # prime of Q(sqrt 5), and the converse
+    K5, K10 = make_field(5), make_field(10)
+    chi5 = QuadCharacter(K5.elem(-4))
+    P3 = primes_above(K10, 3)[0]
+    a9 = P3.power(2)
+    return {
+        "at_prime": lambda: chi5.at_prime(P3),
+        "on_ideal": lambda: chi5.on_ideal(a9),
+        "primitive": lambda: chi5.primitive(a9),
+        "extended": lambda: chi5.extended(a9),
+        "on_element": lambda: chi5.on_element(K10.elem(3, 1)),
+        "count_square_roots": lambda: count_square_roots(chi5.delta, a9),
+        "count_square_roots_formula": lambda: count_square_roots_formula(chi5, a9),
+        "count_square_roots_local_product": lambda: count_square_roots_local_product(chi5, a9),
+        "count_square_roots_local": lambda: count_square_roots_local(chi5, P3, 2),
+        "valuation": lambda: unit_ideal(K5).valuation(P3),
+        "local_square_solvable": lambda: local_square_solvable(K10.elem(-4), primes_above(K5, 3)[0], 3),
+        "contains": lambda: K5.elem(3) in a9,
+        "reduce": lambda: a9.reduce(K5.elem(7)),
+        "square_root_coords": lambda: list(square_root_coords(K5.elem(-4), a9, a9)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_cross_field_calls()))
+def test_entries_refuse_another_fields_arguments(entry):
+    # each returned a value computed on another field's coordinates: the
+    # character at a prime above 3 of Q(sqrt 10) was -1, its values on a
+    # norm-9 ideal 1, the brute count 2 against the formula's and the local
+    # product's 0, and valuation, solvability, membership and reduction
+    # read the coordinates as their own field's, and the root search found
+    # none
+    with pytest.raises(ValueError, match="of different fields"):
+        _cross_field_calls()[entry]()
 
 
 def test_on_ideal_examples(Q):
@@ -221,9 +297,10 @@ def test_characters_of_one_delta_share_setup_and_local_verdicts(monkeypatch, Q5)
 
 @pytest.mark.parametrize("d", [None, -1, -3, -15, 2, 5, 10])
 def test_dyadic_at_prime_matches_ideal_argument_search(d):
-    # at a dyadic P the symbol searches P's HNF triple scaled by 2 and 4:
-    # the same verdict as square_root_coords on the ideals 2P and 4P, and as
-    # the full residue search of 4P, at every dyadic P off delta
+    # at a dyadic P off delta the symbol is one local verdict, delta a
+    # square mod P^(2 v_P(2) + 1): the same as the global search of
+    # square_root_coords on the ideals 2P and 4P, and as the full residue
+    # search of 4P
     K = make_field(d)
     discriminants._conductor.cache_clear()
     checked = 0
@@ -573,7 +650,7 @@ def test_primitive_independent_of_auxiliary(Q10, Q5):
             mod = chi.modulus
             for n in range(2, 12):
                 for a in ideals_of_norm(K, n):
-                    if a.gcd(mod).is_unit_ideal() or not a.gcd(chi.conductor).is_unit_ideal():
+                    if ideal_gcd(a, mod).is_unit_ideal() or not ideal_gcd(a, chi.conductor).is_unit_ideal():
                         continue
                     vals = {
                         primitive_via(chi, P, alpha)
@@ -599,7 +676,7 @@ def test_primitive_matches_auxiliary_oracle(d):
     for chi, ideals in _auxiliary_cases(d):
         for a in ideals:
             assert chi.primitive(a) == primitive_by_auxiliary_prime(chi, a), (d, chi.delta, a)
-            auxiliary += not chi._coprime(a) and a.gcd(chi.conductor).is_unit_ideal()
+            auxiliary += not chi._coprime(a) and ideal_gcd(a, chi.conductor).is_unit_ideal()
     assert auxiliary > 0
 
 
@@ -613,7 +690,7 @@ def test_primitive_needs_no_principal_generator(monkeypatch):
             (chi, a, primitive_by_auxiliary_prime(chi, a))
             for chi, ideals in _auxiliary_cases(d)
             for a in ideals
-            if not chi._coprime(a) and a.gcd(chi.conductor).is_unit_ideal()
+            if not chi._coprime(a) and ideal_gcd(a, chi.conductor).is_unit_ideal()
         ]
         assert cases
         with monkeypatch.context() as m:
@@ -633,7 +710,7 @@ def test_primitive_class_invariance(Q10, Q):
             chi2 = QuadCharacter(info.delta * c * c)
             for n in range(1, 30):
                 for a in ideals_of_norm(K, n):
-                    if a.gcd(chi.modulus).is_unit_ideal() and a.gcd(chi2.modulus).is_unit_ideal():
+                    if ideal_gcd(a, chi.modulus).is_unit_ideal() and ideal_gcd(a, chi2.modulus).is_unit_ideal():
                         assert chi.on_ideal(a) == chi2.on_ideal(a)
 
 
@@ -658,7 +735,7 @@ def test_extended_matches_gcd_oracle():
             for a in ideals:
                 val = chi.extended(a)
                 assert val == extended_by_gcd(chi, a) == extended_by_ideals(chi, a), (d, info.delta, a)
-                g0 = a.gcd(chi.modulus)
+                g0 = ideal_gcd(a, chi.modulus)
                 kinds["coprime" if g0.is_unit_ideal() else "square gcd" if val else "zero"] += 1
     assert min(kinds.values()) > 300, kinds
 
@@ -675,7 +752,7 @@ def test_coefficients_examples(Q, Q5):
     per_ideal, _ = chi5.coefficients(20)
     for a, v in per_ideal.items():
         fac = a.factor()
-        if len(fac) == 1 and fac[0][1] == 1 and a.gcd(chi5.modulus).is_unit_ideal():
+        if len(fac) == 1 and fac[0][1] == 1 and ideal_gcd(a, chi5.modulus).is_unit_ideal():
             assert v == chi5.at_prime(fac[0][0])
 
 
@@ -717,7 +794,7 @@ def test_multiplicativity_coprime(test_fields):
             done = 0
             while done < 40:
                 a, b = rng.choice(pool), rng.choice(pool)
-                if not a.gcd(b).is_unit_ideal():
+                if not ideal_gcd(a, b).is_unit_ideal():
                     continue
                 assert chi.extended(a * b) == chi.extended(a) * chi.extended(b)
                 done += 1

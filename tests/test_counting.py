@@ -19,10 +19,12 @@ from helpers import (
     dirichlet_convolution_by_loops,
     extended_by_gcd,
     ideal_count_table_by_factoring,
+    ideal_gcd,
     order_ideal_count_by_root_counts,
     primes_upto,
     primitive_character_table_by_factoring,
     sqrt_gen,
+    zeta_by_route,
 )
 from relquad import characters, counting, discriminants, ideals
 from relquad.arith import kronecker
@@ -186,7 +188,7 @@ def test_formula_and_local_routes_build_no_ideal_product(monkeypatch):
     # patch, hold none
     discriminants._conductor.cache_clear()
     fresh = {info: conductor_ideal(info.delta) for info, _, _ in cases}
-    assert all(new is not old and not (new._prime or new._unit_part or new._local) for old, new in fresh.items())
+    assert all(new is not old and not (new._prime or new._local) for old, new in fresh.items())
 
     def refuse(*args):
         raise AssertionError("ideal product")
@@ -219,18 +221,6 @@ def test_local_route_refuses_fractional_ideals_and_negative_exponents(Q5):
     assert count_square_roots_local_product(chi, P.ideal) == count_square_roots(chi.delta, P.ideal)
 
 
-def test_zeta_coefficients_check_the_method_first(Q):
-    # an unknown method returned [0] at bound 0, and at bound >= 1 a
-    # non-discriminant delta reported "not a discriminant" instead
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        zeta_coefficients(Q.elem(5), 0, method="bogus")
-    with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        zeta_coefficients(Q.elem(3), 4, method="bogus")
-    with pytest.raises(ValueError, match="not a discriminant"):
-        zeta_coefficients(Q.elem(3), 4, method="formula")
-    assert zeta_coefficients(Q.elem(5), 0, method="formula") == [0]
-
-
 @pytest.mark.parametrize("d", [None, 10])
 def test_refusals_keep_their_texts(d):
     # each entry checks its preconditions in place, where it stands, and
@@ -246,8 +236,6 @@ def test_refusals_keep_their_texts(d):
         (lambda: count_square_roots_formula(chi, frac), f"integral ideal required, got {frac}"),
         (lambda: count_square_roots_local_product(chi, frac), f"integral ideal required, got {frac}"),
         (lambda: zeta_coefficients(half, 3), f"integral delta required, got {half}"),
-        (lambda: zeta_coefficients(half, 3, method="local"), "nonzero integral element required"),
-        (lambda: zeta_coefficients(half, 3, method="formula"), "nonzero integral element required"),
         (lambda: square_root_pairs(half, 0), f"integral delta required, got {half}"),
         (lambda: order_ideal_counts(half, 0), f"integral delta required, got {half}"),
         (lambda: chi.primitive(frac), "integral ideal required"),
@@ -307,8 +295,7 @@ def test_a_warm_class_calls_no_wrapper():
         chi.conductor_exhaustive()
         chi.coefficients(8)
         square_root_pairs(info.delta, 8)
-        for method in ("brute", "local", "formula"):
-            zeta_coefficients(info.delta, 8, method)
+        zeta_coefficients(info.delta, 8)
         for a in pool:
             if a.divides(info.f_delta):
                 info.f_delta.divide_exact(a)
@@ -344,7 +331,7 @@ def test_multiplicativity_and_stability(Q, Q10):
             done = 0
             while done < 25:
                 a, b = rng.choice(pool), rng.choice(pool)
-                if not a.gcd(b).is_unit_ideal():
+                if not ideal_gcd(a, b).is_unit_ideal():
                     continue
                 assert count_square_roots(info.delta, a * b) == count_square_roots(
                     info.delta, a
@@ -383,8 +370,8 @@ def test_zeta_coefficients(Q, Q10):
         delta = K.elem(*([dval[0]] if K.degree == 1 else dval))
         N = 40
         zd = zeta_coefficients(delta, N)
-        zd_local = zeta_coefficients(delta, N, method="local")
-        assert zd == zd_local
+        assert zd == zeta_by_route(delta, N, count_square_roots_local_product)
+        assert zd == zeta_by_route(delta, N, count_square_roots_formula)
         chi = QuadCharacter(delta)
         aK = ideal_count_table(K, N)
         _, chi_sums = chi.coefficients(N)
@@ -654,7 +641,6 @@ def test_series_refuse_negative_bounds(Q, bound):
     delta = Q.elem(5)
     for call in (
         lambda: zeta_coefficients(delta, bound),
-        lambda: zeta_coefficients(delta, bound, method="local"),
         lambda: QuadCharacter(delta).coefficients(bound),
         lambda: square_stretch([0, 1, 1], bound),
         lambda: square_root_pairs(delta, bound),

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+from helpers import ideal_gcd
 import relquad
 from relquad.field import make_field
 from relquad.ideals import ideal_from_generators, ideals_of_norm, parse_ideal, primes_above, principal_ideal, unit_ideal
@@ -278,7 +279,7 @@ def test_one_hnf_format():
         "ideals_of_norm": [*ideals_of_norm(Q, 1), *ideals_of_norm(Q, 360)],
         "ideal product": [I * J, I * I.inverse(), P.ideal * J],
         "integer product": [I * 4, 6 * J, I * Fraction(-3, 8)],
-        "gcd": [I.gcd(J), J.gcd(P.ideal)],
+        "gcd": [ideal_gcd(I, J), ideal_gcd(J, P.ideal)],
         "inverse": [I.inverse(), J.inverse()],
         "unit_ideal": [unit_ideal(Q)],
     }
@@ -320,6 +321,69 @@ def test_one_classify_kernel():
             if isinstance(fn, ast.FunctionDef) and _reads_classify_tables(fn):
                 readers.append(f"{path.stem}.{fn.name}")
     assert readers == ["dyadic._classify_pairs"], readers
+
+
+def _functions(tree):
+    """(qualified name, node) of every top-level function and method."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{stmt.name}.{sub.name}", sub
+
+
+def _writes_prime_memo(fn) -> bool:
+    """Whether fn stores into, or calls a mutator of, an attribute _prime or
+    _prime_memo, directly or through a local name bound to one."""
+    memo = ("_prime", "_prime_memo")
+    aliases = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            targets = [t for tgt in node.targets for t in (tgt.elts if isinstance(tgt, ast.Tuple) else [tgt])]
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value] * len(targets)
+            for t, v in zip(targets, values):
+                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr in memo:
+                    aliases.add(t.id)
+
+    def is_memo(v) -> bool:
+        return (isinstance(v, ast.Attribute) and v.attr in memo) or (isinstance(v, ast.Name) and v.id in aliases)
+
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and is_memo(node.value):
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and is_memo(node.func.value):
+            if node.func.attr in ("setdefault", "update", "pop", "popitem", "clear", "__setitem__"):
+                return True
+    return False
+
+
+def test_one_prime_value():
+    # the splitting law has one rule, one memo and one kernel: in
+    # characters, only QuadCharacter._prime_value calls kronecker or
+    # discriminants._solvable_at; in the package, only it writes the
+    # prime-value memo; and the unit-part memo and its method are gone
+    package = Path(relquad.__file__).parent
+    tree = ast.parse((package / "characters.py").read_text())
+    callers = sorted(
+        name
+        for name, fn in _functions(tree)
+        if any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("kronecker", "_solvable_at")
+            for node in ast.walk(fn)
+        )
+    )
+    assert callers == ["QuadCharacter._prime_value"], callers
+    writers = []
+    left = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        writers += [f"{path.stem}.{name}" for name, fn in _functions(ast.parse(text)) if _writes_prime_memo(fn)]
+        left += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1) if "_unit_part" in line]
+    assert writers == ["characters.QuadCharacter._prime_value"], writers
+    assert not left, left
 
 
 def test_one_indented_json_writer():
