@@ -3,6 +3,12 @@
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors,
 3 on an internal error (an AssertionError from a broken internal
 invariant).  All output is deterministic for identical flags.
+
+The field, element and ideal arguments are parsed by field and ideals,
+which every command loads.  Each command imports the rest of what it runs
+when it runs, read off the module at that moment: a process compiles only
+the modules its request needs, and a function patched on its module is
+the one called.
 """
 
 from __future__ import annotations
@@ -13,22 +19,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import QuadCharacter
-from .counting import (
-    count_square_roots,
-    count_square_roots_formula,
-    dirichlet_convolution,
-    ideal_count_table,
-    square_stretch,
-    zeta_coefficients,
-)
-from .discriminants import conductor_ideal, fundamental_discriminant_data
-from .dyadic import duality_report
 from .field import make_field, parse_elem
-from .hurwitz import hurwitz_row, negative_discriminants
 from .ideals import parse_ideal
-from .tables import table_rows, unit_discriminants
-from .verify import FIELD_SUITES, SUITES, run_suite
 
 
 def _field_of(args):
@@ -98,6 +90,8 @@ def _key(k) -> str:
 
 
 def cmd_fdelta(args) -> int:
+    from .discriminants import conductor_ideal, fundamental_discriminant_data
+
     K = _field_of(args)
     delta = parse_elem(K, args.delta)
     info = conductor_ideal(delta)
@@ -116,6 +110,8 @@ def cmd_fdelta(args) -> int:
 
 
 def cmd_conductor(args) -> int:
+    from .discriminants import conductor_ideal
+
     K = _field_of(args)
     info = conductor_ideal(parse_elem(K, args.delta))
     print(_dumps({"f_delta": str(info.f_delta), "rel_disc": str(info.rel_disc)}))
@@ -123,6 +119,8 @@ def cmd_conductor(args) -> int:
 
 
 def cmd_char(args) -> int:
+    from .characters import QuadCharacter
+
     K = _field_of(args)
     chi = QuadCharacter(parse_elem(K, args.delta))
     a = parse_ideal(K, args.ideal)
@@ -135,6 +133,9 @@ def cmd_char(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .characters import QuadCharacter
+    from .counting import count_square_roots, count_square_roots_formula
+
     K = _field_of(args)
     delta = parse_elem(K, args.delta)
     a = parse_ideal(K, args.ideal)
@@ -148,6 +149,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_zeta_coeffs(args) -> int:
+    from .characters import QuadCharacter
+    from .counting import dirichlet_convolution, ideal_count_table, square_stretch, zeta_coefficients
+
     K = _field_of(args)
     delta = parse_elem(K, args.delta)
     zd = zeta_coefficients(delta, args.bound)
@@ -166,6 +170,8 @@ def cmd_zeta_coeffs(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .tables import table_rows
+
     K = _field_of(args)
     recs = [r.to_record() for r in table_rows(K, args.bound, sign=args.sign)]
     if args.format == "json":
@@ -182,6 +188,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_unit_discs(args) -> int:
+    from .tables import unit_discriminants
+
     K = _field_of(args)
     infos, window = unit_discriminants(K)
     rec = {
@@ -194,6 +202,8 @@ def cmd_unit_discs(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    from .hurwitz import hurwitz_row, negative_discriminants
+
     if (args.delta is None) == (args.upto is None):
         raise ValueError("exactly one of --delta / --upto is required")
     deltas = [args.delta] if args.delta is not None else negative_discriminants(args.upto)
@@ -217,6 +227,8 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_local_duality(args) -> int:
+    from .dyadic import duality_report
+
     rep = duality_report(args.field, args.precision)
     print(_dumps(rep))
     checks = [v for v in rep.values() if isinstance(v, bool)]
@@ -224,6 +236,8 @@ def cmd_local_duality(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import FIELD_SUITES, run_suite
+
     # the keyword each suite takes --bound as; only dyadic takes --precision
     bound_key = {
         "counting": "ideal_bound",
@@ -320,7 +334,17 @@ _COMMANDS = {
         cmd_verify,
         "run a verification sweep",
         [
-            ("suite", {"choices": (*SUITES, "all")}),
+            # verify.SUITES, then "all", written out so that parsing a
+            # request imports no verify
+            (
+                "suite",
+                {
+                    "choices": (
+                        *("counting", "character", "conductor", "identity", "dyadic", "hurwitz", "decomposition"),
+                        "all",
+                    )
+                },
+            ),
             ("--field", {"help": "0 or d for number-field suites; q2, unram, or ram:c for dyadic"}),
             ("--bound", {"type": int}),
             ("--precision", {"type": int}),

@@ -56,12 +56,12 @@ at most 2 s slice updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product, repeat
 from math import isqrt
 from operator import add, mul, sub
 
+from ._record import Record, slot_setters
 from .arith import smallest_prime_factors
 from .characters import QuadCharacter
 from .discriminants import _dyadic_ramification, local_square_solvable
@@ -210,13 +210,19 @@ def zeta_coefficients(delta: Elem, norm_bound: int) -> list[int]:
     return [0] + [sum(map(len, map(roots, _ideals_of_norm(K, n)))) for n in range(1, norm_bound + 1)]
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(Record):
     """(a, b mod 2a) with b^2 = delta mod 4a; b is the canonical HNF-box
-    representative, the lexicographically least one."""
+    representative, the lexicographically least one.  An immutable record
+    (relquad._record), equal and hashed by its two fields."""
 
-    a_ideal: Ideal
-    b: Elem
+    __slots__ = ("a_ideal", "b")
+
+    def __init__(self, a_ideal: Ideal, b: Elem):
+        _set_a_ideal(self, a_ideal)
+        _set_b(self, b)
+
+
+_set_a_ideal, _set_b = slot_setters(RootPair)
 
 
 def square_root_pairs(delta: Elem, norm_bound: int) -> list[RootPair]:

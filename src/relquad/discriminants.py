@@ -51,10 +51,10 @@ signs match are multiplied by g.  Cohen, GTM 138, 5.2-5.4 and 5.7-5.8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+from ._record import Record, slot_setters
 from .field import Elem, QuadField, _window_least, coords_mul, coords_sign, roots_of_unity, unit_square_class_reps
 from .ideals import (
     FACTOR_CACHE_SIZE,
@@ -135,28 +135,51 @@ class DiscriminantInfo:
 
 
 # the slot writers of DiscriminantInfo, which refuses assignment
-_INFO_SETTERS = tuple(DiscriminantInfo.__dict__[name].__set__ for name in DiscriminantInfo.__slots__)
+_INFO_SETTERS = slot_setters(DiscriminantInfo)
 
 
-@dataclass(frozen=True)
-class GeneralDiscFactorization:
-    s: Ideal  # largest integral ideal with s^2 | (delta)
-    t: Ideal  # largest divisor of (2) with delta a square mod (s t)^2
-    rel_disc_general: Ideal  # 4 delta / (s t)^2
+# the records below are immutable, equal and hashed by their fields
+# (relquad._record)
+class GeneralDiscFactorization(Record):
+    """s, the largest integral ideal with s^2 | (delta); t, the largest
+    divisor of (2) with delta a square mod (s t)^2; and rel_disc_general =
+    4 delta / (s t)^2."""
+
+    __slots__ = ("s", "t", "rel_disc_general")
+
+    def __init__(self, s: Ideal, t: Ideal, rel_disc_general: Ideal):
+        for setter, value in zip(_GENERAL_SETTERS, (s, t, rel_disc_general)):
+            setter(self, value)
 
 
-@dataclass(frozen=True)
-class LocalComponent:
-    prime: PrimeIdeal
-    residual_exponent: int  # v_P(delta) - 2 v_P(f), equals v_P(rel_disc)
-    component: Elem  # delta / pi^(2 v_P(f)); well defined modulo local squares
+class LocalComponent(Record):
+    """At a prime P of delta: residual_exponent = v_P(delta) - 2 v_P(f),
+    which equals v_P(rel_disc), and component = delta / pi^(2 v_P(f)), well
+    defined modulo local squares."""
+
+    __slots__ = ("prime", "residual_exponent", "component")
+
+    def __init__(self, prime: PrimeIdeal, residual_exponent: int, component: Elem):
+        for setter, value in zip(_COMPONENT_SETTERS, (prime, residual_exponent, component)):
+            setter(self, value)
 
 
-@dataclass(frozen=True)
-class FundDiscData:
-    local_components: tuple[LocalComponent, ...]
-    real_signs: tuple[int, ...]
-    principal_rep: Elem | None  # delta0 with f_{delta0} = (1), if f is principal
+class FundDiscData(Record):
+    """The local components, the signs of delta at the real embeddings, and
+    principal_rep: delta0 with f_{delta0} = (1) if f is principal, else None."""
+
+    __slots__ = ("local_components", "real_signs", "principal_rep")
+
+    def __init__(
+        self, local_components: tuple[LocalComponent, ...], real_signs: tuple[int, ...], principal_rep: Elem | None
+    ):
+        for setter, value in zip(_FUND_SETTERS, (local_components, real_signs, principal_rep)):
+            setter(self, value)
+
+
+_GENERAL_SETTERS, _COMPONENT_SETTERS, _FUND_SETTERS = map(
+    slot_setters, (GeneralDiscFactorization, LocalComponent, FundDiscData)
+)
 
 
 def uniformizer_of(P: PrimeIdeal) -> Elem:

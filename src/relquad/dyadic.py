@@ -38,7 +38,7 @@ of pairs, the package's one body of the classify logic: the valuation, the
 product by f_v, the shift, the lattice key and the table read.  decompose
 sends it one pair, hilbert_symbol its two arguments, the norm-group search
 one value at a time, and the level classes and the duality report whole
-batches.  LocalElem, a frozen dataclass over one pair, is the public
+batches.  LocalElem, an immutable record over one pair, is the public
 boundary only: the field's elem, zero, one and pi, the arguments of
 is_square, sqrt_certificate, decompose and hilbert_symbol, the certificate
 sqrt_certificate returns, and the completions of verify.completion_at.  A
@@ -62,10 +62,10 @@ outside its norm group, searched once per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record, slot_setters
 from .ideals import _hnf_from_vectors
 
 __all__ = [
@@ -295,14 +295,23 @@ def _agree(F: LocalField, a1: int, b1: int, a2: int, b2: int) -> bool:
     return v is None or v >= F.e * F.precision
 
 
-@dataclass(frozen=True)
-class LocalElem:
+class LocalElem(Record):
     """a + b t over the generator t of the field, as the coordinates modulo
-    W; the public wrapper over the pair kernels."""
+    W; the public wrapper over the pair kernels.  An immutable record
+    (relquad._record), equal and hashed by its field and pair; copy,
+    deepcopy and pickle rebuild it over the interned field of the same
+    kind, class and precision."""
 
-    field: LocalField
-    a: int
-    b: int = 0
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field: LocalField, a: int, b: int = 0):
+        _set_field(self, field)
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __reduce__(self):
+        F = self.field
+        return _local_elem, (F.kind, F.c, F.precision, self.a, self.b)
 
     def __mul__(self, other: "LocalElem") -> "LocalElem":
         F = self.field
@@ -346,6 +355,14 @@ class LocalElem:
             base = base * base
             k >>= 1
         return out
+
+
+_set_field, _set_a, _set_b = slot_setters(LocalElem)
+
+
+def _local_elem(kind: str, c: int | None, precision: int, a: int, b: int) -> LocalElem:
+    # the inverse of LocalElem.__reduce__
+    return LocalElem(_intern_field(kind, c, precision), a, b)
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:

@@ -9,10 +9,10 @@ of delta; the oracle enumerates reduced forms directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record, slot_setters
 from .arith import factorint, kronecker
 from .discriminants import conductor_ideal
 from .field import make_field
@@ -116,14 +116,18 @@ def hurwitz_class_number(delta: int) -> Fraction:
     return _formula(delta0, f, form_class_number(delta0))
 
 
-@dataclass(frozen=True)
-class HurwitzResult:
-    delta: int
-    H_formula: Fraction
-    H_oracle: Fraction
-    h_L: int
-    w_L: int
-    f_delta: int
+class HurwitzResult(Record):
+    """One Hurwitz row: H(delta) by the formula and by the form count, with
+    h and w of the fundamental discriminant delta0 and f, delta = delta0 f^2."""
+
+    __slots__ = ("delta", "H_formula", "H_oracle", "h_L", "w_L", "f_delta")
+
+    def __init__(self, delta: int, H_formula: Fraction, H_oracle: Fraction, h_L: int, w_L: int, f_delta: int):
+        for setter, value in zip(_HURWITZ_SETTERS, (delta, H_formula, H_oracle, h_L, w_L, f_delta)):
+            setter(self, value)
+
+
+_HURWITZ_SETTERS = slot_setters(HurwitzResult)
 
 
 def hurwitz_row(delta: int) -> HurwitzResult:

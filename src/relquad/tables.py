@@ -11,11 +11,10 @@ the H column for quadratic base fields is display-only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from math import isqrt
 
+from ._record import Record, slot_setters
 from .discriminants import (
     DiscriminantInfo,
     _class_reps,
@@ -39,13 +38,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TableRow:
-    norm: int
-    delta: Elem
-    f_delta: Ideal
-    rel_disc: Ideal
-    extras: dict = field(default_factory=dict)
+class TableRow(Record):
+    """One table row: |N(delta)|, delta, f_delta, rel_disc and the display
+    extras, a fresh empty dict by default.  An immutable record
+    (relquad._record), equal by its fields; its dict makes it unhashable."""
+
+    __slots__ = ("norm", "delta", "f_delta", "rel_disc", "extras")
+
+    def __init__(self, norm: int, delta: Elem, f_delta: Ideal, rel_disc: Ideal, extras: dict | None = None):
+        _set_norm(self, norm)
+        _set_delta(self, delta)
+        _set_f_delta(self, f_delta)
+        _set_rel_disc(self, rel_disc)
+        _set_extras(self, {} if extras is None else extras)
 
     def to_record(self) -> dict:
         rec = {
@@ -57,6 +62,9 @@ class TableRow:
             "extras": {k: str(v) for k, v in self.extras.items()},
         }
         return rec
+
+
+_set_norm, _set_delta, _set_f_delta, _set_rel_disc, _set_extras = slot_setters(TableRow)
 
 
 def table_rows(K: QuadField, bound: int, sign: str = "totally_negative") -> list[TableRow]:
@@ -107,6 +115,9 @@ def unit_discriminants(K: QuadField) -> tuple[list[DiscriminantInfo], int]:
 
 
 def load_fixture(name: str) -> dict:
+    # imported here: a table request reads no fixture
+    from importlib import resources
+
     with resources.files("relquad.fixtures").joinpath(name).open() as f:
         return json.load(f)
 
@@ -206,7 +217,8 @@ def validate_record(record, schema_name: str) -> list[str]:
 
     def walk(obj, sch, path):
         typ = sch.get("type")
-        if typ and not isinstance(obj, _TYPES[typ]):
+        # a JSON boolean is no integer or number, though Python's bool is an int
+        if typ and (not isinstance(obj, _TYPES[typ]) or isinstance(obj, bool) and typ != "boolean"):
             problems.append(f"{path}: expected {typ}, got {type(obj).__name__}")
             return
         if typ == "object":

@@ -214,6 +214,51 @@ def test_schema_is_parsed_once(monkeypatch):
     assert load_fixture("schema.json")["$defs"] == tables._schema_defs()
 
 
+def test_verify_choices_are_the_suites():
+    # cli writes verify's suite names out, so that parsing a request
+    # imports no verify: they are verify.SUITES in its order, then "all"
+    from relquad.verify import SUITES
+
+    (suite,) = [kwargs for name, kwargs in cli._COMMANDS["verify"][2] if name == "suite"]
+    assert suite["choices"] == (*SUITES, "all")
+
+
+def test_schema_integers_refuse_json_booleans(capsys):
+    # JSON Schema's integer and number take no boolean, though Python's bool
+    # is an int; every record the CLI prints for the catalog fields, and
+    # for the dyadic fields, still validates
+    from relquad.dyadic import all_local_fields
+
+    row = {"norm": True, "delta": "-4", "f_delta": "-", "f_delta_pretty": "-", "rel_disc": "-", "extras": {}}
+    assert validate_record(row, "table_row") == ["$.norm: expected integer, got bool"]
+    report = {"suite": "all", "cases": 1, "failures": [], "failure_count": 0, "ok": True, "seconds": 0.5}
+    assert validate_record(report, "verify_report") == []
+    assert validate_record({**report, "seconds": False}, "verify_report") == ["$.seconds: expected number, got bool"]
+    assert validate_record({**report, "ok": 1}, "verify_report") == ["$.ok: expected boolean, got int"]
+    printed = []
+    for d in (-1, -3, -15, -21, -105, 5, 2, 10, 15, 7, 195, 23, 19, 22):
+        f = str(d)
+        code, out, _ = run_cli("unit-discs", "--field", f, capsys=capsys)
+        printed.append((code, json.loads(out), "unit_discs"))
+        code, out, _ = run_cli("table", "--field", f, "--bound", "20", "--format", "json", capsys=capsys)
+        rows = [json.loads(line) for line in out.splitlines()]
+        printed += [(code, rec, "table_row") for rec in rows]
+        for rec in rows[:2]:
+            delta = f"--delta={rec['delta']}"
+            queries = (("fdelta",), ("char", "--ideal", rec["f_delta"]), ("count", "--ideal", rec["rel_disc"]))
+            for command, *ideal in queries:
+                code, out, _ = run_cli(command, "--field", f, delta, *ideal, capsys=capsys)
+                printed.append((code, json.loads(out), command))
+    for F in all_local_fields():
+        desc = F.kind if F.kind != "ram" else f"ram:{F.c}"
+        code, out, _ = run_cli("local-duality", "--field", desc, capsys=capsys)
+        printed.append((code, json.loads(out), "local_duality"))
+    assert len(printed) > 100 and {schema for *_, schema in printed} == {
+        "unit_discs", "table_row", "fdelta", "char", "count", "local_duality",
+    }
+    assert [(code, schema) for code, rec, schema in printed if code or validate_record(rec, schema)] == []
+
+
 def test_local_duality_cli(capsys):
     code, out, _ = run_cli("local-duality", "--field", "q2", capsys=capsys)
     rec = json.loads(out)
@@ -340,7 +385,8 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(delta):
         raise AssertionError("factorization does not reassemble")
 
-    monkeypatch.setattr("relquad.cli.conductor_ideal", broken)
+    # cli reads conductor_ideal off its module when the command runs
+    monkeypatch.setattr("relquad.discriminants.conductor_ideal", broken)
     code, out, err = run_cli("conductor", "--field", "0", "--delta", "-12", capsys=capsys)
     assert code == 3 and out == ""
     assert err == "internal error: factorization does not reassemble\n"

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +24,84 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    # the package's records are relquad._record classes: dataclasses, with
+    # inspect, ast, dis and tokenize under it, costs every fresh process
+    # its import and each decorator's class build
+    found = []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_package_init_imports_no_submodule():
+    # relquad/__init__.py resolves its exports on first access: no
+    # top-level statement imports a module of the package
+    tree = ast.parse((Path(relquad.__file__).parent / "__init__.py").read_text())
+    found = [
+        f"__init__.py:{node.lineno}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "relquad")
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "relquad" for a in node.names)
+    ]
+    assert not found, found
+
+
+# run under python -S, so that no site-imported module hides a load
+_FRESH_PROCESS = """
+import json, sys
+import relquad
+out = {"bare": sorted(m for m in sys.modules if m.startswith("relquad."))}
+import relquad.cli
+relquad.cli._parse(["table", "--field", "10", "--bound", "500"])
+heavy = ["relquad.dyadic", "relquad.verify", "relquad.counting", "dataclasses", "inspect", "importlib.resources"]
+out["parsed"] = [m for m in heavy if m in sys.modules]
+relquad.cli.main(["table", "--field", "10", "--bound", "20"])
+out["tabled"] = [m for m in heavy if m in sys.modules]
+out["exports"] = {}
+for name in relquad.__all__:
+    ns = {}
+    exec(f"from relquad import {name}", ns)
+    out["exports"][name] = getattr(relquad, name) is ns[name]
+out["dir"] = sorted(set(relquad.__all__) - set(dir(relquad)))
+from relquad import arith
+out["arith"] = arith is sys.modules["relquad.arith"]
+try:
+    relquad.no_such_name
+except AttributeError as exc:
+    out["missing"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_a_fresh_process_loads_what_it_uses():
+    # import relquad loads no submodule; parsing a table request, and
+    # running one, loads no module the table does not need; every export
+    # still resolves, as relquad.X and as from relquad import X, to the
+    # object of the module that defines it
+    src = str(Path(relquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FRESH_PROCESS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["bare"] == [] and out["parsed"] == [] and out["tabled"] == []
+    assert out["exports"] == dict.fromkeys(relquad.__all__, True) and len(relquad.__all__) > 30
+    assert out["dir"] == [] and out["arith"] is True
+    assert out["missing"] == "module 'relquad' has no attribute 'no_such_name'"
+    # in this process too, each export is its module's own object
+    homes = relquad._HOMES
+    assert list(homes) == relquad.__all__
+    for name, home in homes.items():
+        assert getattr(relquad, name) is getattr(importlib.import_module(f"relquad.{home}"), name), name
 
 
 def test_only_dyadic_builds_local_fields():
@@ -460,7 +542,8 @@ def _reached_names(package: Path, perfbench: Path) -> set[str]:
 
 
 def test_public_surface_is_reached():
-    # relquad/__init__.py exports names its modules list in __all__, and
+    # relquad/__init__.py exports names its modules list in __all__ (by
+    # import, or through its name table), and
     # every __all__ name has a caller in the CLI, verify or perfbench: a
     # name only tests call belongs in tests/helpers.py
     package = Path(relquad.__file__).parent
@@ -470,12 +553,17 @@ def test_public_surface_is_reached():
         obj = importlib.import_module(f"relquad.{module}")
         for part in attr.split("."):
             obj = getattr(obj, part)
-    exports = [
-        (node.module, alias.name)
-        for node in ast.parse((package / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+    tree = ast.parse((package / "__init__.py").read_text())
+    exports = [(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    # the lazy package's name table, _HOMES: each exported name by the
+    # module that defines it
+    (homes,) = [
+        ast.literal_eval(s.value)
+        for s in tree.body
+        if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "_HOMES"
     ]
+    exports += [(module, name) for name, module in homes.items()]
+    assert len(exports) > 30, exports
     listed = {
         f"{path.stem}.{name}"
         for path in package.glob("[!_]*.py")
