@@ -38,9 +38,9 @@ one info per delta, which no caller can change but by filling its memos.
 
 The class enumeration builds each class modulo unit squares once, as a
 principal ideal (g) of norm <= B and a unit u modulo unit squares, delta =
-u*g, and keeps its least member in the window of field._window_least,
-the walk that Ideal.principal_generator shares; all on integer pairs,
-with only the representatives made Elems.  Their conductors read the
+u*g, and keeps its least member; the generator g and the least member come
+from relquad.classes (_generator and _unit_square_least), all on integer
+pairs, with only the representatives made Elems.  Their conductors read the
 factorization of (delta) = (g) that ideals_of_norm handed the interned
 ideal (g), so a row of a table or of unit_discriminants never factors
 (delta) afresh.  A totally negative class needs
@@ -55,14 +55,13 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from ._record import Record, slot_setters
-from .field import Elem, QuadField, _window_least, coords_mul, coords_sign, roots_of_unity, unit_square_class_reps
+from .classes import _generator, _unit_square_least
+from .field import Elem, QuadField, coords_mul, coords_sign, unit_square_class_reps
 from .ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
     PrimeIdeal,
-    _cf_generator,
     _factor,
-    _gauss_generator,
     _hnf_triple,
     _ideal_of_pairs,
     _root_coords,
@@ -413,7 +412,7 @@ def discriminant_classes(
     """Representatives of all discriminant classes modulo squares of units
     with |N(delta)| <= norm_bound, optionally restricted to totally negative
     discriminants, sorted: the least coordinate pair of each class in the
-    window eps^-2 <= |s1/s2| <= eps^2 of field._window_least for a real
+    window eps^-2 <= |s1/s2| <= eps^2 of classes._window_least for a real
     field, in the whole class otherwise.
     A class is a principal ideal (g) and a unit u of unit_square_class_reps,
     so each is built once, as u*g; its mod-4 witness and its signs do not
@@ -446,15 +445,9 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
     units = [(u.X, u.Y) for u in unit_square_class_reps(K)]
     embeddings = K.real_embeddings if negative else ()
     unit_signs = [tuple(coords_sign(K, *u, e) for e in embeddings) for u in units]
-    if K.is_real_quadratic:
-        generator, least = _cf_generator, lambda x, y: _window_least(K, x, y, 2)
-    else:
-        generator = _gauss_generator if K.degree == 2 else lambda I: (I.hnf[0], 0)
-        squares = [coords_mul(K, z.X, z.Y, z.X, z.Y) for z in roots_of_unity(K)]
-        least = lambda x, y: min(coords_mul(K, x, y, *z2) for z2 in squares)
     reps = []
     for I in ideals:
-        g = generator(I)
+        g = _generator(I)
         if g is None:
             continue
         opposite = tuple(-coords_sign(K, *g, e) for e in embeddings)
@@ -465,6 +458,5 @@ def _class_reps(K: QuadField, ideals, negative: bool) -> list[DiscriminantInfo]:
             if _witness_coords(K, x, y) is None:
                 continue
             # (delta) = (u*g) = I, the ideal _conductor factors
-            reps.append(least(x, y))
-    reps.sort()
-    return [_conductor(K, x, y) for x, y in reps]
+            reps.append((x, y))
+    return [_conductor(K, x, y) for x, y in sorted(_unit_square_least(K, reps))]

@@ -6,9 +6,7 @@ over Q), normalised to m >= 1 and gcd(X, Y, m) = 1, with zero as (0, 0, 1)
 (Cohen, GTM 138, 4.2.2): equal elements have equal triples, and an element
 is integral iff m = 1.  Products, real signs and square roots are the
 integer kernels coords_mul, coords_sign and coords_sqrt, which the class
-enumeration also calls on bare pairs; _window_least walks a pair by a
-power of the fundamental unit into a balanced window, for the class
-enumeration and Ideal.principal_generator alike.  Fraction appears only
+enumeration also calls on bare pairs.  Fraction appears only
 at the boundary: QuadField.elem and parse_elem take rationals, and x, y,
 norm and as_sqrt_coords return them.  A field is interned, one
 object per d, so an element's field is compared by identity.
@@ -22,7 +20,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import index
 
-from .arith import BoundExceeded, is_squarefree
+from .arith import is_squarefree
 
 __all__ = [
     "QuadField",
@@ -435,60 +433,17 @@ def parse_elem(K: QuadField, text: str) -> Elem:
 # ---------------------------------------------------------------------------
 # units
 
-CF_STEP_BOUND = 100000  # steps a continued-fraction walk may take
-
-
-def _cf_step(P: int, Q: int, D: int, s: int) -> tuple[int, int, int]:
-    # one step of the continued fraction of (P + sqrt D)/Q, s = isqrt(D),
-    # for either sign of Q; returns (a, P', Q')
-    a = (P + s + (Q < 0)) // Q
-    P1 = a * Q - P
-    Q1 = (D - P1 * P1) // Q
-    return a, P1, Q1
-
-
-def _cf_convergents(A: int, B: int, C: int, D: int, operation: str, subject):
-    """The convergents (p, q) with |f(p, q)| = 1 of the root (-B + sqrt D)/2A
-    of the form f = (A, B, C) of nonsquare discriminant D > 0, through the
-    preperiod and one period, at most CF_STEP_BOUND steps (_cf_step and the
-    bound are read at call time; subject() names the input in an error).
-    The walk runs on the complete quotients (P_k + sqrt D)/Q_k from (-B, 2A),
-    and |f(p_k, q_k)| = |Q_(k+1)|/2 (Cohen, GTM 138, 5.7), so it judges a
-    convergent on the small Q_(k+1) and evaluates f only on a hit, as the
-    exact confirmation.  A complete quotient is reduced iff P_k <= s and
-    s - P_k < Q_k <= s + P_k, s = isqrt(D); from the first reduced one the
-    expansion is periodic, so the walk ends when it recurs."""
-    s = isqrt(D)
-    P, Q = -B, 2 * A
-    p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
-    q_prev, q_cur = 1, 0
-    first = None  # the first reduced (P_k, Q_k)
-    for _ in range(CF_STEP_BOUND):
-        a, P, Q = _cf_step(P, Q, D, s)
-        if Q == 0:
-            raise AssertionError(f"{operation} for {subject()} reached Q = 0")
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if abs(Q) == 2:
-            if abs((A * p_cur + B * q_cur) * p_cur + C * q_cur * q_cur) != 1:
-                raise AssertionError(f"{operation} for {subject()}: |f(p, q)| != 1 where |Q| = 2")
-            yield p_cur, q_cur
-        if first == (P, Q):
-            return
-        if first is None and P <= s and s - P < Q <= s + P:
-            first = (P, Q)
-    # the walk needs at least CF_STEP_BOUND + 1 steps
-    raise BoundExceeded(operation, subject(), CF_STEP_BOUND + 1, CF_STEP_BOUND)
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(K: QuadField) -> Elem:
     """Smallest unit > 1 of a real quadratic field, by the continued
     fraction of w, the root of the principal form (1, -t, n) of
     discriminant K.disc: a convergent p/q with |f(p, q)| = |N(p - q*w)| = 1,
-    within one period, yields the unit."""
+    within one period, yields the unit (classes._cf_convergents, the walk
+    of the principality test)."""
     if not K.is_real_quadratic:
         raise ValueError("fundamental unit requires a real quadratic field")
+    from .classes import _cf_convergents  # classes imports this module
+
     form = (1, -K.omega_trace, K.omega_norm)
     for p, q in _cf_convergents(*form, K.disc, "continued fraction of omega", lambda: f"d={K.d}"):
         eta = K.elem(p, -q)
@@ -497,61 +452,6 @@ def fundamental_unit(K: QuadField) -> Elem:
                 return cand
         raise AssertionError("no associate > 1")
     raise AssertionError(f"no unit in a period of omega for d={K.d}")
-
-
-def _sqrt_d_nonneg(alpha: int, beta: int, d: int) -> bool:
-    # alpha + beta*sqrt(d) >= 0 for integers alpha, beta and nonsquare d > 0
-    if alpha >= 0 and beta >= 0:
-        return True
-    if alpha <= 0 and beta <= 0:
-        return False
-    return (alpha > 0) == (alpha * alpha > d * beta * beta)
-
-
-def _window_side(P: int, Q: int, E: int, F: int, d: int) -> int:
-    """0 if delta is in the closed window u^-1 <= |s1(delta)/s2(delta)| <= u
-    of a unit u with s1(u) > 0, else the side it leaves by: 1 above, -1
-    below.  With 2*delta = P + Q sqrt(d), 2*u^2 = E + F sqrt(d) and
-    (2 delta)^2 = a + b sqrt(d), all integers, these are two exact sign
-    tests, s1(delta^2) <= s1(u^2) s2(delta^2) and symmetrically, scaled by 8."""
-    a = P * P + d * Q * Q
-    b = 2 * P * Q
-    if not _sqrt_d_nonneg(E * a - F * b * d - 2 * a, F * a - E * b - 2 * b, d):
-        return 1
-    if not _sqrt_d_nonneg(E * a + F * b * d - 2 * a, F * a + E * b + 2 * b, d):
-        return -1
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _unit_window(K: QuadField, k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """For u = eps^k of the real field K: (E, F) with 2u^2 = E + F sqrt(d),
-    the window bound of _window_side, and the coordinates of u and of
-    u^-1 = N(u) conj(u), computed once per interned field and k (as
-    fundamental_unit is)."""
-    u = fundamental_unit(K) ** k
-    E, F = (int(2 * v) for v in (u * u).as_sqrt_coords())
-    n = int(u.norm())
-    return (E, F), (u.X, u.Y), (n * (u.X + K.omega_trace * u.Y), -n * u.Y)
-
-
-def _window_least(K: QuadField, x: int, y: int, k: int) -> tuple[int, int]:
-    """The least (x, y) of x + y*w times the powers of u = eps^k in the
-    real field K that lie in the window of _window_side.  u multiplies
-    |s1/s2| by eps^(2k) (|s2(u)| = 1/u), the width of the closed window,
-    and u^-1 divides it by that: so the walk enters the window, which holds
-    one or two members.  s1(u) > 0, so every member's s1 has the sign of
-    s1(x + y*w).  Discriminant classes walk by eps^2, generators by eps."""
-    t, d = K.omega_trace, K.d
-    window, up, down = _unit_window(K, k)
-    while side := _window_side(2 * x + t * y, (2 - t) * y, *window, d):
-        x, y = coords_mul(K, x, y, *(down if side > 0 else up))
-    members = [(x, y)]
-    for step in (up, down):
-        x1, y1 = coords_mul(K, x, y, *step)
-        if not _window_side(2 * x1 + t * y1, (2 - t) * y1, *window, d):
-            members.append((x1, y1))
-    return min(members)
 
 
 def roots_of_unity(K: QuadField) -> list[Elem]:

@@ -67,16 +67,8 @@ coordinates with the primitive-part rule of Ideal.valuation
 ideal to learn its valuations; _coords_factor(K, x, y, m) reads the whole
 factorization of ((x + y*w)/m) that way.
 
-Principality reads the norm form f_J of I = c*J (_norm_form, Cohen, GTM
-138, 5.2): a real field walks the continued fraction of a root of f_J, as
-fundamental_unit walks that of w, the root of the principal form (5.7),
-and field._cf_convergents decides each convergent on its complete quotient,
-evaluating f_J only to confirm a hit; an imaginary one reduces f_J by
-Lagrange-Gauss (5.3-5.4).  No search over coordinate rows is left.  The
-continued-fraction walk is memoised per ideal (_cf_generator), non-principal
-ones included, in an LRU cache of FACTOR_CACHE_SIZE entries.  A real
-field's generator is then walked by eps into the window of
-field._window_least, the walk the discriminant classes take by eps^2.
+Ideal.principal_generator reads the generator that relquad.classes, the
+home of principality and of the unit window, picks for the numerator.
 Ideal.divides tests containment on the HNF: no inverse, no product.
 
 principal_ideal reads the HNF of (e) from one gcd and one inverse modulo
@@ -126,10 +118,10 @@ from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .arith import BoundExceeded, factorint, is_prime, kronecker, sqrt_mod_p, xgcd
-from .field import Elem, QuadField, _cf_convergents, _window_least, coords_mul, coords_sign, parse_elem, roots_of_unity
+from .field import Elem, QuadField, parse_elem
 
 __all__ = [
     "Ideal",
@@ -138,7 +130,6 @@ __all__ = [
     "principal_ideal",
     "primes_above",
     "ideals_of_norm",
-    "minkowski_bound",
     "parse_ideal",
     "square_root_coords",
     "coords_valuation",
@@ -462,17 +453,13 @@ class Ideal:
     # -- principality ----------------------------------------------------------
 
     def principal_generator(self) -> Elem | None:
-        """A generator if the ideal is principal, else None: over a
-        quadratic field, the generator _principal_generator_integral picks
-        for the numerator, over the denominator."""
-        K = self.field
-        if K.degree == 1:
-            return Elem(K, self.hnf[0], 0, self.den)
-        num = Ideal(K, self.hnf, 1, _checked=True)
-        g = _principal_generator_integral(num)
-        if g is None:
-            return None
-        return Elem(K, g.X, g.Y, self.den)
+        """A generator if the ideal is principal, else None: the generator
+        classes._principal_generator_integral picks for the numerator, over
+        the denominator."""
+        from .classes import _principal_generator_integral  # classes imports this module
+
+        g = _principal_generator_integral(self)
+        return None if g is None else Elem(self.field, *g, self.den)
 
 
 def square_root_coords(delta: Elem, M: Ideal, N: Ideal, L: Ideal | None = None):
@@ -1111,94 +1098,6 @@ def _ideal_of_pairs(K: QuadField, pairs: tuple) -> Ideal:
         k, q, r = _local_part(tuple(local))
         s, A, B = s * k, A * q, _crt_join(A, B, q, r)
     return Ideal(K, (s * A, s * B, s), 1, _checked=True, _factors=pairs)
-
-
-def minkowski_bound(K: QuadField) -> int:
-    """An integer upper bound for the Minkowski constant of K: every ideal
-    class contains an integral ideal of norm <= this bound."""
-    if K.degree == 1:
-        return 1
-    D = abs(K.disc)
-    # sqrt(D) <= (isqrt(D*10^8)+1)/10^4, exact integer overestimate
-    s_up = isqrt(D * 10**8) + 1
-    if K.d > 0:
-        return s_up // (2 * 10**4) + 1
-    # (2/pi) sqrt(D), pi > 3.14159265
-    return (2 * s_up * 10**8) // (314159265 * 10**4) + 1
-
-
-# -- principal generator search ------------------------------------------------
-
-
-def _norm_form(I: Ideal) -> tuple[int, int, int]:
-    """f_J = (A, B, C) = (A, 2b' + t, N(b' + w)/A), of the discriminant of
-    K, for I = c*J with HNF (a, b, c), J = (A, b' + w): N(p*A + q*(b' + w))
-    = A f_J(p, q), so c*(p*A + q*(b' + w)) = (p*a + q*b) + q*c*w generates
-    I iff f_J(p, q) = +-1."""
-    K = I.field
-    a, b, c = I.hnf
-    t = K.omega_trace
-    A, b1 = a // c, b // c
-    return A, 2 * b1 + t, (b1 * b1 + t * b1 + K.omega_norm) // A
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _cf_generator(I: Ideal) -> tuple[int, int] | None:
-    """Coordinates of a generator of the integral ideal I of a real field,
-    or None.  J is principal iff f_J (_norm_form) is GL2(Z)-equivalent to
-    the norm form of O; then by Serret's theorem the continued fraction of
-    its root (-B + sqrt(disc))/2A ends in the period of w, which has a
-    complete quotient with |Q| = 2: the first convergent that
-    field._cf_convergents yields, with |f_J(p, q)| = 1.  Memoised per ideal,
-    None included, so Ideal.principal_generator and the discriminant classes
-    walk each ideal once."""
-    K = I.field
-    a, b, c = I.hnf
-    for p, q in _cf_convergents(*_norm_form(I), K.disc, "continued fraction of a norm-form root", lambda: f"{I} in {K}"):
-        return p * a + q * b, q * c
-    return None
-
-
-def _gauss_generator(I: Ideal) -> tuple[int, int] | None:
-    """Coordinates of a generator of the integral ideal I of an imaginary
-    field, or None, by Lagrange-Gauss reduction of the positive definite
-    f_J (_norm_form; Cohen, GTM 138, 5.3-5.4): the basis (v1, v2) with
-    f_J(x v1 + y v2) = A x^2 + B x y + C y^2 is reduced on integers until
-    -A < B <= A <= C, so A = f_J(v1) is the least nonzero value of f_J."""
-    a, b, c = I.hnf
-    A, B, C = _norm_form(I)
-    (p1, q1), (p2, q2) = (1, 0), (0, 1)
-    while True:
-        # v2 += k v1 with -A < B + 2Ak <= A
-        k = (A - B) // (2 * A)
-        p2, q2 = p2 + k * p1, q2 + k * q1
-        B, C = B + 2 * A * k, (A * k + B) * k + C
-        if C >= A:
-            break
-        (p1, q1), (p2, q2), A, C = (p2, q2), (p1, q1), C, A
-    return (p1 * a + q1 * b, q1 * c) if A == 1 else None
-
-
-def _principal_generator_integral(I: Ideal) -> Elem | None:
-    """The generator of I fixed by I alone, or None: of _gauss_generator's
-    g*zeta, zeta a root of unity, the least in (y, -x) for an imaginary K;
-    for a real K, of the associates +-g*eps^k of _cf_generator's g with
-    s1 > 0, the least (x, y) of the one or two in the window eps^-1 <=
-    |s1/s2| <= eps (field._window_least by u = eps)."""
-    K = I.field
-    if K.is_imaginary_quadratic:
-        g = _gauss_generator(I)
-        if g is None:
-            return None
-        y, minus_x = min((y, -x) for x, y in (coords_mul(K, *g, z.X, z.Y) for z in roots_of_unity(K)))
-        return Elem(K, -minus_x, y)
-    g = _cf_generator(I)
-    if g is None:
-        return None
-    x, y = g
-    if coords_sign(K, x, y, 0) < 0:
-        x, y = -x, -y
-    return Elem(K, *_window_least(K, x, y, 1))
 
 
 # -- parsing ---------------------------------------------------------------------

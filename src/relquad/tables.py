@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import isqrt
 
 from ._record import Record, slot_setters
+from .classes import minkowski_bound
 from .discriminants import (
     DiscriminantInfo,
     _class_reps,
@@ -25,7 +26,7 @@ from .discriminants import (
 )
 from .field import Elem, QuadField
 from .hurwitz import hurwitz_class_number
-from .ideals import Ideal, ideal_from_generators, ideals_of_norm, minkowski_bound
+from .ideals import Ideal, ideal_from_generators, ideals_of_norm
 
 __all__ = [
     "TableRow",

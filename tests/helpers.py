@@ -4,7 +4,7 @@ These deliberately avoid the code paths they check: interval arithmetic for
 signs, exhaustive coefficient searches for units, brute-force residue
 enumeration for congruences, full coordinate-box scans for the norm
 form and its solution row by row (the searches that the continued-fraction
-walk of ideals._cf_generator, the form reduction of ideals._gauss_generator
+walk of classes._cf_generator, the form reduction of classes._gauss_generator
 and the principal-ideal enumeration of discriminants.discriminant_classes
 replaced, with the HNF-bucket merge of the last), square certificates
 for the dyadic unit square classes (the search that the explicit squares of
@@ -77,7 +77,7 @@ the HNF of the full vectors of e and e*w (the route that the gcd modulo
 the norm of ideals.principal_ideal replaced), and the fundamental unit and
 the continued-fraction generator found by evaluating the norm form on
 every convergent in a loop of their own (the per-step norm forms that the
-test on the complete quotient in field._cf_convergents replaced).
+test on the complete quotient in classes._cf_convergents replaced).
 
 The last sections hold what only tests use, moved out of the package: small
 field, ideal and dyadic helpers (all_reps of a square-class space among
@@ -95,7 +95,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from relquad.arith import (
     _SMALL_PRIME_LIMIT,
@@ -109,6 +109,7 @@ from relquad.arith import (
 )
 from relquad.characters import QuadCharacter, _balance
 from relquad.cli import build_parser
+from relquad.classes import _unit_window, _window_side, minkowski_bound
 from relquad.counting import count_square_roots
 from relquad.discriminants import (
     DiscriminantInfo,
@@ -142,8 +143,6 @@ from relquad.field import (
     _ELEM_RE,
     Elem,
     QuadField,
-    _unit_window,
-    _window_side,
     coords_is_square,
     coords_mul,
     coords_sign,
@@ -158,7 +157,6 @@ from relquad.ideals import (
     _hnf_triple,
     coords_valuation,
     ideals_of_norm,
-    minkowski_bound,
     primes_above,
     principal_ideal,
     square_root_coords,
@@ -169,6 +167,12 @@ from relquad.ideals import (
 # quadratic fields, real and imaginary, with ramified, split and inert small
 # primes
 ORACLE_FIELDS = (None, 5, 10, -15, 2, -1, -3, 13)
+
+
+# the first lines of a script that patches relquad in a subprocess: patch
+# reads the attribute before it assigns, so a name that has moved raises
+# AttributeError, as monkeypatch.setattr does, instead of making a new one
+SCRIPT_PATCH = "def patch(owner, name, value):\n    getattr(owner, name)\n    setattr(owner, name, value)\n"
 
 
 def interval_sign(e: Elem, embedding: int, digits: int = 100) -> int:
@@ -326,7 +330,7 @@ def ideals_of_norm_by_products(K: QuadField, n: int) -> list[tuple[Ideal, tuple]
 
 # -- row searches: the norm form solved row by row, which the principal-ideal
 # enumeration of discriminant_classes and the form reduction of
-# ideals._gauss_generator replaced
+# classes._gauss_generator replaced
 
 
 def _norm_row(K: QuadField, y: int, lo: int, hi: int) -> tuple[range, ...]:
@@ -613,7 +617,7 @@ def cf_hits_by_norms(A: int, B: int, C: int, D: int):
     """The convergents (p, q) with |f(p, q)| = 1 of the root (-B + sqrt D)/2A
     of f = (A, B, C), nonsquare D = B^2 - 4AC > 0, through the preperiod and
     one period, by evaluating f on every convergent (the per-step norm forms
-    that field._cf_convergents' test on the complete quotient replaced).
+    that classes._cf_convergents' test on the complete quotient replaced).
     Its own loop: each partial quotient floors (P + sqrt D)/|Q| and negates
     for Q < 0, and the walk ends at the first complete quotient after the
     first step that it has seen before."""
@@ -837,6 +841,26 @@ def unit_discriminants_by_classes(K: QuadField) -> tuple[list[DiscriminantInfo],
             continue
         found.append(info)
     return found, window
+
+
+def genus_unit_discriminant_classes(K: QuadField) -> list[Elem]:
+    """The unit-discriminant classes of K modulo squares by genus theory,
+    one rational representative delta_S each: disc(K) is the product of its
+    t prime discriminants p* ((-1)^((p-1)/2) p at an odd p, and the 2-part
+    -4, 8 or -8), each K(sqrt p*)/K is unramified at every finite prime, and
+    the 2^t products delta_S of p* over a set S fall into 2^(t-1) classes,
+    as the product of all t is disc(K), a square in K; so the sets S that
+    leave out the last p* give one delta_S per class.  Over Q the class of
+    1.  Read off the factorization of disc(K) alone: no ideal, unit or
+    conductor."""
+    if K.is_rational:
+        return [K.one]
+    D = K.disc
+    stars = [(-1) ** ((p - 1) // 2) * p for p in factorint(D) if p != 2]
+    if D % 2 == 0:
+        stars.append(D // prod(stars))
+    rest = stars[:-1]
+    return [K.elem(prod(s for i, s in enumerate(rest) if mask >> i & 1)) for mask in range(1 << len(rest))]
 
 
 def extended_by_gcd(chi, a: Ideal) -> int:

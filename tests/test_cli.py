@@ -8,11 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import golden
 import pytest
 from helpers import equals_form, main_by_full_parser
 
 import relquad
-from relquad import cli, discriminants, ideals, tables
+from relquad import classes, cli, discriminants, ideals, tables
 from relquad.cli import main
 from relquad.field import make_field, parse_elem
 from relquad.ideals import parse_ideal
@@ -155,7 +156,7 @@ def test_repeated_requests_print_the_same_text(capsys):
     # field prints byte for byte what the first printed, and still matches
     # the shipped fixtures
     discriminants._conductor.cache_clear()
-    ideals._cf_generator.cache_clear()
+    classes._cf_generator.cache_clear()
     for d, name in ((5, "table_sqrt5.json"), (10, "table_sqrt10.json")):
         argv = ("table", "--field", str(d), "--bound", "500", "--format", "json")
         first, second = (run_cli(*argv, capsys=capsys) for _ in range(2))
@@ -173,7 +174,14 @@ def test_repeated_requests_print_the_same_text(capsys):
         K = make_field(row["d"])
         infos = [SimpleNamespace(delta=parse_elem(K, c)) for c in json.loads(second[1])["classes"]]
         assert fixture_unit_discs_match(K, infos, row) == []
-    assert discriminants._conductor.cache_info().hits > 0 and ideals._cf_generator.cache_info().hits > 0
+    assert discriminants._conductor.cache_info().hits > 0 and classes._cf_generator.cache_info().hits > 0
+
+
+def test_golden_corpus():
+    # every request of tests/golden.py prints what its digest in
+    # tests/golden/cli.json records: exit code, stdout and stderr
+    assert len(golden.REQUESTS) > 80
+    assert golden.mismatches() == []
 
 
 def test_table_tsv_header(capsys):

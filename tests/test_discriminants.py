@@ -17,12 +17,14 @@ from helpers import (
     discriminant_classes_by_elems,
     elem_trace,
     frac_sqrt,
+    genus_unit_discriminant_classes,
     is_totally_negative,
     local_square_solvable_by_residues,
     sqrt_gen,
     unit_discriminants_by_classes,
 )
-from relquad import discriminants, field, ideals, tables
+from relquad import classes, discriminants, field, ideals, tables
+from relquad.arith import is_squarefree
 from relquad.cli import main
 from relquad.discriminants import (
     DiscriminantInfo,
@@ -170,6 +172,20 @@ def test_unit_discriminants_match_all_classes_oracle(d):
     assert unit_discriminants(K) == unit_discriminants_by_classes(K)
 
 
+def test_unit_discriminants_match_genus_theory():
+    # one class per genus class delta_S, built from the prime discriminants
+    # of disc(K) with no ideal, unit or conductor code: over Q, every
+    # squarefree d with |d| <= 300, and d = 10007
+    ds = [None, 10007] + [d for d in range(-300, 301) if d not in (0, 1) and is_squarefree(d)]
+    for d in ds:
+        K = make_field(d)
+        found = [info.delta for info in unit_discriminants(K)[0]]
+        genus = genus_unit_discriminant_classes(K)
+        matches = [[same_class_mod_squares(a, b) for b in genus] for a in found]
+        assert len(found) == len(genus) and all(row.count(True) == 1 for row in matches), (d, found, genus)
+        assert all(any(row[j] for row in matches) for j in range(len(genus))), (d, found, genus)
+
+
 def test_conductor_scaling(test_fields):
     # f_{a^2 delta} = a f_delta
     rng = random.Random(17)
@@ -313,7 +329,7 @@ def _check_reused_factorization(infos):
 
 def _clear_ideal_memos():
     memos = (ideals._factor, ideals._coords_factor, ideals._prime_power, ideals._product, ideals._inverse)
-    for memo in (*memos, ideals._cf_generator, discriminants._conductor):
+    for memo in (*memos, classes._cf_generator, discriminants._conductor):
         memo.cache_clear()
 
 
@@ -696,7 +712,7 @@ def test_unit_window_built_once_per_field(d, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Elem, "__mul__", no_products)
         assert discriminant_classes(K, 30) == first
-    assert field._unit_window(K, 2)[0] == (E, F)
+    assert classes._unit_window(K, 2)[0] == (E, F)
 
 
 @pytest.mark.parametrize(
@@ -752,7 +768,7 @@ def test_classes_build_no_quotient_and_no_fraction_root(monkeypatch):
     }
     # the oracle filled the memos of the walk and the conductors: empty
     # them, so that both run under the refusals
-    ideals._cf_generator.cache_clear()
+    classes._cf_generator.cache_clear()
     discriminants._conductor.cache_clear()
     monkeypatch.setattr(Elem, "__truediv__", refuse)
     monkeypatch.setattr(helpers, "sqrt_by_fractions", refuse)

@@ -23,12 +23,13 @@ from helpers import (
     unit_power_decomposition,
     units_with_coeff_bound,
 )
+from relquad import classes
 from relquad import field as field_module
 from relquad.arith import BoundExceeded
+from relquad.classes import _cf_step
 from relquad.field import (
     Elem,
     QuadField,
-    _cf_step,
     coords_is_square,
     coords_mul,
     coords_sqrt,
@@ -200,13 +201,11 @@ def test_fundamental_units():
 def test_fundamental_unit_step_cap(monkeypatch):
     # the period of w for d = 94 is longer than 3 steps; the uncached
     # search must stop at the cap and name both d and the cap
-    import relquad.field as field
-
-    monkeypatch.setattr(field, "CF_STEP_BOUND", 3)
+    monkeypatch.setattr(classes, "CF_STEP_BOUND", 3)
     with pytest.raises(BoundExceeded, match=r"continued fraction of omega .*d=94: 4 > 3") as exc:
         fundamental_unit.__wrapped__(make_field(94))
     assert exc.value.bound == 3
-    monkeypatch.setattr(field, "_cf_step", lambda P, Q, D, s: (1, 0, 0))
+    monkeypatch.setattr(classes, "_cf_step", lambda P, Q, D, s: (1, 0, 0))
     with pytest.raises(AssertionError, match="d=94"):
         fundamental_unit.__wrapped__(make_field(94))
     monkeypatch.undo()
@@ -230,15 +229,13 @@ def test_a_forged_convergent_hit_raises(monkeypatch):
     # complete quotients that all read |Q| = 2 claim a hit at every step:
     # the exact confirmation f(p, q) = +-1 refuses the first one, naming the
     # field or the ideal (a walk without it would run to the step cap)
-    from relquad import ideals
-
-    monkeypatch.setattr(field_module, "_cf_step", lambda P, Q, D, s: (1, 0, 2))
-    monkeypatch.setattr(field_module, "CF_STEP_BOUND", 50)
+    monkeypatch.setattr(classes, "_cf_step", lambda P, Q, D, s: (1, 0, 2))
+    monkeypatch.setattr(classes, "CF_STEP_BOUND", 50)
     with pytest.raises(AssertionError, match="d=94"):
         fundamental_unit.__wrapped__(make_field(94))
     I = primes_above(make_field(10), 2)[0].ideal
     with pytest.raises(AssertionError, match=re.escape(str(I))):
-        ideals._cf_generator.__wrapped__(I)
+        classes._cf_generator.__wrapped__(I)
 
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13, 40, 184, 40028])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import relquad
 
 from helpers import (
+    SCRIPT_PATCH,
     _norm_row,
     balanced_associate,
     box_principal_generator,
@@ -44,9 +45,10 @@ from helpers import (
 )
 from relquad.arith import BoundExceeded, is_squarefree
 from relquad.counting import ideal_count_table
-from relquad import counting, ideals
+from relquad import classes, counting, ideals
 from relquad import field as field_module
-from relquad.field import Elem, QuadField, _window_least, coords_mul, fundamental_unit, make_field
+from relquad.classes import _window_least
+from relquad.field import Elem, QuadField, coords_mul, fundamental_unit, make_field
 from relquad.ideals import (
     FACTOR_CACHE_SIZE,
     Ideal,
@@ -801,7 +803,7 @@ def test_principal_generator_matches_box_oracle(d):
     # once the first pass has filled it
     K = make_field(d)
     oracle = lru_cache(maxsize=None)(row_principal_generator if d == 46 else box_principal_generator)
-    ideals._cf_generator.cache_clear()
+    classes._cf_generator.cache_clear()
     for _ in ("cold", "warm"):
         for a in _ideals_below(K, 31 if d == 46 else 60):
             for I in (a, a * Fraction(1, 3)):
@@ -816,17 +818,17 @@ def test_cf_generator_memo_matches_the_walk(d):
     # empty and again full, and principal_generator reads it alike
     K = make_field(d)
     cases = _ideals_below(K, 201)
-    walked = [ideals._cf_generator.__wrapped__(I) for I in cases]
+    walked = [classes._cf_generator.__wrapped__(I) for I in cases]
     # h = 2 for d = 10 and h = 1 for d = 94
     assert (None in walked) == (d == 10) and sum(g is not None for g in walked) > 20
-    ideals._cf_generator.cache_clear()
+    classes._cf_generator.cache_clear()
     gens = [I.principal_generator() for I in cases]
-    assert [ideals._cf_generator(I) for I in cases] == walked
-    filled = ideals._cf_generator.cache_info()
+    assert [classes._cf_generator(I) for I in cases] == walked
+    filled = classes._cf_generator.cache_info()
     assert filled.maxsize == FACTOR_CACHE_SIZE and filled.misses == filled.currsize == len(cases)
     assert [I.principal_generator() for I in cases] == gens
-    assert [ideals._cf_generator(I) for I in cases] == walked
-    assert ideals._cf_generator.cache_info().misses == filled.misses
+    assert [classes._cf_generator(I) for I in cases] == walked
+    assert classes._cf_generator.cache_info().misses == filled.misses
     for I, g, w in zip(cases, gens, walked):
         assert (g is None) == (w is None) and (g is None or principal_ideal(g) == I), (d, I)
 
@@ -836,9 +838,9 @@ def test_cf_generator_memo_keeps_fields_apart():
     # Q(sqrt 10); equal coordinates keep separate entries in either order
     Q2, Q10 = make_field(2), make_field(10)
     for first, second in ((Q2, Q10), (Q10, Q2)):
-        ideals._cf_generator.cache_clear()
+        classes._cf_generator.cache_clear()
         got = {K: Ideal(K, (2, 0, 1)).principal_generator() for K in (first, second)}
-        assert ideals._cf_generator.cache_info().currsize == 2
+        assert classes._cf_generator.cache_info().currsize == 2
         assert got[Q10] is None and got[Q2] in (sqrt_gen(Q2), -sqrt_gen(Q2))
         assert principal_ideal(got[Q2]) == Ideal(Q2, (2, 0, 1))
 
@@ -851,7 +853,7 @@ def test_cf_walk_matches_the_norm_oracle():
         K = make_field(d)
         assert fundamental_unit.__wrapped__(K) == fundamental_unit_by_norms(K), d
         for I in _ideals_below(K, 41):
-            assert ideals._cf_generator.__wrapped__(I) == cf_generator_by_norms(I), (d, I)
+            assert classes._cf_generator.__wrapped__(I) == cf_generator_by_norms(I), (d, I)
 
 
 REAL_SQUAREFREE = [d for d in range(2, 5001) if is_squarefree(d)]
@@ -884,13 +886,13 @@ def test_principal_generator_ignores_the_associate(d, x, y, k, sign):
 
 @pytest.mark.parametrize("d", [2, 5, 13, 22, 79])
 def test_principal_generator_from_any_associate(monkeypatch, d):
-    # the window walk of field._window_least gives the same generator
+    # the window walk of classes._window_least gives the same generator
     # whichever generator the continued fraction yields, also g eps^-6 and
     # g eps^6, far outside the unit window on either side
     K = make_field(d)
     ideals_below = _ideals_below(K, 31)
     want = [a.principal_generator() for a in ideals_below]
-    found = ideals._cf_generator
+    found = classes._cf_generator
     for k in (-6, 6):
         u = fundamental_unit(K) ** k
 
@@ -898,7 +900,7 @@ def test_principal_generator_from_any_associate(monkeypatch, d):
             g = found(I)
             return None if g is None else coords_mul(K, *g, u.X, u.Y)
 
-        monkeypatch.setattr(ideals, "_cf_generator", shifted)
+        monkeypatch.setattr(classes, "_cf_generator", shifted)
         assert [a.principal_generator() for a in ideals_below] == want, k
 
 
@@ -979,19 +981,19 @@ def test_primes_above_checks_survive_optimize():
     # leaves root finding with no root; primes_above must raise under
     # python -O and name p (as asserts, -O returned no prime for 3), and
     # after the patch is undone it must answer as before
-    code = (
+    code = SCRIPT_PATCH + (
         "import relquad.ideals as I\n"
         "from relquad.field import make_field\n"
         "K = make_field(5)\n"
         "real = I.kronecker\n"
         "I._primes_above.cache_clear()\n"
-        "I.kronecker = lambda D, p: 1\n"
+        "patch(I, 'kronecker', lambda D, p: 1)\n"
         "for p in (2, 3):\n"
         "    try:\n"
         "        print(__debug__, 'returned', len(I.primes_above(K, p)))\n"
         "    except AssertionError as exc:\n"
         "        print(__debug__, 'raised', f'p = {p} ' in str(exc))\n"
-        "I.kronecker = real\n"
+        "patch(I, 'kronecker', real)\n"
         "I._primes_above.cache_clear()\n"
         "print([P.residue_degree for p in (2, 3) for P in I.primes_above(K, p)])\n"
     )

@@ -41,6 +41,24 @@ def test_no_module_imports_dataclasses():
     assert not found, found
 
 
+def test_no_unused_import():
+    # every name a package module imports is loaded in that module, or named
+    # by one of its strings, as __all__ and _HOMES name what they export;
+    # from __future__ import annotations is exempt
+    found = []
+    for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found
+
+
 def test_package_init_imports_no_submodule():
     # relquad/__init__.py resolves its exports on first access: no
     # top-level statement imports a module of the package
@@ -131,10 +149,10 @@ def test_only_dyadic_builds_local_fields():
 # other memo has a size
 UNBOUNDED_MEMOS = {
     "arith._small_primes",
+    "classes._unit_window",
     "cli._parser",
     "dyadic._intern_field",
     "field._FIELDS",
-    "field._unit_window",
     "field.fundamental_unit",
     "ideals._PRIMES",
     "ideals._primes_above",
@@ -290,9 +308,51 @@ def test_cli_reads_no_private_attribute():
     assert not found, found
 
 
+# the reduction theory: every name that decides principality, walks the
+# unit window or picks a class representative, with the walk's step bound
+REDUCTION_THEORY = {
+    "CF_STEP_BOUND",
+    "_cf_step",
+    "_cf_convergents",
+    "_sqrt_d_nonneg",
+    "_window_side",
+    "_unit_window",
+    "_window_least",
+    "_unit_square_least",
+    "minkowski_bound",
+    "_norm_form",
+    "_cf_generator",
+    "_gauss_generator",
+    "_generator",
+    "_principal_generator_integral",
+}
+
+
+def test_reduction_theory_has_one_home():
+    # each name of the reduction theory is defined in classes.py and in no
+    # other module of the package, and the class kernel of discriminants
+    # reads the one generator rule: it tests no kind of field
+    package = Path(relquad.__file__).parent
+    homes = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for name in defined & REDUCTION_THEORY:
+            homes.setdefault(name, []).append(path.stem)
+    assert homes == dict.fromkeys(REDUCTION_THEORY, ["classes"]), homes
+    tree = ast.parse((package / "discriminants.py").read_text())
+    (kernel,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_class_reps"]
+    kinds = {"is_rational", "is_real_quadratic", "is_imaginary_quadratic", "degree"}
+    found = sorted({node.attr for node in ast.walk(kernel) if isinstance(node, ast.Attribute)} & kinds)
+    assert not found, found
+
+
 def test_one_continued_fraction_loop():
     # fundamental_unit and the real principality test read their
-    # convergents from field._cf_convergents, the one caller of _cf_step
+    # convergents from classes._cf_convergents, the one caller of _cf_step
     callers = []
     for path in sorted(Path(relquad.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -301,7 +361,7 @@ def test_one_continued_fraction_loop():
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cf_step":
                         callers.append(f"{path.stem}.{fn.name}")
-    assert callers == ["field._cf_convergents"], callers
+    assert callers == ["classes._cf_convergents"], callers
 
 
 def test_convergents_are_judged_in_the_walk():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import SCRIPT_PATCH
 
 import relquad
 from relquad import dyadic, verify
@@ -125,10 +126,10 @@ def test_decomposition_suite_small():
 
 def test_hurwitz_suite_verdict_survives_optimize():
     # a sabotaged oracle must fail the suite under python -O as well
-    code = (
+    code = SCRIPT_PATCH + (
         "from fractions import Fraction\n"
         "import relquad.hurwitz, relquad.verify\n"
-        "relquad.hurwitz.hurwitz_class_number_forms = lambda delta: Fraction(999)\n"
+        "patch(relquad.hurwitz, 'hurwitz_class_number_forms', lambda delta: Fraction(999))\n"
         "rep = relquad.verify.hurwitz_suite(bound=20)\n"
         "print(__debug__, rep['ok'], len(rep['failures']))\n"
     )
@@ -150,7 +151,7 @@ def test_decomposition_verdict_survives_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["failure_count"] == 0
-    code = (
+    code = SCRIPT_PATCH + (
         "import sys\n"
         "import relquad.verify\n"
         "from relquad.cli import main\n"
@@ -159,7 +160,7 @@ def test_decomposition_verdict_survives_optimize():
         "    out = conv(A, B)\n"
         "    out[7] = -out[7] or 1\n"
         "    return out\n"
-        "relquad.verify.dirichlet_convolution = flipped\n"
+        "patch(relquad.verify, 'dirichlet_convolution', flipped)\n"
         f"sys.exit(main({argv!r}))\n"
     )
     out = subprocess.run(
@@ -176,11 +177,11 @@ def test_character_suite_verdict_survives_optimize():
     # as an assert, -O saw only the conductor mismatches it caused).  The
     # lifts are evaluated on integer coordinates by _on_coords, which
     # on_element calls too
-    code = (
+    code = SCRIPT_PATCH + (
         "import itertools\n"
         "import relquad.characters, relquad.verify\n"
         "flip = itertools.cycle((1, -1))\n"
-        "relquad.characters.QuadCharacter._on_coords = lambda self, x, y, m=1: next(flip)\n"
+        "patch(relquad.characters.QuadCharacter, '_on_coords', lambda self, x, y, m=1: next(flip))\n"
         "rep = relquad.verify.character_suite(bound=12)\n"
         "hecke = sum('not well defined' in f for f in rep['failures'])\n"
         "print(__debug__, rep['ok'], len(rep['failures']), hecke)\n"
@@ -235,11 +236,11 @@ def test_fundamental_discriminant_checks_survive_optimize():
     # with a bogus principal generator the representative -20 of Q(sqrt 5)
     # keeps conductor (2); the check must raise under python -O as well
     # (as an assert, -O returned principal_rep = -20)
-    code = (
+    code = SCRIPT_PATCH + (
         "import relquad.ideals\n"
         "from relquad.discriminants import fundamental_discriminant_data\n"
         "from relquad.field import make_field\n"
-        "relquad.ideals.Ideal.principal_generator = lambda self: 1\n"
+        "patch(relquad.ideals.Ideal, 'principal_generator', lambda self: 1)\n"
         "try:\n"
         "    fd = fundamental_discriminant_data(make_field(5).elem(-20))\n"
         "    print(__debug__, 'returned', fd.principal_rep)\n"
@@ -257,11 +258,11 @@ def test_completion_checks_survive_optimize():
     # a Newton step that stops at a residue root gives w a wrong image at
     # the split and the inert dyadic primes; completion_at must raise under
     # python -O as well, naming d (as asserts, -O returned the wrong image)
-    code = (
+    code = SCRIPT_PATCH + (
         "import relquad.verify as v\n"
         "from relquad.field import make_field\n"
         "from relquad.ideals import primes_above\n"
-        "v._hensel_root = lambda F, t, n, start: start + F.elem(2)\n"
+        "patch(v, '_hensel_root', lambda F, t, n, start: start + F.elem(2))\n"
         "for d in (17, 5):\n"
         "    K = make_field(d)\n"
         "    for P in primes_above(K, 2):\n"
@@ -282,9 +283,9 @@ def test_dyadic_suite_verdict_survives_optimize():
     # a Newton step that returns 1 yields wrong square roots; the certificate
     # check must fail every field under python -O as well (as an assert, -O
     # passed the suite with ok=True)
-    code = (
+    code = SCRIPT_PATCH + (
         "import relquad.dyadic, relquad.verify\n"
-        "relquad.dyadic._newton_unit_sqrt = lambda F, a, b: (1, 0)\n"
+        "patch(relquad.dyadic, '_newton_unit_sqrt', lambda F, a, b: (1, 0))\n"
         "rep = relquad.verify.dyadic_suite()\n"
         "cert = sum('certificate fails' in f for f in rep['failures'])\n"
         "print(__debug__, rep['ok'], len(rep['failures']), cert)\n"
@@ -299,9 +300,9 @@ def test_dyadic_suite_verdict_survives_optimize():
 def test_dyadic_unit_class_checks_survive_optimize():
     # with a single candidate unit no square-class basis can be found; the
     # set-up check must fail every field under python -O as well
-    code = (
+    code = SCRIPT_PATCH + (
         "import relquad.dyadic, relquad.verify\n"
-        "relquad.dyadic._unit_candidates = lambda F: [(1, 0)]\n"
+        "patch(relquad.dyadic, '_unit_candidates', lambda F: [(1, 0)])\n"
         "rep = relquad.verify.dyadic_suite()\n"
         "gone = sum('unit square classes not exhausted' in f for f in rep['failures'])\n"
         "print(__debug__, rep['ok'], len(rep['failures']), gone)\n"
@@ -317,12 +318,12 @@ def test_forged_convergent_hit_survives_optimize():
     # the walk's confirmation of a hit is an explicit raise: under python -O
     # a forged |Q| = 2 at every step still raises, naming the field or the
     # ideal, for the unit and for a principality walk alike
-    code = (
-        "import relquad.field as F, relquad.ideals as I\n"
-        "F._cf_step = lambda P, Q, D, s: (1, 0, 2)\n"
-        "F.CF_STEP_BOUND = 50\n"
+    code = SCRIPT_PATCH + (
+        "import relquad.classes as C, relquad.field as F, relquad.ideals as I\n"
+        "patch(C, '_cf_step', lambda P, Q, D, s: (1, 0, 2))\n"
+        "patch(C, 'CF_STEP_BOUND', 50)\n"
         "J = I.primes_above(F.make_field(10), 2)[0].ideal\n"
-        "for walk, arg, name in ((F.fundamental_unit, F.make_field(94), 'd=94'), (I._cf_generator, J, str(J))):\n"
+        "for walk, arg, name in ((F.fundamental_unit, F.make_field(94), 'd=94'), (C._cf_generator, J, str(J))):\n"
         "    try:\n"
         "        walk.__wrapped__(arg)\n"
         "    except AssertionError as exc:\n"
