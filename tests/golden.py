@@ -8,9 +8,12 @@ show that it does.  From the root of a checkout:
     PYTHONPATH=src python tests/golden.py           # compare; exit 1 on a difference
     PYTHONPATH=src python tests/golden.py --write   # regenerate golden/cli.json
 
-The requests reach the reduction theory of relquad.classes: unit
+The requests reach the reduction theory of relquad.classes (unit
 discriminants, the class tables and the principal representative of
-fdelta, over Q, real fields and imaginary fields.
+fdelta, over Q, real fields and imaginary fields) and the dyadic appendix
+(the duality report of each of the eight local fields at its default
+precision and at 4 more digits, and verify dyadic).  A verify report's
+seconds is a wall time, so it is dropped from stdout before hashing.
 """
 
 from __future__ import annotations
@@ -55,6 +58,13 @@ FDELTA = (
     ("-105", "-420"),
 )
 
+# the eight dyadic fields with their default precisions
+LOCAL_FIELDS = (
+    ("q2", 10),
+    ("unram", 10),
+    *((f"ram:{c}", 14) for c in (-1, -5, 2, -2, 10, -10)),
+)
+
 REQUESTS = [
     *(
         argv
@@ -68,6 +78,12 @@ REQUESTS = [
     ["table", "--field", "5", "--bound", "500"],
     ["table", "--field", "10", "--bound", "500"],
     *(["fdelta", "--field", d, f"--delta={delta}"] for d, delta in FDELTA),
+    *(
+        ["local-duality", "--field", desc, *precision]
+        for desc, default in LOCAL_FIELDS
+        for precision in ((), ("--precision", str(default + 4)))
+    ),
+    ["verify", "dyadic"],
 ]
 
 
@@ -76,7 +92,12 @@ def digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    return hashlib.sha256(json.dumps([rc, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    stdout = out.getvalue()
+    if argv[0] == "verify":
+        report = json.loads(stdout)
+        del report["seconds"]
+        stdout = json.dumps(report)
+    return hashlib.sha256(json.dumps([rc, stdout, err.getvalue()]).encode()).hexdigest()
 
 
 def digests() -> dict[str, str]:
