@@ -594,13 +594,20 @@ class SquareClassSpace:
         pair the valuation, one product by f_v, a shift, the lattice key and
         a table read; ValueError for a pair that is 0 at this precision."""
         F = self.field
-        W, T, C = F.W, F.T, F.C
+        W, T, C, e, vcap = F.W, F.T, F.C, F.e, F.vcap
         unshift, table = self._unshift, self.table
         la, lb, lc = self._lattice
         out = []
         for a, b in pairs:
-            v = _valuation(F, a, b)
-            if v is None:
+            # _valuation inline: e v2(N) / 2 from the lowest set bit of the norm
+            n = a * a + T * a * b - C * b * b
+            if not n:
+                raise ValueError("cannot classify 0")
+            v = e * ((n & -n).bit_length() - 1)
+            if v & 1:
+                raise AssertionError(f"norm with odd 2-adic valuation {v} in {F}")
+            v >>= 1
+            if v > vcap:
                 raise ValueError("cannot classify 0")
             (fa, fb), s = unshift[v]
             bb = b * fb
@@ -690,7 +697,11 @@ def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     for depth in (3, 2 * F.e + 2):
         squares = F.sample_squares(depth)
         a_squares = [_mul(F, xa, xb, va, vb) for va, vb in squares]
-        for ua, ub in squares:
+        for cls in dict.fromkeys(classify([(-pa % W, -pb % W) for pa, pb in a_squares if pa or pb])):
+            _gf2_insert(rows, cls)
+            if len(rows) == target:
+                return tuple(rows)
+        for ua, ub in squares[1:]:
             for pa, pb in a_squares:
                 try:
                     (cls,) = classify((((ua - pa) % W, (ub - pb) % W),))
@@ -795,7 +806,7 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     n = 1 << F.dim
     # row i of the symbol table: bit j set iff (reps[i], reps[j]) = -1
     table = _symbol_table(F, reps)
-    symmetric = all((table[i] >> j ^ table[j] >> i) & 1 == 0 for i in range(n) for j in range(i))
+    symmetric = table == _transpose(table)
     linear = _decompose_linear(F, reps)
     bilinear = _rows_linear(table)
     gram = gram_matrix(F)
@@ -861,6 +872,14 @@ def _symbol_table(F: LocalField, reps) -> list[int]:
     return [sum((sym >> cj & 1) << j for j, cj in enumerate(classes)) for sym in syms]
 
 
+def _transpose(rows: list[int]) -> list[int]:
+    """The bit transpose of the square bit matrix rows: bit i of row j of
+    the result is bit j of rows[i]."""
+    n = len(rows)
+    cols = [f"{r:0{n}b}"[::-1] for r in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*cols)]
+
+
 def _rows_linear(table: list[int]) -> bool:
     """Bilinearity in the first argument, (x y, z) = (x, z)(y, z) for all
     x, y and every z at once, i.e. T(i ^ k) = T(i) ^ T(k) for all i, k, for
@@ -915,7 +934,7 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     if out is None:
         pi_i, W = _pi_power(F, i), F.W
         units = []
-        for ta, tb in F.samples(2 * F.e + 2 - i):
+        for ta, tb in F.samples(2 * F.e + 1 - i):
             ua, ub = _mul(F, ta, tb, *pi_i)
             ua = (ua + 1) % W
             if _valuation(F, ua, ub) == 0:
