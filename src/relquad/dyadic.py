@@ -137,6 +137,11 @@ class LocalField:
         tag = {"q2": "Q2", "unram": "Q2(w)", "ram": f"Q2(sqrt{{{self.c}}})"}[self.kind]
         return f"{tag}@{self.precision}"
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle give the interned field of the same
+        # kind, class and precision, as LocalElem's __reduce__ does
+        return _local_field, (self.kind, self.c, self.precision)
+
     # -- element construction -------------------------------------------------
 
     def elem(self, a: int, b: int = 0) -> "LocalElem":
@@ -363,6 +368,11 @@ _set_field, _set_a, _set_b = slot_setters(LocalElem)
 def _local_elem(kind: str, c: int | None, precision: int, a: int, b: int) -> LocalElem:
     # the inverse of LocalElem.__reduce__
     return LocalElem(_intern_field(kind, c, precision), a, b)
+
+
+def _local_field(kind: str, c: int | None, precision: int) -> LocalField:
+    # the inverse of LocalField.__reduce__
+    return _intern_field(kind, c, precision)
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -383,6 +385,21 @@ def test_local_fields_are_interned():
         assert LocalField(*_descriptor_args(desc)) is not F
         assert F.space() is F.space()
     assert local_field("ram:2") is not local_field("ram:-2")
+
+
+def test_local_fields_copy_to_the_interned_field():
+    # copy, deepcopy and a pickle round trip of an interned field, at the
+    # default precision and at + 4, hand back the field itself, so an
+    # element of the copy equals the same element of the field
+    for extra in (0, 4):
+        for desc in DESCRIPTORS:
+            F = local_field(desc)
+            F = local_field(desc, F.precision + extra)
+            for twin in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+                assert twin is F, (F, extra)
+            assert copy.deepcopy(F).elem(3) == F.elem(3)
+            x = F.elem(3, 0 if desc == "q2" else 1)
+            assert pickle.loads(pickle.dumps([F, x])) == [F, x]
 
 
 def test_field_caches_are_immutable():
