@@ -691,32 +691,39 @@ def _symbol_row(F: LocalField, cx: int) -> int:
 def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     """Row basis of the classes of nonzero values of u^2 - a v^2, where a
     represents class cx.  This is the norm group of K(sqrt a)/K, of index
-    exactly 2; the search stops when that index is reached."""
-    # u^2 - a v^2 over the pairs of squares of the samples at depth 3, then
-    # 2e + 2, u outer and v inner.  The first u is 0, whose values -a v^2 all
-    # lie in one class, so its pass reaches every v before the rows can fill:
-    # forming a v^2 for the whole depth up front costs no extra product.
-    # The kernel takes each value's valuation once; the search skips the
-    # values it refuses, 0 and those lost to precision.
+    exactly 2; the search stops when that index is reached.
+
+    The values run over the squares of the samples at depth 3, then 2e + 2,
+    u outer and v inner.  The first u is 0, whose values -a v^2 all lie in
+    the class of -a: that pass gives one row where index 2 needs dim - 1 >= 2,
+    so it reaches every v before the rows can fill, and it is classified as
+    one batch, each of its classes inserted once.  The values of the other u
+    are classified one at a time, in the kernel's one-pair batches, so the
+    search stops at the value that fills the rows.  No value but u = v = 0
+    is refused: u^2 = a v^2 would make the non-square a a square, and
+    v(u^2 - a v^2) <= 2 v(v) + v(a) + 2e (any deeper, a / (u/v)^2 would lie
+    in U_(2e+1)), at most 6e + 3 for these samples, below vcap at every
+    precision a field allows."""
     space = F.space()
     classify = space._classify_pairs
     xa, xb = space.rep_pairs[cx]
-    W = F.W
+    W, T, C = F.W, F.T, F.C
     target = F.dim - 1
     rows: list[int] = []
     for depth in (3, 2 * F.e + 2):
-        squares = F.sample_squares(depth)
-        a_squares = [_mul(F, xa, xb, va, vb) for va, vb in squares]
-        for cls in dict.fromkeys(classify([(-pa % W, -pb % W) for pa, pb in a_squares if pa or pb])):
+        squares = F.sample_squares(depth)  # squares[0] is 0, of the sample 0
+        # -a v^2 for every v, negated inline with _mul's formula
+        neg = [
+            (-(xa * va + C * xb * vb) % W, -(xa * vb + xb * va + T * xb * vb) % W)
+            for va, vb in squares
+        ]
+        for cls in dict.fromkeys(classify(neg[1:])):
             _gf2_insert(rows, cls)
             if len(rows) == target:
                 return tuple(rows)
         for ua, ub in squares[1:]:
-            for pa, pb in a_squares:
-                try:
-                    (cls,) = classify((((ua - pa) % W, (ub - pb) % W),))
-                except ValueError:
-                    continue
+            for na, nb in neg:
+                (cls,) = classify((((ua + na) % W, (ub + nb) % W),))
                 _gf2_insert(rows, cls)
                 if len(rows) == target:
                     return tuple(rows)
@@ -942,13 +949,13 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     depth 2e + 2 - i, built once per field and level."""
     out = F._level_memo.get(i)
     if out is None:
-        pi_i, W = _pi_power(F, i), F.W
-        units = []
-        for ta, tb in F.samples(2 * F.e + 1 - i):
-            ua, ub = _mul(F, ta, tb, *pi_i)
-            ua = (ua + 1) % W
-            if _valuation(F, ua, ub) == 0:
-                units.append((ua, ub))
+        (pa, pb), W, T, C = _pi_power(F, i), F.W, F.T, F.C
+        # 1 + t pi^i by _mul's formula, kept where its norm is odd: a unit
+        ones = (
+            ((ta * pa + C * tb * pb + 1) % W, (ta * pb + tb * pa + T * tb * pb) % W)
+            for ta, tb in F.samples(2 * F.e + 1 - i)
+        )
+        units = [(ua, ub) for ua, ub in ones if (ua * ua + T * ua * ub - C * ub * ub) & 1]
         out = F._level_memo[i] = tuple(set(F.space()._classify_pairs(units)))
     return out
 

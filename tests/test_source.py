@@ -365,7 +365,7 @@ def test_one_continued_fraction_loop():
 
 
 def test_convergents_are_judged_in_the_walk():
-    # field._cf_convergents judges each convergent on its complete quotient
+    # classes._cf_convergents judges each convergent on its complete quotient
     # and confirms a hit once, so no loop over its convergents evaluates a
     # form: no product there has the loop's targets on both sides (p * p,
     # p * q, A * p * p), while p * a + q * b stays allowed; and
