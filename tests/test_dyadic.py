@@ -855,6 +855,30 @@ def test_first_reports_build_only_the_field_constants():
     assert out.stdout.split() == [str(3 * len(DESCRIPTORS))]
 
 
+def test_first_reports_classify_few_pairs(monkeypatch):
+    # a timing-free guard on the cold builds: the first duality reports of
+    # the eight fields, on private fields with nothing built, send at most
+    # 3,441 pairs to the classify kernel in at most 622 calls (the u = 0
+    # pass of each norm-group search in one batch, the level classes at
+    # depth 2e + 1 - i); before those builds it took 3,871 pairs in 2,246
+    # calls
+    kernel = SquareClassSpace._classify_pairs
+    seen = {"pairs": 0, "calls": 0}
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        seen["pairs"] += len(pairs)
+        seen["calls"] += 1
+        return kernel(self, pairs)
+
+    monkeypatch.setattr(SquareClassSpace, "_classify_pairs", counted)
+    for desc in DESCRIPTORS:
+        F = LocalField(*_descriptor_args(desc))
+        monkeypatch.setattr(dyadic, "local_field", lambda d, p=None, F=F: F)
+        assert all(v is not False for v in duality_report(desc).values()), desc
+    assert seen["pairs"] <= 3441 and seen["calls"] <= 622, seen
+
+
 def test_local_elem_is_immutable_and_equal_by_value():
     F = local_field("ram:-5")
     x = F.elem(3, 4)
