@@ -77,7 +77,11 @@ the HNF of the full vectors of e and e*w (the route that the gcd modulo
 the norm of ideals.principal_ideal replaced), and the fundamental unit and
 the continued-fraction generator found by evaluating the norm form on
 every convergent in a loop of their own (the per-step norm forms that the
-test on the complete quotient in classes._cf_convergents replaced).
+test on the complete quotient in classes._cf_convergents replaced), and
+the dyadic level classes sampled one digit deeper, at depth 2e + 2 - i, and
+the norm-group search with its u = 0 pass one value per kernel call (the
+routes that the depth 2e + 1 - i of dyadic._level_classes and the batched
+u = 0 pass of dyadic._norm_rows replaced).
 
 The last sections hold what only tests use, moved out of the package: small
 field, ideal and dyadic helpers (all_reps of a square-class space among
@@ -960,6 +964,35 @@ def norm_class_rows_by_decompose(F: LocalField, cx: int) -> list[int]:
                 if not val or val.valuation() is None:
                     continue
                 _gf2_insert(rows, space.decompose(val))
+                if len(rows) == F.dim - 1:
+                    return rows
+    return rows
+
+
+def level_classes_at_depth_2e2(F: LocalField, i: int) -> set[int]:
+    """The square classes of the units 1 + t pi^i for t over the samples of
+    depth 2e + 2 - i, one digit deeper than dyadic._level_classes reads,
+    each formed as LocalElems and classified by the public decompose."""
+    space, pi_i = F.space(), F.pi ** i
+    units = (F.one + t * pi_i for t in sample_elems(F, 2 * F.e + 2 - i))
+    return {space.decompose(u) for u in units if u.valuation() == 0}
+
+
+def norm_rows_one_value_at_a_time(F: LocalField, cx: int) -> list[int]:
+    """dyadic._norm_rows(F, cx) with the u = 0 pass searched like every
+    other u, one value per call of the classify kernel, stopping at the
+    value that fills the rows."""
+    space = F.space()
+    a = space_rep(space, cx)
+    rows: list[int] = []
+    for depth in (3, 2 * F.e + 2):
+        squares = [u * u for u in sample_elems(F, depth)]
+        for u2 in squares:
+            for v2 in squares:
+                val = u2 - a * v2
+                if not val:
+                    continue
+                _gf2_insert(rows, space._classify_pairs([(val.a, val.b)])[0])
                 if len(rows) == F.dim - 1:
                     return rows
     return rows

@@ -39,9 +39,11 @@ from helpers import (
     duality_by_pair_bits,
     element_pairing,
     gram_by_symbols,
+    level_classes_at_depth_2e2,
     local_valuation_by_halving,
     norm_class_rows_by_decompose,
     hilbert_symbol_q2_by_division,
+    norm_rows_one_value_at_a_time,
     orthogonal_classes,
     orthogonal_complement_by_pair_bits,
     product_formula_holds,
@@ -308,6 +310,27 @@ def test_norm_class_rows_match_decompose_route(desc, extra):
     F = local_field(desc, F.precision + extra)
     for cx in range(1, 1 << F.dim):
         assert list(dyadic._norm_rows(F, cx)) == norm_class_rows_by_decompose(F, cx), (desc, cx)
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_cold_builds_match_deeper_and_one_value_searches(desc, extra):
+    # the level classes read at depth 2e + 1 - i against one digit deeper,
+    # the filtration they span, and every symbol row against a norm-group
+    # search that classifies its u = 0 pass one value at a time
+    F = local_field(desc)
+    F = local_field(desc, F.precision + extra)
+    deeper = {i: level_classes_at_depth_2e2(F, i) for i in range(2 * F.e + 1)}
+    for i, classes in deeper.items():
+        assert set(dyadic._level_classes(F, i)) == classes, (desc, i)
+    filtration = dyadic.unit_filtration(F)
+    for k in range(F.e + 1):
+        assert span_masks(filtration[k]) == span_masks(sorted(deeper[2 * k])), (desc, k)
+    for cx in range(1, 1 << F.dim):
+        norms = span_masks(norm_rows_one_value_at_a_time(F, cx))
+        assert len(norms) == 1 << (F.dim - 1), (desc, cx)
+        expected = sum(1 << cy for cy in range(1 << F.dim) if cy not in norms)
+        assert dyadic._symbol_row(F, cx) == expected, (desc, cx)
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
