@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import BoundExceeded
-from .field import QuadField, coords_mul, coords_sign, fundamental_unit, roots_of_unity
+from .field import QuadField, coords_mul, coords_sign, fundamental_unit
 from .ideals import FACTOR_CACHE_SIZE, Ideal
 
 __all__ = ["minkowski_bound"]
@@ -159,7 +159,7 @@ def _unit_square_least(K: QuadField, pairs) -> list[tuple[int, int]]:
     root of unity."""
     if K.is_real_quadratic:
         return [_window_least(K, x, y, 2) for x, y in pairs]
-    squares = [coords_mul(K, z.X, z.Y, z.X, z.Y) for z in roots_of_unity(K)]
+    squares = [coords_mul(K, x, y, x, y) for x, y in K.unity_coords]
     return [min(coords_mul(K, x, y, *z2) for z2 in squares) for x, y in pairs]
 
 
@@ -249,5 +249,5 @@ def _principal_generator_integral(I: Ideal) -> tuple[int, int] | None:
     if K.is_real_quadratic:
         s = coords_sign(K, *g, 0)
         return _window_least(K, s * g[0], s * g[1], 1)
-    y, minus_x = min((y, -x) for x, y in (coords_mul(K, *g, z.X, z.Y) for z in roots_of_unity(K)))
+    y, minus_x = min((y, -x) for x, y in (coords_mul(K, *g, *z) for z in K.unity_coords))
     return -minus_x, y

@@ -50,7 +50,9 @@ class QuadField:
 
     Its element API is elem (also reached by calling the field) and the
     constants zero, one and omega; zero completes the three for callers,
-    though the package itself builds its zeros with elem."""
+    though the package itself builds its zeros with elem.  unity_coords
+    holds the coordinates (x, y) of its roots of unity x + y*w, in the
+    order of roots_of_unity, for the integer kernels."""
 
     def __new__(cls, d: int | None = None):
         if d is not None:
@@ -139,6 +141,7 @@ def _build_field(d: int | None) -> QuadField:
     K = object.__new__(QuadField)
     for name, value in attrs.items():
         object.__setattr__(K, name, value)
+    object.__setattr__(K, "unity_coords", tuple((z.X, z.Y) for z in roots_of_unity(K)))
     return K
 
 
