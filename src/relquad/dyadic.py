@@ -37,8 +37,8 @@ tuples of pairs.  SquareClassSpace._classify_pairs is decompose on a batch
 of pairs, the package's one body of the classify logic: the valuation, the
 product by f_v, the shift, the lattice key and the table read.  decompose
 sends it one pair, hilbert_symbol its two arguments, the norm-group search
-one value at a time, and the level classes and the duality report whole
-batches.  LocalElem, an immutable record over one pair, is the public
+its u = 0 pass as one batch and every later value alone, and the level
+classes and the duality report whole batches.  LocalElem, an immutable record over one pair, is the public
 boundary only: the field's elem, zero, one and pi, the arguments of
 is_square, sqrt_certificate, decompose and hilbert_symbol, the certificate
 sqrt_certificate returns, and the completions of verify.completion_at.  A
@@ -766,7 +766,7 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
     """V_k = image of U_(2k) in the square classes, as GF(2) row bases,
     for k = -1 .. e+1; dimensions must match 1 + f(e-k) for 0 <= k <= e.
     V_k is spanned by _level_classes(F, 2k), which reaches every residue of
-    U_(2k) modulo pi^(2e+2), deeper than the square class depends on."""
+    U_(2k) modulo pi^(2e+1), the depth the square class depends on."""
     out: dict[int, list[int]] = {-1: [1 << i for i in reversed(range(F.dim))]}
     for k in range(0, F.e + 1):
         rows: list[int] = []
@@ -946,7 +946,10 @@ def _even_levels_pair_trivially(F: LocalField) -> bool:
 
 def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     """The square classes of the units 1 + t pi^i, t over the samples of
-    depth 2e + 2 - i, built once per field and level."""
+    depth 2e + 1 - i, built once per field and level.  These reach every
+    residue of U_i modulo pi^(2e+1), and the classify kernel reads a unit
+    only modulo pi^(2e+1) (O'Meara 63:1), so a deeper t repeats keys and
+    adds no class, whatever the table holds."""
     out = F._level_memo.get(i)
     if out is None:
         (pa, pb), W, T, C = _pi_power(F, i), F.W, F.T, F.C
