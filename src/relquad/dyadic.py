@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from ._record import Record, slot_setters
 from .ideals import _hnf_from_vectors
@@ -120,17 +121,15 @@ class LocalField:
         self.W = 1 << (self.precision + 6)  # coordinate modulus 2^(prec+6)
         self.vcap = self.e * (self.precision + 2)  # deepest valuation reported
         self.dim = self.e * self.f + 2  # dim of K^x / (K^x)^2 over F2
-        # residue field digits: F2, or F4 as bit pairs p + q*g
-        self.digits = ((0, 0), (1, 0)) if self.f == 1 else ((0, 0), (1, 0), (0, 1), (1, 1))
+        # the q = 2^f residue field digits: F2, or F4 as bit pairs p + q*g
+        self.digits = ((0, 0), (1, 0), (0, 1), (1, 1))[: 1 << self.f]
         self.zero, self.one = LocalElem(self, 0, 0), LocalElem(self, 1, 0)
         if self.e == 1:
             self.pi = LocalElem(self, 2, 0)
         else:  # sqrt c for even c, 1 + sqrt c for odd c
             self.pi = LocalElem(self, self.c % 2, 1)
-        self._symbol_memo: dict[int, int] = {}
-        self._sample_memo: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._square_memo: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._level_memo: dict[int, tuple[int, ...]] = {}
+        # the caches of the class docstring, by class, depth, depth and level
+        self._symbol_memo, self._sample_memo, self._square_memo, self._level_memo = {}, {}, {}, {}
         self._space = None
 
     def __repr__(self):
@@ -140,7 +139,7 @@ class LocalField:
     def __reduce__(self):
         # copy, deepcopy and pickle give the interned field of the same
         # kind, class and precision, as LocalElem's __reduce__ does
-        return _local_field, (self.kind, self.c, self.precision)
+        return _interned, (self.kind, self.c, self.precision)
 
     # -- element construction -------------------------------------------------
 
@@ -368,11 +367,6 @@ _set_field, _set_a, _set_b = slot_setters(LocalElem)
 def _local_elem(kind: str, c: int | None, precision: int, a: int, b: int) -> LocalElem:
     # the inverse of LocalElem.__reduce__
     return LocalElem(_intern_field(kind, c, precision), a, b)
-
-
-def _local_field(kind: str, c: int | None, precision: int) -> LocalField:
-    # the inverse of LocalField.__reduce__
-    return _intern_field(kind, c, precision)
 
 
 def local_field(descriptor: str, precision: int | None = None) -> LocalField:
@@ -609,15 +603,11 @@ class SquareClassSpace:
         la, lb, lc = self._lattice
         out = []
         for a, b in pairs:
-            # _valuation inline: e v2(N) / 2 from the lowest set bit of the norm
+            # the valuation e v2(N) / 2 of _valuation, inline; its parity
+            # assertion cannot fire here, as an e = 1 norm is 4^k times odd
             n = a * a + T * a * b - C * b * b
-            if not n:
-                raise ValueError("cannot classify 0")
-            v = e * ((n & -n).bit_length() - 1)
-            if v & 1:
-                raise AssertionError(f"norm with odd 2-adic valuation {v} in {F}")
-            v >>= 1
-            if v > vcap:
+            v = e * ((n & -n).bit_length() - 1) >> 1
+            if not n or v > vcap:
                 raise ValueError("cannot classify 0")
             (fa, fb), s = unshift[v]
             bb = b * fb
@@ -637,14 +627,9 @@ def _unit_candidates(F: LocalField) -> list[tuple[int, int]]:
     return cands
 
 
-def _gf2_reduce(rows: list[int], vec: int) -> int:
+def _gf2_insert(rows: list[int], vec: int) -> bool:
     for r in rows:
         vec = min(vec, vec ^ r)
-    return vec
-
-
-def _gf2_insert(rows: list[int], vec: int) -> bool:
-    vec = _gf2_reduce(rows, vec)
     if vec:
         rows.append(vec)
         rows.sort(reverse=True)
@@ -705,28 +690,21 @@ def _norm_rows(F: LocalField, cx: int) -> tuple[int, ...]:
     in U_(2e+1)), at most 6e + 3 for these samples, below vcap at every
     precision a field allows."""
     space = F.space()
-    classify = space._classify_pairs
-    xa, xb = space.rep_pairs[cx]
-    W, T, C = F.W, F.T, F.C
-    target = F.dim - 1
-    rows: list[int] = []
+    W = F.W
+    ma, mb = _mul(F, *space.rep_pairs[cx], W - 1, 0)  # -a
+    rows = []
     for depth in (3, 2 * F.e + 2):
         squares = F.sample_squares(depth)  # squares[0] is 0, of the sample 0
-        # -a v^2 for every v, negated inline with _mul's formula
-        neg = [
-            (-(xa * va + C * xb * vb) % W, -(xa * vb + xb * va + T * xb * vb) % W)
-            for va, vb in squares
-        ]
-        for cls in dict.fromkeys(classify(neg[1:])):
+        neg = [_mul(F, ma, mb, va, vb) for va, vb in squares]  # -a v^2
+        rest = (
+            space._classify_pairs((((ua + na) % W, (ub + nb) % W),))[0]
+            for ua, ub in squares[1:]
+            for na, nb in neg
+        )
+        for cls in chain(dict.fromkeys(space._classify_pairs(neg[1:])), rest):
             _gf2_insert(rows, cls)
-            if len(rows) == target:
+            if len(rows) == F.dim - 1:
                 return tuple(rows)
-        for ua, ub in squares[1:]:
-            for na, nb in neg:
-                (cls,) = classify((((ua + na) % W, (ub + nb) % W),))
-                _gf2_insert(rows, cls)
-                if len(rows) == target:
-                    return tuple(rows)
     raise AssertionError("norm group search did not reach index 2")
 
 
@@ -769,7 +747,7 @@ def unit_filtration(F: LocalField) -> dict[int, list[int]]:
     U_(2k) modulo pi^(2e+1), the depth the square class depends on."""
     out: dict[int, list[int]] = {-1: [1 << i for i in reversed(range(F.dim))]}
     for k in range(0, F.e + 1):
-        rows: list[int] = []
+        rows = []
         expected = 1 + F.f * (F.e - k)
         for cls in _level_classes(F, 2 * k):
             _gf2_insert(rows, cls)
@@ -823,7 +801,7 @@ def duality_report(descriptor: str, precision: int | None = None) -> dict:
     n = 1 << F.dim
     # row i of the symbol table: bit j set iff (reps[i], reps[j]) = -1
     table = _symbol_table(F, reps)
-    symmetric = table == _transpose(table)
+    symmetric = all((table[i] >> j ^ table[j] >> i) & 1 == 0 for i in range(n) for j in range(i))
     linear = _decompose_linear(F, reps)
     bilinear = _rows_linear(table)
     gram = gram_matrix(F)
@@ -889,14 +867,6 @@ def _symbol_table(F: LocalField, reps) -> list[int]:
     return [sum((sym >> cj & 1) << j for j, cj in enumerate(classes)) for sym in syms]
 
 
-def _transpose(rows: list[int]) -> list[int]:
-    """The bit transpose of the square bit matrix rows: bit i of row j of
-    the result is bit j of rows[i]."""
-    n = len(rows)
-    cols = [f"{r:0{n}b}"[::-1] for r in rows]
-    return [int("".join(col)[::-1], 2) for col in zip(*cols)]
-
-
 def _rows_linear(table: list[int]) -> bool:
     """Bilinearity in the first argument, (x y, z) = (x, z)(y, z) for all
     x, y and every z at once, i.e. T(i ^ k) = T(i) ^ T(k) for all i, k, for
@@ -952,13 +922,13 @@ def _level_classes(F: LocalField, i: int) -> tuple[int, ...]:
     adds no class, whatever the table holds."""
     out = F._level_memo.get(i)
     if out is None:
-        (pa, pb), W, T, C = _pi_power(F, i), F.W, F.T, F.C
-        # 1 + t pi^i by _mul's formula, kept where its norm is odd: a unit
-        ones = (
-            ((ta * pa + C * tb * pb + 1) % W, (ta * pb + tb * pa + T * tb * pb) % W)
-            for ta, tb in F.samples(2 * F.e + 1 - i)
-        )
-        units = [(ua, ub) for ua, ub in ones if (ua * ua + T * ua * ub - C * ub * ub) & 1]
+        pi_i, W = _pi_power(F, i), F.W
+        units = []
+        for ta, tb in F.samples(2 * F.e + 1 - i):
+            ua, ub = _mul(F, ta, tb, *pi_i)
+            ua = (ua + 1) % W
+            if _valuation(F, ua, ub) == 0:
+                units.append((ua, ub))
         out = F._level_memo[i] = tuple(set(F.space()._classify_pairs(units)))
     return out
 
