@@ -38,12 +38,12 @@ of pairs, the package's one body of the classify logic: the valuation, the
 product by f_v, the shift, the lattice key and the table read.  decompose
 sends it one pair, hilbert_symbol its two arguments, the norm-group search
 its u = 0 pass as one batch and every later value alone, and the level
-classes and the duality report whole batches.  LocalElem, an immutable record over one pair, is the public
-boundary only: the field's elem, zero, one and pi, the arguments of
-is_square, sqrt_certificate, decompose and hilbert_symbol, the certificate
-sqrt_certificate returns, and the completions of verify.completion_at.  A
-field builds three LocalElems, its constants; its first duality report
-builds no more.
+classes and the duality report whole batches.  LocalElem, an immutable
+record over one pair, is the public boundary only: the field's elem, zero,
+one and pi, the arguments of is_square, sqrt_certificate, decompose and
+hilbert_symbol, the certificate sqrt_certificate returns, and the
+completions of verify.completion_at.  A field builds three LocalElems, its
+constants; its first duality report builds no more.
 
 The duality report checks the appendix by GF(2) linear algebra on bitmask
 rows, one per class (bit j of row i set iff the symbol is -1).  Linearity
